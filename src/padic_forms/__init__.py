@@ -50,7 +50,6 @@ from .oracle import (
 from .ring import F4, RingElem, dth_root, multiplier_set, teichmuller_alpha
 from .solver import (
     IsotropyResult,
-    SolverConfig,
     decide_isotropy,
     isotropy_threshold,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "SWEEP_LEMMAS",
     "SearchBudgetExceeded",
     "SearchOutcome",
-    "SolverConfig",
     "SweepReport",
     "Witness",
     "agreement_experiment",

@@ -336,11 +336,11 @@ class AgreementReport:
 
 def agreement_experiment(d: int, trials: int, seed: int, s_max: int = 8,
                          level_max: int = 4) -> AgreementReport:
-    """Cross-check the staged pipeline against the complete decision.
+    """Cross-check the flat-kernel pipeline against the FFT oracle.
 
     Levels stay at or below level_max so the full enumeration runs at a
-    modulus of at most level_max + 3.  Any verdict difference, including
-    an inconclusive pipeline answer, is recorded as a mismatch.
+    modulus of at most level_max + 3.  Any verdict difference is recorded
+    as a mismatch.
     """
     from .oracle import decide_isotropy_exhaustive
     from .solver import decide_isotropy

@@ -14,8 +14,8 @@ the plain syntax `d=6; K=10; 1, 1, w, 2+3w` where w is the quadratic
 generator.  `-` reads stdin.
 
 Exit codes: 0 isotropic (or: check passed), 1 anisotropic (or: check
-failed), 2 inconclusive, 64 unreadable input or bad usage, 65 precision
-too low for the requested analysis, 70 internal error.
+failed), 64 unreadable input or bad usage, 65 precision too low for the
+requested analysis, 70 internal error.
 
 Output JSON is deterministic byte for byte; timing fields are only added
 under --verbose.  PADIC_FORMS_THREADS caps the worker threads used by
@@ -44,7 +44,7 @@ from .errors import (
 )
 from .forms import AdditiveForm, reduce_levels
 from .oracle import decide_isotropy_exhaustive, primitive_zero_mod
-from .solver import SolverConfig, decide_isotropy
+from .solver import decide_isotropy
 from .sweeps import (
     SWEEP_LEMMAS,
     exhaustive_lemma_ids,
@@ -57,7 +57,6 @@ from .witness import Witness, verify_witness
 EX_OK = 0
 EX_ANISOTROPIC = 1
 EX_FAIL = 1
-EX_INCONCLUSIVE = 2
 EX_PARSE = 64
 EX_PRECISION = 65
 EX_INTERNAL = 70
@@ -130,14 +129,9 @@ def _emit(doc: dict, out: str | None) -> None:
 
 def cmd_solve(args) -> int:
     f = load_form(args.form, args.precision)
-    config = SolverConfig()
-    if args.budget is not None:
-        config.budget = args.budget
-    res = decide_isotropy(f, config)
+    res = decide_isotropy(f)
     _emit(res.to_json(include_timings=args.verbose), args.out)
-    return {"ISOTROPIC": EX_OK, "ANISOTROPIC": EX_ANISOTROPIC}.get(
-        res.verdict, EX_INCONCLUSIVE
-    )
+    return EX_OK if res.verdict == "ISOTROPIC" else EX_ANISOTROPIC
 
 
 def cmd_oracle(args) -> int:
@@ -345,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve", help="decide isotropy of a form file")
     sp.add_argument("form", help="form file, or - for stdin")
     sp.add_argument("--precision", type=int, help="override working precision K")
-    sp.add_argument("--budget", type=int, help="contraction search node budget")
     common(sp)
     sp.set_defaults(fn=cmd_solve)
 

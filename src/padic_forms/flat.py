@@ -1,0 +1,225 @@
+"""Exact isotropy decision by flat reachability modulo 8.
+
+Unit d-th powers contain 1 + 8O, so with x = 2^j u (u a unit) the term
+c * x^d runs, modulo 2^(lvl + jd + 3), over exactly c * 2^(jd) * r for r
+in the multiplier reps, lvl being the level of c.  A form with levels
+below d therefore has a nontrivial zero iff, for some anchor level k < d,
+the terms of level lvl + jd in k..k+2 have a multiplier-scaled sub-sum
+that vanishes mod 2^(k+3) and uses a level-k term:
+
+- necessity: scale a zero so some variable is a unit and let k be the
+  lowest term level it reaches; k < d, only j in {0, 1} can land in
+  k..k+2, a level-k term has j = 0, and terms at k+3 or above vanish
+  mod 2^(k+3);
+- sufficiency: the level-k term is a unit variable whose Hensel lift
+  (`newton_anchor_solve`) needs exactly the sum mod 2^(k+3).
+
+Dividing by 2^k turns each anchor level into one question about subset
+sums in Z8 x Z8, 64 states, kept as two 64-bit masks: sums that used no
+level-k term yet, and sums that did.  A term takes part only when its
+trusted window covers the digits the question reads (k + 3 - jd); the
+outcome records whether some term was left out for that reason, since
+then a missing zero proves nothing.
+
+A solution becomes a contraction certificate by contracting two nodes of
+minimal level until the combination vanishes (a vanishing total forces
+its minimal level to repeat), or a witness by Newton on the anchor.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .engine import (
+    ContractionCertificate,
+    _certificate_from,
+    contract,
+    make_leaf,
+)
+from .errors import CertificateError
+from .forms import AdditiveForm
+from .ring import MultiplierSet
+
+_ALL = (1 << 64) - 1
+# per byte, the bits whose a-coordinate stays below 8 after adding s
+_KEEP = tuple((0xFF >> s) * 0x0101010101010101 for s in range(8))
+
+
+def _translate(mask: int, code: int) -> int:
+    """The set {x + t} for x in mask, with x = a + 8b coding (a, b) in
+    Z8 x Z8: rotate every byte by t's a, then the word by 8 times t's b."""
+    ta, tb = code & 7, code >> 3
+    if ta:
+        keep = _KEEP[ta]
+        mask = ((mask & keep) << ta) | ((mask & ~keep) >> (8 - ta))
+    if tb:
+        s = 8 * tb
+        mask = ((mask << s) | (mask >> (64 - s))) & _ALL
+    return mask
+
+
+def _minus(x: int, t: int) -> int:
+    return ((x - t) & 7) | ((((x >> 3) - (t >> 3)) & 7) << 3)
+
+
+@dataclass(frozen=True)
+class FlatPick:
+    var: int
+    wrap: int  # the variable is 2^wrap times a unit
+    rep: int  # index into the multiplier set's reps
+
+
+@dataclass(frozen=True)
+class FlatSolution:
+    k: int  # anchor level
+    anchor: int  # variable of a used level-k term
+    picks: tuple[FlatPick, ...]  # ordered by variable
+
+
+@dataclass(frozen=True)
+class FlatOutcome:
+    solution: FlatSolution | None
+    states: int  # reachable-set sizes summed over anchors and steps
+    short: bool  # some term was left out because of its window
+
+
+def _options(f: AdditiveForm, reps8, k: int, wraps):
+    """Per variable, the distinct codes (term / 2^k mod 8) it can add at
+    anchor k, each as (code, at level k, wrap, rep index); and whether a
+    term in range was left out for its window."""
+    terms = []
+    short = False
+    for i, (c, w) in enumerate(zip(f.coeffs, f.windows)):
+        lvl = c.valuation()
+        opts = []
+        for j in wraps:
+            shift = j * f.d
+            if not k <= lvl + shift <= k + 2:
+                continue
+            if w + shift < k + 3:
+                short = True
+                continue
+            ca = ((c.a << shift) >> k) & 7
+            cb = ((c.b << shift) >> k) & 7
+            seen = set()
+            for idx, (ra, rb) in enumerate(reps8):
+                code = ((ca * ra + cb * rb) & 7) | (((ca * rb + cb * ra + cb * rb) & 7) << 3)
+                if code not in seen:
+                    seen.add(code)
+                    opts.append((code, lvl + shift == k, j, idx))
+        if opts:
+            terms.append((i, opts))
+    return terms, short
+
+
+def _reach(terms):
+    """Run the two-mask DP.  Returns the masks (R0, R1) in force before
+    each term, the final anchored mask, and the reachable-set sizes
+    summed over the steps."""
+    R0, R1 = 1, 0  # bit 0 of R0: the empty sum
+    trail = []
+    states = 0
+    for _, opts in terms:
+        trail.append((R0, R1))
+        n0, n1 = R0, R1
+        for code, at_k, _, _ in opts:
+            n1 |= _translate(R1, code)
+            if at_k:
+                n1 |= _translate(R0, code)
+            else:
+                n0 |= _translate(R0, code)
+        R0, R1 = n0, n1
+        states += R0.bit_count() + R1.bit_count()
+    return trail, R1, states
+
+
+def _backtrack(k: int, terms, trail) -> FlatSolution:
+    """Walk the trail backward from 0 in the anchored mask, leaving a
+    term out whenever that still reaches, and collect the picks."""
+    target, anchored = 0, True
+    picks = []
+    anchor = None
+    for (var, opts), (R0, R1) in zip(reversed(terms), reversed(trail)):
+        if (R1 if anchored else R0) >> target & 1:
+            continue  # reachable without this term
+        for code, at_k, wrap, idx in opts:
+            prev = _minus(target, code)
+            if anchored and R1 >> prev & 1:
+                pass  # an earlier term carries the anchor
+            elif anchored == at_k and R0 >> prev & 1:
+                if anchored:
+                    anchor, anchored = var, False
+            else:
+                continue
+            picks.append(FlatPick(var, wrap, idx))
+            target = prev
+            break
+        else:
+            raise CertificateError("flat reachability trail broke while backtracking")
+    if target != 0 or anchored or anchor is None:
+        raise CertificateError("flat reachability trail does not end at the empty sum")
+    return FlatSolution(k, anchor, tuple(reversed(picks)))
+
+
+def flat_zero(f: AdditiveForm, ms: MultiplierSet, wrapped: bool) -> FlatOutcome:
+    """Solution at the lowest anchor level that has one.  With `wrapped`
+    a variable may also be 2 times a unit, which makes the search
+    complete; without, it covers the zeros whose used entries are units."""
+    if not f.is_reduced():
+        raise ValueError("flat reachability needs levels below the degree")
+    reps8 = [(r.value.a & 7, r.value.b & 7) for r in ms.reps]
+    wraps = (0, 1) if wrapped else (0,)
+    states = 0
+    short = False
+    levels = set(f.levels())
+    for k in range(f.d):
+        if k not in levels:
+            continue  # no term can carry the anchor
+        terms, left_out = _options(f, reps8, k, wraps)
+        short |= left_out
+        trail, R1, seen = _reach(terms)
+        states += seen
+        if R1 & 1:
+            return FlatOutcome(_backtrack(k, terms, trail), states, short)
+    return FlatOutcome(None, states, short)
+
+
+def contraction_from_flat(
+    g: AdditiveForm, sol: FlatSolution, ms: MultiplierSet
+) -> ContractionCertificate:
+    """Contract the solution's leaves bottom-up: while some node has a
+    level below k + 3, two nodes share the minimal one, and those two
+    (lowest ids first) are combined.  Leaves take their chosen
+    multiplier, composite nodes the identity (the set's first rep).  The
+    root is the finished node holding the anchor."""
+    if any(p.wrap for p in sol.picks):
+        raise CertificateError("a contraction certificate takes unit variables only")
+    ident = ms.reps[0]
+    arena = {}
+    choice = {}
+    for p in sol.picks:
+        leaf = make_leaf(p.var, g.coeffs[p.var], g.windows[p.var], 3)
+        arena[leaf.id] = leaf
+        choice[leaf.id] = ms.reps[p.rep]
+    need = sol.k + 3
+    active = set(arena)
+    next_id = g.s
+    while True:
+        low = sorted(
+            (arena[i].level, i) for i in active
+            if arena[i].level is not None and arena[i].level < need
+        )
+        if not low:
+            break
+        if len(low) < 2 or low[1][0] != low[0][0]:
+            raise CertificateError("flat solution does not vanish modulo 2^(k+3)")
+        pair = [arena[low[0][1]], arena[low[1][1]]]
+        node = contract(pair, [choice.get(n.id, ident) for n in pair], next_id)
+        arena[node.id] = node
+        active -= {low[0][1], low[1][1]}
+        active.add(node.id)
+        next_id += 1
+    root = next(arena[i] for i in active if sol.anchor in arena[i].leaves)
+    if not root.is_success():
+        raise CertificateError("flat solution left no vanishing node over the anchor")
+    return _certificate_from(root, arena, g.d, g.K)

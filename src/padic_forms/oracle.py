@@ -8,7 +8,9 @@ to zero.  At M = max coefficient level + 3 this is a complete isotropy
 criterion: a hit lifts by Newton, a miss is an anisotropy proof.
 
 Transitions are boolean convolutions on the torus, done by FFT on counts
-and thresholding; counts stay far below 2^53 so float64 is exact enough.
+and thresholding; counts stay far below 2^53 so float64 is exact enough,
+and every convolution checks that its output is integral before it is
+thresholded.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OracleBudgetError, PrecisionMismatch
+from .errors import CertificateError, OracleBudgetError, PadicFormsError, PrecisionMismatch
 from .forms import AdditiveForm, reduce_levels
 from .ring import RingElem, dth_root, mul_pair, teichmuller_alpha
 from .witness import Witness, exact_coeffs, map_to_origin, solve_anchor, verify_witness
@@ -117,10 +119,8 @@ def power_value_set(d: int, M: int) -> PowerValueSet:
         j += 1
     entries.sort(key=lambda e: (e.shift, e.value))
     pvs = PowerValueSet(d, M, tuple(entries))
-    if 4 ** M <= 10 ** 6:
-        assert pvs.value_set() == _brute_power_values(d, M), (
-            "power value set disagrees with brute force"
-        )
+    if 4 ** M <= 10 ** 6 and pvs.value_set() != _brute_power_values(d, M):
+        raise PadicFormsError(f"power value set (d={d}, M={M}) disagrees with brute force")
     _PVS_CACHE[key] = pvs
     return pvs
 
@@ -150,7 +150,10 @@ def _conv_hit(S: np.ndarray, FV) -> np.ndarray:
     if FV is None or not S.any():
         return np.zeros_like(S)
     out = np.fft.irfft2(np.fft.rfft2(S.astype(np.float64)) * FV, s=S.shape)
-    return out > 0.5
+    counts = np.rint(out)
+    if np.abs(out - counts).max() >= 0.25:
+        raise PadicFormsError("FFT convolution lost exactness; counts are not integral")
+    return counts > 0
 
 
 def _grid_of(codes: np.ndarray, M: int) -> np.ndarray:
@@ -259,12 +262,14 @@ def primitive_zero_mod(
                 if S0_prev[(ta - (code & mask)) & mask, (tb - (code >> M)) & mask]:
                     chosen = (code, plain_rev[code], False)
                     break
-        assert chosen is not None, "backtracking lost the DP trail"
+        if chosen is None:
+            raise CertificateError("backtracking lost the DP trail")
         code, pv, flag = chosen[0], chosen[1], chosen[2]
         assignment_vals[i] = pv
         ta = (ta - (code & mask)) & mask
         tb = (tb - (code >> M)) & mask
-    assert (ta, tb) == (0, 0) and flag is False
+    if (ta, tb) != (0, 0) or flag:
+        raise CertificateError("backtracking did not end at the empty sum")
     roots = tuple(pvs.root_of(pv) for pv in assignment_vals)
     return ZeroSearch(True, roots, anchor, visited, M)
 
@@ -305,7 +310,8 @@ def decide_isotropy_exhaustive(f: AdditiveForm) -> OracleDecision:
     coeffs = exact_coeffs(g, K)
     vals = solve_anchor(coeffs, g.d, list(zs.assignment), zs.anchor)
     w = map_to_origin(g, Witness(tuple(vals), zs.anchor, K))
-    assert verify_witness(f.root(), w)
+    if not verify_witness(f.root(), w):
+        raise CertificateError("oracle witness failed verification")
     return OracleDecision("ISOTROPIC", w, None, zs.states_visited)
 
 

@@ -1,10 +1,13 @@
 """Top-level isotropy decision pipeline.
 
-Reduce and normalize, then try the contraction search; a certificate is
+Reduce and normalize, then ask the exact flat reachability kernel
+(flat.py) twice.  Pass 1 looks on the normalized form for a zero whose
+used entries are units and turns it into a contraction certificate,
 Newton-lifted into a full-precision witness in the caller's variable
-frame.  When the search comes up empty the exhaustive oracle settles the
-question for instances within its size policy, and anything beyond that
-is reported INCONCLUSIVE rather than guessed.
+frame.  Pass 2 looks on the level-reduced form with entries 2 times a
+unit allowed too, which is complete: a solution Newton-lifts to a
+witness, and no solution is an anisotropy proof unless a coefficient's
+trusted window was too short to take part.
 """
 
 from __future__ import annotations
@@ -12,17 +15,17 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .engine import (
-    ContractionCertificate,
-    certificate_to_json,
-    search_certificate,
-    validate_certificate,
-)
+from .engine import ContractionCertificate, certificate_to_json, validate_certificate
 from .errors import CertificateError, PrecisionMismatch
+from .flat import FlatSolution, contraction_from_flat, flat_zero
 from .forms import AdditiveForm, normalize, reduce_levels
-from .oracle import MAX_ORACLE_M, decide_isotropy_exhaustive
-from .ring import RingElem
+from .oracle import ExhaustionCertificate
+from .ring import MultiplierSet, RingElem, multiplier_set
 from .witness import Witness, exact_coeffs, map_to_origin, solve_anchor, verify_witness
+
+# unused here; perfbench/spans.py wraps them by name in this module for --trace
+from .engine import search_certificate  # noqa: F401
+from .oracle import decide_isotropy_exhaustive  # noqa: F401
 
 
 def isotropy_threshold(d: int) -> int:
@@ -31,16 +34,8 @@ def isotropy_threshold(d: int) -> int:
 
 
 @dataclass
-class SolverConfig:
-    budget: int = 200_000
-    generous_budget: int = 2_000_000
-    leaf_depth: int = 3
-    oracle_max_m: int = MAX_ORACLE_M
-
-
-@dataclass
 class IsotropyResult:
-    verdict: str  # "ISOTROPIC" | "ANISOTROPIC" | "INCONCLUSIVE"
+    verdict: str  # "ISOTROPIC" | "ANISOTROPIC"
     stage: str  # pipeline stage that decided
     witness: Witness | None = None
     certificate: object | None = None  # anisotropy evidence, has to_json()
@@ -105,75 +100,78 @@ def lift_witness(g: AdditiveForm, cert: ContractionCertificate) -> Witness:
     return w
 
 
-def decide_isotropy(f: AdditiveForm, config: SolverConfig | None = None) -> IsotropyResult:
+def witness_from_flat(reduced: AdditiveForm, sol: FlatSolution, ms: MultiplierSet) -> Witness:
+    """Newton-lift a pass-2 solution on the level-reduced form: each used
+    variable is 2^wrap times its multiplier's root, the anchor is solved
+    for exactly, and the result is checked against the original form."""
+    K = reduced.K
+    values = [RingElem.zero(K)] * reduced.s
+    for p in sol.picks:
+        r = ms.reps[p.rep].root
+        values[p.var] = RingElem(r.a << p.wrap, r.b << p.wrap, K)
+    values = solve_anchor(exact_coeffs(reduced, K), reduced.d, values, sol.anchor)
+    w = map_to_origin(reduced, Witness(tuple(values), sol.anchor, K))
+    if not verify_witness(reduced.root(), w):
+        raise CertificateError("flat witness failed verification")
+    return w
+
+
+def decide_isotropy(f: AdditiveForm) -> IsotropyResult:
     """Decide isotropy of f (witnesses refer to f's own variables).
 
-    Stages: reduce and normalize; contraction search (with a generous
-    budget when the variable count clears the always-isotropic threshold);
-    exhaustive oracle when the modulus fits the policy; else INCONCLUSIVE.
+    Stages: reduce and normalize; pass 1, a contraction certificate on
+    the normalized form (stage "search", or "search-threshold" when the
+    variable count clears the always-isotropic threshold); pass 2 on the
+    reduced form, a witness or an exhaustion certificate (stage "oracle").
     """
-    cfg = config or SolverConfig()
     timings: dict = {}
     t0 = time.perf_counter()
     reduced = reduce_levels(f)
     g, _shift = normalize(reduced)
     timings["normalize"] = time.perf_counter() - t0
-
-    threshold = isotropy_threshold(g.d)
-    above = g.s >= threshold
-    budget = cfg.generous_budget if above else cfg.budget
-    stage = "search-threshold" if above else "search"
+    ms = multiplier_set(g.d, g.K)
 
     t0 = time.perf_counter()
-    out = search_certificate(g, leaf_depth=cfg.leaf_depth, budget=budget)
+    first = flat_zero(g, ms, wrapped=False)
     timings["search"] = time.perf_counter() - t0
-    if out.status == "FOUND":
+    if first.solution is not None:
         t0 = time.perf_counter()
-        w = lift_witness(g, out.certificate)
+        cert = contraction_from_flat(g, first.solution, ms)
+        w = lift_witness(g, cert)
         timings["lift"] = time.perf_counter() - t0
+        stage = "search-threshold" if g.s >= isotropy_threshold(g.d) else "search"
         return IsotropyResult(
             "ISOTROPIC",
             stage,
             witness=w,
-            contraction=out.certificate,
-            diagnostics={"nodesExpanded": out.nodes_expanded},
+            contraction=cert,
+            diagnostics={"anchorLevel": first.solution.k, "statesVisited": first.states},
             timings=timings,
         )
 
-    M = reduced.max_level() + 3
-    if M <= cfg.oracle_max_m:
-        if min(reduced.windows) < M:
-            raise PrecisionMismatch(
-                f"oracle needs trusted digits mod 2^{M}; increase the working "
-                "precision"
-            )
-        t0 = time.perf_counter()
-        dec = decide_isotropy_exhaustive(reduced)
+    t0 = time.perf_counter()
+    second = flat_zero(reduced, ms, wrapped=True)
+    states = first.states + second.states
+    if second.solution is not None:
+        w = witness_from_flat(reduced, second.solution, ms)
         timings["oracle"] = time.perf_counter() - t0
-        if dec.verdict == "ISOTROPIC":
-            assert verify_witness(f.root(), dec.witness)
-            return IsotropyResult(
-                "ISOTROPIC",
-                "oracle",
-                witness=dec.witness,
-                diagnostics={"searchStatus": out.status},
-                timings=timings,
-            )
         return IsotropyResult(
-            "ANISOTROPIC",
+            "ISOTROPIC",
             "oracle",
-            certificate=dec.certificate,
-            diagnostics={"searchStatus": out.status},
+            witness=w,
+            diagnostics={"anchorLevel": second.solution.k, "statesVisited": states},
             timings=timings,
         )
+    if second.short:
+        raise PrecisionMismatch(
+            "a coefficient's trusted window is too short for the flat decision; "
+            "increase the working precision"
+        )
+    timings["oracle"] = time.perf_counter() - t0
     return IsotropyResult(
-        "INCONCLUSIVE",
-        "exhausted",
-        diagnostics={
-            "searchStatus": out.status,
-            "nodesExpanded": out.nodes_expanded,
-            "oracleModulus": M,
-            "oraclePolicy": cfg.oracle_max_m,
-        },
+        "ANISOTROPIC",
+        "oracle",
+        certificate=ExhaustionCertificate(reduced.max_level() + 3, second.states),
+        diagnostics={"statesVisited": states},
         timings=timings,
     )

@@ -97,8 +97,8 @@ def solve_anchor(
 def map_to_origin(g: AdditiveForm, w: Witness) -> Witness:
     """Push a witness for a framed (reduced or shifted) form back to the
     original variables: x_j = 2^(N - e_j) y_j with N the largest
-    substitution exponent among used variables, which keeps some unit
-    entry since all used values are units."""
+    e_j - v(y_j) among used variables, the least N that keeps every x_j
+    integral, so the entries reaching it are units."""
     orig = g.origin
     if orig is None:
         return w
@@ -106,7 +106,7 @@ def map_to_origin(g: AdditiveForm, w: Witness) -> Witness:
     used = [j for j, x in enumerate(w.values) if not x.is_zero()]
     if not used:
         raise CertificateError("witness uses no variables")
-    N = max(g.subst_log[j] for j in used)
+    N = max(g.subst_log[j] - w.values[j].valuation() for j in used)
     V_avail = w.V + d * N - g.scale_log
     K = orig.K
     V = min(K, V_avail)
@@ -115,14 +115,14 @@ def map_to_origin(g: AdditiveForm, w: Witness) -> Witness:
     values = []
     for j in range(g.s):
         x = w.values[j]
+        up = N - g.subst_log[j]
         if x.is_zero():
             values.append(RingElem.zero(K))
-        else:
-            up = N - g.subst_log[j]
+        elif up >= 0:
             values.append(RingElem(x.a << up, x.b << up, K))
-    candidates = [
-        j for j in used if g.subst_log[j] == N and values[j].is_unit()
-    ]
+        else:
+            values.append(RingElem(x.a >> -up, x.b >> -up, K))
+    candidates = [j for j in used if values[j].is_unit()]
     if not candidates:
         raise CertificateError("no unit variable survives the back-mapping")
     primitive = min(candidates, key=lambda j: (orig.coeffs[j].valuation(), j))

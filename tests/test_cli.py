@@ -91,6 +91,15 @@ def test_solve_precision_too_shallow_exit65(tmp_path, capsys):
     assert code == 65
 
 
+def test_solve_short_window_exit65(tmp_path, capsys):
+    # at K = 2 no unit coefficient is trusted to the 3 digits the flat
+    # decision reads, and the trusted part alone has no zero
+    p = tmp_path / "f.txt"
+    p.write_text("d=6; 1, 1, w\n")
+    code, _, err = run(["solve", str(p), "--precision", "2"], capsys)
+    assert code == 65 and "window" in err
+
+
 def test_solve_stdin(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("d=6; 1, 7"))
     code, out, _ = run(["solve", "-"], capsys)

@@ -1,0 +1,269 @@
+"""Flat mod-8 reachability kernel and the two-pass pipeline built on it.
+
+The kernel is never its own reference: verdicts are compared with the FFT
+torus oracle on an isotropy-equivalent cyclic frame (or with descent
+where no frame fits the oracle's policy), witnesses go through
+verify_witness, and certificates through validate_certificate.
+"""
+
+import json
+import random
+
+import pytest
+
+from padic_forms.artifacts import named_form, sample_form, verify_descent
+from padic_forms.engine import (
+    certificate_from_json,
+    certificate_to_json,
+    validate_certificate,
+)
+from padic_forms.errors import PrecisionMismatch
+from padic_forms.flat import _translate, flat_zero
+from padic_forms.forms import AdditiveForm, cyclic_shift, normalize, reduce_levels
+from padic_forms.oracle import decide_isotropy_exhaustive
+from padic_forms.ring import RingElem, multiplier_set
+from padic_forms.solver import decide_isotropy
+from padic_forms.witness import verify_witness
+
+# Forms whose zeros all need a variable equal to 2 times a unit in the
+# normalized frame, so the certificate pass finds nothing and the
+# wrapped pass has to produce the witness.  Found by seeded random search.
+WRAPPED_ONLY = {
+    6: [
+        (12, [(724, 354), (3566, 3180), (1376, 1120), (1888, 2784), (3124, 586),
+              (550, 2246), (3344, 3040), (431, 1292), (120, 1237), (1352, 1600),
+              (3732, 1435), (4080, 4080)]),
+        (12, [(1160, 1432), (3328, 2144), (3000, 2376), (42, 1234), (434, 320),
+              (2176, 1248), (3633, 1593)]),
+        (12, [(3368, 304), (1552, 3344), (272, 2264), (1536, 2328), (528, 2096),
+              (392, 3970), (224, 62), (2881, 2909)]),
+        (12, [(1808, 1744), (2192, 848), (3184, 2768), (2842, 1386), (1492, 100),
+              (1168, 864), (2369, 1756), (2844, 1808), (2694, 765), (3024, 1888),
+              (660, 224)]),
+    ],
+    10: [
+        (14, [(4238, 13268), (14592, 5888), (8224, 8800), (7228, 5896), (512, 11520),
+              (13928, 5152), (576, 1856), (10652, 3356), (9664, 4544), (7680, 14592)]),
+    ],
+}
+# one more at d = 10 whose every cyclic frame needs the FFT at M = 11
+WRAPPED_ONLY_BEYOND_FFT = (10, 14, [
+    (5704, 12408), (16016, 11744), (9280, 8320), (15840, 184), (2304, 4864),
+    (10496, 6656), (640, 16256), (5873, 6130), (7508, 3396), (5403, 708)])
+
+
+def _window_form(rng, d, s, width=5):
+    """Levels drawn from a cyclic window of `width` consecutive levels, so
+    the window may straddle d - 1 and 0 and some cyclic shift brings
+    every level to at most width - 1."""
+    K = 2 * d
+    start = rng.randrange(d)
+    pairs = []
+    for _ in range(s):
+        lvl = (start + rng.randrange(width)) % d
+        cls = rng.randrange(1, 4)
+        a = (cls & 1) | (rng.getrandbits(K) << 1)
+        b = (cls >> 1) | (rng.getrandbits(K) << 1)
+        pairs.append(((a << lvl) % (1 << K), (b << lvl) % (1 << K)))
+    return AdditiveForm.from_pairs(d, pairs, K)
+
+
+def _deep_variants(d, K, pairs, rng, n):
+    """The form with every digit above level + 2 redrawn: flat questions
+    read no deeper, and normalization reads only levels."""
+    out = []
+    for _ in range(n):
+        new = []
+        for a, b in pairs:
+            keep = RingElem(a, b, K).valuation() + 3
+            mask = (1 << keep) - 1
+            new.append(((a & mask) | (rng.getrandbits(K) << keep) % (1 << K),
+                        (b & mask) | (rng.getrandbits(K) << keep) % (1 << K)))
+        out.append(AdditiveForm.from_pairs(d, new, K))
+    return out
+
+
+def _lowest_frame(f):
+    red = reduce_levels(f)
+    t = min(range(f.d), key=lambda t: (cyclic_shift(red, t).max_level(), t))
+    return cyclic_shift(red, t)
+
+
+def _check_certificate(f, r):
+    g = normalize(reduce_levels(f))[0]
+    assert validate_certificate(g, r.contraction)
+    doc = json.dumps(certificate_to_json(r.contraction))
+    again = certificate_from_json(json.loads(doc))
+    assert json.dumps(certificate_to_json(again)) == doc
+    assert validate_certificate(g, again)
+
+
+def test_translate_matches_coordinates():
+    rng = random.Random(3)
+    for _ in range(200):
+        elems = {rng.randrange(64) for _ in range(rng.randrange(1, 20))}
+        mask = sum(1 << x for x in elems)
+        t = rng.randrange(64)
+        want = {((x & 7) + (t & 7)) % 8 + 8 * (((x >> 3) + (t >> 3)) % 8) for x in elems}
+        assert _translate(mask, t) == sum(1 << x for x in want)
+
+
+@pytest.mark.parametrize("d", [6, 10])
+def test_solution_picks_vanish_mod_anchor_plus_three(d):
+    rng = random.Random(11 + d)
+    found = 0
+    for _ in range(200):
+        f = sample_form(rng, d, rng.randrange(2, 10))
+        ms = multiplier_set(d, f.K)
+        out = flat_zero(f, ms, wrapped=True)
+        if out.solution is None:
+            continue
+        found += 1
+        sol = out.solution
+        total_a = total_b = 0
+        for p in sol.picks:
+            c = f.coeffs[p.var]
+            x = ms.reps[p.rep].root
+            x = RingElem(x.a << p.wrap, x.b << p.wrap, f.K)
+            term = c * x ** d
+            total_a += term.a
+            total_b += term.b
+        need = 1 << (sol.k + 3)
+        assert total_a % need == 0 and total_b % need == 0
+        assert f.coeffs[sol.anchor].valuation() == sol.k
+        assert sol.anchor in {p.var for p in sol.picks if p.wrap == 0}
+    assert found > 50
+
+
+@pytest.mark.parametrize("d", [6, 10])
+def test_pipeline_agrees_with_fft_oracle(d):
+    rng = random.Random(20261018 + d)
+    forms = [_window_form(rng, d, rng.randrange(2, 13)) for _ in range(300)]
+    forms += [AdditiveForm.from_pairs(d, pairs, K) for K, pairs in WRAPPED_ONLY[d]]
+    tally = {}
+    for f in forms:
+        r = decide_isotropy(f)
+        ref = decide_isotropy_exhaustive(_lowest_frame(f))
+        assert r.verdict == ref.verdict, (f.to_json(), r.verdict, ref.verdict)
+        tally[r.verdict, r.stage] = tally.get((r.verdict, r.stage), 0) + 1
+        if r.verdict == "ISOTROPIC":
+            assert verify_witness(f, r.witness)
+            if r.contraction is not None:
+                _check_certificate(f, r)
+        else:
+            assert r.witness is None and r.contraction is None
+            doc = r.certificate.to_json()
+            assert doc["kind"] == "exhaustion"
+            assert doc["M"] == reduce_levels(f).max_level() + 3
+    assert tally.get(("ISOTROPIC", "search"), 0) > 50
+    assert tally.get(("ANISOTROPIC", "oracle"), 0) > 50
+    assert tally.get(("ISOTROPIC", "oracle"), 0) >= len(WRAPPED_ONLY[d])
+
+
+def test_wrapped_only_zero_gives_witness_without_contraction():
+    rng = random.Random(5)
+    cases = [(d, K, pairs) for d, group in WRAPPED_ONLY.items() for K, pairs in group]
+    cases.append(WRAPPED_ONLY_BEYOND_FFT)
+    checked = 0
+    for d, K, pairs in cases:
+        for f in [AdditiveForm.from_pairs(d, pairs, K)] + _deep_variants(d, K, pairs, rng, 4):
+            r = decide_isotropy(f)
+            assert r.verdict == "ISOTROPIC" and r.stage == "oracle"
+            assert r.contraction is None and verify_witness(f, r.witness)
+            checked += 1
+    assert checked == 5 * len(cases)
+
+
+@pytest.mark.parametrize("d", [6, 10])
+def test_certificates_validate_and_roundtrip(d):
+    rng = random.Random(77 + d)
+    ms = multiplier_set(d, d + 4)
+    ident = ms.reps[0]
+    seen = 0
+    for _ in range(150):
+        f = sample_form(rng, d, rng.randrange(4, 26 if d == 6 else 17))
+        r = decide_isotropy(f)
+        if r.contraction is None:
+            continue
+        seen += 1
+        _check_certificate(f, r)
+        assert verify_witness(f, r.witness)
+        cert = r.contraction
+        nodes = cert.node_map()
+        for n in cert.nodes:
+            for cid, choice in zip(n.children, n.choices):
+                if nodes[cid].kind == "leaf":
+                    assert choice in ms.reps
+                else:
+                    assert choice == ident
+        assert cert.anchor_level == r.diagnostics["anchorLevel"]
+    assert seen > 100
+
+
+def test_unreduced_input_with_wrapped_witness_maps_back():
+    # levels up to 10 at d = 6: the reduced frame has substitutions, and
+    # the wrapped pass's witness uses 2 times a unit in a variable with
+    # the largest substitution
+    pairs = [(2623488, 1897984), (3009536, 2117632), (3963718, 37408),
+             (1871552, 3533216), (2787648, 787264), (1909760, 3637760),
+             (3772388, 1045652), (1593688, 3327800), (2515072, 1887520),
+             (1333248, 2344576), (2404100, 3166528)]
+    f = AdditiveForm.from_pairs(6, pairs, 22)
+    r = decide_isotropy(f)
+    assert r.verdict == "ISOTROPIC" and r.stage == "oracle"
+    assert verify_witness(f, r.witness)
+    assert decide_isotropy_exhaustive(_lowest_frame(f)).verdict == "ISOTROPIC"
+
+
+def test_short_window_without_zero_raises():
+    # G(6) with the alpha coefficient trusted only mod 4: at anchor 0 it
+    # cannot take part, and the two others alone have no zero
+    base = AdditiveForm.from_pairs(6, [(1, 0), (1, 0), (0, 1)], 10)
+    f = AdditiveForm(6, base.coeffs, windows=(10, 10, 2))
+    with pytest.raises(PrecisionMismatch):
+        decide_isotropy(f)
+
+
+def test_short_window_ignored_when_zero_found():
+    base = AdditiveForm.from_pairs(6, [(1, 0), (7, 0), (0, 1)], 10)
+    f = AdditiveForm(6, base.coeffs, windows=(10, 10, 2))
+    r = decide_isotropy(f)
+    assert r.verdict == "ISOTROPIC" and r.witness.values[2].is_zero()
+    assert verify_witness(f, r.witness)
+
+
+@pytest.mark.parametrize(
+    "name,d,verdict",
+    [
+        ("G", 6, "ANISOTROPIC"),
+        ("G", 10, "ANISOTROPIC"),
+        ("F", 6, "ANISOTROPIC"),
+        ("F", 10, "ISOTROPIC"),
+        ("H", 6, "ANISOTROPIC"),
+        ("H", 10, "ANISOTROPIC"),
+        ("I", 6, "ANISOTROPIC"),
+    ],
+)
+def test_named_families(name, d, verdict):
+    bf = named_form(name, d)
+    f = bf.form()
+    r = decide_isotropy(f)
+    assert r.verdict == verdict
+    if verdict == "ISOTROPIC":
+        assert verify_witness(f, r.witness)
+    if f.max_level() + 3 <= 8:
+        assert decide_isotropy_exhaustive(f).verdict == verdict
+    else:
+        assert verify_descent(bf).status == "DESCENT"
+
+
+def test_full_range_d10_never_inconclusive():
+    rng = random.Random(300)
+    verdicts = {"ISOTROPIC": 0, "ANISOTROPIC": 0}
+    for _ in range(300):
+        f = sample_form(rng, 10, rng.randrange(2, 17))
+        r = decide_isotropy(f)
+        verdicts[r.verdict] += 1
+        if r.verdict == "ISOTROPIC":
+            assert verify_witness(f, r.witness)
+    assert verdicts["ISOTROPIC"] > 0 and verdicts["ANISOTROPIC"] > 0

@@ -5,10 +5,18 @@ import random
 import numpy as np
 import pytest
 
-from padic_forms.errors import OracleBudgetError, PrecisionMismatch
+from padic_forms import oracle
+from padic_forms.errors import (
+    CertificateError,
+    OracleBudgetError,
+    PadicFormsError,
+    PrecisionMismatch,
+)
 from padic_forms.forms import AdditiveForm, cyclic_shift, reduce_levels
 from padic_forms.oracle import (
     _brute_power_values,
+    _conv_hit,
+    _grid_of,
     _pow_vec,
     decide_isotropy_exhaustive,
     naive_zero_exists,
@@ -236,3 +244,24 @@ def test_decide_witness_values_evaluate_to_zero():
             assert verify_witness(f, w)
             total = f.evaluate(w.values, at_K=K)
             assert total.a % (1 << w.V) == 0 and total.b % (1 << w.V) == 0
+
+
+# ---------------------------------------------------------------------------
+# hard failures in place of asserts
+
+
+def test_conv_hit_rejects_inexact_counts():
+    S = np.zeros((8, 8), dtype=bool)
+    S[0, 0] = True
+    half = 0.5 * np.fft.rfft2(_grid_of(np.array([1], dtype=np.int64), 3).astype(np.float64))
+    with pytest.raises(PadicFormsError, match="exactness"):
+        _conv_hit(S, half)
+    whole = np.fft.rfft2(_grid_of(np.array([1], dtype=np.int64), 3).astype(np.float64))
+    hit = _conv_hit(S, whole)
+    assert hit[1, 0] and hit.sum() == 1
+
+
+def test_exhaustive_witness_failure_raises(monkeypatch):
+    monkeypatch.setattr(oracle, "verify_witness", lambda f, w: False)
+    with pytest.raises(CertificateError):
+        decide_isotropy_exhaustive(form(6, [(1, 0), (7, 0)], 10))

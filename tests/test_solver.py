@@ -1,19 +1,22 @@
-"""Decision pipeline: search, lifting, oracle fallback, verdicts."""
+"""Decision pipeline: certificates, lifting, flat exhaustion, verdicts."""
 
+import importlib.util
 import random
+from pathlib import Path
 
 from padic_forms.engine import search_certificate
-from padic_forms.forms import AdditiveForm, cyclic_shift
+from padic_forms.forms import AdditiveForm, cyclic_shift, reduce_levels
 from padic_forms.oracle import decide_isotropy_exhaustive
 from padic_forms.ring import RingElem
 from padic_forms.solver import (
     IsotropyResult,
-    SolverConfig,
     decide_isotropy,
     isotropy_threshold,
     lift_witness,
 )
 from padic_forms.witness import verify_witness
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def test_threshold_values():
@@ -84,12 +87,18 @@ def test_threshold_stage_tag_and_success():
         assert verify_witness(f, r.witness)
 
 
-def test_inconclusive_beyond_oracle_policy():
+def test_level_gap_beyond_oracle_policy_is_anisotropic():
+    # M = 11 in the reduced frame, past the FFT's policy; the flat kernel
+    # decides it, and the FFT agrees on the isotropy-equivalent shift by 2
+    # (levels 2, 2, 0, so M = 5)
     f = AdditiveForm.from_pairs(10, [(1, 0), (1, 0), (256, 0)], 14)
     r = decide_isotropy(f)
-    assert r.verdict == "INCONCLUSIVE" and r.stage == "exhausted"
-    assert r.diagnostics["oracleModulus"] == 11
-    assert r.diagnostics["searchStatus"] == "NOT_FOUND"
+    assert r.verdict == "ANISOTROPIC" and r.stage == "oracle"
+    assert r.certificate.to_json()["M"] == 11
+    shifted = cyclic_shift(reduce_levels(f), 2)
+    assert shifted.max_level() + 3 == 5
+    dec = decide_isotropy_exhaustive(shifted)
+    assert dec.verdict == "ANISOTROPIC" and dec.certificate.M == 5
 
 
 def test_agreement_with_oracle_on_small_forms():
@@ -133,9 +142,12 @@ def test_result_json_shape():
     assert "witness" not in doc2
 
 
-def test_custom_budget_config():
-    f = AdditiveForm.from_pairs(6, [(1, 0), (1, 0), (0, 1)], 10)
-    r = decide_isotropy(f, SolverConfig(budget=50))
-    # tiny budget: search gives up, oracle still settles it
-    assert r.verdict == "ANISOTROPIC"
-    assert r.diagnostics["searchStatus"] in ("NOT_FOUND", "BUDGET")
+def test_trace_hook_names_exist():
+    # perfbench/spans.py wraps these names with getattr; a missing one
+    # would crash `perfbench/run.py --trace 1`
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.WRAPPED
+    for module, attr, _name, _note in spans.WRAPPED:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
