@@ -16,9 +16,7 @@ from .artifacts import (
 )
 from .engine import (
     ContractionCertificate,
-    SearchOutcome,
     certificate_to_json,
-    search_from_leaves,
     validate_certificate,
 )
 from .errors import (
@@ -31,13 +29,12 @@ from .errors import (
     OracleBudgetError,
     PadicFormsError,
     PrecisionMismatch,
-    SearchBudgetExceeded,
 )
+from .flat import SearchOutcome
 from .forms import (
     AdditiveForm,
     cyclic_shift,
     default_precision,
-    level_distribution,
     normalize,
     reduce_levels,
 )
@@ -90,7 +87,6 @@ __all__ = [
     "PrecisionMismatch",
     "RingElem",
     "SWEEP_LEMMAS",
-    "SearchBudgetExceeded",
     "SearchOutcome",
     "SweepReport",
     "Witness",
@@ -104,7 +100,6 @@ __all__ = [
     "exhaustive_lemma_ids",
     "gamma_experiment",
     "isotropy_threshold",
-    "level_distribution",
     "minimality_probe",
     "multiplier_set",
     "named_form",
@@ -114,7 +109,6 @@ __all__ = [
     "reduce_levels",
     "sample_form",
     "sampled_lemma_ids",
-    "search_from_leaves",
     "sweep_lemma",
     "teichmuller_alpha",
     "validate_certificate",

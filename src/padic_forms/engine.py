@@ -8,19 +8,20 @@ leaf level consumed, the anchor variable admits a Hensel lift and the form
 has a nontrivial zero.
 
 Coefficients are tracked as PartialValue: a residue trusted only mod 2^J.
-Search runs at shallow J (leaf digits above the level, default 3), so any
-certificate it finds is valid for every completion of the unseen digits;
-validation recomputes the tree with exact arithmetic to confirm.
+A leaf trusts the three digits from its level up, the digits the
+mod 2^(k+3) question reads, so a certificate built on leaves is valid for
+every completion of the unseen digits; validation recomputes the tree
+with exact arithmetic to confirm.  Certificates are built from solutions
+of the flat reachability kernel (flat.py).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
 
 from .errors import CertificateError
 from .forms import AdditiveForm
-from .ring import F4, MultiplierRep, MultiplierSet, RingElem, dth_root, multiplier_set
+from .ring import MultiplierRep, RingElem, dth_root, multiplier_set
 
 
 @dataclass(frozen=True)
@@ -79,10 +80,10 @@ class VarNode:
         return self.pv.J >= need and self.achieved() >= need
 
 
-def make_leaf(var_index: int, coeff: RingElem, window: int, leaf_depth: int) -> VarNode:
+def make_leaf(var_index: int, coeff: RingElem, window: int) -> VarNode:
     lvl = coeff.valuation()
     assert lvl < window <= coeff.K
-    J = min(window, lvl + leaf_depth)
+    J = min(window, lvl + 3)  # the three digits from the level up
     pv = PartialValue(coeff, J)
     return VarNode(
         id=var_index,
@@ -93,14 +94,6 @@ def make_leaf(var_index: int, coeff: RingElem, window: int, leaf_depth: int) -> 
         kind="leaf",
         var=var_index,
     )
-
-
-def leaves_of_form(f: AdditiveForm, leaf_depth: int = 3) -> list[VarNode]:
-    assert f.is_reduced()
-    return [
-        make_leaf(i, c, w, leaf_depth)
-        for i, (c, w) in enumerate(zip(f.coeffs, f.windows))
-    ]
 
 
 def contract(children, choices, new_id: int) -> VarNode:
@@ -285,7 +278,7 @@ def certificate_from_json(doc: dict) -> ContractionCertificate:
         rec = raw[nid]
         val = RingElem(rec["value"][0], rec["value"][1], K)
         if rec["kind"] == "leaf":
-            node = make_leaf(rec["var"], val, K, 3)
+            node = make_leaf(rec["var"], val, K)
         else:
             children = [build(c) for c in rec["children"]]
             choices = [
@@ -300,224 +293,3 @@ def certificate_from_json(doc: dict) -> ContractionCertificate:
     arena = dict(built)
     cert = _certificate_from(root, arena, d, K)
     return cert
-
-
-# ---------------------------------------------------------------------------
-# move enumeration
-
-
-@dataclass(frozen=True)
-class Move:
-    kind: str
-    ids: tuple
-    choices: tuple  # MultiplierRep per node, aligned with ids
-    level: int | None  # resulting level, None = beyond the trusted window
-    J: int
-
-
-def _pair_kind(x: VarNode, y: VarNode) -> str:
-    ux = x.pv.value.unit_part()
-    uy = y.pv.value.unit_part()
-    c0x, c0y = ux.residue(), uy.residue()
-    if c0x != c0y:
-        return "cross_class"
-    c1x = F4((ux.a >> 1 & 1) | ((ux.b >> 1 & 1) << 1))
-    c1y = F4((uy.a >> 1 & 1) | ((uy.b >> 1 & 1) << 1))
-    if c1x == c1y:
-        return "same01_pair"
-    if c1x + c1y == c0x:
-        return "complementary_pair"
-    return "pair"
-
-
-def _raw_moves(bucket, ms: MultiplierSet):
-    """All canonicalized contractions inside one level bucket: the first
-    node takes the identity multiplier, others range over the rep set.
-    Pairs always; triplets only when they ascend."""
-    ident = ms.reps[0]
-    assert ident.value == RingElem.one(ms.K) and ident.epsilon == 0
-    lvl = bucket[0].level
-    for x, y in combinations(bucket, 2):
-        for r in ms.reps:
-            pv = x.pv.mul_exact(ident.value).add(y.pv.mul_exact(r.value))
-            yield (x, y), (ident, r), pv
-    for trip in combinations(bucket, 3):
-        for r2, r3 in product(ms.reps, repeat=2):
-            pv = (
-                trip[0].pv.mul_exact(ident.value)
-                .add(trip[1].pv.mul_exact(r2.value))
-                .add(trip[2].pv.mul_exact(r3.value))
-            )
-            new_lvl = pv.level()
-            if new_lvl is None or new_lvl > lvl:
-                yield trip, (ident, r2, r3), pv
-
-
-def tactic_scan(bucket, ms: MultiplierSet) -> list[Move]:
-    """Labeled admissible moves for a same-level bucket: pair shapes,
-    ascending triplets, and quadruplets of one 0,1-class whose 2-classes
-    conspire to reach three levels up."""
-    bucket = sorted(bucket, key=lambda n: n.id)
-    if not bucket:
-        return []
-    lvl = bucket[0].level
-    assert all(n.level == lvl for n in bucket)
-    moves = []
-    seen = set()
-    for nodes, choices, pv in _raw_moves(bucket, ms):
-        key = (tuple(n.id for n in nodes), tuple(id(c) for c in choices))
-        if key in seen:
-            continue
-        seen.add(key)
-        kind = _pair_kind(nodes[0], nodes[1]) if len(nodes) == 2 else "triplet"
-        moves.append(Move(kind, tuple(n.id for n in nodes), choices, pv.level(), pv.J))
-    # quadruplets: same 0,1-class, reaching level + 3 for some epsilon vector
-    ident = ms.reps[0]
-    by01: dict = {}
-    for n in bucket:
-        u = n.pv.value.unit_part()
-        by01.setdefault((u.a & 3, u.b & 3), []).append(n)
-    for group in by01.values():
-        for quad in combinations(group, 4):
-            found = None
-            for rs in product(ms.reps, repeat=3):
-                pv = quad[0].pv.mul_exact(ident.value)
-                for n, r in zip(quad[1:], rs):
-                    pv = pv.add(n.pv.mul_exact(r.value))
-                a = pv.level()
-                if (a is None and pv.J >= lvl + 3) or (a is not None and a >= lvl + 3):
-                    found = (ident,) + rs
-                    break
-            if found:
-                pv = quad[0].pv.mul_exact(found[0].value)
-                for n, r in zip(quad[1:], found[1:]):
-                    pv = pv.add(n.pv.mul_exact(r.value))
-                moves.append(
-                    Move("quadruplet", tuple(n.id for n in quad), found, pv.level(), pv.J)
-                )
-    return moves
-
-
-# ---------------------------------------------------------------------------
-# certificate search
-
-
-@dataclass
-class SearchOutcome:
-    status: str  # "FOUND" | "NOT_FOUND" | "BUDGET"
-    certificate: ContractionCertificate | None
-    nodes_expanded: int
-
-
-class _BudgetCut(Exception):
-    pass
-
-
-class _Searcher:
-    def __init__(self, leaves, ms: MultiplierSet, budget: int):
-        self.ms = ms
-        self.budget = budget
-        self.expanded = 0
-        self.arena = {n.id: n for n in leaves}
-        self.next_id = max(self.arena) + 1 if self.arena else 0
-        self.memo: dict = {}
-
-    def _sig(self, n: VarNode):
-        a, b = n.pv.masked()
-        return (a, b, n.pv.J, n.kappa)
-
-    def _spend(self):
-        self.expanded += 1
-        if self.expanded > self.budget:
-            raise _BudgetCut
-
-    def _candidates(self, pool):
-        by_level: dict = {}
-        for n in pool:
-            if n.level is not None:
-                by_level.setdefault(n.level, []).append(n)
-        for lvl in sorted(by_level):
-            bucket = sorted(by_level[lvl], key=lambda n: n.id)
-            if len(bucket) < 2:
-                continue
-            for nodes, choices, pv in _raw_moves(bucket, self.ms):
-                self._spend()
-                yield nodes, choices, pv
-
-    def _order(self, cands):
-        def key(item):
-            nodes, choices, pv = item
-            lvl = nodes[0].level
-            new = pv.level()
-            gain = (pv.J if new is None else new) - lvl
-            cross = 0 if len({n.pv.value.unit_part().residue().code for n in nodes}) == 1 else 1
-            return (-gain, cross, tuple(n.id for n in nodes))
-
-        return sorted(cands, key=key)
-
-    def _try(self, nodes, choices, pv):
-        node = VarNode(
-            id=self.next_id,
-            pv=pv,
-            level=pv.level(),
-            kappa=min(n.kappa for n in nodes),
-            leaves=frozenset().union(*(n.leaves for n in nodes)),
-            kind="contraction",
-            children=tuple(n.id for n in nodes),
-            choices=choices,
-        )
-        return node
-
-    def dfs(self, pool, moves_left):
-        if moves_left <= 0:
-            return None
-        key = tuple(sorted(self._sig(n) for n in pool))
-        if self.memo.get(key, 0) >= moves_left:
-            return None
-        # scan lazily: the first success short-circuits the enumeration
-        cands = []
-        for nodes, choices, pv in self._candidates(pool):
-            trial = self._try(nodes, choices, pv)
-            if trial.is_success():
-                self.arena[trial.id] = trial
-                self.next_id += 1
-                return trial
-            cands.append((nodes, choices, pv))
-        for nodes, choices, pv in self._order(cands):
-            new_lvl = pv.level()
-            if new_lvl is None:
-                continue  # unresolved non-success: untrusted, discard
-            node = self._try(nodes, choices, pv)
-            self.arena[node.id] = node
-            self.next_id += 1
-            used = set(n.id for n in nodes)
-            rest = tuple(n for n in pool if n.id not in used) + (node,)
-            hit = self.dfs(rest, moves_left - 1)
-            if hit is not None:
-                return hit
-        self.memo[key] = moves_left
-        return None
-
-
-def search_from_leaves(leaves, ms: MultiplierSet, budget: int = 10 ** 6) -> SearchOutcome:
-    leaves = list(leaves)
-    searcher = _Searcher(leaves, ms, budget)
-    pool = tuple(leaves)
-    try:
-        for cap in range(1, len(leaves)):
-            hit = searcher.dfs(pool, cap)
-            if hit is not None:
-                cert = _certificate_from(hit, searcher.arena, ms.d, ms.K)
-                return SearchOutcome("FOUND", cert, searcher.expanded)
-    except _BudgetCut:
-        return SearchOutcome("BUDGET", None, searcher.expanded)
-    return SearchOutcome("NOT_FOUND", None, searcher.expanded)
-
-
-def search_certificate(
-    f: AdditiveForm, leaf_depth: int = 3, budget: int = 10 ** 6
-) -> SearchOutcome:
-    assert f.is_reduced()
-    ms = multiplier_set(f.d, f.K)
-    leaves = leaves_of_form(f, leaf_depth)
-    return search_from_leaves(leaves, ms, budget)

@@ -38,7 +38,3 @@ class OracleBudgetError(PadicFormsError):
 
 class CertificateError(PadicFormsError):
     """A certificate failed independent validation."""
-
-
-class SearchBudgetExceeded(PadicFormsError):
-    """Contraction search ran out of node budget before resolving."""

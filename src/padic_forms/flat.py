@@ -38,7 +38,7 @@ from .engine import (
 )
 from .errors import CertificateError
 from .forms import AdditiveForm
-from .ring import MultiplierSet
+from .ring import MultiplierSet, multiplier_set
 
 _ALL = (1 << 64) - 1
 # per byte, the bits whose a-coordinate stays below 8 after adding s
@@ -198,7 +198,7 @@ def contraction_from_flat(
     arena = {}
     choice = {}
     for p in sol.picks:
-        leaf = make_leaf(p.var, g.coeffs[p.var], g.windows[p.var], 3)
+        leaf = make_leaf(p.var, g.coeffs[p.var], g.windows[p.var])
         arena[leaf.id] = leaf
         choice[leaf.id] = ms.reps[p.rep]
     need = sol.k + 3
@@ -223,3 +223,20 @@ def contraction_from_flat(
     if not root.is_success():
         raise CertificateError("flat solution left no vanishing node over the anchor")
     return _certificate_from(root, arena, g.d, g.K)
+
+
+@dataclass
+class SearchOutcome:
+    status: str  # "FOUND" | "NOT_FOUND"
+    certificate: ContractionCertificate | None
+    nodes_expanded: int  # the kernel's reachable-set sizes, summed
+
+
+def search_certificate(g: AdditiveForm) -> SearchOutcome:
+    """Pass 1 of the decision: a contraction certificate for a zero of g
+    whose used entries are units, if g has one."""
+    ms = multiplier_set(g.d, g.K)
+    out = flat_zero(g, ms, wrapped=False)
+    if out.solution is None:
+        return SearchOutcome("NOT_FOUND", None, out.states)
+    return SearchOutcome("FOUND", contraction_from_flat(g, out.solution, ms), out.states)

@@ -18,11 +18,9 @@ x_j = 2^(N - e_j) * y_j with N = max e_j over the variables used.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from itertools import permutations
 
 from .errors import NoValidShift, PrecisionMismatch
-from .ring import F4, RingElem, check_degree_shape, parse_elem
+from .ring import RingElem, check_degree_shape, parse_elem
 
 
 def default_precision(d: int) -> int:
@@ -125,10 +123,6 @@ class AdditiveForm:
 
     def max_level(self) -> int:
         return max(self.levels())
-
-    def classes(self) -> tuple[F4, ...]:
-        """Residue class of each coefficient's unit part."""
-        return tuple(c.unit_part().residue() for c in self.coeffs)
 
     def is_reduced(self) -> bool:
         return self.max_level() < self.d
@@ -249,100 +243,3 @@ def normalize(f: AdditiveForm) -> tuple[AdditiveForm, int]:
         else:
             return cyclic_shift(f, t), t
     raise NoValidShift(f"no rotation normalizes level counts {counts}")
-
-
-# ---------------------------------------------------------------------------
-# level distributions and type descriptors
-
-
-@dataclass(frozen=True)
-class LevelDistribution:
-    counts: tuple[int, ...]
-    tallies: tuple[tuple[int, int, int], ...]  # per level: classes 1, w, 1+w
-
-
-def level_distribution(f: AdditiveForm) -> LevelDistribution:
-    assert f.is_reduced()
-    counts = [0] * f.d
-    tallies = [[0, 0, 0] for _ in range(f.d)]
-    for lvl, cls in zip(f.levels(), f.classes()):
-        counts[lvl] += 1
-        tallies[lvl][cls.code - 1] += 1
-    return LevelDistribution(tuple(counts), tuple(tuple(t) for t in tallies))
-
-
-@dataclass(frozen=True)
-class TypeDescriptor:
-    """Per-level requirements on consecutive levels starting at some shift.
-    An int entry is a plain minimum count; a 3-tuple entry is a stack of
-    per-class minimums with abstract class labels, matched to the actual
-    nonzero classes up to one global permutation."""
-
-    levels: tuple
-
-    def __post_init__(self):
-        for req in self.levels:
-            assert isinstance(req, int) or (
-                isinstance(req, tuple) and len(req) == 3
-            ), f"bad level requirement {req!r}"
-
-
-@dataclass(frozen=True)
-class MatchSlot:
-    level_offset: int  # level index within the descriptor
-    klass: F4 | None  # required class after mapping, None for plain slots
-    var: int  # matched variable index
-
-
-@dataclass(frozen=True)
-class MatchWitness:
-    shift: int
-    class_map: tuple[int, int, int]  # descriptor class 0,1,2 -> F4 code
-    slots: tuple[MatchSlot, ...]
-
-
-def match_type(f: AdditiveForm, td: TypeDescriptor) -> MatchWitness | None:
-    """First witness (by shift, then class permutation) assigning distinct
-    variables to every descriptor slot, or None."""
-    assert f.is_reduced()
-    d = f.d
-    if len(td.levels) > d:
-        return None
-    levels = f.levels()
-    classes = f.classes()
-    for shift in range(d):
-        shifted = [(lvl + shift) % d for lvl in levels]
-        # variables by (effective level, class code)
-        pools: dict[tuple[int, int], list[int]] = {}
-        for idx, (lvl, cls) in enumerate(zip(shifted, classes)):
-            pools.setdefault((lvl, cls.code), []).append(idx)
-        for perm in permutations((1, 2, 3)):
-            slots = []
-            ok = True
-            for li, req in enumerate(td.levels):
-                if isinstance(req, int):
-                    avail = [
-                        idx
-                        for code in (1, 2, 3)
-                        for idx in pools.get((li, code), [])
-                    ]
-                    avail.sort()
-                    if len(avail) < req:
-                        ok = False
-                        break
-                    for idx in avail[:req]:
-                        slots.append(MatchSlot(li, None, idx))
-                else:
-                    for ci, need in enumerate(req):
-                        code = perm[ci]
-                        avail = pools.get((li, code), [])
-                        if len(avail) < need:
-                            ok = False
-                            break
-                        for idx in avail[:need]:
-                            slots.append(MatchSlot(li, F4(code), idx))
-                    if not ok:
-                        break
-            if ok:
-                return MatchWitness(shift, perm, tuple(slots))
-    return None

@@ -4,7 +4,7 @@ O is the ring of integers of the unramified quadratic extension of the
 2-adic field; 2 stays prime and the residue field has four elements
 {0, 1, w, 1+w}.  An element is a pair (a, b) meaning a + b*w with both
 components reduced modulo 2^K.  The only precision that ever matters is
-the power of 2, so valuations, digit expansions and Hensel lifting are
+the power of 2, so valuations, residues and Hensel lifting are
 all plain bit manipulation on the two components.
 
 Everything in this module is immutable and safe to share across threads.
@@ -132,7 +132,7 @@ def val_pair(a: int, b: int) -> int | float:
 
 class RingElem:
     """Residue a + b*w modulo 2^K.  Arithmetic requires equal K on both
-    operands; use reduce_to / widen_to for explicit precision changes."""
+    operands; use reduce_to for an explicit precision change."""
 
     __slots__ = ("a", "b", "K")
 
@@ -234,15 +234,6 @@ class RingElem:
         assert 1 <= K2 <= self.K
         return RingElem(self.a, self.b, K2)
 
-    def widen_to(self, K2: int) -> "RingElem":
-        """Treats the stored residue as an exact integer pair.  Only sound
-        when the element really is exact (form coefficients, stored roots)."""
-        assert K2 >= self.K
-        return RingElem(self.a, self.b, K2)
-
-    def digits(self, depth: int) -> "DigitExpansion":
-        return digit_expand(self, depth)
-
 
 # ---------------------------------------------------------------------------
 # element text syntax: "a+b*w"
@@ -289,44 +280,6 @@ def parse_elem(text: str) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# digit expansions
-
-
-@dataclass(frozen=True)
-class DigitExpansion:
-    """x = 2^level * (d0 + 2 d1 + 4 d2 + ...) with digits in F4, d0 != 0."""
-
-    level: int
-    digits: tuple[F4, ...]
-
-    def reconstruct(self, K: int) -> RingElem:
-        a = b = 0
-        for i, d in enumerate(self.digits):
-            a |= (d.code & 1) << i
-            b |= (d.code >> 1) << i
-        return RingElem(a << self.level, b << self.level, K)
-
-
-def digit_expand(x: RingElem, depth: int) -> DigitExpansion:
-    """First `depth` residue digits of x above its level.
-
-    Requires x nonzero mod 2^K and level + depth <= K, since deeper digits
-    would be untrusted."""
-    v = x.valuation()
-    if v is INFINITE:
-        raise NotAUnit("cannot expand the zero residue")
-    if v + depth > x.K:
-        raise PrecisionMismatch(
-            f"depth {depth} at level {v} exceeds precision 2^{x.K}"
-        )
-    a = x.a >> v
-    b = x.b >> v
-    digs = tuple(F4(((a >> i) & 1) | (((b >> i) & 1) << 1)) for i in range(depth))
-    assert digs[0].code != 0
-    return DigitExpansion(level=v, digits=digs)
-
-
-# ---------------------------------------------------------------------------
 # d-th powers of units
 
 
@@ -370,12 +323,6 @@ class MultiplierSet:
 
     def values(self) -> set[RingElem]:
         return {r.value for r in self.reps}
-
-    def by_class(self, klass: F4, epsilon: int) -> MultiplierRep:
-        for r in self.reps:
-            if r.klass == klass and r.epsilon == epsilon:
-                return r
-        raise KeyError((klass, epsilon))
 
 
 def check_degree_shape(d: int):
@@ -504,7 +451,8 @@ def dth_root(t: RingElem, d: int, *, _search_limit: int = 4) -> RingElem:
     KK = K + 6
     xa, xb = _newton_root(seed, d, (t.a, t.b), KK)
     x = RingElem(xa, xb, K)
-    assert x ** d == t, "Newton failed to converge (internal error)"
+    if x ** d != t:
+        raise HenselError(f"Newton failed to converge to a d-th root of {t} (internal error)")
     return x
 
 
@@ -534,6 +482,6 @@ def newton_anchor_solve(a_i: RingElem, d: int, C: RingElem) -> RingElem:
     ta, tb = mul_pair((-ca) % mod, (-cb) % mod, ia, ib, mod)
     xa, xb = _newton_root((1, 0), d, (ta, tb), KK)
     x = RingElem(xa, xb, K)
-    total = a_i * (x ** d) + C
-    assert total.is_zero(), "anchor solve failed to cancel (internal error)"
+    if not (a_i * (x ** d) + C).is_zero():
+        raise HenselError("anchor solve failed to cancel (internal error)")
     return x

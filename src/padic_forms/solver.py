@@ -1,13 +1,13 @@
 """Top-level isotropy decision pipeline.
 
 Reduce and normalize, then ask the exact flat reachability kernel
-(flat.py) twice.  Pass 1 looks on the normalized form for a zero whose
-used entries are units and turns it into a contraction certificate,
-Newton-lifted into a full-precision witness in the caller's variable
-frame.  Pass 2 looks on the level-reduced form with entries 2 times a
-unit allowed too, which is complete: a solution Newton-lifts to a
-witness, and no solution is an anisotropy proof unless a coefficient's
-trusted window was too short to take part.
+(flat.py) twice.  Pass 1 (`search_certificate`) looks on the normalized
+form for a zero whose used entries are units and turns it into a
+contraction certificate, Newton-lifted into a full-precision witness in
+the caller's variable frame.  Pass 2 looks on the level-reduced form
+with entries 2 times a unit allowed too, which is complete: a solution
+Newton-lifts to a witness, and no solution is an anisotropy proof unless
+a coefficient's trusted window was too short to take part.
 """
 
 from __future__ import annotations
@@ -17,14 +17,13 @@ from dataclasses import dataclass, field
 
 from .engine import ContractionCertificate, certificate_to_json, validate_certificate
 from .errors import CertificateError, PrecisionMismatch
-from .flat import FlatSolution, contraction_from_flat, flat_zero
+from .flat import FlatSolution, flat_zero, search_certificate
 from .forms import AdditiveForm, normalize, reduce_levels
 from .oracle import ExhaustionCertificate
 from .ring import MultiplierSet, RingElem, multiplier_set
 from .witness import Witness, exact_coeffs, map_to_origin, solve_anchor, verify_witness
 
-# unused here; perfbench/spans.py wraps them by name in this module for --trace
-from .engine import search_certificate  # noqa: F401
+# unused here; perfbench/spans.py wraps it by name in this module for --trace
 from .oracle import decide_isotropy_exhaustive  # noqa: F401
 
 
@@ -129,14 +128,13 @@ def decide_isotropy(f: AdditiveForm) -> IsotropyResult:
     reduced = reduce_levels(f)
     g, _shift = normalize(reduced)
     timings["normalize"] = time.perf_counter() - t0
-    ms = multiplier_set(g.d, g.K)
 
     t0 = time.perf_counter()
-    first = flat_zero(g, ms, wrapped=False)
+    first = search_certificate(g)
     timings["search"] = time.perf_counter() - t0
-    if first.solution is not None:
+    if first.status == "FOUND":
+        cert = first.certificate
         t0 = time.perf_counter()
-        cert = contraction_from_flat(g, first.solution, ms)
         w = lift_witness(g, cert)
         timings["lift"] = time.perf_counter() - t0
         stage = "search-threshold" if g.s >= isotropy_threshold(g.d) else "search"
@@ -145,13 +143,14 @@ def decide_isotropy(f: AdditiveForm) -> IsotropyResult:
             stage,
             witness=w,
             contraction=cert,
-            diagnostics={"anchorLevel": first.solution.k, "statesVisited": first.states},
+            diagnostics={"anchorLevel": cert.anchor_level, "statesVisited": first.nodes_expanded},
             timings=timings,
         )
 
     t0 = time.perf_counter()
+    ms = multiplier_set(reduced.d, reduced.K)
     second = flat_zero(reduced, ms, wrapped=True)
-    states = first.states + second.states
+    states = first.nodes_expanded + second.states
     if second.solution is not None:
         w = witness_from_flat(reduced, second.solution, ms)
         timings["oracle"] = time.perf_counter() - t0

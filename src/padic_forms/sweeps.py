@@ -2,13 +2,12 @@
 
 A sweep checks a contraction claim over coefficient profiles mod 8,
 either over the whole declared shape space (EXHAUSTIVE) or over seeded
-random draws (SAMPLED).  For the shapes swept here every admissible node
-has depth 3, so a profile succeeds exactly when the move search builds a
-value divisible by 8 whose subtree contains a level-0 variable.
+random draws (SAMPLED).  A profile succeeds exactly when some contraction
+tree builds a value divisible by 8 whose subtree contains a level-0
+variable (more generally, divisible by 2^(k+3) over a level-k variable).
 
-Three lookup tables decide the bulk of profiles without running the
-search.  Each table encodes a literal short move line, so a table hit is
-a proof that the search would succeed:
+Three lookup tables decide the bulk of profiles.  Each table encodes a
+literal short move line, so a table hit is a contraction certificate:
 
   pair   u + r*v == 0 mod 8 for two level-0 variables;
   chain  x = u + r1*v nonzero, then x + r3*w == 0 mod 8 with w at the
@@ -21,9 +20,8 @@ four level-0 variables: a vanishing combination can always be
 reassociated into one of the three lines, with the level matches forced
 by the cancellation itself.
 
-Profiles left over go through an exact 64-state reachability pass.  At
-leaf depth 3 every leaf knows the three digits above its own level, so
-search success is equivalent to a flat combination sum(c_i * u_i) == 0
+Profiles left over go through an exact 64-state reachability pass.
+Success is equivalent to a flat combination sum(c_i * u_i) == 0
 mod 2^(k+3), with coefficients from the multiplier group and k the
 minimum level among the variables used: such a combination can always
 be built bottom-up by contracting two nodes of minimal level, because a
@@ -31,12 +29,12 @@ vanishing total forces its minimal level to repeat, and conversely the
 root value of a successful tree is such a combination.  Dividing by 2^k
 turns each candidate anchor level k into the same mod-8 reachability
 question, tracked as achievable subset sums with a used-anchor-level
-flag.
+flag, vectorised here over all rows of a chunk.
 
-Sampled trials draw digits deeper than the search initially uses.
-Profiles every pass rejects run through the real search, first at depth
-3, then at increasing depth; only trials that still fail at the depth
-cap are reported, so every failure is search-confirmed.
+Profiles every pass rejects are built as forms and handed to
+`search_certificate`, the pipeline's own contraction search (flat.py);
+a certificate there counts as route `search`, anything else is reported
+as a failure with its profile.
 """
 
 from __future__ import annotations
@@ -49,8 +47,12 @@ from math import comb, prod
 
 import numpy as np
 
-from .engine import MultiplierSet, make_leaf, multiplier_set, search_from_leaves
-from .ring import RingElem
+from .errors import PadicFormsError
+from .flat import search_certificate
+from .forms import AdditiveForm
+from .ring import MultiplierSet, RingElem, multiplier_set
+
+SAMPLE_DIGITS = 6  # unit digits drawn per sampled variable
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +95,8 @@ def _tables(d: int) -> _Tables:
     reps = [(r.value.a & 7, r.value.b & 7) for r in ms.reps]
     # the reachability pass needs the reps mod 8 to form a group
     rep_set = set(reps)
-    assert (1, 0) in rep_set
-    for x in reps:
-        for y in reps:
-            assert _mul8(x, y) in rep_set
+    if (1, 0) not in rep_set or any(_mul8(x, y) not in rep_set for x in reps for y in reps):
+        raise PadicFormsError(f"multiplier reps mod 8 for d={d} are not a group")
     LV = np.array([_code_level(c) for c in range(64)], np.int8)
     ua = np.arange(64, dtype=np.int64) & 7
     ub = np.arange(64, dtype=np.int64) >> 3
@@ -396,25 +396,30 @@ def _flat_zero_dp(X: np.ndarray, tab: _Tables) -> np.ndarray:
     return R1[:, 0]
 
 
-def _search_profile(tab: _Tables, row, budget: int):
-    """Depth-3 search on a one-level profile of residues mod 8."""
-    leaves = [
-        make_leaf(i, RingElem(int(c) & 7, int(c) >> 3, 3), 3, 3 - int(tab.LV[c]))
-        for i, c in enumerate(row)
-    ]
-    return search_from_leaves(leaves, tab.ms, budget=budget)
-
-
-def _search_trial(tab: _Tables, ua, ub, levels, leaf_depth: int, digits: int, budget: int):
-    """Search one sampled trial with each leaf's full digit window."""
+def _trial_form(d: int, ua, ub, levels, digits: int) -> AdditiveForm:
+    """Variable i as the coefficient 2^level_i * (ua_i + ub_i w), trusted
+    to `digits` digits from its level up."""
     K = int(levels.max()) + digits
-    mask = (1 << K) - 1
-    leaves = []
-    for i in range(len(levels)):
-        lvl = int(levels[i])
-        coeff = RingElem((int(ua[i]) << lvl) & mask, (int(ub[i]) << lvl) & mask, K)
-        leaves.append(make_leaf(i, coeff, lvl + digits, leaf_depth))
-    return search_from_leaves(leaves, multiplier_set(tab.d, K), budget=budget)
+    coeffs = tuple(
+        RingElem(int(a) << int(lvl), int(b) << int(lvl), K)
+        for a, b, lvl in zip(ua, ub, levels)
+    )
+    return AdditiveForm(d, coeffs, windows=tuple(int(lvl) + digits for lvl in levels))
+
+
+def _profile_form(d: int, row) -> AdditiveForm:
+    """A one-level profile of residue codes as a form modulo 8."""
+    return _trial_form(d, row & 7, row >> 3, np.zeros(len(row), np.int8), 3)
+
+
+def _settle(form: AdditiveForm, record: dict, resolution: dict, failures: list) -> None:
+    """Hand a row every pass rejected to the contraction search: a
+    certificate counts as route `search`, anything else is a failure."""
+    out = search_certificate(form)
+    if out.status == "FOUND":
+        resolution["search"] += 1
+    else:
+        failures.append({**record, "status": out.status})
 
 
 def sweep_lemma(
@@ -423,11 +428,9 @@ def sweep_lemma(
     trials: int = 100_000,
     seed: int = 42,
     chunk_rows: int = 1 << 21,
-    engine_budget: int = 200_000,
-    depth_cap: int = 6,
 ) -> SweepReport:
     """Verify one shape claim, returning a report with every failure
-    profile (each confirmed by the real search)."""
+    profile (each confirmed by the contraction search)."""
     lem = SWEEP_LEMMAS[lemma_id]
     if mode is None:
         mode = lem.default_mode
@@ -440,7 +443,6 @@ def sweep_lemma(
     uniform = lem.uniform_level0()
     t0 = time.perf_counter()
     resolution = {"pair": 0, "chain": 0, "split": 0, "closure": 0, "search": 0}
-    escalations: dict = {}
     failures = []
     total = 0
 
@@ -454,18 +456,16 @@ def sweep_lemma(
                 reach = _flat_zero_dp(X[rem], tab)
                 resolution["closure"] += int(reach.sum())
                 rem = rem[~reach]
-            for ridx in rem:
-                row = X[ridx]
-                out = _search_profile(tab, row, engine_budget)
-                if out.status == "FOUND":
-                    resolution["search"] += 1
-                else:
-                    failures.append(
-                        {"profile": [int(c) for c in row], "status": out.status}
-                    )
-        assert total == lem.exhaustive_total, (total, lem.exhaustive_total)
+            for row in X[rem]:
+                record = {"profile": [int(c) for c in row]}
+                _settle(_profile_form(lem.d, row), record, resolution, failures)
+        if total != lem.exhaustive_total:
+            raise PadicFormsError(
+                f"lemma {lemma_id}: enumerated {total} profiles, "
+                f"declared {lem.exhaustive_total}"
+            )
     else:
-        UA, UB, col_levels = _sample_rows(lem, trials, seed, depth_cap)
+        UA, UB, col_levels = _sample_rows(lem, trials, seed, SAMPLE_DIGITS)
         total = trials
         X0 = _codes_at(UA, UB, col_levels, 0)
         counts, rem = _prescreen(X0, tab, uniform)
@@ -488,26 +488,14 @@ def sweep_lemma(
             resolution["closure"] += int(reach.sum())
             rem = rem[~reach]
         for ridx in rem:
-            ua, ub, status = UA[ridx], UB[ridx], None
-            for depth in range(3, depth_cap + 1):
-                out = _search_trial(tab, ua, ub, col_levels, depth, depth_cap,
-                                    engine_budget)
-                if out.status == "FOUND":
-                    status = depth
-                    break
-            if status == 3:
-                resolution["search"] += 1
-            elif status is not None:
-                escalations[status] = escalations.get(status, 0) + 1
-            else:
-                failures.append(
-                    {
-                        "levels": [int(v) for v in col_levels],
-                        "unitsA": [int(v) for v in ua],
-                        "unitsB": [int(v) for v in ub],
-                        "status": out.status,
-                    }
-                )
+            ua, ub = UA[ridx], UB[ridx]
+            record = {
+                "levels": [int(v) for v in col_levels],
+                "unitsA": [int(v) for v in ua],
+                "unitsB": [int(v) for v in ub],
+            }
+            form = _trial_form(lem.d, ua, ub, col_levels, SAMPLE_DIGITS)
+            _settle(form, record, resolution, failures)
 
     return SweepReport(
         lemma=lemma_id,
@@ -517,7 +505,7 @@ def sweep_lemma(
         total=total,
         failures=failures,
         resolution=resolution,
-        escalations=escalations,
+        escalations={},
         elapsed=time.perf_counter() - t0,
         trials=trials if mode == "SAMPLED" else None,
         seed=seed if mode == "SAMPLED" else None,
@@ -555,7 +543,6 @@ def minimality_probe(
     lemma_id: str,
     confirm_cap: int = 5,
     chunk_rows: int = 1 << 21,
-    engine_budget: int = 200_000,
 ) -> MinimalityReport:
     """Probe whether a one-level lemma's class counts can drop by one.
 
@@ -566,7 +553,7 @@ def minimality_probe(
     contract, so the original counts are not slack.  This is corroborative
     only, not part of the verification battery.
     """
-    from .forms import AdditiveForm, default_precision
+    from .forms import default_precision
     from .oracle import decide_isotropy_exhaustive
 
     lem = SWEEP_LEMMAS[lemma_id]
@@ -605,15 +592,13 @@ def minimality_probe(
         confirmed = 0
         example = None
         for row in failures[: max(confirm_cap, 0)]:
-            out = _search_profile(tab, row, engine_budget)
-            assert out.status == "NOT_FOUND", "probe failure not search-confirmed"
+            if search_certificate(_profile_form(lem.d, row)).status != "NOT_FOUND":
+                raise PadicFormsError("probe failure not confirmed by the contraction search")
             f = AdditiveForm.from_pairs(
                 lem.d, [(int(c) & 7, int(c) >> 3) for c in row], K
             )
-            dec = decide_isotropy_exhaustive(f)
-            assert dec.verdict == "ANISOTROPIC", (
-                "search-refuted profile decided isotropic"
-            )
+            if decide_isotropy_exhaustive(f).verdict != "ANISOTROPIC":
+                raise PadicFormsError("search-refuted probe profile decided isotropic")
             confirmed += 1
             if example is None:
                 example = f.to_json()

@@ -17,7 +17,8 @@ from padic_forms.artifacts import (
     sample_form,
     verify_descent,
 )
-from padic_forms.engine import search_certificate, validate_certificate
+from padic_forms.engine import validate_certificate
+from padic_forms.flat import search_certificate
 from padic_forms.forms import AdditiveForm
 from padic_forms.oracle import (
     decide_isotropy_exhaustive,
@@ -169,13 +170,11 @@ def test_criterion_06_exhaustive_sweeps():
 
 def test_criterion_07_sampled_sweeps():
     def body():
-        esc = 0
         for lid in SAMPLED_IDS:
             rep = sweep_lemma(lid, mode="SAMPLED", trials=100_000, seed=42)
             assert rep.total == 100_000
             assert rep.failures == [], f"{lid}: {len(rep.failures)} failures"
-            esc += sum(rep.escalations.values())
-        return f"; 10 lemmas x 100000 trials, {esc} depth escalations"
+        return "; 10 lemmas x 100000 trials"
 
     _criterion(7, 7200.0, "two-level and d=10 sweeps sampled at seed 42", body)
 
@@ -202,7 +201,7 @@ def test_criterion_09_certificate_abstraction():
             assert attempts < 2000, "certificate harvest stalled"
             s = rng.randrange(8, 13)
             f = sample_form(rng, 6, s, max_level=3)
-            out = search_certificate(f, leaf_depth=3, budget=200_000)
+            out = search_certificate(f)
             if out.status == "FOUND":
                 pairs.append((f, out.certificate))
         checked = 0

@@ -1,5 +1,5 @@
-"""Contraction nodes, tactic enumeration, certificate search, and exact
-revalidation."""
+"""Contraction nodes, certificates from the flat kernel's search, and
+exact revalidation."""
 
 import json
 import random
@@ -13,14 +13,11 @@ from padic_forms.engine import (
     certificate_from_json,
     certificate_to_json,
     contract,
-    leaves_of_form,
     make_leaf,
-    search_certificate,
-    search_from_leaves,
-    tactic_scan,
     validate_certificate,
 )
 from padic_forms.errors import CertificateError
+from padic_forms.flat import search_certificate
 from padic_forms.forms import AdditiveForm
 from padic_forms.ring import RingElem, multiplier_set
 
@@ -29,8 +26,8 @@ def form(d, pairs, K=None):
     return AdditiveForm.from_pairs(d, pairs, K)
 
 
-def leaf(i, a, b, K=10, depth=3):
-    return make_leaf(i, RingElem(a, b, K), K, depth)
+def leaf(i, a, b, K=10):
+    return make_leaf(i, RingElem(a, b, K), K)
 
 
 MS6 = multiplier_set(6, 10)
@@ -96,46 +93,6 @@ def test_contract_rejects_overlap_and_mixed_levels():
         contract([a], [IDENT], 100)
 
 
-# --- tactic scan -----------------------------------------------------------
-
-
-def test_tactic_scan_mixed_bucket():
-    bucket = [leaf(0, 1, 0), leaf(1, 1, 0), leaf(2, 0, 1)]
-    moves = tactic_scan(bucket, MS6)
-    kinds = {(m.kind, m.ids) for m in moves}
-    assert ("same01_pair", (0, 1)) in kinds
-    assert any(k == "cross_class" for k, _ in kinds)
-
-
-def test_tactic_scan_quadruplet():
-    # one 0,1-class, 2-class digits 1, w, 1+w, 0 summing to zero
-    bucket = [leaf(0, 1, 0), leaf(1, 5, 0), leaf(2, 1, 4), leaf(3, 5, 4)]
-    moves = tactic_scan(bucket, MS6)
-    quads = [m for m in moves if m.kind == "quadruplet"]
-    assert quads and quads[0].ids == (0, 1, 2, 3)
-    total = RingElem.zero(10)
-    for i, rep in zip(quads[0].ids, quads[0].choices):
-        total = total + bucket[i].pv.value * rep.value
-    assert total.a % 8 == 0 and total.b % 8 == 0
-
-
-def test_tactic_scan_seven_in_one_class():
-    # 0,1-classes {0} x4 and {w} x3: noncomplementary, three same01 pairs
-    bucket = [leaf(i, 1, 0) for i in range(4)] + [leaf(i, 1, 2) for i in range(4, 7)]
-    moves = tactic_scan(bucket, MS6)
-    ups = [
-        m
-        for m in moves
-        if m.kind == "same01_pair" and m.level == 1
-    ]
-    assert len(ups) >= 3
-
-
-def test_tactic_scan_rejects_mixed_levels():
-    with pytest.raises(AssertionError):
-        tactic_scan([leaf(0, 1, 0), leaf(1, 2, 0)], MS6)
-
-
 # --- search ----------------------------------------------------------------
 
 
@@ -160,12 +117,6 @@ def test_search_not_found_on_cross_class_pair():
     out = search_certificate(form(6, [(1, 0), (1, 2)]))
     assert out.status == "NOT_FOUND"
     assert out.certificate is None
-
-
-def test_search_budget_exhaustion():
-    f = form(6, [(1, 2)] * 12)  # no quick success in this class for 3|d
-    out = search_certificate(f, budget=10)
-    assert out.status == "BUDGET"
 
 
 def test_search_monotone_under_extension():
@@ -285,10 +236,3 @@ def test_certificate_json_deterministic():
     b = json.dumps(certificate_to_json(search_certificate(f).certificate), sort_keys=True)
     assert a == b
 
-
-def test_search_from_leaves_on_custom_windows():
-    ms = multiplier_set(6, 10)
-    ls = [leaf(0, 1, 0), leaf(1, 7, 0)]
-    out = search_from_leaves(ls, ms)
-    assert out.status == "FOUND"
-    assert out.certificate.achieved == 3

@@ -1,5 +1,4 @@
-"""Form representation, level reduction, shifts, normalization, and type
-descriptor matching."""
+"""Form representation, level reduction, shifts, and normalization."""
 
 import pytest
 from hypothesis import given
@@ -8,16 +7,12 @@ from hypothesis import strategies as st
 from padic_forms.errors import PrecisionMismatch
 from padic_forms.forms import (
     AdditiveForm,
-    LevelDistribution,
-    TypeDescriptor,
     cyclic_shift,
     default_precision,
-    level_distribution,
-    match_type,
     normalize,
     reduce_levels,
 )
-from padic_forms.ring import F4, RingElem
+from padic_forms.ring import RingElem
 
 
 def form(d, pairs, K=None):
@@ -170,73 +165,6 @@ def test_normalize_prefix_inequalities(levels, cls):
     for j in range(d):
         pref += counts[j]
         assert d * pref >= (j + 1) * s
-
-
-# --- distributions and type matching ---------------------------------------
-
-
-def test_level_distribution():
-    f = form(6, [(1, 0), (3, 0), (0, 1), (4, 0), (0, 0, ), ][:4])
-    dist = level_distribution(f)
-    assert isinstance(dist, LevelDistribution)
-    assert dist.counts == (3, 0, 1, 0, 0, 0)
-    assert dist.tallies[0] == (2, 1, 0)
-    assert dist.tallies[2] == (1, 0, 0)
-
-
-def test_match_stacked_223():
-    pairs = [(1, 0), (1, 0), (0, 1), (0, 1), (1, 1), (1, 1), (1, 1)]
-    f = form(6, pairs)
-    w = match_type(f, TypeDescriptor(((2, 2, 3),)))
-    assert w is not None
-    assert w.shift == 0
-    assert len(w.slots) == 7
-    assert len({s.var for s in w.slots}) == 7
-    # witness soundness: each slot's variable really has the mapped class
-    classes = f.classes()
-    for slot in w.slots:
-        assert classes[slot.var] == slot.klass
-
-
-def test_match_stacked_007():
-    f = form(6, [(3, 0)] * 7)
-    w = match_type(f, TypeDescriptor(((0, 0, 7),)))
-    assert w is not None
-    assert len(w.slots) == 7
-
-
-def test_match_needs_global_class_consistency():
-    # two levels whose stacks demand the same abstract class twice: a form
-    # with matching classes per level only under inconsistent labelings fails
-    td = TypeDescriptor(((1, 0, 0), (1, 0, 0)))
-    good = form(6, [(1, 0), (2, 0)])
-    assert match_type(good, td) is not None
-    bad = form(6, [(1, 0), (0, 2)])
-    # class 1 at level 0 but class w at level 1; one global label works too
-    w = match_type(bad, td)
-    assert w is None
-
-
-def test_match_plain_counts():
-    f = form(6, [(1, 0), (0, 1)])
-    assert match_type(f, TypeDescriptor((3, 1))) is None
-    g = form(6, [(1, 0), (0, 1), (3, 0), (2, 0)])
-    w = match_type(g, TypeDescriptor((3, 1)))
-    assert w is not None
-    lvls = g.levels()
-    by_level = {}
-    for slot in w.slots:
-        by_level.setdefault(slot.level_offset, []).append(slot.var)
-    assert len(by_level[0]) == 3 and len(by_level[1]) == 1
-    for li, vars_ in by_level.items():
-        for v in vars_:
-            assert (lvls[v] + w.shift) % 6 == li
-
-
-def test_match_uses_shift():
-    f = form(6, [(2, 0), (2, 0), (6, 0)])
-    w = match_type(f, TypeDescriptor((3,)))
-    assert w is not None and w.shift == 5
 
 
 # --- evaluation and serialization ------------------------------------------

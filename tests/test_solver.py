@@ -1,22 +1,26 @@
 """Decision pipeline: certificates, lifting, flat exhaustion, verdicts."""
 
+import ast
 import importlib.util
 import random
 from pathlib import Path
 
-from padic_forms.engine import search_certificate
+from padic_forms.flat import search_certificate
 from padic_forms.forms import AdditiveForm, cyclic_shift, reduce_levels
 from padic_forms.oracle import decide_isotropy_exhaustive
 from padic_forms.ring import RingElem
+from padic_forms import solver
 from padic_forms.solver import (
     IsotropyResult,
     decide_isotropy,
     isotropy_threshold,
     lift_witness,
 )
+from padic_forms.sweeps import sweep_lemma
 from padic_forms.witness import verify_witness
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def test_threshold_values():
@@ -151,3 +155,21 @@ def test_trace_hook_names_exist():
     assert spans.WRAPPED
     for module, attr, _name, _note in spans.WRAPPED:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_benchmark_contract_fields():
+    # perfbench/worker.py reads these fields of the traced search and of
+    # sweep reports; `perfbench/run.py --trace 1` needs every one of them
+    tree = ast.parse((PERFBENCH / "worker.py").read_text())
+    routes = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "ROUTES"
+    )
+    for pairs, status in (([(1, 0), (7, 0)], "FOUND"), ([(1, 0), (1, 2)], "NOT_FOUND")):
+        out = solver.search_certificate(AdditiveForm.from_pairs(6, pairs, 10))
+        assert out.status == status
+        assert isinstance(out.nodes_expanded, int)
+    rep = sweep_lemma("5", "SAMPLED", trials=200, seed=42)
+    assert set(rep.resolution) == set(routes)
+    assert rep.escalations == {}

@@ -1,8 +1,15 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from padic_forms import oracle, sweeps
+from padic_forms.engine import validate_certificate
+from padic_forms.errors import PadicFormsError
+from padic_forms.flat import SearchOutcome, search_certificate
+from padic_forms.oracle import decide_isotropy_exhaustive
+from padic_forms.ring import RingElem
 from padic_forms.sweeps import (
     SWEEP_LEMMAS,
     SweepLemma,
@@ -13,11 +20,12 @@ from padic_forms.sweeps import (
     _iter_exhaustive,
     _mul8,
     _prescreen,
+    _profile_form,
     _sample_rows,
-    _search_profile,
-    _search_trial,
     _tables,
+    _trial_form,
     exhaustive_lemma_ids,
+    minimality_probe,
     sampled_lemma_ids,
     sweep_lemma,
 )
@@ -118,11 +126,15 @@ def test_prescreen_hits_are_search_sound():
         _, rem = _prescreen(X0, tab, lem.uniform_level0())
         hit_rows = np.setdiff1d(np.arange(200), rem)
         for i in rng.choice(hit_rows, size=min(25, hit_rows.size), replace=False):
-            out = _search_trial(tab, UA[i], UB[i], lv, 3, 6, 400_000)
+            f = _trial_form(lem.d, UA[i], UB[i], lv, 6)
+            out = search_certificate(f)
             assert out.status == "FOUND"
+            assert validate_certificate(f, out.certificate)
 
 
 def test_reachability_matches_search_both_polarities():
+    # with levels 0..2 and d >= 6 a zero needs no entry 2 * unit, so the
+    # FFT oracle's isotropy verdict is the same question, decided apart
     rng = np.random.default_rng(5)
     pos = neg = 0
     for d in (6, 10):
@@ -135,17 +147,18 @@ def test_reachability_matches_search_both_polarities():
             UB = ((cls >> 1) + 2 * rng.integers(0, 32, s)).astype(np.int64)[None, :]
             lem = SweepLemma("tmp", d, None, (s,), None, "SAMPLED")
             ok = bool(fast_depth3_verdicts(lem, UA, UB, lv, tab)[0])
-            out = _search_trial(tab, UA[0], UB[0], lv, 3, 6, 500_000)
+            f = _trial_form(d, UA[0], UB[0], lv, 6)
+            out = search_certificate(f)
             assert out.status in ("FOUND", "NOT_FOUND")
             assert ok == (out.status == "FOUND"), (d, list(lv), list(UA[0]), list(UB[0]))
+            assert ok == (decide_isotropy_exhaustive(f).verdict == "ISOTROPIC")
             pos += ok
             neg += not ok
     assert pos > 10 and neg > 10
 
 
 def test_one_level_profile_search_agrees_with_trial_search():
-    # the mod-8 profile searcher is the special case of the trial searcher
-    tab = _tables(6)
+    # a mod-8 profile decides like any trial with the same three digits
     rng = np.random.default_rng(7)
     for _ in range(40):
         s = int(rng.integers(2, 6))
@@ -154,9 +167,11 @@ def test_one_level_profile_search_agrees_with_trial_search():
         ub = (cls >> 1) + 2 * rng.integers(0, 4, s)
         row = (ua + 8 * ub).astype(np.int32)
         lv = np.zeros(s, np.int8)
-        a = _search_profile(tab, row, 300_000).status
-        b = _search_trial(tab, ua, ub, lv, 3, 3, 300_000).status
-        assert (a == "FOUND") == (b == "FOUND")
+        deep_a = ua + 8 * rng.integers(0, 8, s)
+        deep_b = ub + 8 * rng.integers(0, 8, s)
+        a = search_certificate(_profile_form(6, row)).status
+        b = search_certificate(_trial_form(6, deep_a, deep_b, lv, 6)).status
+        assert a == b
 
 
 def test_sampled_sweep_deterministic():
@@ -173,7 +188,7 @@ def test_sampled_small_runs_clean():
     for lid in sampled_lemma_ids():
         rep = sweep_lemma(lid, "SAMPLED", trials=3000, seed=42)
         assert rep.failures == [], lid
-        assert sum(rep.resolution.values()) + sum(rep.escalations.values()) == 3000
+        assert sum(rep.resolution.values()) == 3000
 
 
 def test_failure_reporting_is_search_confirmed():
@@ -186,14 +201,14 @@ def test_failure_reporting_is_search_confirmed():
     finally:
         del SWEEP_LEMMAS["bogus2"]
     assert rep.failures, "expected genuine failures on a false claim"
-    tab = _tables(6)
     for rec in rep.failures[:5]:
         assert rec["status"] == "NOT_FOUND"
         ua = np.array(rec["unitsA"], np.int64)
         ub = np.array(rec["unitsB"], np.int64)
         lv = np.array(rec["levels"], np.int8)
-        for depth in (3, 4, 5, 6):
-            assert _search_trial(tab, ua, ub, lv, depth, 6, 300_000).status == "NOT_FOUND"
+        # confirmed apart from the flat kernel, by the FFT oracle
+        f = _trial_form(6, ua, ub, lv, 6)
+        assert decide_isotropy_exhaustive(f).verdict == "ANISOTROPIC"
 
 
 def test_mode_validation():
@@ -218,9 +233,7 @@ def test_report_json_shape():
 
 
 def test_minimality_probe_007():
-    from padic_forms.oracle import decide_isotropy_exhaustive
     from padic_forms.forms import AdditiveForm
-    from padic_forms.sweeps import minimality_probe
 
     rep = minimality_probe("007", confirm_cap=4)
     assert len(rep.decrements) == 1
@@ -236,10 +249,50 @@ def test_minimality_probe_007():
 
 
 def test_minimality_probe_dedupes_and_validates():
-    from padic_forms.sweeps import minimality_probe
-
     rep = minimality_probe("223", confirm_cap=0)
     # decrements (1,2,3) and (2,1,3) coincide as multisets; (2,2,2) differs
     assert [r["counts"] for r in rep.decrements] == ["1/2/3", "2/2/2"]
     with pytest.raises(ValueError):
         minimality_probe("541")
+
+
+# --- internal checks raise library errors, also under python -O -----------
+
+
+def test_exhaustive_total_mismatch_raises(monkeypatch):
+    # 0/0/1 enumerates the 16 class-3 codes; a declared 17 must not pass
+    monkeypatch.setitem(
+        SWEEP_LEMMAS, "short", SweepLemma("short", 6, (0, 0, 1), (), 17, "EXHAUSTIVE")
+    )
+    with pytest.raises(PadicFormsError):
+        sweep_lemma("short", "EXHAUSTIVE")
+
+
+def test_tables_reject_reps_that_are_not_a_group(monkeypatch):
+    ms = _tables(6).ms
+    ident = ms.reps[0]
+    bogus = replace(ms, reps=(
+        ident,
+        replace(ident, value=RingElem(3, 0, 3)),
+        replace(ident, value=RingElem(5, 0, 3)),  # 3 * 5 = 7 mod 8 is missing
+    ))
+    monkeypatch.setattr(sweeps, "multiplier_set", lambda d, K: bogus)
+    with pytest.raises(PadicFormsError):
+        _tables.__wrapped__(6)
+
+
+def test_probe_raises_when_search_finds_a_certificate(monkeypatch):
+    monkeypatch.setattr(
+        sweeps, "search_certificate", lambda f: SearchOutcome("FOUND", None, 0)
+    )
+    with pytest.raises(PadicFormsError):
+        minimality_probe("007", confirm_cap=1)
+
+
+def test_probe_raises_when_oracle_finds_isotropy(monkeypatch):
+    real = oracle.decide_isotropy_exhaustive
+    monkeypatch.setattr(
+        oracle, "decide_isotropy_exhaustive", lambda f: replace(real(f), verdict="ISOTROPIC")
+    )
+    with pytest.raises(PadicFormsError):
+        minimality_probe("007", confirm_cap=1)
