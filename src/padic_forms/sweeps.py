@@ -6,21 +6,6 @@ random draws (SAMPLED).  A profile succeeds exactly when some contraction
 tree builds a value divisible by 8 whose subtree contains a level-0
 variable (more generally, divisible by 2^(k+3) over a level-k variable).
 
-Three lookup tables decide the bulk of profiles.  Each table encodes a
-literal short move line, so a table hit is a contraction certificate:
-
-  pair   u + r*v == 0 mod 8 for two level-0 variables;
-  chain  x = u + r1*v nonzero, then x + r3*w == 0 mod 8 with w at the
-         level of x (u, v at level 0);
-  split  x = u + r1*v and y = w + r2*z nonzero at one level, then
-         x + r3*y == 0 mod 8 (all four at level 0).
-
-Together the tables are exhaustive for successes that combine at most
-four level-0 variables: a vanishing combination can always be
-reassociated into one of the three lines, with the level matches forced
-by the cancellation itself.
-
-Profiles left over go through an exact 64-state reachability pass.
 Success is equivalent to a flat combination sum(c_i * u_i) == 0
 mod 2^(k+3), with coefficients from the multiplier group and k the
 minimum level among the variables used: such a combination can always
@@ -29,9 +14,17 @@ vanishing total forces its minimal level to repeat, and conversely the
 root value of a successful tree is such a combination.  Dividing by 2^k
 turns each candidate anchor level k into the same mod-8 reachability
 question, tracked as achievable subset sums with a used-anchor-level
-flag, vectorised here over all rows of a chunk.
+flag.  That is the reachability of flat.py, run here on numpy rows: per
+row the two Z8 x Z8 sets are one uint64 each, with flat.py's bit layout,
+and a translation is a per-byte rotate followed by a word rotate.
 
-Profiles every pass rejects are built as forms and handed to
+Exhaustive spaces are enumerated by multiplier orbits.  Scaling one
+variable by a rep does not change the codes it can add, so each
+multiset of orbits per class is decided once, at its representatives,
+and weighted by the number of code multisets it stands for.  Totals,
+route counts and failure counts are those weighted sums.
+
+Profiles the pass rejects are built as forms and handed to
 `search_certificate`, the pipeline's own contraction search (flat.py);
 a certificate there counts as route `search`, anything else is reported
 as a failure with its profile.
@@ -42,33 +35,27 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import comb, prod
 
 import numpy as np
 
 from .errors import PadicFormsError
-from .flat import search_certificate
+from .flat import _ALL, _KEEP, search_certificate
 from .forms import AdditiveForm
-from .ring import MultiplierSet, RingElem, multiplier_set
+from .ring import RingElem, multiplier_set
 
 SAMPLE_DIGITS = 6  # unit digits drawn per sampled variable
 
 
 # ---------------------------------------------------------------------------
-# lookup tables
+# packed reachability
 
 
 @dataclass(frozen=True)
 class _Tables:
-    d: int
-    ms: MultiplierSet
     LV: np.ndarray  # valuation of each residue code, 3 for code 0
-    pair: np.ndarray  # 64^2 flat bool
-    chain: np.ndarray  # 64^3 flat bool
-    split: np.ndarray  # 64^4 flat bool
     mulr: np.ndarray  # (reps, 64) code of r * v
-    sub: np.ndarray  # (64, 64) code of t - w, gather index for translation
 
 
 def _code_level(code: int) -> int:
@@ -93,55 +80,54 @@ def _mul8(x, y):
 def _tables(d: int) -> _Tables:
     ms = multiplier_set(d, 3)
     reps = [(r.value.a & 7, r.value.b & 7) for r in ms.reps]
-    # the reachability pass needs the reps mod 8 to form a group
+    # the reachability pass and the orbit reduction need the reps mod 8
+    # to form a group
     rep_set = set(reps)
     if (1, 0) not in rep_set or any(_mul8(x, y) not in rep_set for x in reps for y in reps):
         raise PadicFormsError(f"multiplier reps mod 8 for d={d} are not a group")
     LV = np.array([_code_level(c) for c in range(64)], np.int8)
     ua = np.arange(64, dtype=np.int64) & 7
     ub = np.arange(64, dtype=np.int64) >> 3
-    sums = []
-    mulr = []
-    for ra, rb in reps:
-        rva = (ra * ua + rb * ub) & 7
-        rvb = (ra * ub + rb * ua + rb * ub) & 7
-        mulr.append(rva + 8 * rvb)
-        sa = (ua[:, None] + rva[None, :]) & 7
-        sb = (ub[:, None] + rvb[None, :]) & 7
-        sums.append((sa + 8 * sb).astype(np.int32))
-    mulr = np.array(mulr, dtype=np.intp)
-    # sub[w, t] = code of t - w: gathering R[:, sub[w]] translates R by +w
-    sub_tab = (((ua[None, :] - ua[:, None]) & 7) + 8 * ((ub[None, :] - ub[:, None]) & 7)).astype(np.intp)
-
-    lvl0 = LV == 0
-    nonzero = np.arange(64) != 0
-    zero2 = np.zeros((64, 64), bool)
-    for S in sums:
-        zero2 |= S == 0
-    # pairable one step from zero: nonzero operands at one shared level
-    P2 = zero2 & nonzero[:, None] & nonzero[None, :] & (LV[:, None] == LV[None, :])
-    pair = zero2 & lvl0[:, None] & lvl0[None, :]
-
-    chain = np.zeros((64, 64, 64), bool)
-    for S in sums:
-        chain |= P2[S]  # chain[u, v, w] via x = u + r*v
-    chain &= lvl0[:, None, None] & lvl0[None, :, None]
-
-    split = np.zeros((64, 64, 64, 64), bool)
-    for S1 in sums:
-        X = S1[:, :, None, None]
-        for S2 in sums:
-            split |= P2[X, S2[None, None, :, :]]
-    m = lvl0
-    split &= (
-        m[:, None, None, None]
-        & m[None, :, None, None]
-        & m[None, None, :, None]
-        & m[None, None, None, :]
+    mulr = np.array(
+        [((ra * ua + rb * ub) & 7) + 8 * ((ra * ub + rb * ua + rb * ub) & 7) for ra, rb in reps],
+        dtype=np.intp,
     )
-    return _Tables(
-        d, ms, LV, pair.ravel(), chain.ravel(), split.ravel(), mulr, sub_tab
-    )
+    return _Tables(LV, mulr)
+
+
+_KEEP64 = np.array(_KEEP, np.uint64)
+
+
+def _translate_rows(M: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """`flat._translate` over rows: the mask M[..., i] moved by the code
+    w[i], as a rotate of every byte by w's a, then of the word by 8
+    times w's b."""
+    ta = (w & 7).astype(np.uint64)
+    keep = _KEEP64[w & 7]
+    M = ((M & keep) << ta) | ((M & ~keep) >> (8 - ta))
+    s = (8 * (w >> 3)).astype(np.uint64)
+    return (M << s) | (M >> ((64 - s) & 63))
+
+
+def _flat_zero_dp(X: np.ndarray, tab: _Tables) -> np.ndarray:
+    """Exact success decision per row: can some subset of variables,
+    scaled by multipliers, sum to 0 mod 8 while using a level-0 one?
+
+    Per row two Z8 x Z8 sets packed as in flat.py: R[0] the sums over
+    level->=1 variables only (bit 0 the empty sum), R[1] those that
+    already absorbed a level-0 variable.  Every update translates the
+    pre-column sets, so each variable enters a sum at most once."""
+    R = np.zeros((2, len(X)), np.uint64)
+    R[0] = 1
+    for col in X.T:
+        at0 = np.where(tab.LV[col] == 0, np.uint64(_ALL), np.uint64(0))
+        new = R.copy()
+        for mul in tab.mulr:
+            t0, t1 = _translate_rows(R, mul[col])
+            new[1] |= t1 | (t0 & at0)
+            new[0] |= t0 & ~at0
+        R = new
+    return (R[1] & 1).astype(bool)
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +163,6 @@ class SweepLemma:
     level_counts: tuple  # free-class count per level, index = level
     exhaustive_total: int | None
     default_mode: str
-
-    @property
-    def s(self) -> int:
-        return sum(self.class_counts or ()) + sum(self.level_counts)
-
-    def uniform_level0(self) -> bool:
-        return all(k == 0 for lvl, k in enumerate(self.level_counts) if lvl > 0)
 
     def space(self) -> str:
         bits = []
@@ -229,30 +208,44 @@ SWEEP_LEMMAS = {
 }
 
 
-def _exhaustive_slots(lem: SweepLemma) -> list:
+def _class_orbits(cls: int, tab: _Tables) -> list:
+    """The orbits of the multiplier reps on one class's 16 codes, each a
+    sorted tuple, ordered by their least code.  Scaling a variable by a
+    rep leaves its option set unchanged, so one code per orbit decides
+    for all of them."""
+    codes = _class_codes(cls)
+    orbits = sorted({tuple(sorted({int(m[c]) for m in tab.mulr})) for c in codes})
+    if sorted(c for orbit in orbits for c in orbit) != codes:
+        raise PadicFormsError(f"multiplier orbits leave residue class {cls}")
+    return orbits
+
+
+def _exhaustive_slots(lem: SweepLemma, tab: _Tables) -> list:
+    """Per nonempty class, every multiset of orbits as a sorted row of
+    orbit representatives, with the number of code multisets it stands
+    for: prod over orbits of C(m + t - 1, m), m picks from an orbit of
+    size t."""
     slots = []
     for cls, k in zip((1, 2, 3), lem.class_counts):
         if k:
-            codes = _class_codes(cls)
-            slots.append(
-                np.array(list(combinations_with_replacement(codes, k)), np.int32)
+            orbits = _class_orbits(cls, tab)
+            picks = list(combinations_with_replacement(range(len(orbits)), k))
+            rows = np.array([[orbits[o][0] for o in p] for p in picks], np.int32)
+            weights = np.array(
+                [prod(comb(p.count(o) + len(orbits[o]) - 1, p.count(o)) for o in set(p))
+                 for p in picks],
+                np.int64,
             )
+            slots.append((rows, weights))
     return slots
 
 
-def _iter_exhaustive(slots, chunk_rows: int):
-    sizes = [len(a) for a in slots]
-    total = prod(sizes)
-    for start in range(0, total, chunk_rows):
-        stop = min(start + chunk_rows, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        parts = []
-        for a in reversed(slots):
-            n = len(a)
-            parts.append(a[idx % n])
-            idx //= n
-        parts.reverse()
-        yield np.concatenate(parts, axis=1)
+def _exhaustive_rows(slots) -> tuple:
+    """The product of the slots, last slot fastest: rows and weights."""
+    idx = np.indices([len(rows) for rows, _ in slots]).reshape(len(slots), -1)
+    X = np.concatenate([rows[i] for (rows, _), i in zip(slots, idx)], axis=1)
+    W = np.prod([weights[i] for (_, weights), i in zip(slots, idx)], axis=0)
+    return X, W
 
 
 def _sample_rows(lem: SweepLemma, trials: int, seed: int, digits: int):
@@ -319,83 +312,6 @@ class SweepReport:
         return doc
 
 
-def _prescreen(X: np.ndarray, tab: _Tables, uniform_level0: bool):
-    """Split chunk rows into table-certified routes and a residual.
-
-    Returns (counts per route, residual row indices)."""
-    n, s = X.shape
-    cols = list(range(s))
-    hit = np.zeros(n, bool)
-    for i, j in combinations(cols, 2):
-        hit |= tab.pair[(X[:, i] << 6) | X[:, j]]
-    n_pair = int(hit.sum())
-
-    rem = np.flatnonzero(~hit)
-    n_chain = 0
-    if rem.size and s >= 3:
-        Xs = X[rem]
-        sub = np.zeros(rem.size, bool)
-        for i, j, l in combinations(cols, 3):
-            sub |= tab.chain[(Xs[:, i] << 12) | (Xs[:, j] << 6) | Xs[:, l]]
-            if not uniform_level0:
-                # the level-0 pair may sit in either other orientation
-                sub |= tab.chain[(Xs[:, i] << 12) | (Xs[:, l] << 6) | Xs[:, j]]
-                sub |= tab.chain[(Xs[:, j] << 12) | (Xs[:, l] << 6) | Xs[:, i]]
-        n_chain = int(sub.sum())
-        rem = rem[~sub]
-
-    n_split = 0
-    if rem.size and s >= 4:
-        Xs = X[rem]
-        sub = np.zeros(rem.size, bool)
-        # one partition per 4-subset: on rows with no vanishing pair any
-        # partition realizes any vanishing 4-combination
-        for i, j, k, l in combinations(cols, 4):
-            idx = (Xs[:, i] << 18) | (Xs[:, j] << 12) | (Xs[:, k] << 6) | Xs[:, l]
-            sub |= tab.split[idx]
-        n_split = int(sub.sum())
-        rem = rem[~sub]
-
-    return {"pair": n_pair, "chain": n_chain, "split": n_split}, rem
-
-
-def _flat_zero_dp(X: np.ndarray, tab: _Tables) -> np.ndarray:
-    """Exact success decision per row: can some subset of variables,
-    scaled by multipliers, sum to 0 mod 8 while using a level-0 one?
-
-    R0 holds achievable sums over level->=1 variables only, R1 those that
-    already absorbed a level-0 variable.  Every update gathers from the
-    pre-column snapshot, so each variable enters a sum at most once."""
-    n, s = X.shape
-    R0 = np.zeros((n, 64), bool)
-    R1 = np.zeros((n, 64), bool)
-    rows = np.arange(n)
-    for i in range(s):
-        col = X[:, i]
-        lvl0 = tab.LV[col] == 0
-        all0 = bool(lvl0.all())
-        none0 = not lvl0.any()
-        snap0, snap1 = R0.copy(), R1.copy()
-        for r in range(len(tab.mulr)):
-            w = tab.mulr[r][col]
-            tr = tab.sub[w]
-            sh0 = np.take_along_axis(snap0, tr, axis=1)
-            sh1 = np.take_along_axis(snap1, tr, axis=1)
-            R1 |= sh1
-            if all0:
-                R1 |= sh0
-                R1[rows, w] = True
-            elif none0:
-                R0 |= sh0
-                R0[rows, w] = True
-            else:
-                R1[lvl0] |= sh0[lvl0]
-                R0[~lvl0] |= sh0[~lvl0]
-                R1[rows[lvl0], w[lvl0]] = True
-                R0[rows[~lvl0], w[~lvl0]] = True
-    return R1[:, 0]
-
-
 def _trial_form(d: int, ua, ub, levels, digits: int) -> AdditiveForm:
     """Variable i as the coefficient 2^level_i * (ua_i + ub_i w), trusted
     to `digits` digits from its level up."""
@@ -412,12 +328,30 @@ def _profile_form(d: int, row) -> AdditiveForm:
     return _trial_form(d, row & 7, row >> 3, np.zeros(len(row), np.int8), 3)
 
 
-def _settle(form: AdditiveForm, record: dict, resolution: dict, failures: list) -> None:
-    """Hand a row every pass rejected to the contraction search: a
-    certificate counts as route `search`, anything else is a failure."""
+def _sampled_verdicts(UA, UB, col_levels, tab: _Tables) -> np.ndarray:
+    """Per trial row, whether some anchor level kappa has a vanishing
+    combination over the variables at levels kappa..kappa+2 (deeper ones
+    vanish mod 2^(kappa+3)) that uses a level-kappa one."""
+    ok = np.zeros(len(UA), bool)
+    rem = np.arange(len(UA))
+    for kappa in range(int(col_levels.max()) + 1):
+        cols = np.flatnonzero((col_levels >= kappa) & (col_levels <= kappa + 2))
+        if not rem.size or cols.size < 2 or not (col_levels[cols] == kappa).any():
+            continue
+        Xk = _codes_at(UA[np.ix_(rem, cols)], UB[np.ix_(rem, cols)], col_levels[cols], kappa)
+        hit = _flat_zero_dp(Xk, tab)
+        ok[rem[hit]] = True
+        rem = rem[~hit]
+    return ok
+
+
+def _settle(form: AdditiveForm, record: dict, weight: int, resolution: dict, failures: list) -> None:
+    """Hand a row the reachability pass rejected to the contraction
+    search: a certificate counts its weight as route `search`, anything
+    else is a failure."""
     out = search_certificate(form)
     if out.status == "FOUND":
-        resolution["search"] += 1
+        resolution["search"] += weight
     else:
         failures.append({**record, "status": out.status})
 
@@ -427,7 +361,6 @@ def sweep_lemma(
     mode: str | None = None,
     trials: int = 100_000,
     seed: int = 42,
-    chunk_rows: int = 1 << 21,
 ) -> SweepReport:
     """Verify one shape claim, returning a report with every failure
     profile (each confirmed by the contraction search)."""
@@ -440,54 +373,31 @@ def sweep_lemma(
         raise ValueError(f"lemma {lemma_id} is declared sample-only")
 
     tab = _tables(lem.d)
-    uniform = lem.uniform_level0()
     t0 = time.perf_counter()
+    # every row the pass decides is route `closure`; `pair`, `chain` and
+    # `split` stay 0 so reports keep their five route keys
     resolution = {"pair": 0, "chain": 0, "split": 0, "closure": 0, "search": 0}
     failures = []
-    total = 0
 
     if mode == "EXHAUSTIVE":
-        for X in _iter_exhaustive(_exhaustive_slots(lem), chunk_rows):
-            total += len(X)
-            counts, rem = _prescreen(X, tab, uniform)
-            for key, val in counts.items():
-                resolution[key] += val
-            if rem.size:
-                reach = _flat_zero_dp(X[rem], tab)
-                resolution["closure"] += int(reach.sum())
-                rem = rem[~reach]
-            for row in X[rem]:
-                record = {"profile": [int(c) for c in row]}
-                _settle(_profile_form(lem.d, row), record, resolution, failures)
+        X, W = _exhaustive_rows(_exhaustive_slots(lem, tab))
+        total = int(W.sum())
         if total != lem.exhaustive_total:
             raise PadicFormsError(
                 f"lemma {lemma_id}: enumerated {total} profiles, "
                 f"declared {lem.exhaustive_total}"
             )
+        ok = _flat_zero_dp(X, tab)
+        resolution["closure"] = int(W[ok].sum())
+        for row, weight in zip(X[~ok], W[~ok]):
+            record = {"profile": [int(c) for c in row], "weight": int(weight)}
+            _settle(_profile_form(lem.d, row), record, int(weight), resolution, failures)
     else:
         UA, UB, col_levels = _sample_rows(lem, trials, seed, SAMPLE_DIGITS)
         total = trials
-        X0 = _codes_at(UA, UB, col_levels, 0)
-        counts, rem = _prescreen(X0, tab, uniform)
-        for key, val in counts.items():
-            resolution[key] += val
-        if rem.size:
-            reach = _flat_zero_dp(X0[rem], tab)
-            resolution["closure"] += int(reach.sum())
-            rem = rem[~reach]
-        # higher anchor levels: only variables within reach of level kappa
-        for kappa in range(1, int(col_levels.max()) + 1):
-            if not rem.size:
-                break
-            cols = np.flatnonzero((col_levels >= kappa) & (col_levels <= kappa + 2))
-            if cols.size < 2 or not (col_levels[cols] == kappa).any():
-                continue
-            Xk = _codes_at(UA[np.ix_(rem, cols)], UB[np.ix_(rem, cols)],
-                           col_levels[cols], kappa)
-            reach = _flat_zero_dp(Xk, tab)
-            resolution["closure"] += int(reach.sum())
-            rem = rem[~reach]
-        for ridx in rem:
+        ok = _sampled_verdicts(UA, UB, col_levels, tab)
+        resolution["closure"] = int(ok.sum())
+        for ridx in np.flatnonzero(~ok):
             ua, ub = UA[ridx], UB[ridx]
             record = {
                 "levels": [int(v) for v in col_levels],
@@ -495,7 +405,7 @@ def sweep_lemma(
                 "unitsB": [int(v) for v in ub],
             }
             form = _trial_form(lem.d, ua, ub, col_levels, SAMPLE_DIGITS)
-            _settle(form, record, resolution, failures)
+            _settle(form, record, 1, resolution, failures)
 
     return SweepReport(
         lemma=lemma_id,
@@ -542,11 +452,11 @@ class MinimalityReport:
 def minimality_probe(
     lemma_id: str,
     confirm_cap: int = 5,
-    chunk_rows: int = 1 << 21,
 ) -> MinimalityReport:
     """Probe whether a one-level lemma's class counts can drop by one.
 
-    For each class slot, remove a variable and exhaust the smaller space.
+    For each class slot, remove a variable and exhaust the smaller space
+    (by orbit representatives; counts are weighted to code multisets).
     Profiles the search cannot contract are handed to the complete
     modular decision as plain forms; an anisotropic answer there is a
     concrete instance showing the decremented type does not always
@@ -574,21 +484,9 @@ def minimality_probe(
             continue
         seen.add(key)
         sub = SweepLemma("probe", lem.d, tuple(counts), (), None, "EXHAUSTIVE")
-        total = 0
-        fail_rows = []
-        for X in _iter_exhaustive(_exhaustive_slots(sub), chunk_rows):
-            total += len(X)
-            _, rem = _prescreen(X, tab, True)
-            if rem.size:
-                good = _flat_zero_dp(X[rem], tab)
-                bad = X[rem[~good]]
-                if len(bad):
-                    fail_rows.append(bad.copy())
-        failures = (
-            np.concatenate(fail_rows)
-            if fail_rows
-            else np.empty((0, sub.s), np.int32)
-        )
+        X, W = _exhaustive_rows(_exhaustive_slots(sub, tab))
+        bad = ~_flat_zero_dp(X, tab)
+        failures = X[bad]
         confirmed = 0
         example = None
         for row in failures[: max(confirm_cap, 0)]:
@@ -605,8 +503,8 @@ def minimality_probe(
         records.append(
             {
                 "counts": "/".join(str(k) for k in counts),
-                "total": total,
-                "searchFailures": int(len(failures)),
+                "total": int(W.sum()),
+                "searchFailures": int(W[bad].sum()),
                 "anisotropicConfirmed": confirmed,
                 "example": example,
             }

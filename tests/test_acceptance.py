@@ -165,7 +165,7 @@ def test_criterion_06_exhaustive_sweeps():
             parts.append(f"{lid}:{rep.total}")
         return "; " + " ".join(parts)
 
-    _criterion(6, 7200.0, "one-level sweeps exhaustive at depth 3, zero failures", body)
+    _criterion(6, 120.0, "one-level sweeps exhaustive at depth 3, zero failures", body)
 
 
 def test_criterion_07_sampled_sweeps():
@@ -176,7 +176,7 @@ def test_criterion_07_sampled_sweeps():
             assert rep.failures == [], f"{lid}: {len(rep.failures)} failures"
         return "; 10 lemmas x 100000 trials"
 
-    _criterion(7, 7200.0, "two-level and d=10 sweeps sampled at seed 42", body)
+    _criterion(7, 120.0, "two-level and d=10 sweeps sampled at seed 42", body)
 
 
 def test_criterion_08_pipeline_oracle_agreement():

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -7,23 +8,24 @@ import pytest
 from padic_forms import oracle, sweeps
 from padic_forms.engine import validate_certificate
 from padic_forms.errors import PadicFormsError
-from padic_forms.flat import SearchOutcome, search_certificate
+from padic_forms.flat import SearchOutcome, _translate, search_certificate
+from padic_forms.forms import AdditiveForm, default_precision
 from padic_forms.oracle import decide_isotropy_exhaustive
-from padic_forms.ring import RingElem
+from padic_forms.ring import RingElem, multiplier_set
 from padic_forms.sweeps import (
     SWEEP_LEMMAS,
     SweepLemma,
     _class_codes,
-    _codes_at,
+    _exhaustive_rows,
     _exhaustive_slots,
     _flat_zero_dp,
-    _iter_exhaustive,
     _mul8,
-    _prescreen,
     _profile_form,
     _sample_rows,
+    _sampled_verdicts,
     _tables,
     _trial_form,
+    _translate_rows,
     exhaustive_lemma_ids,
     minimality_probe,
     sampled_lemma_ids,
@@ -31,34 +33,23 @@ from padic_forms.sweeps import (
 )
 
 
-def fast_depth3_verdicts(lem, UA, UB, lv, tab):
-    X0 = _codes_at(UA, UB, lv, 0)
-    n = len(X0)
-    _, rem = _prescreen(X0, tab, lem.uniform_level0())
-    verdict = np.ones(n, bool)
-    verdict[rem] = False
-    if rem.size:
-        r = _flat_zero_dp(X0[rem], tab)
-        verdict[rem] |= r
-        rem = rem[~r]
-    for kappa in range(1, int(lv.max()) + 1):
-        if not rem.size:
-            break
-        cols = np.flatnonzero((lv >= kappa) & (lv <= kappa + 2))
-        if cols.size < 2 or not (lv[cols] == kappa).any():
-            continue
-        Xk = _codes_at(UA[np.ix_(rem, cols)], UB[np.ix_(rem, cols)], lv[cols], kappa)
-        r = _flat_zero_dp(Xk, tab)
-        verdict[rem] |= r
-        rem = rem[~r]
-    return verdict
+def raw_rows(class_counts) -> np.ndarray:
+    """Every multiset of codes per class, concatenated: the raw space the
+    orbit enumeration stands for."""
+    slots = [
+        list(combinations_with_replacement(_class_codes(cls), k))
+        for cls, k in zip((1, 2, 3), class_counts)
+        if k
+    ]
+    return np.array([sum(parts, ()) for parts in product(*slots)], np.int32)
 
 
 def test_multiplier_reps_form_group_mod8():
     for d, size in ((6, 2), (10, 6)):
         tab = _tables(d)
-        reps = {(r.value.a & 7, r.value.b & 7) for r in tab.ms.reps}
+        reps = {(r.value.a & 7, r.value.b & 7) for r in multiplier_set(d, 3).reps}
         assert len(reps) == size
+        assert reps == {(c & 7, c >> 3) for c in tab.mulr[:, 1]}  # r * 1
         assert (1, 0) in reps
         for x in reps:
             for y in reps:
@@ -94,15 +85,16 @@ def test_declared_exhaustive_counts():
 
 def test_exhaustive_enumeration_matches_slot_product():
     lem = SWEEP_LEMMAS["223"]
-    slots = _exhaustive_slots(lem)
-    sizes = [len(a) for a in slots]
-    assert sizes == [136, 136, 816]
-    rows = sum(len(X) for X in _iter_exhaustive(slots[:2], 1000))
-    assert rows == 136 * 136
-    first = next(_iter_exhaustive(slots, 7))
-    assert first.shape == (7, 7)
-    # class slots stay sorted inside each row
-    for row in first:
+    slots = _exhaustive_slots(lem, _tables(6))
+    # 8 orbits {u, 5u} per class: multisets of 2, 2 and 3 orbits
+    assert [len(rows) for rows, _ in slots] == [36, 36, 120]
+    assert [int(w.sum()) for _, w in slots] == [136, 136, 816]
+    X, W = _exhaustive_rows(slots)
+    assert X.shape == (155_520, 7)
+    assert int(W.sum()) == 15_092_736
+    # last slot fastest, and class slots stay sorted inside each row
+    assert list(X[1, 4:]) > list(X[0, 4:]) and list(X[1, :4]) == list(X[0, :4])
+    for row in X[:: 997]:
         assert list(row[:2]) == sorted(row[:2])
         assert list(row[2:4]) == sorted(row[2:4])
         assert list(row[4:]) == sorted(row[4:])
@@ -113,23 +105,86 @@ def test_sweep_007_exhaustive_complete():
     assert rep.total == 170_544
     assert rep.failures == []
     assert sum(rep.resolution.values()) == rep.total
-    assert rep.resolution["pair"] > 0 and rep.resolution["split"] > 0
+    assert rep.resolution["closure"] == rep.total
 
 
-def test_prescreen_hits_are_search_sound():
-    rng = np.random.default_rng(11)
-    for lid in ("223", "0241", "401"):
+def test_orbit_weights_sum_to_declared_totals():
+    for lid in exhaustive_lemma_ids():
         lem = SWEEP_LEMMAS[lid]
-        tab = _tables(lem.d)
-        UA, UB, lv = _sample_rows(lem, 200, seed=23, digits=6)
-        X0 = _codes_at(UA, UB, lv, 0)
-        _, rem = _prescreen(X0, tab, lem.uniform_level0())
-        hit_rows = np.setdiff1d(np.arange(200), rem)
-        for i in rng.choice(hit_rows, size=min(25, hit_rows.size), replace=False):
-            f = _trial_form(lem.d, UA[i], UB[i], lv, 6)
-            out = search_certificate(f)
-            assert out.status == "FOUND"
+        _, W = _exhaustive_rows(_exhaustive_slots(lem, _tables(lem.d)))
+        assert int(W.sum()) == lem.exhaustive_total, lid
+
+
+def test_orbit_counts_match_raw_enumeration():
+    tab = _tables(6)
+    for counts in ((0, 0, 7), (0, 0, 6)):
+        raw = raw_rows(counts)
+        raw_ok = _flat_zero_dp(raw, tab)
+        X, W = _exhaustive_rows(_exhaustive_slots(SweepLemma("t", 6, counts, (), None, "EXHAUSTIVE"), tab))
+        ok = _flat_zero_dp(X, tab)
+        assert int(W.sum()) == len(raw)
+        assert int(W[ok].sum()) == int(raw_ok.sum()), counts
+        assert int(W[~ok].sum()) == int((~raw_ok).sum()), counts
+        if not raw_ok.all():
+            # representatives are least in their orbit: the first failing
+            # row is the same in both orders
+            assert list(X[~ok][0]) == list(raw[~raw_ok][0])
+
+
+def test_bogus_exhaustive_lemma_reports_weighted_failures(monkeypatch):
+    # 0/0/6 is one variable short of 007: its failures must surface, each
+    # as an orbit representative with the number of profiles it stands for
+    monkeypatch.setitem(
+        SWEEP_LEMMAS, "bogus6", SweepLemma("bogus6", 6, (0, 0, 6), (), 54_264, "EXHAUSTIVE")
+    )
+    rep = sweep_lemma("bogus6")
+    assert rep.total == 54_264
+    assert rep.failures
+    assert sum(rec["weight"] for rec in rep.failures) == 1_024
+    assert rep.resolution["closure"] == 54_264 - 1_024
+    for rec in rep.failures:
+        assert set(rec) == {"profile", "weight", "status"}
+        assert rec["status"] == "NOT_FOUND"
+        f = AdditiveForm.from_pairs(6, [(c & 7, c >> 3) for c in rec["profile"]], default_precision(6))
+        assert decide_isotropy_exhaustive(f).verdict == "ANISOTROPIC", rec
+
+
+def test_translate_rows_matches_flat_translate():
+    rng = np.random.default_rng(3)
+    masks = [1 << b for b in range(64)]
+    masks += [int(m) for m in rng.integers(0, 1 << 64, 1000, dtype=np.uint64)]
+    M = np.array(masks, np.uint64)
+    for code in range(64):
+        got = _translate_rows(M, np.full(len(M), code, np.intp))
+        assert [int(g) for g in got] == [_translate(m, code) for m in masks], code
+    # one code per row, and a leading axis of sets moved together
+    codes = rng.integers(0, 64, len(M))
+    got = _translate_rows(np.stack([M, M[::-1]]), codes)
+    assert [int(g) for g in got[0]] == [_translate(m, int(c)) for m, c in zip(masks, codes)]
+    assert [int(g) for g in got[1]] == [_translate(m, int(c)) for m, c in zip(masks[::-1], codes)]
+
+
+def test_packed_dp_matches_scalar_kernel():
+    # the numpy pass against flat.py's Python-int reachability, which
+    # backs search_certificate; a sample of its certificates is validated
+    def check(forms, fast):
+        outs = [search_certificate(f) for f in forms]
+        assert list(fast) == [out.status == "FOUND" for out in outs]
+        found = [(f, out) for f, out in zip(forms, outs) if out.status == "FOUND"]
+        for f, out in found[:: len(found) // 25]:
             assert validate_certificate(f, out.certificate)
+        return int((~fast).sum())
+
+    rng = np.random.default_rng(17)
+    codes = np.array(_class_codes(3), np.int32)
+    rows = np.sort(rng.choice(codes, (2000, 6)), axis=1)
+    misses = check([_profile_form(6, row) for row in rows], _flat_zero_dp(rows, _tables(6)))
+    assert 0 < misses < 2000
+    for lid in ("0241", "401"):
+        lem = SWEEP_LEMMAS[lid]
+        UA, UB, lv = _sample_rows(lem, 2000, seed=29, digits=6)
+        forms = [_trial_form(lem.d, UA[i], UB[i], lv, 6) for i in range(2000)]
+        check(forms, _sampled_verdicts(UA, UB, lv, _tables(lem.d)))
 
 
 def test_reachability_matches_search_both_polarities():
@@ -145,8 +200,7 @@ def test_reachability_matches_search_both_polarities():
             cls = rng.integers(1, 4, s)
             UA = ((cls & 1) + 2 * rng.integers(0, 32, s)).astype(np.int64)[None, :]
             UB = ((cls >> 1) + 2 * rng.integers(0, 32, s)).astype(np.int64)[None, :]
-            lem = SweepLemma("tmp", d, None, (s,), None, "SAMPLED")
-            ok = bool(fast_depth3_verdicts(lem, UA, UB, lv, tab)[0])
+            ok = bool(_sampled_verdicts(UA, UB, lv, tab)[0])
             f = _trial_form(d, UA[0], UB[0], lv, 6)
             out = search_certificate(f)
             assert out.status in ("FOUND", "NOT_FOUND")
@@ -180,8 +234,14 @@ def test_sampled_sweep_deterministic():
     assert json.dumps(r1.to_json(include_timings=False), sort_keys=True) == json.dumps(
         r2.to_json(include_timings=False), sort_keys=True
     )
+    # another seed draws other rows, and both draws settle clean
+    lem = SWEEP_LEMMAS["31"]
+    a = _sample_rows(lem, 2000, 42, sweeps.SAMPLE_DIGITS)
+    b = _sample_rows(lem, 2000, 43, sweeps.SAMPLE_DIGITS)
+    assert not np.array_equal(a[0], b[0]) and not np.array_equal(a[1], b[1])
     r3 = sweep_lemma("31", "SAMPLED", trials=2000, seed=43)
-    assert r3.resolution != r1.resolution
+    assert r1.failures == [] and r3.failures == []
+    assert r1.resolution["closure"] == r3.resolution["closure"] == 2000
 
 
 def test_sampled_small_runs_clean():
@@ -233,14 +293,12 @@ def test_report_json_shape():
 
 
 def test_minimality_probe_007():
-    from padic_forms.forms import AdditiveForm
-
     rep = minimality_probe("007", confirm_cap=4)
     assert len(rep.decrements) == 1
     rec = rep.decrements[0]
     assert rec["counts"] == "0/0/6"
     assert rec["total"] == 54264  # multisets of 6 from the 16 profiles
-    assert rec["searchFailures"] > 0, "count 7 would not be minimal"
+    assert rec["searchFailures"] == 1_024, "count 7 would not be minimal"
     assert rec["anisotropicConfirmed"] == 4
     # the reported example really is a six-variable anisotropic form
     f = AdditiveForm.from_json(rec["example"])
@@ -269,7 +327,7 @@ def test_exhaustive_total_mismatch_raises(monkeypatch):
 
 
 def test_tables_reject_reps_that_are_not_a_group(monkeypatch):
-    ms = _tables(6).ms
+    ms = multiplier_set(6, 3)
     ident = ms.reps[0]
     bogus = replace(ms, reps=(
         ident,
@@ -279,6 +337,14 @@ def test_tables_reject_reps_that_are_not_a_group(monkeypatch):
     monkeypatch.setattr(sweeps, "multiplier_set", lambda d, K: bogus)
     with pytest.raises(PadicFormsError):
         _tables.__wrapped__(6)
+
+
+def test_orbits_that_leave_a_class_raise():
+    # at d = 10 some reps move a unit to another residue class, so class
+    # multisets cannot be enumerated by orbits
+    lem = SweepLemma("d10", 10, (1, 0, 0), (), 16, "EXHAUSTIVE")
+    with pytest.raises(PadicFormsError):
+        _exhaustive_slots(lem, _tables(10))
 
 
 def test_probe_raises_when_search_finds_a_certificate(monkeypatch):
