@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import CertificateError
 from .forms import AdditiveForm
-from .ring import MultiplierRep, RingElem, dth_root, multiplier_set
+from .ring import MultiplierRep, RingElem, dth_root, mul_pair, multiplier_set, val_pair
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,7 @@ class PartialValue:
         a, b = self.masked()
         if a == 0 and b == 0:
             return None  # >= J, unresolved
-        v = RingElem(a, b, self.J).valuation()
-        return int(v)
+        return val_pair(a, b)
 
     def add(self, other: "PartialValue") -> "PartialValue":
         return PartialValue(self.value + other.value, min(self.J, other.J))
@@ -187,8 +186,9 @@ def validate_certificate(f: AdditiveForm, cert: ContractionCertificate) -> bool:
         order = _collect_tree(root, nmap)
     except KeyError:
         return False
-    K = f.K
-    values: dict[int, RingElem] = {}
+    mask = (1 << f.K) - 1
+    levels = f.levels()
+    values: dict[int, tuple[int, int]] = {}  # exact node values as int pairs mod 2^K
     leaf_levels = []
     leaf_vars: set = set()
     for n in sorted(order, key=lambda n: (n.kind != "leaf", n.id)):
@@ -197,18 +197,19 @@ def validate_certificate(f: AdditiveForm, cert: ContractionCertificate) -> bool:
                 return False
             leaf_vars.add(n.var)
             coeff = f.coeffs[n.var]
-            values[n.id] = coeff
-            leaf_levels.append((coeff.valuation(), n.var))
+            values[n.id] = (coeff.a, coeff.b)
+            leaf_levels.append((levels[n.var], n.var))
         else:
             if len(n.children) < 2 or len(n.children) != len(n.choices):
                 return False
-            total = RingElem.zero(K)
+            ta = tb = 0
             for cid, choice in zip(n.children, n.choices):
                 if cid not in values:
                     return False
-                mult = RingElem(choice.value.a, choice.value.b, K)
-                total = total + values[cid] * mult
-            values[n.id] = total
+                ma, mb = mul_pair(*values[cid], choice.value.a, choice.value.b)
+                ta += ma
+                tb += mb
+            values[n.id] = (ta & mask, tb & mask)
     if not leaf_levels:
         return False
     kmin = min(lv for lv, _ in leaf_levels)
@@ -217,10 +218,10 @@ def validate_certificate(f: AdditiveForm, cert: ContractionCertificate) -> bool:
     if cert.anchor_leaf not in {v for lv, v in leaf_levels if lv == kmin}:
         return False
     need = kmin + 3
-    if need > K:
+    if need > f.K:
         return False
-    root_val = values[cert.root]
-    return root_val.a % (1 << need) == 0 and root_val.b % (1 << need) == 0
+    ra, rb = values[cert.root]
+    return ra % (1 << need) == 0 and rb % (1 << need) == 0
 
 
 def certificate_to_json(cert: ContractionCertificate) -> dict:

@@ -29,6 +29,7 @@ its minimal level to repeat), or a witness by Newton on the anchor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .engine import (
     ContractionCertificate,
@@ -36,9 +37,9 @@ from .engine import (
     contract,
     make_leaf,
 )
-from .errors import CertificateError
+from .errors import CertificateError, PadicFormsError
 from .forms import AdditiveForm
-from .ring import MultiplierSet, multiplier_set
+from .ring import MultiplierSet, mul_pair, multiplier_set
 
 _ALL = (1 << 64) - 1
 # per byte, the bits whose a-coordinate stays below 8 after adding s
@@ -56,6 +57,33 @@ def _translate(mask: int, code: int) -> int:
         s = 8 * tb
         mask = ((mask << s) | (mask >> (64 - s))) & _ALL
     return mask
+
+
+@dataclass(frozen=True)
+class Mod8Table:
+    """The multiplier reps acting on the 64 codes a + 8b of Z8 x Z8."""
+
+    products: tuple  # products[v][i]: code of reps[i] * v
+    options: tuple  # options[v]: distinct (code, index of its first rep) of products[v]
+
+
+@lru_cache(maxsize=None)
+def mod8_table(d: int) -> Mod8Table:
+    """Degree d's reps mod 8 times every code, in rep order.  The reps
+    mod 8 do not depend on the precision and must form a group: the
+    kernel's option sets and the sweeps' orbit reduction rely on it."""
+    reps = [(r.value.a & 7, r.value.b & 7) for r in multiplier_set(d, 3).reps]
+    products = []
+    for v in range(64):
+        row = (mul_pair(v & 7, v >> 3, ra, rb, 8) for ra, rb in reps)
+        products.append(tuple(x | (y << 3) for x, y in row))
+    group = set(products[1])
+    if 1 not in group or any(p not in group for x in group for p in products[x]):
+        raise PadicFormsError(f"multiplier reps mod 8 for d={d} are not a group")
+    options = tuple(
+        tuple((code, row.index(code)) for code in dict.fromkeys(row)) for row in products
+    )
+    return Mod8Table(tuple(products), options)
 
 
 def _minus(x: int, t: int) -> int:
@@ -83,15 +111,25 @@ class FlatOutcome:
     short: bool  # some term was left out because of its window
 
 
-def _options(f: AdditiveForm, reps8, k: int, wraps):
+@lru_cache(maxsize=None)
+def _tagged(d: int) -> dict:
+    """mod8_table(d).options as kernel rows (code, at level k, wrap, rep
+    index), keyed by (at level k, wrap), then indexed by the term's code."""
+    rows = mod8_table(d).options
+    return {(at_k, j): tuple(tuple((code, at_k, j, idx) for code, idx in row) for row in rows)
+            for at_k in (False, True) for j in (0, 1)}
+
+
+def _options(f: AdditiveForm, k: int, wraps):
     """Per variable, the distinct codes (term / 2^k mod 8) it can add at
-    anchor k, each as (code, at level k, wrap, rep index); and whether a
-    term in range was left out for its window."""
+    anchor k, each as (code, at level k, wrap, rep index), the first wrap
+    and rep reaching a code winning; and whether a term in range was left
+    out for its window.  Both wraps fall in range only when d = 2."""
+    tagged = _tagged(f.d)
     terms = []
     short = False
-    for i, (c, w) in enumerate(zip(f.coeffs, f.windows)):
-        lvl = c.valuation()
-        opts = []
+    for i, (c, w, lvl) in enumerate(zip(f.coeffs, f.windows, f.levels())):
+        opts = ()
         for j in wraps:
             shift = j * f.d
             if not k <= lvl + shift <= k + 2:
@@ -99,14 +137,12 @@ def _options(f: AdditiveForm, reps8, k: int, wraps):
             if w + shift < k + 3:
                 short = True
                 continue
-            ca = ((c.a << shift) >> k) & 7
-            cb = ((c.b << shift) >> k) & 7
-            seen = set()
-            for idx, (ra, rb) in enumerate(reps8):
-                code = ((ca * ra + cb * rb) & 7) | (((ca * rb + cb * ra + cb * rb) & 7) << 3)
-                if code not in seen:
-                    seen.add(code)
-                    opts.append((code, lvl + shift == k, j, idx))
+            v = (((c.a << shift) >> k) & 7) | ((((c.b << shift) >> k) & 7) << 3)
+            row = tagged[lvl + shift == k, j][v]
+            if opts:
+                seen = {o[0] for o in opts}
+                row = tuple(o for o in row if o[0] not in seen)
+            opts += row
         if opts:
             terms.append((i, opts))
     return terms, short
@@ -161,13 +197,12 @@ def _backtrack(k: int, terms, trail) -> FlatSolution:
     return FlatSolution(k, anchor, tuple(reversed(picks)))
 
 
-def flat_zero(f: AdditiveForm, ms: MultiplierSet, wrapped: bool) -> FlatOutcome:
+def flat_zero(f: AdditiveForm, wrapped: bool) -> FlatOutcome:
     """Solution at the lowest anchor level that has one.  With `wrapped`
     a variable may also be 2 times a unit, which makes the search
     complete; without, it covers the zeros whose used entries are units."""
     if not f.is_reduced():
         raise ValueError("flat reachability needs levels below the degree")
-    reps8 = [(r.value.a & 7, r.value.b & 7) for r in ms.reps]
     wraps = (0, 1) if wrapped else (0,)
     states = 0
     short = False
@@ -175,7 +210,7 @@ def flat_zero(f: AdditiveForm, ms: MultiplierSet, wrapped: bool) -> FlatOutcome:
     for k in range(f.d):
         if k not in levels:
             continue  # no term can carry the anchor
-        terms, left_out = _options(f, reps8, k, wraps)
+        terms, left_out = _options(f, k, wraps)
         short |= left_out
         trail, R1, seen = _reach(terms)
         states += seen
@@ -235,8 +270,8 @@ class SearchOutcome:
 def search_certificate(g: AdditiveForm) -> SearchOutcome:
     """Pass 1 of the decision: a contraction certificate for a zero of g
     whose used entries are units, if g has one."""
-    ms = multiplier_set(g.d, g.K)
-    out = flat_zero(g, ms, wrapped=False)
+    out = flat_zero(g, wrapped=False)
     if out.solution is None:
         return SearchOutcome("NOT_FOUND", None, out.states)
+    ms = multiplier_set(g.d, g.K)
     return SearchOutcome("FOUND", contraction_from_flat(g, out.solution, ms), out.states)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 
 from .errors import NoValidShift, PrecisionMismatch
-from .ring import RingElem, check_degree_shape, parse_elem
+from .ring import RingElem, check_degree_shape, mul_pair, parse_elem, pow_pair, val_pair
 
 
 def default_precision(d: int) -> int:
@@ -28,7 +28,7 @@ def default_precision(d: int) -> int:
 
 
 class AdditiveForm:
-    __slots__ = ("d", "coeffs", "windows", "scale_log", "subst_log", "origin")
+    __slots__ = ("d", "coeffs", "windows", "scale_log", "subst_log", "origin", "_levels")
 
     def __init__(
         self,
@@ -49,20 +49,24 @@ class AdditiveForm:
         if subst_log is None:
             subst_log = (0,) * len(coeffs)
         assert len(windows) == len(coeffs) == len(subst_log)
+        levels = []
         for c, w in zip(coeffs, windows):
             if c.K != K:
                 raise PrecisionMismatch("coefficients at mixed precisions")
             assert 1 <= w <= K
-            if c.a % (1 << w) == 0 and c.b % (1 << w) == 0:
+            lvl = val_pair(c.a, c.b)
+            if lvl >= w:
                 raise PrecisionMismatch(
                     f"coefficient {c} indistinguishable from 0 in its trusted window"
                 )
+            levels.append(lvl)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "windows", windows)
         object.__setattr__(self, "scale_log", scale_log)
         object.__setattr__(self, "subst_log", subst_log)
         object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "_levels", tuple(levels))
 
     def __setattr__(self, *_):
         raise AttributeError("AdditiveForm is immutable")
@@ -119,10 +123,11 @@ class AdditiveForm:
         return len(self.coeffs)
 
     def levels(self) -> tuple[int, ...]:
-        return tuple(c.valuation() for c in self.coeffs)
+        """Each coefficient's valuation, computed once by the constructor."""
+        return self._levels
 
     def max_level(self) -> int:
-        return max(self.levels())
+        return max(self._levels)
 
     def is_reduced(self) -> bool:
         return self.max_level() < self.d
@@ -135,13 +140,15 @@ class AdditiveForm:
         integers when at_K exceeds the storage precision; callers must cap
         any completion-independent claim at the trusted windows."""
         K = self.K if at_K is None else at_K
-        total = RingElem.zero(K)
+        mod = 1 << K
         assert len(values) == self.s
+        ta = tb = 0
         for c, x in zip(self.coeffs, values):
-            cx = RingElem(c.a, c.b, K)
-            xx = RingElem(x.a, x.b, K)
-            total = total + cx * (xx ** self.d)
-        return total
+            if x.a or x.b:
+                ma, mb = mul_pair(c.a, c.b, *pow_pair(x.a, x.b, self.d, mod))
+                ta += ma
+                tb += mb
+        return RingElem(ta, tb, K)
 
     def __repr__(self):
         inner = ", ".join(str(c) for c in self.coeffs)
@@ -162,8 +169,7 @@ def reduce_levels(f: AdditiveForm) -> AdditiveForm:
     windows = []
     subst = []
     changed = False
-    for c, w, e in zip(f.coeffs, f.windows, f.subst_log):
-        lvl = c.valuation()
+    for c, w, e, lvl in zip(f.coeffs, f.windows, f.subst_log, f.levels()):
         if lvl < d:
             coeffs.append(c)
             windows.append(w)
@@ -203,8 +209,7 @@ def cyclic_shift(f: AdditiveForm, t: int) -> AdditiveForm:
     coeffs = []
     windows = []
     subst = []
-    for c, w, e in zip(f.coeffs, f.windows, f.subst_log):
-        lvl = c.valuation()
+    for c, w, e, lvl in zip(f.coeffs, f.windows, f.subst_log, f.levels()):
         i = 1 if lvl + t >= d else 0
         shift = t - i * d  # may be negative; rep stays exactly divisible
         if shift >= 0:

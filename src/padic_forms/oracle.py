@@ -16,6 +16,8 @@ thresholded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,21 +73,36 @@ def _unit_power_codes(d: int, L: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class PVEntry:
+class PVEntry(NamedTuple):
     value: tuple[int, int]
     shift: int  # the value is 2^(shift*d) times a unit d-th power
     unit: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerValueSet:
+    """The nonzero values A + B*w of x^d mod 2^M, by shift: codes[j] holds
+    the sorted codes (A << M) | B of those that are 2^(jd) times a unit
+    d-th power."""
+
     d: int
     M: int
-    entries: tuple[PVEntry, ...]  # nonzero values, sorted by (shift, a, b)
+    codes: tuple[np.ndarray, ...]
+
+    def values(self, shift: int) -> list[tuple[int, int]]:
+        """The values at one shift, sorted."""
+        mask = (1 << self.M) - 1
+        return [(c >> self.M, c & mask) for c in self.codes[shift].tolist()]
+
+    @cached_property
+    def entries(self) -> tuple[PVEntry, ...]:
+        """The nonzero values, sorted by (shift, a, b)."""
+        return tuple(
+            PVEntry(v, j, j == 0) for j in range(len(self.codes)) for v in self.values(j)
+        )
 
     def value_set(self) -> set:
-        return {(0, 0)} | {e.value for e in self.entries}
+        return {(0, 0)}.union(*(self.values(j) for j in range(len(self.codes))))
 
     def root_of(self, value: tuple[int, int]) -> RingElem:
         """A residue x mod 2^M with x^d = value mod 2^M."""
@@ -109,28 +126,31 @@ def power_value_set(d: int, M: int) -> PowerValueSet:
     got = _PVS_CACHE.get(key)
     if got is not None:
         return got
-    entries = []
+    codes = []
     j = 0
     while j * d < M:
         L = M - j * d
-        for code in _unit_power_codes(d, L).tolist():
-            a, b = code & ((1 << L) - 1), code >> L
-            entries.append(PVEntry((a << (j * d), b << (j * d)), j, j == 0))
+        units = _unit_power_codes(d, L)
+        a = (units & ((1 << L) - 1)) << (j * d)
+        b = (units >> L) << (j * d)
+        codes.append(np.sort((a << M) | b))
         j += 1
-    entries.sort(key=lambda e: (e.shift, e.value))
-    pvs = PowerValueSet(d, M, tuple(entries))
-    if 4 ** M <= 10 ** 6 and pvs.value_set() != _brute_power_values(d, M):
-        raise PadicFormsError(f"power value set (d={d}, M={M}) disagrees with brute force")
+    pvs = PowerValueSet(d, M, tuple(codes))
+    if 4 ** M <= 10 ** 6:
+        ours = np.unique(np.concatenate([np.zeros(1, np.int64), *codes]))
+        if not np.array_equal(ours, _brute_power_codes(d, M)):
+            raise PadicFormsError(f"power value set (d={d}, M={M}) disagrees with brute force")
     _PVS_CACHE[key] = pvs
     return pvs
 
 
-def _brute_power_values(d: int, M: int) -> set:
+def _brute_power_codes(d: int, M: int) -> np.ndarray:
+    """Sorted distinct codes (A << M) | B of x^d over all x mod 2^M."""
     mask = (1 << M) - 1
     n = 1 << M
     t = np.arange(n * n, dtype=np.int64)
     ra, rb = _pow_vec(t // n, t % n, d, mask)
-    return set(zip(ra.tolist(), rb.tolist()))
+    return np.unique((ra << M) | rb)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +205,8 @@ def primitive_zero_mod(
     mask = (1 << M) - 1
     n = 1 << M
 
-    unit_vals = [e.value for e in pvs.entries if e.unit]
-    rest_vals = [(0, 0)] + [e.value for e in pvs.entries if not e.unit]
+    unit_vals = pvs.values(0)
+    rest_vals = [(0, 0)] + [v for j in range(1, len(pvs.codes)) for v in pvs.values(j)]
 
     per_var = []
     for i, c in enumerate(f.coeffs):

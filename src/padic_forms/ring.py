@@ -117,13 +117,11 @@ def inv_unit_pair(a: int, b: int, mod: int) -> tuple[int, int]:
 
 
 def val_pair(a: int, b: int) -> int | float:
-    if a == 0 and b == 0:
+    """min(v2(a), v2(b)): the lowest set bit of a | b."""
+    x = a | b
+    if x == 0:
         return INFINITE
-    if a == 0:
-        return v2(b)
-    if b == 0:
-        return v2(a)
-    return min(v2(a), v2(b))
+    return (x & -x).bit_length() - 1
 
 
 # ---------------------------------------------------------------------------

@@ -148,10 +148,10 @@ def decide_isotropy(f: AdditiveForm) -> IsotropyResult:
         )
 
     t0 = time.perf_counter()
-    ms = multiplier_set(reduced.d, reduced.K)
-    second = flat_zero(reduced, ms, wrapped=True)
+    second = flat_zero(reduced, wrapped=True)
     states = first.nodes_expanded + second.states
     if second.solution is not None:
+        ms = multiplier_set(reduced.d, reduced.K)
         w = witness_from_flat(reduced, second.solution, ms)
         timings["oracle"] = time.perf_counter() - t0
         return IsotropyResult(

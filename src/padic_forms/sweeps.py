@@ -41,9 +41,9 @@ from math import comb, prod
 import numpy as np
 
 from .errors import PadicFormsError
-from .flat import _ALL, _KEEP, search_certificate
+from .flat import _ALL, _KEEP, mod8_table, search_certificate
 from .forms import AdditiveForm
-from .ring import RingElem, multiplier_set
+from .ring import RingElem
 
 SAMPLE_DIGITS = 6  # unit digits drawn per sampled variable
 
@@ -55,7 +55,7 @@ SAMPLE_DIGITS = 6  # unit digits drawn per sampled variable
 @dataclass(frozen=True)
 class _Tables:
     LV: np.ndarray  # valuation of each residue code, 3 for code 0
-    mulr: np.ndarray  # (reps, 64) code of r * v
+    mulr: np.ndarray  # (reps, 64) code of r * v, from flat.mod8_table
 
 
 def _code_level(code: int) -> int:
@@ -70,28 +70,10 @@ def _code_level(code: int) -> int:
     return v
 
 
-def _mul8(x, y):
-    a, b = x
-    c, d = y
-    return (a * c + b * d) & 7, (a * d + b * c + b * d) & 7
-
-
 @lru_cache(maxsize=None)
 def _tables(d: int) -> _Tables:
-    ms = multiplier_set(d, 3)
-    reps = [(r.value.a & 7, r.value.b & 7) for r in ms.reps]
-    # the reachability pass and the orbit reduction need the reps mod 8
-    # to form a group
-    rep_set = set(reps)
-    if (1, 0) not in rep_set or any(_mul8(x, y) not in rep_set for x in reps for y in reps):
-        raise PadicFormsError(f"multiplier reps mod 8 for d={d} are not a group")
     LV = np.array([_code_level(c) for c in range(64)], np.int8)
-    ua = np.arange(64, dtype=np.int64) & 7
-    ub = np.arange(64, dtype=np.int64) >> 3
-    mulr = np.array(
-        [((ra * ua + rb * ub) & 7) + 8 * ((ra * ub + rb * ua + rb * ub) & 7) for ra, rb in reps],
-        dtype=np.intp,
-    )
+    mulr = np.array(mod8_table(d).products, dtype=np.intp).T
     return _Tables(LV, mulr)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import CertificateError
 from .forms import AdditiveForm
-from .ring import RingElem, newton_anchor_solve
+from .ring import RingElem, mul_pair, newton_anchor_solve, pow_pair
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,7 @@ def verify_witness(f: AdditiveForm, w: Witness) -> bool:
     x = w.values[w.primitive]
     if not x.is_unit():
         return False
-    lvl = f.coeffs[w.primitive].valuation()
-    if w.V < lvl + 3:
+    if w.V < f.levels()[w.primitive] + 3:
         return False
     total = f.evaluate(w.values, at_K=f.K)
     mask = (1 << w.V) - 1
@@ -83,13 +82,17 @@ def solve_anchor(
     coefficients' precision.  Requires the usual valuation agreement; a
     failure here means the incoming certificate was not sound."""
     K = coeffs[0].K
+    mod = 1 << K
     vals = [RingElem(x.a, x.b, K) for x in values]
-    folded = coeffs[anchor] * vals[anchor] ** d
-    rest = RingElem.zero(K)
+    ra = rb = 0  # the other terms c * x^d, summed as int pairs
     for j, (c, x) in enumerate(zip(coeffs, vals)):
-        if j != anchor:
-            rest = rest + c * x ** d
-    z = newton_anchor_solve(folded, d, rest)
+        if j != anchor and (x.a or x.b):
+            ma, mb = mul_pair(c.a, c.b, *pow_pair(x.a, x.b, d, mod))
+            ra += ma
+            rb += mb
+    c, x = coeffs[anchor], vals[anchor]
+    folded = RingElem(*mul_pair(c.a, c.b, *pow_pair(x.a, x.b, d, mod)), K)
+    z = newton_anchor_solve(folded, d, RingElem(ra, rb, K))
     vals[anchor] = vals[anchor] * z
     return vals
 
@@ -125,5 +128,6 @@ def map_to_origin(g: AdditiveForm, w: Witness) -> Witness:
     candidates = [j for j in used if values[j].is_unit()]
     if not candidates:
         raise CertificateError("no unit variable survives the back-mapping")
-    primitive = min(candidates, key=lambda j: (orig.coeffs[j].valuation(), j))
+    levels = orig.levels()
+    primitive = min(candidates, key=lambda j: (levels[j], j))
     return Witness(values=tuple(values), primitive=primitive, V=V)

@@ -245,6 +245,33 @@ def test_module_entry_passes_exit_codes(h6_file):
     assert proc.returncode == 64
 
 
+# a form whose only zeros need a variable equal to 2 times a unit, so the
+# decision ends in the pipeline's second pass
+ORACLE_ISOTROPIC = {"degree": 6, "precision": 10, "coeffs": [
+    [608, 0], [928, 576], [424, 432], [152, 728], [472, 1008], [934, 272], [340, 62],
+    [32, 160], [576, 96]]}
+
+
+def test_solve_is_the_same_under_python_O(tmp_path, h6_file):
+    # python -O strips asserts; no verdict may depend on one
+    cases = [("search.txt", "d=6; 1, 7\n", 0, "search"),
+             ("oracle.json", json.dumps(ORACLE_ISOTROPIC), 0, "oracle"),
+             ("short.txt", "d=6; K=2; 1, 1, w\n", 65, None)]
+    paths = [(h6_file, 1, "oracle")]
+    for name, text, code, stage in cases:
+        (tmp_path / name).write_text(text)
+        paths.append((str(tmp_path / name), code, stage))
+    for path, code, stage in paths:
+        plain = fresh_process([sys.executable, "-m", "padic_forms", "solve", path])
+        optimized = fresh_process([sys.executable, "-O", "-m", "padic_forms", "solve", path])
+        assert plain.returncode == optimized.returncode == code, path
+        assert plain.stdout == optimized.stdout, path
+        if stage is not None:
+            assert json.loads(plain.stdout)["stage"] == stage
+        else:
+            assert plain.stdout == "" and "window" in optimized.stderr
+
+
 @pytest.mark.skipif(
     shutil.which("padic-forms") is None, reason="padic-forms script not installed"
 )

@@ -16,7 +16,7 @@ from padic_forms.engine import (
     make_leaf,
     validate_certificate,
 )
-from padic_forms.errors import CertificateError
+from padic_forms.errors import CertificateError, PrecisionMismatch
 from padic_forms.flat import search_certificate
 from padic_forms.forms import AdditiveForm
 from padic_forms.ring import RingElem, multiplier_set
@@ -159,6 +159,58 @@ def test_validate_on_compatible_deep_digits():
     cert = search_certificate(f).certificate
     # deeper digits shifted: 7 -> 15; exact sum 16 still vanishes mod 8
     assert validate_certificate(form(6, [(1, 0), (15, 0)]), cert)
+
+
+def ring_validate(f, cert):
+    """validate_certificate on well-formed trees, with every node value
+    summed one RingElem operation at a time."""
+    K = f.K
+    values = {}
+    for n in sorted(cert.nodes, key=lambda n: (n.kind != "leaf", n.id)):
+        if n.kind == "leaf":
+            values[n.id] = f.coeffs[n.var]
+            continue
+        total = RingElem.zero(K)
+        for cid, choice in zip(n.children, n.choices):
+            total = total + values[cid] * RingElem(choice.value.a, choice.value.b, K)
+        values[n.id] = total
+    leaves = [(f.coeffs[n.var].valuation(), n.var) for n in cert.nodes if n.kind == "leaf"]
+    kmin = min(leaves)[0]
+    need = kmin + 3
+    root = values[cert.root]
+    return (
+        cert.anchor_level == kmin
+        and (kmin, cert.anchor_leaf) in leaves
+        and need <= K
+        and root.a % (1 << need) == 0
+        and root.b % (1 << need) == 0
+    )
+
+
+def test_validate_matches_ring_elem_loop():
+    rng = random.Random(37)
+    verdicts = []
+    for _ in range(150):
+        d = rng.choice((6, 10))
+        K = d + 4
+        pairs = [((rng.getrandbits(K) | 1) << rng.randrange(3), rng.getrandbits(K))
+                 for _ in range(rng.randrange(2, 9))]
+        out = search_certificate(form(d, pairs, K))
+        if out.certificate is None:
+            continue
+        cert = out.certificate
+        if rng.random() < 0.5:  # redraw digits, low ones included, so some checks fail
+            pairs = [(a ^ (rng.getrandbits(4) << rng.randrange(1, 6)), b) for a, b in pairs]
+        for at_K in (K - 3, K, K + 4):
+            mask = (1 << at_K) - 1
+            try:
+                g = form(d, [(a & mask, b & mask) for a, b in pairs], at_K)
+            except PrecisionMismatch:
+                continue
+            want = ring_validate(g, cert)
+            assert validate_certificate(g, cert) == want
+            verdicts.append(want)
+    assert True in verdicts and False in verdicts
 
 
 def test_validate_fails_on_broken_sum():

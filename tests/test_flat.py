@@ -6,6 +6,7 @@ where no frame fits the oracle's policy), witnesses go through
 verify_witness, and certificates through validate_certificate.
 """
 
+import hashlib
 import json
 import random
 
@@ -18,11 +19,11 @@ from padic_forms.engine import (
     validate_certificate,
 )
 from padic_forms.errors import PrecisionMismatch
-from padic_forms.flat import _translate, flat_zero
+from padic_forms.flat import _translate, flat_zero, mod8_table
 from padic_forms.forms import AdditiveForm, cyclic_shift, normalize, reduce_levels
 from padic_forms.oracle import decide_isotropy_exhaustive
 from padic_forms.ring import RingElem, multiplier_set
-from padic_forms.solver import decide_isotropy
+from padic_forms.solver import decide_isotropy, isotropy_threshold
 from padic_forms.witness import verify_witness
 
 # Forms whose zeros all need a variable equal to 2 times a unit in the
@@ -98,6 +99,22 @@ def _check_certificate(f, r):
     assert validate_certificate(g, again)
 
 
+def test_mod8_table_matches_direct_multiplication():
+    for d in (6, 10):
+        table = mod8_table(d)
+        for K in (3, 10, 14):
+            reps = [(r.value.a % 8, r.value.b % 8) for r in multiplier_set(d, K).reps]
+            for v in range(64):
+                a, b = v % 8, v // 8
+                direct = [(a * ra + b * rb) % 8 + 8 * ((a * rb + b * ra + b * rb) % 8)
+                          for ra, rb in reps]
+                assert list(table.products[v]) == direct, (d, K, v)
+                first = {}
+                for i, code in enumerate(direct):
+                    first.setdefault(code, i)
+                assert list(table.options[v]) == list(first.items()), (d, K, v)
+
+
 def test_translate_matches_coordinates():
     rng = random.Random(3)
     for _ in range(200):
@@ -115,7 +132,7 @@ def test_solution_picks_vanish_mod_anchor_plus_three(d):
     for _ in range(200):
         f = sample_form(rng, d, rng.randrange(2, 10))
         ms = multiplier_set(d, f.K)
-        out = flat_zero(f, ms, wrapped=True)
+        out = flat_zero(f, wrapped=True)
         if out.solution is None:
             continue
         found += 1
@@ -158,6 +175,25 @@ def test_pipeline_agrees_with_fft_oracle(d):
     assert tally.get(("ISOTROPIC", "search"), 0) > 50
     assert tally.get(("ANISOTROPIC", "oracle"), 0) > 50
     assert tally.get(("ISOTROPIC", "oracle"), 0) >= len(WRAPPED_ONLY[d])
+
+
+def test_degree_two_agrees_with_fft_oracle():
+    """At d = 2 a variable's unit term at level k and its wrapped term at
+    k + 2 both fall in an anchor's range; the kernel may use only one of
+    them.  x^2 + c y^2 for every small c, plus seeded window forms."""
+    forms = [AdditiveForm.from_pairs(2, [(1, 0), (a, b)])
+             for a in range(-8, 8) for b in range(-8, 8) if (a | b) & 1]
+    rng = random.Random(20261020)
+    forms += [_window_form(rng, 2, rng.randrange(2, 5), width=2) for _ in range(150)]
+    tally = {}
+    for f in forms:
+        r = decide_isotropy(f)
+        ref = decide_isotropy_exhaustive(_lowest_frame(f))
+        assert r.verdict == ref.verdict, (f.to_json(), r.verdict, ref.verdict)
+        if r.verdict == "ISOTROPIC":
+            assert verify_witness(f, r.witness)
+        tally[r.verdict] = tally.get(r.verdict, 0) + 1
+    assert tally["ANISOTROPIC"] > 50 and tally["ISOTROPIC"] > 50
 
 
 def test_wrapped_only_zero_gives_witness_without_contraction():
@@ -267,3 +303,40 @@ def test_full_range_d10_never_inconclusive():
         if r.verdict == "ISOTROPIC":
             assert verify_witness(f, r.witness)
     assert verdicts["ISOTROPIC"] > 0 and verdicts["ANISOTROPIC"] > 0
+
+
+# sha256 of the decide_isotropy JSON lines (no timings) of _pinned_forms(),
+# recorded before levels and mod-8 option codes were computed once per
+# form.  Any change to a verdict, stage, witness, certificate or counter on
+# these forms changes it.
+PINNED_DIGEST = "a2a7de0577c302774aea63145be290172c18f315dbf1c3fd94e7f5748a257436"
+
+
+def _pinned_forms():
+    forms = [AdditiveForm.from_pairs(d, WRAPPED_ONLY[d][0][1], WRAPPED_ONLY[d][0][0])
+             for d in (6, 10)]
+    rng = random.Random(2026)
+    for i in range(160):
+        d = (6, 10)[i % 2]
+        K = d + 4
+        pairs = []
+        for _ in range(rng.randrange(2, isotropy_threshold(d) + 1)):
+            lvl = rng.randrange(d)
+            cls = rng.randrange(1, 4)
+            a = (cls & 1) | (rng.getrandbits(K - 1) << 1)
+            b = (cls >> 1) | (rng.getrandbits(K - 1) << 1)
+            pairs.append(((a << lvl) % (1 << K), (b << lvl) % (1 << K)))
+        forms.append(AdditiveForm.from_pairs(d, pairs, K))
+    return forms
+
+
+def test_pipeline_output_is_pinned():
+    lines = []
+    outcomes = set()
+    for f in _pinned_forms():
+        r = decide_isotropy(f)
+        outcomes.add((r.stage, r.verdict))
+        lines.append(json.dumps(r.to_json(include_timings=False), sort_keys=True))
+    assert outcomes == {("search", "ISOTROPIC"), ("search-threshold", "ISOTROPIC"),
+                        ("oracle", "ISOTROPIC"), ("oracle", "ANISOTROPIC")}
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PINNED_DIGEST

@@ -1,5 +1,7 @@
 """Form representation, level reduction, shifts, and normalization."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -32,6 +34,39 @@ def test_constructor_rejects_zero_coefficient():
 def test_constructor_rejects_mixed_precision():
     with pytest.raises(PrecisionMismatch):
         AdditiveForm(6, (RingElem.one(8), RingElem.one(9)))
+
+
+def _seeded_form(rng, d, s, top, K):
+    """s coefficients at uniform levels 0..top - 1, each with a uniform
+    nonzero residue class and random digits above it."""
+    pairs = []
+    for _ in range(s):
+        lvl = rng.randrange(top)
+        cls = rng.randrange(1, 4)
+        a = (cls & 1) | (rng.getrandbits(K) << 1)
+        b = (cls >> 1) | (rng.getrandbits(K) << 1)
+        pairs.append(((a << lvl) % (1 << K), (b << lvl) % (1 << K)))
+    return form(d, pairs, K)
+
+
+def test_cached_levels_match_valuations():
+    rng = random.Random(29)
+
+    def check(g):
+        assert g.levels() == tuple(c.valuation() for c in g.coeffs)
+        assert g.max_level() == max(c.valuation() for c in g.coeffs)
+        assert g.is_reduced() == (g.max_level() < g.d)
+
+    for _ in range(60):
+        d = rng.choice((6, 10))
+        # levels up to d + 3 stay reducible within a window of 2d + 4
+        f = _seeded_form(rng, d, rng.randrange(1, 12), d + 4, 2 * d + 4)
+        check(f)
+        red = reduce_levels(f)
+        check(red)
+        for t in range(d):
+            check(cyclic_shift(red, t))
+        check(normalize(f)[0])
 
 
 # --- reduction -------------------------------------------------------------
@@ -174,6 +209,31 @@ def test_evaluate():
     f = form(6, [(1, 0), (7, 0)])
     total = f.evaluate([RingElem.one(10), RingElem.one(10)])
     assert total == RingElem(8, 0, 10)
+
+
+def ring_evaluate(f, values, K):
+    """The form's sum at precision K, one RingElem operation at a time."""
+    total = RingElem.zero(K)
+    for c, x in zip(f.coeffs, values):
+        total = total + RingElem(c.a, c.b, K) * RingElem(x.a, x.b, K) ** f.d
+    return total
+
+
+def test_evaluate_matches_ring_elem_loop():
+    rng = random.Random(17)
+    for _ in range(200):
+        d = rng.choice((6, 10))
+        K = d + 4
+        f = _seeded_form(rng, d, rng.randrange(1, 9), d, K)
+        vK = rng.choice((K - 3, K, K + 5))
+        values = [
+            RingElem(0, 0, vK) if rng.random() < 0.3
+            else RingElem(rng.getrandbits(vK), rng.getrandbits(vK), vK)
+            for _ in range(f.s)
+        ]
+        for at_K in (K - 4, K, K + 6):
+            assert f.evaluate(values, at_K=at_K) == ring_evaluate(f, values, at_K)
+        assert f.evaluate(values) == ring_evaluate(f, values, K)
 
 
 def test_evaluate_widened():

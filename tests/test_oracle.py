@@ -14,7 +14,7 @@ from padic_forms.errors import (
 )
 from padic_forms.forms import AdditiveForm, cyclic_shift, reduce_levels
 from padic_forms.oracle import (
-    _brute_power_values,
+    _brute_power_codes,
     _conv_hit,
     _grid_of,
     _pow_vec,
@@ -76,7 +76,9 @@ def test_value_set_unit_entries_mod8():
 
 def test_value_set_matches_brute_force():
     for d, M in ((6, 4), (6, 5), (10, 4), (10, 7)):
-        assert power_value_set(d, M).value_set() == _brute_power_values(d, M)
+        mask = (1 << M) - 1
+        brute = {(c >> M, c & mask) for c in _brute_power_codes(d, M).tolist()}
+        assert power_value_set(d, M).value_set() == brute
 
 
 def test_value_set_layers_d6_mod10():

@@ -1,6 +1,8 @@
 """Base ring arithmetic: residues mod 2^K, the residue field, unit d-th
 powers, and Hensel root extraction."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,7 @@ from padic_forms.ring import (
     pow_pair,
     teichmuller_alpha,
     v2,
+    val_pair,
 )
 
 units_mod8 = [
@@ -332,6 +335,21 @@ def test_newton_anchor_solve_raises_when_not_cancelled(monkeypatch):
 
 def test_v2():
     assert v2(8) == 3 and v2(12) == 2 and v2(-4) == 2 and v2(1) == 0
+
+
+def test_val_pair_is_min_of_component_valuations():
+    rng = random.Random(13)
+
+    def draw():
+        if rng.random() < 0.2:
+            return 0
+        x = (rng.getrandbits(rng.randrange(1, 30)) | 1) << rng.randrange(20)
+        return -x if rng.random() < 0.2 else x
+
+    pairs = [(0, 0), (0, 1), (1, 0), (0, -8), (96, 0)] + [(draw(), draw()) for _ in range(3000)]
+    for a, b in pairs:
+        nonzero = [v2(x) for x in (a, b) if x]
+        assert val_pair(a, b) == (min(nonzero) if nonzero else INFINITE), (a, b)
 
 
 def test_mul_pair_matches_elem():

@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 import pytest
 
-from padic_forms import oracle, sweeps
+from padic_forms import flat, oracle, sweeps
 from padic_forms.engine import validate_certificate
 from padic_forms.errors import PadicFormsError
 from padic_forms.flat import SearchOutcome, _translate, search_certificate
@@ -19,7 +19,6 @@ from padic_forms.sweeps import (
     _exhaustive_rows,
     _exhaustive_slots,
     _flat_zero_dp,
-    _mul8,
     _profile_form,
     _sample_rows,
     _sampled_verdicts,
@@ -42,6 +41,12 @@ def raw_rows(class_counts) -> np.ndarray:
         if k
     ]
     return np.array([sum(parts, ()) for parts in product(*slots)], np.int32)
+
+
+def _mul8(x, y):
+    a, b = x
+    c, d = y
+    return (a * c + b * d) & 7, (a * d + b * c + b * d) & 7
 
 
 def test_multiplier_reps_form_group_mod8():
@@ -334,9 +339,9 @@ def test_tables_reject_reps_that_are_not_a_group(monkeypatch):
         replace(ident, value=RingElem(3, 0, 3)),
         replace(ident, value=RingElem(5, 0, 3)),  # 3 * 5 = 7 mod 8 is missing
     ))
-    monkeypatch.setattr(sweeps, "multiplier_set", lambda d, K: bogus)
+    monkeypatch.setattr(flat, "multiplier_set", lambda d, K: bogus)
     with pytest.raises(PadicFormsError):
-        _tables.__wrapped__(6)
+        flat.mod8_table.__wrapped__(6)
 
 
 def test_orbits_that_leave_a_class_raise():

@@ -1,10 +1,13 @@
 """Witness objects, verification clauses, and frame back-mapping."""
 
+import random
+
 import pytest
 
-from padic_forms.errors import CertificateError
+from padic_forms.errors import CertificateError, HenselError
 from padic_forms.forms import AdditiveForm, cyclic_shift, reduce_levels
-from padic_forms.ring import RingElem
+from padic_forms.ring import RingElem, newton_anchor_solve
+from padic_forms.solver import decide_isotropy
 from padic_forms.witness import (
     Witness,
     exact_coeffs,
@@ -79,6 +82,50 @@ def test_solve_anchor_kills_all_digits():
     total = sum((c * v ** 6 for c, v in zip(coeffs, out)), elem(0, 0, K))
     assert total.is_zero()
     assert out[1] == vals[1] and out[2] == vals[2]
+
+
+def ring_solve_anchor(coeffs, d, values, anchor):
+    """solve_anchor with every sum taken one RingElem operation at a time."""
+    K = coeffs[0].K
+    vals = [elem(x.a, x.b, K) for x in values]
+    rest = elem(0, 0, K)
+    for j, (c, x) in enumerate(zip(coeffs, vals)):
+        if j != anchor:
+            rest = rest + c * x ** d
+    z = newton_anchor_solve(coeffs[anchor] * vals[anchor] ** d, d, rest)
+    vals[anchor] = vals[anchor] * z
+    return vals
+
+
+def test_solve_anchor_matches_ring_elem_loop():
+    rng = random.Random(31)
+    outcomes = {"solved": 0, "refused": 0}
+    for _ in range(120):
+        d = rng.choice((6, 10))
+        K = d + 4
+        pairs = [((rng.getrandbits(K) | 1) << rng.randrange(3), rng.getrandbits(K))
+                 for _ in range(rng.randrange(3, 9))]
+        f = AdditiveForm.from_pairs(d, pairs, K)
+        r = decide_isotropy(f)
+        if r.witness is None:
+            continue
+        w = r.witness
+        values = list(w.values)
+        if rng.random() < 0.3:  # break the sum: the anchor solve must refuse
+            j = next(j for j, x in enumerate(values) if j != w.primitive and not x.is_zero())
+            values[j] = values[j] + elem(1, 0, values[j].K)
+        for at_K in (K - 2, K, K + 6):
+            coeffs = exact_coeffs(f, at_K)
+            try:
+                want = ring_solve_anchor(coeffs, d, values, w.primitive)
+            except HenselError:
+                with pytest.raises(HenselError):
+                    solve_anchor(coeffs, d, values, w.primitive)
+                outcomes["refused"] += 1
+                continue
+            assert solve_anchor(coeffs, d, values, w.primitive) == want
+            outcomes["solved"] += 1
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_exact_coeffs_recovers_shift_truncation():
