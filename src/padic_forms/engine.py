@@ -81,7 +81,8 @@ class VarNode:
 
 def make_leaf(var_index: int, coeff: RingElem, window: int) -> VarNode:
     lvl = coeff.valuation()
-    assert lvl < window <= coeff.K
+    if not lvl < window <= coeff.K:
+        raise CertificateError(f"leaf {var_index}: level {lvl} is not below its window {window}")
     J = min(window, lvl + 3)  # the three digits from the level up
     pv = PartialValue(coeff, J)
     return VarNode(
@@ -258,7 +259,15 @@ def certificate_to_json(cert: ContractionCertificate) -> dict:
 
 
 def certificate_from_json(doc: dict) -> ContractionCertificate:
-    d, K = doc["degree"], doc["precision"]
+    """Rebuild a certificate through `make_leaf` and `contract`; a
+    malformed document (a missing or mistyped field, an unknown or cyclic
+    node id, a leaf that is 0 at the precision) raises CertificateError."""
+    try:
+        d, K = doc["degree"], doc["precision"]
+        raw = {rec["id"]: rec for rec in doc["nodes"]}
+        root_id = doc["root"]
+    except KeyError as e:
+        raise CertificateError(f"certificate document lacks {e}") from None
     ms = multiplier_set(d, K)
     by_value = {(r.value.a, r.value.b): r for r in ms.reps}
 
@@ -270,27 +279,34 @@ def certificate_from_json(doc: dict) -> ContractionCertificate:
         root = dth_root(val, d)
         return MultiplierRep(val, root, val.residue(), eps or 0)
 
-    raw = {rec["id"]: rec for rec in doc["nodes"]}
     built: dict[int, VarNode] = {}
+    open_ids: set = set()  # on the current path from the root
 
     def build(nid: int) -> VarNode:
         if nid in built:
             return built[nid]
+        if nid not in raw:
+            raise CertificateError(f"certificate names unknown node {nid!r}")
+        if nid in open_ids:
+            raise CertificateError(f"certificate node {nid!r} is its own descendant")
         rec = raw[nid]
-        val = RingElem(rec["value"][0], rec["value"][1], K)
-        if rec["kind"] == "leaf":
-            node = make_leaf(rec["var"], val, K)
-        else:
-            children = [build(c) for c in rec["children"]]
-            choices = [
-                recover(raw[c]["multiplier"], raw[c]["epsilon"])
-                for c in rec["children"]
-            ]
-            node = contract(children, choices, nid)
+        open_ids.add(nid)
+        try:
+            val = RingElem(rec["value"][0], rec["value"][1], K)
+            if rec["kind"] == "leaf":
+                node = make_leaf(rec["var"], val, K)
+            else:
+                children = [build(c) for c in rec["children"]]
+                choices = [
+                    recover(raw[c]["multiplier"], raw[c]["epsilon"])
+                    for c in rec["children"]
+                ]
+                node = contract(children, choices, nid)
+        except (KeyError, IndexError, TypeError) as e:
+            raise CertificateError(f"certificate node {nid!r} is malformed: {e!r}") from None
+        open_ids.discard(nid)
         built[nid] = node
         return node
 
-    root = build(doc["root"])
-    arena = dict(built)
-    cert = _certificate_from(root, arena, d, K)
-    return cert
+    root = build(root_id)
+    return _certificate_from(root, built, d, K)

@@ -419,7 +419,7 @@ def _newton_root(seed: tuple[int, int], d: int, t: tuple[int, int], KK: int):
             break
         assert fa % 2 == 0 and fb % 2 == 0, "residual too shallow for Newton"
         ga, gb = fa >> 1, fb >> 1
-        da, db = mul_pair(m % mod, 0, pa, pb, mod)  # f'(x)/2, a unit
+        da, db = (m * pa) % mod, (m * pb) % mod  # f'(x)/2, a unit
         ia, ib = inv_unit_pair(da, db, mod)
         sa, sb = mul_pair(ga, gb, ia, ib, mod)
         xa = (xa - sa) % mod
@@ -460,18 +460,16 @@ def newton_anchor_solve(a_i: RingElem, d: int, C: RingElem) -> RingElem:
     = valuation(C).  Callers fold any nontrivial seed into a_i first."""
     a_i._chk(C)
     K = a_i.K
-    k = a_i.valuation()
-    if k is INFINITE or C.valuation() is INFINITE:
+    mask = (1 << K) - 1
+    k = val_pair(a_i.a, a_i.b)
+    c_level = val_pair(C.a, C.b)
+    if k is INFINITE or c_level is INFINITE:
         raise HenselError("anchor coefficient or target vanishes at this precision")
-    if C.valuation() != k:
-        raise HenselError(
-            f"valuation mismatch: coefficient level {k}, target level {C.valuation()}"
-        )
-    res = a_i + C
-    if not (res.is_zero() or res.valuation() >= k + 3):
-        raise HenselError(
-            f"residual valuation {res.valuation()} < {k + 3}: certificate invalid"
-        )
+    if c_level != k:
+        raise HenselError(f"valuation mismatch: coefficient level {k}, target level {c_level}")
+    res = val_pair((a_i.a + C.a) & mask, (a_i.b + C.b) & mask)
+    if res < k + 3:
+        raise HenselError(f"residual valuation {res} < {k + 3}: certificate invalid")
     KK = K + 6
     mod = 1 << KK
     ua, ub = a_i.a >> k, a_i.b >> k
@@ -479,7 +477,8 @@ def newton_anchor_solve(a_i: RingElem, d: int, C: RingElem) -> RingElem:
     ia, ib = inv_unit_pair(ua, ub, mod)
     ta, tb = mul_pair((-ca) % mod, (-cb) % mod, ia, ib, mod)
     xa, xb = _newton_root((1, 0), d, (ta, tb), KK)
-    x = RingElem(xa, xb, K)
-    if not (a_i * (x ** d) + C).is_zero():
+    xa, xb = xa & mask, xb & mask
+    fa, fb = mul_pair(a_i.a, a_i.b, *pow_pair(xa, xb, d, mask + 1))
+    if (fa + C.a) & mask or (fb + C.b) & mask:
         raise HenselError("anchor solve failed to cancel (internal error)")
-    return x
+    return RingElem(xa, xb, K)

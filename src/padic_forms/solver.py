@@ -3,11 +3,11 @@
 Reduce and normalize, then ask the exact flat reachability kernel
 (flat.py) twice.  Pass 1 (`search_certificate`) looks on the normalized
 form for a zero whose used entries are units and turns it into a
-contraction certificate, Newton-lifted into a full-precision witness in
-the caller's variable frame.  Pass 2 looks on the level-reduced form
-with entries 2 times a unit allowed too, which is complete: a solution
-Newton-lifts to a witness, and no solution is an anisotropy proof unless
-a coefficient's trusted window was too short to take part.
+contraction certificate.  Pass 2 looks on the level-reduced form with
+entries 2 times a unit allowed too, which is complete: no solution is an
+anisotropy proof unless a coefficient's trusted window was too short to
+take part.  Either pass's solution is Newton-lifted from the kernel's
+picks into a full-precision witness in the caller's variable frame.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from .errors import CertificateError, PrecisionMismatch
 from .flat import FlatSolution, flat_zero, search_certificate
 from .forms import AdditiveForm, normalize, reduce_levels
 from .oracle import ExhaustionCertificate
-from .ring import MultiplierSet, RingElem, multiplier_set
-from .witness import Witness, exact_coeffs, map_to_origin, solve_anchor, verify_witness
+from .ring import RingElem, multiplier_set
+from .witness import Witness, exact_coeff, map_to_origin, solve_anchor, verify_witness
 
 # unused here; perfbench/spans.py wraps it by name in this module for --trace
 from .oracle import decide_isotropy_exhaustive  # noqa: F401
@@ -57,61 +57,33 @@ class IsotropyResult:
         return doc
 
 
-def lift_witness(g: AdditiveForm, cert: ContractionCertificate) -> Witness:
-    """Turn a validated contraction into a witness for g's root form.
+def lift_witness(g: AdditiveForm, sol: FlatSolution, K: int) -> Witness:
+    """Turn a kernel solution on g into a witness for g's root form.
 
-    Each certificate leaf gets the product of multiplier roots along its
-    path (a unit); the anchor variable is then corrected by Newton so the
-    exact sum vanishes at a precision high enough that, after the frame
-    back-mapping, the witness still certifies the root's full precision.
+    Each picked variable is 2^wrap times its multiplier's root (on a
+    certificate built from the solution, the product of roots along the
+    leaf's path: composite nodes carry the identity); the others are 0.
+    Only the picks get exact coefficients at precision K.  Newton then
+    corrects the anchor so the sum vanishes mod 2^K, and the witness is
+    mapped back to the root frame and verified there, so K must be high
+    enough for the back-mapping to keep the root's full precision.
     """
-    if not validate_certificate(g, cert):
-        raise CertificateError("certificate does not validate against the form")
-    node_map = cert.node_map()
-    roots: dict[int, RingElem] = {}
-
-    def walk(nid: int, acc: RingElem):
-        n = node_map[nid]
-        if n.kind == "leaf":
-            roots[n.var] = acc
-            return
-        for cid, rep in zip(n.children, n.choices):
-            r = rep.root
-            walk(cid, acc * RingElem(r.a, r.b, acc.K))
-
-    root_form = g.root()
-    K_orig = root_form.K
-    used = sorted(
-        n.var for n in cert.nodes if n.kind == "leaf"
-    )
-    N = max(g.subst_log[j] for j in used)
-    K_star = max(g.K, K_orig + g.scale_log - g.d * N)
-    walk(cert.root, RingElem.one(K_star))
-
-    coeffs = exact_coeffs(g, K_star)
-    values = [RingElem.zero(K_star)] * g.s
-    for j, lam in roots.items():
-        values[j] = lam
-    values = solve_anchor(coeffs, g.d, values, cert.anchor_leaf)
-    w = map_to_origin(g, Witness(tuple(values), cert.anchor_leaf, K_star))
-    if not verify_witness(root_form, w):
-        raise CertificateError("lifted witness failed verification")
-    return w
-
-
-def witness_from_flat(reduced: AdditiveForm, sol: FlatSolution, ms: MultiplierSet) -> Witness:
-    """Newton-lift a pass-2 solution on the level-reduced form: each used
-    variable is 2^wrap times its multiplier's root, the anchor is solved
-    for exactly, and the result is checked against the original form."""
-    K = reduced.K
-    values = [RingElem.zero(K)] * reduced.s
-    for p in sol.picks:
+    ms = multiplier_set(g.d, g.K)
+    coeffs, values, anchor = [], [], None
+    for i, p in enumerate(sol.picks):
         r = ms.reps[p.rep].root
-        values[p.var] = RingElem(r.a << p.wrap, r.b << p.wrap, K)
-    values = solve_anchor(exact_coeffs(reduced, K), reduced.d, values, sol.anchor)
-    w = map_to_origin(reduced, Witness(tuple(values), sol.anchor, K))
-    if not verify_witness(reduced.root(), w):
-        raise CertificateError("flat witness failed verification")
+        coeffs.append(exact_coeff(g, p.var, K))
+        values.append(RingElem(r.a << p.wrap, r.b << p.wrap, K))
+        if p.var == sol.anchor:
+            anchor = i
+    if anchor is None:
+        raise CertificateError("flat solution does not pick its anchor")
+    full = [RingElem.zero(K)] * g.s
+    for p, x in zip(sol.picks, solve_anchor(coeffs, g.d, values, anchor)):
+        full[p.var] = x
+    w = map_to_origin(g, Witness(tuple(full), sol.anchor, K))
+    if not verify_witness(g.root(), w):
+        raise CertificateError("lifted witness failed verification")
     return w
 
 
@@ -133,9 +105,14 @@ def decide_isotropy(f: AdditiveForm) -> IsotropyResult:
     first = search_certificate(g)
     timings["search"] = time.perf_counter() - t0
     if first.status == "FOUND":
-        cert = first.certificate
+        cert, sol = first.certificate, first.solution
         t0 = time.perf_counter()
-        w = lift_witness(g, cert)
+        if not validate_certificate(g, cert):
+            raise CertificateError("certificate does not validate against the form")
+        # the back-mapping multiplies by 2^(d N - scale); lift high enough
+        # that the root's full precision survives it
+        N = max(g.subst_log[p.var] for p in sol.picks)
+        w = lift_witness(g, sol, max(g.K, g.root().K + g.scale_log - g.d * N))
         timings["lift"] = time.perf_counter() - t0
         stage = "search-threshold" if g.s >= isotropy_threshold(g.d) else "search"
         return IsotropyResult(
@@ -151,8 +128,7 @@ def decide_isotropy(f: AdditiveForm) -> IsotropyResult:
     second = flat_zero(reduced, wrapped=True)
     states = first.nodes_expanded + second.states
     if second.solution is not None:
-        ms = multiplier_set(reduced.d, reduced.K)
-        w = witness_from_flat(reduced, second.solution, ms)
+        w = lift_witness(reduced, second.solution, reduced.K)
         timings["oracle"] = time.perf_counter() - t0
         return IsotropyResult(
             "ISOTROPIC",

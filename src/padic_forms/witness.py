@@ -60,19 +60,18 @@ def verify_witness(f: AdditiveForm, w: Witness) -> bool:
     return (total.a & mask) == 0 and (total.b & mask) == 0
 
 
+def exact_coeff(g: AdditiveForm, j: int, K: int) -> RingElem:
+    """Variable j's current-frame coefficient recomputed from the
+    origin's exact representative at precision K, undoing any truncation
+    the frame's scale may have caused in storage."""
+    rep = g.root().coeffs[j]
+    down = g.d * g.subst_log[j]
+    return RingElem((rep.a << g.scale_log) >> down, (rep.b << g.scale_log) >> down, K)
+
+
 def exact_coeffs(g: AdditiveForm, K: int) -> list[RingElem]:
-    """Current-frame coefficients recomputed from the origin's exact
-    representatives at precision K, undoing any truncation the frame's
-    scale may have caused in storage."""
-    base = g.root()
-    out = []
-    for j in range(g.s):
-        rep = base.coeffs[j]
-        num_a = rep.a << g.scale_log
-        num_b = rep.b << g.scale_log
-        down = g.d * g.subst_log[j]
-        out.append(RingElem(num_a >> down, num_b >> down, K))
-    return out
+    """Every current-frame coefficient at precision K (`exact_coeff`)."""
+    return [exact_coeff(g, j, K) for j in range(g.s)]
 
 
 def solve_anchor(
@@ -83,7 +82,7 @@ def solve_anchor(
     failure here means the incoming certificate was not sound."""
     K = coeffs[0].K
     mod = 1 << K
-    vals = [RingElem(x.a, x.b, K) for x in values]
+    vals = [x if x.K == K else RingElem(x.a, x.b, K) for x in values]
     ra = rb = 0  # the other terms c * x^d, summed as int pairs
     for j, (c, x) in enumerate(zip(coeffs, vals)):
         if j != anchor and (x.a or x.b):
@@ -115,16 +114,14 @@ def map_to_origin(g: AdditiveForm, w: Witness) -> Witness:
     V = min(K, V_avail)
     if V < 1:
         raise CertificateError("scale bookkeeping left no certified digits")
-    values = []
-    for j in range(g.s):
+    values = [RingElem.zero(K)] * g.s
+    for j in used:
         x = w.values[j]
         up = N - g.subst_log[j]
-        if x.is_zero():
-            values.append(RingElem.zero(K))
-        elif up >= 0:
-            values.append(RingElem(x.a << up, x.b << up, K))
+        if up >= 0:
+            values[j] = RingElem(x.a << up, x.b << up, K)
         else:
-            values.append(RingElem(x.a >> -up, x.b >> -up, K))
+            values[j] = RingElem(x.a >> -up, x.b >> -up, K)
     candidates = [j for j in used if values[j].is_unit()]
     if not candidates:
         raise CertificateError("no unit variable survives the back-mapping")

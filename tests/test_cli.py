@@ -254,7 +254,11 @@ ORACLE_ISOTROPIC = {"degree": 6, "precision": 10, "coeffs": [
 
 def test_solve_is_the_same_under_python_O(tmp_path, h6_file):
     # python -O strips asserts; no verdict may depend on one
+    # the second case lifts at K* = K + 1 past its shift frame; the third
+    # divides 448 = 7 * 2^6 down to level 0 before the search
     cases = [("search.txt", "d=6; 1, 7\n", 0, "search"),
+             ("shifted.txt", "d=6; 1, 7, 32\n", 0, "search"),
+             ("unreduced.txt", "d=6; K=20; 1, 448\n", 0, "search"),
              ("oracle.json", json.dumps(ORACLE_ISOTROPIC), 0, "oracle"),
              ("short.txt", "d=6; K=2; 1, 1, w\n", 65, None)]
     paths = [(h6_file, 1, "oracle")]

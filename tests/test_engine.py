@@ -2,9 +2,15 @@
 exact revalidation."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import padic_forms
 
 from padic_forms.engine import (
     ContractionCertificate,
@@ -288,3 +294,56 @@ def test_certificate_json_deterministic():
     b = json.dumps(certificate_to_json(search_certificate(f).certificate), sort_keys=True)
     assert a == b
 
+
+
+def _malformed_certificate_docs() -> dict:
+    """A valid certificate document, broken in one place per entry."""
+    good = certificate_to_json(
+        search_certificate(form(6, [(1, 0), (7, 0), (1, 0), (1, 0)])).certificate
+    )
+    docs = {}
+    for case in ("zero leaf", "unknown root", "unknown child", "missing kind", "cycle"):
+        doc = json.loads(json.dumps(good))
+        nodes = {n["id"]: n for n in doc["nodes"]}
+        root = nodes[doc["root"]]
+        leaf = next(n for n in doc["nodes"] if n["kind"] == "leaf")
+        if case == "zero leaf":
+            leaf["value"] = [0, 0]
+        elif case == "unknown root":
+            doc["root"] = 999
+        elif case == "unknown child":
+            root["children"][1] = 999
+        elif case == "missing kind":
+            del leaf["kind"]
+        else:
+            root["children"][0] = root["id"]
+        docs[case] = doc
+    return docs
+
+
+@pytest.mark.parametrize("case", list(_malformed_certificate_docs()))
+def test_certificate_from_json_rejects_malformed_document(case):
+    with pytest.raises(CertificateError):
+        certificate_from_json(_malformed_certificate_docs()[case])
+
+
+def test_certificate_from_json_errors_are_the_same_under_python_O():
+    # python -O strips asserts; a malformed document must still raise
+    # CertificateError, not a different error or none
+    script = (
+        "import json, sys\n"
+        "from padic_forms.engine import certificate_from_json\n"
+        "for doc in json.load(sys.stdin):\n"
+        "    try:\n"
+        "        certificate_from_json(doc)\n"
+        "        print('accepted')\n"
+        "    except Exception as e:\n"
+        "        print(type(e).__name__)\n"
+    )
+    docs = list(_malformed_certificate_docs().values())
+    pkg_root = str(Path(padic_forms.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script], input=json.dumps(docs),
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": pkg_root})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["CertificateError"] * len(docs)

@@ -16,15 +16,23 @@ from padic_forms.artifacts import named_form, sample_form, verify_descent
 from padic_forms.engine import (
     certificate_from_json,
     certificate_to_json,
+    contract,
+    make_leaf,
     validate_certificate,
 )
 from padic_forms.errors import PrecisionMismatch
-from padic_forms.flat import _translate, flat_zero, mod8_table
+from padic_forms.flat import (
+    _translate,
+    contraction_from_flat,
+    flat_zero,
+    mod8_table,
+    search_certificate,
+)
 from padic_forms.forms import AdditiveForm, cyclic_shift, normalize, reduce_levels
 from padic_forms.oracle import decide_isotropy_exhaustive
 from padic_forms.ring import RingElem, multiplier_set
-from padic_forms.solver import decide_isotropy, isotropy_threshold
-from padic_forms.witness import verify_witness
+from padic_forms.solver import decide_isotropy, isotropy_threshold, lift_witness
+from padic_forms.witness import Witness, exact_coeffs, map_to_origin, solve_anchor, verify_witness
 
 # Forms whose zeros all need a variable equal to 2 times a unit in the
 # normalized frame, so the certificate pass finds nothing and the
@@ -330,13 +338,154 @@ def _pinned_forms():
     return forms
 
 
-def test_pipeline_output_is_pinned():
+# the same digest over _unreduced_forms(), recorded before both passes
+# lifted their zeros from the kernel's picks
+UNREDUCED_DIGEST = "c5ced607c80e7e4f017be7aa75bcfac0e323045f1f517719e1a00e04591bbb29"
+
+
+def _unreduced_forms():
+    """Forms with levels up to 2d - 1 at K = 3d + 2, each trusted window
+    long enough for `reduce_levels` to divide its coefficient, so the
+    lifts go through the reduction's substitutions.  The wrapped-only
+    forms come last, every other coefficient scaled by 2^d, so pass 2
+    lifts through them too."""
+    rng = random.Random(2027)
+    forms = []
+    for i in range(160):
+        d = (6, 10)[i % 2]
+        K = 3 * d + 2
+        coeffs, windows = [], []
+        for _ in range(rng.randrange(2, isotropy_threshold(d) + 1)):
+            lvl = rng.randrange(2 * d)
+            cls = rng.randrange(1, 4)
+            a = (cls & 1) | (rng.getrandbits(K - 1) << 1)
+            b = (cls >> 1) | (rng.getrandbits(K - 1) << 1)
+            coeffs.append(RingElem(a << lvl, b << lvl, K))
+            windows.append(rng.choice((K, rng.randrange(lvl + d + 1, K + 1))))
+        forms.append(AdditiveForm(d, tuple(coeffs), windows=tuple(windows)))
+    for d in (6, 10):
+        for K0, pairs in WRAPPED_ONLY[d]:
+            K = 3 * d + 2
+            coeffs = [RingElem(a << (d * (j % 2)), b << (d * (j % 2)), K)
+                      for j, (a, b) in enumerate(pairs)]
+            windows = [K if j % 2 else K0 for j in range(len(pairs))]
+            forms.append(AdditiveForm(d, tuple(coeffs), windows=tuple(windows)))
+    return forms
+
+
+def _pipeline_digest(forms):
     lines = []
     outcomes = set()
-    for f in _pinned_forms():
+    for f in forms:
         r = decide_isotropy(f)
         outcomes.add((r.stage, r.verdict))
         lines.append(json.dumps(r.to_json(include_timings=False), sort_keys=True))
     assert outcomes == {("search", "ISOTROPIC"), ("search-threshold", "ISOTROPIC"),
                         ("oracle", "ISOTROPIC"), ("oracle", "ANISOTROPIC")}
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PINNED_DIGEST
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_pipeline_output_is_pinned():
+    assert _pipeline_digest(_pinned_forms()) == PINNED_DIGEST
+
+
+def test_pipeline_output_on_unreduced_inputs_is_pinned():
+    forms = _unreduced_forms()
+    assert sum(not f.is_reduced() for f in forms) >= 150
+    assert _pipeline_digest(forms) == UNREDUCED_DIGEST
+
+
+# --- the contraction tree and the lift, against node-by-node references ---
+
+
+def _contraction_by_nodes(g, sol, ms):
+    """`contraction_from_flat`'s tree built node by node with make_leaf
+    and contract: the two lowest-id nodes of the minimal level below
+    k + 3 are combined, leaves taking their picked rep and composite
+    nodes the identity.  Returns every node and the finished ones."""
+    arena, choice = {}, {}
+    for p in sol.picks:
+        leaf = make_leaf(p.var, g.coeffs[p.var], g.windows[p.var])
+        arena[leaf.id] = leaf
+        choice[leaf.id] = ms.reps[p.rep]
+    active = set(arena)
+    while True:
+        low = sorted((arena[i].level, i) for i in active
+                     if arena[i].level is not None and arena[i].level < sol.k + 3)
+        if not low:
+            break
+        assert len(low) >= 2 and low[0][0] == low[1][0]
+        pair = [arena[low[0][1]], arena[low[1][1]]]
+        new_id = g.s + len(arena) - len(sol.picks)
+        node = contract(pair, [choice.get(n.id, ms.reps[0]) for n in pair], new_id)
+        arena[node.id] = node
+        active -= {low[0][1], low[1][1]}
+        active.add(node.id)
+    return sorted(arena.values(), key=lambda n: n.id), [arena[i] for i in sorted(active)]
+
+
+def _lift_by_tree_walk(g, cert):
+    """The pass-1 lift read off the certificate: each leaf's value is the
+    product of the multiplier roots along its path from the root, at
+    K* = max(K, K_orig + scale - d N) with N the largest substitution
+    over the leaves; Newton on the anchor runs over every variable."""
+    nodes = cert.node_map()
+    roots = {}
+    used = [n.var for n in cert.nodes if n.kind == "leaf"]
+    K = max(g.K, g.root().K + g.scale_log - g.d * max(g.subst_log[j] for j in used))
+    stack = [(cert.root, RingElem.one(K))]
+    while stack:
+        nid, acc = stack.pop()
+        n = nodes[nid]
+        if n.kind == "leaf":
+            roots[n.var] = acc
+        for cid, rep in zip(n.children, n.choices):
+            stack.append((cid, acc * RingElem(rep.root.a, rep.root.b, K)))
+    values = [roots.get(j, RingElem.zero(K)) for j in range(g.s)]
+    values = solve_anchor(exact_coeffs(g, K), g.d, values, cert.anchor_leaf)
+    return map_to_origin(g, Witness(tuple(values), cert.anchor_leaf, K)), K
+
+
+def _search_frames():
+    """Normalized frames of the pinned and unreduced forms, then every
+    cyclic shift of the first 60 of them, so some lifts need K* > K."""
+    forms = _pinned_forms() + _unreduced_forms()
+    frames = [normalize(f)[0] for f in forms]
+    for f in forms[:60]:
+        red = reduce_levels(f)
+        frames += [cyclic_shift(red, t) for t in range(1, f.d)]
+    return forms, frames
+
+
+def test_contraction_from_flat_matches_node_by_node_tree():
+    forms, frames = _search_frames()
+    assert len(forms) >= 300
+    found = 0
+    for g in frames:
+        out = search_certificate(g)
+        if out.status != "FOUND":
+            continue
+        found += 1
+        cert = contraction_from_flat(g, out.solution, multiplier_set(g.d, g.K))
+        nodes, finished = _contraction_by_nodes(g, out.solution, multiplier_set(g.d, g.K))
+        assert finished == [nodes[-1]]  # one tree holds every pick
+        root = finished[0]
+        assert cert.nodes == tuple(nodes)
+        assert cert.root == root.id and cert.achieved == root.achieved()
+        assert cert.anchor_level == root.kappa
+        assert cert.anchor_leaf == out.solution.anchor
+    assert found >= 450
+
+
+def test_lift_from_picks_matches_tree_walk():
+    forms, frames = _search_frames()
+    above = 0
+    for g in frames:
+        out = search_certificate(g)
+        if out.status != "FOUND":
+            continue
+        want, K = _lift_by_tree_walk(g, out.certificate)
+        above += K > g.K
+        assert lift_witness(g, out.solution, K) == want
+        assert verify_witness(g.root(), want)
+    assert above >= 60

@@ -5,6 +5,7 @@ import importlib.util
 import random
 from pathlib import Path
 
+from padic_forms.engine import validate_certificate
 from padic_forms.flat import search_certificate
 from padic_forms.forms import AdditiveForm, cyclic_shift, reduce_levels
 from padic_forms.oracle import decide_isotropy_exhaustive
@@ -71,9 +72,14 @@ def test_lift_witness_through_shift_frame():
     out = search_certificate(g)
     assert out.status == "FOUND"
     assert out.certificate.anchor_level == 2
-    w = lift_witness(g, out.certificate)
+    assert validate_certificate(g, out.certificate)
+    # the frame scales by 2^2 and substitutes nothing, so the lift needs
+    # K* = 12 + 2 to keep all 12 digits after the back-mapping
+    w = lift_witness(g, out.solution, 14)
     assert w.V == 12
     assert verify_witness(f, w)
+    short = lift_witness(g, out.solution, 12)
+    assert short.V == 10 and verify_witness(f, short)
 
 
 def test_threshold_stage_tag_and_success():
