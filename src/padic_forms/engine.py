@@ -11,8 +11,10 @@ Coefficients are tracked as PartialValue: a residue trusted only mod 2^J.
 A leaf trusts the three digits from its level up, the digits the
 mod 2^(k+3) question reads, so a certificate built on leaves is valid for
 every completion of the unseen digits; validation recomputes the tree
-with exact arithmetic to confirm.  Certificates are built from solutions
-of the flat reachability kernel (flat.py).
+with exact arithmetic to confirm.  `make_leaf` and `contract` are the
+only node builders: trees from the flat reachability kernel's solutions
+(flat.py) and from JSON documents both go through them, and through
+`_certificate_from` for the anchor leaf, kappa and the achieved level.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from .ring import MultiplierRep, RingElem, dth_root, mul_pair, multiplier_set, v
 @dataclass(frozen=True)
 class PartialValue:
     """A residue whose low J digits are trusted; storage precision is
-    value.K >= J.  Addition meets windows; scaling by an exact unit keeps
-    them.  Level queries answer only below J."""
+    value.K >= J.  Level queries answer only below J."""
 
     value: RingElem
     J: int
@@ -45,13 +46,6 @@ class PartialValue:
         if a == 0 and b == 0:
             return None  # >= J, unresolved
         return val_pair(a, b)
-
-    def add(self, other: "PartialValue") -> "PartialValue":
-        return PartialValue(self.value + other.value, min(self.J, other.J))
-
-    def mul_exact(self, u: RingElem) -> "PartialValue":
-        assert u.is_unit()
-        return PartialValue(self.value * u, self.J)
 
 
 @dataclass(frozen=True)
@@ -80,50 +74,39 @@ class VarNode:
 
 
 def make_leaf(var_index: int, coeff: RingElem, window: int) -> VarNode:
+    """A leaf trusting the three digits from its level up; since that
+    window reaches past the level, the level is the valuation."""
     lvl = coeff.valuation()
     if not lvl < window <= coeff.K:
         raise CertificateError(f"leaf {var_index}: level {lvl} is not below its window {window}")
-    J = min(window, lvl + 3)  # the three digits from the level up
-    pv = PartialValue(coeff, J)
-    return VarNode(
-        id=var_index,
-        pv=pv,
-        level=pv.level(),
-        kappa=lvl,
-        leaves=frozenset((var_index,)),
-        kind="leaf",
-        var=var_index,
-    )
+    pv = PartialValue(coeff, min(window, lvl + 3))
+    return VarNode(var_index, pv, lvl, lvl, frozenset((var_index,)), "leaf", var_index)
 
 
 def contract(children, choices, new_id: int) -> VarNode:
     """Combine nodes at one shared level into a new node with value
-    sum(child * choice).  Children must be leaf-disjoint."""
+    sum(child * choice), trusted to the children's least window.
+    Children must be leaf-disjoint."""
     children = tuple(children)
     choices = tuple(choices)
     if len(children) < 2 or len(children) != len(choices):
         raise CertificateError("contraction needs >= 2 children with choices")
     lvl0 = children[0].level
-    seen: set = set()
-    for c in children:
+    seen: frozenset = frozenset()
+    ta = tb = 0
+    for c, ch in zip(children, choices):
         if c.level is None or c.level != lvl0:
             raise CertificateError("children must share a determined level")
         if c.leaves & seen:
             raise CertificateError("children overlap in original variables")
         seen |= c.leaves
-    pv = children[0].pv.mul_exact(choices[0].value)
-    for c, ch in zip(children[1:], choices[1:]):
-        pv = pv.add(c.pv.mul_exact(ch.value))
-    return VarNode(
-        id=new_id,
-        pv=pv,
-        level=pv.level(),
-        kappa=min(c.kappa for c in children),
-        leaves=frozenset(seen),
-        kind="contraction",
-        children=tuple(c.id for c in children),
-        choices=choices,
-    )
+        ma, mb = mul_pair(c.pv.value.a, c.pv.value.b, ch.value.a, ch.value.b)
+        ta += ma
+        tb += mb
+    K = children[0].pv.value.K
+    pv = PartialValue(RingElem(ta, tb, K), min(c.pv.J for c in children))
+    return VarNode(new_id, pv, pv.level(), min(c.kappa for c in children), seen,
+                   "contraction", None, tuple(c.id for c in children), choices)
 
 
 # ---------------------------------------------------------------------------

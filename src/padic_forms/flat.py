@@ -23,19 +23,19 @@ then a missing zero proves nothing.
 
 A solution becomes a contraction certificate by contracting two nodes of
 minimal level until the combination vanishes (a vanishing total forces
-its minimal level to repeat), or a witness by Newton on the anchor.
+its minimal level to repeat), each node built by engine's `make_leaf`
+and `contract`, or a witness by Newton on the anchor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
-from .engine import ContractionCertificate, PartialValue, VarNode
+from .engine import ContractionCertificate, _certificate_from, contract, make_leaf
 from .errors import CertificateError, PadicFormsError
 from .forms import AdditiveForm
-from .ring import MultiplierRep, MultiplierSet, RingElem, mul_pair, multiplier_set, val_pair
+from .ring import mul_pair, multiplier_set
 
 _ALL = (1 << 64) - 1
 # per byte, the bits whose a-coordinate stays below 8 after adding s
@@ -215,86 +215,38 @@ def flat_zero(f: AdditiveForm, wrapped: bool) -> FlatOutcome:
     return FlatOutcome(None, states, short)
 
 
-class _Node(NamedTuple):
-    """A contraction node while the tree is built, on int pairs mod 2^K."""
-
-    id: int
-    a: int
-    b: int
-    J: int  # trusted digits
-    level: int | None  # None once the value vanishes mod 2^J
-    kappa: int  # lowest leaf level below
-    leaves: tuple  # leaf variables below
-    children: tuple  # child ids
-    choices: tuple  # the multiplier applied to each child
-    rep: MultiplierRep  # the multiplier its parent applies to it
-
-
-def contraction_from_flat(
-    g: AdditiveForm, sol: FlatSolution, ms: MultiplierSet
-) -> ContractionCertificate:
+def contraction_from_flat(g: AdditiveForm, sol: FlatSolution) -> ContractionCertificate:
     """Contract the solution's leaves bottom-up: while some node has a
     level below k + 3, two nodes share the minimal one, and those two
     (lowest ids first) are combined.  Leaves take their chosen
     multiplier, composite nodes the identity (the set's first rep).  The
     root is the finished node holding the anchor; it must hold every pick,
-    since the lift reads each picked variable off its rep alone.
-
-    The tree is built on int pairs with the checks of `make_leaf` and
-    `contract`: a leaf's level is below its window, and children share a
-    determined level and no leaf.  VarNodes are made once it is done."""
+    since the lift reads each picked variable off its rep alone."""
     if any(p.wrap for p in sol.picks):
         raise CertificateError("a contraction certificate takes unit variables only")
-    K, levels = g.K, g.levels()
-    built = []
-    for p in sol.picks:
-        c, w, lvl = g.coeffs[p.var], g.windows[p.var], levels[p.var]
-        if not lvl < w <= K:
-            raise CertificateError(f"leaf {p.var}: level {lvl} is not below its window {w}")
-        # a leaf trusts the three digits from its level up
-        built.append(_Node(p.var, c.a, c.b, min(w, lvl + 3), lvl, lvl, (p.var,), (), (),
-                           ms.reps[p.rep]))
+    reps = multiplier_set(g.d, g.K).reps
+    # each active node with the multiplier its parent will apply to it
+    active = [(make_leaf(p.var, g.coeffs[p.var], g.windows[p.var]), reps[p.rep])
+              for p in sol.picks]
+    arena = {n.id: n for n, _ in active}
     need = sol.k + 3
-    active = list(built)
     while True:
-        low = sorted([(n.level, n.id, i) for i, n in enumerate(active)
-                      if n.level is not None and n.level < need])
+        low = sorted((n.level, n.id, i) for i, (n, _) in enumerate(active)
+                     if n.level is not None and n.level < need)
         if not low:
             break
         if len(low) < 2 or low[1][0] != low[0][0]:
             raise CertificateError("flat solution does not vanish modulo 2^(k+3)")
-        x, y = active[low[0][2]], active[low[1][2]]
-        if not set(x.leaves).isdisjoint(y.leaves):
-            raise CertificateError("children overlap in original variables")
-        xa, xb = mul_pair(x.a, x.b, x.rep.value.a, x.rep.value.b)
-        ya, yb = mul_pair(y.a, y.b, y.rep.value.a, y.rep.value.b)
-        a, b = (xa + ya) % (1 << K), (xb + yb) % (1 << K)
-        J = min(x.J, y.J)
-        m = (1 << J) - 1
-        node = _Node(g.s + len(built) - len(sol.picks), a, b, J,
-                     val_pair(a & m, b & m) if (a | b) & m else None,
-                     min(x.kappa, y.kappa), x.leaves + y.leaves, (x.id, y.id), (x.rep, y.rep),
-                     ms.reps[0])
-        built.append(node)
-        active = [n for n in active if n is not x and n is not y] + [node]
-    if len(active) != 1 or sol.anchor not in active[0].leaves:
+        (x, rx), (y, ry) = active[low[0][2]], active[low[1][2]]
+        node = contract((x, y), (rx, ry), g.s + len(arena) - len(sol.picks))
+        arena[node.id] = node
+        active = [e for e in active if e[0] is not x and e[0] is not y] + [(node, reps[0])]
+    if len(active) != 1 or sol.anchor not in active[0][0].leaves:
         raise CertificateError("flat solution picks terms outside the anchor's contraction")
-    root = active[0]
-    achieved = root.J if root.level is None else root.level
-    if min(root.J, achieved) < root.kappa + 3:
+    root = active[0][0]
+    if not root.is_success():
         raise CertificateError("flat solution left no vanishing node over the anchor")
-    nodes = []
-    for n in sorted(built, key=lambda n: n.id):
-        if n.children:
-            pv = PartialValue(RingElem(n.a, n.b, K), n.J)
-            kind, var = "contraction", None
-        else:
-            pv = PartialValue(g.coeffs[n.id], n.J)
-            kind, var = "leaf", n.id
-        nodes.append(VarNode(n.id, pv, n.level, n.kappa, frozenset(n.leaves), kind, var,
-                             n.children, n.choices))
-    anchor = min(v for v in root.leaves if levels[v] == root.kappa)
-    return ContractionCertificate(g.d, K, tuple(nodes), root.id, anchor, root.kappa, achieved)
+    return _certificate_from(root, arena, g.d, g.K)
 
 
 @dataclass
@@ -311,6 +263,5 @@ def search_certificate(g: AdditiveForm) -> SearchOutcome:
     out = flat_zero(g, wrapped=False)
     if out.solution is None:
         return SearchOutcome("NOT_FOUND", None, out.states)
-    ms = multiplier_set(g.d, g.K)
-    cert = contraction_from_flat(g, out.solution, ms)
+    cert = contraction_from_flat(g, out.solution)
     return SearchOutcome("FOUND", cert, out.states, out.solution)

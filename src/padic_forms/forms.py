@@ -164,11 +164,12 @@ def reduce_levels(f: AdditiveForm) -> AdditiveForm:
     variable substitutions.  A coefficient that needs reduction but whose
     level reaches K - d is rejected: after division fewer than d digits
     would remain trusted."""
+    if f.is_reduced():
+        return f
     d = f.d
     coeffs = []
     windows = []
     subst = []
-    changed = False
     for c, w, e, lvl in zip(f.coeffs, f.windows, f.subst_log, f.levels()):
         if lvl < d:
             coeffs.append(c)
@@ -184,9 +185,6 @@ def reduce_levels(f: AdditiveForm) -> AdditiveForm:
         coeffs.append(RingElem(c.a >> (i * d), c.b >> (i * d), c.K))
         windows.append(w - i * d)
         subst.append(e + i)
-        changed = True
-    if not changed:
-        return f
     return AdditiveForm(
         d,
         tuple(coeffs),

@@ -16,8 +16,6 @@ thresholded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -73,12 +71,6 @@ def _unit_power_codes(d: int, L: int) -> np.ndarray:
     return out
 
 
-class PVEntry(NamedTuple):
-    value: tuple[int, int]
-    shift: int  # the value is 2^(shift*d) times a unit d-th power
-    unit: bool
-
-
 @dataclass(frozen=True, eq=False)
 class PowerValueSet:
     """The nonzero values A + B*w of x^d mod 2^M, by shift: codes[j] holds
@@ -93,13 +85,6 @@ class PowerValueSet:
         """The values at one shift, sorted."""
         mask = (1 << self.M) - 1
         return [(c >> self.M, c & mask) for c in self.codes[shift].tolist()]
-
-    @cached_property
-    def entries(self) -> tuple[PVEntry, ...]:
-        """The nonzero values, sorted by (shift, a, b)."""
-        return tuple(
-            PVEntry(v, j, j == 0) for j in range(len(self.codes)) for v in self.values(j)
-        )
 
     def value_set(self) -> set:
         return {(0, 0)}.union(*(self.values(j) for j in range(len(self.codes))))

@@ -319,9 +319,6 @@ class MultiplierSet:
     reps: tuple[MultiplierRep, ...]
     class_transitive: bool
 
-    def values(self) -> set[RingElem]:
-        return {r.value for r in self.reps}
-
 
 def check_degree_shape(d: int):
     if d < 2 or d % 2 != 0 or (d // 2) % 2 != 1:

@@ -52,9 +52,11 @@ def test_partial_value_level_inside_window():
 
 
 def test_partial_value_add_meets_windows():
-    x = PartialValue(RingElem(1, 0, 10), 5)
-    y = PartialValue(RingElem(3, 0, 10), 3)
-    assert x.add(y).J == 3
+    # two level-2 leaves, one trusting the digits 2..4, one only digit 2
+    x = make_leaf(0, RingElem(4, 0, 10), 10)
+    y = make_leaf(1, RingElem(12, 0, 10), 3)
+    assert (x.pv.J, y.pv.J) == (5, 3)
+    assert contract([x, y], [IDENT, IDENT], 100).pv.J == 3
 
 
 # --- contract --------------------------------------------------------------

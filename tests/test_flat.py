@@ -8,10 +8,15 @@ verify_witness, and certificates through validate_certificate.
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import padic_forms
 from padic_forms.artifacts import named_form, sample_form, verify_descent
 from padic_forms.engine import (
     certificate_from_json,
@@ -20,8 +25,10 @@ from padic_forms.engine import (
     make_leaf,
     validate_certificate,
 )
-from padic_forms.errors import PrecisionMismatch
+from padic_forms.errors import CertificateError, PrecisionMismatch
 from padic_forms.flat import (
+    FlatPick,
+    FlatSolution,
     _translate,
     contraction_from_flat,
     flat_zero,
@@ -466,7 +473,7 @@ def test_contraction_from_flat_matches_node_by_node_tree():
         if out.status != "FOUND":
             continue
         found += 1
-        cert = contraction_from_flat(g, out.solution, multiplier_set(g.d, g.K))
+        cert = contraction_from_flat(g, out.solution)
         nodes, finished = _contraction_by_nodes(g, out.solution, multiplier_set(g.d, g.K))
         assert finished == [nodes[-1]]  # one tree holds every pick
         root = finished[0]
@@ -475,6 +482,55 @@ def test_contraction_from_flat_matches_node_by_node_tree():
         assert cert.anchor_level == root.kappa
         assert cert.anchor_leaf == out.solution.anchor
     assert found >= 450
+
+
+def _doctored_solutions() -> dict:
+    """The kernel's answer on d = 6 (1, 7, 8), broken in one way per entry,
+    as JSON-ready [coefficient pairs, k, anchor, picks as (var, wrap, rep)],
+    with the refusal each must meet."""
+    pairs = [[1, 0], [7, 0], [8, 0]]
+    sol = search_certificate(AdditiveForm.from_pairs(6, pairs)).solution
+    picks = [[p.var, p.wrap, p.rep] for p in sol.picks]
+    assert (sol.k, sol.anchor, picks) == (0, 0, [[0, 0, 0], [1, 0, 0]])
+    return {
+        "unit variables only": [pairs, 0, 0, [picks[0], [1, 1, 0]]],
+        # 1 + 1 = 2 leaves one node at level 1 < k + 3
+        "does not vanish": [[[1, 0], [1, 0], [8, 0]], 0, 0, picks],
+        # the level-3 pick is never contracted into the anchor's tree
+        "outside the anchor's contraction": [pairs, 0, 0, picks + [[2, 0, 0]]],
+    }
+
+
+@pytest.mark.parametrize("refusal", list(_doctored_solutions()))
+def test_contraction_from_flat_refuses_doctored_solution(refusal):
+    pairs, k, anchor, picks = _doctored_solutions()[refusal]
+    sol = FlatSolution(k, anchor, tuple(FlatPick(*p) for p in picks))
+    with pytest.raises(CertificateError, match=refusal):
+        contraction_from_flat(AdditiveForm.from_pairs(6, pairs), sol)
+
+
+def test_contraction_from_flat_refusals_are_the_same_under_python_O():
+    # python -O strips asserts; a doctored solution must still raise
+    # CertificateError, not a different error or none
+    script = (
+        "import json, sys\n"
+        "from padic_forms.flat import FlatPick, FlatSolution, contraction_from_flat\n"
+        "from padic_forms.forms import AdditiveForm\n"
+        "for pairs, k, anchor, picks in json.load(sys.stdin):\n"
+        "    sol = FlatSolution(k, anchor, tuple(FlatPick(*p) for p in picks))\n"
+        "    try:\n"
+        "        contraction_from_flat(AdditiveForm.from_pairs(6, pairs), sol)\n"
+        "        print('accepted')\n"
+        "    except Exception as e:\n"
+        "        print(type(e).__name__)\n"
+    )
+    cases = list(_doctored_solutions().values())
+    pkg_root = str(Path(padic_forms.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script], input=json.dumps(cases),
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": pkg_root})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["CertificateError"] * len(cases)
 
 
 def test_lift_from_picks_matches_tree_walk():

@@ -71,7 +71,7 @@ def test_value_set_d6_mod8():
 def test_value_set_unit_entries_mod8():
     # every unit sixth power mod 8 is 1 or 5; shifts start at 2^6 > 8
     pvs = power_value_set(6, 3)
-    assert all(e.shift == 0 and e.unit for e in pvs.entries)
+    assert len(pvs.codes) == 1 and pvs.values(0)
 
 
 def test_value_set_matches_brute_force():
@@ -83,20 +83,19 @@ def test_value_set_matches_brute_force():
 
 def test_value_set_layers_d6_mod10():
     pvs = power_value_set(6, 10)
-    shifts = {e.shift for e in pvs.entries}
+    shifts = {j for j in range(len(pvs.codes)) if pvs.values(j)}
     assert shifts == {0, 1}  # 2^6 layer fits below 2^10, 2^12 does not
-    for e in pvs.entries:
-        v = RingElem(*e.value, 10).valuation()
-        assert v == 6 * e.shift
-        assert e.unit == (e.shift == 0)
+    for j in shifts:
+        for value in pvs.values(j):
+            assert RingElem(*value, 10).valuation() == 6 * j
 
 
 def test_root_of_roundtrip():
     for d, M in ((6, 5), (10, 4), (6, 8)):
         pvs = power_value_set(d, M)
-        for e in pvs.entries:
-            x = pvs.root_of(e.value)
-            assert (x ** d).a == e.value[0] and (x ** d).b == e.value[1]
+        for value in (v for j in range(len(pvs.codes)) for v in pvs.values(j)):
+            x = pvs.root_of(value)
+            assert ((x ** d).a, (x ** d).b) == value
     assert power_value_set(6, 4).root_of((0, 0)).is_zero()
 
 
