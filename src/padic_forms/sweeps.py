@@ -24,6 +24,14 @@ multiset of orbits per class is decided once, at its representatives,
 and weighted by the number of code multisets it stands for.  Totals,
 route counts and failure counts are those weighted sums.
 
+Sampled trials use the same fact the other way round.  At each anchor the
+trial rows are keyed by how often each orbit occurs in them, and the pass
+runs once per distinct key; every trial keeps its own verdict, read back
+through the key.  Rows collapse only when the number of orbit multisets
+the anchor's columns can hold is below the row count: at 100 000 trials
+that is every d = 10 lemma (a few hundred distinct rows) and 0061, but
+not the wider d = 6 shapes, which are decided row by row.
+
 Profiles the pass rejects are built as forms and handed to
 `search_certificate`, the pipeline's own contraction search (flat.py);
 a certificate there counts as route `search`, anything else is reported
@@ -56,6 +64,7 @@ SAMPLE_DIGITS = 6  # unit digits drawn per sampled variable
 class _Tables:
     LV: np.ndarray  # valuation of each residue code, 3 for code 0
     mulr: np.ndarray  # (reps, 64) code of r * v, from flat.mod8_table
+    orbit: np.ndarray  # (64,) least code of each code's orbit under the reps
 
 
 def _code_level(code: int) -> int:
@@ -73,8 +82,8 @@ def _code_level(code: int) -> int:
 @lru_cache(maxsize=None)
 def _tables(d: int) -> _Tables:
     LV = np.array([_code_level(c) for c in range(64)], np.int8)
-    mulr = np.array(mod8_table(d).products, dtype=np.intp).T
-    return _Tables(LV, mulr)
+    mulr = np.array(mod8_table(d).products, dtype=np.uint8).T
+    return _Tables(LV, mulr, mulr.min(axis=0))
 
 
 _KEEP64 = np.array(_KEEP, np.uint64)
@@ -128,13 +137,13 @@ def _class_codes(cls: int) -> list:
 
 
 def _codes_at(UA: np.ndarray, UB: np.ndarray, levels: np.ndarray, kappa: int) -> np.ndarray:
-    """Residue codes mod 8 of the variables rescaled to anchor level
-    kappa: unit part shifted up by (level - kappa).  Callers pass only
-    columns with level >= kappa."""
-    sh = (levels - kappa).astype(np.int64)
+    """Residue codes mod 8 (uint8) of the variables rescaled to anchor
+    level kappa: unit part shifted up by (level - kappa).  Callers pass
+    only columns with level >= kappa."""
+    sh = (levels - kappa).astype(np.uint8)
     a = ((UA & 7) << sh) & 7
     b = ((UB & 7) << sh) & 7
-    return (a + 8 * b).astype(np.int32)
+    return (a + 8 * b).astype(np.uint8, copy=False)
 
 
 @dataclass(frozen=True)
@@ -196,7 +205,8 @@ def _class_orbits(cls: int, tab: _Tables) -> list:
     rep leaves its option set unchanged, so one code per orbit decides
     for all of them."""
     codes = _class_codes(cls)
-    orbits = sorted({tuple(sorted({int(m[c]) for m in tab.mulr})) for c in codes})
+    least = sorted({int(tab.orbit[c]) for c in codes})
+    orbits = [tuple(int(c) for c in np.flatnonzero(tab.orbit == o)) for o in least]
     if sorted(c for orbit in orbits for c in orbit) != codes:
         raise PadicFormsError(f"multiplier orbits leave residue class {cls}")
     return orbits
@@ -232,27 +242,32 @@ def _exhaustive_rows(slots) -> tuple:
 
 def _sample_rows(lem: SweepLemma, trials: int, seed: int, digits: int):
     """Draw trial coefficients: per variable a fixed level, a uniform
-    nonzero residue class, and uniform unit digits mod 2^digits.  Returns
-    unit component matrices and the per-column level vector."""
+    nonzero residue class, and uniform unit digits mod 2^digits (at most
+    8).  Returns unit component matrices (uint8) and the per-column level
+    vector."""
     rng = np.random.default_rng(seed)
     ua_cols, ub_cols, levels = [], [], []
     hi = 1 << (digits - 1)
+
+    def units(low, k):
+        return (low + 2 * rng.integers(0, hi, (trials, k))).astype(np.uint8)
+
     if lem.class_counts is not None:
         for cls, k in zip((1, 2, 3), lem.class_counts):
             if not k:
                 continue
-            ua_cols.append((cls & 1) + 2 * rng.integers(0, hi, (trials, k)))
-            ub_cols.append((cls >> 1) + 2 * rng.integers(0, hi, (trials, k)))
+            ua_cols.append(units(cls & 1, k))
+            ub_cols.append(units(cls >> 1, k))
             levels += [0] * k
     for lvl, k in enumerate(lem.level_counts):
         if not k:
             continue
         cls = rng.integers(1, 4, (trials, k))
-        ua_cols.append((cls & 1) + 2 * rng.integers(0, hi, (trials, k)))
-        ub_cols.append((cls >> 1) + 2 * rng.integers(0, hi, (trials, k)))
+        ua_cols.append(units(cls & 1, k))
+        ub_cols.append(units(cls >> 1, k))
         levels += [lvl] * k
-    UA = np.concatenate(ua_cols, axis=1).astype(np.int64)
-    UB = np.concatenate(ub_cols, axis=1).astype(np.int64)
+    UA = np.concatenate(ua_cols, axis=1)
+    UB = np.concatenate(ub_cols, axis=1)
     return UA, UB, np.array(levels, np.int8)
 
 
@@ -310,6 +325,43 @@ def _profile_form(d: int, row) -> AdditiveForm:
     return _trial_form(d, row & 7, row >> 3, np.zeros(len(row), np.int8), 3)
 
 
+def _orbit_zero_dp(X: np.ndarray, levels: np.ndarray, tab: _Tables) -> np.ndarray:
+    """`_flat_zero_dp` per row of X, run once per distinct multiset of
+    multiplier orbits among the rows when that can pay.
+
+    A variable's option set depends only on its code's orbit, and the
+    pass does not depend on column order, so rows holding each orbit the
+    same number of times get the same verdict.  A level group of k columns
+    whose codes fall in m orbits holds at most C(m + k - 1, k) multisets;
+    rows collapse only when the product of these is below the row count
+    and the counts, one base-(columns + 1) digit per orbit, fit an int64."""
+    bound, seen = 1, set()
+    for lvl in set(levels.tolist()):
+        group = X[:, levels == lvl]
+        present = np.flatnonzero(np.bincount(group.ravel(), minlength=64))
+        orbits = set(tab.orbit[present].tolist())
+        bound *= comb(len(orbits) + group.shape[1] - 1, group.shape[1])
+        seen |= orbits
+    base = X.shape[1] + 1
+    if bound >= len(X) or base ** len(seen) > 2**63:
+        return _flat_zero_dp(X, tab)
+    digit = np.zeros(64, np.int64)
+    for i, o in enumerate(sorted(seen)):
+        digit[tab.orbit == o] = base**i
+    key = digit[X[:, 0]]
+    for col in X.T[1:]:
+        key += digit[col]
+    # np.unique by hand: its first call imports numpy.ma (about 14 ms)
+    order = np.argsort(key)
+    key = key[order]
+    first = np.empty(len(key), bool)
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    inverse = np.empty(len(key), np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return _flat_zero_dp(X[order[first]], tab)[inverse]
+
+
 def _sampled_verdicts(UA, UB, col_levels, tab: _Tables) -> np.ndarray:
     """Per trial row, whether some anchor level kappa has a vanishing
     combination over the variables at levels kappa..kappa+2 (deeper ones
@@ -320,8 +372,10 @@ def _sampled_verdicts(UA, UB, col_levels, tab: _Tables) -> np.ndarray:
         cols = np.flatnonzero((col_levels >= kappa) & (col_levels <= kappa + 2))
         if not rem.size or cols.size < 2 or not (col_levels[cols] == kappa).any():
             continue
-        Xk = _codes_at(UA[np.ix_(rem, cols)], UB[np.ix_(rem, cols)], col_levels[cols], kappa)
-        hit = _flat_zero_dp(Xk, tab)
+        ua = UA.take(rem, axis=0).take(cols, axis=1)
+        ub = UB.take(rem, axis=0).take(cols, axis=1)
+        Xk = _codes_at(ua, ub, col_levels[cols], kappa)
+        hit = _orbit_zero_dp(Xk, col_levels[cols], tab)
         ok[rem[hit]] = True
         rem = rem[~hit]
     return ok
@@ -353,6 +407,10 @@ def sweep_lemma(
         raise ValueError(f"unknown sweep mode {mode!r}")
     if mode == "EXHAUSTIVE" and lem.exhaustive_total is None:
         raise ValueError(f"lemma {lemma_id} is declared sample-only")
+    if mode == "SAMPLED" and trials < 1:
+        raise ValueError(f"a sampled sweep needs at least 1 trial, got {trials}")
+    if mode == "SAMPLED" and seed < 0:
+        raise ValueError(f"sweep seed must be non-negative, got {seed}")
 
     tab = _tables(lem.d)
     t0 = time.perf_counter()

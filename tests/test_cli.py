@@ -177,6 +177,35 @@ def test_lemma_bad_mode_exit64(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("argv", [
+    ["lemma", "verify", "5", "--trials", "0"],
+    ["lemma", "verify", "541", "--trials", "-2"],
+    ["reproduce", "--trials", "0", "--d", "6"],
+    ["gamma", "--d", "6", "--s", "8", "--trials", "0"],
+])
+def test_trials_below_one_exit64(argv, capsys):
+    # zero samples would pass every sampled check vacuously
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 64
+    _, err = capsys.readouterr()
+    assert "--trials: must be at least 1" in err
+
+
+def test_battery_rejects_a_zero_trials_cap():
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="trials_cap must be at least 1"):
+        cli.run_battery([10], trials_cap=0, stream=buf)
+    assert buf.getvalue() == ""
+
+
+def test_lemma_negative_seed_exit64(capsys):
+    code, out, err = run(["lemma", "verify", "5", "--trials", "10", "--seed", "-1"], capsys)
+    assert code == 64 and out == ""
+    assert "seed must be non-negative, got -1" in err
+    assert "expected non-negative integer" not in err
+
+
 def test_gamma_deterministic_output(capsys):
     args = ["gamma", "--d", "6", "--s", "25", "--trials", "4", "--seed", "11"]
     _, out1, _ = run(args, capsys)

@@ -57,3 +57,64 @@ def test_no_unused_imports(path):
     unused = {name: line for name, line in _imported(tree, text.splitlines()).items()
               if name not in _used(tree)}
     assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+# Every `assert` in the package, counted by module and enclosing function.
+# `python -O` strips asserts, so an assert may only guard against a
+# caller's misuse: argument-shape checks and preconditions, and ring.py's
+# self-checks of its constants.  A check that carries a verdict raises a
+# library error instead.  Add an entry here only after reviewing the new
+# assert against that rule.
+ASSERT_ALLOWLIST = {
+    # argument shapes and preconditions
+    ("artifacts.py", "_level"): 1,
+    ("engine.py", "PartialValue.__post_init__"): 1,
+    ("forms.py", "AdditiveForm.__init__"): 3,
+    ("forms.py", "AdditiveForm.evaluate"): 1,
+    ("forms.py", "cyclic_shift"): 1,
+    ("oracle.py", "PowerValueSet.root_of"): 1,
+    ("oracle.py", "power_value_set"): 1,
+    ("oracle.py", "primitive_zero_mod"): 1,
+    ("oracle.py", "naive_zero_exists"): 2,
+    ("ring.py", "v2"): 1,
+    ("ring.py", "F4.__init__"): 1,
+    ("ring.py", "pow_pair"): 1,
+    ("ring.py", "inv_unit_pair"): 1,
+    ("ring.py", "RingElem.__init__"): 1,
+    ("ring.py", "RingElem.reduce_to"): 1,
+    ("ring.py", "_newton_root"): 1,
+    # K >= 1, then three self-checks of the multiplier reps and roots
+    ("ring.py", "multiplier_set"): 4,
+    # self-check of the cube root of unity
+    ("ring.py", "teichmuller_alpha"): 1,
+}
+
+
+def _asserts(tree: ast.Module) -> dict:
+    """Qualified name of each enclosing function (or `<module>`) -> the
+    number of asserts in its body outside nested functions and classes."""
+    out = {}
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef):
+                walk(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Assert):
+                name = ".".join(scope) or "<module>"
+                out[name] = out.get(name, 0) + 1
+            walk(child, scope)
+
+    walk(tree, ())
+    return out
+
+
+def test_every_assert_is_reviewed():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for name, count in _asserts(ast.parse(path.read_text())).items():
+            found[path.name, name] = count
+    unreviewed = {k: v for k, v in found.items() if ASSERT_ALLOWLIST.get(k) != v}
+    assert not unreviewed, f"asserts not in ASSERT_ALLOWLIST (module, function): {unreviewed}"
+    gone = sorted(set(ASSERT_ALLOWLIST) - set(found))
+    assert not gone, f"ASSERT_ALLOWLIST names asserts that no longer exist: {gone}"

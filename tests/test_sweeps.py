@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 from itertools import combinations_with_replacement, product
@@ -169,14 +170,14 @@ def test_translate_rows_matches_flat_translate():
     assert [int(g) for g in got[1]] == [_translate(m, int(c)) for m, c in zip(masks[::-1], codes)]
 
 
-def test_packed_dp_matches_scalar_kernel():
+def test_packed_dp_matches_scalar_kernel(monkeypatch):
     # the numpy pass against flat.py's Python-int reachability, which
     # backs search_certificate; a sample of its certificates is validated
     def check(forms, fast):
         outs = [search_certificate(f) for f in forms]
         assert list(fast) == [out.status == "FOUND" for out in outs]
         found = [(f, out) for f, out in zip(forms, outs) if out.status == "FOUND"]
-        for f, out in found[:: len(found) // 25]:
+        for f, out in found[:: max(1, len(found) // 25)]:
             assert validate_certificate(f, out.certificate)
         return int((~fast).sum())
 
@@ -185,11 +186,33 @@ def test_packed_dp_matches_scalar_kernel():
     rows = np.sort(rng.choice(codes, (2000, 6)), axis=1)
     misses = check([_profile_form(6, row) for row in rows], _flat_zero_dp(rows, _tables(6)))
     assert 0 < misses < 2000
-    for lid in ("0241", "401"):
-        lem = SWEEP_LEMMAS[lid]
-        UA, UB, lv = _sample_rows(lem, 2000, seed=29, digits=6)
-        forms = [_trial_form(lem.d, UA[i], UB[i], lv, 6) for i in range(2000)]
-        check(forms, _sampled_verdicts(UA, UB, lv, _tables(lem.d)))
+
+    # sampled trials, decided once per orbit multiset where that pays: the
+    # pass's row counts show whether anchor 0 collapsed
+    sizes = []
+    real = sweeps._flat_zero_dp
+    monkeypatch.setattr(sweeps, "_flat_zero_dp", lambda X, tab: sizes.append(len(X)) or real(X, tab))
+    cases = [
+        (SWEEP_LEMMAS["0241"], 2000, False),
+        (SWEEP_LEMMAS["401"], 2000, True),
+        (SWEEP_LEMMAS["5"], 2000, True),
+        (SWEEP_LEMMAS["0061"], 21_000, True),  # at most 1716 * 12 multisets
+        # shapes that fail, with both verdicts present
+        (SweepLemma("two6", 6, None, (2,), None, "SAMPLED"), 2000, True),
+        (SweepLemma("two10", 10, None, (2, 1), None, "SAMPLED"), 2000, True),
+        # eleven columns at anchor 0
+        (SweepLemma("wide", 10, None, (1, 10), None, "SAMPLED"), 3000, True),
+    ]
+    for lem, trials, collapses in cases:
+        UA, UB, lv = _sample_rows(lem, trials, seed=29, digits=6)
+        forms = [_trial_form(lem.d, UA[i], UB[i], lv, 6) for i in range(trials)]
+        sizes.clear()
+        misses = check(forms, _sampled_verdicts(UA, UB, lv, _tables(lem.d)))
+        assert (sizes[0] < trials) == collapses, (lem.id, sizes)
+        if lem.id.startswith("two"):
+            assert 0 < misses < trials, lem.id
+        else:
+            assert misses == 0, lem.id
 
 
 def test_reachability_matches_search_both_polarities():
@@ -247,6 +270,38 @@ def test_sampled_sweep_deterministic():
     r3 = sweep_lemma("31", "SAMPLED", trials=2000, seed=43)
     assert r1.failures == [] and r3.failures == []
     assert r1.resolution["closure"] == r3.resolution["closure"] == 2000
+
+
+# sha256 of the JSON reports (no timings) of every sampled lemma at 20 000
+# trials, seed 42, then of the failing shapes (2,) at d = 6 and (2, 1) at
+# d = 10 at 300 trials, seed 1, recorded before sampled trials were
+# decided once per orbit multiset.  Any change to a draw, a verdict, a
+# route count or a failure record changes it.
+SAMPLED_DIGEST = "ed1a859f10ca9f3201f2abde4c98c31bde7a543202ec455672358d5394e38ecc"
+
+
+def test_sampled_outputs_are_pinned(monkeypatch):
+    runs = [(lid, 20_000, 42) for lid in sampled_lemma_ids()]
+    for lem in (SweepLemma("fail6", 6, None, (2,), None, "SAMPLED"),
+                SweepLemma("fail10", 10, None, (2, 1), None, "SAMPLED")):
+        monkeypatch.setitem(SWEEP_LEMMAS, lem.id, lem)
+        runs.append((lem.id, 300, 1))
+    lines = []
+    for lid, trials, seed in runs:
+        rep = sweep_lemma(lid, "SAMPLED", trials=trials, seed=seed)
+        lines.append(json.dumps(rep.to_json(include_timings=False), sort_keys=True))
+    assert len(json.loads(lines[-1])["failures"]) == 155
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SAMPLED_DIGEST
+
+
+def test_sampled_sweep_needs_trials_and_a_seed():
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="at least 1 trial"):
+            sweep_lemma("5", "SAMPLED", trials=trials)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        sweep_lemma("5", "SAMPLED", trials=10, seed=-1)
+    # an exhaustive sweep draws nothing, so it reads neither
+    assert sweep_lemma("007", "EXHAUSTIVE", trials=0, seed=-1).total == 170_544
 
 
 def test_sampled_small_runs_clean():
