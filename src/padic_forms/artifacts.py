@@ -293,6 +293,8 @@ def gamma_experiment(d: int, s: int, trials: int, seed: int) -> GammaReport:
     picture and are archived in the report."""
     from .solver import decide_isotropy
 
+    if trials < 1:
+        raise ValueError(f"a gamma experiment needs at least 1 trial, got {trials}")
     rng = random.Random(seed)
     report = GammaReport(d, s, trials, seed)
     t0 = time.perf_counter()
@@ -341,6 +343,8 @@ def agreement_experiment(d: int, trials: int, seed: int, s_max: int = 8,
     from .oracle import decide_isotropy_exhaustive
     from .solver import decide_isotropy
 
+    if trials < 1:
+        raise ValueError(f"an agreement experiment needs at least 1 trial, got {trials}")
     rng = random.Random(seed)
     report = AgreementReport(d, trials, seed)
     t0 = time.perf_counter()

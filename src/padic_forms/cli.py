@@ -79,16 +79,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_PARSE)
 
 
-def _trial_count(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
-
-
 def worker_count() -> int:
     env = os.environ.get("PADIC_FORMS_THREADS")
     if env:
@@ -376,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("id", help="lemma identifier, e.g. 007 or 541")
     sp.add_argument("--mode", choices=["exhaustive", "sampled"])
-    sp.add_argument("--trials", type=_trial_count, default=SWEEP_SAMPLES)
+    sp.add_argument("--trials", type=int, default=SWEEP_SAMPLES)
     sp.add_argument("--seed", type=int, default=SWEEP_SEED)
     common(sp)
     sp.set_defaults(fn=cmd_lemma)
@@ -385,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, choices=[6, 10], help="restrict to one degree")
     sp.add_argument(
         "--trials",
-        type=_trial_count,
+        type=int,
         help="cap sampling sizes for a quick pass (default: full scale)",
     )
     sp.set_defaults(fn=cmd_reproduce)
@@ -393,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gamma", help="random-form verdict statistics")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--s", type=int, required=True)
-    sp.add_argument("--trials", type=_trial_count, default=1000)
+    sp.add_argument("--trials", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=42)
     common(sp)
     sp.set_defaults(fn=cmd_gamma)

@@ -27,10 +27,10 @@ route counts and failure counts are those weighted sums.
 Sampled trials use the same fact the other way round.  At each anchor the
 trial rows are keyed by how often each orbit occurs in them, and the pass
 runs once per distinct key; every trial keeps its own verdict, read back
-through the key.  Rows collapse only when the number of orbit multisets
-the anchor's columns can hold is below the row count: at 100 000 trials
-that is every d = 10 lemma (a few hundred distinct rows) and 0061, but
-not the wider d = 6 shapes, which are decided row by row.
+through the key.  The key is one base-(columns + 1) digit per orbit seen
+and must fit an int64: at 100 000 trials every d = 10 lemma (a few
+hundred distinct rows) and 0061 collapse, while the wider d = 6 shapes
+see too many orbits and are decided row by row.
 
 Profiles the pass rejects are built as forms and handed to
 `search_certificate`, the pipeline's own contraction search (flat.py);
@@ -325,28 +325,22 @@ def _profile_form(d: int, row) -> AdditiveForm:
     return _trial_form(d, row & 7, row >> 3, np.zeros(len(row), np.int8), 3)
 
 
-def _orbit_zero_dp(X: np.ndarray, levels: np.ndarray, tab: _Tables) -> np.ndarray:
+def _orbit_zero_dp(X: np.ndarray, tab: _Tables) -> np.ndarray:
     """`_flat_zero_dp` per row of X, run once per distinct multiset of
-    multiplier orbits among the rows when that can pay.
+    multiplier orbits among the rows.
 
     A variable's option set depends only on its code's orbit, and the
     pass does not depend on column order, so rows holding each orbit the
-    same number of times get the same verdict.  A level group of k columns
-    whose codes fall in m orbits holds at most C(m + k - 1, k) multisets;
-    rows collapse only when the product of these is below the row count
-    and the counts, one base-(columns + 1) digit per orbit, fit an int64."""
-    bound, seen = 1, set()
-    for lvl in set(levels.tolist()):
-        group = X[:, levels == lvl]
-        present = np.flatnonzero(np.bincount(group.ravel(), minlength=64))
-        orbits = set(tab.orbit[present].tolist())
-        bound *= comb(len(orbits) + group.shape[1] - 1, group.shape[1])
-        seen |= orbits
+    same number of times get the same verdict.  Rows are keyed by those
+    counts, one base-(columns + 1) digit per orbit seen; when the key
+    does not fit an int64 the pass runs on every row."""
+    present = np.flatnonzero(np.bincount(X.ravel(), minlength=64))
+    seen = sorted(set(tab.orbit[present].tolist()))
     base = X.shape[1] + 1
-    if bound >= len(X) or base ** len(seen) > 2**63:
+    if base ** len(seen) > 2**63:
         return _flat_zero_dp(X, tab)
     digit = np.zeros(64, np.int64)
-    for i, o in enumerate(sorted(seen)):
+    for i, o in enumerate(seen):
         digit[tab.orbit == o] = base**i
     key = digit[X[:, 0]]
     for col in X.T[1:]:
@@ -375,7 +369,7 @@ def _sampled_verdicts(UA, UB, col_levels, tab: _Tables) -> np.ndarray:
         ua = UA.take(rem, axis=0).take(cols, axis=1)
         ub = UB.take(rem, axis=0).take(cols, axis=1)
         Xk = _codes_at(ua, ub, col_levels[cols], kappa)
-        hit = _orbit_zero_dp(Xk, col_levels[cols], tab)
+        hit = _orbit_zero_dp(Xk, tab)
         ok[rem[hit]] = True
         rem = rem[~hit]
     return ok

@@ -156,6 +156,14 @@ def test_gamma_experiment_isotropic_at_threshold():
     assert "inconclusive" not in rep.to_json()
 
 
+def test_experiments_need_trials():
+    # zero samples would report no refuting example and no mismatch
+    with pytest.raises(ValueError, match="at least 1 trial"):
+        gamma_experiment(6, 8, 0, seed=1)
+    with pytest.raises(ValueError, match="at least 1 trial"):
+        agreement_experiment(6, 0, seed=1)
+
+
 def test_agreement_experiment_small():
     rep = agreement_experiment(6, 30, seed=5)
     assert rep.mismatches == []

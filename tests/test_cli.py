@@ -185,11 +185,9 @@ def test_lemma_bad_mode_exit64(capsys):
 ])
 def test_trials_below_one_exit64(argv, capsys):
     # zero samples would pass every sampled check vacuously
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 64
-    _, err = capsys.readouterr()
-    assert "--trials: must be at least 1" in err
+    code, out, err = run(argv, capsys)
+    assert code == 64 and out == ""
+    assert "at least 1" in err
 
 
 def test_battery_rejects_a_zero_trials_cap():
