@@ -24,13 +24,18 @@ multiset of orbits per class is decided once, at its representatives,
 and weighted by the number of code multisets it stands for.  Totals,
 route counts and failure counts are those weighted sums.
 
-Sampled trials use the same fact the other way round.  At each anchor the
-trial rows are keyed by how often each orbit occurs in them, and the pass
-runs once per distinct key; every trial keeps its own verdict, read back
-through the key.  The key is one base-(columns + 1) digit per orbit seen
-and must fit an int64: at 100 000 trials every d = 10 lemma (a few
-hundred distinct rows) and 0061 collapse, while the wider d = 6 shapes
-see too many orbits and are decided row by row.
+Sampled trials use the same fact the other way round, per level group.
+At each anchor the rescaled columns split into the anchor-level group
+(all at level 0) and the deeper group (levels 1 and 2, never level 0).
+A row's anchored sums are then A1 + B: A1 the anchored sums of its
+anchor-level group, B all sums of its deeper group, and 0 is among them
+iff A1 meets -B.  Each group's masks come from the pass run once per
+distinct orbit count vector of that group, read back through the key,
+one base-(columns + 1) digit per orbit seen; when the key does not fit
+an int64 the group runs row by row.  The groups repeat far more than
+whole rows: at 100 000 trials, seed 42, anchor 0 of 0225 holds 1,296
+and 4,335 distinct group keys where it has 98,638 distinct whole rows,
+and 541's 99,979 distinct rows split into 58,784 and 4,085.
 
 Profiles the pass rejects are built as forms and handed to
 `search_certificate`, the pipeline's own contraction search (flat.py);
@@ -51,6 +56,7 @@ import numpy as np
 from .errors import PadicFormsError
 from .flat import _ALL, _KEEP, mod8_table, search_certificate
 from .forms import AdditiveForm
+from .oracle import distinct
 from .ring import RingElem
 
 SAMPLE_DIGITS = 6  # unit digits drawn per sampled variable
@@ -100,9 +106,9 @@ def _translate_rows(M: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (M << s) | (M >> ((64 - s) & 63))
 
 
-def _flat_zero_dp(X: np.ndarray, tab: _Tables) -> np.ndarray:
-    """Exact success decision per row: can some subset of variables,
-    scaled by multipliers, sum to 0 mod 8 while using a level-0 one?
+def _flat_masks(X: np.ndarray, tab: _Tables) -> np.ndarray:
+    """The reachable sets of each row of X, shape (2, rows): can some
+    subset of variables, scaled by multipliers, reach a code?
 
     Per row two Z8 x Z8 sets packed as in flat.py: R[0] the sums over
     level->=1 variables only (bit 0 the empty sum), R[1] those that
@@ -118,7 +124,13 @@ def _flat_zero_dp(X: np.ndarray, tab: _Tables) -> np.ndarray:
             new[1] |= t1 | (t0 & at0)
             new[0] |= t0 & ~at0
         R = new
-    return (R[1] & 1).astype(bool)
+    return R
+
+
+def _flat_zero_dp(X: np.ndarray, tab: _Tables) -> np.ndarray:
+    """Exact success decision per row: can the variables reach 0 mod 8
+    while using a level-0 one?"""
+    return (_flat_masks(X, tab)[1] & 1).astype(bool)
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +149,15 @@ def _class_codes(cls: int) -> list:
 
 
 def _codes_at(UA: np.ndarray, UB: np.ndarray, levels: np.ndarray, kappa: int) -> np.ndarray:
-    """Residue codes mod 8 (uint8) of the variables rescaled to anchor
-    level kappa: unit part shifted up by (level - kappa).  Callers pass
-    only columns with level >= kappa."""
-    sh = (levels - kappa).astype(np.uint8)
+    """Residue codes mod 8 (uint8) of variables rescaled to anchor level
+    kappa: unit part shifted up by (level - kappa).  UA and UB hold one
+    row per variable, each of level >= kappa; the codes come back with
+    one column per variable, as a transposed view, so that the passes
+    walking columns read contiguous memory."""
+    sh = (levels - kappa).astype(np.uint8)[:, None]
     a = ((UA & 7) << sh) & 7
     b = ((UB & 7) << sh) & 7
-    return (a + 8 * b).astype(np.uint8, copy=False)
+    return (a + 8 * b).astype(np.uint8, copy=False).T
 
 
 @dataclass(frozen=True)
@@ -250,7 +264,10 @@ def _sample_rows(lem: SweepLemma, trials: int, seed: int, digits: int):
     hi = 1 << (digits - 1)
 
     def units(low, k):
-        return (low + 2 * rng.integers(0, hi, (trials, k))).astype(np.uint8)
+        u = rng.integers(0, hi, (trials, k)).astype(np.uint8)
+        u <<= 1
+        u |= low
+        return u
 
     if lem.class_counts is not None:
         for cls, k in zip((1, 2, 3), lem.class_counts):
@@ -262,7 +279,7 @@ def _sample_rows(lem: SweepLemma, trials: int, seed: int, digits: int):
     for lvl, k in enumerate(lem.level_counts):
         if not k:
             continue
-        cls = rng.integers(1, 4, (trials, k))
+        cls = rng.integers(1, 4, (trials, k)).astype(np.uint8)
         ua_cols.append(units(cls & 1, k))
         ub_cols.append(units(cls >> 1, k))
         levels += [lvl] * k
@@ -325,35 +342,60 @@ def _profile_form(d: int, row) -> AdditiveForm:
     return _trial_form(d, row & 7, row >> 3, np.zeros(len(row), np.int8), 3)
 
 
-def _orbit_zero_dp(X: np.ndarray, tab: _Tables) -> np.ndarray:
-    """`_flat_zero_dp` per row of X, run once per distinct multiset of
-    multiplier orbits among the rows.
+# each byte value with its bit a moved to bit -a mod 8
+_NEG_BYTE = np.array(
+    [sum(1 << (-a & 7) for a in range(8) if v >> a & 1) for v in range(256)], np.uint8
+)
+_NEG_ROW = [-b & 7 for b in range(8)]  # byte b of the result is byte -b of the mask
+
+
+def _neg(M: np.ndarray) -> np.ndarray:
+    """The set {-x : x in M} per mask, bit a + 8b moving to bit
+    (-a mod 8) + 8 (-b mod 8)."""
+    by = np.ascontiguousarray(M, "<u8").view(np.uint8).reshape(-1, 8)
+    out = _NEG_BYTE[by.take(_NEG_ROW, axis=1)].view("<u8").reshape(-1)
+    return out.astype(np.uint64, copy=False)
+
+
+def _orbit_masks(X: np.ndarray, tab: _Tables) -> tuple:
+    """`_flat_masks` of the rows of X, run once per distinct multiset of
+    multiplier orbits among them: (masks, inverse), row i's sets being
+    masks[:, inverse[i]].
 
     A variable's option set depends only on its code's orbit, and the
     pass does not depend on column order, so rows holding each orbit the
-    same number of times get the same verdict.  Rows are keyed by those
+    same number of times reach the same sets.  Rows are keyed by those
     counts, one base-(columns + 1) digit per orbit seen; when the key
     does not fit an int64 the pass runs on every row."""
-    present = np.flatnonzero(np.bincount(X.ravel(), minlength=64))
+    present = np.flatnonzero(np.bincount(X.ravel("K"), minlength=64))
     seen = sorted(set(tab.orbit[present].tolist()))
     base = X.shape[1] + 1
     if base ** len(seen) > 2**63:
-        return _flat_zero_dp(X, tab)
+        return _flat_masks(X, tab), np.arange(len(X))
     digit = np.zeros(64, np.int64)
     for i, o in enumerate(seen):
         digit[tab.orbit == o] = base**i
-    key = digit[X[:, 0]]
-    for col in X.T[1:]:
-        key += digit[col]
-    # np.unique by hand: its first call imports numpy.ma (about 14 ms)
-    order = np.argsort(key)
-    key = key[order]
-    first = np.empty(len(key), bool)
-    first[0] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    inverse = np.empty(len(key), np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return _flat_zero_dp(X[order[first]], tab)[inverse]
+    key = np.zeros(len(X), np.int64)
+    for col in X.T:
+        key += digit.take(col)
+    keys, inverse = distinct(key, return_inverse=True)
+    first = np.empty(len(keys), np.intp)
+    first[inverse] = np.arange(len(X))
+    return _flat_masks(X[first], tab), inverse
+
+
+def _anchor_zero(XA: np.ndarray, XB: np.ndarray, tab: _Tables) -> np.ndarray:
+    """`_flat_zero_dp` of the rows [XA | XB], where the codes XA are all
+    at level 0 and the codes XB all at level >= 1.
+
+    XB never reaches R[1] on its own, so a row's R[1] is A + B, with A
+    the R[1] of its XA part and B the R[0] of its XB part; 0 lies in
+    A + B iff A meets -B.  Each part is run through `_orbit_masks` on
+    its own columns, whose orbit multisets repeat far more often than
+    whole rows do, and only the distinct B masks are negated."""
+    A, ia = _orbit_masks(XA, tab)
+    B, ib = _orbit_masks(XB, tab)
+    return (A[1][ia] & _neg(B[0])[ib]) != 0
 
 
 def _sampled_verdicts(UA, UB, col_levels, tab: _Tables) -> np.ndarray:
@@ -362,14 +404,18 @@ def _sampled_verdicts(UA, UB, col_levels, tab: _Tables) -> np.ndarray:
     vanish mod 2^(kappa+3)) that uses a level-kappa one."""
     ok = np.zeros(len(UA), bool)
     rem = np.arange(len(UA))
+    UA, UB = np.ascontiguousarray(UA.T), np.ascontiguousarray(UB.T)
     for kappa in range(int(col_levels.max()) + 1):
-        cols = np.flatnonzero((col_levels >= kappa) & (col_levels <= kappa + 2))
-        if not rem.size or cols.size < 2 or not (col_levels[cols] == kappa).any():
+        at = np.flatnonzero(col_levels == kappa)
+        deeper = np.flatnonzero((col_levels > kappa) & (col_levels <= kappa + 2))
+        if not rem.size or not at.size or at.size + deeper.size < 2:
             continue
-        ua = UA.take(rem, axis=0).take(cols, axis=1)
-        ub = UB.take(rem, axis=0).take(cols, axis=1)
-        Xk = _codes_at(ua, ub, col_levels[cols], kappa)
-        hit = _orbit_zero_dp(Xk, tab)
+        XA, XB = (
+            _codes_at(UA[cols].take(rem, axis=1), UB[cols].take(rem, axis=1),
+                      col_levels[cols], kappa)
+            for cols in (at, deeper)
+        )
+        hit = _anchor_zero(XA, XB, tab)
         ok[rem[hit]] = True
         rem = rem[~hit]
     return ok

@@ -1,6 +1,9 @@
 """Static checks on the package source that need no linter installed."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -118,3 +121,26 @@ def test_every_assert_is_reviewed():
     assert not unreviewed, f"asserts not in ASSERT_ALLOWLIST (module, function): {unreviewed}"
     gone = sorted(set(ASSERT_ALLOWLIST) - set(found))
     assert not gone, f"ASSERT_ALLOWLIST names asserts that no longer exist: {gone}"
+
+
+def test_warm_up_does_not_import_numpy_ma():
+    # the first np.unique call in a process imports numpy.ma (about 14 ms);
+    # importing the package and the benchmark workloads' warm-up calls
+    # must not pay it
+    script = (
+        "import sys\n"
+        "from padic_forms import multiplier_set, power_value_set, sweep_lemma\n"
+        "for d, K in ((6, 10), (10, 14), (6, 3), (10, 3)):\n"
+        "    multiplier_set(d, K)\n"
+        "for d, top in ((6, 8), (10, 10)):\n"
+        "    for M in range(3, top + 1):\n"
+        "        power_value_set(d, M)\n"
+        "for lid in ('0061', '5'):\n"
+        "    sweep_lemma(lid, mode='SAMPLED', trials=16, seed=0)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    pkg_root = str(SRC.parent)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": pkg_root})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

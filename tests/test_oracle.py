@@ -19,6 +19,7 @@ from padic_forms.oracle import (
     _grid_of,
     _pow_vec,
     decide_isotropy_exhaustive,
+    distinct,
     naive_zero_exists,
     power_value_set,
     primitive_zero_mod,
@@ -266,3 +267,15 @@ def test_exhaustive_witness_failure_raises(monkeypatch):
     monkeypatch.setattr(oracle, "verify_witness", lambda f, w: False)
     with pytest.raises(CertificateError):
         decide_isotropy_exhaustive(form(6, [(1, 0), (7, 0)], 10))
+
+
+def test_distinct_matches_np_unique():
+    rng = np.random.default_rng(4)
+    arrays = [np.zeros(0, np.int64), np.full(1, 7, np.int64), np.full(50, -3, np.int64)]
+    arrays += [rng.integers(-hi, hi + 1, n) for n in (2, 9, 1000) for hi in (1, 20, 1 << 40)]
+    for a in arrays:
+        values, inverse = distinct(a, return_inverse=True)
+        want, want_inverse = np.unique(a, return_inverse=True)
+        assert values.dtype == a.dtype and np.array_equal(values, want)
+        assert np.array_equal(inverse, want_inverse)
+        assert np.array_equal(distinct(a), want)

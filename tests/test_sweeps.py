@@ -16,10 +16,14 @@ from padic_forms.ring import RingElem, multiplier_set
 from padic_forms.sweeps import (
     SWEEP_LEMMAS,
     SweepLemma,
+    _anchor_zero,
     _class_codes,
+    _codes_at,
     _exhaustive_rows,
     _exhaustive_slots,
     _flat_zero_dp,
+    _neg,
+    _orbit_masks,
     _profile_form,
     _sample_rows,
     _sampled_verdicts,
@@ -187,32 +191,117 @@ def test_packed_dp_matches_scalar_kernel(monkeypatch):
     misses = check([_profile_form(6, row) for row in rows], _flat_zero_dp(rows, _tables(6)))
     assert 0 < misses < 2000
 
-    # sampled trials, decided once per orbit multiset where the key fits:
-    # the pass's row counts show whether anchor 0 collapsed
+    # sampled trials, split at each anchor into the anchor-level group and
+    # the deeper one, each group decided once per orbit multiset where its
+    # key fits: the mask pass's row counts show which groups collapsed
     sizes = []
-    real = sweeps._flat_zero_dp
-    monkeypatch.setattr(sweeps, "_flat_zero_dp", lambda X, tab: sizes.append(len(X)) or real(X, tab))
+    real = sweeps._flat_masks
+    monkeypatch.setattr(sweeps, "_flat_masks", lambda X, tab: sizes.append(len(X)) or real(X, tab))
     cases = [
-        (SWEEP_LEMMAS["0241"], 2000, False),
-        (SWEEP_LEMMAS["401"], 2000, True),
-        (SWEEP_LEMMAS["5"], 2000, True),
-        (SWEEP_LEMMAS["0061"], 2000, True),
+        (SWEEP_LEMMAS["0241"], 2000, (True, True)),
+        (SWEEP_LEMMAS["401"], 2000, (True, True)),
+        (SWEEP_LEMMAS["5"], 2000, (True, True)),
+        (SWEEP_LEMMAS["0061"], 2000, (True, True)),
         # shapes that fail, with both verdicts present
-        (SweepLemma("two6", 6, None, (2,), None, "SAMPLED"), 2000, True),
-        (SweepLemma("two10", 10, None, (2, 1), None, "SAMPLED"), 2000, True),
+        (SweepLemma("two6", 6, None, (2,), None, "SAMPLED"), 2000, (True, True)),
+        (SweepLemma("two10", 10, None, (2, 1), None, "SAMPLED"), 2000, (True, True)),
         # eleven columns at anchor 0
-        (SweepLemma("wide", 10, None, (1, 10), None, "SAMPLED"), 3000, True),
+        (SweepLemma("wide", 10, None, (1, 10), None, "SAMPLED"), 3000, (True, True)),
+        # an anchor-level key of 13^24, past int64: that group runs row by row
+        (SweepLemma("over", 6, None, (12, 1), None, "SAMPLED"), 300, (False, True)),
     ]
     for lem, trials, collapses in cases:
         UA, UB, lv = _sample_rows(lem, trials, seed=29, digits=6)
         forms = [_trial_form(lem.d, UA[i], UB[i], lv, 6) for i in range(trials)]
         sizes.clear()
         misses = check(forms, _sampled_verdicts(UA, UB, lv, _tables(lem.d)))
-        assert (sizes[0] < trials) == collapses, (lem.id, sizes)
+        assert tuple(n < trials for n in sizes[:2]) == collapses, (lem.id, sizes)
         if lem.id.startswith("two"):
             assert 0 < misses < trials, lem.id
         else:
             assert misses == 0, lem.id
+
+
+def _anchor_groups(UA, UB, lv, kappa):
+    """The anchor-level and deeper code matrices of every trial at one
+    anchor, as `_sampled_verdicts` builds them."""
+    at = np.flatnonzero(lv == kappa)
+    deeper = np.flatnonzero((lv > kappa) & (lv <= kappa + 2))
+    return tuple(
+        _codes_at(UA.T[cols], UB.T[cols], lv[cols], kappa) for cols in (at, deeper)
+    )
+
+
+def test_anchor_join_matches_whole_rows():
+    # the join of the two groups' masks against the whole-row pass, on
+    # every trial at every anchor (not only those the earlier anchors left)
+    cases = [(SWEEP_LEMMAS[lid], 5000, seed) for lid in sampled_lemma_ids() for seed in (42, 7)]
+    cases += [
+        (SweepLemma("two6", 6, None, (2,), None, "SAMPLED"), 2000, 1),
+        (SweepLemma("two10", 10, None, (2, 1), None, "SAMPLED"), 2000, 1),
+        (SweepLemma("over", 6, None, (12, 1), None, "SAMPLED"), 2000, 1),
+    ]
+    verdicts = {}
+    for lem, trials, seed in cases:
+        tab = _tables(lem.d)
+        UA, UB, lv = _sample_rows(lem, trials, seed, sweeps.SAMPLE_DIGITS)
+        for kappa in np.unique(lv):
+            XA, XB = _anchor_groups(UA, UB, lv, kappa)
+            whole = _flat_zero_dp(np.concatenate([XA, XB], axis=1), tab)
+            assert np.array_equal(_anchor_zero(XA, XB, tab), whole), (lem.id, seed, kappa)
+            verdicts.setdefault(lem.id, set()).update(whole.tolist())
+    assert verdicts["two6"] == verdicts["two10"] == {False, True}
+    # the anchor-level key of "over" does not fit an int64, so its masks
+    # come from the row-by-row fallback
+    XA, _ = _anchor_groups(*_sample_rows(cases[-1][0], 2000, 1, 6), 0)
+    masks, inverse = _orbit_masks(XA, _tables(6))
+    assert masks.shape == (2, 2000) and np.array_equal(inverse, np.arange(2000))
+
+
+def test_neg_negates_each_code():
+    single = np.array([1 << c for c in range(64)], np.uint64)
+    got = _neg(single)
+    for c in range(64):
+        a, b = c & 7, c >> 3
+        assert int(got[c]) == 1 << ((-a & 7) + 8 * (-b & 7)), c
+    masks = np.random.default_rng(11).integers(0, 1 << 64, 5000, dtype=np.uint64, endpoint=False)
+    assert np.array_equal(_neg(_neg(masks)), masks)
+    assert np.array_equal(_neg(masks[:0]), masks[:0])
+
+
+def test_sample_rows_match_int64_formula():
+    # the draws narrowed to uint8 at once against the int64 formula they
+    # replaced: low + 2 * draw, narrowed afterwards
+    def old_sample_rows(lem, trials, seed, digits):
+        rng = np.random.default_rng(seed)
+        ua_cols, ub_cols, levels = [], [], []
+        hi = 1 << (digits - 1)
+
+        def units(low, k):
+            return (low + 2 * rng.integers(0, hi, (trials, k))).astype(np.uint8)
+
+        if lem.class_counts is not None:
+            for cls, k in zip((1, 2, 3), lem.class_counts):
+                if k:
+                    ua_cols.append(units(cls & 1, k))
+                    ub_cols.append(units(cls >> 1, k))
+                    levels += [0] * k
+        for lvl, k in enumerate(lem.level_counts):
+            if k:
+                cls = rng.integers(1, 4, (trials, k))
+                ua_cols.append(units(cls & 1, k))
+                ub_cols.append(units(cls >> 1, k))
+                levels += [lvl] * k
+        UA, UB = np.concatenate(ua_cols, axis=1), np.concatenate(ub_cols, axis=1)
+        return UA, UB, np.array(levels, np.int8)
+
+    for lid in sampled_lemma_ids():
+        lem = SWEEP_LEMMAS[lid]
+        for trials, seed in ((3000, 42), (257, 7)):
+            new = _sample_rows(lem, trials, seed, sweeps.SAMPLE_DIGITS)
+            old = old_sample_rows(lem, trials, seed, sweeps.SAMPLE_DIGITS)
+            for x, y in zip(new, old):
+                assert x.dtype == y.dtype and np.array_equal(x, y), (lid, seed)
 
 
 def test_reachability_matches_search_both_polarities():
