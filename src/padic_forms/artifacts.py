@@ -293,6 +293,8 @@ def gamma_experiment(d: int, s: int, trials: int, seed: int) -> GammaReport:
     picture and are archived in the report."""
     from .solver import decide_isotropy
 
+    if s < 1:
+        raise ValueError(f"a gamma experiment needs at least 1 variable, got {s}")
     if trials < 1:
         raise ValueError(f"a gamma experiment needs at least 1 trial, got {trials}")
     rng = random.Random(seed)

@@ -76,7 +76,12 @@ class AdditiveForm:
     def from_pairs(cls, d: int, pairs, K: int | None = None) -> "AdditiveForm":
         if K is None:
             K = default_precision(d)
-        return cls(d, tuple(RingElem(a, b, K) for a, b in pairs))
+        if K < 1:
+            raise PrecisionMismatch(f"precision must be at least 1, got {K}")
+        coeffs = tuple(RingElem(a, b, K) for a, b in pairs)
+        if not coeffs:
+            raise ValueError("form has no coefficients")
+        return cls(d, coeffs)
 
     @classmethod
     def from_json(cls, doc: dict | str) -> "AdditiveForm":
@@ -102,8 +107,6 @@ class AdditiveForm:
                 raise ValueError(f"unknown form option {kkey.strip()!r}")
             K = int(kval)
         pairs = [parse_elem(tok) for tok in tail.split(",") if tok.strip()]
-        if not pairs:
-            raise ValueError("form has no coefficients")
         return cls.from_pairs(d, pairs, K)
 
     def to_json(self) -> dict:

@@ -197,6 +197,8 @@ def primitive_zero_mod(
     coefficient level allows lifting (level <= max_unit_level, default
     M - 3).  Complete within the modulus: NONE means no such zero exists
     for any completion of the coefficients."""
+    if M < 1:
+        raise PrecisionMismatch(f"oracle modulus 2^{M} is below 2^1")
     assert f.is_reduced()
     if M > MAX_ORACLE_M:
         raise OracleBudgetError(f"modulus 2^{M} exceeds the oracle policy")

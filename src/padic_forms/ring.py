@@ -153,10 +153,6 @@ class RingElem:
     def one(cls, K: int) -> "RingElem":
         return cls(1, 0, K)
 
-    @classmethod
-    def alpha(cls, K: int) -> "RingElem":
-        return cls(0, 1, K)
-
     def _chk(self, other: "RingElem"):
         if not isinstance(other, RingElem):
             raise TypeError(f"expected RingElem, got {type(other).__name__}")
@@ -213,13 +209,6 @@ class RingElem:
 
     def residue(self) -> F4:
         return F4((self.a & 1) | ((self.b & 1) << 1))
-
-    def unit_part(self) -> "RingElem":
-        """x = 2^v * u with u a unit; returns u at precision K - v."""
-        v = self.valuation()
-        if v is INFINITE:
-            raise NotAUnit("zero residue has no unit part")
-        return RingElem(self.a >> v, self.b >> v, self.K - v)
 
     def inverse(self) -> "RingElem":
         if not self.is_unit():

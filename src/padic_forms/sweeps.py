@@ -13,10 +13,13 @@ be built bottom-up by contracting two nodes of minimal level, because a
 vanishing total forces its minimal level to repeat, and conversely the
 root value of a successful tree is such a combination.  Dividing by 2^k
 turns each candidate anchor level k into the same mod-8 reachability
-question, tracked as achievable subset sums with a used-anchor-level
-flag.  That is the reachability of flat.py, run here on numpy rows: per
-row the two Z8 x Z8 sets are one uint64 each, with flat.py's bit layout,
-and a translation is a per-byte rotate followed by a word rotate.
+question.  In a group of variables that are all at the anchor level,
+every nonempty sub-sum uses one, so the question is whether 0 lies in
+the set of multiplier-scaled sums over the group's nonempty subsets.
+`_sums` builds that set on numpy rows, one Z8 x Z8 set per row packed
+into a uint64 with flat.py's bit layout; a translation is a per-byte
+rotate followed by a word rotate.  Exhaustive profiles and the
+minimality probe are one-level and are decided by it directly.
 
 Exhaustive spaces are enumerated by multiplier orbits.  Scaling one
 variable by a rep does not change the codes it can add, so each
@@ -27,9 +30,11 @@ route counts and failure counts are those weighted sums.
 Sampled trials use the same fact the other way round, per level group.
 At each anchor the rescaled columns split into the anchor-level group
 (all at level 0) and the deeper group (levels 1 and 2, never level 0).
-A row's anchored sums are then A1 + B: A1 the anchored sums of its
-anchor-level group, B all sums of its deeper group, and 0 is among them
-iff A1 meets -B.  Each group's masks come from the pass run once per
+A row's anchored sums are then A + B: A the nonempty sums of its
+anchor-level group, B the sums of its deeper group, the empty one
+included, and 0 is among them iff A meets -B.  Negation is additive, so
+-B is the empty sum and the `_sums` of the deeper group with every code
+negated first.  Each group's masks come from `_sums` run once per
 distinct orbit count vector of that group, read back through the key,
 one base-(columns + 1) digit per orbit seen; when the key does not fit
 an int64 the group runs row by row.  The groups repeat far more than
@@ -54,7 +59,7 @@ from math import comb, prod
 import numpy as np
 
 from .errors import PadicFormsError
-from .flat import _ALL, _KEEP, mod8_table, search_certificate
+from .flat import _KEEP, mod8_table, search_certificate
 from .forms import AdditiveForm
 from .oracle import distinct
 from .ring import RingElem
@@ -68,36 +73,24 @@ SAMPLE_DIGITS = 6  # unit digits drawn per sampled variable
 
 @dataclass(frozen=True)
 class _Tables:
-    LV: np.ndarray  # valuation of each residue code, 3 for code 0
     mulr: np.ndarray  # (reps, 64) code of r * v, from flat.mod8_table
     orbit: np.ndarray  # (64,) least code of each code's orbit under the reps
 
 
-def _code_level(code: int) -> int:
-    a, b = code & 7, code >> 3
-    if a == 0 and b == 0:
-        return 3
-    v = 0
-    while (a | b) & 1 == 0:
-        a >>= 1
-        b >>= 1
-        v += 1
-    return v
-
-
 @lru_cache(maxsize=None)
 def _tables(d: int) -> _Tables:
-    LV = np.array([_code_level(c) for c in range(64)], np.int8)
     mulr = np.array(mod8_table(d).products, dtype=np.uint8).T
-    return _Tables(LV, mulr, mulr.min(axis=0))
+    return _Tables(mulr, mulr.min(axis=0))
 
 
 _KEEP64 = np.array(_KEEP, np.uint64)
+# the code of -v for each code v = a + 8b
+_NEG_CODE = np.array([(-v & 7) | ((-(v >> 3) & 7) << 3) for v in range(64)], np.uint8)
 
 
 def _translate_rows(M: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """`flat._translate` over rows: the mask M[..., i] moved by the code
-    w[i], as a rotate of every byte by w's a, then of the word by 8
+    """`flat._translate` over rows: the mask M[i] moved by the code w[i],
+    as a rotate of every byte by w's a, then of the word by 8
     times w's b."""
     ta = (w & 7).astype(np.uint64)
     keep = _KEEP64[w & 7]
@@ -106,31 +99,18 @@ def _translate_rows(M: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (M << s) | (M >> ((64 - s) & 63))
 
 
-def _flat_masks(X: np.ndarray, tab: _Tables) -> np.ndarray:
-    """The reachable sets of each row of X, shape (2, rows): can some
-    subset of variables, scaled by multipliers, reach a code?
+def _sums(X: np.ndarray, tab: _Tables) -> np.ndarray:
+    """Per row of X, the Z8 x Z8 set of sums over the nonempty subsets of
+    its variables, each scaled by a multiplier, packed as in flat.py.
 
-    Per row two Z8 x Z8 sets packed as in flat.py: R[0] the sums over
-    level->=1 variables only (bit 0 the empty sum), R[1] those that
-    already absorbed a level-0 variable.  Every update translates the
-    pre-column sets, so each variable enters a sum at most once."""
-    R = np.zeros((2, len(X)), np.uint64)
-    R[0] = 1
+    Each column adds its scaled codes to the sums before it and to the
+    empty sum, so each variable enters a sum at most once."""
+    N = np.zeros(len(X), np.uint64)
     for col in X.T:
-        at0 = np.where(tab.LV[col] == 0, np.uint64(_ALL), np.uint64(0))
-        new = R.copy()
+        pre = N | 1
         for mul in tab.mulr:
-            t0, t1 = _translate_rows(R, mul[col])
-            new[1] |= t1 | (t0 & at0)
-            new[0] |= t0 & ~at0
-        R = new
-    return R
-
-
-def _flat_zero_dp(X: np.ndarray, tab: _Tables) -> np.ndarray:
-    """Exact success decision per row: can the variables reach 0 mod 8
-    while using a level-0 one?"""
-    return (_flat_masks(X, tab)[1] & 1).astype(bool)
+            N |= _translate_rows(pre, mul[col])
+    return N
 
 
 # ---------------------------------------------------------------------------
@@ -342,25 +322,10 @@ def _profile_form(d: int, row) -> AdditiveForm:
     return _trial_form(d, row & 7, row >> 3, np.zeros(len(row), np.int8), 3)
 
 
-# each byte value with its bit a moved to bit -a mod 8
-_NEG_BYTE = np.array(
-    [sum(1 << (-a & 7) for a in range(8) if v >> a & 1) for v in range(256)], np.uint8
-)
-_NEG_ROW = [-b & 7 for b in range(8)]  # byte b of the result is byte -b of the mask
-
-
-def _neg(M: np.ndarray) -> np.ndarray:
-    """The set {-x : x in M} per mask, bit a + 8b moving to bit
-    (-a mod 8) + 8 (-b mod 8)."""
-    by = np.ascontiguousarray(M, "<u8").view(np.uint8).reshape(-1, 8)
-    out = _NEG_BYTE[by.take(_NEG_ROW, axis=1)].view("<u8").reshape(-1)
-    return out.astype(np.uint64, copy=False)
-
-
 def _orbit_masks(X: np.ndarray, tab: _Tables) -> tuple:
-    """`_flat_masks` of the rows of X, run once per distinct multiset of
-    multiplier orbits among them: (masks, inverse), row i's sets being
-    masks[:, inverse[i]].
+    """`_sums` of the rows of X, run once per distinct multiset of
+    multiplier orbits among them: (masks, inverse), row i's set being
+    masks[inverse[i]].
 
     A variable's option set depends only on its code's orbit, and the
     pass does not depend on column order, so rows holding each orbit the
@@ -371,7 +336,7 @@ def _orbit_masks(X: np.ndarray, tab: _Tables) -> tuple:
     seen = sorted(set(tab.orbit[present].tolist()))
     base = X.shape[1] + 1
     if base ** len(seen) > 2**63:
-        return _flat_masks(X, tab), np.arange(len(X))
+        return _sums(X, tab), np.arange(len(X))
     digit = np.zeros(64, np.int64)
     for i, o in enumerate(seen):
         digit[tab.orbit == o] = base**i
@@ -381,21 +346,23 @@ def _orbit_masks(X: np.ndarray, tab: _Tables) -> tuple:
     keys, inverse = distinct(key, return_inverse=True)
     first = np.empty(len(keys), np.intp)
     first[inverse] = np.arange(len(X))
-    return _flat_masks(X[first], tab), inverse
+    return _sums(X[first], tab), inverse
 
 
 def _anchor_zero(XA: np.ndarray, XB: np.ndarray, tab: _Tables) -> np.ndarray:
-    """`_flat_zero_dp` of the rows [XA | XB], where the codes XA are all
-    at level 0 and the codes XB all at level >= 1.
+    """Per row of [XA | XB], whether some multiplier-scaled sub-sum that
+    uses a column of XA vanishes mod 8, where the codes XA are all at
+    level 0 and the codes XB all at level >= 1.
 
-    XB never reaches R[1] on its own, so a row's R[1] is A + B, with A
-    the R[1] of its XA part and B the R[0] of its XB part; 0 lies in
-    A + B iff A meets -B.  Each part is run through `_orbit_masks` on
-    its own columns, whose orbit multisets repeat far more often than
-    whole rows do, and only the distinct B masks are negated."""
+    Such a sum is x + y, x in A the nonempty sums of the XA part and y
+    in B the sums of the XB part, the empty one included; it vanishes
+    iff A meets -B.  Negation is additive, so -B is the empty sum and
+    the nonempty sums of the XB part with every code negated.  Each part
+    is run through `_orbit_masks` on its own columns, whose orbit
+    multisets repeat far more often than whole rows do."""
     A, ia = _orbit_masks(XA, tab)
-    B, ib = _orbit_masks(XB, tab)
-    return (A[1][ia] & _neg(B[0])[ib]) != 0
+    B, ib = _orbit_masks(_NEG_CODE[XB], tab)
+    return (A[ia] & (B | 1)[ib]) != 0
 
 
 def _sampled_verdicts(UA, UB, col_levels, tab: _Tables) -> np.ndarray:
@@ -467,7 +434,7 @@ def sweep_lemma(
                 f"lemma {lemma_id}: enumerated {total} profiles, "
                 f"declared {lem.exhaustive_total}"
             )
-        ok = _flat_zero_dp(X, tab)
+        ok = (_sums(X, tab) & 1).astype(bool)
         resolution["closure"] = int(W[ok].sum())
         for row, weight in zip(X[~ok], W[~ok]):
             record = {"profile": [int(c) for c in row], "weight": int(weight)}
@@ -565,7 +532,7 @@ def minimality_probe(
         seen.add(key)
         sub = SweepLemma("probe", lem.d, tuple(counts), (), None, "EXHAUSTIVE")
         X, W = _exhaustive_rows(_exhaustive_slots(sub, tab))
-        bad = ~_flat_zero_dp(X, tab)
+        bad = (_sums(X, tab) & 1) == 0
         failures = X[bad]
         confirmed = 0
         example = None

@@ -35,6 +35,8 @@ class Witness:
     @classmethod
     def from_json(cls, doc: dict) -> "Witness":
         K = doc["precision"]
+        if K < 1:
+            raise ValueError(f"witness precision must be at least 1, got {K}")
         return cls(
             values=tuple(RingElem(a, b, K) for a, b in doc["values"]),
             primitive=doc["primitive"],

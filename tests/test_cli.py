@@ -303,6 +303,36 @@ def test_solve_is_the_same_under_python_O(tmp_path, h6_file):
             assert plain.stdout == "" and "window" in optimized.stderr
 
 
+BAD_INPUTS = {
+    "p0.json": {"degree": 6, "precision": 0, "coeffs": [[1, 0], [7, 0]]},
+    "empty.json": {"degree": 6, "precision": 10, "coeffs": []},
+    "w0.json": {"values": [[1, 0], [1, 0]], "primitive": 0, "target_valuation": 3,
+                "precision": 0},
+}
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["solve", "p0.json"], 65, "precision must be at least 1, got 0"),
+    (["solve", "f.txt", "--precision", "0"], 65, "precision must be at least 1, got 0"),
+    (["solve", "empty.json"], 64, "form has no coefficients"),
+    (["witness", "verify", "f.txt", "w0.json"], 64, "witness precision must be at least 1"),
+    (["oracle", "f.txt", "--precision", "0"], 65, "oracle modulus 2^0 is below 2^1"),
+    (["gamma", "--d", "6", "--s", "0"], 64, "needs at least 1 variable, got 0"),
+], ids=["json-precision-0", "flag-precision-0", "no-coeffs", "witness-precision-0",
+        "oracle-modulus-0", "gamma-s-0"])
+def test_bad_input_is_rejected_under_python_O(tmp_path, argv, code, message):
+    # checked at the library boundary, not by asserts that -O strips
+    (tmp_path / "f.txt").write_text("d=6; 1, 7\n")
+    for name, doc in BAD_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = [str(tmp_path / a) if (tmp_path / a).exists() else a for a in argv]
+    for flags in ([], ["-O"]):
+        proc = fresh_process([sys.executable, *flags, "-m", "padic_forms", *argv])
+        assert proc.returncode == code, (flags, proc.stderr)
+        assert proc.stdout == ""
+        assert message in proc.stderr and "Traceback" not in proc.stderr, flags
+
+
 @pytest.mark.skipif(
     shutil.which("padic-forms") is None, reason="padic-forms script not installed"
 )

@@ -66,7 +66,8 @@ def test_contract_same_class_pair():
     node = contract([leaf(0, 1, 0), leaf(1, 1, 0)], [IDENT, IDENT], 100)
     assert node.pv.value == RingElem(2, 0, 10)
     assert node.level == 1
-    assert node.pv.value.unit_part().residue().code == 1
+    # 2 = 2 * 1: the unit part lies in residue class 1
+    assert RingElem(node.pv.value.a >> 1, node.pv.value.b >> 1, 9).residue().code == 1
 
 
 def test_contract_complementary_pair():

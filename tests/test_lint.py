@@ -123,6 +123,67 @@ def test_every_assert_is_reviewed():
     assert not gone, f"ASSERT_ALLOWLIST names asserts that no longer exist: {gone}"
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# Definitions kept with no reference in src/ or perfbench/: an argparse
+# hook that argparse calls by name, and two references the tests use.
+# Add an entry here only after reviewing why the definition must stay.
+UNREFERENCED_ALLOWLIST = {"cli._Parser.error", "oracle.naive_zero_exists", "ring.v2"}
+
+
+def _definitions(tree: ast.Module) -> list:
+    """(qualified name, node) of every function, class and method, nested
+    ones included."""
+    out = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef):
+                out.append((".".join(scope + (child.name,)), child))
+                walk(child, scope + (child.name,))
+            else:
+                walk(child, scope)
+
+    walk(tree, ())
+    return out
+
+
+def _references(tree: ast.Module) -> list:
+    """(line, name) of every name read, attribute and string constant;
+    strings cover `__all__` and names looked up with getattr."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.append((node.lineno, node.value))
+    return out
+
+
+def test_every_definition_is_used():
+    # code that nothing outside its own tests uses is deleted, not kept;
+    # dunder methods are called by Python itself and are not checked
+    package = sorted(SRC.glob("*.py"))
+    paths = package + sorted(PERFBENCH.glob("*.py"))
+    assert PERFBENCH / "spans.py" in paths
+    trees = {p: ast.parse(p.read_text()) for p in paths}
+    refs = {p: _references(tree) for p, tree in trees.items()}
+    unused = set()
+    for path in package:
+        for name, node in _definitions(trees[path]):
+            short = node.name
+            if short.startswith("__") and short.endswith("__"):
+                continue
+            if not any(ref == short and (p != path or not node.lineno <= line <= node.end_lineno)
+                       for p, found in refs.items() for line, ref in found):
+                unused.add(f"{path.stem}.{name}")
+    assert unused <= UNREFERENCED_ALLOWLIST, f"defined but never used: {unused - UNREFERENCED_ALLOWLIST}"
+    gone = UNREFERENCED_ALLOWLIST - unused
+    assert not gone, f"UNREFERENCED_ALLOWLIST names definitions now in use or gone: {gone}"
+
+
 def test_warm_up_does_not_import_numpy_ma():
     # the first np.unique call in a process imports numpy.ma (about 14 ms);
     # importing the package and the benchmark workloads' warm-up calls

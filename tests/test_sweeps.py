@@ -20,13 +20,13 @@ from padic_forms.sweeps import (
     _class_codes,
     _codes_at,
     _exhaustive_rows,
+    _NEG_CODE,
     _exhaustive_slots,
-    _flat_zero_dp,
-    _neg,
     _orbit_masks,
     _profile_form,
     _sample_rows,
     _sampled_verdicts,
+    _sums,
     _tables,
     _trial_form,
     _translate_rows,
@@ -46,6 +46,11 @@ def raw_rows(class_counts) -> np.ndarray:
         if k
     ]
     return np.array([sum(parts, ()) for parts in product(*slots)], np.int32)
+
+
+def vanishes(X, tab) -> np.ndarray:
+    """Per one-level row, whether some multiplier-scaled sub-sum is 0 mod 8."""
+    return (_sums(X, tab) & 1).astype(bool)
 
 
 def _mul8(x, y):
@@ -129,9 +134,9 @@ def test_orbit_counts_match_raw_enumeration():
     tab = _tables(6)
     for counts in ((0, 0, 7), (0, 0, 6)):
         raw = raw_rows(counts)
-        raw_ok = _flat_zero_dp(raw, tab)
+        raw_ok = vanishes(raw, tab)
         X, W = _exhaustive_rows(_exhaustive_slots(SweepLemma("t", 6, counts, (), None, "EXHAUSTIVE"), tab))
-        ok = _flat_zero_dp(X, tab)
+        ok = vanishes(X, tab)
         assert int(W.sum()) == len(raw)
         assert int(W[ok].sum()) == int(raw_ok.sum()), counts
         assert int(W[~ok].sum()) == int((~raw_ok).sum()), counts
@@ -167,11 +172,37 @@ def test_translate_rows_matches_flat_translate():
     for code in range(64):
         got = _translate_rows(M, np.full(len(M), code, np.intp))
         assert [int(g) for g in got] == [_translate(m, code) for m in masks], code
-    # one code per row, and a leading axis of sets moved together
+    # one code per row
     codes = rng.integers(0, 64, len(M))
-    got = _translate_rows(np.stack([M, M[::-1]]), codes)
-    assert [int(g) for g in got[0]] == [_translate(m, int(c)) for m, c in zip(masks, codes)]
-    assert [int(g) for g in got[1]] == [_translate(m, int(c)) for m, c in zip(masks[::-1], codes)]
+    got = _translate_rows(M, codes)
+    assert [int(g) for g in got] == [_translate(m, int(c)) for m, c in zip(masks, codes)]
+
+
+def test_sums_match_python_sets():
+    # every choice per variable of "left out" or one rep, summed in
+    # plain Z8 x Z8 pairs, against the packed pass
+    rng = np.random.default_rng(23)
+    for d, widest in ((6, 5), (10, 3)):
+        tab = _tables(d)
+        reps = [(r.value.a & 7, r.value.b & 7) for r in multiplier_set(d, 3).reps]
+        for n in range(widest + 1):
+            X = rng.integers(0, 64, (40, n)).astype(np.uint8)
+            if n >= 2:
+                X[::3, 1] = X[::3, 0]  # repeated codes
+            X[1::5] = 0  # zero codes
+            got = _sums(X, tab)
+            for row, mask in zip(X, got):
+                sums = set()
+                for choice in product([None] + reps, repeat=n):
+                    if all(r is None for r in choice):
+                        continue
+                    a = b = 0
+                    for c, r in zip(row, choice):
+                        if r is not None:
+                            x, y = _mul8(r, (int(c) & 7, int(c) >> 3))
+                            a, b = a + x, b + y
+                    sums.add((a & 7) + 8 * (b & 7))
+                assert int(mask) == sum(1 << v for v in sums), (d, list(row))
 
 
 def test_packed_dp_matches_scalar_kernel(monkeypatch):
@@ -188,15 +219,15 @@ def test_packed_dp_matches_scalar_kernel(monkeypatch):
     rng = np.random.default_rng(17)
     codes = np.array(_class_codes(3), np.int32)
     rows = np.sort(rng.choice(codes, (2000, 6)), axis=1)
-    misses = check([_profile_form(6, row) for row in rows], _flat_zero_dp(rows, _tables(6)))
+    misses = check([_profile_form(6, row) for row in rows], vanishes(rows, _tables(6)))
     assert 0 < misses < 2000
 
     # sampled trials, split at each anchor into the anchor-level group and
     # the deeper one, each group decided once per orbit multiset where its
     # key fits: the mask pass's row counts show which groups collapsed
     sizes = []
-    real = sweeps._flat_masks
-    monkeypatch.setattr(sweeps, "_flat_masks", lambda X, tab: sizes.append(len(X)) or real(X, tab))
+    real = sweeps._sums
+    monkeypatch.setattr(sweeps, "_sums", lambda X, tab: sizes.append(len(X)) or real(X, tab))
     cases = [
         (SWEEP_LEMMAS["0241"], 2000, (True, True)),
         (SWEEP_LEMMAS["401"], 2000, (True, True)),
@@ -233,40 +264,42 @@ def _anchor_groups(UA, UB, lv, kappa):
 
 
 def test_anchor_join_matches_whole_rows():
-    # the join of the two groups' masks against the whole-row pass, on
-    # every trial at every anchor (not only those the earlier anchors left)
-    cases = [(SWEEP_LEMMAS[lid], 5000, seed) for lid in sampled_lemma_ids() for seed in (42, 7)]
+    # the join of the two groups' masks against flat.py's scalar kernel on
+    # the whole trial form, at every anchor (not only those the earlier
+    # anchors left)
+    cases = [(SWEEP_LEMMAS[lid], 1000, seed) for lid in sampled_lemma_ids() for seed in (42, 7)]
     cases += [
-        (SweepLemma("two6", 6, None, (2,), None, "SAMPLED"), 2000, 1),
-        (SweepLemma("two10", 10, None, (2, 1), None, "SAMPLED"), 2000, 1),
-        (SweepLemma("over", 6, None, (12, 1), None, "SAMPLED"), 2000, 1),
+        (SweepLemma("two6", 6, None, (2,), None, "SAMPLED"), 1000, 1),
+        (SweepLemma("two10", 10, None, (2, 1), None, "SAMPLED"), 1000, 1),
+        (SweepLemma("over", 6, None, (12, 1), None, "SAMPLED"), 500, 1),
     ]
     verdicts = {}
     for lem, trials, seed in cases:
         tab = _tables(lem.d)
         UA, UB, lv = _sample_rows(lem, trials, seed, sweeps.SAMPLE_DIGITS)
+        forms = [_trial_form(lem.d, UA[i], UB[i], lv, sweeps.SAMPLE_DIGITS) for i in range(trials)]
         for kappa in np.unique(lv):
-            XA, XB = _anchor_groups(UA, UB, lv, kappa)
-            whole = _flat_zero_dp(np.concatenate([XA, XB], axis=1), tab)
-            assert np.array_equal(_anchor_zero(XA, XB, tab), whole), (lem.id, seed, kappa)
-            verdicts.setdefault(lem.id, set()).update(whole.tolist())
+            scalar = [bool(flat._reach(flat._options(f, int(kappa), (0,))[0])[1] & 1)
+                      for f in forms]
+            got = _anchor_zero(*_anchor_groups(UA, UB, lv, kappa), tab)
+            assert got.tolist() == scalar, (lem.id, seed, kappa)
+            verdicts.setdefault(lem.id, set()).update(scalar)
     assert verdicts["two6"] == verdicts["two10"] == {False, True}
     # the anchor-level key of "over" does not fit an int64, so its masks
     # come from the row-by-row fallback
-    XA, _ = _anchor_groups(*_sample_rows(cases[-1][0], 2000, 1, 6), 0)
+    XA, _ = _anchor_groups(*_sample_rows(cases[-1][0], 500, 1, 6), 0)
     masks, inverse = _orbit_masks(XA, _tables(6))
-    assert masks.shape == (2, 2000) and np.array_equal(inverse, np.arange(2000))
+    assert masks.shape == (500,) and np.array_equal(inverse, np.arange(500))
 
 
 def test_neg_negates_each_code():
-    single = np.array([1 << c for c in range(64)], np.uint64)
-    got = _neg(single)
-    for c in range(64):
-        a, b = c & 7, c >> 3
-        assert int(got[c]) == 1 << ((-a & 7) + 8 * (-b & 7)), c
-    masks = np.random.default_rng(11).integers(0, 1 << 64, 5000, dtype=np.uint64, endpoint=False)
-    assert np.array_equal(_neg(_neg(masks)), masks)
-    assert np.array_equal(_neg(masks[:0]), masks[:0])
+    # the code table the deeper group goes through: x + neg(x) = 0 in
+    # Z8 x Z8, and negating twice gives x back
+    for x in range(64):
+        y = int(_NEG_CODE[x])
+        assert ((x & 7) + (y & 7)) & 7 == ((x >> 3) + (y >> 3)) & 7 == 0, x
+        assert int(_NEG_CODE[y]) == x
+    assert _NEG_CODE.dtype == np.uint8
 
 
 def test_sample_rows_match_int64_formula():
