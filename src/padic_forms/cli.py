@@ -230,7 +230,8 @@ def _battery(d: int, trials_cap: int | None):
         items.append((name, fn))
 
     def g_obstruction():
-        zs = primitive_zero_mod(named_form("G", d).form(), 2)
+        # every level of G is 0, so 0 is the level a lifted unit may have
+        zs = primitive_zero_mod(named_form("G", d).form(), 2, max_unit_level=0)
         return not zs.found, f"G(d={d}) mod 4: found={zs.found}"
 
     add("obstruction-G", g_obstruction)

@@ -26,7 +26,12 @@ from .forms import AdditiveForm
 from .ring import MultiplierRep, RingElem, dth_root, mul_pair, multiplier_set, val_pair
 
 
-@dataclass(frozen=True)
+# PartialValue and VarNode are built once per certificate node, so their
+# constructors write the slots through the slot descriptors, past the
+# frozen dataclass's raising __setattr__; the dataclass keeps eq and repr.
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class PartialValue:
     """A residue whose low J digits are trusted; storage precision is
     value.K >= J.  Level queries answer only below J."""
@@ -34,8 +39,10 @@ class PartialValue:
     value: RingElem
     J: int
 
-    def __post_init__(self):
-        assert 1 <= self.J <= self.value.K
+    def __init__(self, value: RingElem, J: int):
+        assert 1 <= J <= value.K
+        _set_pv_value(self, value)
+        _set_pv_J(self, J)
 
     def masked(self) -> tuple[int, int]:
         m = (1 << self.J) - 1
@@ -48,7 +55,10 @@ class PartialValue:
         return val_pair(a, b)
 
 
-@dataclass(frozen=True)
+_set_pv_value, _set_pv_J = PartialValue.value.__set__, PartialValue.J.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class VarNode:
     """One node of a contraction forest.  `choices` holds the multiplier
     applied to each child, aligned with `children`; kappa is the minimum
@@ -60,9 +70,22 @@ class VarNode:
     kappa: int
     leaves: frozenset
     kind: str  # "leaf" | "contraction"
-    var: int | None = None
-    children: tuple = ()
-    choices: tuple = ()
+    var: int | None
+    children: tuple
+    choices: tuple
+
+    def __init__(self, id: int, pv: PartialValue, level: int | None, kappa: int,
+                 leaves: frozenset, kind: str, var: int | None = None,
+                 children: tuple = (), choices: tuple = ()):
+        _set_id(self, id)
+        _set_pv(self, pv)
+        _set_level(self, level)
+        _set_kappa(self, kappa)
+        _set_leaves(self, leaves)
+        _set_kind(self, kind)
+        _set_var(self, var)
+        _set_children(self, children)
+        _set_choices(self, choices)
 
     def achieved(self) -> int:
         lvl = self.pv.level()
@@ -71,6 +94,10 @@ class VarNode:
     def is_success(self) -> bool:
         need = self.kappa + 3
         return self.pv.J >= need and self.achieved() >= need
+
+
+(_set_id, _set_pv, _set_level, _set_kappa, _set_leaves, _set_kind, _set_var, _set_children,
+ _set_choices) = (getattr(VarNode, name).__set__ for name in VarNode.__slots__)
 
 
 def make_leaf(var_index: int, coeff: RingElem, window: int) -> VarNode:
@@ -91,7 +118,8 @@ def contract(children, choices, new_id: int) -> VarNode:
     choices = tuple(choices)
     if len(children) < 2 or len(children) != len(choices):
         raise CertificateError("contraction needs >= 2 children with choices")
-    lvl0 = children[0].level
+    first = children[0]
+    lvl0, J, kappa = first.level, first.pv.J, first.kappa
     seen: frozenset = frozenset()
     ta = tb = 0
     for c, ch in zip(children, choices):
@@ -100,12 +128,14 @@ def contract(children, choices, new_id: int) -> VarNode:
         if c.leaves & seen:
             raise CertificateError("children overlap in original variables")
         seen |= c.leaves
-        ma, mb = mul_pair(c.pv.value.a, c.pv.value.b, ch.value.a, ch.value.b)
+        v, r = c.pv.value, ch.value
+        ma, mb = mul_pair(v.a, v.b, r.a, r.b)
         ta += ma
         tb += mb
-    K = children[0].pv.value.K
-    pv = PartialValue(RingElem(ta, tb, K), min(c.pv.J for c in children))
-    return VarNode(new_id, pv, pv.level(), min(c.kappa for c in children), seen,
+        J = min(J, c.pv.J)
+        kappa = min(kappa, c.kappa)
+    pv = PartialValue(RingElem(ta, tb, first.pv.value.K), J)
+    return VarNode(new_id, pv, pv.level(), kappa, seen,
                    "contraction", None, tuple(c.id for c in children), choices)
 
 
@@ -171,19 +201,21 @@ def validate_certificate(f: AdditiveForm, cert: ContractionCertificate) -> bool:
     except KeyError:
         return False
     mask = (1 << f.K) - 1
-    levels = f.levels()
+    coeffs, levels, s = f.coeffs, f.levels(), f.s
     values: dict[int, tuple[int, int]] = {}  # exact node values as int pairs mod 2^K
     leaf_levels = []
     leaf_vars: set = set()
-    for n in sorted(order, key=lambda n: (n.kind != "leaf", n.id)):
+    # `order` is by id: the leaves first, then the contractions by id
+    for n in order:
         if n.kind == "leaf":
-            if n.var is None or not 0 <= n.var < f.s or n.var in leaf_vars:
+            if n.var is None or not 0 <= n.var < s or n.var in leaf_vars:
                 return False
             leaf_vars.add(n.var)
-            coeff = f.coeffs[n.var]
+            coeff = coeffs[n.var]
             values[n.id] = (coeff.a, coeff.b)
             leaf_levels.append((levels[n.var], n.var))
-        else:
+    for n in order:
+        if n.kind != "leaf":
             if len(n.children) < 2 or len(n.children) != len(n.choices):
                 return False
             ta = tb = 0

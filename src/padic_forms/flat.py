@@ -16,7 +16,8 @@ that vanishes mod 2^(k+3) and uses a level-k term:
 
 Dividing by 2^k turns each anchor level into one question about subset
 sums in Z8 x Z8, 64 states, kept as two 64-bit masks: sums that used no
-level-k term yet, and sums that did.  A term takes part only when its
+level-k term yet, and sums that did.  The kernel packs both into one
+int, the second mask in the high word, and moves them together.  A term takes part only when its
 trusted window covers the digits the question reads (k + 3 - jd); the
 outcome records whether some term was left out for that reason, since
 then a missing zero proves nothing.
@@ -31,28 +32,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
-from .engine import ContractionCertificate, _certificate_from, contract, make_leaf
+from .engine import ContractionCertificate, contract, make_leaf
 from .errors import CertificateError, PadicFormsError
 from .forms import AdditiveForm
 from .ring import mul_pair, multiplier_set
 
 _ALL = (1 << 64) - 1
-# per byte, the bits whose a-coordinate stays below 8 after adding s
-_KEEP = tuple((0xFF >> s) * 0x0101010101010101 for s in range(8))
+_BOTH = (1 << 128) - 1
 
 
-def _translate(mask: int, code: int) -> int:
-    """The set {x + t} for x in mask, with x = a + 8b coding (a, b) in
-    Z8 x Z8: rotate every byte by t's a, then the word by 8 times t's b."""
-    ta, tb = code & 7, code >> 3
-    if ta:
-        keep = _KEEP[ta]
-        mask = ((mask & keep) << ta) | ((mask & ~keep) >> (8 - ta))
-    if tb:
-        s = 8 * tb
-        mask = ((mask << s) | (mask >> (64 - s))) & _ALL
-    return mask
+def _move(code: int) -> tuple:
+    """Masks and shifts that translate both words of a packed mask pair
+    by t = code, with x = a + 8b coding (a, b) in Z8 x Z8: rotate every
+    byte left by t's a, then each 64-bit word left by 8 times t's b."""
+    ta, s = code & 7, 8 * (code >> 3)
+    keep = (0xFF >> ta) * 0x01010101010101010101010101010101  # bits staying in their byte
+    wrap = ((1 << s) - 1) * (1 | 1 << 64)  # bits rotated round their word
+    return keep, keep ^ _BOTH, ta, 8 - ta, wrap ^ _BOTH, wrap, s, 64 - s
+
+
+_MOVES = tuple(_move(code) for code in range(64))
 
 
 @dataclass(frozen=True)
@@ -86,8 +87,9 @@ def _minus(x: int, t: int) -> int:
     return ((x - t) & 7) | ((((x >> 3) - (t >> 3)) & 7) << 3)
 
 
-@dataclass(frozen=True)
-class FlatPick:
+class FlatPick(NamedTuple):
+    """One picked term; a tuple, since the kernel builds one per pick."""
+
     var: int
     wrap: int  # the variable is 2^wrap times a unit
     rep: int  # index into the multiplier set's reps
@@ -145,24 +147,26 @@ def _options(f: AdditiveForm, k: int, wraps):
 
 
 def _reach(terms):
-    """Run the two-mask DP.  Returns the masks (R0, R1) in force before
-    each term, the final anchored mask, and the reachable-set sizes
-    summed over the steps."""
-    R0, R1 = 1, 0  # bit 0 of R0: the empty sum
+    """Run the two-mask DP, both masks in one int R0 | R1 << 64.
+    Returns the packed masks in force before each term, the final
+    anchored mask, and the reachable-set sizes summed over the steps."""
+    R = 1  # bit 0 of R0: the empty sum
     trail = []
     states = 0
     for _, opts in terms:
-        trail.append((R0, R1))
-        n0, n1 = R0, R1
+        trail.append(R)
+        n = R
         for code, at_k, _, _ in opts:
-            n1 |= _translate(R1, code)
+            keep, drop, ta, ua, stay, wrap, s, us = _MOVES[code]
+            x = ((R & keep) << ta) | ((R & drop) >> ua)
+            x = ((x << s) & stay) | ((x >> us) & wrap)
             if at_k:
-                n1 |= _translate(R0, code)
+                n |= ((x | x >> 64) & _ALL) << 64  # R1 += t and R0 + t, both anchored
             else:
-                n0 |= _translate(R0, code)
-        R0, R1 = n0, n1
-        states += R0.bit_count() + R1.bit_count()
-    return trail, R1, states
+                n |= x  # R0 += t, R1 += t
+        R = n
+        states += R.bit_count()
+    return trail, R >> 64, states
 
 
 def _backtrack(k: int, terms, trail) -> FlatSolution:
@@ -171,7 +175,8 @@ def _backtrack(k: int, terms, trail) -> FlatSolution:
     target, anchored = 0, True
     picks = []
     anchor = None
-    for (var, opts), (R0, R1) in zip(reversed(terms), reversed(trail)):
+    for (var, opts), R in zip(reversed(terms), reversed(trail)):
+        R0, R1 = R & _ALL, R >> 64
         if (R1 if anchored else R0) >> target & 1:
             continue  # reachable without this term
         for code, at_k, wrap, idx in opts:
@@ -221,32 +226,55 @@ def contraction_from_flat(g: AdditiveForm, sol: FlatSolution) -> ContractionCert
     (lowest ids first) are combined.  Leaves take their chosen
     multiplier, composite nodes the identity (the set's first rep).  The
     root is the finished node holding the anchor; it must hold every pick,
-    since the lift reads each picked variable off its rep alone."""
+    since the lift reads each picked variable off its rep alone.
+
+    The nodes come out in id order: the leaves in the picks' variable
+    order, then each contraction as it is built, so the certificate needs
+    no walk of the tree."""
     if any(p.wrap for p in sol.picks):
         raise CertificateError("a contraction certificate takes unit variables only")
     reps = multiplier_set(g.d, g.K).reps
-    # each active node with the multiplier its parent will apply to it
-    active = [(make_leaf(p.var, g.coeffs[p.var], g.windows[p.var]), reps[p.rep])
-              for p in sol.picks]
-    arena = {n.id: n for n, _ in active}
+    nodes = [make_leaf(p.var, g.coeffs[p.var], g.windows[p.var]) for p in sol.picks]
+    # the active nodes in id order, each with the multiplier its parent
+    # will apply to it
+    active = [(n, reps[p.rep]) for n, p in zip(nodes, sol.picks)]
     need = sol.k + 3
+    new_id = g.s
     while True:
-        low = sorted((n.level, n.id, i) for i, (n, _) in enumerate(active)
-                     if n.level is not None and n.level < need)
-        if not low:
+        low, pair = need, []  # the minimal level below need, its first two nodes
+        for e in active:
+            lvl = e[0].level
+            if lvl is None or lvl > low:
+                continue
+            if lvl < low:
+                low, pair = lvl, [e]
+            elif len(pair) < 2:
+                pair.append(e)
+        if low >= need:
             break
-        if len(low) < 2 or low[1][0] != low[0][0]:
+        if len(pair) < 2:
             raise CertificateError("flat solution does not vanish modulo 2^(k+3)")
-        (x, rx), (y, ry) = active[low[0][2]], active[low[1][2]]
-        node = contract((x, y), (rx, ry), g.s + len(arena) - len(sol.picks))
-        arena[node.id] = node
-        active = [e for e in active if e[0] is not x and e[0] is not y] + [(node, reps[0])]
+        (x, rx), (y, ry) = pair
+        node = contract((x, y), (rx, ry), new_id)
+        new_id += 1
+        nodes.append(node)
+        active = [e for e in active if e[0] is not x and e[0] is not y]
+        active.append((node, reps[0]))
     if len(active) != 1 or sol.anchor not in active[0][0].leaves:
         raise CertificateError("flat solution picks terms outside the anchor's contraction")
     root = active[0][0]
     if not root.is_success():
         raise CertificateError("flat solution left no vanishing node over the anchor")
-    return _certificate_from(root, arena, g.d, g.K)
+    kmin = min(n.level for n in nodes[:len(sol.picks)])
+    return ContractionCertificate(
+        d=g.d,
+        K=g.K,
+        nodes=tuple(nodes),
+        root=root.id,
+        anchor_leaf=min(p.var for p, n in zip(sol.picks, nodes) if n.level == kmin),
+        anchor_level=kmin,
+        achieved=root.achieved(),
+    )
 
 
 @dataclass

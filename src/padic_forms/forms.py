@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 
 from .errors import NoValidShift, PrecisionMismatch
-from .ring import RingElem, check_degree_shape, mul_pair, parse_elem, pow_pair, val_pair
+from .ring import INFINITE, RingElem, check_degree_shape, mul_pair, parse_elem, pow_pair
 
 
 def default_precision(d: int) -> int:
@@ -54,19 +54,20 @@ class AdditiveForm:
             if c.K != K:
                 raise PrecisionMismatch("coefficients at mixed precisions")
             assert 1 <= w <= K
-            lvl = val_pair(c.a, c.b)
+            x = c.a | c.b  # the level is the lowest set bit, val_pair inline
+            lvl = (x & -x).bit_length() - 1 if x else INFINITE
             if lvl >= w:
                 raise PrecisionMismatch(
                     f"coefficient {c} indistinguishable from 0 in its trusted window"
                 )
             levels.append(lvl)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "windows", windows)
-        object.__setattr__(self, "scale_log", scale_log)
-        object.__setattr__(self, "subst_log", subst_log)
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "_levels", tuple(levels))
+        _set_d(self, d)
+        _set_coeffs(self, coeffs)
+        _set_windows(self, windows)
+        _set_scale_log(self, scale_log)
+        _set_subst_log(self, subst_log)
+        _set_origin(self, origin)
+        _set_levels(self, tuple(levels))
 
     def __setattr__(self, *_):
         raise AttributeError("AdditiveForm is immutable")
@@ -156,6 +157,11 @@ class AdditiveForm:
     def __repr__(self):
         inner = ", ".join(str(c) for c in self.coeffs)
         return f"AdditiveForm(d={self.d}, K={self.K}, [{inner}])"
+
+
+# slot descriptors write past the raising __setattr__ (see ring.RingElem)
+_set_d, _set_coeffs, _set_windows, _set_scale_log, _set_subst_log, _set_origin, _set_levels = (
+    getattr(AdditiveForm, name).__set__ for name in AdditiveForm.__slots__)
 
 
 # ---------------------------------------------------------------------------

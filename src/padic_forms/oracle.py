@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CertificateError, OracleBudgetError, PadicFormsError, PrecisionMismatch
 from .forms import AdditiveForm, reduce_levels
-from .ring import RingElem, dth_root, mul_pair, teichmuller_alpha
+from .ring import RingElem, dth_root, mul_pair, pow_pair, teichmuller_alpha
 from .witness import Witness, exact_coeffs, map_to_origin, solve_anchor, verify_witness
 
 MAX_ORACLE_M = 10  # 2 * 4^M boolean cells per DP layer
@@ -196,7 +196,8 @@ def primitive_zero_mod(
     """Search O/2^M for a zero using at least one unit variable whose
     coefficient level allows lifting (level <= max_unit_level, default
     M - 3).  Complete within the modulus: NONE means no such zero exists
-    for any completion of the coefficients."""
+    for any completion of the coefficients.  A max_unit_level below 0
+    would let no variable carry the unit, so it is a ValueError."""
     if M < 1:
         raise PrecisionMismatch(f"oracle modulus 2^{M} is below 2^1")
     assert f.is_reduced()
@@ -209,6 +210,11 @@ def primitive_zero_mod(
         )
     if max_unit_level is None:
         max_unit_level = M - 3
+    if max_unit_level < 0:
+        raise ValueError(
+            f"max_unit_level {max_unit_level} is below 0: no variable may carry the unit, "
+            f"so the search mod 2^{M} could find nothing (the default M - 3 needs M >= 3)"
+        )
     pvs = power_value_set(f.d, M)
     mask = (1 << M) - 1
     n = 1 << M
@@ -335,8 +341,10 @@ def decide_isotropy_exhaustive(f: AdditiveForm) -> OracleDecision:
             "ANISOTROPIC", None, ExhaustionCertificate(M, zs.states_visited), zs.states_visited
         )
     K = g.K
-    coeffs = exact_coeffs(g, K)
-    vals = solve_anchor(coeffs, g.d, list(zs.assignment), zs.anchor)
+    vals = [RingElem(x.a, x.b, K) for x in zs.assignment]
+    terms = [mul_pair(c.a, c.b, *pow_pair(x.a, x.b, g.d, 1 << K))
+             for c, x in zip(exact_coeffs(g, K), vals)]
+    vals[zs.anchor] = vals[zs.anchor] * solve_anchor(terms, g.d, zs.anchor, K)
     w = map_to_origin(g, Witness(tuple(vals), zs.anchor, K))
     if not verify_witness(f.root(), w):
         raise CertificateError("oracle witness failed verification")

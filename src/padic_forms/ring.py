@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     DegreeShapeError,
@@ -87,21 +88,31 @@ F4.A1 = F4(3)
 
 def mul_pair(a: int, b: int, c: int, d: int, mod: int | None = None):
     """(a + b*w)(c + d*w) = (ac + bd) + (ad + bc + bd) w, from w^2 = w + 1."""
-    x = a * c + b * d
-    y = a * d + b * c + b * d
+    bd = b * d
+    x = a * c + bd
+    y = a * d + b * c + bd
     if mod is None:
         return x, y
     return x % mod, y % mod
 
 
 def pow_pair(a: int, b: int, e: int, mod: int | None = None):
+    """(a + b*w)^e by left-to-right binary powering: one squaring per bit
+    below the top one, one multiplication per set bit among them."""
     assert e >= 0
-    ra, rb = 1, 0
-    while e:
-        if e & 1:
-            ra, rb = mul_pair(ra, rb, a, b, mod)
-        a, b = mul_pair(a, b, a, b, mod)
-        e >>= 1
+    if e == 0:
+        return 1, 0
+    if mod is not None:
+        a, b = a % mod, b % mod
+    ra, rb = a, b
+    for bit in bin(e)[3:]:
+        sq = rb * rb
+        ra, rb = ra * ra + sq, (2 * ra + rb) * rb  # (x + y*w)^2 = x^2 + y^2 + (2xy + y^2) w
+        if bit == "1":
+            bd = rb * b
+            ra, rb = ra * a + bd, ra * b + rb * a + bd
+        if mod is not None:
+            ra, rb = ra % mod, rb % mod
     return ra, rb
 
 
@@ -137,9 +148,9 @@ class RingElem:
     def __init__(self, a: int, b: int, K: int):
         assert K >= 1
         mask = (1 << K) - 1
-        object.__setattr__(self, "a", a & mask)
-        object.__setattr__(self, "b", b & mask)
-        object.__setattr__(self, "K", K)
+        _set_a(self, a & mask)
+        _set_b(self, b & mask)
+        _set_K(self, K)
 
     def __setattr__(self, *_):
         raise AttributeError("RingElem is immutable")
@@ -220,6 +231,11 @@ class RingElem:
     def reduce_to(self, K2: int) -> "RingElem":
         assert 1 <= K2 <= self.K
         return RingElem(self.a, self.b, K2)
+
+
+# the slot descriptors write past the raising __setattr__, and are
+# cheaper to call than object.__setattr__
+_set_a, _set_b, _set_K = RingElem.a.__set__, RingElem.b.__set__, RingElem.K.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +382,21 @@ def multiplier_set(d: int, K: int) -> MultiplierSet:
     return ms
 
 
+@lru_cache(maxsize=None)
+def root_powers(d: int, K_reps: int, K: int) -> tuple[tuple[int, int], ...]:
+    """root ** d mod 2^K, as int pairs, for each rep of
+    multiplier_set(d, K_reps).  The roots are stored mod 2^K_reps: at
+    K == K_reps these are the reps' values, at a wider K the d-th powers
+    of those stored representatives, which is what a lift at precision K
+    that picks them needs."""
+    return tuple(pow_pair(r.root.a, r.root.b, d, 1 << K) for r in multiplier_set(d, K_reps).reps)
+
+
 # ---------------------------------------------------------------------------
 # root extraction (Hensel / Newton)
 
 _SEED_CACHE: dict[int, dict[tuple[int, int], tuple[int, int]]] = {}
+_ANCHOR_SEED_CACHE: dict[int, dict[tuple[int, int], tuple[int, int]]] = {}
 
 
 def _seed_table(d: int) -> dict[tuple[int, int], tuple[int, int]]:
@@ -386,30 +413,50 @@ def _seed_table(d: int) -> dict[tuple[int, int], tuple[int, int]]:
     return table
 
 
-def _newton_root(seed: tuple[int, int], d: int, t: tuple[int, int], KK: int):
-    """Lift seed to a root of x^d - t working modulo 2^KK.
+def _anchor_seed_table(d: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """t mod 64 -> its d-th root in 1 + 4O, mod 32, for every t in 1 + 8O.
 
-    Valid when the seed residual has valuation >= 3 > 2*v(d): each step
-    x -> x - f(x) / f'(x) at least doubles the excess, and the division by
-    f'(x) = 2 * (d/2) * x^(d-1) splits into one exact halving plus a unit
-    inverse."""
+    x -> x^d maps 1 + 4O onto 1 + 8O one to one (squaring does, and so
+    does the odd power d/2), and x^d mod 64 depends on x mod 32 only, so
+    the 64 classes x mod 32 meet the 64 classes t mod 64 once each.  A
+    seed from here leaves a residual of valuation >= 6."""
+    table = _ANCHOR_SEED_CACHE.get(d)
+    if table is None:
+        table = {pow_pair(a, b, d, 64): (a, b) for a in range(1, 32, 4) for b in range(0, 32, 4)}
+        _ANCHOR_SEED_CACHE[d] = table
+    return table
+
+
+def _newton_root(seed: tuple[int, int], d: int, t: tuple[int, int], KK: int):
+    """Lift seed to a root of f(x) = x^d - t working modulo 2^KK, t a unit.
+
+    Valid when the seed residual has valuation v >= 3 > 2*v(d).  Newton's
+    step is s = f(x) / f'(x) with f'(x) = 2 * (d/2) * x^(d-1); this one
+    takes s = (f(x) / 2) * x / ((d/2) t), which differs from it by the
+    factor x^d / t = 1 + f(x) / t, so by an error of valuation 2v - 1.
+    Either step leaves a residual of valuation >= 2v - 2 (the quadratic
+    terms of (x - s)^d, s of valuation v - 1, carry the odd binomial
+    d(d-1)/2), so the loop stops once that reaches KK, and one unit
+    inverse, of (d/2) t, serves every step."""
     mod = 1 << KK
     m = d // 2
+    ta, tb = t
+    wa, wb = inv_unit_pair((m * ta) % mod, (m * tb) % mod, mod)
     xa, xb = seed
     for _ in range(2 * KK.bit_length() + 8):
-        pa, pb = pow_pair(xa, xb, d - 1, mod)
-        fa, fb = mul_pair(xa, xb, pa, pb, mod)  # f(x) = x * x^(d-1) - t
-        fa = (fa - t[0]) % mod
-        fb = (fb - t[1]) % mod
+        fa, fb = pow_pair(xa, xb, d, mod)
+        fa = (fa - ta) % mod
+        fb = (fb - tb) % mod
         if fa == 0 and fb == 0:
             break
-        assert fa % 2 == 0 and fb % 2 == 0, "residual too shallow for Newton"
-        ga, gb = fa >> 1, fb >> 1
-        da, db = (m * pa) % mod, (m * pb) % mod  # f'(x)/2, a unit
-        ia, ib = inv_unit_pair(da, db, mod)
-        sa, sb = mul_pair(ga, gb, ia, ib, mod)
+        v = val_pair(fa, fb)
+        assert v >= 1, "residual too shallow for Newton"
+        ga, gb = mul_pair(fa >> 1, fb >> 1, xa, xb)
+        sa, sb = mul_pair(ga, gb, wa, wb, mod)
         xa = (xa - sa) % mod
         xb = (xb - sb) % mod
+        if 2 * v - 2 >= KK:
+            break
     return xa, xb
 
 
@@ -432,7 +479,10 @@ def dth_root(t: RingElem, d: int, *, _search_limit: int = 4) -> RingElem:
     seed = _seed_table(d).get((t.a % 16, t.b % 16))
     if seed is None:
         raise NotADthPower(f"{t} is not a d-th power mod 16 (d={d})")
-    KK = K + 6
+    # x^d mod 2^(K+1) fixes x mod 2^K among the roots = seed mod 4: two
+    # such roots differ by a factor 1 + e, and (1 + e)^d - 1 has
+    # valuation v(e) + 1
+    KK = K + 1
     xa, xb = _newton_root(seed, d, (t.a, t.b), KK)
     x = RingElem(xa, xb, K)
     if x ** d != t:
@@ -453,16 +503,21 @@ def newton_anchor_solve(a_i: RingElem, d: int, C: RingElem) -> RingElem:
         raise HenselError("anchor coefficient or target vanishes at this precision")
     if c_level != k:
         raise HenselError(f"valuation mismatch: coefficient level {k}, target level {c_level}")
+    if K < k + 3:
+        raise HenselError(f"precision 2^{K} cannot show a residual of valuation {k + 3}")
     res = val_pair((a_i.a + C.a) & mask, (a_i.b + C.b) & mask)
     if res < k + 3:
         raise HenselError(f"residual valuation {res} < {k + 3}: certificate invalid")
-    KK = K + 6
+    KK = K + 1  # enough to fix x mod 2^K, as in dth_root
     mod = 1 << KK
     ua, ub = a_i.a >> k, a_i.b >> k
     ca, cb = C.a >> k, C.b >> k
     ia, ib = inv_unit_pair(ua, ub, mod)
     ta, tb = mul_pair((-ca) % mod, (-cb) % mod, ia, ib, mod)
-    xa, xb = _newton_root((1, 0), d, (ta, tb), KK)
+    # t = 1 mod 8 by the residual check; seeding with its root mod 32
+    # saves the steps that would take a seed of 1 from valuation 3 to 6
+    seed = _anchor_seed_table(d)[ta & 63, tb & 63]
+    xa, xb = _newton_root(seed, d, (ta, tb), KK)
     xa, xb = xa & mask, xb & mask
     fa, fb = mul_pair(a_i.a, a_i.b, *pow_pair(xa, xb, d, mask + 1))
     if (fa + C.a) & mask or (fb + C.b) & mask:

@@ -20,7 +20,7 @@ from .errors import CertificateError, PrecisionMismatch
 from .flat import FlatSolution, flat_zero, search_certificate
 from .forms import AdditiveForm, normalize, reduce_levels
 from .oracle import ExhaustionCertificate
-from .ring import RingElem, multiplier_set
+from .ring import RingElem, mul_pair, multiplier_set, root_powers
 from .witness import Witness, exact_coeff, map_to_origin, solve_anchor, verify_witness
 
 # unused here; perfbench/spans.py wraps it by name in this module for --trace
@@ -60,27 +60,37 @@ class IsotropyResult:
 def lift_witness(g: AdditiveForm, sol: FlatSolution, K: int) -> Witness:
     """Turn a kernel solution on g into a witness for g's root form.
 
-    Each picked variable is 2^wrap times its multiplier's root (on a
+    Each picked variable is x = 2^wrap times its multiplier's root (on a
     certificate built from the solution, the product of roots along the
     leaf's path: composite nodes carry the identity); the others are 0.
-    Only the picks get exact coefficients at precision K.  Newton then
-    corrects the anchor so the sum vanishes mod 2^K, and the witness is
-    mapped back to the root frame and verified there, so K must be high
-    enough for the back-mapping to keep the root's full precision.
+    So x^d = 2^(wrap d) times the root's d-th power, read from
+    `root_powers`, and only the picks get exact coefficients at
+    precision K.  Newton then corrects the anchor so the sum vanishes mod
+    2^K, and the witness is mapped back to the root frame and verified
+    there, so K must be high enough for the back-mapping to keep the
+    root's full precision.
     """
-    ms = multiplier_set(g.d, g.K)
-    coeffs, values, anchor = [], [], None
+    d, mod = g.d, 1 << K
+    reps = multiplier_set(d, g.K).reps
+    powers = root_powers(d, g.K, K)
+    terms, anchor = [], None
     for i, p in enumerate(sol.picks):
-        r = ms.reps[p.rep].root
-        coeffs.append(exact_coeff(g, p.var, K))
-        values.append(RingElem(r.a << p.wrap, r.b << p.wrap, K))
+        c = exact_coeff(g, p.var, K)
+        pa, pb = powers[p.rep]
+        shift = p.wrap * d
+        terms.append(mul_pair(c.a, c.b, pa << shift, pb << shift, mod))
         if p.var == sol.anchor:
             anchor = i
     if anchor is None:
         raise CertificateError("flat solution does not pick its anchor")
+    z = solve_anchor(terms, d, anchor, K)
     full = [RingElem.zero(K)] * g.s
-    for p, x in zip(sol.picks, solve_anchor(coeffs, g.d, values, anchor)):
-        full[p.var] = x
+    for p in sol.picks:
+        r = reps[p.rep].root
+        xa, xb = r.a << p.wrap, r.b << p.wrap
+        if p.var == sol.anchor:
+            xa, xb = mul_pair(xa, xb, z.a, z.b)
+        full[p.var] = RingElem(xa, xb, K)
     w = map_to_origin(g, Witness(tuple(full), sol.anchor, K))
     if not verify_witness(g.root(), w):
         raise CertificateError("lifted witness failed verification")

@@ -59,7 +59,7 @@ from math import comb, prod
 import numpy as np
 
 from .errors import PadicFormsError
-from .flat import _KEEP, mod8_table, search_certificate
+from .flat import mod8_table, search_certificate
 from .forms import AdditiveForm
 from .oracle import distinct
 from .ring import RingElem
@@ -83,15 +83,16 @@ def _tables(d: int) -> _Tables:
     return _Tables(mulr, mulr.min(axis=0))
 
 
-_KEEP64 = np.array(_KEEP, np.uint64)
+# per byte, the bits whose a-coordinate stays below 8 after adding s
+_KEEP64 = np.array([(0xFF >> s) * 0x0101010101010101 for s in range(8)], np.uint64)
 # the code of -v for each code v = a + 8b
 _NEG_CODE = np.array([(-v & 7) | ((-(v >> 3) & 7) << 3) for v in range(64)], np.uint8)
 
 
 def _translate_rows(M: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """`flat._translate` over rows: the mask M[i] moved by the code w[i],
-    as a rotate of every byte by w's a, then of the word by 8
-    times w's b."""
+    """The mask M[i] moved by the code w[i], as flat.py's kernel moves
+    one: a rotate of every byte by w's a, then of the word by 8 times
+    w's b."""
     ta = (w & 7).astype(np.uint64)
     keep = _KEEP64[w & 7]
     M = ((M & keep) << ta) | ((M & ~keep) >> (8 - ta))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import CertificateError
 from .forms import AdditiveForm
-from .ring import RingElem, mul_pair, newton_anchor_solve, pow_pair
+from .ring import RingElem, newton_anchor_solve
 
 
 @dataclass(frozen=True)
@@ -76,26 +76,18 @@ def exact_coeffs(g: AdditiveForm, K: int) -> list[RingElem]:
     return [exact_coeff(g, j, K) for j in range(g.s)]
 
 
-def solve_anchor(
-    coeffs: list[RingElem], d: int, values: list[RingElem], anchor: int
-) -> list[RingElem]:
-    """Replace values[anchor] (a unit) so the full sum vanishes at the
-    coefficients' precision.  Requires the usual valuation agreement; a
-    failure here means the incoming certificate was not sound."""
-    K = coeffs[0].K
-    mod = 1 << K
-    vals = [x if x.K == K else RingElem(x.a, x.b, K) for x in values]
-    ra = rb = 0  # the other terms c * x^d, summed as int pairs
-    for j, (c, x) in enumerate(zip(coeffs, vals)):
-        if j != anchor and (x.a or x.b):
-            ma, mb = mul_pair(c.a, c.b, *pow_pair(x.a, x.b, d, mod))
-            ra += ma
-            rb += mb
-    c, x = coeffs[anchor], vals[anchor]
-    folded = RingElem(*mul_pair(c.a, c.b, *pow_pair(x.a, x.b, d, mod)), K)
-    z = newton_anchor_solve(folded, d, RingElem(ra, rb, K))
-    vals[anchor] = vals[anchor] * z
-    return vals
+def solve_anchor(terms: list[tuple[int, int]], d: int, anchor: int, K: int) -> RingElem:
+    """The unit z with terms[anchor] * z^d + (the other terms) = 0 mod
+    2^K, each term c_j * x_j^d given as an int pair; the caller scales
+    x_anchor by z.  Requires the usual valuation agreement; a failure here
+    means the incoming certificate was not sound."""
+    ra = rb = 0
+    for j, (ta, tb) in enumerate(terms):
+        if j != anchor:
+            ra += ta
+            rb += tb
+    fa, fb = terms[anchor]
+    return newton_anchor_solve(RingElem(fa, fb, K), d, RingElem(ra, rb, K))
 
 
 def map_to_origin(g: AdditiveForm, w: Witness) -> Witness:

@@ -72,16 +72,30 @@ def _criterion(num: int, bound: float, label: str, fn) -> None:
     assert dt < bound, f"criterion {num} took {dt:.2f}s, bound {bound}s"
 
 
+def _zero_mod4(f):
+    """Criterion 01's search: a zero mod 4 with a unit variable at level
+    0, the level of every coefficient of G."""
+    return primitive_zero_mod(f, 2, max_unit_level=0)
+
+
 def test_criterion_01_g_obstruction():
     def body():
         visited = []
         for d in (6, 10):
-            zs = primitive_zero_mod(named_form("G", d).form(), 2)
+            zs = _zero_mod4(named_form("G", d).form())
             assert not zs.found, f"G(d={d}) has a primitive zero mod 4"
             visited.append(zs.states_visited)
         return f"; states {visited[0]}/{visited[1]}"
 
     _criterion(1, 1.0, "G has no primitive zero mod 4 at d=6 and d=10", body)
+
+
+def test_criterion_01_search_finds_a_zero_mod4():
+    # the criterion can fail: on the isotropic x^6 + 7y^6 its search finds
+    # the primitive zero 1 + 7 = 0 mod 4
+    zs = _zero_mod4(AdditiveForm.from_text("d=6; 1, 7"))
+    assert zs.found
+    assert zs.assignment[zs.anchor].is_unit()
 
 
 def test_criterion_02_h_lower_bound():

@@ -115,10 +115,12 @@ def test_oracle_full_decision(h6_file, capsys):
 
 
 def test_oracle_window_only(g6_file, capsys):
-    code, out, _ = run(["oracle", g6_file, "--precision", "2"], capsys)
+    # mod 8 the unit may sit at level 0, G's only level; a zero of G mod 8
+    # would be one mod 4, which criterion 01 rules out
+    code, out, _ = run(["oracle", g6_file, "--precision", "3"], capsys)
     assert code == 1
     doc = json.loads(out)
-    assert doc["found"] is False and doc["modulus"] == 2
+    assert doc["found"] is False and doc["modulus"] == 3
 
 
 def test_oracle_modulus_beyond_policy_exit65(g6_file, capsys):
@@ -317,9 +319,11 @@ BAD_INPUTS = {
     (["solve", "empty.json"], 64, "form has no coefficients"),
     (["witness", "verify", "f.txt", "w0.json"], 64, "witness precision must be at least 1"),
     (["oracle", "f.txt", "--precision", "0"], 65, "oracle modulus 2^0 is below 2^1"),
+    (["oracle", "f.txt", "--precision", "1"], 64, "max_unit_level -2 is below 0"),
+    (["oracle", "f.txt", "--precision", "2"], 64, "max_unit_level -1 is below 0"),
     (["gamma", "--d", "6", "--s", "0"], 64, "needs at least 1 variable, got 0"),
 ], ids=["json-precision-0", "flag-precision-0", "no-coeffs", "witness-precision-0",
-        "oracle-modulus-0", "gamma-s-0"])
+        "oracle-modulus-0", "oracle-modulus-1", "oracle-modulus-2", "gamma-s-0"])
 def test_bad_input_is_rejected_under_python_O(tmp_path, argv, code, message):
     # checked at the library boundary, not by asserts that -O strips
     (tmp_path / "f.txt").write_text("d=6; 1, 7\n")

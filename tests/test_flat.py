@@ -29,7 +29,7 @@ from padic_forms.errors import CertificateError, PrecisionMismatch
 from padic_forms.flat import (
     FlatPick,
     FlatSolution,
-    _translate,
+    _reach,
     contraction_from_flat,
     flat_zero,
     mod8_table,
@@ -130,14 +130,43 @@ def test_mod8_table_matches_direct_multiplication():
                 assert list(table.options[v]) == list(first.items()), (d, K, v)
 
 
-def test_translate_matches_coordinates():
+def _plus(x: int, t: int) -> int:
+    """x + t in Z8 x Z8, both coded a + 8b."""
+    return ((x & 7) + (t & 7)) % 8 + 8 * (((x >> 3) + (t >> 3)) % 8)
+
+
+def _set_reach(terms):
+    """`_reach` on plain Python sets: per term, the sets (no level-k term
+    used yet, one used) in force before it, then the final second set and
+    the summed set sizes."""
+    S0, S1 = {0}, set()
+    trail, states = [], 0
+    for _, opts in terms:
+        trail.append((S0, S1))
+        n0, n1 = set(S0), set(S1)
+        for code, at_k, _, _ in opts:
+            n1 |= {_plus(x, code) for x in S1}
+            (n1 if at_k else n0).update(_plus(x, code) for x in S0)
+        S0, S1 = n0, n1
+        states += len(S0) + len(S1)
+    return trail, S1, states
+
+
+def _bits(mask: int) -> set:
+    return {x for x in range(mask.bit_length()) if mask >> x & 1}
+
+
+def test_reach_matches_set_dp():
     rng = random.Random(3)
-    for _ in range(200):
-        elems = {rng.randrange(64) for _ in range(rng.randrange(1, 20))}
-        mask = sum(1 << x for x in elems)
-        t = rng.randrange(64)
-        want = {((x & 7) + (t & 7)) % 8 + 8 * (((x >> 3) + (t >> 3)) % 8) for x in elems}
-        assert _translate(mask, t) == sum(1 << x for x in want)
+    for _ in range(300):
+        terms = []
+        for var in range(rng.randrange(1, 9)):
+            codes = rng.sample(range(64), rng.randrange(1, 7))
+            terms.append((var, tuple((c, rng.random() < 0.4, 0, i) for i, c in enumerate(codes))))
+        trail, R1, states = _reach(terms)
+        want_trail, want_R1, want_states = _set_reach(terms)
+        assert [(_bits(R & (1 << 64) - 1), _bits(R >> 64)) for R in trail] == want_trail
+        assert _bits(R1) == want_R1 and states == want_states
 
 
 @pytest.mark.parametrize("d", [6, 10])
@@ -449,7 +478,9 @@ def _lift_by_tree_walk(g, cert):
         for cid, rep in zip(n.children, n.choices):
             stack.append((cid, acc * RingElem(rep.root.a, rep.root.b, K)))
     values = [roots.get(j, RingElem.zero(K)) for j in range(g.s)]
-    values = solve_anchor(exact_coeffs(g, K), g.d, values, cert.anchor_leaf)
+    terms = [(t.a, t.b) for t in (c * x ** g.d for c, x in zip(exact_coeffs(g, K), values))]
+    values[cert.anchor_leaf] = values[cert.anchor_leaf] * solve_anchor(
+        terms, g.d, cert.anchor_leaf, K)
     return map_to_origin(g, Witness(tuple(values), cert.anchor_leaf, K)), K
 
 

@@ -71,7 +71,7 @@ def test_no_unused_imports(path):
 ASSERT_ALLOWLIST = {
     # argument shapes and preconditions
     ("artifacts.py", "_level"): 1,
-    ("engine.py", "PartialValue.__post_init__"): 1,
+    ("engine.py", "PartialValue.__init__"): 1,
     ("forms.py", "AdditiveForm.__init__"): 3,
     ("forms.py", "AdditiveForm.evaluate"): 1,
     ("forms.py", "cyclic_shift"): 1,

@@ -123,9 +123,17 @@ def test_x6_plus_7y6_zero_mod8():
 
 def test_three_variable_unit_form_no_zero_mod4():
     f = form(6, [(1, 0), (1, 0), (0, 1)], 10)
-    for mul in (None, 2):
+    for mul in (0, 2):
         zs = primitive_zero_mod(f, 2, max_unit_level=mul)
         assert not zs.found
+
+
+@pytest.mark.parametrize("M, mul", [(1, None), (2, None), (3, -1), (5, -2)])
+def test_search_without_a_liftable_level_is_refused(M, mul):
+    # below level 0 no variable may carry the unit: found would be False
+    # for every form, the isotropic x^6 + 7y^6 included
+    with pytest.raises(ValueError, match="below 0"):
+        primitive_zero_mod(form(6, [(1, 0), (7, 0)], 10), M, max_unit_level=mul)
 
 
 def test_backtracking_is_deterministic():
@@ -169,7 +177,7 @@ def test_dp_matches_naive_enumeration():
             b = rng.getrandbits(K) & ~((1 << lvl) - 1)
             pairs.append((a, b))
         f = form(d, pairs, K)
-        for mul in (None, M):
+        for mul in ((None, M) if M >= 3 else (0, M)):  # None means M - 3
             got = primitive_zero_mod(f, M, max_unit_level=mul).found
             want = naive_zero_exists(f, M, max_unit_level=mul)
             assert got == want, (d, M, pairs, mul)

@@ -9,7 +9,7 @@ import pytest
 from padic_forms import flat, oracle, sweeps
 from padic_forms.engine import validate_certificate
 from padic_forms.errors import PadicFormsError
-from padic_forms.flat import SearchOutcome, _translate, search_certificate
+from padic_forms.flat import SearchOutcome, search_certificate
 from padic_forms.forms import AdditiveForm, default_precision
 from padic_forms.oracle import decide_isotropy_exhaustive
 from padic_forms.ring import RingElem, multiplier_set
@@ -164,6 +164,13 @@ def test_bogus_exhaustive_lemma_reports_weighted_failures(monkeypatch):
         assert decide_isotropy_exhaustive(f).verdict == "ANISOTROPIC", rec
 
 
+def _set_translate(mask: int, code: int) -> int:
+    """mask moved by code on plain sets of Z8 x Z8 points, x = a + 8b."""
+    points = {x for x in range(64) if mask >> x & 1}
+    moved = {((x & 7) + (code & 7)) % 8 + 8 * (((x >> 3) + (code >> 3)) % 8) for x in points}
+    return sum(1 << x for x in moved)
+
+
 def test_translate_rows_matches_flat_translate():
     rng = np.random.default_rng(3)
     masks = [1 << b for b in range(64)]
@@ -171,11 +178,11 @@ def test_translate_rows_matches_flat_translate():
     M = np.array(masks, np.uint64)
     for code in range(64):
         got = _translate_rows(M, np.full(len(M), code, np.intp))
-        assert [int(g) for g in got] == [_translate(m, code) for m in masks], code
+        assert [int(g) for g in got] == [_set_translate(m, code) for m in masks], code
     # one code per row
     codes = rng.integers(0, 64, len(M))
     got = _translate_rows(M, codes)
-    assert [int(g) for g in got] == [_translate(m, int(c)) for m, c in zip(masks, codes)]
+    assert [int(g) for g in got] == [_set_translate(m, int(c)) for m, c in zip(masks, codes)]
 
 
 def test_sums_match_python_sets():

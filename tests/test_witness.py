@@ -21,10 +21,20 @@ def elem(a, b, K):
     return RingElem(a, b, K)
 
 
+def anchor_solved(coeffs, d, values, anchor):
+    """values with the anchor scaled by solve_anchor's z, the terms
+    c * x^d taken with RingElem arithmetic at the coefficients' precision."""
+    K = coeffs[0].K
+    vals = [elem(x.a, x.b, K) for x in values]
+    terms = [((c * x ** d).a, (c * x ** d).b) for c, x in zip(coeffs, vals)]
+    vals[anchor] = vals[anchor] * solve_anchor(terms, d, anchor, K)
+    return vals
+
+
 def test_verify_accepts_hensel_pair():
     f = AdditiveForm.from_pairs(6, [(1, 0), (7, 0)], 10)
     coeffs = [f.coeffs[0], f.coeffs[1]]
-    vals = solve_anchor(coeffs, 6, [elem(1, 0, 10), elem(1, 0, 10)], 0)
+    vals = anchor_solved(coeffs, 6, [elem(1, 0, 10), elem(1, 0, 10)], 0)
     w = Witness(tuple(vals), 0, 10)
     assert verify_witness(f, w)
     total = f.evaluate(w.values)
@@ -47,7 +57,7 @@ def test_verify_rejects_shallow_valuation():
 def test_verify_rejects_overclaimed_precision():
     f = AdditiveForm.from_pairs(6, [(1, 0), (7, 0)], 10)
     coeffs = list(f.coeffs)
-    vals = solve_anchor(coeffs, 6, [elem(1, 0, 10), elem(1, 0, 10)], 0)
+    vals = anchor_solved(coeffs, 6, [elem(1, 0, 10), elem(1, 0, 10)], 0)
     assert not verify_witness(f, Witness(tuple(vals), 0, 11))
 
 
@@ -78,14 +88,14 @@ def test_solve_anchor_kills_all_digits():
         (c * v ** 6 for c, v in zip(coeffs, vals)), elem(0, 0, K)
     )
     assert total0.valuation() >= 3
-    out = solve_anchor(coeffs, 6, vals, 0)
+    out = anchor_solved(coeffs, 6, vals, 0)
     total = sum((c * v ** 6 for c, v in zip(coeffs, out)), elem(0, 0, K))
     assert total.is_zero()
     assert out[1] == vals[1] and out[2] == vals[2]
 
 
 def ring_solve_anchor(coeffs, d, values, anchor):
-    """solve_anchor with every sum taken one RingElem operation at a time."""
+    """anchor_solved with every sum taken one RingElem operation at a time."""
     K = coeffs[0].K
     vals = [elem(x.a, x.b, K) for x in values]
     rest = elem(0, 0, K)
@@ -120,10 +130,10 @@ def test_solve_anchor_matches_ring_elem_loop():
                 want = ring_solve_anchor(coeffs, d, values, w.primitive)
             except HenselError:
                 with pytest.raises(HenselError):
-                    solve_anchor(coeffs, d, values, w.primitive)
+                    anchor_solved(coeffs, d, values, w.primitive)
                 outcomes["refused"] += 1
                 continue
-            assert solve_anchor(coeffs, d, values, w.primitive) == want
+            assert anchor_solved(coeffs, d, values, w.primitive) == want
             outcomes["solved"] += 1
     assert min(outcomes.values()) > 0, outcomes
 
@@ -156,7 +166,7 @@ def test_map_to_origin_scales_substituted_variables():
     g = reduce_levels(f)
     # witness in g's frame using both variables, anchor solved exactly
     coeffs = exact_coeffs(g, 16)
-    vals = solve_anchor(coeffs, 6, [elem(1, 0, 16), elem(1, 0, 16)], 0)
+    vals = anchor_solved(coeffs, 6, [elem(1, 0, 16), elem(1, 0, 16)], 0)
     w = map_to_origin(g, Witness(tuple(vals), 0, 16))
     # x_0 = 2 y_0 keeps variable 1 (substitution exponent 1) the unit
     assert w.values[1].is_unit()
