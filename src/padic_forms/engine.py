@@ -132,8 +132,10 @@ def contract(children, choices, new_id: int) -> VarNode:
         ma, mb = mul_pair(v.a, v.b, r.a, r.b)
         ta += ma
         tb += mb
-        J = min(J, c.pv.J)
-        kappa = min(kappa, c.kappa)
+        if c.pv.J < J:
+            J = c.pv.J
+        if c.kappa < kappa:
+            kappa = c.kappa
     pv = PartialValue(RingElem(ta, tb, first.pv.value.K), J)
     return VarNode(new_id, pv, pv.level(), kappa, seen,
                    "contraction", None, tuple(c.id for c in children), choices)

@@ -146,10 +146,12 @@ class AdditiveForm:
         K = self.K if at_K is None else at_K
         mod = 1 << K
         assert len(values) == self.s
+        d = self.d
         ta = tb = 0
         for c, x in zip(self.coeffs, values):
             if x.a or x.b:
-                ma, mb = mul_pair(c.a, c.b, *pow_pair(x.a, x.b, self.d, mod))
+                pa, pb = pow_pair(x.a, x.b, d, mod)
+                ma, mb = mul_pair(c.a, c.b, pa, pb)
                 ta += ma
                 tb += mb
         return RingElem(ta, tb, K)
@@ -213,19 +215,19 @@ def cyclic_shift(f: AdditiveForm, t: int) -> AdditiveForm:
     if t == 0:
         return f
     K = f.K
+    down = d - t  # a level reaching d wraps round: divide by 2^(d - t) instead
     coeffs = []
     windows = []
     subst = []
     for c, w, e, lvl in zip(f.coeffs, f.windows, f.subst_log, f.levels()):
-        i = 1 if lvl + t >= d else 0
-        shift = t - i * d  # may be negative; rep stays exactly divisible
-        if shift >= 0:
-            a, b = c.a << shift, c.b << shift
+        if lvl + t >= d:  # the rep stays exactly divisible
+            coeffs.append(RingElem(c.a >> down, c.b >> down, K))
+            windows.append(w - down)
+            subst.append(e + 1)
         else:
-            a, b = c.a >> -shift, c.b >> -shift
-        coeffs.append(RingElem(a, b, K))
-        windows.append(min(K, w + shift))
-        subst.append(e + i)
+            coeffs.append(RingElem(c.a << t, c.b << t, K))
+            windows.append(min(K, w + t))
+            subst.append(e)
     return AdditiveForm(
         d,
         tuple(coeffs),

@@ -44,6 +44,20 @@ FIVE = MS6.reps[1]  # 5^3 = 125, the epsilon-carrying rep
 # --- partial values --------------------------------------------------------
 
 
+def test_value_types_stay_immutable():
+    # their constructors write through the slot descriptors; setting an
+    # attribute afterwards must still raise
+    f = form(6, [(1, 0), (7, 0)], 10)
+    node = make_leaf(0, f.coeffs[0], 10)
+    for obj, attr in ((f.coeffs[0], "a"), (f.coeffs[0], "K"), (f, "coeffs"), (f, "_levels"),
+                      (node.pv, "J"), (node.pv, "value"), (node, "level"), (node, "children")):
+        before = getattr(obj, attr)
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, 5)
+        assert getattr(obj, attr) == before
+    assert not hasattr(node, "__dict__") and not hasattr(f, "__dict__")
+
+
 def test_partial_value_level_inside_window():
     pv = PartialValue(RingElem(4, 0, 10), 3)
     assert pv.level() == 2

@@ -19,6 +19,7 @@ import pytest
 import padic_forms
 from padic_forms.artifacts import named_form, sample_form, verify_descent
 from padic_forms.engine import (
+    _collect_tree,
     certificate_from_json,
     certificate_to_json,
     contract,
@@ -425,6 +426,23 @@ def test_pipeline_output_is_pinned():
     assert _pipeline_digest(_pinned_forms()) == PINNED_DIGEST
 
 
+def test_pipeline_output_is_pinned_under_python_O():
+    # python -O strips asserts; the Newton lift and the value-type
+    # constructors hold most of the package's remaining ones
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import test_flat\n"
+        "print(test_flat._pipeline_digest(test_flat._pinned_forms()))\n"
+    )
+    pkg_root = str(Path(padic_forms.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script, str(Path(__file__).parent)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": pkg_root})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [PINNED_DIGEST]
+
+
 def test_pipeline_output_on_unreduced_inputs_is_pinned():
     forms = _unreduced_forms()
     assert sum(not f.is_reduced() for f in forms) >= 150
@@ -513,6 +531,20 @@ def test_contraction_from_flat_matches_node_by_node_tree():
         assert cert.anchor_level == root.kappa
         assert cert.anchor_leaf == out.solution.anchor
     assert found >= 450
+
+
+def test_contraction_nodes_come_in_tree_walk_order():
+    # contraction_from_flat emits its nodes without walking the tree; the
+    # walk certificate_from_json uses must give the same order
+    found = 0
+    for f in _pinned_forms():
+        out = search_certificate(normalize(f)[0])
+        if out.status != "FOUND":
+            continue
+        found += 1
+        cert = out.certificate
+        assert cert.nodes == tuple(_collect_tree(cert.node_map()[cert.root], cert.node_map()))
+    assert found >= 100
 
 
 def _doctored_solutions() -> dict:

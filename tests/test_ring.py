@@ -322,6 +322,60 @@ def test_newton_anchor_solve_raises_when_not_cancelled(monkeypatch):
         newton_anchor_solve(RingElem(1, 0, 10), 6, RingElem(7, 0, 10))  # 1 + 7 != 0
 
 
+def _roots_in_1_plus_4O(d: int, K: int) -> dict:
+    """t -> x by brute force over x in 1 + 4O mod 2^(K+1) with
+    x^d = t mod 2^(K+1), x reduced mod 2^K.  x^d runs over 1 + 8O one to
+    one on these classes, so the x a t meets is unique mod 2^K."""
+    mod = 1 << (K + 1)
+    roots: dict = {}
+    for a in range(1, mod, 4):
+        for b in range(0, mod, 4):
+            xa, xb = a, b
+            for _ in range(d - 1):  # x^d by repeated multiplication
+                xa, xb = (xa * a + xb * b) % mod, (xa * b + xb * a + xb * b) % mod
+            roots.setdefault((xa, xb), set()).add((a % (mod >> 1), b % (mod >> 1)))
+    return roots
+
+
+@pytest.mark.parametrize("d", [6, 10])
+def test_seeded_newton_root_matches_brute_force(d):
+    # newton_anchor_solve(1, d, C) solves x^d = t = -C from the seed
+    # table's root of t mod 64, for every t in 1 + 8O mod 2^K, K <= 8.
+    # Its answer mod 2^K is the root of x^d = t mod 2^(K+1), t read as
+    # the integer -C.a - C.b w with C's stored digits
+    for K in range(3, 9):
+        roots = _roots_in_1_plus_4O(d, K)
+        mod = 1 << K
+        ts = [(a, b) for a in range(1, mod, 8) for b in range(0, mod, 8)]
+        assert len(ts) == 4 ** (K - 3)
+        for ta, tb in ts:
+            C = RingElem(-ta, -tb, K)
+            want = roots[-C.a % (2 * mod), -C.b % (2 * mod)]
+            assert len(want) == 1, (K, ta, tb)
+            x = newton_anchor_solve(RingElem.one(K), d, C)
+            assert {(x.a, x.b)} == want, (d, K, ta, tb)
+
+
+@pytest.mark.parametrize("d", [6, 10])
+def test_seeded_newton_root_at_high_precision(d):
+    rng = random.Random(20 + d)
+    K = 20
+    for _ in range(200):
+        t = RingElem(1 + 8 * rng.getrandbits(K - 3), 8 * rng.getrandbits(K - 3), K)
+        x = newton_anchor_solve(RingElem.one(K), d, -t)
+        assert x ** d == t
+        assert (x.a % 4, x.b % 4) == (1, 0)  # the root in 1 + 4O
+
+
+def test_anchor_seed_table_is_a_bijection():
+    for d in (2, 6, 10, 14):
+        table = ring._anchor_seed_table(d)
+        assert sorted(table) == [(a, b) for a in range(1, 64, 8) for b in range(0, 64, 8)]
+        assert len(set(table.values())) == 64
+        for t, x in table.items():
+            assert x[0] % 4 == 1 and x[1] % 4 == 0 and pow_pair(*x, d, 64) == t
+
+
 # --- raw pair helpers ------------------------------------------------------
 
 
