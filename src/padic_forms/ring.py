@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import (
     DegreeShapeError,
@@ -380,16 +379,6 @@ def multiplier_set(d: int, K: int) -> MultiplierSet:
     ms = MultiplierSet(d=d, K=K, reps=tuple(reps), class_transitive=transitive)
     _MULTIPLIER_CACHE[key] = ms
     return ms
-
-
-@lru_cache(maxsize=None)
-def root_powers(d: int, K_reps: int, K: int) -> tuple[tuple[int, int], ...]:
-    """root ** d mod 2^K, as int pairs, for each rep of
-    multiplier_set(d, K_reps).  The roots are stored mod 2^K_reps: at
-    K == K_reps these are the reps' values, at a wider K the d-th powers
-    of those stored representatives, which is what a lift at precision K
-    that picks them needs."""
-    return tuple(pow_pair(r.root.a, r.root.b, d, 1 << K) for r in multiplier_set(d, K_reps).reps)
 
 
 # ---------------------------------------------------------------------------

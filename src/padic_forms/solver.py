@@ -20,7 +20,7 @@ from .errors import CertificateError, PrecisionMismatch
 from .flat import FlatSolution, flat_zero, search_certificate
 from .forms import AdditiveForm, normalize, reduce_levels
 from .oracle import ExhaustionCertificate
-from .ring import RingElem, mul_pair, multiplier_set, root_powers
+from .ring import RingElem, mul_pair, multiplier_set
 from .witness import Witness, exact_coeff, map_to_origin, solve_anchor, verify_witness
 
 # unused here; perfbench/spans.py wraps it by name in this module for --trace
@@ -63,22 +63,25 @@ def lift_witness(g: AdditiveForm, sol: FlatSolution, K: int) -> Witness:
     Each picked variable is x = 2^wrap times its multiplier's root (on a
     certificate built from the solution, the product of roots along the
     leaf's path: composite nodes carry the identity); the others are 0.
-    So x^d = 2^(wrap d) times the root's d-th power, read from
-    `root_powers`, and only the picks get exact coefficients at
-    precision K.  Newton then corrects the anchor so the sum vanishes mod
-    2^K, and the witness is mapped back to the root frame and verified
-    there, so K must be high enough for the back-mapping to keep the
-    root's full precision.
+    So x^d = 2^(wrap d) times the rep's value, read off the rep, and only
+    the picks get exact coefficients at precision K.  Newton then corrects
+    the anchor so the sum vanishes mod 2^K, and the witness is mapped back
+    to the root frame and verified there, so K must be high enough for the
+    back-mapping to keep the root's full precision.
+
+    The value is root^d only mod 2^(g.K).  That is exact enough: the
+    least such K, root.K + scale - d N with N the picks' largest
+    substitution, exceeds g.K = root.K by scale - d N, and every pick's
+    coefficient carries 2^(scale - d e) with e <= N.
     """
     d, mod = g.d, 1 << K
     reps = multiplier_set(d, g.K).reps
-    powers = root_powers(d, g.K, K)
     terms, anchor = [], None
     for i, p in enumerate(sol.picks):
         c = exact_coeff(g, p.var, K)
-        pa, pb = powers[p.rep]
+        v = reps[p.rep].value
         shift = p.wrap * d
-        terms.append(mul_pair(c.a, c.b, pa << shift, pb << shift, mod))
+        terms.append(mul_pair(c.a, c.b, v.a << shift, v.b << shift, mod))
         if p.var == sol.anchor:
             anchor = i
     if anchor is None:
