@@ -87,23 +87,22 @@ def _minus(x: int, t: int) -> int:
     return ((x - t) & 7) | ((((x >> 3) - (t >> 3)) & 7) << 3)
 
 
-class FlatPick(NamedTuple):
-    """One picked term; a tuple, since the kernel builds one per pick."""
+# the kernel's answers are named tuples: it builds them on every search
 
+
+class FlatPick(NamedTuple):
     var: int
     wrap: int  # the variable is 2^wrap times a unit
     rep: int  # index into the multiplier set's reps
 
 
-@dataclass(frozen=True)
-class FlatSolution:
+class FlatSolution(NamedTuple):
     k: int  # anchor level
     anchor: int  # variable of a used level-k term
     picks: tuple[FlatPick, ...]  # ordered by variable
 
 
-@dataclass(frozen=True)
-class FlatOutcome:
+class FlatOutcome(NamedTuple):
     solution: FlatSolution | None
     states: int  # reachable-set sizes summed over anchors and steps
     short: bool  # some term was left out because of its window
@@ -123,20 +122,23 @@ def _options(f: AdditiveForm, k: int, wraps):
     anchor k, each as (code, at level k, wrap, rep index), the first wrap
     and rep reaching a code winning; and whether a term in range was left
     out for its window.  Both wraps fall in range only when d = 2."""
-    tagged = _tagged(f.d)
+    d = f.d
+    tagged = _tagged(d)
+    top = k + 3
     terms = []
     short = False
     for i, (c, w, lvl) in enumerate(zip(f.coeffs, f.windows, f.levels())):
         opts = ()
         for j in wraps:
-            shift = j * f.d
-            if not k <= lvl + shift <= k + 2:
+            shift = j * d
+            at = lvl + shift
+            if not k <= at < top:
                 continue
-            if w + shift < k + 3:
+            if w + shift < top:
                 short = True
                 continue
             v = (((c.a << shift) >> k) & 7) | ((((c.b << shift) >> k) & 7) << 3)
-            row = tagged[lvl + shift == k, j][v]
+            row = tagged[at == k, j][v]
             if opts:
                 seen = {o[0] for o in opts}
                 row = tuple(o for o in row if o[0] not in seen)
