@@ -20,15 +20,11 @@ only node builders: trees from the flat reachability kernel's solutions
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CertificateError
 from .forms import AdditiveForm
 from .ring import MultiplierRep, RingElem, dth_root, mul_pair, multiplier_set, val_pair
-
-
-# PartialValue and VarNode are built once per certificate node, so their
-# constructors write the slots through the slot descriptors, past the
-# frozen dataclass's raising __setattr__; the dataclass keeps eq and repr.
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -40,6 +36,9 @@ class PartialValue:
     J: int
 
     def __init__(self, value: RingElem, J: int):
+        # built once per certificate node: the slot descriptors write past
+        # the frozen dataclass's raising __setattr__ at less cost than
+        # object.__setattr__; the dataclass keeps eq and repr
         assert 1 <= J <= value.K
         _set_pv_value(self, value)
         _set_pv_J(self, J)
@@ -58,11 +57,11 @@ class PartialValue:
 _set_pv_value, _set_pv_J = PartialValue.value.__set__, PartialValue.J.__set__
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class VarNode:
+class VarNode(NamedTuple):
     """One node of a contraction forest.  `choices` holds the multiplier
     applied to each child, aligned with `children`; kappa is the minimum
-    leaf level in the subtree (the prospective anchor level)."""
+    leaf level in the subtree (the prospective anchor level).  A named
+    tuple, the cheapest immutable record to build once per node."""
 
     id: int
     pv: PartialValue
@@ -70,22 +69,9 @@ class VarNode:
     kappa: int
     leaves: frozenset
     kind: str  # "leaf" | "contraction"
-    var: int | None
-    children: tuple
-    choices: tuple
-
-    def __init__(self, id: int, pv: PartialValue, level: int | None, kappa: int,
-                 leaves: frozenset, kind: str, var: int | None = None,
-                 children: tuple = (), choices: tuple = ()):
-        _set_id(self, id)
-        _set_pv(self, pv)
-        _set_level(self, level)
-        _set_kappa(self, kappa)
-        _set_leaves(self, leaves)
-        _set_kind(self, kind)
-        _set_var(self, var)
-        _set_children(self, children)
-        _set_choices(self, choices)
+    var: int | None = None
+    children: tuple = ()
+    choices: tuple = ()
 
     def achieved(self) -> int:
         lvl = self.pv.level()
@@ -94,10 +80,6 @@ class VarNode:
     def is_success(self) -> bool:
         need = self.kappa + 3
         return self.pv.J >= need and self.achieved() >= need
-
-
-(_set_id, _set_pv, _set_level, _set_kappa, _set_leaves, _set_kind, _set_var, _set_children,
- _set_choices) = (getattr(VarNode, name).__set__ for name in VarNode.__slots__)
 
 
 def make_leaf(var_index: int, coeff: RingElem, window: int) -> VarNode:
@@ -160,19 +142,15 @@ class ContractionCertificate:
 
 
 def _collect_tree(root: VarNode, arena: dict) -> list[VarNode]:
-    out = []
+    """The nodes reachable from root, by id; KeyError on an unknown child."""
+    found = {root.id: root}
     stack = [root]
-    seen = set()
     while stack:
-        n = stack.pop()
-        if n.id in seen:
-            continue
-        seen.add(n.id)
-        out.append(n)
-        for cid in n.children:
-            stack.append(arena[cid])
-    out.sort(key=lambda n: n.id)
-    return out
+        for cid in stack.pop().children:
+            if cid not in found:
+                found[cid] = node = arena[cid]
+                stack.append(node)
+    return [found[i] for i in sorted(found)]
 
 
 def _certificate_from(root: VarNode, arena: dict, d: int, K: int) -> ContractionCertificate:
@@ -230,10 +208,8 @@ def validate_certificate(f: AdditiveForm, cert: ContractionCertificate) -> bool:
             values[n.id] = (ta & mask, tb & mask)
     if not leaf_levels:
         return False
-    kmin = min(lv for lv, _ in leaf_levels)
-    if cert.anchor_level != kmin:
-        return False
-    if cert.anchor_leaf not in {v for lv, v in leaf_levels if lv == kmin}:
+    kmin = min(leaf_levels)[0]
+    if cert.anchor_level != kmin or (kmin, cert.anchor_leaf) not in leaf_levels:
         return False
     need = kmin + 3
     if need > f.K:

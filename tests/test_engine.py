@@ -45,8 +45,9 @@ FIVE = MS6.reps[1]  # 5^3 = 125, the epsilon-carrying rep
 
 
 def test_value_types_stay_immutable():
-    # their constructors write through the slot descriptors; setting an
-    # attribute afterwards must still raise
+    # RingElem, AdditiveForm and PartialValue write their slots through
+    # the slot descriptors, VarNode is a named tuple; setting an attribute
+    # afterwards must still raise
     f = form(6, [(1, 0), (7, 0)], 10)
     node = make_leaf(0, f.coeffs[0], 10)
     for obj, attr in ((f.coeffs[0], "a"), (f.coeffs[0], "K"), (f, "coeffs"), (f, "_levels"),
