@@ -16,11 +16,11 @@ that vanishes mod 2^(k+3) and uses a level-k term:
 
 Dividing by 2^k turns each anchor level into one question about subset
 sums in Z8 x Z8, 64 states, kept as two 64-bit masks: sums that used no
-level-k term yet, and sums that did.  The kernel packs both into one
-int, the second mask in the high word, and moves them together.  A term takes part only when its
-trusted window covers the digits the question reads (k + 3 - jd); the
-outcome records whether some term was left out for that reason, since
-then a missing zero proves nothing.
+level-k term yet, and sums that did, packed into one int (the second
+mask in the high word) so that one shift moves both.  A term takes part
+only when its trusted window covers the digits the question reads
+(k + 3 - jd); the outcome records whether some term was left out for
+that reason, since then a missing zero proves nothing.
 
 A solution becomes a contraction certificate by contracting two nodes of
 minimal level until the combination vanishes (a vanishing total forces
@@ -162,10 +162,10 @@ def _reach(terms):
             keep, drop, ta, ua, stay, wrap, s, us = _MOVES[code]
             x = ((R & keep) << ta) | ((R & drop) >> ua)
             x = ((x << s) & stay) | ((x >> us) & wrap)
-            if at_k:
-                n |= ((x | x >> 64) & _ALL) << 64  # R1 += t and R0 + t, both anchored
+            if at_k:  # a level-k term anchors every sum it joins
+                n |= ((x | x >> 64) & _ALL) << 64
             else:
-                n |= x  # R0 += t, R1 += t
+                n |= x
         R = n
         states += R.bit_count()
     return trail, R >> 64, states

@@ -146,12 +146,10 @@ class AdditiveForm:
         K = self.K if at_K is None else at_K
         mod = 1 << K
         assert len(values) == self.s
-        d = self.d
         ta = tb = 0
         for c, x in zip(self.coeffs, values):
             if x.a or x.b:
-                pa, pb = pow_pair(x.a, x.b, d, mod)
-                ma, mb = mul_pair(c.a, c.b, pa, pb)
+                ma, mb = mul_pair(c.a, c.b, *pow_pair(x.a, x.b, self.d, mod))
                 ta += ma
                 tb += mb
         return RingElem(ta, tb, K)

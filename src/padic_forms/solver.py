@@ -69,10 +69,10 @@ def lift_witness(g: AdditiveForm, sol: FlatSolution, K: int) -> Witness:
     to the root frame and verified there, so K must be high enough for the
     back-mapping to keep the root's full precision.
 
-    The value is root^d only mod 2^(g.K).  That is exact enough: the
-    least such K, root.K + scale - d N with N the picks' largest
-    substitution, exceeds g.K = root.K by scale - d N, and every pick's
-    coefficient carries 2^(scale - d e) with e <= N.
+    The rep's value is root^d only mod 2^(g.K), yet exact in the terms:
+    above g.K = root.K the lift runs at K = root.K + scale - d N, N the
+    picks' largest substitution exponent, and a pick with exponent e <= N
+    has a coefficient divisible by 2^(scale - d e), so by 2^(K - g.K).
     """
     d, mod = g.d, 1 << K
     reps = multiplier_set(d, g.K).reps

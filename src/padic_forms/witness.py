@@ -98,26 +98,27 @@ def map_to_origin(g: AdditiveForm, w: Witness) -> Witness:
     orig = g.origin
     if orig is None:
         return w
-    xs, subst = w.values, g.subst_log
-    used = [j for j, x in enumerate(xs) if not x.is_zero()]
+    d = g.d
+    used = [j for j, x in enumerate(w.values) if not x.is_zero()]
     if not used:
         raise CertificateError("witness uses no variables")
-    N = max(subst[j] - xs[j].valuation() for j in used)
-    V_avail = w.V + g.d * N - g.scale_log
+    N = max(g.subst_log[j] - w.values[j].valuation() for j in used)
+    V_avail = w.V + d * N - g.scale_log
     K = orig.K
     V = min(K, V_avail)
     if V < 1:
         raise CertificateError("scale bookkeeping left no certified digits")
     values = [RingElem.zero(K)] * g.s
     for j in used:
-        x = xs[j]
-        up = N - subst[j]
+        x = w.values[j]
+        up = N - g.subst_log[j]
         if up >= 0:
             values[j] = RingElem(x.a << up, x.b << up, K)
         else:
             values[j] = RingElem(x.a >> -up, x.b >> -up, K)
-    levels = orig.levels()
-    candidates = [(levels[j], j) for j in used if values[j].is_unit()]
+    candidates = [j for j in used if values[j].is_unit()]
     if not candidates:
         raise CertificateError("no unit variable survives the back-mapping")
-    return Witness(tuple(values), min(candidates)[1], V)
+    levels = orig.levels()
+    primitive = min(candidates, key=lambda j: (levels[j], j))
+    return Witness(values=tuple(values), primitive=primitive, V=V)
