@@ -1,7 +1,10 @@
 """Exhaustive ground truth modulo 2^M.
 
 Every d-th power in O/2^M O is 2^(jd) times a unit d-th power, so the
-achievable values per variable form a small explicit set.  A dynamic
+achievable values per variable form a small explicit set.  For d = 2m
+with m odd the unit d-th powers are the multiplier reps times 1 + 8O, so
+the value tables are read off the reps' residues mod 8; a full
+enumeration of x^d cross-checks them for every 4^M <= 10^6.  A dynamic
 program over partial sums (the full additive group O/2^M, a 2^M x 2^M
 torus) decides whether some assignment with a liftable unit variable sums
 to zero.  At M = max coefficient level + 3 this is a complete isotropy
@@ -21,7 +24,7 @@ import numpy as np
 
 from .errors import CertificateError, OracleBudgetError, PadicFormsError, PrecisionMismatch
 from .forms import AdditiveForm, reduce_levels
-from .ring import RingElem, dth_root, mul_pair, pow_pair, teichmuller_alpha
+from .ring import RingElem, dth_root, multiplier_set, mul_pair, pow_pair
 from .witness import Witness, exact_coeffs, map_to_origin, solve_anchor, verify_witness
 
 MAX_ORACLE_M = 10  # 2 * 4^M boolean cells per DP layer
@@ -66,28 +69,24 @@ _UNIT_POWERS: dict = {}
 
 
 def _unit_power_codes(d: int, L: int) -> np.ndarray:
-    """Sorted codes a + (b << L) of {u^d : u unit mod 2^L}.  Enumerates
-    squares of 1 + 2t (d = 2m with m odd acts on those like squaring) and
-    multiplies in the cube roots of unity when 3 does not divide d."""
+    """Sorted codes (a << L) | b of {u^d : u unit mod 2^L}.  For d = 2m
+    with m odd the unit d-th powers are the multiplier reps times 1 + 8O,
+    so mod 2^L they are the units whose residue mod 8 is a rep's: for
+    L >= 3 each of the 2 or 6 rep residues plus 8 * (0..2^(L-3) - 1) in
+    both components, for L < 3 those residues reduced mod 2^L.  They are
+    read off a presence table over (a, b), tiled from the one mod 8."""
     key = (d, L)
     got = _UNIT_POWERS.get(key)
     if got is not None:
         return got
-    mask = (1 << L) - 1
-    half = 1 << (L - 1)
-    t = np.arange(half * half, dtype=np.int64)
-    xa = (1 + 2 * (t // half)) & mask
-    xb = (2 * (t % half)) & mask
-    sa = (xa * xa + xb * xb) & mask
-    sb = (2 * xa * xb + xb * xb) & mask
-    codes = [sa + (sb << L)]
-    if d % 3 != 0:
-        w = teichmuller_alpha(max(L, 3)).reduce_to(L)
-        for wa, wb in ((w.a, w.b), ((w * w).a, (w * w).b)):
-            ta = (sa * wa + sb * wb) & mask
-            tb = (sa * wb + sb * wa + sb * wb) & mask
-            codes.append(ta + (tb << L))
-    out = distinct(np.concatenate(codes))
+    n = 1 << L
+    low = min(n, 8) - 1
+    table = np.zeros((low + 1, low + 1), dtype=bool)
+    for r in multiplier_set(d, 3).reps:
+        table[r.value.a & low, r.value.b & low] = True
+    if n > 8:
+        table = np.tile(table, (n // 8, n // 8))
+    out = np.flatnonzero(table).astype(np.int64, copy=False)
     _UNIT_POWERS[key] = out
     return out
 
@@ -126,8 +125,15 @@ class PowerValueSet:
 _PVS_CACHE: dict = {}
 
 
+def _check_modulus(M: int) -> None:
+    if M < 1:
+        raise PrecisionMismatch(f"oracle modulus 2^{M} is below 2^1")
+    if M > MAX_ORACLE_M:
+        raise OracleBudgetError(f"modulus 2^{M} exceeds the oracle policy")
+
+
 def power_value_set(d: int, M: int) -> PowerValueSet:
-    assert 1 <= M <= MAX_ORACLE_M
+    _check_modulus(M)
     key = (d, M)
     got = _PVS_CACHE.get(key)
     if got is not None:
@@ -137,9 +143,10 @@ def power_value_set(d: int, M: int) -> PowerValueSet:
     while j * d < M:
         L = M - j * d
         units = _unit_power_codes(d, L)
-        a = (units & ((1 << L) - 1)) << (j * d)
-        b = (units >> L) << (j * d)
-        codes.append(np.sort((a << M) | b))
+        # (a, b) -> (a << jd, b << jd) keeps the order of the codes
+        a = (units >> L) << (j * d)
+        b = (units & ((1 << L) - 1)) << (j * d)
+        codes.append((a << M) | b)
         j += 1
     pvs = PowerValueSet(d, M, tuple(codes))
     if 4 ** M <= 10 ** 6:
@@ -150,13 +157,23 @@ def power_value_set(d: int, M: int) -> PowerValueSet:
     return pvs
 
 
+_BRUTE_BLOCK = 1 << 14  # residues x per block of the brute-force enumeration
+
+
 def _brute_power_codes(d: int, M: int) -> np.ndarray:
-    """Sorted distinct codes (A << M) | B of x^d over all x mod 2^M."""
+    """Sorted distinct codes (A << M) | B of x^d over every x mod 2^M: a
+    full enumeration, a block of rows (x's a-component) at a time, that
+    marks a presence table over all 4^M codes."""
     mask = (1 << M) - 1
     n = 1 << M
-    t = np.arange(n * n, dtype=np.int64)
-    ra, rb = _pow_vec(t // n, t % n, d, mask)
-    return distinct((ra << M) | rb)
+    present = np.zeros(n * n, dtype=bool)
+    rows = min(n, max(1, _BRUTE_BLOCK >> M))
+    xb = np.tile(np.arange(n, dtype=np.int64), rows)
+    for a0 in range(0, n, rows):
+        xa = np.repeat(np.arange(a0, a0 + rows, dtype=np.int64), n)
+        ra, rb = _pow_vec(xa, xb, d, mask)
+        present[(ra << M) | rb] = True
+    return np.flatnonzero(present)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +207,34 @@ def _grid_of(codes: np.ndarray, M: int) -> np.ndarray:
     return g
 
 
+def _translate(c: RingElem, vals: np.ndarray, M: int):
+    """The sorted distinct grid codes a + (b << M) of c * value mod 2^M,
+    over power-value codes (A << M) | B, and per grid code the first value
+    in the order of vals that gives it (a stable sort keeps that order)."""
+    mask = (1 << M) - 1
+    ca, cb = c.a & mask, c.b & mask
+    va, vb = vals >> M, vals & mask
+    code = ((ca * va + cb * vb) & mask) | (((ca * vb + cb * va + cb * vb) & mask) << M)
+    order = np.argsort(code, kind="stable")
+    s = code[order]
+    first = np.ones(len(s), bool)
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    return s[first], vals[order[first]]
+
+
+def _liftable_level(M: int, max_unit_level: int | None) -> int:
+    """max_unit_level, by default M - 3.  Below 0 no variable may carry the
+    unit, so a search mod 2^M could find nothing: that is a ValueError."""
+    if max_unit_level is None:
+        max_unit_level = M - 3
+    if max_unit_level < 0:
+        raise ValueError(
+            f"max_unit_level {max_unit_level} is below 0: no variable may carry the unit, "
+            f"so the search mod 2^{M} could find nothing (the default M - 3 needs M >= 3)"
+        )
+    return max_unit_level
+
+
 def primitive_zero_mod(
     f: AdditiveForm, M: int, max_unit_level: int | None = None
 ) -> ZeroSearch:
@@ -198,53 +243,30 @@ def primitive_zero_mod(
     M - 3).  Complete within the modulus: NONE means no such zero exists
     for any completion of the coefficients.  A max_unit_level below 0
     would let no variable carry the unit, so it is a ValueError."""
-    if M < 1:
-        raise PrecisionMismatch(f"oracle modulus 2^{M} is below 2^1")
+    _check_modulus(M)
     assert f.is_reduced()
-    if M > MAX_ORACLE_M:
-        raise OracleBudgetError(f"modulus 2^{M} exceeds the oracle policy")
     if min(f.windows) < M:
         raise PrecisionMismatch(
             f"coefficients trusted below 2^{M}; oracle verdict would not "
             "cover all completions"
         )
-    if max_unit_level is None:
-        max_unit_level = M - 3
-    if max_unit_level < 0:
-        raise ValueError(
-            f"max_unit_level {max_unit_level} is below 0: no variable may carry the unit, "
-            f"so the search mod 2^{M} could find nothing (the default M - 3 needs M >= 3)"
-        )
+    max_unit_level = _liftable_level(M, max_unit_level)
     pvs = power_value_set(f.d, M)
     mask = (1 << M) - 1
     n = 1 << M
 
-    unit_vals = pvs.values(0)
-    rest_vals = [(0, 0)] + [v for j in range(1, len(pvs.codes)) for v in pvs.values(j)]
+    # power values as their codes (A << M) | B, in table order
+    unit_vals = pvs.codes[0]
+    rest_vals = np.concatenate([np.zeros(1, np.int64), *pvs.codes[1:]])
+    every_val = np.concatenate([rest_vals, unit_vals])
 
     per_var = []
-    for i, c in enumerate(f.coeffs):
-        lvl = c.valuation()
-        liftable = lvl <= max_unit_level
-
-        def translate(vals):
-            codes = []
-            rev = {}
-            for va, vb in vals:
-                ta, tb = mul_pair(c.a, c.b, va, vb, 1 << M)
-                code = ta + (tb << M)
-                if code not in rev:
-                    rev[code] = (va, vb)
-                    codes.append(code)
-            return np.array(sorted(codes), dtype=np.int64), rev
-
-        flag_codes, flag_rev = (
-            translate(unit_vals) if liftable else (np.array([], dtype=np.int64), {})
-        )
-        plain_source = rest_vals if liftable else rest_vals + unit_vals
-        plain_codes, plain_rev = translate(plain_source)
+    for c in f.coeffs:
+        liftable = c.valuation() <= max_unit_level
+        flag_codes, flag_src = _translate(c, unit_vals if liftable else unit_vals[:0], M)
+        plain_codes, plain_src = _translate(c, rest_vals if liftable else every_val, M)
         all_codes = distinct(np.concatenate([flag_codes, plain_codes]))
-        per_var.append((flag_codes, flag_rev, plain_codes, plain_rev, all_codes))
+        per_var.append((flag_codes, flag_src, plain_codes, plain_src, all_codes))
 
     def fft_of(codes):
         if codes.size == 0:
@@ -267,39 +289,31 @@ def primitive_zero_mod(
     if not S1[0, 0]:
         return ZeroSearch(False, None, None, visited, M)
 
-    # walk the layers backward, peeling one variable's value at a time
+    # walk the layers backward, peeling one variable's value at a time: the
+    # first code in sorted order whose remainder the layer below reaches
     assignment_vals = [None] * f.s
     anchor = None
     ta, tb, flag = 0, 0, True
     for i in range(f.s - 1, -1, -1):
         S0_prev, S1_prev = layers[i]
-        flag_codes, flag_rev, plain_codes, plain_rev, _ = per_var[i]
-        chosen = None
-        if flag:
-            for code in flag_codes.tolist():
-                if S0_prev[(ta - (code & mask)) & mask, (tb - (code >> M)) & mask]:
-                    chosen = (code, flag_rev[code], False)
-                    anchor = i
-                    break
-            if chosen is None:
-                for code in plain_codes.tolist():
-                    if S1_prev[(ta - (code & mask)) & mask, (tb - (code >> M)) & mask]:
-                        chosen = (code, plain_rev[code], True)
-                        break
-                if chosen is None:
-                    for code in flag_codes.tolist():
-                        if S1_prev[(ta - (code & mask)) & mask, (tb - (code >> M)) & mask]:
-                            chosen = (code, flag_rev[code], True)
-                            break
+        flag_codes, flag_src, plain_codes, plain_src, _ = per_var[i]
+        if flag:  # the unit here, or the flag still to come below
+            tries = ((S0_prev, flag_codes, flag_src, False),
+                     (S1_prev, plain_codes, plain_src, True),
+                     (S1_prev, flag_codes, flag_src, True))
         else:
-            for code in plain_codes.tolist():
-                if S0_prev[(ta - (code & mask)) & mask, (tb - (code >> M)) & mask]:
-                    chosen = (code, plain_rev[code], False)
-                    break
-        if chosen is None:
+            tries = ((S0_prev, plain_codes, plain_src, False),)
+        for S, codes, src, below in tries:
+            hit = S[(ta - (codes & mask)) & mask, (tb - (codes >> M)) & mask]
+            if hit.any():
+                k = int(hit.argmax())
+                break
+        else:
             raise CertificateError("backtracking lost the DP trail")
-        code, pv, flag = chosen[0], chosen[1], chosen[2]
-        assignment_vals[i] = pv
+        if flag and not below:
+            anchor = i
+        code, value, flag = int(codes[k]), int(src[k]), below
+        assignment_vals[i] = (value >> M, value & mask)
         ta = (ta - (code & mask)) & mask
         tb = (tb - (code >> M)) & mask
     if (ta, tb) != (0, 0) or flag:
@@ -361,8 +375,7 @@ def naive_zero_exists(
     """Literal enumeration over all of (O/2^M)^s.  Exponential; guarded so
     tests cannot accidentally run it at scale."""
     assert f.is_reduced()
-    if max_unit_level is None:
-        max_unit_level = M - 3
+    max_unit_level = _liftable_level(M, max_unit_level)
     n = 1 << M
     assert (n * n) ** f.s <= 2 ** 22, "naive enumeration too large"
     mask = n - 1

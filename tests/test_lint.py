@@ -76,7 +76,6 @@ ASSERT_ALLOWLIST = {
     ("forms.py", "AdditiveForm.evaluate"): 1,
     ("forms.py", "cyclic_shift"): 1,
     ("oracle.py", "PowerValueSet.root_of"): 1,
-    ("oracle.py", "power_value_set"): 1,
     ("oracle.py", "primitive_zero_mod"): 1,
     ("oracle.py", "naive_zero_exists"): 2,
     ("ring.py", "v2"): 1,

@@ -1,10 +1,16 @@
 """Exhaustive mod-2^M decision procedure."""
 
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import padic_forms
 from padic_forms import oracle
 from padic_forms.errors import (
     CertificateError,
@@ -18,6 +24,7 @@ from padic_forms.oracle import (
     _conv_hit,
     _grid_of,
     _pow_vec,
+    _unit_power_codes,
     decide_isotropy_exhaustive,
     distinct,
     naive_zero_exists,
@@ -100,6 +107,80 @@ def test_root_of_roundtrip():
     assert power_value_set(6, 4).root_of((0, 0)).is_zero()
 
 
+def _unit_powers_by_enumeration(d, L):
+    """Sorted codes (a << L) | b of u^d over every unit u mod 2^L, by d - 1
+    multiplications, w^2 = w + 1, and a set of the results."""
+    n = 1 << L
+    mask = n - 1
+    x = np.arange(n * n, dtype=np.int64)
+    xa, xb = x >> L, x & mask
+    unit = ((xa | xb) & 1) == 1
+    xa, xb = xa[unit], xb[unit]
+    pa, pb = xa, xb
+    for _ in range(d - 1):
+        pa, pb = (pa * xa + pb * xb) & mask, (pa * xb + pb * xa + pb * xb) & mask
+    return np.unique((pa << L) | pb)
+
+
+@pytest.mark.parametrize("d", [6, 10, 14, 18])
+def test_unit_power_codes_are_the_rep_cosets(d):
+    # every L up to 10, where power_value_set runs no brute-force check
+    for L in range(1, 11):
+        got = _unit_power_codes(d, L)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _unit_powers_by_enumeration(d, L)), (d, L)
+
+
+@pytest.mark.parametrize("block", [None, 1 << 5])
+def test_brute_power_codes_match_one_shot_unique(monkeypatch, block):
+    # a block of 32 residues splits every M >= 3 into several row blocks
+    if block is not None:
+        monkeypatch.setattr(oracle, "_BRUTE_BLOCK", block)
+    for d in (6, 10):
+        for M in range(1, 7):
+            n = 1 << M
+            t = np.arange(n * n, dtype=np.int64)
+            ra, rb = _pow_vec(t // n, t % n, d, n - 1)
+            assert np.array_equal(_brute_power_codes(d, M), np.unique((ra << M) | rb)), (d, M)
+
+
+def test_power_value_tables_stay_small(monkeypatch):
+    # the benchmark warm-up's two largest d = 10 tables, built cold: the
+    # squares of every 1 + 2t mod 2^10 and their sort traced about 35 MB
+    monkeypatch.setattr(oracle, "_PVS_CACHE", {})
+    monkeypatch.setattr(oracle, "_UNIT_POWERS", {})
+    tracemalloc.start()
+    try:
+        power_value_set(10, 9)
+        power_value_set(10, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, f"traced peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("M, error", [(0, PrecisionMismatch), (11, OracleBudgetError)])
+def test_power_value_set_rejects_modulus_out_of_range(M, error):
+    with pytest.raises(error):
+        power_value_set(6, M)
+
+
+def test_power_value_set_rejects_modulus_under_python_O():
+    script = (
+        "from padic_forms import power_value_set\n"
+        "for M in (0, 11):\n"
+        "    try:\n"
+        "        power_value_set(10, M)\n"
+        "    except Exception as e:\n"
+        "        print(type(e).__name__)\n"
+    )
+    pkg_root = str(Path(padic_forms.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": pkg_root})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["PrecisionMismatch", "OracleBudgetError"]
+
+
 # ---------------------------------------------------------------------------
 # primitive zero search
 
@@ -134,6 +215,47 @@ def test_search_without_a_liftable_level_is_refused(M, mul):
     # for every form, the isotropic x^6 + 7y^6 included
     with pytest.raises(ValueError, match="below 0"):
         primitive_zero_mod(form(6, [(1, 0), (7, 0)], 10), M, max_unit_level=mul)
+
+
+def test_naive_reference_refuses_a_search_without_a_liftable_level():
+    # the default M - 3 at M = 2 would let no variable carry the unit
+    f = form(6, [(1, 0), (7, 0)], 10)
+    with pytest.raises(ValueError, match="below 0"):
+        naive_zero_exists(f, 2)
+    assert naive_zero_exists(f, 2, max_unit_level=0)
+
+
+# (d, coefficients, K, M, max_unit_level) -> (roots as pairs, anchor, states);
+# pinned from the per-value translation and backtracking loops the array
+# passes replaced, which pick the first value and code in table order
+PINNED_ZEROS = [
+    ((6, [(1, 0), (7, 0)], 10, 3, None), (((0, 1), (0, 1)), 0, 11)),
+    ((6, [(1, 0), (7, 0), (3, 0)], 10, 3, None), (((0, 1), (0, 1), (0, 0)), 0, 20)),
+    ((6, [(4, 0), (28, 0), (32, 0)], 12, 5, 2), (((17, 11), (17, 11), (0, 0)), 0, 18)),
+    ((6, [(1, 0), (1, 0), (0, 1)], 10, 5, None), (None, None, 324)),
+    ((6, [(8, 0), (1, 0), (7, 0)], 10, 5, None), (((1, 0), (9, 19), (17, 11)), 1, 135)),
+    ((6, [(1, 0), (1, 0), (1, 0), (5, 0)], 10, 4, None),
+     (((1, 6), (1, 0), (1, 0), (1, 6)), 0, 85)),
+    ((6, [(3, 1), (2, 5), (4, 1), (1, 6), (8, 3)], 12, 6, None),
+     (((17, 17), (0, 0), (1, 0), (1, 0), (0, 0)), 0, 8198)),
+    ((10, [(1, 0), (3, 1), (2, 1), (5, 2), (4, 4)], 14, 7, None),
+     (((33, 87), (44, 121), (1, 0), (0, 0), (0, 0)), 0, 58374)),
+    ((10, [(16, 0), (3, 1), (5, 0), (1, 1), (2, 6)], 14, 7, None),
+     (((0, 0), (33, 90), (58, 29), (104, 43), (74, 75)), 1, 39454)),
+    ((10, [(4, 0), (1, 0), (1, 1), (2, 3), (7, 0)], 14, 6, 0),
+     (((51, 39), (2, 37), (1, 0), (57, 9), (0, 0)), 1, 11390)),
+    ((10, [(1, 1), (6, 1), (12, 5), (9, 2)], 14, 8, 3),
+     (((202, 177), (107, 195), (0, 0), (0, 0)), 0, 178181)),
+]
+
+
+@pytest.mark.parametrize("case, want", PINNED_ZEROS)
+def test_backtracked_roots_are_pinned(case, want):
+    d, pairs, K, M, mul = case
+    zs = primitive_zero_mod(form(d, pairs, K), M, max_unit_level=mul)
+    roots = None if zs.assignment is None else tuple((x.a, x.b) for x in zs.assignment)
+    assert (roots, zs.anchor, zs.states_visited) == want
+    assert zs.found == (want[0] is not None)
 
 
 def test_backtracking_is_deterministic():
