@@ -15,7 +15,7 @@ generator.  `-` reads stdin.
 
 Exit codes: 0 isotropic (or: check passed), 1 anisotropic (or: check
 failed), 64 unreadable input or bad usage, 65 precision too low for the
-requested analysis, 70 internal error.
+requested analysis, 70 internal error or a request too large for memory.
 
 Output JSON is deterministic byte for byte; timing fields are only added
 under --verbose.  PADIC_FORMS_THREADS caps the worker threads used by
@@ -392,9 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except MemoryError:
+        print(f"padic-forms: not enough memory for: {' '.join(argv)}", file=sys.stderr)
+        return EX_INTERNAL
     except FileNotFoundError as exc:
         print(f"padic-forms: {exc}", file=sys.stderr)
         return EX_PARSE

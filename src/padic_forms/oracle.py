@@ -45,10 +45,27 @@ def _pow_vec(xa, xb, d: int, mask: int):
 
 
 def distinct(a: np.ndarray, return_inverse: bool = False):
-    """np.unique of a 1-d array, with its inverse if asked: the sorted
-    distinct values, and per entry the index of its value among them.
-    A sort and a neighbour comparison; the first np.unique call in a
-    process imports numpy.ma, which costs about 14 ms."""
+    """np.unique of a 1-d array of integers, with its inverse if asked:
+    the sorted distinct values, and per entry the index of its value
+    among them.  A sort and a neighbour comparison; the first np.unique
+    call in a process imports numpy.ma, which costs about 14 ms.
+
+    With the inverse, values spanning at most 4 * len(a) + 4096 integers
+    need no sort: a presence table over that span holds the distinct
+    values in order, and a slot table over it maps each to its index."""
+    if return_inverse and len(a):
+        lo = a.min()
+        span = int(a.max()) - int(lo) + 1
+        if span <= 4 * len(a) + 4096:
+            off = a - lo
+            present = np.zeros(span, bool)
+            present[off] = True
+            at = np.flatnonzero(present)
+            slot = np.empty(span, np.intp)  # read only where present
+            slot[at] = np.arange(len(at))
+            values = at.astype(a.dtype, copy=False)
+            values += lo
+            return values, slot.take(off)
     if return_inverse:
         order = np.argsort(a)
         s = a[order]
@@ -57,12 +74,11 @@ def distinct(a: np.ndarray, return_inverse: bool = False):
     first = np.empty(len(s), bool)
     first[:1] = True
     np.not_equal(s[1:], s[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
     if not return_inverse:
-        return s[starts]
+        return s[first]
     inverse = np.empty(len(s), np.intp)
-    inverse[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(s)))
-    return s[starts], inverse
+    inverse[order] = np.cumsum(first) - 1
+    return s[first], inverse
 
 
 _UNIT_POWERS: dict = {}

@@ -192,6 +192,17 @@ def test_trials_below_one_exit64(argv, capsys):
     assert "at least 1" in err
 
 
+def test_out_of_memory_exit70(monkeypatch, capsys):
+    # a request too large for memory is not a failed check (exit 1); the
+    # message names the request and no traceback follows
+    def too_big(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli, "sweep_lemma", too_big)
+    code, out, err = run(["lemma", "verify", "5", "--trials", "100000000000"], capsys)
+    assert code == 70 and out == ""
+    assert err == "padic-forms: not enough memory for: lemma verify 5 --trials 100000000000\n"
+
+
 def test_battery_rejects_a_zero_trials_cap():
     buf = io.StringIO()
     with pytest.raises(ValueError, match="trials_cap must be at least 1"):

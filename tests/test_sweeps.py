@@ -230,30 +230,54 @@ def test_packed_dp_matches_scalar_kernel(monkeypatch):
     assert 0 < misses < 2000
 
     # sampled trials, split at each anchor into the anchor-level group and
-    # the deeper one, each group decided once per orbit multiset where its
-    # key fits: the mask pass's row counts show which groups collapsed
-    sizes = []
-    real = sweeps._sums
-    monkeypatch.setattr(sweeps, "_sums", lambda X, tab: sizes.append(len(X)) or real(X, tab))
+    # the deeper one.  At anchor 0 the anchor group runs on every row and
+    # the deeper group only on the rows whose level-0 variables alone have
+    # no vanishing sub-sum, counted here by the scalar kernel; each group
+    # is decided once per orbit multiset where its key fits.  The rows
+    # handed to the group pass and the mask pass's row counts show which
+    # groups ran and which collapsed (None: no deeper pass ran)
+    rows_in, sizes = [], []
+    real_masks, real_sums = sweeps._orbit_masks, sweeps._sums
+    monkeypatch.setattr(
+        sweeps, "_orbit_masks", lambda X, tab: rows_in.append(len(X)) or real_masks(X, tab)
+    )
+    monkeypatch.setattr(sweeps, "_sums", lambda X, tab: sizes.append(len(X)) or real_sums(X, tab))
     cases = [
         (SWEEP_LEMMAS["0241"], 2000, (True, True)),
         (SWEEP_LEMMAS["401"], 2000, (True, True)),
-        (SWEEP_LEMMAS["5"], 2000, (True, True)),
+        # every row has a one-level zero, so no deeper pass runs
+        (SWEEP_LEMMAS["5"], 2000, (True, None)),
         (SWEEP_LEMMAS["0061"], 2000, (True, True)),
         # shapes that fail, with both verdicts present
         (SweepLemma("two6", 6, None, (2,), None, "SAMPLED"), 2000, (True, True)),
         (SweepLemma("two10", 10, None, (2, 1), None, "SAMPLED"), 2000, (True, True)),
-        # eleven columns at anchor 0
+        # eleven columns at anchor 0, one of them at level 0: no row has a
+        # one-level zero, so the deeper group runs on every row
         (SweepLemma("wide", 10, None, (1, 10), None, "SAMPLED"), 3000, (True, True)),
-        # an anchor-level key of 13^24, past int64: that group runs row by row
-        (SweepLemma("over", 6, None, (12, 1), None, "SAMPLED"), 300, (False, True)),
+        # an anchor-level key of 13^24, past int64: that group runs row by
+        # row, and decides every row
+        (SweepLemma("over", 6, None, (12, 1), None, "SAMPLED"), 300, (False, None)),
     ]
     for lem, trials, collapses in cases:
         UA, UB, lv = _sample_rows(lem, trials, seed=29, digits=6)
         forms = [_trial_form(lem.d, UA[i], UB[i], lv, 6) for i in range(trials)]
+        at = lv == 0
+        one_level = sum(
+            bool(flat._reach(flat._options(
+                _trial_form(lem.d, UA[i][at], UB[i][at], lv[at], 6), 0, (0,))[0])[1] & 1)
+            for i in range(trials)
+        )
+        rows_in.clear()
         sizes.clear()
         misses = check(forms, _sampled_verdicts(UA, UB, lv, _tables(lem.d)))
-        assert tuple(n < trials for n in sizes[:2]) == collapses, (lem.id, sizes)
+        assert rows_in[0] == trials, (lem.id, rows_in)
+        if one_level < trials:
+            assert rows_in[1] == trials - one_level, (lem.id, rows_in, one_level)
+            got = (sizes[0] < trials, sizes[1] < rows_in[1])
+        else:
+            assert len(rows_in) == 1, (lem.id, rows_in)
+            got = (sizes[0] < trials, None)
+        assert got == collapses, (lem.id, rows_in, sizes)
         if lem.id.startswith("two"):
             assert 0 < misses < trials, lem.id
         else:
@@ -299,6 +323,40 @@ def test_anchor_join_matches_whole_rows():
     assert masks.shape == (500,) and np.array_equal(inverse, np.arange(500))
 
 
+def test_anchor_zero_matches_the_full_join(monkeypatch):
+    # the join with the level-0 group first against A & (B | 1) taken on
+    # every row, each group's masks from `_sums` row by row, on groups
+    # where A decides no row, some rows and every row; the deeper group
+    # runs only on the rows A leaves
+    rows_in = []
+    real = sweeps._orbit_masks
+    monkeypatch.setattr(
+        sweeps, "_orbit_masks", lambda X, tab: rows_in.append(len(X)) or real(X, tab)
+    )
+    rng = np.random.default_rng(23)
+    tab = _tables(6)
+    units = np.array(_class_codes(1) + _class_codes(2) + _class_codes(3), np.uint8)
+    deeper = np.array(sorted({((a << s) & 7) | (((b << s) & 7) << 3)
+                              for a in range(8) for b in range(8) if (a | b) & 1
+                              for s in (1, 2)}), np.uint8)
+    n = 4000
+    XB = rng.choice(deeper, (n, 3))
+    one = rng.choice(units, (n, 1))  # one unit never vanishes alone
+    pair = np.concatenate([one, _NEG_CODE[one]], axis=1)  # u + (-u) vanishes
+    # the groups, with the number of rows A leaves (None: some, not all)
+    for XA, want_left in ((one, n), (rng.choice(units, (n, 3)), None), (pair, 0)):
+        A = _sums(XA, tab)
+        full = (A & (_sums(_NEG_CODE[XB], tab) | 1)) != 0
+        left = int(((A & 1) == 0).sum())
+        if want_left is None:
+            assert 0 < left < n
+        else:
+            assert left == want_left
+        rows_in.clear()
+        assert np.array_equal(_anchor_zero(XA, XB, tab), full), want_left
+        assert rows_in == ([n, left] if left else [n]), want_left
+
+
 def test_neg_negates_each_code():
     # the code table the deeper group goes through: x + neg(x) = 0 in
     # Z8 x Z8, and negating twice gives x back
@@ -310,8 +368,10 @@ def test_neg_negates_each_code():
 
 
 def test_sample_rows_match_int64_formula():
-    # the draws narrowed to uint8 at once against the int64 formula they
-    # replaced: low + 2 * draw, narrowed afterwards
+    # the int32 draws, written block by block into column-major uint8
+    # matrices, against the int64 formula they replaced: one draw per
+    # group, low + 2 * draw, narrowed afterwards.  The trial counts sit on
+    # the draw-block boundaries
     def old_sample_rows(lem, trials, seed, digits):
         rng = np.random.default_rng(seed)
         ua_cols, ub_cols, levels = [], [], []
@@ -335,13 +395,19 @@ def test_sample_rows_match_int64_formula():
         UA, UB = np.concatenate(ua_cols, axis=1), np.concatenate(ub_cols, axis=1)
         return UA, UB, np.array(levels, np.int8)
 
+    block = sweeps.DRAW_BLOCK
+    assert block == 2**15
+    runs = [(3000, 42), (257, 7), (1, 42), (block - 1, 42), (block, 3), (block + 1, 42),
+            (100_003, 42)]
     for lid in sampled_lemma_ids():
         lem = SWEEP_LEMMAS[lid]
-        for trials, seed in ((3000, 42), (257, 7)):
+        for trials, seed in runs:
             new = _sample_rows(lem, trials, seed, sweeps.SAMPLE_DIGITS)
             old = old_sample_rows(lem, trials, seed, sweeps.SAMPLE_DIGITS)
             for x, y in zip(new, old):
-                assert x.dtype == y.dtype and np.array_equal(x, y), (lid, seed)
+                assert x.dtype == y.dtype and np.array_equal(x, y), (lid, trials, seed)
+            # each variable's column is contiguous
+            assert new[0].T.flags.c_contiguous and new[1].T.flags.c_contiguous
 
 
 def test_reachability_matches_search_both_polarities():
