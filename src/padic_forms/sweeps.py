@@ -18,35 +18,26 @@ every nonempty sub-sum uses one, so the question is whether 0 lies in
 the set of multiplier-scaled sums over the group's nonempty subsets.
 `_sums` builds that set on numpy rows, one Z8 x Z8 set per row packed
 into a uint64 with flat.py's bit layout; a translation is a per-byte
-rotate followed by a word rotate.  Exhaustive profiles and the
-minimality probe are one-level and are decided by it directly.
+rotate followed by a word rotate.
 
-Exhaustive spaces are enumerated by multiplier orbits.  Scaling one
-variable by a rep does not change the codes it can add, so each
-multiset of orbits per class is decided once, at its representatives,
-and weighted by the number of code multisets it stands for.  Totals,
-route counts and failure counts are those weighted sums.
+Exhaustive spaces (and the minimality probe's) are one-level and are
+enumerated by multiplier orbits: scaling a variable by a rep does not
+change the codes it can add, so each multiset of orbits per class is
+decided once, at its representatives, and weighted by the number of
+code multisets it stands for.  `_slot_join` decides the product of the
+class slots from `_sums` of all slots but the last and of the last.
 
 Sampled trials use the same fact the other way round, per level group.
 At each anchor the rescaled columns split into the anchor-level group
-(all at level 0) and the deeper group (levels 1 and 2, never level 0).
-A row's anchored sums are then A + B: A the nonempty sums of its
-anchor-level group, B the sums of its deeper group, the empty one
-included, and 0 is among them iff A meets -B.  A is built first: a row
-whose A holds 0 has a vanishing sub-sum in the anchor-level group alone
-and is decided, so the deeper group runs only on the other rows.  At
-anchor 0, 100 000 trials, seed 42, A alone decides from 12.6 % of the
-rows (211 and 23) to all of them (5).  Negation is additive, so -B is
-the empty sum and the `_sums` of the deeper group with every code
-negated first.  Each group's masks come from `_sums` run once per
-distinct orbit count vector of that group, read back through the key,
-one base-(columns + 1) digit per orbit seen; when the key does not fit
-an int64 the group runs row by row.  Keys that span at most a few times
-the row count are deduped by a presence table rather than a sort
-(`oracle.distinct`).  The groups repeat far more than whole rows: at
-100 000 trials, seed 42, anchor 0 of 0225 holds 1,296 and 4,335
-distinct group keys where it has 98,638 distinct whole rows, and 541's
-99,979 distinct rows split into 58,784 and 4,085.
+(all at level 0) and the deeper group (levels 1 and 2).  A row's
+anchored sums are A + B, A the nonempty sums of the first group and B
+the sums of the second, the empty one included, so 0 is among them iff
+A meets -B (`_anchor_zero`, which runs the deeper group only on rows
+whose A misses 0).  Each group's masks come from `_sums` run once per
+distinct orbit multiset (`_orbit_masks`), keyed by a dense rank that
+`oracle.distinct` dedupes with a presence table.  Groups repeat far more
+than whole rows: at 100 000 trials, seed 42, anchor 0 of 0225 has 1,296
+anchor-group and 4,303 deeper-group multisets in 100,000 distinct rows.
 
 Profiles the pass rejects are built as forms and handed to
 `search_certificate`, the pipeline's own contraction search (flat.py);
@@ -215,32 +206,37 @@ def _class_orbits(cls: int, tab: _Tables) -> list:
     return orbits
 
 
-def _exhaustive_slots(lem: SweepLemma, tab: _Tables) -> list:
+def _exhaustive_slots(class_counts, tab: _Tables) -> list:
     """Per nonempty class, every multiset of orbits as a sorted row of
     orbit representatives, with the number of code multisets it stands
-    for: prod over orbits of C(m + t - 1, m), m picks from an orbit of
-    size t."""
+    for: the product of C(m + t - 1, m), m picks from an orbit of size t."""
     slots = []
-    for cls, k in zip((1, 2, 3), lem.class_counts):
+    for cls, k in zip((1, 2, 3), class_counts):
         if k:
             orbits = _class_orbits(cls, tab)
-            picks = list(combinations_with_replacement(range(len(orbits)), k))
-            rows = np.array([[orbits[o][0] for o in p] for p in picks], np.int32)
-            weights = np.array(
-                [prod(comb(p.count(o) + len(orbits[o]) - 1, p.count(o)) for o in set(p))
-                 for p in picks],
-                np.int64,
-            )
-            slots.append((rows, weights))
+            picks = np.array(list(combinations_with_replacement(range(len(orbits)), k)))
+            counts = (picks[:, :, None] == np.arange(len(orbits))).sum(axis=1)
+            table = np.array([[comb(m + len(o) - 1, m) for m in range(k + 1)] for o in orbits])
+            weights = table[np.arange(len(orbits)), counts].prod(axis=1)
+            slots.append((np.array([o[0] for o in orbits], np.int32)[picks], weights))
     return slots
 
 
-def _exhaustive_rows(slots) -> tuple:
-    """The product of the slots, last slot fastest: rows and weights."""
-    idx = np.indices([len(rows) for rows, _ in slots]).reshape(len(slots), -1)
-    X = np.concatenate([rows[i] for (rows, _), i in zip(slots, idx)], axis=1)
-    W = np.prod([weights[i] for (_, weights), i in zip(slots, idx)], axis=0)
-    return X, W
+def _slot_join(slots, tab: _Tables) -> tuple:
+    """Per row of the slot product, last slot fastest: its weight, whether
+    some multiplier-scaled sub-sum vanishes mod 8, and the failing rows.
+    With P the `_sums` of the product X of all slots but the last and Qn
+    those of the last slot's rows with every code negated, the sums of
+    row (i, j) hold 0 iff P[i] holds 0 or P[i] | {0} meets Qn[j]."""
+    X, W = np.zeros((1, 0), np.int32), np.ones(1, np.int64)
+    for rows, weights in slots[:-1]:
+        X = np.concatenate([X.repeat(len(rows), axis=0), np.tile(rows, (len(X), 1))], axis=1)
+        W = np.outer(W, weights).ravel()
+    rows, weights = slots[-1]
+    P = _sums(X, tab)[:, None]
+    ok = ((P | 1) & _sums(_NEG_CODE.take(rows), tab) | P & 1) != 0
+    i, j = np.nonzero(~ok)
+    return np.outer(W, weights).ravel(), ok.ravel(), np.concatenate([X[i], rows[j]], axis=1)
 
 
 def _sample_rows(lem: SweepLemma, trials: int, seed: int, digits: int):
@@ -337,30 +333,40 @@ def _profile_form(d: int, row) -> AdditiveForm:
     return _trial_form(d, row & 7, row >> 3, np.zeros(len(row), np.int8), 3)
 
 
+def _multiset_rank(X: np.ndarray, index: np.ndarray, m: int) -> np.ndarray:
+    """Per row of X, the rank of the multiset of its values index[x] < m
+    among the C(m + k - 1, k) multisets of k such values: the sum of
+    C(o_i + i, i + 1) over them, sorted by a compare-exchange network to
+    o_0 <= ... <= o_(k-1)."""
+    cols = [index.take(col) for col in X.T]
+    for i in range(1, len(cols)):
+        for j in range(i, 0, -1):
+            a, b = cols[j - 1], cols[j]
+            cols[j - 1], cols[j] = np.minimum(a, b), np.maximum(a, b)
+    key = np.zeros(len(X), np.int64)
+    rank = np.arange(m, dtype=np.int64)  # C(o + i, i + 1) at column i
+    for col in cols:
+        key += rank.take(col)
+        rank = rank.cumsum()
+    return key
+
+
 def _orbit_masks(X: np.ndarray, tab: _Tables) -> tuple:
     """`_sums` of the rows of X, run once per distinct multiset of
     multiplier orbits among them: (masks, inverse), row i's set being
     masks[inverse[i]].
 
     A variable's option set depends only on its code's orbit, and the
-    pass does not depend on column order, so rows holding each orbit the
-    same number of times reach the same sets.  Rows are keyed by those
-    counts, one base-(columns + 1) digit per orbit seen, and `distinct`
-    dedupes the keys, by a presence table when they span at most a few
-    times the row count and by a sort otherwise; when the key does not
-    fit an int64 the pass runs on every row."""
+    pass ignores column order, so rows with the same orbit multiset
+    reach the same sets.  Rows are keyed by the `_multiset_rank` of their
+    indices among the m orbits seen, dense in [0, C(m + k - 1, k)); past
+    int64 the pass runs on every row."""
     present = np.flatnonzero(np.bincount(X.ravel("K"), minlength=64))
     seen = sorted(set(tab.orbit[present].tolist()))
-    base = X.shape[1] + 1
-    if base ** len(seen) > 2**63:
+    if comb(max(len(seen) + X.shape[1] - 1, 0), X.shape[1]) > 2**63:
         return _sums(X, tab), np.arange(len(X))
-    digit = np.zeros(64, np.int64)
-    for i, o in enumerate(seen):
-        digit[tab.orbit == o] = base**i
-    key = np.zeros(len(X), np.int64)
-    for col in X.T:
-        key += digit.take(col)
-    keys, inverse = distinct(key, return_inverse=True)
+    index = np.searchsorted(seen, tab.orbit).astype(np.uint8)  # exact where seen
+    keys, inverse = distinct(_multiset_rank(X, index, len(seen)), return_inverse=True)
     first = np.empty(len(keys), np.intp)
     first[inverse] = np.arange(len(X))
     return _sums(X[first], tab), inverse
@@ -374,12 +380,10 @@ def _anchor_zero(XA: np.ndarray, XB: np.ndarray, tab: _Tables) -> np.ndarray:
     Such a sum is x + y, x in A the nonempty sums of the XA part and y
     in B the sums of the XB part, the empty one included; it vanishes
     iff A meets -B.  A row whose A holds 0 is a hit whatever its XB
-    part, so A is built first and the XB part runs only on the other
-    rows.  There the empty sum in -B meets nothing, and the rest of -B
-    is the nonempty sums of the XB part with every code negated, since
-    negation is additive.  Each part is run through `_orbit_masks` on
-    its own columns, whose orbit multisets repeat far more often than
-    whole rows do."""
+    part, so the XB part runs only on the other rows; there the empty
+    sum in -B meets nothing, and the rest is the `_sums` of the XB part
+    with each code negated, negation being additive.  Each part goes
+    through `_orbit_masks`."""
     A, ia = _orbit_masks(XA, tab)
     mask = A.take(ia)
     hit = (mask & 1).astype(bool)
@@ -454,16 +458,15 @@ def sweep_lemma(
     failures = []
 
     if mode == "EXHAUSTIVE":
-        X, W = _exhaustive_rows(_exhaustive_slots(lem, tab))
+        W, ok, failed = _slot_join(_exhaustive_slots(lem.class_counts, tab), tab)
         total = int(W.sum())
         if total != lem.exhaustive_total:
             raise PadicFormsError(
                 f"lemma {lemma_id}: enumerated {total} profiles, "
                 f"declared {lem.exhaustive_total}"
             )
-        ok = (_sums(X, tab) & 1).astype(bool)
         resolution["closure"] = int(W[ok].sum())
-        for row, weight in zip(X[~ok], W[~ok]):
+        for row, weight in zip(failed, W[~ok]):
             record = {"profile": [int(c) for c in row], "weight": int(weight)}
             _settle(_profile_form(lem.d, row), record, int(weight), resolution, failures)
     else:
@@ -557,10 +560,7 @@ def minimality_probe(
         if key in seen:  # class relabeling makes these spaces equivalent
             continue
         seen.add(key)
-        sub = SweepLemma("probe", lem.d, tuple(counts), (), None, "EXHAUSTIVE")
-        X, W = _exhaustive_rows(_exhaustive_slots(sub, tab))
-        bad = (_sums(X, tab) & 1) == 0
-        failures = X[bad]
+        W, ok, failures = _slot_join(_exhaustive_slots(counts, tab), tab)
         confirmed = 0
         example = None
         for row in failures[: max(confirm_cap, 0)]:
@@ -578,7 +578,7 @@ def minimality_probe(
             {
                 "counts": "/".join(str(k) for k in counts),
                 "total": int(W.sum()),
-                "searchFailures": int(W[bad].sum()),
+                "searchFailures": int(W[~ok].sum()),
                 "anisotropicConfirmed": confirmed,
                 "example": example,
             }

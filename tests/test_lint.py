@@ -183,12 +183,21 @@ def test_every_definition_is_used():
     assert not gone, f"UNREFERENCED_ALLOWLIST names definitions now in use or gone: {gone}"
 
 
+def _imports_numpy_ma(calls: str) -> bool:
+    """Whether running `calls` in a fresh process loads numpy.ma."""
+    script = f"import sys\n{calls}print('numpy.ma' in sys.modules)\n"
+    pkg_root = str(SRC.parent)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": pkg_root})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split() != ["False"]
+
+
 def test_warm_up_does_not_import_numpy_ma():
     # the first np.unique call in a process imports numpy.ma (about 14 ms);
     # importing the package and the benchmark workloads' warm-up calls
     # must not pay it
-    script = (
-        "import sys\n"
+    assert not _imports_numpy_ma(
         "from padic_forms import multiplier_set, power_value_set, sweep_lemma\n"
         "for d, K in ((6, 10), (10, 14), (6, 3), (10, 3)):\n"
         "    multiplier_set(d, K)\n"
@@ -197,10 +206,17 @@ def test_warm_up_does_not_import_numpy_ma():
         "        power_value_set(d, M)\n"
         "for lid in ('0061', '5'):\n"
         "    sweep_lemma(lid, mode='SAMPLED', trials=16, seed=0)\n"
-        "print('numpy.ma' in sys.modules)\n"
     )
-    pkg_root = str(SRC.parent)
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=120, env={**os.environ, "PYTHONPATH": pkg_root})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+
+
+def test_sweeps_do_not_import_numpy_ma():
+    # every sweep of the benchmark's `sweeps` pass, and the minimality
+    # probe, which shares the exhaustive join
+    assert not _imports_numpy_ma(
+        "from padic_forms.sweeps import minimality_probe, sampled_lemma_ids, sweep_lemma\n"
+        "for lid in sampled_lemma_ids():\n"
+        "    sweep_lemma(lid, mode='SAMPLED', trials=300, seed=1)\n"
+        "for lid in ('025', '115'):\n"
+        "    sweep_lemma(lid, mode='EXHAUSTIVE')\n"
+        "minimality_probe('007')\n"
+    )

@@ -2,6 +2,7 @@ import hashlib
 import json
 from dataclasses import replace
 from itertools import combinations_with_replacement, product
+from math import comb
 
 import numpy as np
 import pytest
@@ -19,13 +20,14 @@ from padic_forms.sweeps import (
     _anchor_zero,
     _class_codes,
     _codes_at,
-    _exhaustive_rows,
     _NEG_CODE,
     _exhaustive_slots,
+    _multiset_rank,
     _orbit_masks,
     _profile_form,
     _sample_rows,
     _sampled_verdicts,
+    _slot_join,
     _sums,
     _tables,
     _trial_form,
@@ -46,6 +48,15 @@ def raw_rows(class_counts) -> np.ndarray:
         if k
     ]
     return np.array([sum(parts, ()) for parts in product(*slots)], np.int32)
+
+
+def slot_product(slots) -> tuple:
+    """The product of the class slots, last slot fastest: rows and
+    weights, through one index grid."""
+    idx = np.indices([len(rows) for rows, _ in slots]).reshape(len(slots), -1)
+    X = np.concatenate([rows[i] for (rows, _), i in zip(slots, idx)], axis=1)
+    W = np.prod([weights[i] for (_, weights), i in zip(slots, idx)], axis=0)
+    return X, W
 
 
 def vanishes(X, tab) -> np.ndarray:
@@ -100,11 +111,11 @@ def test_declared_exhaustive_counts():
 
 def test_exhaustive_enumeration_matches_slot_product():
     lem = SWEEP_LEMMAS["223"]
-    slots = _exhaustive_slots(lem, _tables(6))
+    slots = _exhaustive_slots(lem.class_counts, _tables(6))
     # 8 orbits {u, 5u} per class: multisets of 2, 2 and 3 orbits
     assert [len(rows) for rows, _ in slots] == [36, 36, 120]
     assert [int(w.sum()) for _, w in slots] == [136, 136, 816]
-    X, W = _exhaustive_rows(slots)
+    X, W = slot_product(slots)
     assert X.shape == (155_520, 7)
     assert int(W.sum()) == 15_092_736
     # last slot fastest, and class slots stay sorted inside each row
@@ -126,7 +137,8 @@ def test_sweep_007_exhaustive_complete():
 def test_orbit_weights_sum_to_declared_totals():
     for lid in exhaustive_lemma_ids():
         lem = SWEEP_LEMMAS[lid]
-        _, W = _exhaustive_rows(_exhaustive_slots(lem, _tables(lem.d)))
+        tab = _tables(lem.d)
+        W, _, _ = _slot_join(_exhaustive_slots(lem.class_counts, tab), tab)
         assert int(W.sum()) == lem.exhaustive_total, lid
 
 
@@ -135,15 +147,55 @@ def test_orbit_counts_match_raw_enumeration():
     for counts in ((0, 0, 7), (0, 0, 6)):
         raw = raw_rows(counts)
         raw_ok = vanishes(raw, tab)
-        X, W = _exhaustive_rows(_exhaustive_slots(SweepLemma("t", 6, counts, (), None, "EXHAUSTIVE"), tab))
-        ok = vanishes(X, tab)
+        W, ok, failed = _slot_join(_exhaustive_slots(counts, tab), tab)
         assert int(W.sum()) == len(raw)
         assert int(W[ok].sum()) == int(raw_ok.sum()), counts
         assert int(W[~ok].sum()) == int((~raw_ok).sum()), counts
         if not raw_ok.all():
             # representatives are least in their orbit: the first failing
             # row is the same in both orders
-            assert list(X[~ok][0]) == list(raw[~raw_ok][0])
+            assert list(failed[0]) == list(raw[~raw_ok][0])
+
+
+def test_slot_join_matches_full_product():
+    # the join of the last slot against the product of the others, on
+    # every registered class lemma, the minimality probe's decremented
+    # spaces and the bogus 0/0/6, against `_sums` on every product row
+    spaces = {SWEEP_LEMMAS[lid].class_counts for lid in exhaustive_lemma_ids()}
+    spaces |= {tuple(c - (i == pos) for i, c in enumerate(counts))
+               for counts in list(spaces) for pos in range(3) if counts[pos]}
+    assert (0, 0, 6) in spaces and len(spaces) == 18
+    tab = _tables(6)
+    for counts in sorted(spaces):
+        slots = _exhaustive_slots(counts, tab)
+        X, W = slot_product(slots)
+        full = vanishes(X, tab)
+        weights, ok, failed = _slot_join(slots, tab)
+        assert np.array_equal(weights, W) and np.array_equal(ok, full), counts
+        assert np.array_equal(failed, X[~full]), counts
+        if counts == (0, 0, 6):
+            assert 0 < len(failed) and int(W[~full].sum()) == 1_024
+
+
+def test_multiset_rank_is_a_bijection():
+    # every multiset of k values below m, as sorted rows, ranks onto
+    # 0 .. C(m + k - 1, k) - 1 once each, and the rank does not depend on
+    # the column order; through a code -> orbit index table, `_orbit_masks`
+    # gives each row the masks of `_sums`
+    rng = np.random.default_rng(11)
+    ident = np.arange(64, dtype=np.uint8)
+    tab = _tables(6)
+    orbits = [np.flatnonzero(tab.orbit == o) for o in sorted(set(tab.orbit.tolist()))]
+    for m in range(1, 7):
+        for k in range(1, 5):
+            O = np.array(list(combinations_with_replacement(range(m), k)), np.uint8)
+            rank = _multiset_rank(O, ident, m)
+            assert sorted(rank.tolist()) == list(range(comb(m + k - 1, k))), (m, k)
+            assert np.array_equal(_multiset_rank(rng.permuted(O, axis=1), ident, m), rank)
+            chosen = [orbits[i] for i in rng.choice(len(orbits), m, replace=False)]
+            X = np.array([[rng.choice(chosen[o]) for o in row] for row in O], np.uint8)
+            masks, inverse = _orbit_masks(rng.permuted(X, axis=1), tab)
+            assert len(masks) == len(O) and np.array_equal(masks[inverse], _sums(X, tab))
 
 
 def test_bogus_exhaustive_lemma_reports_weighted_failures(monkeypatch):
@@ -254,9 +306,10 @@ def test_packed_dp_matches_scalar_kernel(monkeypatch):
         # eleven columns at anchor 0, one of them at level 0: no row has a
         # one-level zero, so the deeper group runs on every row
         (SweepLemma("wide", 10, None, (1, 10), None, "SAMPLED"), 3000, (True, True)),
-        # an anchor-level key of 13^24, past int64: that group runs row by
-        # row, and decides every row
-        (SweepLemma("over", 6, None, (12, 1), None, "SAMPLED"), 300, (False, None)),
+        # 52 level-0 columns over 24 orbits: the anchor-level rank bound
+        # C(75, 52) is past int64, so that group runs row by row, and
+        # decides every row
+        (SweepLemma("over", 6, None, (52, 1), None, "SAMPLED"), 300, (False, None)),
     ]
     for lem, trials, collapses in cases:
         UA, UB, lv = _sample_rows(lem, trials, seed=29, digits=6)
@@ -302,7 +355,7 @@ def test_anchor_join_matches_whole_rows():
     cases += [
         (SweepLemma("two6", 6, None, (2,), None, "SAMPLED"), 1000, 1),
         (SweepLemma("two10", 10, None, (2, 1), None, "SAMPLED"), 1000, 1),
-        (SweepLemma("over", 6, None, (12, 1), None, "SAMPLED"), 500, 1),
+        (SweepLemma("over", 6, None, (52, 1), None, "SAMPLED"), 500, 1),
     ]
     verdicts = {}
     for lem, trials, seed in cases:
@@ -316,8 +369,8 @@ def test_anchor_join_matches_whole_rows():
             assert got.tolist() == scalar, (lem.id, seed, kappa)
             verdicts.setdefault(lem.id, set()).update(scalar)
     assert verdicts["two6"] == verdicts["two10"] == {False, True}
-    # the anchor-level key of "over" does not fit an int64, so its masks
-    # come from the row-by-row fallback
+    # the anchor-level rank bound of "over", C(75, 52), does not fit an
+    # int64, so its masks come from the row-by-row fallback
     XA, _ = _anchor_groups(*_sample_rows(cases[-1][0], 500, 1, 6), 0)
     masks, inverse = _orbit_masks(XA, _tables(6))
     assert masks.shape == (500,) and np.array_equal(inverse, np.arange(500))
@@ -597,9 +650,8 @@ def test_tables_reject_reps_that_are_not_a_group(monkeypatch):
 def test_orbits_that_leave_a_class_raise():
     # at d = 10 some reps move a unit to another residue class, so class
     # multisets cannot be enumerated by orbits
-    lem = SweepLemma("d10", 10, (1, 0, 0), (), 16, "EXHAUSTIVE")
     with pytest.raises(PadicFormsError):
-        _exhaustive_slots(lem, _tables(10))
+        _exhaustive_slots((1, 0, 0), _tables(10))
 
 
 def test_probe_raises_when_search_finds_a_certificate(monkeypatch):
