@@ -17,24 +17,7 @@ from dataclasses import dataclass, field
 from .errors import DegreeShapeError
 from .forms import AdditiveForm, default_precision
 from .oracle import power_value_set
-from .ring import check_degree_shape
-
-
-def _mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    a, b = x
-    c, d = y
-    return a * c + b * d, a * d + b * c + b * d
-
-
-def _level(x: tuple[int, int]) -> int:
-    a, b = x
-    assert a or b
-    v = 0
-    while a % 2 == 0 and b % 2 == 0:
-        a //= 2
-        b //= 2
-        v += 1
-    return v
+from .ring import check_degree_shape, mul_pair, val_pair
 
 
 @dataclass(frozen=True)
@@ -158,8 +141,10 @@ def verify_descent(bf: BlockForm) -> DescentResult:
 
     Each round inspects the window of variables whose level is within 2 of
     the minimum: their terms mod 2^(min+2) depend only on d-th power
-    values mod 4, so the window admits finite enumeration.  If no
-    assignment with a unit on a minimum-level variable sums to zero, those
+    values mod 4, so one pass over the window's variables finds every
+    window sum, keeping per (sum, whether a minimum-level variable took a
+    unit value) the first picks that reach it, options in reverse order.
+    If no pick with a unit on a minimum-level variable sums to zero, those
     variables are forced even; their coefficients pick up 2^d and the
     whole form is divided by the new minimal power of two.  Success once
     every variable has been forced means any zero is infinitely divisible.
@@ -172,7 +157,7 @@ def verify_descent(bf: BlockForm) -> DescentResult:
     coeffs = list(bf.coefficient_pairs())
     s = len(coeffs)
     forced = [False] * s
-    pv_opts = sorted(power_value_set(d, 2).value_set())
+    pv_opts = sorted(power_value_set(d, 2).value_set(), reverse=True)
     rounds = []
     index = 0
     while not all(forced):
@@ -180,52 +165,37 @@ def verify_descent(bf: BlockForm) -> DescentResult:
             return DescentResult(
                 "FAILURE", None, {"round": index, "reason": "schedule did not terminate"}
             )
-        levels = [_level(c) for c in coeffs]
+        levels = [val_pair(*c) for c in coeffs]
         lmin = min(levels)
         modulus = lmin + 2
         mask = (1 << modulus) - 1
         window = [i for i in range(s) if levels[i] < modulus]
         min_vars = [i for i in range(s) if levels[i] == lmin]
-        min_set = set(min_vars)
 
-        sums = set()
-        failure = None
-        # per-variable translated option lists, exact integer pairs
-        options = [
-            [(_mul(coeffs[i], pv), pv) for pv in pv_opts] for i in window
-        ]
-        stack = [(0, 0, 0, False, ())]
-        while stack:
-            pos, acc_a, acc_b, prim, picks = stack.pop()
-            if pos == len(window):
-                key = (acc_a & mask, acc_b & mask)
-                sums.add(key)
-                if prim and key == (0, 0) and failure is None:
-                    failure = {
-                        "round": index,
-                        "window": list(window),
-                        "assignment": [list(pv) for pv in picks],
-                    }
-                continue
-            i = window[pos]
-            for (ta, tb), pv in options[pos]:
-                stack.append(
-                    (
-                        pos + 1,
-                        (acc_a + ta) & mask,
-                        (acc_b + tb) & mask,
-                        prim or (pv != (0, 0) and i in min_set),
-                        picks + (pv,),
-                    )
-                )
-        if failure is not None:
-            return DescentResult("FAILURE", None, failure)
+        reach = {(0, 0, False): ()}
+        for i in window:
+            step = {}
+            options = [(mul_pair(*coeffs[i], *pv), pv != (0, 0) and levels[i] == lmin, pv)
+                       for pv in pv_opts]
+            for (acc_a, acc_b, prim), picks in reach.items():
+                for (ta, tb), unit, pv in options:
+                    key = ((acc_a + ta) & mask, (acc_b + tb) & mask, prim or unit)
+                    if key not in step:
+                        step[key] = picks + (pv,)
+            reach = step
+        picks = reach.get((0, 0, True))
+        if picks is not None:
+            return DescentResult("FAILURE", None, {
+                "round": index,
+                "window": list(window),
+                "assignment": [list(pv) for pv in picks],
+            })
 
         for i in min_vars:
             a, b = coeffs[i]
             coeffs[i] = (a << d, b << d)
             forced[i] = True
-        new_min = min(_level(c) for c in coeffs)
+        new_min = min(val_pair(*c) for c in coeffs)
         coeffs = [(a >> new_min, b >> new_min) for a, b in coeffs]
         rounds.append(
             DescentRound(
@@ -234,7 +204,7 @@ def verify_descent(bf: BlockForm) -> DescentResult:
                 modulus=modulus,
                 window=tuple(window),
                 min_vars=tuple(min_vars),
-                window_values=tuple(sorted(sums)),
+                window_values=tuple(sorted({(a, b) for a, b, _ in reach})),
                 divided_by=new_min,
             )
         )

@@ -44,43 +44,6 @@ def _pow_vec(xa, xb, d: int, mask: int):
     return ra, rb
 
 
-def distinct(a: np.ndarray, return_inverse: bool = False):
-    """np.unique of a 1-d array of integers, with its inverse if asked:
-    the sorted distinct values, and per entry the index of its value
-    among them.  A sort and a neighbour comparison; the first np.unique
-    call in a process imports numpy.ma, which costs about 14 ms.
-
-    With the inverse, values spanning at most 4 * len(a) + 4096 integers
-    need no sort: a presence table over that span holds the distinct
-    values in order, and a slot table over it maps each to its index."""
-    if return_inverse and len(a):
-        lo = a.min()
-        span = int(a.max()) - int(lo) + 1
-        if span <= 4 * len(a) + 4096:
-            off = a - lo
-            present = np.zeros(span, bool)
-            present[off] = True
-            at = np.flatnonzero(present)
-            slot = np.empty(span, np.intp)  # read only where present
-            slot[at] = np.arange(len(at))
-            values = at.astype(a.dtype, copy=False)
-            values += lo
-            return values, slot.take(off)
-    if return_inverse:
-        order = np.argsort(a)
-        s = a[order]
-    else:
-        s = np.sort(a)
-    first = np.empty(len(s), bool)
-    first[:1] = True
-    np.not_equal(s[1:], s[:-1], out=first[1:])
-    if not return_inverse:
-        return s[first]
-    inverse = np.empty(len(s), np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return s[first], inverse
-
-
 _UNIT_POWERS: dict = {}
 
 
@@ -166,7 +129,7 @@ def power_value_set(d: int, M: int) -> PowerValueSet:
         j += 1
     pvs = PowerValueSet(d, M, tuple(codes))
     if 4 ** M <= 10 ** 6:
-        ours = distinct(np.concatenate([np.zeros(1, np.int64), *codes]))
+        ours = np.sort(np.concatenate([np.zeros(1, np.int64), *codes]))
         if not np.array_equal(ours, _brute_power_codes(d, M)):
             raise PadicFormsError(f"power value set (d={d}, M={M}) disagrees with brute force")
     _PVS_CACHE[key] = pvs
@@ -281,8 +244,7 @@ def primitive_zero_mod(
         liftable = c.valuation() <= max_unit_level
         flag_codes, flag_src = _translate(c, unit_vals if liftable else unit_vals[:0], M)
         plain_codes, plain_src = _translate(c, rest_vals if liftable else every_val, M)
-        all_codes = distinct(np.concatenate([flag_codes, plain_codes]))
-        per_var.append((flag_codes, flag_src, plain_codes, plain_src, all_codes))
+        per_var.append((flag_codes, flag_src, plain_codes, plain_src))
 
     def fft_of(codes):
         if codes.size == 0:
@@ -294,10 +256,10 @@ def primitive_zero_mod(
     S1 = np.zeros((n, n), dtype=bool)
     layers = [(S0, S1)]
     visited = 1
-    for flag_codes, _, plain_codes, _, all_codes in per_var:
+    for flag_codes, _, plain_codes, _ in per_var:
         F_flag = fft_of(flag_codes)
         F_plain = fft_of(plain_codes)
-        F_all = fft_of(all_codes)
+        F_all = fft_of(np.concatenate([flag_codes, plain_codes]))  # a repeat marks once
         S1 = _conv_hit(S1, F_all) | _conv_hit(S0, F_flag)
         S0 = _conv_hit(S0, F_plain)
         layers.append((S0, S1))
@@ -312,7 +274,7 @@ def primitive_zero_mod(
     ta, tb, flag = 0, 0, True
     for i in range(f.s - 1, -1, -1):
         S0_prev, S1_prev = layers[i]
-        flag_codes, flag_src, plain_codes, plain_src, _ = per_var[i]
+        flag_codes, flag_src, plain_codes, plain_src = per_var[i]
         if flag:  # the unit here, or the flag still to come below
             tries = ((S0_prev, flag_codes, flag_src, False),
                      (S1_prev, plain_codes, plain_src, True),

@@ -220,12 +220,6 @@ class RingElem:
     def residue(self) -> F4:
         return F4((self.a & 1) | ((self.b & 1) << 1))
 
-    def inverse(self) -> "RingElem":
-        if not self.is_unit():
-            raise NotAUnit(f"{self} is not a unit")
-        x, y = inv_unit_pair(self.a, self.b, 1 << self.K)
-        return RingElem(x, y, self.K)
-
     # precision moves
     def reduce_to(self, K2: int) -> "RingElem":
         assert 1 <= K2 <= self.K

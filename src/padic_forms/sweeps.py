@@ -34,10 +34,10 @@ anchored sums are A + B, A the nonempty sums of the first group and B
 the sums of the second, the empty one included, so 0 is among them iff
 A meets -B (`_anchor_zero`, which runs the deeper group only on rows
 whose A misses 0).  Each group's masks come from `_sums` run once per
-distinct orbit multiset (`_orbit_masks`), keyed by a dense rank that
-`oracle.distinct` dedupes with a presence table.  Groups repeat far more
-than whole rows: at 100 000 trials, seed 42, anchor 0 of 0225 has 1,296
-anchor-group and 4,303 deeper-group multisets in 100,000 distinct rows.
+distinct orbit multiset (`_orbit_masks`), in a table indexed by the
+multiset's dense rank.  Groups repeat far more than whole rows: at
+100 000 trials, seed 42, anchor 0 of 0225 has 1,296 anchor-group and
+4,303 deeper-group multisets in 100,000 distinct rows.
 
 Profiles the pass rejects are built as forms and handed to
 `search_certificate`, the pipeline's own contraction search (flat.py);
@@ -58,7 +58,6 @@ import numpy as np
 from .errors import PadicFormsError
 from .flat import mod8_table, search_certificate
 from .forms import AdditiveForm
-from .oracle import distinct
 from .ring import RingElem
 
 SAMPLE_DIGITS = 6  # unit digits drawn per sampled variable
@@ -351,25 +350,30 @@ def _multiset_rank(X: np.ndarray, index: np.ndarray, m: int) -> np.ndarray:
     return key
 
 
-def _orbit_masks(X: np.ndarray, tab: _Tables) -> tuple:
-    """`_sums` of the rows of X, run once per distinct multiset of
-    multiplier orbits among them: (masks, inverse), row i's set being
-    masks[inverse[i]].
+def _orbit_masks(X: np.ndarray, tab: _Tables) -> np.ndarray:
+    """Per row of X, its `_sums` mask, run once per distinct multiset of
+    multiplier orbits among the rows.
 
     A variable's option set depends only on its code's orbit, and the
     pass ignores column order, so rows with the same orbit multiset
     reach the same sets.  Rows are keyed by the `_multiset_rank` of their
-    indices among the m orbits seen, dense in [0, C(m + k - 1, k)); past
-    int64 the pass runs on every row."""
+    indices among the m orbits seen, dense in [0, R), R = C(m + k - 1, k).
+    For R up to 4 * len(X) + 4096 one table over the ranks holds first a
+    row of each key, then that key's mask; past that the pass runs on
+    every row."""
     present = np.flatnonzero(np.bincount(X.ravel("K"), minlength=64))
     seen = sorted(set(tab.orbit[present].tolist()))
-    if comb(max(len(seen) + X.shape[1] - 1, 0), X.shape[1]) > 2**63:
-        return _sums(X, tab), np.arange(len(X))
+    R = comb(max(len(seen) + X.shape[1] - 1, 0), X.shape[1])
+    if R > 4 * len(X) + 4096:
+        return _sums(X, tab)
     index = np.searchsorted(seen, tab.orbit).astype(np.uint8)  # exact where seen
-    keys, inverse = distinct(_multiset_rank(X, index, len(seen)), return_inverse=True)
-    first = np.empty(len(keys), np.intp)
-    first[inverse] = np.arange(len(X))
-    return _sums(X[first], tab), inverse
+    key = _multiset_rank(X, index, len(seen))
+    table = np.empty(R, np.uint64)  # read only at the keys
+    table[key] = np.arange(len(X))
+    # one row per key: the row whose index the table kept
+    first = np.flatnonzero(table.take(key) == np.arange(len(X), dtype=np.uint64))
+    table[key.take(first)] = _sums(X[first], tab)
+    return table.take(key)
 
 
 def _anchor_zero(XA: np.ndarray, XB: np.ndarray, tab: _Tables) -> np.ndarray:
@@ -384,13 +388,12 @@ def _anchor_zero(XA: np.ndarray, XB: np.ndarray, tab: _Tables) -> np.ndarray:
     sum in -B meets nothing, and the rest is the `_sums` of the XB part
     with each code negated, negation being additive.  Each part goes
     through `_orbit_masks`."""
-    A, ia = _orbit_masks(XA, tab)
-    mask = A.take(ia)
-    hit = (mask & 1).astype(bool)
+    A = _orbit_masks(XA, tab)
+    hit = (A & 1).astype(bool)
     rest = np.flatnonzero(~hit)
     if rest.size:
-        B, ib = _orbit_masks(_NEG_CODE.take(XB.T.take(rest, axis=1)).T, tab)
-        hit[rest] = (mask.take(rest) & B.take(ib)) != 0
+        B = _orbit_masks(_NEG_CODE.take(XB.T.take(rest, axis=1)).T, tab)
+        hit[rest] = (A.take(rest) & B) != 0
     return hit
 
 
@@ -546,6 +549,8 @@ def minimality_probe(
     lem = SWEEP_LEMMAS[lemma_id]
     if lem.class_counts is None or any(lem.level_counts):
         raise ValueError(f"lemma {lemma_id} is not a one-level class lemma")
+    if sum(lem.class_counts) < 2:
+        raise ValueError(f"lemma {lemma_id} has one variable: no smaller space to probe")
     tab = _tables(lem.d)
     K = default_precision(lem.d)
     t0 = time.perf_counter()

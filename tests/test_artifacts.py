@@ -1,4 +1,6 @@
 import json
+import random
+from itertools import product
 
 import pytest
 
@@ -112,6 +114,69 @@ def test_descent_failure_on_soluble_blocks():
         (pa, pb) != (0, 0) and i in (0, 1, 2)
         for i, (pa, pb) in zip(window, picks)
     )
+
+
+def _mul(x, y):
+    (a, b), (c, d) = x, y
+    return a * c + b * d, a * d + b * c + b * d
+
+
+def _first_round_by_enumeration(bf):
+    """Round 0 of the descent by listing every assignment of d-th power
+    values mod 4 to the window, in the order of a depth-first walk that
+    tries the values from the largest down: the window, its sums, and the
+    first assignment that is a zero with a unit value on a minimum-level
+    variable (None if there is none)."""
+    values = set()
+    for a, b in product(range(4), repeat=2):
+        x = (1, 0)
+        for _ in range(bf.d):
+            x = _mul(x, (a, b))
+        values.add((x[0] % 4, x[1] % 4))
+    order = sorted(values, reverse=True)
+    coeffs = bf.coefficient_pairs()
+    levels = [next(v for v in range(99) if ((a | b) >> v) & 1) for a, b in coeffs]
+    lmin = min(levels)
+    mask = (1 << (lmin + 2)) - 1
+    window = [i for i, lvl in enumerate(levels) if lvl < lmin + 2]
+    sums, first = set(), None
+    for picks in product(order, repeat=len(window)):
+        terms = [_mul(coeffs[i], pv) for i, pv in zip(window, picks)]
+        key = (sum(t[0] for t in terms) & mask, sum(t[1] for t in terms) & mask)
+        sums.add(key)
+        if first is None and key == (0, 0) and any(
+            pv != (0, 0) and levels[i] == lmin for i, pv in zip(window, picks)
+        ):
+            first = picks
+    return window, tuple(sorted(sums)), first
+
+
+def test_descent_first_round_matches_enumeration():
+    # the reachability pass against every assignment of the first window:
+    # the same sums when the round passes, the same first primitive zero
+    # when it fails
+    rng = random.Random(5)
+    units = [(1, 0), (0, 1), (1, 1), (3, 0), (1, 2), (3, 3), (5, 2), (2, 1)]
+    statuses = set()
+    for _ in range(120):
+        d = rng.choice([6, 10])
+        blocks = tuple(
+            Block(rng.randrange(0, 4), tuple(rng.choice(units) for _ in range(3)))
+            for _ in range(rng.randrange(1, 5 if d == 6 else 3))
+        )
+        bf = BlockForm(d, blocks)
+        res = verify_descent(bf)
+        window, sums, first = _first_round_by_enumeration(bf)
+        if res.failure is not None and res.failure["round"] == 0:
+            assert first is not None and res.failure["window"] == window, bf
+            assert res.failure["assignment"] == [list(pv) for pv in first], bf
+        else:
+            assert first is None, bf
+            if res.certificate is not None:
+                r0 = res.certificate.rounds[0]
+                assert list(r0.window) == window and r0.window_values == sums, bf
+        statuses.add(res.status)
+    assert statuses == {"DESCENT", "FAILURE"}
 
 
 def test_descent_certificate_json_roundtrip_stable():

@@ -70,7 +70,6 @@ def test_no_unused_imports(path):
 # assert against that rule.
 ASSERT_ALLOWLIST = {
     # argument shapes and preconditions
-    ("artifacts.py", "_level"): 1,
     ("engine.py", "PartialValue.__init__"): 1,
     ("forms.py", "AdditiveForm.__init__"): 3,
     ("forms.py", "AdditiveForm.evaluate"): 1,
@@ -131,39 +130,43 @@ UNREFERENCED_ALLOWLIST = {"cli._Parser.error", "oracle.naive_zero_exists", "ring
 
 
 def _definitions(tree: ast.Module) -> list:
-    """(qualified name, node) of every function, class and method, nested
-    ones included."""
+    """(qualified name, node, whether it is a method) of every function,
+    class and method, nested ones included."""
     out = []
 
-    def walk(node, scope):
+    def walk(node, scope, in_class):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef):
-                out.append((".".join(scope + (child.name,)), child))
-                walk(child, scope + (child.name,))
+                is_class = isinstance(child, ast.ClassDef)
+                out.append((".".join(scope + (child.name,)), child, in_class and not is_class))
+                walk(child, scope + (child.name,), is_class)
             else:
-                walk(child, scope)
+                walk(child, scope, in_class)
 
-    walk(tree, ())
+    walk(tree, (), False)
     return out
 
 
 def _references(tree: ast.Module) -> list:
-    """(line, name) of every name read, attribute and string constant;
-    strings cover `__all__` and names looked up with getattr."""
+    """(line, name, whether it is a bare name) of every name read,
+    attribute and string constant; strings cover `__all__` and names
+    looked up with getattr."""
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.append((node.lineno, node.id))
+            out.append((node.lineno, node.id, True))
         elif isinstance(node, ast.Attribute):
-            out.append((node.lineno, node.attr))
+            out.append((node.lineno, node.attr, False))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.append((node.lineno, node.value))
+            out.append((node.lineno, node.value, False))
     return out
 
 
 def test_every_definition_is_used():
     # code that nothing outside its own tests uses is deleted, not kept;
-    # dunder methods are called by Python itself and are not checked
+    # dunder methods are called by Python itself and are not checked.  A
+    # method is reached through an attribute or a string, so a bare name
+    # that shares its spelling (a local variable, say) does not count
     package = sorted(SRC.glob("*.py"))
     paths = package + sorted(PERFBENCH.glob("*.py"))
     assert PERFBENCH / "spans.py" in paths
@@ -171,12 +174,13 @@ def test_every_definition_is_used():
     refs = {p: _references(tree) for p, tree in trees.items()}
     unused = set()
     for path in package:
-        for name, node in _definitions(trees[path]):
+        for name, node, method in _definitions(trees[path]):
             short = node.name
             if short.startswith("__") and short.endswith("__"):
                 continue
-            if not any(ref == short and (p != path or not node.lineno <= line <= node.end_lineno)
-                       for p, found in refs.items() for line, ref in found):
+            if not any(ref == short and not (method and bare)
+                       and (p != path or not node.lineno <= line <= node.end_lineno)
+                       for p, found in refs.items() for line, ref, bare in found):
                 unused.add(f"{path.stem}.{name}")
     assert unused <= UNREFERENCED_ALLOWLIST, f"defined but never used: {unused - UNREFERENCED_ALLOWLIST}"
     gone = UNREFERENCED_ALLOWLIST - unused

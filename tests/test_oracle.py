@@ -26,7 +26,6 @@ from padic_forms.oracle import (
     _pow_vec,
     _unit_power_codes,
     decide_isotropy_exhaustive,
-    distinct,
     naive_zero_exists,
     power_value_set,
     primitive_zero_mod,
@@ -157,6 +156,16 @@ def test_power_value_tables_stay_small(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20, f"traced peak {peak / 2**20:.1f} MB"
+
+
+def test_power_value_cross_check_rejects_a_repeated_code(monkeypatch):
+    # the brute-force cross-check compares the sorted codes themselves, so
+    # a unit power listed twice fails it
+    real = oracle._unit_power_codes
+    monkeypatch.setattr(oracle, "_PVS_CACHE", {})
+    monkeypatch.setattr(oracle, "_unit_power_codes", lambda d, L: np.repeat(real(d, L), 2))
+    with pytest.raises(PadicFormsError):
+        power_value_set(6, 4)
 
 
 @pytest.mark.parametrize("M, error", [(0, PrecisionMismatch), (11, OracleBudgetError)])
@@ -397,66 +406,3 @@ def test_exhaustive_witness_failure_raises(monkeypatch):
     monkeypatch.setattr(oracle, "verify_witness", lambda f, w: False)
     with pytest.raises(CertificateError):
         decide_isotropy_exhaustive(form(6, [(1, 0), (7, 0)], 10))
-
-
-def test_distinct_matches_np_unique():
-    rng = np.random.default_rng(4)
-    arrays = [np.zeros(0, np.int64), np.full(1, 7, np.int64), np.full(50, -3, np.int64)]
-    arrays += [rng.integers(-hi, hi + 1, n) for n in (2, 9, 1000) for hi in (1, 20, 1 << 40)]
-    for a in arrays:
-        values, inverse = distinct(a, return_inverse=True)
-        want, want_inverse = np.unique(a, return_inverse=True)
-        assert values.dtype == a.dtype and np.array_equal(values, want)
-        assert np.array_equal(inverse, want_inverse)
-        assert np.array_equal(distinct(a), want)
-
-
-def test_distinct_presence_table_matches_sort_branch(monkeypatch):
-    # with the inverse, keys spanning at most 4n + 4096 integers are
-    # deduped by a presence table, wider ones by a sort; a spy on
-    # np.argsort tells which ran.  One far key appended sends the same
-    # keys down the sort branch, where they must get the same values and
-    # inverse
-    sorts = []
-    real = np.argsort
-    monkeypatch.setattr(np, "argsort", lambda a, *args, **kw: sorts.append(len(a)) or real(a, *args, **kw))
-    rng = np.random.default_rng(14)
-    n = 1000
-    edge = 4 * n + 4096
-    top = np.iinfo(np.int64).max
-    cases = [
-        rng.integers(0, 300, n),  # random keys
-        rng.integers(-(1 << 40), -(1 << 40) + 5000, n),  # negative, sparse in the span
-        np.full(n, 12345, np.int64),  # one repeated key
-        np.concatenate([[-7, -7 + edge - 1], rng.integers(-7, -7 + edge, n - 2)]),  # span = bound
-        np.concatenate([[top - edge + 1, top], rng.integers(top - edge + 1, top, n - 2)]),
-    ]
-    for a in cases:
-        want, want_inverse = np.unique(a, return_inverse=True)
-        sorts.clear()
-        values, inverse = distinct(a, return_inverse=True)
-        assert sorts == [], "presence table expected"
-        assert values.dtype == a.dtype and np.array_equal(values, want)
-        assert inverse.dtype == np.intp and np.array_equal(inverse, want_inverse)
-        far = np.append(a, a.min() - (1 << 50) if a.max() > 0 else a.max() + (1 << 50))
-        sorts.clear()
-        values2, inverse2 = distinct(far, return_inverse=True)
-        assert sorts == [n + 1], "sort expected"
-        if far[-1] > a.max():
-            assert np.array_equal(values2[:-1], values) and inverse2[-1] == len(values)
-            assert np.array_equal(inverse2[:-1], inverse)
-        else:
-            assert np.array_equal(values2[1:], values) and inverse2[-1] == 0
-            assert np.array_equal(inverse2[:-1], inverse + 1)
-    # one past the bound, and the whole int64 range, take the sort
-    wide = np.concatenate([[0, edge], rng.integers(0, edge + 1, n - 2)])
-    extremes = np.array([top, -top - 1, 0, top, -top - 1, 5], np.int64)
-    for a in (wide, extremes):
-        want, want_inverse = np.unique(a, return_inverse=True)
-        sorts.clear()
-        values, inverse = distinct(a, return_inverse=True)
-        assert sorts == [len(a)]
-        assert np.array_equal(values, want) and np.array_equal(inverse, want_inverse)
-    # no keys: both return empty arrays of the input's dtype
-    values, inverse = distinct(np.zeros(0, np.int64), return_inverse=True)
-    assert values.dtype == np.int64 and values.size == inverse.size == 0

@@ -181,7 +181,7 @@ def test_multiset_rank_is_a_bijection():
     # every multiset of k values below m, as sorted rows, ranks onto
     # 0 .. C(m + k - 1, k) - 1 once each, and the rank does not depend on
     # the column order; through a code -> orbit index table, `_orbit_masks`
-    # gives each row the masks of `_sums`
+    # gives each row its mask from `_sums`
     rng = np.random.default_rng(11)
     ident = np.arange(64, dtype=np.uint8)
     tab = _tables(6)
@@ -194,8 +194,35 @@ def test_multiset_rank_is_a_bijection():
             assert np.array_equal(_multiset_rank(rng.permuted(O, axis=1), ident, m), rank)
             chosen = [orbits[i] for i in rng.choice(len(orbits), m, replace=False)]
             X = np.array([[rng.choice(chosen[o]) for o in row] for row in O], np.uint8)
-            masks, inverse = _orbit_masks(rng.permuted(X, axis=1), tab)
-            assert len(masks) == len(O) and np.array_equal(masks[inverse], _sums(X, tab))
+            assert np.array_equal(_orbit_masks(rng.permuted(X, axis=1), tab), _sums(X, tab))
+
+
+def test_orbit_masks_table_bound(monkeypatch):
+    # up to R = C(m + k - 1, k) = 4 * rows + 4096 rank slots the masks come
+    # from a table over the ranks, with `_sums` run once per distinct orbit
+    # multiset; at one slot more `_sums` runs on every row.  Either way
+    # each row gets its own `_sums` mask.  The second half of the rows
+    # repeats the first half's orbit multisets, in other columns and
+    # through other codes of the same orbits
+    rng = np.random.default_rng(31)
+    tab = _tables(6)
+    orbits = [np.flatnonzero(tab.orbit == o) for o in sorted(set(tab.orbit.tolist()))]
+    calls = []
+    real = sweeps._sums
+    monkeypatch.setattr(sweeps, "_sums", lambda X, tab: calls.append(len(X)) or real(X, tab))
+    for m, k, rows, table in ((12, 5, 68, True), (10, 6, 227, False)):
+        assert comb(m + k - 1, k) == 4 * rows + 4096 + (not table)
+        chosen = rng.choice(len(orbits), m, replace=False)
+        O = rng.integers(0, m, (rows, k))
+        O.flat[:m] = np.arange(m)  # every chosen orbit is seen
+        half = rows // 2
+        O[half : 2 * half] = rng.permuted(O[:half], axis=1)
+        X = np.array([[rng.choice(orbits[chosen[o]]) for o in row] for row in O], np.uint8)
+        multisets = len({tuple(sorted(row)) for row in O.tolist()})
+        assert multisets <= half + 1
+        calls.clear()
+        assert np.array_equal(_orbit_masks(X, tab), real(X, tab)), (m, k)
+        assert calls == [multisets if table else rows], (m, k, calls)
 
 
 def test_bogus_exhaustive_lemma_reports_weighted_failures(monkeypatch):
@@ -285,7 +312,7 @@ def test_packed_dp_matches_scalar_kernel(monkeypatch):
     # the deeper one.  At anchor 0 the anchor group runs on every row and
     # the deeper group only on the rows whose level-0 variables alone have
     # no vanishing sub-sum, counted here by the scalar kernel; each group
-    # is decided once per orbit multiset where its key fits.  The rows
+    # is decided once per orbit multiset where its rank table fits.  The rows
     # handed to the group pass and the mask pass's row counts show which
     # groups ran and which collapsed (None: no deeper pass ran)
     rows_in, sizes = [], []
@@ -295,7 +322,9 @@ def test_packed_dp_matches_scalar_kernel(monkeypatch):
     )
     monkeypatch.setattr(sweeps, "_sums", lambda X, tab: sizes.append(len(X)) or real_sums(X, tab))
     cases = [
-        (SWEEP_LEMMAS["0241"], 2000, (True, True)),
+        # the anchor group's C(21, 6) = 54,264 rank slots are more than
+        # 4 * 2000 + 4096, so that group runs row by row
+        (SWEEP_LEMMAS["0241"], 2000, (False, True)),
         (SWEEP_LEMMAS["401"], 2000, (True, True)),
         # every row has a one-level zero, so no deeper pass runs
         (SWEEP_LEMMAS["5"], 2000, (True, None)),
@@ -306,9 +335,9 @@ def test_packed_dp_matches_scalar_kernel(monkeypatch):
         # eleven columns at anchor 0, one of them at level 0: no row has a
         # one-level zero, so the deeper group runs on every row
         (SweepLemma("wide", 10, None, (1, 10), None, "SAMPLED"), 3000, (True, True)),
-        # 52 level-0 columns over 24 orbits: the anchor-level rank bound
-        # C(75, 52) is past int64, so that group runs row by row, and
-        # decides every row
+        # 52 level-0 columns over 24 orbits: the anchor group's C(75, 52)
+        # rank slots are far more than 4 * 300 + 4096, so that group runs
+        # row by row, and decides every row
         (SweepLemma("over", 6, None, (52, 1), None, "SAMPLED"), 300, (False, None)),
     ]
     for lem, trials, collapses in cases:
@@ -369,11 +398,10 @@ def test_anchor_join_matches_whole_rows():
             assert got.tolist() == scalar, (lem.id, seed, kappa)
             verdicts.setdefault(lem.id, set()).update(scalar)
     assert verdicts["two6"] == verdicts["two10"] == {False, True}
-    # the anchor-level rank bound of "over", C(75, 52), does not fit an
-    # int64, so its masks come from the row-by-row fallback
+    # the anchor group of "over" has C(75, 52) rank slots, so its masks
+    # come from `_sums` row by row
     XA, _ = _anchor_groups(*_sample_rows(cases[-1][0], 500, 1, 6), 0)
-    masks, inverse = _orbit_masks(XA, _tables(6))
-    assert masks.shape == (500,) and np.array_equal(inverse, np.arange(500))
+    assert np.array_equal(_orbit_masks(XA, _tables(6)), _sums(XA, _tables(6)))
 
 
 def test_anchor_zero_matches_the_full_join(monkeypatch):
@@ -620,6 +648,15 @@ def test_minimality_probe_dedupes_and_validates():
     assert [r["counts"] for r in rep.decrements] == ["1/2/3", "2/2/2"]
     with pytest.raises(ValueError):
         minimality_probe("541")
+
+
+def test_minimality_probe_refuses_one_variable(monkeypatch):
+    # dropping the only variable leaves no class slot to enumerate
+    monkeypatch.setitem(
+        SWEEP_LEMMAS, "one", SweepLemma("one", 6, (0, 0, 1), (), 16, "EXHAUSTIVE")
+    )
+    with pytest.raises(ValueError, match="one variable"):
+        minimality_probe("one")
 
 
 # --- internal checks raise library errors, also under python -O -----------
