@@ -23,7 +23,6 @@ from .errors import (
     CertificateError,
     DegreeShapeError,
     HenselError,
-    NoValidShift,
     NotADthPower,
     NotAUnit,
     OracleBudgetError,
@@ -78,7 +77,6 @@ __all__ = [
     "HenselError",
     "IsotropyResult",
     "MinimalityReport",
-    "NoValidShift",
     "NotADthPower",
     "NotAUnit",
     "OracleBudgetError",

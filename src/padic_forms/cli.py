@@ -81,9 +81,12 @@ class _Parser(argparse.ArgumentParser):
 
 def worker_count() -> int:
     env = os.environ.get("PADIC_FORMS_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(2, os.cpu_count() or 1)
+    if not env:
+        return min(2, os.cpu_count() or 1)
+    threads = int(env) if env.strip().isdecimal() else 0
+    if threads < 1:
+        raise ValueError(f"PADIC_FORMS_THREADS must be a whole number of at least 1, got {env!r}")
+    return threads
 
 
 def _read(path: str) -> str:

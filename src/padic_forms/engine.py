@@ -85,31 +85,32 @@ class VarNode(NamedTuple):
 def make_leaf(var_index: int, coeff: RingElem, window: int) -> VarNode:
     """A leaf trusting the three digits from its level up; since that
     window reaches past the level, the level is the valuation."""
-    lvl = coeff.valuation()
+    x = coeff.a | coeff.b  # the valuation is the lowest set bit, val_pair inline
+    lvl = (x & -x).bit_length() - 1 if x else coeff.K
     if not lvl < window <= coeff.K:
         raise CertificateError(f"leaf {var_index}: level {lvl} is not below its window {window}")
     pv = PartialValue(coeff, min(window, lvl + 3))
     return VarNode(var_index, pv, lvl, lvl, frozenset((var_index,)), "leaf", var_index)
 
 
-def contract(children, choices, new_id: int) -> VarNode:
+def contract(children: tuple, choices: tuple, new_id: int) -> VarNode:
     """Combine nodes at one shared level into a new node with value
     sum(child * choice), trusted to the children's least window.
-    Children must be leaf-disjoint."""
-    children = tuple(children)
-    choices = tuple(choices)
+    Children must be leaf-disjoint: their leaf sets' union must count
+    every child's leaves."""
     if len(children) < 2 or len(children) != len(choices):
         raise CertificateError("contraction needs >= 2 children with choices")
     first = children[0]
     lvl0, J, kappa = first.level, first.pv.J, first.kappa
     seen: frozenset = frozenset()
-    ta = tb = 0
+    ids = []
+    count = ta = tb = 0
     for c, ch in zip(children, choices):
         if c.level is None or c.level != lvl0:
             raise CertificateError("children must share a determined level")
-        if c.leaves & seen:
-            raise CertificateError("children overlap in original variables")
+        ids.append(c.id)
         seen |= c.leaves
+        count += len(c.leaves)
         v, r = c.pv.value, ch.value
         ma, mb = mul_pair(v.a, v.b, r.a, r.b)
         ta += ma
@@ -118,9 +119,11 @@ def contract(children, choices, new_id: int) -> VarNode:
             J = c.pv.J
         if c.kappa < kappa:
             kappa = c.kappa
+    if len(seen) != count:
+        raise CertificateError("children overlap in original variables")
     pv = PartialValue(RingElem(ta, tb, first.pv.value.K), J)
     return VarNode(new_id, pv, pv.level(), kappa, seen,
-                   "contraction", None, tuple(c.id for c in children), choices)
+                   "contraction", None, tuple(ids), choices)
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +292,11 @@ def certificate_from_json(doc: dict) -> ContractionCertificate:
             if rec["kind"] == "leaf":
                 node = make_leaf(rec["var"], val, K)
             else:
-                children = [build(c) for c in rec["children"]]
-                choices = [
+                children = tuple(build(c) for c in rec["children"])
+                choices = tuple(
                     recover(raw[c]["multiplier"], raw[c]["epsilon"])
                     for c in rec["children"]
-                ]
+                )
                 node = contract(children, choices, nid)
         except (KeyError, IndexError, TypeError) as e:
             raise CertificateError(f"certificate node {nid!r} is malformed: {e!r}") from None

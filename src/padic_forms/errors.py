@@ -27,11 +27,6 @@ class DegreeShapeError(PadicFormsError):
     """Degree is not of the form 2m with m odd."""
 
 
-class NoValidShift(PadicFormsError):
-    """Normalization could not pick a rotation; indicates a bug, since a
-    valid rotation always exists by the cycle argument."""
-
-
 class OracleBudgetError(PadicFormsError):
     """Exhaustive enumeration would exceed the configured state budget."""
 

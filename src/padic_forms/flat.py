@@ -25,7 +25,8 @@ that reason, since then a missing zero proves nothing.
 A solution becomes a contraction certificate by contracting two nodes of
 minimal level until the combination vanishes (a vanishing total forces
 its minimal level to repeat), each node built by engine's `make_leaf`
-and `contract`, or a witness by Newton on the anchor.
+and `contract` and the pending nodes kept in one id-ordered queue per
+level, or a witness by Newton on the anchor.
 """
 
 from __future__ import annotations
@@ -228,53 +229,54 @@ def contraction_from_flat(g: AdditiveForm, sol: FlatSolution) -> ContractionCert
     (lowest ids first) are combined.  Leaves take their chosen
     multiplier, composite nodes the identity (the set's first rep).  The
     root is the finished node holding the anchor; it must hold every pick,
-    since the lift reads each picked variable off its rep alone.
-
-    The nodes come out in id order: the leaves in the picks' variable
-    order, then each contraction as it is built, so the certificate needs
-    no walk of the tree."""
-    if any(p.wrap for p in sol.picks):
-        raise CertificateError("a contraction certificate takes unit variables only")
+    since the lift reads each picked variable off its rep alone.  A
+    combination never lands below its children's level, so one id-ordered
+    queue per level below k + 3 is drained from the lowest level up.  The
+    nodes come out in id order: the leaves in the picks' variable order,
+    then each contraction as it is built, so no walk of the tree is needed."""
     reps = multiplier_set(g.d, g.K).reps
-    nodes = [make_leaf(p.var, g.coeffs[p.var], g.windows[p.var]) for p in sol.picks]
-    # the active nodes in id order, each with the multiplier its parent
-    # will apply to it
-    active = [(n, reps[p.rep]) for n, p in zip(nodes, sol.picks)]
     need = sol.k + 3
+    queues = [[] for _ in range(need)]  # per level, (node, multiplier its parent applies)
+    finished = []
+    nodes = []
+    low = (need, 0)  # the least (level, variable) over the leaves
+    for p in sol.picks:
+        if p.wrap:
+            raise CertificateError("a contraction certificate takes unit variables only")
+        leaf = make_leaf(p.var, g.coeffs[p.var], g.windows[p.var])
+        nodes.append(leaf)
+        if leaf.level < need:
+            queues[leaf.level].append((leaf, reps[p.rep]))
+            low = min(low, (leaf.level, p.var))
+        else:
+            finished.append(leaf)
     new_id = g.s
-    while True:
-        low, pair = need, []  # the minimal level below need, its first two nodes
-        for e in active:
-            lvl = e[0].level
-            if lvl is None or lvl > low:
-                continue
-            if lvl < low:
-                low, pair = lvl, [e]
-            elif len(pair) < 2:
-                pair.append(e)
-        if low >= need:
-            break
-        if len(pair) < 2:
+    for queue in queues:
+        i = 0
+        while len(queue) - i >= 2:
+            (x, rx), (y, ry) = queue[i], queue[i + 1]
+            i += 2
+            node = contract((x, y), (rx, ry), new_id)
+            new_id += 1
+            nodes.append(node)
+            if node.level is not None and node.level < need:
+                queues[node.level].append((node, reps[0]))
+            else:
+                finished.append(node)
+        if len(queue) > i:
             raise CertificateError("flat solution does not vanish modulo 2^(k+3)")
-        (x, rx), (y, ry) = pair
-        node = contract((x, y), (rx, ry), new_id)
-        new_id += 1
-        nodes.append(node)
-        active = [e for e in active if e[0] is not x and e[0] is not y]
-        active.append((node, reps[0]))
-    if len(active) != 1 or sol.anchor not in active[0][0].leaves:
+    if len(finished) != 1 or sol.anchor not in finished[0].leaves:
         raise CertificateError("flat solution picks terms outside the anchor's contraction")
-    root = active[0][0]
+    root = finished[0]
     if not root.is_success():
         raise CertificateError("flat solution left no vanishing node over the anchor")
-    kmin = min(n.level for n in nodes[:len(sol.picks)])
     return ContractionCertificate(
         d=g.d,
         K=g.K,
         nodes=tuple(nodes),
         root=root.id,
-        anchor_leaf=min(p.var for p, n in zip(sol.picks, nodes) if n.level == kmin),
-        anchor_level=kmin,
+        anchor_leaf=low[1],
+        anchor_level=low[0],
         achieved=root.achieved(),
     )
 

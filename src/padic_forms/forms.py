@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import NoValidShift, PrecisionMismatch
+from .errors import PrecisionMismatch
 from .ring import INFINITE, RingElem, check_degree_shape, mul_pair, parse_elem, pow_pair
 
 
@@ -239,19 +239,19 @@ def cyclic_shift(f: AdditiveForm, t: int) -> AdditiveForm:
 def normalize(f: AdditiveForm) -> tuple[AdditiveForm, int]:
     """Rotate levels so every prefix of the level distribution holds its
     proportional share: d * (s_0 + ... + s_j) >= (j+1) * s for all j.
-    Some rotation always works (rotating the distribution through a full
-    cycle averages out); failure to find one is a bug, not an input error."""
+    Shifting by t starts the counts at level p = -t mod d; by the cycle
+    lemma the valid p are those of least prefix sum of d * count - s, so
+    one exists.  The smallest t wins: 0 if p = 0 is valid, else d minus
+    the largest valid p."""
     f = reduce_levels(f)
     d, s = f.d, f.s
     counts = [0] * d
     for lvl in f.levels():
         counts[lvl] += 1
-    for t in range(d):
-        pref = 0
-        for j in range(d):
-            pref += counts[(j - t) % d]
-            if d * pref < (j + 1) * s:
-                break
-        else:
-            return cyclic_shift(f, t), t
-    raise NoValidShift(f"no rotation normalizes level counts {counts}")
+    pref = low = start = 0
+    for p in range(1, d):
+        pref += d * counts[p - 1] - s
+        if pref < low or (pref == low and start):
+            low, start = pref, p
+    t = -start % d
+    return cyclic_shift(f, t), t

@@ -337,7 +337,7 @@ def decide_isotropy_exhaustive(f: AdditiveForm) -> OracleDecision:
     terms = [mul_pair(c.a, c.b, *pow_pair(x.a, x.b, g.d, 1 << K))
              for c, x in zip(exact_coeffs(g, K), vals)]
     vals[zs.anchor] = vals[zs.anchor] * solve_anchor(terms, g.d, zs.anchor, K)
-    w = map_to_origin(g, Witness(tuple(vals), zs.anchor, K))
+    w = map_to_origin(g, ((j, x.a, x.b) for j, x in enumerate(vals)), zs.anchor, K)
     if not verify_witness(f.root(), w):
         raise CertificateError("oracle witness failed verification")
     return OracleDecision("ISOTROPIC", w, None, zs.states_visited)

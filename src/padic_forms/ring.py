@@ -207,9 +207,6 @@ class RingElem:
         return format_elem(self.a, self.b)
 
     # predicates / queries
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
     def is_unit(self) -> bool:
         return (self.a | self.b) & 1 == 1
 

@@ -7,7 +7,8 @@ contraction certificate.  Pass 2 looks on the level-reduced form with
 entries 2 times a unit allowed too, which is complete: no solution is an
 anisotropy proof unless a coefficient's trusted window was too short to
 take part.  Either pass's solution is Newton-lifted from the kernel's
-picks into a full-precision witness in the caller's variable frame.
+picks, whose coefficients are read off the root form, and mapped in one
+pass (`map_to_origin`) into a witness in the caller's variable frame.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .errors import CertificateError, PrecisionMismatch
 from .flat import FlatSolution, flat_zero, search_certificate
 from .forms import AdditiveForm, normalize, reduce_levels
 from .oracle import ExhaustionCertificate
-from .ring import RingElem, mul_pair, multiplier_set
-from .witness import Witness, exact_coeff, map_to_origin, solve_anchor, verify_witness
+from .ring import mul_pair, multiplier_set
+from .witness import Witness, map_to_origin, solve_anchor, verify_witness
 
 # unused here; perfbench/spans.py wraps it by name in this module for --trace
 from .oracle import decide_isotropy_exhaustive  # noqa: F401
@@ -63,11 +64,13 @@ def lift_witness(g: AdditiveForm, sol: FlatSolution, K: int) -> Witness:
     Each picked variable is x = 2^wrap times its multiplier's root (on a
     certificate built from the solution, the product of roots along the
     leaf's path: composite nodes carry the identity); the others are 0.
-    So x^d = 2^(wrap d) times the rep's value, read off the rep, and only
-    the picks get exact coefficients at precision K.  Newton then corrects
-    the anchor so the sum vanishes mod 2^K, and the witness is mapped back
-    to the root frame and verified there, so K must be high enough for the
-    back-mapping to keep the root's full precision.
+    So x^d = 2^(wrap d) times the rep's value, read off the rep, and each
+    pick's coefficient is recomputed at precision K from the root form's
+    exact representative through the frame.  Newton then corrects the
+    anchor so the sum vanishes mod 2^K, and the picks are mapped back to
+    the root frame in one pass (`map_to_origin`) and verified there, so K
+    must be high enough for the back-mapping to keep the root's full
+    precision.
 
     The rep's value is root^d only mod 2^(g.K), yet exact in the terms:
     above g.K = root.K the lift runs at K = root.K + scale - d N, N the
@@ -75,26 +78,28 @@ def lift_witness(g: AdditiveForm, sol: FlatSolution, K: int) -> Witness:
     has a coefficient divisible by 2^(scale - d e), so by 2^(K - g.K).
     """
     d, mod = g.d, 1 << K
+    coeffs, scale, subst = g.root().coeffs, g.scale_log, g.subst_log
     reps = multiplier_set(d, g.K).reps
     terms, anchor = [], None
     for i, p in enumerate(sol.picks):
-        c = exact_coeff(g, p.var, K)
+        c, down = coeffs[p.var], d * subst[p.var]
         v = reps[p.rep].value
         shift = p.wrap * d
-        terms.append(mul_pair(c.a, c.b, v.a << shift, v.b << shift, mod))
+        terms.append(mul_pair((c.a << scale) >> down, (c.b << scale) >> down,
+                              v.a << shift, v.b << shift, mod))
         if p.var == sol.anchor:
             anchor = i
     if anchor is None:
         raise CertificateError("flat solution does not pick its anchor")
     z = solve_anchor(terms, d, anchor, K)
-    full = [RingElem.zero(K)] * g.s
+    used = []
     for p in sol.picks:
         r = reps[p.rep].root
         xa, xb = r.a << p.wrap, r.b << p.wrap
         if p.var == sol.anchor:
             xa, xb = mul_pair(xa, xb, z.a, z.b)
-        full[p.var] = RingElem(xa, xb, K)
-    w = map_to_origin(g, Witness(tuple(full), sol.anchor, K))
+        used.append((p.var, xa, xb))
+    w = map_to_origin(g, used, sol.anchor, K)
     if not verify_witness(g.root(), w):
         raise CertificateError("lifted witness failed verification")
     return w

@@ -6,7 +6,8 @@ three above the level of the unit entry's coefficient, solving for that
 variable meets the Hensel criterion, so the residue statement certifies
 an exact zero for every completion of the coefficients beyond their
 working precision.  V never exceeds the working precision: a deeper claim
-would silently depend on unknown digits.
+would silently depend on unknown digits.  Both lifts, the pipeline's and
+the FFT oracle's, map their zeros to the caller's frame by `map_to_origin`.
 """
 
 from __future__ import annotations
@@ -62,18 +63,13 @@ def verify_witness(f: AdditiveForm, w: Witness) -> bool:
     return (total.a & mask) == 0 and (total.b & mask) == 0
 
 
-def exact_coeff(g: AdditiveForm, j: int, K: int) -> RingElem:
-    """Variable j's current-frame coefficient recomputed from the
-    origin's exact representative at precision K, undoing any truncation
-    the frame's scale may have caused in storage."""
-    rep = g.root().coeffs[j]
-    down = g.d * g.subst_log[j]
-    return RingElem((rep.a << g.scale_log) >> down, (rep.b << g.scale_log) >> down, K)
-
-
 def exact_coeffs(g: AdditiveForm, K: int) -> list[RingElem]:
-    """Every current-frame coefficient at precision K (`exact_coeff`)."""
-    return [exact_coeff(g, j, K) for j in range(g.s)]
+    """Every current-frame coefficient recomputed from the origin's exact
+    representative at precision K, undoing any truncation the frame's
+    scale may have caused in storage."""
+    scale = g.scale_log
+    return [RingElem((rep.a << scale) >> down, (rep.b << scale) >> down, K)
+            for rep, down in zip(g.root().coeffs, (g.d * e for e in g.subst_log))]
 
 
 def solve_anchor(terms: list[tuple[int, int]], d: int, anchor: int, K: int) -> RingElem:
@@ -90,35 +86,34 @@ def solve_anchor(terms: list[tuple[int, int]], d: int, anchor: int, K: int) -> R
     return newton_anchor_solve(RingElem(fa, fb, K), d, RingElem(ra, rb, K))
 
 
-def map_to_origin(g: AdditiveForm, w: Witness) -> Witness:
-    """Push a witness for a framed (reduced or shifted) form back to the
-    original variables: x_j = 2^(N - e_j) y_j with N the largest
-    e_j - v(y_j) among used variables, the least N that keeps every x_j
-    integral, so the entries reaching it are units."""
-    orig = g.origin
-    if orig is None:
-        return w
-    d = g.d
-    used = [j for j, x in enumerate(w.values) if not x.is_zero()]
-    if not used:
+def map_to_origin(g: AdditiveForm, used, anchor: int, K: int) -> Witness:
+    """The witness for g's root form of a zero of g mod 2^K, given by its
+    used entries (var, a, b); zero entries are ignored.  Each is mapped
+    back by x_j = 2^(N - e_j) y_j with N the largest e_j - v(y_j) over the
+    used variables, the least N that keeps every x_j integral, so the
+    entries reaching N are exactly the units.  The values are written at
+    the root's precision K_root, and the sum vanishes to
+    V = min(K_root, K + d N - scale).  The primitive is the unit `anchor`
+    when g has no frame, else the unit of least (root level, variable)."""
+    mask, subst = (1 << K) - 1, g.subst_log
+    lift = []  # (e_j - v(y_j), j, y_j) per nonzero entry, v the lowest set bit of a | b
+    for j, a, b in used:
+        x = (a | b) & mask
+        if x:
+            lift.append((subst[j] - (x & -x).bit_length() + 1, j, a & mask, b & mask))
+    if not lift:
         raise CertificateError("witness uses no variables")
-    N = max(g.subst_log[j] - w.values[j].valuation() for j in used)
-    V_avail = w.V + d * N - g.scale_log
-    K = orig.K
-    V = min(K, V_avail)
+    N = max(t[0] for t in lift)
+    root = g.root()
+    K0 = root.K
+    V = min(K0, K + g.d * N - g.scale_log)
     if V < 1:
         raise CertificateError("scale bookkeeping left no certified digits")
-    values = [RingElem.zero(K)] * g.s
-    for j in used:
-        x = w.values[j]
-        up = N - g.subst_log[j]
-        if up >= 0:
-            values[j] = RingElem(x.a << up, x.b << up, K)
-        else:
-            values[j] = RingElem(x.a >> -up, x.b >> -up, K)
-    candidates = [j for j in used if values[j].is_unit()]
-    if not candidates:
-        raise CertificateError("no unit variable survives the back-mapping")
-    levels = orig.levels()
-    primitive = min(candidates, key=lambda j: (levels[j], j))
-    return Witness(values=tuple(values), primitive=primitive, V=V)
+    values = [RingElem.zero(K0)] * g.s
+    for _, j, a, b in lift:
+        up = N - subst[j]
+        values[j] = (RingElem(a << up, b << up, K0) if up >= 0
+                     else RingElem(a >> -up, b >> -up, K0))
+    if g.origin is not None:
+        anchor = min((root.levels()[j], j) for n, j, _, _ in lift if n == N)[1]
+    return Witness(tuple(values), anchor, V)

@@ -251,6 +251,20 @@ def test_worker_count_env(monkeypatch):
     assert cli.worker_count() >= 1
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_thread_count_exit64_under_python_O(monkeypatch, value):
+    # the message names the variable and its range, and 0 is not taken
+    # as 1; the check is no assert, so -O keeps it
+    monkeypatch.setenv("PADIC_FORMS_THREADS", value)
+    argv = ["-m", "padic_forms", "reproduce", "--trials", "1", "--d", "10"]
+    for flags in ([], ["-O"]):
+        proc = fresh_process([sys.executable, *flags, *argv])
+        assert proc.returncode == 64, (flags, proc.stderr)
+        assert proc.stdout == ""
+        assert proc.stderr == ("padic-forms: PADIC_FORMS_THREADS must be a whole number "
+                               f"of at least 1, got {value!r}\n"), flags
+
+
 def fresh_process(argv):
     """Run argv in a new interpreter that imports this padic_forms, from
     whatever directory pytest was started in."""

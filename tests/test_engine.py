@@ -71,14 +71,14 @@ def test_partial_value_add_meets_windows():
     x = make_leaf(0, RingElem(4, 0, 10), 10)
     y = make_leaf(1, RingElem(12, 0, 10), 3)
     assert (x.pv.J, y.pv.J) == (5, 3)
-    assert contract([x, y], [IDENT, IDENT], 100).pv.J == 3
+    assert contract((x, y), (IDENT, IDENT), 100).pv.J == 3
 
 
 # --- contract --------------------------------------------------------------
 
 
 def test_contract_same_class_pair():
-    node = contract([leaf(0, 1, 0), leaf(1, 1, 0)], [IDENT, IDENT], 100)
+    node = contract((leaf(0, 1, 0), leaf(1, 1, 0)), (IDENT, IDENT), 100)
     assert node.pv.value == RingElem(2, 0, 10)
     assert node.level == 1
     # 2 = 2 * 1: the unit part lies in residue class 1
@@ -86,14 +86,14 @@ def test_contract_same_class_pair():
 
 
 def test_contract_complementary_pair():
-    node = contract([leaf(0, 1, 0), leaf(1, 3, 0)], [IDENT, IDENT], 100)
+    node = contract((leaf(0, 1, 0), leaf(1, 3, 0)), (IDENT, IDENT), 100)
     assert node.pv.value == RingElem(4, 0, 10)
     assert node.level == 2
 
 
 def test_contract_epsilon_reaches_three_levels():
     # 125*1 + 1*3 = 128: vanishes in the mod-8 window, certificate-grade
-    node = contract([leaf(0, 1, 0), leaf(1, 3, 0)], [FIVE, IDENT], 100)
+    node = contract((leaf(0, 1, 0), leaf(1, 3, 0)), (FIVE, IDENT), 100)
     assert node.level is None and node.pv.J == 3
     assert node.is_success()
     assert node.achieved() == 3
@@ -101,7 +101,7 @@ def test_contract_epsilon_reaches_three_levels():
 
 def test_contract_three_classes():
     node = contract(
-        [leaf(0, 1, 0), leaf(1, 0, 1), leaf(2, 1, 1)], [IDENT, IDENT, IDENT], 100
+        (leaf(0, 1, 0), leaf(1, 0, 1), leaf(2, 1, 1)), (IDENT, IDENT, IDENT), 100
     )
     assert node.pv.value == RingElem(2, 2, 10)
     assert node.level == 1
@@ -110,11 +110,11 @@ def test_contract_three_classes():
 def test_contract_rejects_overlap_and_mixed_levels():
     a = leaf(0, 1, 0)
     with pytest.raises(CertificateError):
-        contract([a, a], [IDENT, IDENT], 100)
+        contract((a, a), (IDENT, IDENT), 100)
     with pytest.raises(CertificateError):
-        contract([leaf(0, 1, 0), leaf(1, 2, 0)], [IDENT, IDENT], 100)
+        contract((leaf(0, 1, 0), leaf(1, 2, 0)), (IDENT, IDENT), 100)
     with pytest.raises(CertificateError):
-        contract([a], [IDENT], 100)
+        contract((a,), (IDENT,), 100)
 
 
 # --- search ----------------------------------------------------------------

@@ -40,7 +40,8 @@ from padic_forms.forms import AdditiveForm, cyclic_shift, normalize, reduce_leve
 from padic_forms.oracle import decide_isotropy_exhaustive
 from padic_forms.ring import RingElem, multiplier_set
 from padic_forms.solver import decide_isotropy, isotropy_threshold, lift_witness
-from padic_forms.witness import Witness, exact_coeffs, map_to_origin, solve_anchor, verify_witness
+from padic_forms.witness import exact_coeffs, solve_anchor, verify_witness
+from test_witness import dense_back_map
 
 # Forms whose zeros all need a variable equal to 2 times a unit in the
 # normalized frame, so the certificate pass finds nothing and the
@@ -309,7 +310,7 @@ def test_short_window_ignored_when_zero_found():
     base = AdditiveForm.from_pairs(6, [(1, 0), (7, 0), (0, 1)], 10)
     f = AdditiveForm(6, base.coeffs, windows=(10, 10, 2))
     r = decide_isotropy(f)
-    assert r.verdict == "ISOTROPIC" and r.witness.values[2].is_zero()
+    assert r.verdict == "ISOTROPIC" and (r.witness.values[2].a, r.witness.values[2].b) == (0, 0)
     assert verify_witness(f, r.witness)
 
 
@@ -471,7 +472,7 @@ def _contraction_by_nodes(g, sol, ms):
         assert len(low) >= 2 and low[0][0] == low[1][0]
         pair = [arena[low[0][1]], arena[low[1][1]]]
         new_id = g.s + len(arena) - len(sol.picks)
-        node = contract(pair, [choice.get(n.id, ms.reps[0]) for n in pair], new_id)
+        node = contract(tuple(pair), tuple(choice.get(n.id, ms.reps[0]) for n in pair), new_id)
         arena[node.id] = node
         active -= {low[0][1], low[1][1]}
         active.add(node.id)
@@ -482,7 +483,8 @@ def _lift_by_tree_walk(g, cert):
     """The pass-1 lift read off the certificate: each leaf's value is the
     product of the multiplier roots along its path from the root, at
     K* = max(K, K_orig + scale - d N) with N the largest substitution
-    over the leaves; Newton on the anchor runs over every variable."""
+    over the leaves; Newton on the anchor runs over every variable, and
+    the test's own dense back-mapping takes the zero to the root frame."""
     nodes = cert.node_map()
     roots = {}
     used = [n.var for n in cert.nodes if n.kind == "leaf"]
@@ -499,7 +501,7 @@ def _lift_by_tree_walk(g, cert):
     terms = [(t.a, t.b) for t in (c * x ** g.d for c, x in zip(exact_coeffs(g, K), values))]
     values[cert.anchor_leaf] = values[cert.anchor_leaf] * solve_anchor(
         terms, g.d, cert.anchor_leaf, K)
-    return map_to_origin(g, Witness(tuple(values), cert.anchor_leaf, K)), K
+    return dense_back_map(g, values, K, cert.anchor_leaf), K
 
 
 def _search_frames():

@@ -202,6 +202,54 @@ def test_normalize_prefix_inequalities(levels, cls):
         assert d * pref >= (j + 1) * s
 
 
+
+def first_rotation_by_search(counts):
+    """The smallest t whose rotation (level l to l + t mod d) passes every
+    prefix inequality, found by checking every t and prefix in turn: the
+    O(d^2) search `normalize` ran before it read t off the prefix sums.
+    None when no rotation passes."""
+    d, s = len(counts), sum(counts)
+    for t in range(d):
+        pref = 0
+        for j in range(d):
+            pref += counts[(j - t) % d]
+            if d * pref < (j + 1) * s:
+                break
+        else:
+            return t
+    return None
+
+
+def test_normalize_rotation_matches_quadratic_search():
+    rng = random.Random(2017)
+    seen = {"t = 0": 0, "t > 0": 0, "s < d": 0, "tie": 0}
+    for d in (2, 6, 10, 14, 18):
+        for i in range(300):
+            if i % 3 == 0:  # a repeated block: every period start ties
+                period = rng.choice([p for p in range(1, d) if d % p == 0])
+                block = [rng.randrange(3) for _ in range(period)]
+                counts = block * (d // period)
+            else:
+                counts = [0] * d
+                for _ in range(rng.randrange(1, 3 * d)):
+                    counts[rng.randrange(d)] += 1
+            if not any(counts):
+                counts[rng.randrange(d)] = 1
+            want = first_rotation_by_search(counts)
+            assert want is not None, counts  # some rotation always passes
+            levels = [lvl for lvl in range(d) for _ in range(counts[lvl])]
+            rng.shuffle(levels)
+            f = form(d, [(1 << lvl, 0) for lvl in levels])
+            g, t = normalize(f)
+            assert t == want, counts
+            assert sorted(g.levels()) == sorted((lvl + t) % d for lvl in levels)
+            valid = sum(first_rotation_by_search(counts[-r:] + counts[:-r]) == 0
+                        for r in range(d))
+            seen["t = 0" if t == 0 else "t > 0"] += 1
+            seen["s < d"] += len(levels) < d
+            seen["tie"] += valid > 1
+    assert min(seen.values()) >= 50, seen
+
 # --- evaluation and serialization ------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Witness objects, verification clauses, and frame back-mapping."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -37,8 +38,7 @@ def test_verify_accepts_hensel_pair():
     vals = anchor_solved(coeffs, 6, [elem(1, 0, 10), elem(1, 0, 10)], 0)
     w = Witness(tuple(vals), 0, 10)
     assert verify_witness(f, w)
-    total = f.evaluate(w.values)
-    assert total.is_zero()
+    assert f.evaluate(w.values) == elem(0, 0, 10)
 
 
 def test_verify_rejects_no_unit():
@@ -90,7 +90,7 @@ def test_solve_anchor_kills_all_digits():
     assert total0.valuation() >= 3
     out = anchor_solved(coeffs, 6, vals, 0)
     total = sum((c * v ** 6 for c, v in zip(coeffs, out)), elem(0, 0, K))
-    assert total.is_zero()
+    assert total == elem(0, 0, K)
     assert out[1] == vals[1] and out[2] == vals[2]
 
 
@@ -122,7 +122,7 @@ def test_solve_anchor_matches_ring_elem_loop():
         w = r.witness
         values = list(w.values)
         if rng.random() < 0.3:  # break the sum: the anchor solve must refuse
-            j = next(j for j, x in enumerate(values) if j != w.primitive and not x.is_zero())
+            j = next(j for j, x in enumerate(values) if j != w.primitive and (x.a, x.b) != (0, 0))
             values[j] = values[j] + elem(1, 0, values[j].K)
         for at_K in (K - 2, K, K + 6):
             coeffs = exact_coeffs(f, at_K)
@@ -155,10 +155,49 @@ def test_exact_coeffs_after_reduction():
     assert exact[1] == elem(3, 0, 20)
 
 
+def dense_back_map(g, values, K, anchor):
+    """The back-mapping of a zero `values` of g mod 2^K (one RingElem per
+    variable), written out over every variable with integer arithmetic:
+    x_j = 2^(N - e_j) y_j with N the largest e_j - v(y_j) over the nonzero
+    y_j, each x_j at the root's precision; V = min(K_root, K + d N - scale);
+    the primitive is `anchor` without a frame, else the unit of least
+    (root level, variable)."""
+    root = g.root()
+    used = [j for j, y in enumerate(values) if (y.a, y.b) != (0, 0)]
+    if not used:
+        raise CertificateError("witness uses no variables")
+    N = max(g.subst_log[j] - values[j].valuation() for j in used)
+    V = min(root.K, K + g.d * N - g.scale_log)
+    if V < 1:
+        raise CertificateError("no certified digits")
+    out = []
+    for j, y in enumerate(values):
+        up = N - g.subst_log[j]
+        if up >= 0:
+            out.append(elem(y.a * 2 ** up, y.b * 2 ** up, root.K))
+        else:
+            assert y.a % 2 ** -up == 0 and y.b % 2 ** -up == 0
+            out.append(elem(y.a // 2 ** -up, y.b // 2 ** -up, root.K))
+    units = [j for j in used if out[j].is_unit()]
+    if not units:
+        raise CertificateError("no unit variable survives")
+    if g.origin is not None:
+        anchor = min(units, key=lambda j: (root.levels()[j], j))
+    return Witness(tuple(out), anchor, V)
+
+
+def entries(values):
+    return [(j, x.a, x.b) for j, x in enumerate(values)]
+
+
 def test_map_to_origin_identity_without_frame():
+    # without a frame the entries come back unchanged, anchored where the
+    # caller anchored them
     f = AdditiveForm.from_pairs(6, [(1, 0), (7, 0)], 10)
-    w = Witness((elem(621, 0, 10), elem(1, 0, 10)), 0, 10)
-    assert map_to_origin(f, w) is w
+    vals = (elem(621, 0, 10), elem(1, 0, 10))
+    for anchor in (0, 1):
+        w = map_to_origin(f, entries(vals), anchor, 10)
+        assert w == Witness(vals, anchor, 10) == dense_back_map(f, vals, 10, anchor)
 
 
 def test_map_to_origin_scales_substituted_variables():
@@ -167,7 +206,8 @@ def test_map_to_origin_scales_substituted_variables():
     # witness in g's frame using both variables, anchor solved exactly
     coeffs = exact_coeffs(g, 16)
     vals = anchor_solved(coeffs, 6, [elem(1, 0, 16), elem(1, 0, 16)], 0)
-    w = map_to_origin(g, Witness(tuple(vals), 0, 16))
+    w = map_to_origin(g, entries(vals), 0, 16)
+    assert w == dense_back_map(g, vals, 16, 0)
     # x_0 = 2 y_0 keeps variable 1 (substitution exponent 1) the unit
     assert w.values[1].is_unit()
     assert w.values[0].valuation() == 1
@@ -175,10 +215,54 @@ def test_map_to_origin_scales_substituted_variables():
     assert verify_witness(f, w)
 
 
+def test_map_to_origin_matches_dense_back_mapping():
+    # random frames and random entries, zeros and high valuations
+    # included; the entries need not be a zero of the form
+    rng = random.Random(17)
+    seen = Counter()
+    for _ in range(600):
+        d = rng.choice((6, 10))
+        K0 = rng.choice((d + 4, 3 * d + 2))
+        pairs = []
+        for _ in range(rng.randrange(1, 7)):
+            lvl = rng.randrange(0, min(2 * d, K0 - d))
+            pairs.append(((rng.getrandbits(K0) | 1) << lvl, rng.getrandbits(K0) << lvl))
+        g = reduce_levels(AdditiveForm.from_pairs(d, pairs, K0))
+        g = cyclic_shift(g, rng.randrange(d))
+        K = rng.randrange(1, K0 + d)
+        vals = [elem(0, 0, K) if rng.random() < 0.3 else
+                elem((rng.getrandbits(K) | 1) << rng.randrange(3), rng.getrandbits(K), K)
+                for _ in range(g.s)]
+        anchor = rng.randrange(g.s)
+        try:
+            want = dense_back_map(g, vals, K, anchor)
+        except CertificateError as e:
+            with pytest.raises(CertificateError, match=str(e)):
+                map_to_origin(g, entries(vals), anchor, K)
+            seen[str(e)] += 1
+            continue
+        assert map_to_origin(g, entries(vals), anchor, K) == want
+        seen["mapped"] += 1
+    # "no unit variable survives" never occurs: the entry reaching N maps
+    # to y_j / 2^v(y_j), a unit
+    assert set(seen) == {"mapped", "no certified digits", "witness uses no variables"}, seen
+
+
 def test_map_to_origin_rejects_empty_support():
     f = AdditiveForm.from_pairs(6, [(1, 0), (3 << 6, 0)], 16)
     g = reduce_levels(f)
     K = g.K
-    w = Witness((elem(0, 0, K), elem(0, 0, K)), 0, K)
-    with pytest.raises(CertificateError):
-        map_to_origin(g, w)
+    with pytest.raises(CertificateError, match="uses no variables"):
+        map_to_origin(g, [(0, 0, 0), (1, 1 << K, 0)], 0, K)
+
+
+def test_map_to_origin_refuses_when_no_digits_are_certified():
+    # the shift by 5 scales the form by 2^5 and substitutes nothing, so a
+    # unit zero mod 2^5 in its frame certifies no digit of the root form
+    f = AdditiveForm.from_pairs(6, [(1, 0), (7, 0)], 10)
+    g = cyclic_shift(f, 5)
+    assert (g.scale_log, g.subst_log) == (5, (0, 0))
+    vals = [elem(1, 0, 5), elem(3, 0, 5)]
+    with pytest.raises(CertificateError, match="no certified digits"):
+        map_to_origin(g, entries(vals), 0, 5)
+    assert map_to_origin(g, entries(vals), 0, 6).V == 1
