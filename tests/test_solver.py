@@ -151,22 +151,7 @@ def test_result_json_shape():
     assert "witness" not in doc2
 
 
-def test_benchmark_contract_fields(monkeypatch):
-    # perfbench/worker.py reads these fields of the traced search and of
-    # sweep reports; `perfbench/run.py --trace 1` needs every one of them
-    tree = ast.parse((PERFBENCH / "worker.py").read_text())
-    routes = next(
-        ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "ROUTES"
-    )
-    for pairs, status in (([(1, 0), (7, 0)], "FOUND"), ([(1, 0), (1, 2)], "NOT_FOUND")):
-        out = solver.search_certificate(AdditiveForm.from_pairs(6, pairs, 10))
-        assert out.status == status
-        assert isinstance(out.nodes_expanded, int)
-    rep = sweep_lemma("5", "SAMPLED", trials=200, seed=42)
-    assert set(rep.resolution) == set(routes)
-    assert rep.escalations == {}
+def test_trace_hook_names_exist(monkeypatch):
     # perfbench/spans.py wraps these names with getattr; a missing one
     # would crash `perfbench/run.py --trace 1`.  Read from its source
     # without running it
@@ -191,3 +176,21 @@ def test_benchmark_contract_fields(monkeypatch):
     r = solver.decide_isotropy(AdditiveForm.from_pairs(6, [(1, 0), (7, 0), (32, 0)], 10))
     assert r.stage == "search"
     assert calls == dict.fromkeys(layers, 1), calls
+
+
+def test_benchmark_contract_fields():
+    # perfbench/worker.py reads these fields of the traced search and of
+    # sweep reports; `perfbench/run.py --trace 1` needs every one of them
+    tree = ast.parse((PERFBENCH / "worker.py").read_text())
+    routes = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "ROUTES"
+    )
+    for pairs, status in (([(1, 0), (7, 0)], "FOUND"), ([(1, 0), (1, 2)], "NOT_FOUND")):
+        out = solver.search_certificate(AdditiveForm.from_pairs(6, pairs, 10))
+        assert out.status == status
+        assert isinstance(out.nodes_expanded, int)
+    rep = sweep_lemma("5", "SAMPLED", trials=200, seed=42)
+    assert set(rep.resolution) == set(routes)
+    assert rep.escalations == {}
