@@ -27,7 +27,12 @@ decided once, at its representatives, and weighted by the number of
 code multisets it stands for.  `_slot_join` decides the product of the
 class slots from `_sums` of all slots but the last and of the last.
 
-Sampled trials use the same fact the other way round, per level group.
+Sampled trials read only each variable's unit code mod 8, so
+`_sample_codes` draws one code a + 8b per variable and trial from raw
+generator words, uniform over its residue class's 16 codes or over all
+48 unit codes, and `_sampled_verdicts` reads a deeper variable's code v
+at anchor level kappa as 2^(level - kappa) * v from the `_SCALE` table.
+The trials use the orbit fact the other way round, per level group.
 At each anchor the rescaled columns split into the anchor-level group
 (all at level 0) and the deeper group (levels 1 and 2).  A row's
 anchored sums are A + B, A the nonempty sums of the first group and B
@@ -37,7 +42,7 @@ whose A misses 0).  Each group's masks come from `_sums` run once per
 distinct orbit multiset (`_orbit_masks`), in a table indexed by the
 multiset's dense rank.  Groups repeat far more than whole rows: at
 100 000 trials, seed 42, anchor 0 of 0225 has 1,296 anchor-group and
-4,303 deeper-group multisets in 100,000 distinct rows.
+4,297 deeper-group multisets in 100,000 distinct rows.
 
 Profiles the pass rejects are built as forms and handed to
 `search_certificate`, the pipeline's own contraction search (flat.py);
@@ -60,9 +65,6 @@ from .flat import mod8_table, search_certificate
 from .forms import AdditiveForm
 from .ring import RingElem
 
-SAMPLE_DIGITS = 6  # unit digits drawn per sampled variable
-DRAW_BLOCK = 1 << 15  # trial rows per random draw call
-
 
 # ---------------------------------------------------------------------------
 # packed reachability
@@ -84,6 +86,10 @@ def _tables(d: int) -> _Tables:
 _KEEP64 = np.array([(0xFF >> s) * 0x0101010101010101 for s in range(8)], np.uint64)
 # the code of -v for each code v = a + 8b
 _NEG_CODE = np.array([(-v & 7) | ((-(v >> 3) & 7) << 3) for v in range(64)], np.uint8)
+# row s: the code of 2^s * v for each code v.  Built from a flat list:
+# converting a nested one runs numpy code that adds about 0.1 MB of RSS
+_SCALE = np.array([(v << s & 7) | ((v >> 3) << s & 7) << 3 for s in range(3) for v in range(64)],
+                  np.uint8).reshape(3, 64)
 
 
 def _translate_rows(M: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -124,19 +130,6 @@ def _class_codes(cls: int) -> list:
             b = (cls >> 1) + 2 * tb
             out.append(a + 8 * b)
     return sorted(out)
-
-
-def _codes_at(UA: np.ndarray, UB: np.ndarray, levels: np.ndarray, kappa: int) -> np.ndarray:
-    """Residue codes mod 8 (uint8) of variables rescaled to anchor level
-    kappa: unit part times 2^(level - kappa), a product rather than a
-    shift because numpy shifts uint8 without SIMD.  UA and UB hold one
-    row per variable, each of level >= kappa; the codes come back with
-    one column per variable, as a transposed view, so that the passes
-    walking columns read contiguous memory."""
-    up = (1 << (levels - kappa)).astype(np.uint8)[:, None]
-    code = (UA * up) & 7
-    code |= (UB * (8 * up)) & 56
-    return code.astype(np.uint8, copy=False).T
 
 
 @dataclass(frozen=True)
@@ -238,44 +231,45 @@ def _slot_join(slots, tab: _Tables) -> tuple:
     return np.outer(W, weights).ravel(), ok.ravel(), np.concatenate([X[i], rows[j]], axis=1)
 
 
-def _sample_rows(lem: SweepLemma, trials: int, seed: int, digits: int):
-    """Draw trial coefficients: per variable a fixed level, a uniform
-    nonzero residue class, and uniform unit digits mod 2^digits (at most
-    8).  Returns unit component matrices (uint8, one row per trial) and
-    the per-column level vector.
+@lru_cache(maxsize=None)
+def _free_codes() -> np.ndarray:
+    """Per 16-bit word w < 65520, the (w % 48)-th unit code (a or b odd):
+    a lookup in place of a division per draw, built on first use."""
+    units = np.array([v for v in range(64) if (v | v >> 3) & 1], np.uint8)
+    return units.take(np.arange(65520) % 48)
 
-    Each group of variables takes one draw of shape (trials, k), as
-    int32, DRAW_BLOCK rows at a time, written straight into matrices
-    stored one variable per row; the matrices come back as transposed
-    views, so each variable's column is contiguous.  The values are
-    those of int64 draws: numpy's bounded generator takes its 32-bit
-    path for ranges below 2^32 with either dtype, and a block of whole
-    rows is a run of the same stream."""
-    rng = np.random.default_rng(seed)
-    hi = 1 << (digits - 1)
+
+def _sample_codes(lem: SweepLemma, trials: int, raw) -> tuple:
+    """Draw trial coefficients mod 8: per variable a fixed level and a
+    unit code a + 8b, uniform over its residue class's 16 codes, or over
+    all 48 unit codes for a variable of free class.  Returns the codes
+    (uint8, one row per variable, one column per trial) and each row's
+    level.
+
+    `raw(n)` gives n 64-bit generator words.  A fixed-class code is the
+    class's code at the low 4 bits of one byte.  A free code is the unit
+    code at w % 48 of one 16-bit word w < 65520 = 48 * 1365, read from
+    `_free_codes`; the positions whose word is 65520 or more draw a new
+    word, until none is left."""
     groups = [(0, k, cls) for cls, k in zip((1, 2, 3), lem.class_counts or ()) if k]
     groups += [(lvl, k, None) for lvl, k in enumerate(lem.level_counts) if k]
-    n = sum(k for _, k, _ in groups)
-    UA = np.empty((n, trials), np.uint8)
-    UB = np.empty((n, trials), np.uint8)
-
-    def draw(out, low, high):
-        for r in range(0, trials, DRAW_BLOCK):
-            block = out[:, r : r + DRAW_BLOCK]
-            block[...] = rng.integers(low, high, block.shape[::-1], dtype=np.int32).T
-
+    C = np.empty((sum(k for _, k, _ in groups), trials), np.uint8)
     levels = []
     for lvl, k, cls in groups:
-        if cls is None:
-            cls = np.empty((k, trials), np.uint8)
-            draw(cls, 1, 4)
-        rows = slice(len(levels), len(levels) + k)
-        for u, low in ((UA[rows], cls & 1), (UB[rows], cls >> 1)):
-            draw(u, 0, hi)
-            u += u  # doubled by an add: numpy shifts uint8 without SIMD
-            u |= low
+        out = C[len(levels) : len(levels) + k].reshape(-1)  # a view: the rows are contiguous
+        n = out.size
+        if cls is not None:
+            byte = raw(-(-n // 8)).view(np.uint8)[:n]
+            np.array(_class_codes(cls), np.uint8).take(byte & 15, out=out)
+        else:
+            w = raw(-(-n // 4)).view(np.uint16)[:n]
+            bad = np.flatnonzero(w >= 65520)
+            while bad.size:
+                w[bad] = raw(-(-bad.size // 4)).view(np.uint16)[: bad.size]
+                bad = bad[w.take(bad) >= 65520]
+            _free_codes().take(w, out=out)
         levels += [lvl] * k
-    return UA.T, UB.T, np.array(levels, np.int8)
+    return C, np.array(levels, np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -316,20 +310,20 @@ class SweepReport:
         return doc
 
 
-def _trial_form(d: int, ua, ub, levels, digits: int) -> AdditiveForm:
+def _trial_form(d: int, ua, ub, levels) -> AdditiveForm:
     """Variable i as the coefficient 2^level_i * (ua_i + ub_i w), trusted
-    to `digits` digits from its level up."""
-    K = int(levels.max()) + digits
+    to 3 digits from its level up."""
+    K = int(levels.max()) + 3
     coeffs = tuple(
         RingElem(int(a) << int(lvl), int(b) << int(lvl), K)
         for a, b, lvl in zip(ua, ub, levels)
     )
-    return AdditiveForm(d, coeffs, windows=tuple(int(lvl) + digits for lvl in levels))
+    return AdditiveForm(d, coeffs, windows=tuple(int(lvl) + 3 for lvl in levels))
 
 
 def _profile_form(d: int, row) -> AdditiveForm:
     """A one-level profile of residue codes as a form modulo 8."""
-    return _trial_form(d, row & 7, row >> 3, np.zeros(len(row), np.int8), 3)
+    return _trial_form(d, row & 7, row >> 3, np.zeros(len(row), np.int8))
 
 
 def _multiset_rank(X: np.ndarray, index: np.ndarray, m: int) -> np.ndarray:
@@ -397,19 +391,25 @@ def _anchor_zero(XA: np.ndarray, XB: np.ndarray, tab: _Tables) -> np.ndarray:
     return hit
 
 
-def _sampled_verdicts(UA, UB, col_levels, tab: _Tables) -> np.ndarray:
-    """Per trial row, whether some anchor level kappa has a vanishing
+def _sampled_verdicts(C: np.ndarray, col_levels: np.ndarray, tab: _Tables) -> np.ndarray:
+    """Per trial, whether some anchor level kappa has a vanishing
     combination over the variables at levels kappa..kappa+2 (deeper ones
-    vanish mod 2^(kappa+3)) that uses a level-kappa one."""
-    ok = np.zeros(len(UA), bool)
-    rem = np.arange(len(UA))
-    UA, UB = UA.T, UB.T  # one row per variable, contiguous for `_sample_rows`' draws
+    vanish mod 2^(kappa+3)) that uses a level-kappa one.  C holds the
+    codes with one row per variable, as `_sample_codes` draws them."""
+    ok = np.zeros(C.shape[1], bool)
+    rem = np.arange(C.shape[1])
 
     def group(cols, kappa):
-        ua, ub = UA[cols], UB[cols]
+        """The codes of columns cols rescaled to anchor kappa, one column
+        per variable, as a transposed view so that the passes walking
+        columns read contiguous memory."""
+        X = C.take(cols, axis=0)
         if rem.size < len(ok):  # past the first anchor: the rows left only
-            ua, ub = ua.take(rem, axis=1), ub.take(rem, axis=1)
-        return _codes_at(ua, ub, col_levels[cols], kappa)
+            X = X.take(rem, axis=1)
+        for row, lvl in zip(X, col_levels.take(cols)):
+            if lvl > kappa:
+                row[...] = _SCALE[lvl - kappa].take(row)
+        return X.T
 
     for kappa in range(int(col_levels.max()) + 1):
         at = np.flatnonzero(col_levels == kappa)
@@ -473,19 +473,18 @@ def sweep_lemma(
             record = {"profile": [int(c) for c in row], "weight": int(weight)}
             _settle(_profile_form(lem.d, row), record, int(weight), resolution, failures)
     else:
-        UA, UB, col_levels = _sample_rows(lem, trials, seed, SAMPLE_DIGITS)
+        C, col_levels = _sample_codes(lem, trials, np.random.default_rng(seed).bit_generator.random_raw)
         total = trials
-        ok = _sampled_verdicts(UA, UB, col_levels, tab)
+        ok = _sampled_verdicts(C, col_levels, tab)
         resolution["closure"] = int(ok.sum())
         for ridx in np.flatnonzero(~ok):
-            ua, ub = UA[ridx], UB[ridx]
+            ua, ub = C[:, ridx] & 7, C[:, ridx] >> 3
             record = {
                 "levels": [int(v) for v in col_levels],
                 "unitsA": [int(v) for v in ua],
                 "unitsB": [int(v) for v in ub],
             }
-            form = _trial_form(lem.d, ua, ub, col_levels, SAMPLE_DIGITS)
-            _settle(form, record, 1, resolution, failures)
+            _settle(_trial_form(lem.d, ua, ub, col_levels), record, 1, resolution, failures)
 
     return SweepReport(
         lemma=lemma_id,

@@ -19,13 +19,13 @@ from padic_forms.sweeps import (
     SweepLemma,
     _anchor_zero,
     _class_codes,
-    _codes_at,
     _NEG_CODE,
+    _SCALE,
     _exhaustive_slots,
     _multiset_rank,
     _orbit_masks,
     _profile_form,
-    _sample_rows,
+    _sample_codes,
     _sampled_verdicts,
     _slot_join,
     _sums,
@@ -57,6 +57,29 @@ def slot_product(slots) -> tuple:
     X = np.concatenate([rows[i] for (rows, _), i in zip(slots, idx)], axis=1)
     W = np.prod([weights[i] for (_, weights), i in zip(slots, idx)], axis=0)
     return X, W
+
+
+def draw(lem, trials, seed) -> tuple:
+    """The codes and levels a sampled sweep of lem draws at this seed."""
+    return _sample_codes(lem, trials, np.random.default_rng(seed).bit_generator.random_raw)
+
+
+def trial(lem_d, C, lv, i) -> AdditiveForm:
+    """Trial i of the code matrix C as the form a failure record builds."""
+    return _trial_form(lem_d, C[:, i] & 7, C[:, i] >> 3, lv)
+
+
+def digit_form(d, ua, ub, lv, digits) -> AdditiveForm:
+    """Variable i as the coefficient 2^lv_i * (ua_i + ub_i w), trusted to
+    `digits` digits from its level up."""
+    K = int(lv.max()) + digits
+    coeffs = [RingElem(int(a) << int(l), int(b) << int(l), K) for a, b, l in zip(ua, ub, lv)]
+    return AdditiveForm(d, tuple(coeffs), windows=tuple(int(l) + digits for l in lv))
+
+
+# fixed classes at level 0 and free ones at levels 1 and 2: both scale
+# shifts and both kinds of drawn column
+MIXED = SweepLemma("mixed", 6, (1, 1, 1), (0, 2, 2), None, "SAMPLED")
 
 
 def vanishes(X, tab) -> np.ndarray:
@@ -339,19 +362,19 @@ def test_packed_dp_matches_scalar_kernel(monkeypatch):
         # rank slots are far more than 4 * 300 + 4096, so that group runs
         # row by row, and decides every row
         (SweepLemma("over", 6, None, (52, 1), None, "SAMPLED"), 300, (False, None)),
+        (MIXED, 2000, (True, True)),
     ]
     for lem, trials, collapses in cases:
-        UA, UB, lv = _sample_rows(lem, trials, seed=29, digits=6)
-        forms = [_trial_form(lem.d, UA[i], UB[i], lv, 6) for i in range(trials)]
+        C, lv = draw(lem, trials, 29)
+        forms = [trial(lem.d, C, lv, i) for i in range(trials)]
         at = lv == 0
         one_level = sum(
-            bool(flat._reach(flat._options(
-                _trial_form(lem.d, UA[i][at], UB[i][at], lv[at], 6), 0, (0,))[0])[1] & 1)
+            bool(flat._reach(flat._options(trial(lem.d, C[at], lv[at], i), 0, (0,))[0])[1] & 1)
             for i in range(trials)
         )
         rows_in.clear()
         sizes.clear()
-        misses = check(forms, _sampled_verdicts(UA, UB, lv, _tables(lem.d)))
+        misses = check(forms, _sampled_verdicts(C, lv, _tables(lem.d)))
         assert rows_in[0] == trials, (lem.id, rows_in)
         if one_level < trials:
             assert rows_in[1] == trials - one_level, (lem.id, rows_in, one_level)
@@ -360,20 +383,20 @@ def test_packed_dp_matches_scalar_kernel(monkeypatch):
             assert len(rows_in) == 1, (lem.id, rows_in)
             got = (sizes[0] < trials, None)
         assert got == collapses, (lem.id, rows_in, sizes)
-        if lem.id.startswith("two"):
+        if lem.id.startswith("two") or lem is MIXED:
             assert 0 < misses < trials, lem.id
         else:
             assert misses == 0, lem.id
 
 
-def _anchor_groups(UA, UB, lv, kappa):
+def _anchor_groups(C, lv, kappa):
     """The anchor-level and deeper code matrices of every trial at one
-    anchor, as `_sampled_verdicts` builds them."""
+    anchor, one column per variable, as `_sampled_verdicts` builds them:
+    deeper codes v scaled to 2^(level - kappa) * v through `_SCALE`."""
     at = np.flatnonzero(lv == kappa)
     deeper = np.flatnonzero((lv > kappa) & (lv <= kappa + 2))
-    return tuple(
-        _codes_at(UA.T[cols], UB.T[cols], lv[cols], kappa) for cols in (at, deeper)
-    )
+    XB = np.array([_SCALE[lv[j] - kappa][C[j]] for j in deeper], np.uint8)
+    return C[at].T, XB.reshape(len(deeper), C.shape[1]).T
 
 
 def test_anchor_join_matches_whole_rows():
@@ -384,23 +407,27 @@ def test_anchor_join_matches_whole_rows():
     cases += [
         (SweepLemma("two6", 6, None, (2,), None, "SAMPLED"), 1000, 1),
         (SweepLemma("two10", 10, None, (2, 1), None, "SAMPLED"), 1000, 1),
+        (MIXED, 1000, 1),
         (SweepLemma("over", 6, None, (52, 1), None, "SAMPLED"), 500, 1),
     ]
     verdicts = {}
     for lem, trials, seed in cases:
         tab = _tables(lem.d)
-        UA, UB, lv = _sample_rows(lem, trials, seed, sweeps.SAMPLE_DIGITS)
-        forms = [_trial_form(lem.d, UA[i], UB[i], lv, sweeps.SAMPLE_DIGITS) for i in range(trials)]
+        C, lv = draw(lem, trials, seed)
+        forms = [trial(lem.d, C, lv, i) for i in range(trials)]
         for kappa in np.unique(lv):
             scalar = [bool(flat._reach(flat._options(f, int(kappa), (0,))[0])[1] & 1)
                       for f in forms]
-            got = _anchor_zero(*_anchor_groups(UA, UB, lv, kappa), tab)
+            got = _anchor_zero(*_anchor_groups(C, lv, kappa), tab)
             assert got.tolist() == scalar, (lem.id, seed, kappa)
-            verdicts.setdefault(lem.id, set()).update(scalar)
-    assert verdicts["two6"] == verdicts["two10"] == {False, True}
+            verdicts.setdefault((lem.id, int(kappa)), set()).update(scalar)
+    assert verdicts["two6", 0] == verdicts["two10", 0] == {False, True}
+    # mixed: at anchor 0 the deeper group holds both shifts, at anchor 1
+    # one shift of each kind of column
+    assert verdicts["mixed", 0] == verdicts["mixed", 1] == {False, True}
     # the anchor group of "over" has C(75, 52) rank slots, so its masks
     # come from `_sums` row by row
-    XA, _ = _anchor_groups(*_sample_rows(cases[-1][0], 500, 1, 6), 0)
+    XA, _ = _anchor_groups(*draw(cases[-1][0], 500, 1), 0)
     assert np.array_equal(_orbit_masks(XA, _tables(6)), _sums(XA, _tables(6)))
 
 
@@ -448,47 +475,76 @@ def test_neg_negates_each_code():
     assert _NEG_CODE.dtype == np.uint8
 
 
-def test_sample_rows_match_int64_formula():
-    # the int32 draws, written block by block into column-major uint8
-    # matrices, against the int64 formula they replaced: one draw per
-    # group, low + 2 * draw, narrowed afterwards.  The trial counts sit on
-    # the draw-block boundaries
-    def old_sample_rows(lem, trials, seed, digits):
-        rng = np.random.default_rng(seed)
-        ua_cols, ub_cols, levels = [], [], []
-        hi = 1 << (digits - 1)
+UNIT_CODES = sorted(_class_codes(1) + _class_codes(2) + _class_codes(3))
 
-        def units(low, k):
-            return (low + 2 * rng.integers(0, hi, (trials, k))).astype(np.uint8)
 
-        if lem.class_counts is not None:
-            for cls, k in zip((1, 2, 3), lem.class_counts):
-                if k:
-                    ua_cols.append(units(cls & 1, k))
-                    ub_cols.append(units(cls >> 1, k))
-                    levels += [0] * k
-        for lvl, k in enumerate(lem.level_counts):
-            if k:
-                cls = rng.integers(1, 4, (trials, k))
-                ua_cols.append(units(cls & 1, k))
-                ub_cols.append(units(cls >> 1, k))
-                levels += [lvl] * k
-        UA, UB = np.concatenate(ua_cols, axis=1), np.concatenate(ub_cols, axis=1)
-        return UA, UB, np.array(levels, np.int8)
+def test_sample_codes_stay_in_their_class():
+    # fixed-class rows hold their class's 16 codes, free rows the 48 unit
+    # codes, each row at its level, one row per variable
+    classes = {cls: set(_class_codes(cls)) for cls in (1, 2, 3)}
+    for lem in [SWEEP_LEMMAS[lid] for lid in sampled_lemma_ids()] + [MIXED]:
+        C, lv = draw(lem, 3000, 42)
+        kinds = [classes[cls] for cls, k in zip((1, 2, 3), lem.class_counts or ()) for _ in range(k)]
+        kinds += [set(UNIT_CODES)] * sum(lem.level_counts)
+        want_lv = [0] * sum(lem.class_counts or ())
+        want_lv += [lvl for lvl, k in enumerate(lem.level_counts) for _ in range(k)]
+        assert C.dtype == np.uint8 and C.flags.c_contiguous and C.shape == (len(kinds), 3000)
+        assert lv.tolist() == want_lv, lem.id
+        for row, kind in zip(C, kinds):
+            assert set(row.tolist()) == kind, lem.id
 
-    block = sweeps.DRAW_BLOCK
-    assert block == 2**15
-    runs = [(3000, 42), (257, 7), (1, 42), (block - 1, 42), (block, 3), (block + 1, 42),
-            (100_003, 42)]
-    for lid in sampled_lemma_ids():
-        lem = SWEEP_LEMMAS[lid]
-        for trials, seed in runs:
-            new = _sample_rows(lem, trials, seed, sweeps.SAMPLE_DIGITS)
-            old = old_sample_rows(lem, trials, seed, sweeps.SAMPLE_DIGITS)
-            for x, y in zip(new, old):
-                assert x.dtype == y.dtype and np.array_equal(x, y), (lid, trials, seed)
-            # each variable's column is contiguous
-            assert new[0].T.flags.c_contiguous and new[1].T.flags.c_contiguous
+
+def test_sample_codes_are_uniform():
+    # 480 000 draws per row at a fixed seed: every code's count within
+    # five standard deviations of its binomial mean, 1/16 of the draws in
+    # a fixed class and 1/48 over the free unit codes
+    n = 480_000
+    C, _ = draw(SweepLemma("law", 6, (1, 1, 1), (0, 1), None, "SAMPLED"), n, 2024)
+    for row, codes in zip(C, [_class_codes(1), _class_codes(2), _class_codes(3), UNIT_CODES]):
+        p = 1 / len(codes)
+        tol = 5 * (n * p * (1 - p)) ** 0.5
+        counts = np.bincount(row, minlength=64)
+        assert counts.sum() == counts[codes].sum() == n
+        assert np.abs(counts[codes] - n * p).max() <= tol, (codes, counts[codes].tolist())
+
+
+def test_sample_codes_redraw_the_reject_band():
+    # a free code reads one 16-bit word: below 65520 = 48 * 1365 it takes
+    # the unit code at w % 48, and the positions at or above it, and only
+    # those, draw again from fresh words until they land below.  A fixed
+    # class reads the low 4 bits of one byte
+    calls = []
+    script = [
+        [0x1F, 0xF0, 0x07, 0x3A, 0xFF, 0x10],  # class 3: bytes of one word
+        [0, 47, 48, 65519, 65520, 65535, 100, 65530, 7, 200, 65525, 300],
+        [65521, 5, 6, 9],  # redraw of positions 4, 5, 7 and 10
+        [11, 0, 0, 0],  # redraw of position 4
+    ]
+
+    def raw(n):
+        calls.append(n)
+        step = script[len(calls) - 1]
+        dtype = np.uint8 if len(calls) == 1 else np.uint16
+        buf = np.zeros(8 * n // np.dtype(dtype).itemsize, dtype)
+        buf[: len(step)] = step
+        return buf.view(np.uint64)
+
+    C, lv = _sample_codes(SweepLemma("stub", 6, (0, 0, 1), (2,), None, "SAMPLED"), 6, raw)
+    # one word for the 6 bytes, 2 free rows of 6 trials in three words,
+    # then one word per redraw
+    assert calls == [1, 3, 1, 1]
+    words = [0, 47, 48, 65519, 11, 5, 100, 6, 7, 200, 9, 300]
+    assert C[0].tolist() == [_class_codes(3)[b & 15] for b in script[0]]
+    assert C[1:].ravel().tolist() == [UNIT_CODES[w % 48] for w in words]
+    assert lv.tolist() == [0, 0, 0]
+
+
+def test_sample_codes_scale_table():
+    # row s of the scale table maps v = a + 8b to 2^s * v, each part mod 8
+    for s in range(3):
+        for v in range(64):
+            a, b = (v & 7) << s & 7, (v >> 3) << s & 7
+            assert int(_SCALE[s, v]) == a + 8 * b
 
 
 def test_reachability_matches_search_both_polarities():
@@ -502,13 +558,15 @@ def test_reachability_matches_search_both_polarities():
             s = int(rng.integers(2, 6))
             lv = np.sort(rng.integers(0, 3, s)).astype(np.int8)
             cls = rng.integers(1, 4, s)
-            UA = ((cls & 1) + 2 * rng.integers(0, 32, s)).astype(np.int64)[None, :]
-            UB = ((cls >> 1) + 2 * rng.integers(0, 32, s)).astype(np.int64)[None, :]
-            ok = bool(_sampled_verdicts(UA, UB, lv, tab)[0])
-            f = _trial_form(d, UA[0], UB[0], lv, 6)
+            ua = (cls & 1) + 2 * rng.integers(0, 32, s)
+            ub = (cls >> 1) + 2 * rng.integers(0, 32, s)
+            C = ((ua & 7) + 8 * (ub & 7)).astype(np.uint8)[:, None]
+            ok = bool(_sampled_verdicts(C, lv, tab)[0])
+            # the form keeps all six digits; the verdict reads three
+            f = digit_form(d, ua, ub, lv, 6)
             out = search_certificate(f)
             assert out.status in ("FOUND", "NOT_FOUND")
-            assert ok == (out.status == "FOUND"), (d, list(lv), list(UA[0]), list(UB[0]))
+            assert ok == (out.status == "FOUND"), (d, list(lv), list(ua), list(ub))
             assert ok == (decide_isotropy_exhaustive(f).verdict == "ISOTROPIC")
             pos += ok
             neg += not ok
@@ -528,7 +586,7 @@ def test_one_level_profile_search_agrees_with_trial_search():
         deep_a = ua + 8 * rng.integers(0, 8, s)
         deep_b = ub + 8 * rng.integers(0, 8, s)
         a = search_certificate(_profile_form(6, row)).status
-        b = search_certificate(_trial_form(6, deep_a, deep_b, lv, 6)).status
+        b = search_certificate(digit_form(6, deep_a, deep_b, lv, 6)).status
         assert a == b
 
 
@@ -540,34 +598,44 @@ def test_sampled_sweep_deterministic():
     )
     # another seed draws other rows, and both draws settle clean
     lem = SWEEP_LEMMAS["31"]
-    a = _sample_rows(lem, 2000, 42, sweeps.SAMPLE_DIGITS)
-    b = _sample_rows(lem, 2000, 43, sweeps.SAMPLE_DIGITS)
-    assert not np.array_equal(a[0], b[0]) and not np.array_equal(a[1], b[1])
+    a, b = draw(lem, 2000, 42)[0], draw(lem, 2000, 43)[0]
+    assert np.array_equal(a, draw(lem, 2000, 42)[0])
+    assert all(not np.array_equal(x, y) for x, y in zip(a, b))
     r3 = sweep_lemma("31", "SAMPLED", trials=2000, seed=43)
     assert r1.failures == [] and r3.failures == []
     assert r1.resolution["closure"] == r3.resolution["closure"] == 2000
 
 
 # sha256 of the JSON reports (no timings) of every sampled lemma at 20 000
-# trials, seed 42, then of the failing shapes (2,) at d = 6 and (2, 1) at
-# d = 10 at 300 trials, seed 1, recorded before sampled trials were
-# decided once per orbit multiset.  Any change to a draw, a verdict, a
-# route count or a failure record changes it.
-SAMPLED_DIGEST = "ed1a859f10ca9f3201f2abde4c98c31bde7a543202ec455672358d5394e38ecc"
+# trials, seed 42, joined by newlines.  These reports hold no failure
+# record, so no drawn code shows in them and the pin does not depend on
+# how the trials are drawn.  Any change to a verdict or a route count
+# changes it.
+REAL_SAMPLED_DIGEST = "1dc2711abf08afb70c4ddd19a6dda67de87604c0db4e03074fcae4e10af65d5e"
+# the same of the failing shapes (2,) at d = 6 and (2, 1) at d = 10 at 300
+# trials, seed 1.  Any change to a draw, a verdict or a failure record
+# changes it.
+FAILING_SAMPLED_DIGEST = "0ab98bdf048afa53333dd2f3feedda93d09c116a43b8cbc6f6458a49777f8d5a"
 
 
 def test_sampled_outputs_are_pinned(monkeypatch):
-    runs = [(lid, 20_000, 42) for lid in sampled_lemma_ids()]
+    def lines(runs):
+        return [json.dumps(sweep_lemma(lid, "SAMPLED", trials=trials, seed=seed)
+                           .to_json(include_timings=False), sort_keys=True)
+                for lid, trials, seed in runs]
+
+    def digest(lines):
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+    real = lines([(lid, 20_000, 42) for lid in sampled_lemma_ids()])
+    assert all(json.loads(line)["failures"] == [] for line in real)
+    assert digest(real) == REAL_SAMPLED_DIGEST
     for lem in (SweepLemma("fail6", 6, None, (2,), None, "SAMPLED"),
                 SweepLemma("fail10", 10, None, (2, 1), None, "SAMPLED")):
         monkeypatch.setitem(SWEEP_LEMMAS, lem.id, lem)
-        runs.append((lem.id, 300, 1))
-    lines = []
-    for lid, trials, seed in runs:
-        rep = sweep_lemma(lid, "SAMPLED", trials=trials, seed=seed)
-        lines.append(json.dumps(rep.to_json(include_timings=False), sort_keys=True))
-    assert len(json.loads(lines[-1])["failures"]) == 155
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SAMPLED_DIGEST
+    failing = lines([("fail6", 300, 1), ("fail10", 300, 1)])
+    assert [len(json.loads(line)["failures"]) for line in failing] == [278, 139]
+    assert digest(failing) == FAILING_SAMPLED_DIGEST
 
 
 def test_sampled_sweep_needs_trials_and_a_seed():
@@ -597,13 +665,17 @@ def test_failure_reporting_is_search_confirmed():
     finally:
         del SWEEP_LEMMAS["bogus2"]
     assert rep.failures, "expected genuine failures on a false claim"
-    for rec in rep.failures[:5]:
+    for rec in rep.failures:
+        assert set(rec) == {"levels", "unitsA", "unitsB", "status"}
         assert rec["status"] == "NOT_FOUND"
         ua = np.array(rec["unitsA"], np.int64)
         ub = np.array(rec["unitsB"], np.int64)
         lv = np.array(rec["levels"], np.int8)
-        # confirmed apart from the flat kernel, by the FFT oracle
-        f = _trial_form(6, ua, ub, lv, 6)
+        assert ua.max() < 8 and ub.max() < 8
+        # confirmed apart from the flat kernel, by the FFT oracle, on the
+        # form with 3-digit windows the record stands for
+        f = _trial_form(6, ua, ub, lv)
+        assert f.windows == (3, 3)
         assert decide_isotropy_exhaustive(f).verdict == "ANISOTROPIC"
 
 
