@@ -304,13 +304,12 @@ class AgreementReport:
         }
 
 
-def agreement_experiment(d: int, trials: int, seed: int, s_max: int = 8,
-                         level_max: int = 4) -> AgreementReport:
+def agreement_experiment(d: int, trials: int, seed: int) -> AgreementReport:
     """Cross-check the flat-kernel pipeline against the FFT oracle.
 
-    Levels stay at or below level_max so the full enumeration runs at a
-    modulus of at most level_max + 3.  Any verdict difference is recorded
-    as a mismatch.
+    Forms have 2 to 8 variables.  Levels stay at or below 4 so the full
+    enumeration runs at a modulus of at most 2^7.  Any verdict difference
+    is recorded as a mismatch.
     """
     from .oracle import decide_isotropy_exhaustive
     from .solver import decide_isotropy
@@ -321,8 +320,8 @@ def agreement_experiment(d: int, trials: int, seed: int, s_max: int = 8,
     report = AgreementReport(d, trials, seed)
     t0 = time.perf_counter()
     for k in range(trials):
-        s = rng.randrange(2, s_max + 1)
-        f = sample_form(rng, d, s, max_level=level_max)
+        s = rng.randrange(2, 9)
+        f = sample_form(rng, d, s, max_level=4)
         got = decide_isotropy(f).verdict
         want = decide_isotropy_exhaustive(f).verdict
         if want == "ISOTROPIC":

@@ -295,7 +295,7 @@ def _battery(d: int, trials_cap: int | None):
     return items
 
 
-def run_battery(degrees, trials_cap=None, threads=None, stream=None):
+def run_battery(degrees, trials_cap=None, stream=None):
     """Run every battery item, print one PASS/FAIL row each, return ok."""
     if trials_cap is not None and trials_cap < 1:
         raise ValueError(f"trials_cap must be at least 1, got {trials_cap}")
@@ -304,8 +304,7 @@ def run_battery(degrees, trials_cap=None, threads=None, stream=None):
     for d in degrees:
         for name, fn in _battery(d, trials_cap):
             work.append((d, name, fn))
-    threads = threads or worker_count()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         futures = [pool.submit(fn) for _, _, fn in work]
         all_ok = True
         for (d, name, _), fut in zip(work, futures):

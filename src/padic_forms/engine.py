@@ -7,64 +7,39 @@ level; once the combined value vanishes mod 2^(k+3), where k is the lowest
 leaf level consumed, the anchor variable admits a Hensel lift and the form
 has a nontrivial zero.
 
-Coefficients are tracked as PartialValue: a residue trusted only mod 2^J.
-A leaf trusts the three digits from its level up, the digits the
-mod 2^(k+3) question reads, so a certificate built on leaves is valid for
-every completion of the unseen digits; validation recomputes the tree
-with exact arithmetic to confirm.  `make_leaf` and `contract` are the
-only node builders: trees from the flat reachability kernel's solutions
-(flat.py) and from JSON documents both go through them, and through
-`_certificate_from` for the anchor leaf, kappa and the achieved level.
+Each node (VarNode) holds its value together with J, the number of low
+digits trusted, and the value's level inside that window.  A leaf trusts
+the three digits from its level up, the digits the mod 2^(k+3) question
+reads, so a certificate built on leaves is valid for every completion of
+the unseen digits; validation recomputes the tree with exact arithmetic
+to confirm.  `make_leaf` and `contract` are the only node builders, and
+`_certificate_from` the only certificate builder: trees from the flat
+reachability kernel's solutions (flat.py) and from JSON documents both go
+through them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import CertificateError
+from .errors import CertificateError, NotADthPower, NotAUnit
 from .forms import AdditiveForm
-from .ring import MultiplierRep, RingElem, dth_root, mul_pair, multiplier_set, val_pair
-
-
-@dataclass(frozen=True, slots=True, init=False)
-class PartialValue:
-    """A residue whose low J digits are trusted; storage precision is
-    value.K >= J.  Level queries answer only below J."""
-
-    value: RingElem
-    J: int
-
-    def __init__(self, value: RingElem, J: int):
-        # built once per certificate node: the slot descriptors write past
-        # the frozen dataclass's raising __setattr__ at less cost than
-        # object.__setattr__; the dataclass keeps eq and repr
-        assert 1 <= J <= value.K
-        _set_pv_value(self, value)
-        _set_pv_J(self, J)
-
-    def masked(self) -> tuple[int, int]:
-        m = (1 << self.J) - 1
-        return self.value.a & m, self.value.b & m
-
-    def level(self) -> int | None:
-        a, b = self.masked()
-        if a == 0 and b == 0:
-            return None  # >= J, unresolved
-        return val_pair(a, b)
-
-
-_set_pv_value, _set_pv_J = PartialValue.value.__set__, PartialValue.J.__set__
+from .ring import MultiplierRep, RingElem, dth_root, mul_pair, multiplier_set, pow_pair
 
 
 class VarNode(NamedTuple):
-    """One node of a contraction forest.  `choices` holds the multiplier
-    applied to each child, aligned with `children`; kappa is the minimum
-    leaf level in the subtree (the prospective anchor level).  A named
-    tuple, the cheapest immutable record to build once per node."""
+    """One node of a contraction forest.  Its value is trusted only mod
+    2^J, and level is the value's valuation inside that window (None when
+    the value is 0 mod 2^J).  `choices` holds the multiplier applied to
+    each child, aligned with `children`; kappa is the minimum leaf level
+    in the subtree (the prospective anchor level).  A named tuple, the
+    cheapest immutable record to build once per node."""
 
     id: int
-    pv: PartialValue
+    value: RingElem
+    J: int
     level: int | None
     kappa: int
     leaves: frozenset
@@ -74,12 +49,11 @@ class VarNode(NamedTuple):
     choices: tuple = ()
 
     def achieved(self) -> int:
-        lvl = self.pv.level()
-        return self.pv.J if lvl is None else lvl
+        return self.J if self.level is None else self.level
 
     def is_success(self) -> bool:
         need = self.kappa + 3
-        return self.pv.J >= need and self.achieved() >= need
+        return self.J >= need and self.achieved() >= need
 
 
 def make_leaf(var_index: int, coeff: RingElem, window: int) -> VarNode:
@@ -89,8 +63,8 @@ def make_leaf(var_index: int, coeff: RingElem, window: int) -> VarNode:
     lvl = (x & -x).bit_length() - 1 if x else coeff.K
     if not lvl < window <= coeff.K:
         raise CertificateError(f"leaf {var_index}: level {lvl} is not below its window {window}")
-    pv = PartialValue(coeff, min(window, lvl + 3))
-    return VarNode(var_index, pv, lvl, lvl, frozenset((var_index,)), "leaf", var_index)
+    return VarNode(var_index, coeff, min(window, lvl + 3), lvl, lvl,
+                   frozenset((var_index,)), "leaf", var_index)
 
 
 def contract(children: tuple, choices: tuple, new_id: int) -> VarNode:
@@ -101,7 +75,7 @@ def contract(children: tuple, choices: tuple, new_id: int) -> VarNode:
     if len(children) < 2 or len(children) != len(choices):
         raise CertificateError("contraction needs >= 2 children with choices")
     first = children[0]
-    lvl0, J, kappa = first.level, first.pv.J, first.kappa
+    lvl0, J, kappa = first.level, first.J, first.kappa
     seen: frozenset = frozenset()
     ids = []
     count = ta = tb = 0
@@ -111,18 +85,20 @@ def contract(children: tuple, choices: tuple, new_id: int) -> VarNode:
         ids.append(c.id)
         seen |= c.leaves
         count += len(c.leaves)
-        v, r = c.pv.value, ch.value
+        v, r = c.value, ch.value
         ma, mb = mul_pair(v.a, v.b, r.a, r.b)
         ta += ma
         tb += mb
-        if c.pv.J < J:
-            J = c.pv.J
+        if c.J < J:
+            J = c.J
         if c.kappa < kappa:
             kappa = c.kappa
     if len(seen) != count:
         raise CertificateError("children overlap in original variables")
-    pv = PartialValue(RingElem(ta, tb, first.pv.value.K), J)
-    return VarNode(new_id, pv, pv.level(), kappa, seen,
+    value = RingElem(ta, tb, first.value.K)
+    x = (value.a | value.b) & ((1 << J) - 1)  # the level inside the window
+    lvl = (x & -x).bit_length() - 1 if x else None
+    return VarNode(new_id, value, J, lvl, kappa, seen,
                    "contraction", None, tuple(ids), choices)
 
 
@@ -134,7 +110,7 @@ def contract(children: tuple, choices: tuple, new_id: int) -> VarNode:
 class ContractionCertificate:
     d: int
     K: int
-    nodes: tuple  # VarNode, topologically ordered (children precede parents)
+    nodes: tuple  # VarNode, in id order
     root: int
     anchor_leaf: int
     anchor_level: int
@@ -156,35 +132,48 @@ def _collect_tree(root: VarNode, arena: dict) -> list[VarNode]:
     return [found[i] for i in sorted(found)]
 
 
-def _certificate_from(root: VarNode, arena: dict, d: int, K: int) -> ContractionCertificate:
-    nodes = _collect_tree(root, arena)
-    leaf_nodes = [n for n in nodes if n.kind == "leaf"]
-    kmin = min(n.level for n in leaf_nodes)
-    anchor = min(n.var for n in leaf_nodes if n.level == kmin)
+def _certificate_from(root: VarNode, nodes: list, d: int, K: int) -> ContractionCertificate:
+    """The certificate over root's tree, `nodes` in id order.  The anchor
+    level is root's kappa, the least leaf level, and the anchor leaf the
+    least variable there."""
+    kappa = root.kappa
+    anchor = min(n.var for n in nodes if n.kind == "leaf" and n.level == kappa)
     return ContractionCertificate(
         d=d,
         K=K,
         nodes=tuple(nodes),
         root=root.id,
         anchor_leaf=anchor,
-        anchor_level=kmin,
+        anchor_level=kappa,
         achieved=root.achieved(),
     )
 
 
+@lru_cache(maxsize=None)
+def _unit_powers_mod8(d: int) -> frozenset:
+    """The d-th powers of the 48 units mod 8, as pairs (a, b).  Enumerated
+    here rather than read off the multiplier reps, so that the check does
+    not trust the reps it checks.  A unit congruent mod 8 to one of them is
+    a unit d-th power, since 1 + 8O consists of d-th powers."""
+    return frozenset(pow_pair(a, b, d, 8) for a in range(8) for b in range(8) if (a | b) & 1)
+
+
 def validate_certificate(f: AdditiveForm, cert: ContractionCertificate) -> bool:
     """Recompute the tree with exact arithmetic at precision K and check the
-    root vanishes mod 2^(anchor + 3).  Structural defects also fail."""
+    root vanishes mod 2^(anchor + 3).  Also refused: a structural defect,
+    a node that is not exactly one node's child (the root excepted), a
+    multiplier that is not a unit d-th power, and a leaf whose trusted
+    window stops below anchor + 3."""
     try:
         nmap = cert.node_map()
         if cert.root not in nmap:
             return False
-        root = nmap[cert.root]
-        order = _collect_tree(root, nmap)
+        order = _collect_tree(nmap[cert.root], nmap)
     except KeyError:
         return False
     mask = (1 << f.K) - 1
     coeffs, levels, s = f.coeffs, f.levels(), f.s
+    powers = _unit_powers_mod8(f.d)
     values: dict[int, tuple[int, int]] = {}  # exact node values as int pairs mod 2^K
     leaf_levels = []
     leaf_vars: set = set()
@@ -197,25 +186,31 @@ def validate_certificate(f: AdditiveForm, cert: ContractionCertificate) -> bool:
             coeff = coeffs[n.var]
             values[n.id] = (coeff.a, coeff.b)
             leaf_levels.append((levels[n.var], n.var))
+    consumed = 0
     for n in order:
         if n.kind != "leaf":
             if len(n.children) < 2 or len(n.children) != len(n.choices):
                 return False
+            consumed += len(n.children)
             ta = tb = 0
             for cid, choice in zip(n.children, n.choices):
-                if cid not in values:
+                r = choice.value
+                if cid not in values or (r.a & 7, r.b & 7) not in powers:
                     return False
-                ma, mb = mul_pair(*values[cid], choice.value.a, choice.value.b)
+                ma, mb = mul_pair(*values[cid], r.a, r.b)
                 ta += ma
                 tb += mb
             values[n.id] = (ta & mask, tb & mask)
-    if not leaf_levels:
+    # the walk reached every node but the root as some node's child, so a
+    # count above that means a node consumed twice (or the root consumed)
+    if consumed != len(order) - 1 or not leaf_levels:
         return False
     kmin = min(leaf_levels)[0]
     if cert.anchor_level != kmin or (kmin, cert.anchor_leaf) not in leaf_levels:
         return False
     need = kmin + 3
-    if need > f.K:
+    windows = f.windows
+    if need > f.K or any(windows[v] < need for v in leaf_vars):
         return False
     ra, rb = values[cert.root]
     return ra % (1 << need) == 0 and rb % (1 << need) == 0
@@ -231,7 +226,7 @@ def certificate_to_json(cert: ContractionCertificate) -> dict:
         rec = {
             "id": n.id,
             "kind": n.kind,
-            "value": [n.pv.value.a, n.pv.value.b],
+            "value": [n.value.a, n.value.b],
             "level": n.level,
         }
         if n.kind == "leaf":
@@ -257,7 +252,8 @@ def certificate_to_json(cert: ContractionCertificate) -> dict:
 def certificate_from_json(doc: dict) -> ContractionCertificate:
     """Rebuild a certificate through `make_leaf` and `contract`; a
     malformed document (a missing or mistyped field, an unknown or cyclic
-    node id, a leaf that is 0 at the precision) raises CertificateError."""
+    node id, a leaf that is 0 at the precision, a multiplier that is not a
+    unit d-th power) raises CertificateError."""
     try:
         d, K = doc["degree"], doc["precision"]
         raw = {rec["id"]: rec for rec in doc["nodes"]}
@@ -272,8 +268,11 @@ def certificate_from_json(doc: dict) -> ContractionCertificate:
         if key in by_value:
             return by_value[key]
         val = RingElem(pair[0], pair[1], K)
-        root = dth_root(val, d)
-        return MultiplierRep(val, root, val.residue(), eps or 0)
+        try:
+            root = dth_root(val, d)
+        except (NotAUnit, NotADthPower) as e:
+            raise CertificateError(f"multiplier {pair} is not a unit d-th power: {e}") from None
+        return MultiplierRep(val, root, eps or 0)
 
     built: dict[int, VarNode] = {}
     open_ids: set = set()  # on the current path from the root
@@ -305,4 +304,4 @@ def certificate_from_json(doc: dict) -> ContractionCertificate:
         return node
 
     root = build(root_id)
-    return _certificate_from(root, built, d, K)
+    return _certificate_from(root, _collect_tree(root, built), d, K)

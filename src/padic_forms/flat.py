@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .engine import ContractionCertificate, contract, make_leaf
+from .engine import ContractionCertificate, _certificate_from, contract, make_leaf
 from .errors import CertificateError, PadicFormsError
 from .forms import AdditiveForm
 from .ring import mul_pair, multiplier_set
@@ -239,7 +239,6 @@ def contraction_from_flat(g: AdditiveForm, sol: FlatSolution) -> ContractionCert
     queues = [[] for _ in range(need)]  # per level, (node, multiplier its parent applies)
     finished = []
     nodes = []
-    low = (need, 0)  # the least (level, variable) over the leaves
     for p in sol.picks:
         if p.wrap:
             raise CertificateError("a contraction certificate takes unit variables only")
@@ -247,7 +246,6 @@ def contraction_from_flat(g: AdditiveForm, sol: FlatSolution) -> ContractionCert
         nodes.append(leaf)
         if leaf.level < need:
             queues[leaf.level].append((leaf, reps[p.rep]))
-            low = min(low, (leaf.level, p.var))
         else:
             finished.append(leaf)
     new_id = g.s
@@ -270,15 +268,7 @@ def contraction_from_flat(g: AdditiveForm, sol: FlatSolution) -> ContractionCert
     root = finished[0]
     if not root.is_success():
         raise CertificateError("flat solution left no vanishing node over the anchor")
-    return ContractionCertificate(
-        d=g.d,
-        K=g.K,
-        nodes=tuple(nodes),
-        root=root.id,
-        anchor_leaf=low[1],
-        anchor_level=low[0],
-        achieved=root.achieved(),
-    )
+    return _certificate_from(root, nodes, g.d, g.K)
 
 
 @dataclass

@@ -294,12 +294,11 @@ def teichmuller_alpha(K: int) -> RingElem:
 @dataclass(frozen=True)
 class MultiplierRep:
     """One unit d-th power usable as a contraction multiplier: value with a
-    stored root (root ** d == value), its residue class, and the epsilon
-    telling whether it carries the extra 1+4 factor mod 8."""
+    stored root (root ** d == value), and the epsilon telling whether it
+    carries the extra 1+4 factor mod 8."""
 
     value: RingElem
     root: RingElem
-    klass: F4
     epsilon: int
 
 
@@ -312,7 +311,6 @@ class MultiplierSet:
     d: int
     K: int
     reps: tuple[MultiplierRep, ...]
-    class_transitive: bool
 
 
 def check_degree_shape(d: int):
@@ -340,34 +338,32 @@ def multiplier_set(d: int, K: int) -> MultiplierSet:
     five_m = RingElem(5, 0, KK) ** m  # (2w - 1)^d, congruent to 5 mod 8
     root5 = RingElem(-1, 2, KK)
     reps = [
-        MultiplierRep(one, one, F4.ONE, 0),
-        MultiplierRep(five_m, root5, F4.ONE, 1),
+        MultiplierRep(one, one, 0),
+        MultiplierRep(five_m, root5, 1),
     ]
-    transitive = d % 3 != 0
-    if transitive:
+    if d % 3 != 0:
         w = teichmuller_alpha(KK)
         j = 1 if d % 3 == 1 else 2  # omega = (omega^j)^d
         rw = w ** j
         w2 = w * w
         rw2 = rw * rw
         reps += [
-            MultiplierRep(w, rw, F4.A, 0),
-            MultiplierRep(w * five_m, rw * root5, F4.A, 1),
-            MultiplierRep(w2, rw2, F4.A1, 0),
-            MultiplierRep(w2 * five_m, rw2 * root5, F4.A1, 1),
+            MultiplierRep(w, rw, 0),
+            MultiplierRep(w * five_m, rw * root5, 1),
+            MultiplierRep(w2, rw2, 0),
+            MultiplierRep(w2 * five_m, rw2 * root5, 1),
         ]
     for r in reps:
         assert r.root.is_unit() and r.root ** d == r.value
-        assert r.value.residue() == r.klass
         # independent root extraction must also succeed
         x = dth_root(r.value, d)
         assert x ** d == r.value
     if KK != K:
         reps = [
-            MultiplierRep(r.value.reduce_to(K), r.root.reduce_to(K), r.klass, r.epsilon)
+            MultiplierRep(r.value.reduce_to(K), r.root.reduce_to(K), r.epsilon)
             for r in reps
         ]
-    ms = MultiplierSet(d=d, K=K, reps=tuple(reps), class_transitive=transitive)
+    ms = MultiplierSet(d=d, K=K, reps=tuple(reps))
     _MULTIPLIER_CACHE[key] = ms
     return ms
 
@@ -440,7 +436,7 @@ def _newton_root(seed: tuple[int, int], d: int, t: tuple[int, int], KK: int):
     return xa, xb
 
 
-def dth_root(t: RingElem, d: int, *, _search_limit: int = 4) -> RingElem:
+def dth_root(t: RingElem, d: int) -> RingElem:
     """A unit x with x^d = t mod 2^K, or NotADthPower.
 
     For K > 4 the candidates are exactly the solutions mod 16: any of them
@@ -449,7 +445,7 @@ def dth_root(t: RingElem, d: int, *, _search_limit: int = 4) -> RingElem:
     if not t.is_unit():
         raise NotAUnit(f"{t} is not a unit; only unit roots are extracted")
     K = t.K
-    if K <= _search_limit:
+    if K <= 4:  # small enough to try every unit
         mod = 1 << K
         for a in range(mod):
             for b in range(mod):

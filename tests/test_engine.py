@@ -14,7 +14,6 @@ import padic_forms
 
 from padic_forms.engine import (
     ContractionCertificate,
-    PartialValue,
     VarNode,
     certificate_from_json,
     certificate_to_json,
@@ -25,7 +24,7 @@ from padic_forms.engine import (
 from padic_forms.errors import CertificateError, PrecisionMismatch
 from padic_forms.flat import search_certificate
 from padic_forms.forms import AdditiveForm
-from padic_forms.ring import RingElem, multiplier_set
+from padic_forms.ring import MultiplierRep, RingElem, dth_root, multiplier_set
 
 
 def form(d, pairs, K=None):
@@ -41,17 +40,17 @@ IDENT = MS6.reps[0]
 FIVE = MS6.reps[1]  # 5^3 = 125, the epsilon-carrying rep
 
 
-# --- partial values --------------------------------------------------------
+# --- trusted windows -------------------------------------------------------
 
 
 def test_value_types_stay_immutable():
-    # RingElem, AdditiveForm and PartialValue write their slots through
-    # the slot descriptors, VarNode is a named tuple; setting an attribute
+    # RingElem and AdditiveForm write their slots through the slot
+    # descriptors, VarNode is a named tuple; setting an attribute
     # afterwards must still raise
     f = form(6, [(1, 0), (7, 0)], 10)
     node = make_leaf(0, f.coeffs[0], 10)
     for obj, attr in ((f.coeffs[0], "a"), (f.coeffs[0], "K"), (f, "coeffs"), (f, "_levels"),
-                      (node.pv, "J"), (node.pv, "value"), (node, "level"), (node, "children")):
+                      (node, "J"), (node, "value"), (node, "level"), (node, "children")):
         before = getattr(obj, attr)
         with pytest.raises(AttributeError):
             setattr(obj, attr, 5)
@@ -59,19 +58,27 @@ def test_value_types_stay_immutable():
     assert not hasattr(node, "__dict__") and not hasattr(f, "__dict__")
 
 
-def test_partial_value_level_inside_window():
-    pv = PartialValue(RingElem(4, 0, 10), 3)
-    assert pv.level() == 2
-    assert PartialValue(RingElem(8, 0, 10), 3).level() is None  # 8 = 0 mod 2^3
-    assert PartialValue(RingElem(8, 0, 10), 4).level() == 3
+def test_node_level_inside_window():
+    x = make_leaf(0, RingElem(4, 0, 10), 3)
+    assert (x.level, x.J) == (2, 3)
+    assert x.achieved() == 2
+    # 4 + 4 = 8: 0 mod 2^3, so undetermined in a window of 3 digits
+    node = contract((make_leaf(0, RingElem(4, 0, 10), 3), make_leaf(1, RingElem(4, 0, 10), 3)),
+                    (IDENT, IDENT), 100)
+    assert (node.value, node.J, node.level) == (RingElem(8, 0, 10), 3, None)
+    assert node.achieved() == 3
+    # the same sum in a window of 4 digits has level 3
+    node = contract((make_leaf(0, RingElem(4, 0, 10), 4), make_leaf(1, RingElem(4, 0, 10), 4)),
+                    (IDENT, IDENT), 100)
+    assert (node.J, node.level) == (4, 3)
 
 
-def test_partial_value_add_meets_windows():
+def test_contract_meets_windows():
     # two level-2 leaves, one trusting the digits 2..4, one only digit 2
     x = make_leaf(0, RingElem(4, 0, 10), 10)
     y = make_leaf(1, RingElem(12, 0, 10), 3)
-    assert (x.pv.J, y.pv.J) == (5, 3)
-    assert contract((x, y), (IDENT, IDENT), 100).pv.J == 3
+    assert (x.J, y.J) == (5, 3)
+    assert contract((x, y), (IDENT, IDENT), 100).J == 3
 
 
 # --- contract --------------------------------------------------------------
@@ -79,22 +86,22 @@ def test_partial_value_add_meets_windows():
 
 def test_contract_same_class_pair():
     node = contract((leaf(0, 1, 0), leaf(1, 1, 0)), (IDENT, IDENT), 100)
-    assert node.pv.value == RingElem(2, 0, 10)
+    assert node.value == RingElem(2, 0, 10)
     assert node.level == 1
     # 2 = 2 * 1: the unit part lies in residue class 1
-    assert RingElem(node.pv.value.a >> 1, node.pv.value.b >> 1, 9).residue().code == 1
+    assert RingElem(node.value.a >> 1, node.value.b >> 1, 9).residue().code == 1
 
 
 def test_contract_complementary_pair():
     node = contract((leaf(0, 1, 0), leaf(1, 3, 0)), (IDENT, IDENT), 100)
-    assert node.pv.value == RingElem(4, 0, 10)
+    assert node.value == RingElem(4, 0, 10)
     assert node.level == 2
 
 
 def test_contract_epsilon_reaches_three_levels():
     # 125*1 + 1*3 = 128: vanishes in the mod-8 window, certificate-grade
     node = contract((leaf(0, 1, 0), leaf(1, 3, 0)), (FIVE, IDENT), 100)
-    assert node.level is None and node.pv.J == 3
+    assert node.level is None and node.J == 3
     assert node.is_success()
     assert node.achieved() == 3
 
@@ -103,7 +110,7 @@ def test_contract_three_classes():
     node = contract(
         (leaf(0, 1, 0), leaf(1, 0, 1), leaf(2, 1, 1)), (IDENT, IDENT, IDENT), 100
     )
-    assert node.pv.value == RingElem(2, 2, 10)
+    assert node.value == RingElem(2, 2, 10)
     assert node.level == 1
 
 
@@ -159,8 +166,8 @@ def test_search_d10_transitive_classes():
     out = search_certificate(f)
     if out.status == "FOUND":
         assert validate_certificate(f, out.certificate)
-    ms = multiplier_set(10, 14)
-    assert ms.class_transitive
+    # the reps reach all three nonzero residue classes
+    assert {r.value.residue().code for r in multiplier_set(10, 14).reps} == {1, 2, 3}
 
 
 def test_search_anchor_is_min_level_leaf():
@@ -249,15 +256,7 @@ def test_validate_fails_on_overlapping_leaves():
     hacked_nodes = []
     for n in cert.nodes:
         if n.kind == "leaf" and n.var == 1:
-            n = VarNode(
-                id=n.id,
-                pv=n.pv,
-                level=n.level,
-                kappa=n.kappa,
-                leaves=n.leaves,
-                kind="leaf",
-                var=0,
-            )
+            n = n._replace(var=0)
         hacked_nodes.append(n)
     hacked = ContractionCertificate(
         d=cert.d,
@@ -269,6 +268,49 @@ def test_validate_fails_on_overlapping_leaves():
         achieved=cert.achieved,
     )
     assert not validate_certificate(f, hacked)
+
+
+# G = (1, 1, w) at d = 6 is anisotropic, so every certificate for it is forged
+G = form(6, [(1, 0), (1, 0), (0, 1)], 10)
+
+
+def test_forged_multiplier_is_refused():
+    from padic_forms.solver import decide_isotropy
+
+    assert decide_isotropy(G).verdict == "ANISOTROPIC"
+    minus_one = MultiplierRep(RingElem(-1, 0, 10), RingElem(-1, 0, 10), 0)
+    x0, x1 = make_leaf(0, G.coeffs[0], 10), make_leaf(1, G.coeffs[1], 10)
+    root = contract((x0, x1), (IDENT, minus_one), 3)
+    assert root.is_success()  # 1 - 1 = 0, but -1 is not a sixth power
+    cert = ContractionCertificate(6, 10, (x0, x1, root), 3, 0, 0, root.achieved())
+    assert not validate_certificate(G, cert)
+    # a sixth power that is not one of the reps is a fair multiplier:
+    # 9 = 1 mod 8, and 9 * 1 + 7 = 16
+    f = form(6, [(1, 0), (7, 0)], 10)
+    nine = MultiplierRep(RingElem(9, 0, 10), dth_root(RingElem(9, 0, 10), 6), 0)
+    y0, y1 = make_leaf(0, f.coeffs[0], 10), make_leaf(1, f.coeffs[1], 10)
+    root = contract((y0, y1), (nine, IDENT), 2)
+    assert validate_certificate(f, ContractionCertificate(6, 10, (y0, y1, root), 2, 0, 0, 3))
+
+
+def test_node_consumed_twice_is_refused():
+    x0, x1 = make_leaf(0, G.coeffs[0], 10), make_leaf(1, G.coeffs[1], 10)
+    a = contract((x0, x1), (IDENT, IDENT), 3)  # 1 + 1 = 2
+    # 2 + 2 + 2 + 2 = 8 vanishes mod 8, but uses x0 and x1 four times each;
+    # `contract` refuses the overlap, so the node is built by hand
+    root = VarNode(4, RingElem(8, 0, 10), 3, None, 0, a.leaves, "contraction", None,
+                   (3, 3, 3, 3), (IDENT,) * 4)
+    cert = ContractionCertificate(6, 10, (x0, x1, a, root), 4, 0, 0, 3)
+    assert not validate_certificate(G, cert)
+
+
+def test_leaf_outside_its_trusted_window_is_refused():
+    cert = search_certificate(form(6, [(1, 0), (7, 0)], 10)).certificate
+    # 1 + 7 = 0 mod 8 needs the digits of 7 up to 2^2
+    short = AdditiveForm(6, (RingElem(1, 0, 10), RingElem(7, 0, 10)), windows=(10, 2))
+    assert not validate_certificate(short, cert)
+    enough = AdditiveForm(6, (RingElem(1, 0, 10), RingElem(7, 0, 10)), windows=(10, 3))
+    assert validate_certificate(enough, cert)
 
 
 def test_abstraction_soundness_sampled():
@@ -320,7 +362,9 @@ def _malformed_certificate_docs() -> dict:
         search_certificate(form(6, [(1, 0), (7, 0), (1, 0), (1, 0)])).certificate
     )
     docs = {}
-    for case in ("zero leaf", "unknown root", "unknown child", "missing kind", "cycle"):
+    cases = ("zero leaf", "unknown root", "unknown child", "missing kind", "cycle",
+             "multiplier not a sixth power", "multiplier not a unit")
+    for case in cases:
         doc = json.loads(json.dumps(good))
         nodes = {n["id"]: n for n in doc["nodes"]}
         root = nodes[doc["root"]]
@@ -333,6 +377,10 @@ def _malformed_certificate_docs() -> dict:
             root["children"][1] = 999
         elif case == "missing kind":
             del leaf["kind"]
+        elif case == "multiplier not a sixth power":
+            leaf["multiplier"] = [3, 0]  # sixth powers of units are 1 or 5 mod 8
+        elif case == "multiplier not a unit":
+            leaf["multiplier"] = [2, 0]
         else:
             root["children"][0] = root["id"]
         docs[case] = doc

@@ -202,17 +202,15 @@ def test_unit_tenth_powers_mod8():
 
 def test_multiplier_set_d6():
     ms = multiplier_set(6, 8)
-    assert not ms.class_transitive
     assert {(r.value.a, r.value.b) for r in ms.reps} == {(1, 0), (125, 0)}
     for r in ms.reps:
         assert r.root ** 6 == r.value
-        assert r.klass == F4.ONE
-    assert [(r.klass, r.epsilon) for r in ms.reps] == [(F4.ONE, 0), (F4.ONE, 1)]
+    # the sixth powers hit only the class of 1
+    assert [(r.value.residue(), r.epsilon) for r in ms.reps] == [(F4.ONE, 0), (F4.ONE, 1)]
 
 
 def test_multiplier_set_d10():
     ms = multiplier_set(10, 3)
-    assert ms.class_transitive
     assert {(r.value.a, r.value.b) for r in ms.reps} == {
         (1, 0),
         (5, 0),
@@ -222,7 +220,7 @@ def test_multiplier_set_d10():
         (5, 5),
     }
     # exactly the unit tenth powers mod 8, one per (class, epsilon)
-    assert len({(r.klass.code, r.epsilon) for r in ms.reps}) == 6
+    assert len({(r.value.residue().code, r.epsilon) for r in ms.reps}) == 6
     for r in ms.reps:
         assert r.root ** 10 == r.value
 
