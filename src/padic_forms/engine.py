@@ -162,8 +162,11 @@ def validate_certificate(f: AdditiveForm, cert: ContractionCertificate) -> bool:
     """Recompute the tree with exact arithmetic at precision K and check the
     root vanishes mod 2^(anchor + 3).  Also refused: a structural defect,
     a node that is not exactly one node's child (the root excepted), a
-    multiplier that is not a unit d-th power, and a leaf whose trusted
-    window stops below anchor + 3."""
+    multiplier that is not a unit d-th power, a leaf whose trusted window
+    stops below anchor + 3, and a contraction whose recorded value is not
+    the sum of its children's recorded values times their multipliers.
+    The leaves' recorded values are not compared with the form's
+    coefficients: the tree proves every form it recomputes to a zero."""
     try:
         nmap = cert.node_map()
         if cert.root not in nmap:
@@ -192,7 +195,7 @@ def validate_certificate(f: AdditiveForm, cert: ContractionCertificate) -> bool:
             if len(n.children) < 2 or len(n.children) != len(n.choices):
                 return False
             consumed += len(n.children)
-            ta = tb = 0
+            ta = tb = ua = ub = 0  # from the form's coefficients, from the recorded values
             for cid, choice in zip(n.children, n.choices):
                 r = choice.value
                 if cid not in values or (r.a & 7, r.b & 7) not in powers:
@@ -200,6 +203,13 @@ def validate_certificate(f: AdditiveForm, cert: ContractionCertificate) -> bool:
                 ma, mb = mul_pair(*values[cid], r.a, r.b)
                 ta += ma
                 tb += mb
+                c = nmap[cid].value
+                ma, mb = mul_pair(c.a, c.b, r.a, r.b)
+                ua += ma
+                ub += mb
+            v = n.value
+            if (ua - v.a) & ((1 << v.K) - 1) or (ub - v.b) & ((1 << v.K) - 1):
+                return False
             values[n.id] = (ta & mask, tb & mask)
     # the walk reached every node but the root as some node's child, so a
     # count above that means a node consumed twice (or the root consumed)
@@ -253,7 +263,9 @@ def certificate_from_json(doc: dict) -> ContractionCertificate:
     """Rebuild a certificate through `make_leaf` and `contract`; a
     malformed document (a missing or mistyped field, an unknown or cyclic
     node id, a leaf that is 0 at the precision, a multiplier that is not a
-    unit d-th power) raises CertificateError."""
+    unit d-th power, a rep's value with another epsilon, a contraction
+    whose recorded value is not its children's sum) raises
+    CertificateError."""
     try:
         d, K = doc["degree"], doc["precision"]
         raw = {rec["id"]: rec for rec in doc["nodes"]}
@@ -266,6 +278,9 @@ def certificate_from_json(doc: dict) -> ContractionCertificate:
     def recover(pair, eps) -> MultiplierRep:
         key = (pair[0] % (1 << K), pair[1] % (1 << K))
         if key in by_value:
+            if eps != by_value[key].epsilon:
+                raise CertificateError(f"multiplier {pair} has epsilon {eps!r}, "
+                                       f"its rep {by_value[key].epsilon}")
             return by_value[key]
         val = RingElem(pair[0], pair[1], K)
         try:
@@ -297,6 +312,9 @@ def certificate_from_json(doc: dict) -> ContractionCertificate:
                     for c in rec["children"]
                 )
                 node = contract(children, choices, nid)
+                if node.value != val:
+                    raise CertificateError(f"certificate node {nid!r} records {rec['value']}, "
+                                           f"its children sum to {[node.value.a, node.value.b]}")
         except (KeyError, IndexError, TypeError) as e:
             raise CertificateError(f"certificate node {nid!r} is malformed: {e!r}") from None
         open_ids.discard(nid)

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -348,6 +349,41 @@ def test_certificate_json_roundtrip():
     assert certificate_to_json(back) == doc
 
 
+def test_certificate_json_roundtrip_keeps_epsilon():
+    # 125 * 1 + 3 = 128: the rep 125 carries epsilon 1, the identity 0.
+    # Both come back as they went out, and a flipped epsilon is refused
+    doc = certificate_to_json(search_certificate(form(6, [(1, 0), (3, 0)])).certificate)
+    assert sorted(rec["epsilon"] for rec in doc["nodes"] if rec["kind"] == "leaf") == [0, 1]
+    assert certificate_to_json(certificate_from_json(doc)) == doc
+    for i, rec in enumerate(doc["nodes"]):
+        if rec["kind"] == "leaf":
+            bad = json.loads(json.dumps(doc))
+            bad["nodes"][i]["epsilon"] = 1 - rec["epsilon"]
+            with pytest.raises(CertificateError, match="epsilon"):
+                certificate_from_json(bad)
+
+
+def test_forged_node_values_are_refused():
+    f = form(6, [(1, 0), (7, 0), (1, 0), (1, 0)])
+    cert = search_certificate(f).certificate
+    doc = certificate_to_json(cert)
+    # leaf 0 recorded as 9: the root above it records 1 + 7 = 8, not 9 + 7
+    forged = json.loads(json.dumps(doc))
+    forged["nodes"][0]["value"][0] += 8
+    with pytest.raises(CertificateError, match="children sum"):
+        certificate_from_json(forged)
+    # a hand-built certificate whose contraction records another value
+    root = cert.node_map()[cert.root]
+    nodes = tuple(n._replace(value=RingElem(16, 0, 10)) if n is root else n for n in cert.nodes)
+    assert validate_certificate(f, cert)
+    assert not validate_certificate(f, replace(cert, nodes=nodes))
+    # with the root recording 9 + 7 = 16 as well, the tree is the one for
+    # the form (9, 7, 1, 1); it reads only the three low digits of each
+    # leaf, so it proves (1, 7, 1, 1) too
+    forged["nodes"][2]["value"][0] += 8
+    assert validate_certificate(f, certificate_from_json(forged))
+
+
 def test_certificate_json_deterministic():
     f = form(6, [(1, 0), (7, 0), (3, 2), (1, 4)])
     a = json.dumps(certificate_to_json(search_certificate(f).certificate), sort_keys=True)
@@ -363,7 +399,8 @@ def _malformed_certificate_docs() -> dict:
     )
     docs = {}
     cases = ("zero leaf", "unknown root", "unknown child", "missing kind", "cycle",
-             "multiplier not a sixth power", "multiplier not a unit")
+             "multiplier not a sixth power", "multiplier not a unit", "flipped epsilon",
+             "leaf value off its parent's")
     for case in cases:
         doc = json.loads(json.dumps(good))
         nodes = {n["id"]: n for n in doc["nodes"]}
@@ -381,6 +418,10 @@ def _malformed_certificate_docs() -> dict:
             leaf["multiplier"] = [3, 0]  # sixth powers of units are 1 or 5 mod 8
         elif case == "multiplier not a unit":
             leaf["multiplier"] = [2, 0]
+        elif case == "flipped epsilon":
+            leaf["epsilon"] = 1 - leaf["epsilon"]
+        elif case == "leaf value off its parent's":
+            leaf["value"][0] += 8
         else:
             root["children"][0] = root["id"]
         docs[case] = doc
