@@ -15,8 +15,8 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import DegreeShapeError
+from .flat import mod8_table
 from .forms import AdditiveForm, default_precision
-from .oracle import power_value_set
 from .ring import check_degree_shape, mul_pair, val_pair
 
 
@@ -157,7 +157,9 @@ def verify_descent(bf: BlockForm) -> DescentResult:
     coeffs = list(bf.coefficient_pairs())
     s = len(coeffs)
     forced = [False] * s
-    pv_opts = sorted(power_value_set(d, 2).value_set(), reverse=True)
+    # the d-th powers mod 4: 0, and the unit ones, which are the multiplier reps'
+    pv_opts = sorted({(0, 0)} | {(c & 3, c >> 3 & 3) for c in mod8_table(d).products[1]},
+                     reverse=True)
     rounds = []
     index = 0
     while not all(forced):
@@ -239,12 +241,10 @@ class GammaReport:
         }
 
 
-def sample_form(rng: random.Random, d: int, s: int, K: int | None = None,
-                max_level: int | None = None) -> AdditiveForm:
+def sample_form(rng: random.Random, d: int, s: int, max_level: int | None = None) -> AdditiveForm:
     """Uniform level in [0, max_level], uniform nonzero residue class,
-    uniform higher digits."""
-    if K is None:
-        K = default_precision(d)
+    uniform higher digits, at the default precision."""
+    K = default_precision(d)
     if max_level is None:
         max_level = d - 1
     pairs = []

@@ -43,8 +43,8 @@ from .errors import (
     PrecisionMismatch,
 )
 from .forms import AdditiveForm, reduce_levels
-from .oracle import decide_isotropy_exhaustive, primitive_zero_mod
-from .solver import decide_isotropy
+from .oracle import MAX_ORACLE_M, decide_isotropy_exhaustive, primitive_zero_mod
+from .solver import decide_isotropy, isotropy_threshold
 from .sweeps import (
     SWEEP_LEMMAS,
     exhaustive_lemma_ids,
@@ -63,13 +63,14 @@ EX_INTERNAL = 70
 
 # fixed battery parameters; changing any of these changes the published
 # numbers, so they live here rather than in flag defaults
-GAMMA_RUNS = {6: (25, 1000, 42), 10: (16, 1000, 42)}
-AGREEMENT_RUNS = {6: (500, 42), 10: (500, 42)}
+GAMMA_TRIALS = 1000
+AGREEMENT_FORMS = 500
+BATTERY_SEED = 42
 SWEEP_SAMPLES = 100_000
 SWEEP_SEED = 42
 
-DESCENT_ROUNDS = {("G", 6): 1, ("F", 6): 1, ("H", 6): 3, ("I", 6): 6, ("H", 10): 5}
-I6_FIRST_WINDOW = tuple(sorted((p, 2 * q) for p in range(4) for q in range(2)))
+# the first descent window of family I, the same at every degree 3 | d
+I_FIRST_WINDOW = tuple(sorted((p, 2 * q) for p in range(4) for q in range(2)))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -207,22 +208,25 @@ def cmd_gamma(args) -> int:
 
 
 def _check_descent(name: str, d: int):
-    res = verify_descent(named_form(name, d))
-    want = DESCENT_ROUNDS[(name, d)]
-    ok = res.status == "DESCENT" and len(res.certificate.rounds) == want
+    """Descent on a named family, one round per block."""
+    bf = named_form(name, d)
+    res = verify_descent(bf)
+    ok = res.status == "DESCENT" and len(res.certificate.rounds) == len(bf.blocks)
     detail = f"{name}(d={d}): {res.status}"
     if res.status == "DESCENT":
         nr = len(res.certificate.rounds)
         detail += f", {nr} round" + ("s" if nr != 1 else "")
-        if (name, d) == ("I", 6):
+        if name == "I":
             first = res.certificate.rounds[0].window_values
-            ok = ok and first == I6_FIRST_WINDOW
+            ok = ok and first == I_FIRST_WINDOW
             detail += ", first window frozen set" if ok else ", WRONG first window"
     return ok, detail
 
 
 def _battery(d: int, trials_cap: int | None):
-    """Ordered (name, thunk) pairs; each thunk returns (ok, detail)."""
+    """Ordered (name, thunk) pairs; each thunk returns (ok, detail).  The
+    rows follow from d, which `named_form` checks here, before any runs."""
+    H = named_form("H", d)
 
     def scaled(n):
         return n if trials_cap is None else min(n, trials_cap)
@@ -239,20 +243,21 @@ def _battery(d: int, trials_cap: int | None):
 
     add("obstruction-G", g_obstruction)
     add("descent-H", lambda: _check_descent("H", d))
-    if d == 6:
-        add("descent-F", lambda: _check_descent("F", 6))
-        add("descent-I", lambda: _check_descent("I", 6))
+    if d % 3 == 0:
+        add("descent-F", lambda: _check_descent("F", d))
+        add("descent-I", lambda: _check_descent("I", d))
+    if H.max_level() + 3 <= MAX_ORACLE_M:
 
         def h_oracle():
-            dec = decide_isotropy_exhaustive(named_form("H", 6).form())
-            return dec.verdict == "ANISOTROPIC", f"H(d=6) exhaustive: {dec.verdict}"
+            dec = decide_isotropy_exhaustive(H.form())
+            return dec.verdict == "ANISOTROPIC", f"H(d={d}) exhaustive: {dec.verdict}"
 
         add("oracle-H", h_oracle)
 
-    s, n, seed = GAMMA_RUNS[d]
+    s = isotropy_threshold(d)
 
     def threshold():
-        rep = gamma_experiment(d, s, scaled(n), seed)
+        rep = gamma_experiment(d, s, scaled(GAMMA_TRIALS), BATTERY_SEED)
         ok = rep.isotropic == rep.trials
         return ok, f"{rep.trials} samples at s={s}: {rep.isotropic} isotropic"
 
@@ -282,10 +287,8 @@ def _battery(d: int, trials_cap: int | None):
 
         add(f"sweep-{lid}", sweep_s)
 
-    n, seed = AGREEMENT_RUNS[d]
-
     def agreement():
-        rep = agreement_experiment(d, scaled(n), seed)
+        rep = agreement_experiment(d, scaled(AGREEMENT_FORMS), BATTERY_SEED)
         return not rep.mismatches, (
             f"{rep.trials} forms: {rep.isotropic} isotropic, "
             f"{rep.anisotropic} anisotropic, {len(rep.mismatches)} mismatches"
@@ -319,7 +322,7 @@ def run_battery(degrees, trials_cap=None, stream=None):
 
 
 def cmd_reproduce(args) -> int:
-    degrees = [args.d] if args.d else [6, 10]
+    degrees = [6, 10] if args.d is None else [args.d]
     ok = run_battery(degrees, trials_cap=args.trials)
     return EX_OK if ok else EX_FAIL
 
@@ -375,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_lemma)
 
     sp = sub.add_parser("reproduce", help="run the verification battery")
-    sp.add_argument("--d", type=int, choices=[6, 10], help="restrict to one degree")
+    sp.add_argument("--d", type=int, help="restrict to one degree d = 2m, m odd, d >= 6")
     sp.add_argument(
         "--trials",
         type=int,

@@ -85,9 +85,6 @@ class PowerValueSet:
         mask = (1 << self.M) - 1
         return [(c >> self.M, c & mask) for c in self.codes[shift].tolist()]
 
-    def value_set(self) -> set:
-        return {(0, 0)}.union(*(self.values(j) for j in range(len(self.codes))))
-
     def root_of(self, value: tuple[int, int]) -> RingElem:
         """A residue x mod 2^M with x^d = value mod 2^M."""
         a, b = value
@@ -341,34 +338,3 @@ def decide_isotropy_exhaustive(f: AdditiveForm) -> OracleDecision:
     if not verify_witness(f.root(), w):
         raise CertificateError("oracle witness failed verification")
     return OracleDecision("ISOTROPIC", w, None, zs.states_visited)
-
-
-# ---------------------------------------------------------------------------
-# naive cross-check (test harness)
-
-
-def naive_zero_exists(
-    f: AdditiveForm, M: int, max_unit_level: int | None = None
-) -> bool:
-    """Literal enumeration over all of (O/2^M)^s.  Exponential; guarded so
-    tests cannot accidentally run it at scale."""
-    assert f.is_reduced()
-    max_unit_level = _liftable_level(M, max_unit_level)
-    n = 1 << M
-    assert (n * n) ** f.s <= 2 ** 22, "naive enumeration too large"
-    mask = n - 1
-    t = np.arange(n * n, dtype=np.int64)
-    xs_a, xs_b = t // n, t % n
-    pa, pb = _pow_vec(xs_a, xs_b, f.d, mask)
-    unit = ((xs_a | xs_b) & 1).astype(bool)
-    A = np.zeros(1, dtype=np.int64)
-    B = np.zeros(1, dtype=np.int64)
-    FL = np.zeros(1, dtype=bool)
-    for c in f.coeffs:
-        ta = (c.a * pa + c.b * pb) & mask
-        tb = (c.a * pb + c.b * pa + c.b * pb) & mask
-        liftable = unit & (c.valuation() <= max_unit_level)
-        A = (A[:, None] + ta[None, :]).ravel() & mask
-        B = (B[:, None] + tb[None, :]).ravel() & mask
-        FL = (FL[:, None] | liftable[None, :]).ravel()
-    return bool(((A == 0) & (B == 0) & FL).any())

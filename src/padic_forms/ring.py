@@ -27,12 +27,6 @@ from .errors import (
 INFINITE = math.inf  # valuation sentinel: means ">= K", a lower bound only
 
 
-def v2(n: int) -> int:
-    """2-adic valuation of a nonzero integer."""
-    assert n != 0
-    return (n & -n).bit_length() - 1
-
-
 # ---------------------------------------------------------------------------
 # residue field
 

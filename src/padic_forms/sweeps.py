@@ -2,9 +2,11 @@
 
 A sweep checks a contraction claim over coefficient profiles mod 8,
 either over the whole declared shape space (EXHAUSTIVE) or over seeded
-random draws (SAMPLED).  A profile succeeds exactly when some contraction
-tree builds a value divisible by 8 whose subtree contains a level-0
-variable (more generally, divisible by 2^(k+3) over a level-k variable).
+random draws (SAMPLED); a lemma that declares its space's total is swept
+exhaustively by default, any other by sampling.  A profile succeeds
+exactly when some contraction tree builds a value divisible by 8 whose
+subtree contains a level-0 variable (more generally, divisible by
+2^(k+3) over a level-k variable).
 
 Success is equivalent to a flat combination sum(c_i * u_i) == 0
 mod 2^(k+3), with coefficients from the multiplier group and k the
@@ -39,8 +41,10 @@ group only on rows whose A misses 0).  Each group walks a sum-set
 automaton of its degree and code family (`_SumAutomaton`, unit codes or
 negated even ones): states are `_sums` masks, and a table filled on first
 use gives the state after one more variable of each orbit: one lookup per
-variable.  At d = 6, 28,298 unit and 2,039 even states can be reached (53,
-27 at d = 10); at 100 000 trials, seed 42, the lemmas reach 23,866, 1,400.
+variable.  Every admissible degree has the reps mod 8 of d = 6 (when
+3 | d) or of d = 10, and from the empty row only 28,298 unit and 2,039
+even states can be reached (53 and 27 when 3 does not divide d), so the
+table never passes its `_CAP` states; a walk that would raises.
 
 Profiles the pass rejects are built as forms and handed to
 `search_certificate`, the pipeline's own contraction search (flat.py);
@@ -129,24 +133,22 @@ def _distinct(x: np.ndarray) -> np.ndarray:
 class _SumAutomaton:
     """`_sums` walked one variable at a time, for one degree and code family:
     a state is a mask, T[state * W + o] the state after one more variable of
-    orbit o, id 1 the empty row.  A walk holds the lock, so its ids stay valid."""
+    orbit o, id 1 the empty row.  A walk holds the lock, since `reproduce`
+    runs sweeps on threads."""
 
     def __init__(self, reps: np.ndarray, tab: _Tables):
         self.reps, self.tab, self.lock = reps, tab, threading.Lock()
-        self.clear()
-
-    def clear(self) -> None:
-        self.T = np.zeros((_CAP + 1) * len(self.reps), np.uint16)
+        self.T = np.zeros((_CAP + 1) * len(reps), np.uint16)
         self.masks = np.zeros(_CAP + 1, np.uint64)  # per id
         self.known, self.ids = np.zeros(1, np.uint64), np.ones(1, np.uint16)  # sorted masks, ids
 
-    def number(self, N: np.ndarray) -> np.ndarray | None:
-        """The ids of the masks N, numbering new ones; None past _CAP states."""
+    def number(self, N: np.ndarray) -> np.ndarray:
+        """The ids of the masks N, numbering new ones."""
         vals = _distinct(N)
         pos = np.searchsorted(self.known, vals)
         new = self.known.take(pos, mode="clip") != vals
         if len(self.known) + new.sum() > _CAP:
-            return None
+            raise PadicFormsError(f"sum-set automaton needs more than {_CAP} states")
         ids = self.ids.take(pos, mode="clip")
         ids[new] = len(self.known) + 1 + np.arange(new.sum())
         self.masks[ids[new]] = vals[new]
@@ -155,30 +157,21 @@ class _SumAutomaton:
         return ids.take(np.searchsorted(vals, N))
 
     def sums(self, cols: list) -> np.ndarray:
-        """Per row, the `_sums` mask of the variables of orbit indices cols,
-        in blocks of rows one numbering holds.  A missing entry is filled by
-        a `_sums` step; past _CAP states the table starts over."""
-        W, out, step = len(self.reps), [], _CAP - 1
+        """Per row, the `_sums` mask of the variables of orbit indices cols.
+        A missing entry is filled by a `_sums` step."""
+        W = len(self.reps)
         with self.lock:
-            for lo in range(0, len(cols[0]), step):
-                st = np.ones(len(cols[0][lo : lo + step]), np.uint16)
-                for idx in (c[lo : lo + step] for c in cols):
-                    key = np.multiply(st, W, dtype=np.intp)
-                    key += idx
+            st = np.ones(len(cols[0]), np.uint16)
+            for idx in cols:
+                key = np.multiply(st, W, dtype=np.intp)
+                key += idx
+                st = self.T.take(key)
+                if not st.all():
+                    miss = _distinct(key[st == 0])
+                    N = _sums(self.reps[miss % W, None], self.tab, self.masks.take(miss // W))
+                    self.T[miss] = self.number(N)
                     st = self.T.take(key)
-                    if not st.all():
-                        miss = _distinct(key[st == 0])
-                        ids = self.number(_sums(self.reps[miss % W, None], self.tab,
-                                                self.masks.take(miss // W)))
-                        if ids is None:
-                            N = _sums(self.reps[key % W, None], self.tab, self.masks.take(key // W))
-                            self.clear()
-                            st = self.number(N)
-                        else:
-                            self.T[miss] = ids
-                            st = self.T.take(key)
-                out.append(self.masks.take(st))
-        return np.concatenate(out)
+            return self.masks.take(st)
 
 
 @lru_cache(maxsize=None)
@@ -215,8 +208,7 @@ class SweepLemma:
     d: int
     class_counts: tuple | None  # level-0 count per residue class, fixed labeling
     level_counts: tuple  # free-class count per level, index = level
-    exhaustive_total: int | None
-    default_mode: str
+    exhaustive_total: int | None = None  # declared exactly for the exhaustive lemmas
 
     def space(self) -> str:
         bits = []
@@ -231,10 +223,6 @@ class SweepLemma:
         return ", ".join(bits)
 
 
-def _lemma(id, d, class_counts, level_counts, total=None, mode="SAMPLED"):
-    return SweepLemma(id, d, class_counts, tuple(level_counts), total, mode)
-
-
 def _multiset_total(class_counts) -> int:
     return prod(comb(15 + k, k) for k in class_counts if k)
 
@@ -242,22 +230,22 @@ def _multiset_total(class_counts) -> int:
 SWEEP_LEMMAS = {
     lem.id: lem
     for lem in [
-        _lemma("223", 6, (2, 2, 3), (), _multiset_total((2, 2, 3)), "EXHAUSTIVE"),
-        _lemma("133", 6, (1, 3, 3), (), _multiset_total((1, 3, 3)), "EXHAUSTIVE"),
-        _lemma("115", 6, (1, 1, 5), (), _multiset_total((1, 1, 5)), "EXHAUSTIVE"),
-        _lemma("044", 6, (0, 4, 4), (), _multiset_total((0, 4, 4)), "EXHAUSTIVE"),
-        _lemma("025", 6, (0, 2, 5), (), _multiset_total((0, 2, 5)), "EXHAUSTIVE"),
-        _lemma("007", 6, (0, 0, 7), (), _multiset_total((0, 0, 7)), "EXHAUSTIVE"),
-        _lemma("0061", 6, (0, 0, 6), (0, 1)),
-        _lemma("0241", 6, (0, 2, 4), (0, 1)),
-        _lemma("0225", 6, (0, 2, 2), (0, 5)),
-        _lemma("0045", 6, (0, 0, 4), (0, 5)),
-        _lemma("541", 6, None, (5, 4, 1)),
-        _lemma("211", 10, None, (2, 1, 1)),
-        _lemma("31", 10, None, (3, 1)),
-        _lemma("5", 10, None, (5,)),
-        _lemma("401", 10, None, (4, 0, 1)),
-        _lemma("23", 10, None, (2, 3)),
+        SweepLemma("223", 6, (2, 2, 3), (), _multiset_total((2, 2, 3))),
+        SweepLemma("133", 6, (1, 3, 3), (), _multiset_total((1, 3, 3))),
+        SweepLemma("115", 6, (1, 1, 5), (), _multiset_total((1, 1, 5))),
+        SweepLemma("044", 6, (0, 4, 4), (), _multiset_total((0, 4, 4))),
+        SweepLemma("025", 6, (0, 2, 5), (), _multiset_total((0, 2, 5))),
+        SweepLemma("007", 6, (0, 0, 7), (), _multiset_total((0, 0, 7))),
+        SweepLemma("0061", 6, (0, 0, 6), (0, 1)),
+        SweepLemma("0241", 6, (0, 2, 4), (0, 1)),
+        SweepLemma("0225", 6, (0, 2, 2), (0, 5)),
+        SweepLemma("0045", 6, (0, 0, 4), (0, 5)),
+        SweepLemma("541", 6, None, (5, 4, 1)),
+        SweepLemma("211", 10, None, (2, 1, 1)),
+        SweepLemma("31", 10, None, (3, 1)),
+        SweepLemma("5", 10, None, (5,)),
+        SweepLemma("401", 10, None, (4, 0, 1)),
+        SweepLemma("23", 10, None, (2, 3)),
     ]
 }
 
@@ -463,7 +451,7 @@ def sweep_lemma(
     profile (each confirmed by the contraction search)."""
     lem = SWEEP_LEMMAS[lemma_id]
     if mode is None:
-        mode = lem.default_mode
+        mode = "SAMPLED" if lem.exhaustive_total is None else "EXHAUSTIVE"
     if mode not in ("EXHAUSTIVE", "SAMPLED"):
         raise ValueError(f"unknown sweep mode {mode!r}")
     if mode == "EXHAUSTIVE" and lem.exhaustive_total is None:
@@ -522,11 +510,11 @@ def sweep_lemma(
 
 
 def exhaustive_lemma_ids() -> list:
-    return [k for k, v in SWEEP_LEMMAS.items() if v.default_mode == "EXHAUSTIVE"]
+    return [k for k, v in SWEEP_LEMMAS.items() if v.exhaustive_total is not None]
 
 
 def sampled_lemma_ids() -> list:
-    return [k for k, v in SWEEP_LEMMAS.items() if v.default_mode == "SAMPLED"]
+    return [k for k, v in SWEEP_LEMMAS.items() if v.exhaustive_total is None]
 
 
 @dataclass

@@ -15,7 +15,8 @@ from padic_forms.artifacts import (
     verify_descent,
 )
 from padic_forms.errors import DegreeShapeError
-from padic_forms.oracle import decide_isotropy_exhaustive
+from padic_forms.flat import mod8_table
+from padic_forms.oracle import decide_isotropy_exhaustive, power_value_set
 
 
 def test_named_form_G_shape():
@@ -177,6 +178,16 @@ def test_descent_first_round_matches_enumeration():
                 assert list(r0.window) == window and r0.window_values == sums, bf
         statuses.add(res.status)
     assert statuses == {"DESCENT", "FAILURE"}
+
+
+@pytest.mark.parametrize("d", [6, 10, 14, 18])
+def test_descent_values_mod4_match_the_oracle(d):
+    # the descent reads the d-th powers mod 4 off the multiplier reps mod 8;
+    # the oracle enumerates x^d mod 4 over every x
+    pvs = power_value_set(d, 2)
+    want = {(0, 0)}.union(*map(pvs.values, range(len(pvs.codes))))
+    got = {(0, 0)} | {(c & 3, c >> 3 & 3) for c in mod8_table(d).products[1]}
+    assert got == want
 
 
 def test_descent_certificate_json_roundtrip_stable():

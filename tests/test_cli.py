@@ -237,6 +237,35 @@ def test_reproduce_quick_d10():
     assert names[0] == "obstruction-G" and names[-1] == "agreement"
 
 
+def test_battery_rows_follow_the_degree():
+    # each row derives from d: H descends in one round per block, F and I
+    # run when 3 | d (I's first window as at d = 6), the oracle row only
+    # while H fits the oracle's modulus, the threshold at
+    # isotropy_threshold(d)
+    buf = io.StringIO()
+    ok = cli.run_battery([14, 18, 22], trials_cap=20, stream=buf)
+    lines = buf.getvalue().splitlines()
+    assert ok is True and all(line.startswith("PASS") for line in lines), lines
+    rows = [(line.split()[1], line.split()[2]) for line in lines]
+    head, tail = ["obstruction-G", "descent-H"], ["agreement"]
+    assert rows == ([("d=14", n) for n in head + ["threshold-s22"] + tail]
+                    + [("d=18", n) for n in head + ["descent-F", "descent-I", "threshold-s73"] + tail]
+                    + [("d=22", n) for n in head + ["threshold-s34"] + tail])
+    details = [line.split(None, 3)[3] for line in lines]
+    for d, rounds in ((14, 7), (18, 9), (22, 11)):
+        assert f"H(d={d}): DESCENT, {rounds} rounds" in details
+    assert "F(d=18): DESCENT, 1 round" in details
+    assert "I(d=18): DESCENT, 18 rounds, first window frozen set" in details
+
+
+@pytest.mark.parametrize("d", ["8", "2", "0"])
+def test_reproduce_bad_degree_exit64(d, capsys):
+    # the degree is checked before any row runs, so no FAIL row is printed
+    code, out, err = run(["reproduce", "--d", d, "--trials", "1"], capsys)
+    assert code == 64 and out == ""
+    assert "degree" in err
+
+
 def test_bad_usage_exit64(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(["frobnicate"])

@@ -23,10 +23,10 @@ from padic_forms.oracle import (
     _brute_power_codes,
     _conv_hit,
     _grid_of,
+    _liftable_level,
     _pow_vec,
     _unit_power_codes,
     decide_isotropy_exhaustive,
-    naive_zero_exists,
     power_value_set,
     primitive_zero_mod,
 )
@@ -39,6 +39,36 @@ def form(d, pairs, K=None, windows=None):
     if windows is None:
         return f
     return AdditiveForm(d, f.coeffs, windows=windows)
+
+
+def value_set(pvs) -> set:
+    """Every value of x^d mod 2^M: 0 and the values at each shift."""
+    return {(0, 0)}.union(*(pvs.values(j) for j in range(len(pvs.codes))))
+
+
+def naive_zero_exists(f, M, max_unit_level=None):
+    """Literal enumeration over all of (O/2^M)^s: the reference the DP is
+    checked against.  Exponential; guarded so it cannot run at scale."""
+    assert f.is_reduced()
+    max_unit_level = _liftable_level(M, max_unit_level)
+    n = 1 << M
+    assert (n * n) ** f.s <= 2 ** 22, "naive enumeration too large"
+    mask = n - 1
+    t = np.arange(n * n, dtype=np.int64)
+    xs_a, xs_b = t // n, t % n
+    pa, pb = _pow_vec(xs_a, xs_b, f.d, mask)
+    unit = ((xs_a | xs_b) & 1).astype(bool)
+    A = np.zeros(1, dtype=np.int64)
+    B = np.zeros(1, dtype=np.int64)
+    FL = np.zeros(1, dtype=bool)
+    for c in f.coeffs:
+        ta = (c.a * pa + c.b * pb) & mask
+        tb = (c.a * pb + c.b * pa + c.b * pb) & mask
+        liftable = unit & (c.valuation() <= max_unit_level)
+        A = (A[:, None] + ta[None, :]).ravel() & mask
+        B = (B[:, None] + tb[None, :]).ravel() & mask
+        FL = (FL[:, None] | liftable[None, :]).ravel()
+    return bool(((A == 0) & (B == 0) & FL).any())
 
 
 # ---------------------------------------------------------------------------
@@ -59,11 +89,11 @@ def test_pow_vec_matches_ring_pow():
 
 
 def test_value_set_d6_mod4():
-    assert power_value_set(6, 2).value_set() == {(0, 0), (1, 0)}
+    assert value_set(power_value_set(6, 2)) == {(0, 0), (1, 0)}
 
 
 def test_value_set_d10_mod4():
-    assert power_value_set(10, 2).value_set() == {
+    assert value_set(power_value_set(10, 2)) == {
         (0, 0),
         (1, 0),
         (1, 1),
@@ -72,7 +102,7 @@ def test_value_set_d10_mod4():
 
 
 def test_value_set_d6_mod8():
-    assert power_value_set(6, 3).value_set() == {(0, 0), (1, 0), (5, 0)}
+    assert value_set(power_value_set(6, 3)) == {(0, 0), (1, 0), (5, 0)}
 
 
 def test_value_set_unit_entries_mod8():
@@ -85,7 +115,7 @@ def test_value_set_matches_brute_force():
     for d, M in ((6, 4), (6, 5), (10, 4), (10, 7)):
         mask = (1 << M) - 1
         brute = {(c >> M, c & mask) for c in _brute_power_codes(d, M).tolist()}
-        assert power_value_set(d, M).value_set() == brute
+        assert value_set(power_value_set(d, M)) == brute
 
 
 def test_value_set_layers_d6_mod10():

@@ -29,7 +29,6 @@ from padic_forms.ring import (
     parse_elem,
     pow_pair,
     teichmuller_alpha,
-    v2,
     val_pair,
 )
 
@@ -373,8 +372,12 @@ def test_anchor_seed_table_is_a_bijection():
 # --- raw pair helpers ------------------------------------------------------
 
 
-def test_v2():
-    assert v2(8) == 3 and v2(12) == 2 and v2(-4) == 2 and v2(1) == 0
+def _valuation(x: int) -> int:
+    """The 2-adic valuation of a nonzero integer, by repeated halving."""
+    k = 0
+    while x % 2 == 0:
+        x, k = x // 2, k + 1
+    return k
 
 
 def test_val_pair_is_min_of_component_valuations():
@@ -386,9 +389,10 @@ def test_val_pair_is_min_of_component_valuations():
         x = (rng.getrandbits(rng.randrange(1, 30)) | 1) << rng.randrange(20)
         return -x if rng.random() < 0.2 else x
 
+    assert val_pair(8, 0) == 3 and val_pair(12, 0) == 2 and val_pair(-4, 0) == 2 and val_pair(1, 0) == 0
     pairs = [(0, 0), (0, 1), (1, 0), (0, -8), (96, 0)] + [(draw(), draw()) for _ in range(3000)]
     for a, b in pairs:
-        nonzero = [v2(x) for x in (a, b) if x]
+        nonzero = [_valuation(x) for x in (a, b) if x]
         assert val_pair(a, b) == (min(nonzero) if nonzero else INFINITE), (a, b)
 
 

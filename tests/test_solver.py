@@ -17,7 +17,7 @@ from padic_forms.solver import (
     isotropy_threshold,
     lift_witness,
 )
-from padic_forms.sweeps import sweep_lemma
+from padic_forms.sweeps import exhaustive_lemma_ids, sampled_lemma_ids, sweep_lemma
 from padic_forms.witness import verify_witness
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -194,3 +194,6 @@ def test_benchmark_contract_fields():
     rep = sweep_lemma("5", "SAMPLED", trials=200, seed=42)
     assert set(rep.resolution) == set(routes)
     assert rep.escalations == {}
+    # the sweeps workload's plan: these ids, in this order
+    assert sampled_lemma_ids() == ["0061", "0241", "0225", "0045", "541", "211", "31", "5", "401", "23"]
+    assert exhaustive_lemma_ids() == ["223", "133", "115", "044", "025", "007"]

@@ -80,7 +80,7 @@ def digit_form(d, ua, ub, lv, digits) -> AdditiveForm:
 
 # fixed classes at level 0 and free ones at levels 1 and 2: both scale
 # shifts and both kinds of drawn column
-MIXED = SweepLemma("mixed", 6, (1, 1, 1), (0, 2, 2), None, "SAMPLED")
+MIXED = SweepLemma("mixed", 6, (1, 1, 1), (0, 2, 2), None)
 
 
 def vanishes(X, tab) -> np.ndarray:
@@ -230,30 +230,11 @@ def test_automaton_entries_are_sums_steps():
                 assert tab.orbit[_NEG_CODE[_SCALE[sh, v]]] == evens.reps[index[sh, v]], (d, v, sh)
 
 
-def test_automaton_restarts_keep_pinned_reports(monkeypatch):
-    # a cap of 40 states makes three of the four automata start over many
-    # times in the middle of a walk (d = 10 has 27 even-code states, fewer
-    # than the cap), and walks blocks of 39 rows; the sampled reports stay
-    # those the pins hold
-    clears = []
-    real = sweeps._SumAutomaton.clear
-    monkeypatch.setattr(sweeps, "_CAP", 40)
-    monkeypatch.setattr(sweeps._SumAutomaton, "clear", lambda aut: clears.append(aut) or real(aut))
-    _automata.cache_clear()
-    try:
-        _check_sampled_pins(monkeypatch)
-        assert len(clears) > 4 and all(len(aut.known) <= 40 for aut in clears)
-        for d, restarted in ((6, (True, True)), (10, (True, False))):
-            assert tuple(clears.count(aut) > 1 for aut in _automata(d)[:2]) == restarted, d
-    finally:
-        _automata.cache_clear()
-
-
-def test_automaton_walks_from_threads(monkeypatch):
-    # four threads share the automata, capped at 40 states so that they
-    # start over in mid-walk, with a short switch interval; every thread
-    # gets the reports of a run alone.  A restart renumbers the states, so
-    # a walk that did not hold the lock would read another walk's ids
+def test_automaton_walks_from_threads():
+    # four threads share automata that start empty, ten times over, with
+    # a short switch interval, so they race on real fills; every thread
+    # gets the reports of a run alone.  A walk that did not hold the lock
+    # could number one mask twice or read an entry not written yet
     runs = [(lid, 3000, seed) for lid in ("541", "0225", "211") for seed in (1, 2)]
 
     def reports():
@@ -261,23 +242,59 @@ def test_automaton_walks_from_threads(monkeypatch):
                            .to_json(include_timings=False), sort_keys=True)
                 for lid, trials, seed in runs]
 
-    monkeypatch.setattr(sweeps, "_CAP", 40)
-    _automata.cache_clear()
+    want = reports()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        want, got = reports(), [None] * 4
-        threads = [threading.Thread(target=lambda i=i: got.__setitem__(i, reports()))
-                   for i in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
+        for _ in range(10):
+            _automata.cache_clear()
+            got = [None] * 4
+            threads = [threading.Thread(target=lambda i=i: got.__setitem__(i, reports()))
+                       for i in range(4)]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(timeout=300)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert got == [want] * 4
+            assert not any(t.is_alive() for t in threads)
+            assert got == [want] * 4
+    finally:
+        sys.setswitchinterval(interval)
+        _automata.cache_clear()
+
+
+def _closure(reps, tab) -> int:
+    """The number of masks reached from the empty row by `_sums` steps,
+    breadth first, one variable of every orbit at a time."""
+    seen, frontier = {0}, np.zeros(1, np.uint64)
+    while frontier.size:
+        step = _sums(np.tile(reps, len(frontier))[:, None], tab, np.repeat(frontier, len(reps)))
+        new = set(step.tolist()) - seen
+        seen |= new
+        frontier = np.array(sorted(new), np.uint64)
+    return len(seen)
+
+
+def test_automaton_closure_fits_for_every_degree():
+    # every admissible degree up to 42 has the reps mod 8 of d = 6 when
+    # 3 | d and of d = 10 otherwise, so these two closures bound the states
+    # any walk can number, at every degree, and both fit the table
+    for d in range(2, 43, 4):
+        assert flat.mod8_table(d).products == flat.mod8_table(6 if d % 3 == 0 else 10).products, d
+    for d, want in ((6, (28_298, 2_039)), (10, (53, 27))):
+        units, evens, _ = _automata(d)
+        got = tuple(_closure(aut.reps, _tables(d)) for aut in (units, evens))
+        assert got == want and max(got) <= sweeps._CAP, d
+
+
+def test_automaton_past_its_cap_raises(monkeypatch):
+    monkeypatch.setattr(sweeps, "_CAP", 40)
+    _automata.cache_clear()
+    try:
+        with pytest.raises(PadicFormsError, match="more than 40 states"):
+            sweep_lemma("541", "SAMPLED", trials=3000, seed=1)
+        # a fill that would pass the cap numbers nothing
+        units = _automata(6)[0]
+        assert len(units.known) <= 40 and not units.masks[len(units.known) + 1 :].any()
     finally:
         _automata.cache_clear()
 
@@ -286,7 +303,7 @@ def test_bogus_exhaustive_lemma_reports_weighted_failures(monkeypatch):
     # 0/0/6 is one variable short of 007: its failures must surface, each
     # as an orbit representative with the number of profiles it stands for
     monkeypatch.setitem(
-        SWEEP_LEMMAS, "bogus6", SweepLemma("bogus6", 6, (0, 0, 6), (), 54_264, "EXHAUSTIVE")
+        SWEEP_LEMMAS, "bogus6", SweepLemma("bogus6", 6, (0, 0, 6), (), 54_264)
     )
     rep = sweep_lemma("bogus6")
     assert rep.total == 54_264
@@ -381,13 +398,13 @@ def test_packed_dp_matches_scalar_kernel(monkeypatch):
         (SWEEP_LEMMAS["5"], 2000),
         (SWEEP_LEMMAS["0061"], 2000),
         # shapes that fail, with both verdicts present
-        (SweepLemma("two6", 6, None, (2,), None, "SAMPLED"), 2000),
-        (SweepLemma("two10", 10, None, (2, 1), None, "SAMPLED"), 2000),
+        (SweepLemma("two6", 6, None, (2,), None), 2000),
+        (SweepLemma("two10", 10, None, (2, 1), None), 2000),
         # eleven columns at anchor 0, one of them at level 0: no row has a
         # one-level zero, so the deeper group runs on every row
-        (SweepLemma("wide", 10, None, (1, 10), None, "SAMPLED"), 3000),
+        (SweepLemma("wide", 10, None, (1, 10), None), 3000),
         # 52 level-0 columns over 24 orbits, which decide every row
-        (SweepLemma("over", 6, None, (52, 1), None, "SAMPLED"), 300),
+        (SweepLemma("over", 6, None, (52, 1), None), 300),
         (MIXED, 2000),
     ]
     for lem, trials in cases:
@@ -417,10 +434,10 @@ def test_anchor_join_matches_whole_rows():
     # anchors left)
     cases = [(SWEEP_LEMMAS[lid], 1000, seed) for lid in sampled_lemma_ids() for seed in (42, 7)]
     cases += [
-        (SweepLemma("two6", 6, None, (2,), None, "SAMPLED"), 1000, 1),
-        (SweepLemma("two10", 10, None, (2, 1), None, "SAMPLED"), 1000, 1),
+        (SweepLemma("two6", 6, None, (2,), None), 1000, 1),
+        (SweepLemma("two10", 10, None, (2, 1), None), 1000, 1),
         (MIXED, 1000, 1),
-        (SweepLemma("over", 6, None, (52, 1), None, "SAMPLED"), 500, 1),
+        (SweepLemma("over", 6, None, (52, 1), None), 500, 1),
     ]
     verdicts = {}
     for lem, trials, seed in cases:
@@ -514,7 +531,7 @@ def test_sample_codes_are_uniform():
     # five standard deviations of its binomial mean, 1/16 of the draws in
     # a fixed class and 1/48 over the free unit codes
     n = 480_000
-    C, _ = draw(SweepLemma("law", 6, (1, 1, 1), (0, 1), None, "SAMPLED"), n, 2024)
+    C, _ = draw(SweepLemma("law", 6, (1, 1, 1), (0, 1), None), n, 2024)
     for row, codes in zip(C, [_class_codes(1), _class_codes(2), _class_codes(3), UNIT_CODES]):
         p = 1 / len(codes)
         tol = 5 * (n * p * (1 - p)) ** 0.5
@@ -544,7 +561,7 @@ def test_sample_codes_redraw_the_reject_band():
         buf[: len(step)] = step
         return buf.view(np.uint64)
 
-    C, lv = _sample_codes(SweepLemma("stub", 6, (0, 0, 1), (2,), None, "SAMPLED"), 6, raw)
+    C, lv = _sample_codes(SweepLemma("stub", 6, (0, 0, 1), (2,), None), 6, raw)
     # one word for the 6 bytes, 2 free rows of 6 trials in three words,
     # then one word per redraw
     assert calls == [1, 3, 1, 1]
@@ -632,7 +649,7 @@ REAL_SAMPLED_DIGEST = "1dc2711abf08afb70c4ddd19a6dda67de87604c0db4e03074fcae4e10
 FAILING_SAMPLED_DIGEST = "0ab98bdf048afa53333dd2f3feedda93d09c116a43b8cbc6f6458a49777f8d5a"
 
 
-def _check_sampled_pins(monkeypatch):
+def test_sampled_outputs_are_pinned(monkeypatch):
     def lines(runs):
         return [json.dumps(sweep_lemma(lid, "SAMPLED", trials=trials, seed=seed)
                            .to_json(include_timings=False), sort_keys=True)
@@ -644,16 +661,12 @@ def _check_sampled_pins(monkeypatch):
     real = lines([(lid, 20_000, 42) for lid in sampled_lemma_ids()])
     assert all(json.loads(line)["failures"] == [] for line in real)
     assert digest(real) == REAL_SAMPLED_DIGEST
-    for lem in (SweepLemma("fail6", 6, None, (2,), None, "SAMPLED"),
-                SweepLemma("fail10", 10, None, (2, 1), None, "SAMPLED")):
+    for lem in (SweepLemma("fail6", 6, None, (2,), None),
+                SweepLemma("fail10", 10, None, (2, 1), None)):
         monkeypatch.setitem(SWEEP_LEMMAS, lem.id, lem)
     failing = lines([("fail6", 300, 1), ("fail10", 300, 1)])
     assert [len(json.loads(line)["failures"]) for line in failing] == [278, 139]
     assert digest(failing) == FAILING_SAMPLED_DIGEST
-
-
-def test_sampled_outputs_are_pinned(monkeypatch):
-    _check_sampled_pins(monkeypatch)
 
 
 def test_sampled_sweep_needs_trials_and_a_seed():
@@ -676,7 +689,7 @@ def test_sampled_small_runs_clean():
 def test_failure_reporting_is_search_confirmed():
     # a two-variable single-level shape is not a theorem: failures must
     # surface with the offending profile rather than being swallowed
-    bogus = SweepLemma("bogus2", 6, None, (2,), None, "SAMPLED")
+    bogus = SweepLemma("bogus2", 6, None, (2,), None)
     SWEEP_LEMMAS["bogus2"] = bogus
     try:
         rep = sweep_lemma("bogus2", "SAMPLED", trials=300, seed=1)
@@ -743,7 +756,7 @@ def test_minimality_probe_dedupes_and_validates():
 def test_minimality_probe_refuses_one_variable(monkeypatch):
     # dropping the only variable leaves no class slot to enumerate
     monkeypatch.setitem(
-        SWEEP_LEMMAS, "one", SweepLemma("one", 6, (0, 0, 1), (), 16, "EXHAUSTIVE")
+        SWEEP_LEMMAS, "one", SweepLemma("one", 6, (0, 0, 1), (), 16)
     )
     with pytest.raises(ValueError, match="one variable"):
         minimality_probe("one")
@@ -755,7 +768,7 @@ def test_minimality_probe_refuses_one_variable(monkeypatch):
 def test_exhaustive_total_mismatch_raises(monkeypatch):
     # 0/0/1 enumerates the 16 class-3 codes; a declared 17 must not pass
     monkeypatch.setitem(
-        SWEEP_LEMMAS, "short", SweepLemma("short", 6, (0, 0, 1), (), 17, "EXHAUSTIVE")
+        SWEEP_LEMMAS, "short", SweepLemma("short", 6, (0, 0, 1), (), 17)
     )
     with pytest.raises(PadicFormsError):
         sweep_lemma("short", "EXHAUSTIVE")
