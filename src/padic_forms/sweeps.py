@@ -85,8 +85,12 @@ def _tables(d: int) -> _Tables:
     return _Tables(mulr, mulr.min(axis=0))
 
 
-# per byte, the bits whose a-coordinate stays below 8 after adding s
-_KEEP64 = np.array([(0xFF >> s) * 0x0101010101010101 for s in range(8)], np.uint64)
+# per code v = a + 8b, as uint64 so that no shift needs a cast: the bits
+# of each byte whose a-coordinate stays below 8 after adding a, the byte
+# shifts a and 8 - a, and the word shifts 8b and (64 - 8b) mod 64
+_KEEP, _UP, _DOWN, _WUP, _WDOWN = np.array(
+    [((0xFF >> (v & 7)) * 0x0101010101010101, v & 7, 8 - (v & 7), 8 * (v >> 3), -8 * (v >> 3) & 63)
+     for v in range(64)], np.uint64).T.copy()
 # the code of -v for each code v = a + 8b
 _NEG_CODE = np.array([(-v & 7) | ((-(v >> 3) & 7) << 3) for v in range(64)], np.uint8)
 # row s: the code of 2^s * v for each code v.  Built from a flat list:
@@ -98,12 +102,19 @@ _SCALE = np.array([(v << s & 7) | ((v >> 3) << s & 7) << 3 for s in range(3) for
 def _translate_rows(M: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The mask M[i] moved by the code w[i], as flat.py's kernel moves
     one: a rotate of every byte by w's a, then of the word by 8 times
-    w's b."""
-    ta = (w & 7).astype(np.uint64)
-    keep = _KEEP64[w & 7]
-    M = ((M & keep) << ta) | ((M & ~keep) >> (8 - ta))
-    s = (8 * (w >> 3)).astype(np.uint64)
-    return (M << s) | (M >> ((64 - s) & 63))
+    w's b.  In place where it can be: the automata fill tens of thousands
+    of rows at once, and a temporary per operation raised the peak RSS of
+    a sweeps pass by about 2 MB."""
+    keep = _KEEP.take(w)
+    out = M & keep
+    out <<= _UP.take(w)
+    np.bitwise_and(M, np.invert(keep, out=keep), out=keep)
+    keep >>= _DOWN.take(w)
+    out |= keep
+    np.left_shift(out, _WUP.take(w), out=keep)
+    out >>= _WDOWN.take(w)
+    out |= keep
+    return out
 
 
 def _sums(X: np.ndarray, tab: _Tables, N: np.ndarray | None = None) -> np.ndarray:

@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -88,23 +89,25 @@ ASSERT_ALLOWLIST = {
 }
 
 
-def _asserts(tree: ast.Module) -> dict:
-    """Qualified name of each enclosing function (or `<module>`) -> the
-    number of asserts in its body outside nested functions and classes."""
-    out = {}
+def _scoped(tree: ast.Module):
+    """(qualified name of the innermost enclosing function or class, or
+    `<module>`, node) for every node of the module but the definitions."""
 
     def walk(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef):
-                walk(child, scope + (child.name,))
-                continue
-            if isinstance(child, ast.Assert):
-                name = ".".join(scope) or "<module>"
-                out[name] = out.get(name, 0) + 1
-            walk(child, scope)
+                yield from walk(child, scope + (child.name,))
+            else:
+                yield ".".join(scope) or "<module>", child
+                yield from walk(child, scope)
 
-    walk(tree, ())
-    return out
+    return walk(tree, ())
+
+
+def _asserts(tree: ast.Module) -> Counter:
+    """Qualified name of each enclosing function (or `<module>`) -> the
+    number of asserts in its body outside nested functions and classes."""
+    return Counter(scope for scope, node in _scoped(tree) if isinstance(node, ast.Assert))
 
 
 def test_every_assert_is_reviewed():
@@ -207,24 +210,15 @@ def _oracle_imports(tree: ast.Module) -> set:
     """(enclosing function or `<module>`, name) of every name imported from
     the oracle module, `from . import oracle` included."""
     out = set()
-
-    def walk(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef):
-                walk(child, scope + (child.name,))
-                continue
-            where = ".".join(scope) or "<module>"
-            if isinstance(child, ast.ImportFrom):
-                module = "." * child.level + (child.module or "")
-                if module in (".oracle", "padic_forms.oracle"):
-                    out.update((where, alias.name) for alias in child.names)
-                elif module in (".", "padic_forms"):
-                    out.update((where, a.name) for a in child.names if a.name == "oracle")
-            elif isinstance(child, ast.Import):
-                out.update((where, a.name) for a in child.names if a.name == "padic_forms.oracle")
-            walk(child, scope)
-
-    walk(tree, ())
+    for scope, node in _scoped(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module in (".oracle", "padic_forms.oracle"):
+                out.update((scope, a.name) for a in node.names)
+            elif module in (".", "padic_forms"):
+                out.update((scope, a.name) for a in node.names if a.name == "oracle")
+        elif isinstance(node, ast.Import):
+            out.update((scope, a.name) for a in node.names if a.name == "padic_forms.oracle")
     return out
 
 
