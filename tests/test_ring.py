@@ -380,6 +380,11 @@ def _valuation(x: int) -> int:
     return k
 
 
+def test_v2():
+    # The valuation of a rational integer is val_pair with a zero w-part.
+    assert val_pair(8, 0) == 3 and val_pair(12, 0) == 2 and val_pair(-4, 0) == 2 and val_pair(1, 0) == 0
+
+
 def test_val_pair_is_min_of_component_valuations():
     rng = random.Random(13)
 
@@ -389,7 +394,6 @@ def test_val_pair_is_min_of_component_valuations():
         x = (rng.getrandbits(rng.randrange(1, 30)) | 1) << rng.randrange(20)
         return -x if rng.random() < 0.2 else x
 
-    assert val_pair(8, 0) == 3 and val_pair(12, 0) == 2 and val_pair(-4, 0) == 2 and val_pair(1, 0) == 0
     pairs = [(0, 0), (0, 1), (1, 0), (0, -8), (96, 0)] + [(draw(), draw()) for _ in range(3000)]
     for a, b in pairs:
         nonzero = [_valuation(x) for x in (a, b) if x]
