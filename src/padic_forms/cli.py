@@ -18,17 +18,14 @@ failed), 64 unreadable input or bad usage, 65 precision too low for the
 requested analysis, 70 internal error or a request too large for memory.
 
 Output JSON is deterministic byte for byte; timing fields are only added
-under --verbose.  PADIC_FORMS_THREADS caps the worker threads used by
-`reproduce`.
+under --verbose.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .artifacts import (
     agreement_experiment,
@@ -42,7 +39,7 @@ from .errors import (
     PadicFormsError,
     PrecisionMismatch,
 )
-from .forms import AdditiveForm, reduce_levels
+from .forms import AdditiveForm, parse_form_text, reduce_levels
 from .oracle import MAX_ORACLE_M, decide_isotropy_exhaustive, primitive_zero_mod
 from .solver import decide_isotropy, isotropy_threshold
 from .sweeps import (
@@ -80,16 +77,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_PARSE)
 
 
-def worker_count() -> int:
-    env = os.environ.get("PADIC_FORMS_THREADS")
-    if not env:
-        return min(2, os.cpu_count() or 1)
-    threads = int(env) if env.strip().isdecimal() else 0
-    if threads < 1:
-        raise ValueError(f"PADIC_FORMS_THREADS must be a whole number of at least 1, got {env!r}")
-    return threads
-
-
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -100,18 +87,10 @@ def _read(path: str) -> str:
 def load_form(path: str, precision: int | None = None) -> AdditiveForm:
     text = _read(path)
     try:
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
-            doc = json.loads(text)
-            if precision is not None:
-                doc = dict(doc, precision=precision)
-            return AdditiveForm.from_json(doc)
-        f = AdditiveForm.from_text(text)
-        if precision is not None and precision != f.K:
-            f = AdditiveForm.from_pairs(
-                f.d, [(c.a, c.b) for c in f.coeffs], precision
-            )
-        return f
+        doc = json.loads(text) if text.lstrip().startswith("{") else parse_form_text(text)
+        if precision is not None:
+            doc = dict(doc, precision=precision)
+        return AdditiveForm.from_json(doc)
     except (PrecisionMismatch, DegreeShapeError):
         raise
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
@@ -184,12 +163,7 @@ def cmd_lemma(args) -> int:
         rep = minimality_probe(args.id)
         _emit(rep.to_json(include_timings=args.verbose), args.out)
         return EX_OK
-    report = sweep_lemma(
-        args.id,
-        mode=args.mode.upper() if args.mode else None,
-        trials=args.trials,
-        seed=args.seed,
-    )
+    report = sweep_lemma(args.id, trials=args.trials, seed=args.seed)
     _emit(report.to_json(include_timings=args.verbose), args.out)
     return EX_OK if not report.failures else EX_FAIL
 
@@ -298,26 +272,22 @@ def _battery(d: int, trials_cap: int | None):
     return items
 
 
-def run_battery(degrees, trials_cap=None, stream=None):
-    """Run every battery item, print one PASS/FAIL row each, return ok."""
+def run_battery(degrees, trials_cap=None):
+    """Run every battery item in order, print one PASS/FAIL row each to
+    stdout, return ok.  Every degree's rows are built before the first
+    runs, so a bad degree prints nothing."""
     if trials_cap is not None and trials_cap < 1:
         raise ValueError(f"trials_cap must be at least 1, got {trials_cap}")
-    stream = stream or sys.stdout
-    work = []
-    for d in degrees:
-        for name, fn in _battery(d, trials_cap):
-            work.append((d, name, fn))
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        futures = [pool.submit(fn) for _, _, fn in work]
-        all_ok = True
-        for (d, name, _), fut in zip(work, futures):
-            try:
-                ok, detail = fut.result()
-            except PadicFormsError as exc:
-                ok, detail = False, f"error: {exc}"
-            all_ok &= ok
-            tag = "PASS" if ok else "FAIL"
-            print(f"{tag}  d={d:<3} {name:<16} {detail}", file=stream)
+    work = [(d, name, fn) for d in degrees for name, fn in _battery(d, trials_cap)]
+    all_ok = True
+    for d, name, fn in work:
+        try:
+            ok, detail = fn()
+        except PadicFormsError as exc:
+            ok, detail = False, f"error: {exc}"
+        all_ok &= ok
+        tag = "PASS" if ok else "FAIL"
+        print(f"{tag}  d={d:<3} {name:<16} {detail}")
     return all_ok
 
 
@@ -371,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify: run the sweep; probe: exhaust decremented counts",
     )
     sp.add_argument("id", help="lemma identifier, e.g. 007 or 541")
-    sp.add_argument("--mode", choices=["exhaustive", "sampled"])
     sp.add_argument("--trials", type=int, default=SWEEP_SAMPLES)
     sp.add_argument("--seed", type=int, default=SWEEP_SEED)
     common(sp)

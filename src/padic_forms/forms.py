@@ -90,26 +90,6 @@ class AdditiveForm:
             doc = json.loads(doc)
         return cls.from_pairs(doc["degree"], doc["coeffs"], doc["precision"])
 
-    @classmethod
-    def from_text(cls, text: str) -> "AdditiveForm":
-        """`d=6; 1, 1, 1*w, 4` with an optional `K=12;` segment."""
-        head, _, tail = text.partition(";")
-        if "=" not in head:
-            raise ValueError("form text must start with d=<degree>;")
-        key, val = head.split("=", 1)
-        if key.strip() != "d":
-            raise ValueError("form text must start with d=<degree>;")
-        d = int(val)
-        K = None
-        if "=" in tail.split(";")[0]:
-            kseg, _, tail = tail.partition(";")
-            kkey, kval = kseg.split("=", 1)
-            if kkey.strip().lower() not in ("k", "precision"):
-                raise ValueError(f"unknown form option {kkey.strip()!r}")
-            K = int(kval)
-        pairs = [parse_elem(tok) for tok in tail.split(",") if tok.strip()]
-        return cls.from_pairs(d, pairs, K)
-
     def to_json(self) -> dict:
         return {
             "degree": self.d,
@@ -139,11 +119,9 @@ class AdditiveForm:
     def root(self) -> "AdditiveForm":
         return self.origin if self.origin is not None else self
 
-    def evaluate(self, values, at_K: int | None = None) -> RingElem:
-        """Sum of coeff * value^d.  Representatives are widened as exact
-        integers when at_K exceeds the storage precision; callers must cap
-        any completion-independent claim at the trusted windows."""
-        K = self.K if at_K is None else at_K
+    def evaluate(self, values) -> RingElem:
+        """Sum of coeff * value^d at the storage precision K."""
+        K = self.K
         mod = 1 << K
         assert len(values) == self.s
         ta = tb = 0
@@ -157,6 +135,27 @@ class AdditiveForm:
     def __repr__(self):
         inner = ", ".join(str(c) for c in self.coeffs)
         return f"AdditiveForm(d={self.d}, K={self.K}, [{inner}])"
+
+
+def parse_form_text(text: str) -> dict:
+    """`d=6; 1, 1, 1*w, 4` with an optional `K=12;` segment, as the JSON
+    document `from_json` reads; precision None when no K is given."""
+    head, _, tail = text.partition(";")
+    if "=" not in head:
+        raise ValueError("form text must start with d=<degree>;")
+    key, val = head.split("=", 1)
+    if key.strip() != "d":
+        raise ValueError("form text must start with d=<degree>;")
+    d = int(val)
+    K = None
+    if "=" in tail.split(";")[0]:
+        kseg, _, tail = tail.partition(";")
+        kkey, kval = kseg.split("=", 1)
+        if kkey.strip().lower() not in ("k", "precision"):
+            raise ValueError(f"unknown form option {kkey.strip()!r}")
+        K = int(kval)
+    pairs = [parse_elem(tok) for tok in tail.split(",") if tok.strip()]
+    return {"degree": d, "precision": K, "coeffs": pairs}
 
 
 # slot descriptors write past the raising __setattr__ (see ring.RingElem)

@@ -13,6 +13,7 @@ Everything in this module is immutable and safe to share across threads.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -308,6 +309,10 @@ class MultiplierSet:
 
 
 def check_degree_shape(d: int):
+    try:
+        operator.index(d)
+    except TypeError:
+        raise DegreeShapeError(f"degree must be an integer, got {d!r}") from None
     if d < 2 or d % 2 != 0 or (d // 2) % 2 != 1:
         raise DegreeShapeError(
             f"degree must be 2m with m odd (got {d}); other degrees are "
@@ -365,21 +370,21 @@ def multiplier_set(d: int, K: int) -> MultiplierSet:
 # ---------------------------------------------------------------------------
 # root extraction (Hensel / Newton)
 
-_SEED_CACHE: dict[int, dict[tuple[int, int], tuple[int, int]]] = {}
+_SEED_CACHE: dict[tuple[int, int], dict[tuple[int, int], tuple[int, int]]] = {}
 _ANCHOR_SEED_CACHE: dict[int, dict[tuple[int, int], tuple[int, int]]] = {}
 
 
-def _seed_table(d: int) -> dict[tuple[int, int], tuple[int, int]]:
-    """x^d mod 16 for every unit x mod 16, first root wins (deterministic)."""
-    table = _SEED_CACHE.get(d)
+def _seed_table(d: int, L: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """x^d mod 2^L for every unit x mod 2^L, first root wins (deterministic)."""
+    table = _SEED_CACHE.get((d, L))
     if table is None:
+        mod = 1 << L
         table = {}
-        for a in range(16):
-            for b in range(16):
+        for a in range(mod):
+            for b in range(mod):
                 if (a | b) & 1:
-                    t = pow_pair(a, b, d, 16)
-                    table.setdefault(t, (a, b))
-        _SEED_CACHE[d] = table
+                    table.setdefault(pow_pair(a, b, d, mod), (a, b))
+        _SEED_CACHE[d, L] = table
     return table
 
 
@@ -433,22 +438,20 @@ def _newton_root(seed: tuple[int, int], d: int, t: tuple[int, int], KK: int):
 def dth_root(t: RingElem, d: int) -> RingElem:
     """A unit x with x^d = t mod 2^K, or NotADthPower.
 
-    For K > 4 the candidates are exactly the solutions mod 16: any of them
-    lifts by Newton since the residual valuation is >= 4 > 2 = 2*v(d), and
+    The root mod 2^min(K, 4) comes from the seed table.  For K > 4 the
+    candidates are exactly the solutions mod 16: any of them lifts by
+    Newton since the residual valuation is >= 4 > 2 = 2*v(d), and
     conversely a root mod 2^K reduces to one mod 16."""
     if not t.is_unit():
         raise NotAUnit(f"{t} is not a unit; only unit roots are extracted")
     K = t.K
-    if K <= 4:  # small enough to try every unit
-        mod = 1 << K
-        for a in range(mod):
-            for b in range(mod):
-                if (a | b) & 1 and pow_pair(a, b, d, mod) == (t.a, t.b):
-                    return RingElem(a, b, K)
-        raise NotADthPower(f"{t} is not a d-th power mod 2^{K} (d={d})")
-    seed = _seed_table(d).get((t.a % 16, t.b % 16))
+    L = min(K, 4)
+    low = (1 << L) - 1
+    seed = _seed_table(d, L).get((t.a & low, t.b & low))
     if seed is None:
-        raise NotADthPower(f"{t} is not a d-th power mod 16 (d={d})")
+        raise NotADthPower(f"{t} is not a d-th power mod 2^{L} (d={d})")
+    if K <= 4:
+        return RingElem(*seed, K)
     # x^d mod 2^(K+1) fixes x mod 2^K among the roots = seed mod 4: two
     # such roots differ by a factor 1 + e, and (1 + e)^d - 1 has
     # valuation v(e) + 1

@@ -144,8 +144,9 @@ def _distinct(x: np.ndarray) -> np.ndarray:
 class _SumAutomaton:
     """`_sums` walked one variable at a time, for one degree and code family:
     a state is a mask, T[state * W + o] the state after one more variable of
-    orbit o, id 1 the empty row.  A walk holds the lock, since `reproduce`
-    runs sweeps on threads."""
+    orbit o, id 1 the empty row.  The automata are shared by every sweep of
+    their degree, so a walk holds the lock: `sweep_lemma` may be called
+    from threads."""
 
     def __init__(self, reps: np.ndarray, tab: _Tables):
         self.reps, self.tab, self.lock = reps, tab, threading.Lock()
@@ -547,19 +548,19 @@ class MinimalityReport:
         return doc
 
 
-def minimality_probe(
-    lemma_id: str,
-    confirm_cap: int = 5,
-) -> MinimalityReport:
+PROBE_CONFIRMATIONS = 5  # failing profiles per decremented space the oracle confirms
+
+
+def minimality_probe(lemma_id: str) -> MinimalityReport:
     """Probe whether a one-level lemma's class counts can drop by one.
 
     For each class slot, remove a variable and exhaust the smaller space
     (by orbit representatives; counts are weighted to code multisets).
-    Profiles the search cannot contract are handed to the complete
-    modular decision as plain forms; an anisotropic answer there is a
-    concrete instance showing the decremented type does not always
-    contract, so the original counts are not slack.  This is corroborative
-    only, not part of the verification battery.
+    The first PROBE_CONFIRMATIONS profiles the search cannot contract are
+    handed to the complete modular decision as plain forms; an anisotropic
+    answer there is a concrete instance showing the decremented type does
+    not always contract, so the original counts are not slack.  This is
+    corroborative only, not part of the verification battery.
     """
     from .forms import default_precision
     from .oracle import decide_isotropy_exhaustive
@@ -586,7 +587,7 @@ def minimality_probe(
         W, ok, failures = _slot_join(_exhaustive_slots(counts, tab), tab)
         confirmed = 0
         example = None
-        for row in failures[: max(confirm_cap, 0)]:
+        for row in failures[:PROBE_CONFIRMATIONS]:
             if search_certificate(_profile_form(lem.d, row)).status != "NOT_FOUND":
                 raise PadicFormsError("probe failure not confirmed by the contraction search")
             f = AdditiveForm.from_pairs(

@@ -35,14 +35,22 @@ class Witness:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Witness":
-        K = doc["precision"]
+        """Every field and value component must be an integer (not a bool)."""
+        K = _whole(doc["precision"], "precision")
         if K < 1:
             raise ValueError(f"witness precision must be at least 1, got {K}")
         return cls(
-            values=tuple(RingElem(a, b, K) for a, b in doc["values"]),
-            primitive=doc["primitive"],
-            V=doc["target_valuation"],
+            values=tuple(RingElem(_whole(a, "value"), _whole(b, "value"), K)
+                         for a, b in doc["values"]),
+            primitive=_whole(doc["primitive"], "primitive"),
+            V=_whole(doc["target_valuation"], "target_valuation"),
         )
+
+
+def _whole(x, name: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"witness {name} must be an integer, got {x!r}")
+    return x
 
 
 def verify_witness(f: AdditiveForm, w: Witness) -> bool:
@@ -58,7 +66,7 @@ def verify_witness(f: AdditiveForm, w: Witness) -> bool:
         return False
     if w.V < f.levels()[w.primitive] + 3:
         return False
-    total = f.evaluate(w.values, at_K=f.K)
+    total = f.evaluate(w.values)
     mask = (1 << w.V) - 1
     return (total.a & mask) == 0 and (total.b & mask) == 0
 

@@ -93,7 +93,7 @@ def test_criterion_01_g_obstruction():
 def test_criterion_01_search_finds_a_zero_mod4():
     # the criterion can fail: on the isotropic x^6 + 7y^6 its search finds
     # the primitive zero 1 + 7 = 0 mod 4
-    zs = _zero_mod4(AdditiveForm.from_text("d=6; 1, 7"))
+    zs = _zero_mod4(AdditiveForm.from_pairs(6, [(1, 0), (7, 0)]))
     assert zs.found
     assert zs.assignment[zs.anchor].is_unit()
 

@@ -106,6 +106,26 @@ def test_solve_stdin(monkeypatch, capsys):
     assert code == 0 and json.loads(out)["verdict"] == "ISOTROPIC"
 
 
+@pytest.mark.parametrize("text, precision", [
+    ("d=6; 1, 3, 1024", "20"),  # 1024 is 0 at the default K = 10
+    ("d=6; 1, 1025", "12"),  # 1025 is 1 at the default K = 10
+])
+def test_solve_precision_reads_text_as_json(tmp_path, capsys, text, precision):
+    # the override applies before the form is built, in either format
+    pairs = [[int(c), 0] for c in text.split(";")[1].split(",")]
+    (tmp_path / "f.txt").write_text(text + "\n")
+    (tmp_path / "f.json").write_text(json.dumps(
+        {"degree": 6, "precision": 10, "coeffs": pairs}))
+    results = []
+    for name in ("f.txt", "f.json"):
+        path = str(tmp_path / name)
+        assert cli.load_form(path, int(precision)).to_json() == {
+            "degree": 6, "precision": int(precision), "coeffs": pairs}
+        results.append(run(["solve", path, "--precision", precision], capsys))
+    assert results[0] == results[1]
+    assert results[0][0] in (0, 1) and results[0][2] == ""
+
+
 def test_oracle_full_decision(h6_file, capsys):
     code, out, _ = run(["oracle", h6_file], capsys)
     assert code == 1
@@ -145,6 +165,33 @@ def test_witness_verify_roundtrip(iso_file, tmp_path, capsys):
     assert code == 1 and json.loads(out)["valid"] is False
 
 
+@pytest.mark.parametrize("field, value", [
+    ("primitive", "0"),
+    ("target_valuation", "10"),
+    ("primitive", True),
+    ("target_valuation", True),
+])
+def test_witness_verify_mistyped_field_exit64(iso_file, tmp_path, capsys, field, value):
+    # a string used to end in a TypeError traceback (exit 1, "check
+    # failed"), and true was taken as 1 or 0 and echoed back as true
+    _, out, _ = run(["solve", iso_file], capsys)
+    wit = dict(json.loads(out)["witness"], **{field: value})
+    wit_path = tmp_path / "wit.json"
+    wit_path.write_text(json.dumps(wit))
+    code, out, err = run(["witness", "verify", iso_file, str(wit_path)], capsys)
+    assert code == 64 and out == ""
+    assert "cannot parse witness file" in err and f"witness {field} must be an integer" in err
+
+
+def test_solve_float_degree_exit64(tmp_path, capsys):
+    # 6.0 passes every comparison of the degree check, then broke on arithmetic
+    p = tmp_path / "f.json"
+    p.write_text(json.dumps({"degree": 6.0, "precision": 10, "coeffs": [[1, 0], [7, 0]]}))
+    code, out, err = run(["solve", str(p)], capsys)
+    assert code == 64 and out == ""
+    assert "degree must be an integer, got 6.0" in err
+
+
 def test_lemma_verify_exhaustive(capsys):
     code, out, _ = run(["lemma", "verify", "007"], capsys)
     assert code == 0
@@ -175,8 +222,12 @@ def test_lemma_unknown_exit64(capsys):
 
 
 def test_lemma_bad_mode_exit64(capsys):
-    code, _, _ = run(["lemma", "verify", "541", "--mode", "exhaustive"], capsys)
-    assert code == 64
+    # a lemma's mode follows from its shape; --mode is no option
+    with pytest.raises(SystemExit) as exc:
+        run(["lemma", "verify", "541", "--mode", "exhaustive"], capsys)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 64 and out == ""
+    assert "unrecognized arguments: --mode" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -203,11 +254,10 @@ def test_out_of_memory_exit70(monkeypatch, capsys):
     assert err == "padic-forms: not enough memory for: lemma verify 5 --trials 100000000000\n"
 
 
-def test_battery_rejects_a_zero_trials_cap():
-    buf = io.StringIO()
+def test_battery_rejects_a_zero_trials_cap(capsys):
     with pytest.raises(ValueError, match="trials_cap must be at least 1"):
-        cli.run_battery([10], trials_cap=0, stream=buf)
-    assert buf.getvalue() == ""
+        cli.run_battery([10], trials_cap=0)
+    assert capsys.readouterr().out == ""
 
 
 def test_lemma_negative_seed_exit64(capsys):
@@ -226,10 +276,9 @@ def test_gamma_deterministic_output(capsys):
     assert doc["trials"] == 4 and doc["isotropic"] == 4
 
 
-def test_reproduce_quick_d10():
-    buf = io.StringIO()
-    ok = cli.run_battery([10], trials_cap=30, stream=buf)
-    lines = buf.getvalue().strip().splitlines()
+def test_reproduce_quick_d10(capsys):
+    ok = cli.run_battery([10], trials_cap=30)
+    lines = capsys.readouterr().out.strip().splitlines()
     assert ok is True
     assert len(lines) == 9
     assert all(line.startswith("PASS") for line in lines)
@@ -237,14 +286,13 @@ def test_reproduce_quick_d10():
     assert names[0] == "obstruction-G" and names[-1] == "agreement"
 
 
-def test_battery_rows_follow_the_degree():
+def test_battery_rows_follow_the_degree(capsys):
     # each row derives from d: H descends in one round per block, F and I
     # run when 3 | d (I's first window as at d = 6), the oracle row only
     # while H fits the oracle's modulus, the threshold at
     # isotropy_threshold(d)
-    buf = io.StringIO()
-    ok = cli.run_battery([14, 18, 22], trials_cap=20, stream=buf)
-    lines = buf.getvalue().splitlines()
+    ok = cli.run_battery([14, 18, 22], trials_cap=20)
+    lines = capsys.readouterr().out.splitlines()
     assert ok is True and all(line.startswith("PASS") for line in lines), lines
     rows = [(line.split()[1], line.split()[2]) for line in lines]
     head, tail = ["obstruction-G", "descent-H"], ["agreement"]
@@ -271,27 +319,6 @@ def test_bad_usage_exit64(capsys):
         cli.build_parser().parse_args(["frobnicate"])
     assert exc.value.code == 64
     capsys.readouterr()
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("PADIC_FORMS_THREADS", "3")
-    assert cli.worker_count() == 3
-    monkeypatch.delenv("PADIC_FORMS_THREADS")
-    assert cli.worker_count() >= 1
-
-
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_bad_thread_count_exit64_under_python_O(monkeypatch, value):
-    # the message names the variable and its range, and 0 is not taken
-    # as 1; the check is no assert, so -O keeps it
-    monkeypatch.setenv("PADIC_FORMS_THREADS", value)
-    argv = ["-m", "padic_forms", "reproduce", "--trials", "1", "--d", "10"]
-    for flags in ([], ["-O"]):
-        proc = fresh_process([sys.executable, *flags, *argv])
-        assert proc.returncode == 64, (flags, proc.stderr)
-        assert proc.stdout == ""
-        assert proc.stderr == ("padic-forms: PADIC_FORMS_THREADS must be a whole number "
-                               f"of at least 1, got {value!r}\n"), flags
 
 
 def fresh_process(argv):

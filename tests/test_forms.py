@@ -12,6 +12,7 @@ from padic_forms.forms import (
     cyclic_shift,
     default_precision,
     normalize,
+    parse_form_text,
     reduce_levels,
 )
 from padic_forms.ring import RingElem
@@ -279,15 +280,8 @@ def test_evaluate_matches_ring_elem_loop():
             else RingElem(rng.getrandbits(vK), rng.getrandbits(vK), vK)
             for _ in range(f.s)
         ]
-        for at_K in (K - 4, K, K + 6):
-            assert f.evaluate(values, at_K=at_K) == ring_evaluate(f, values, at_K)
-        assert f.evaluate(values) == ring_evaluate(f, values, K)
-
-
-def test_evaluate_widened():
-    f = form(6, [(1, 0), (7, 0)], 4)
-    total = f.evaluate([RingElem.one(4), RingElem.one(4)], at_K=8)
-    assert total == RingElem(8, 0, 8)
+        for at_K in (K - 4, K):
+            assert f.evaluate(values).reduce_to(at_K) == ring_evaluate(f, values, at_K)
 
 
 def test_json_roundtrip():
@@ -298,16 +292,20 @@ def test_json_roundtrip():
     assert g.coeffs == f.coeffs and g.d == 6
 
 
+def from_text(text):
+    return AdditiveForm.from_json(parse_form_text(text))
+
+
 def test_from_text():
-    f = AdditiveForm.from_text("d=6; 1, 1, 1*w, 4, 4, 4*w, 16, 16, 16*w")
+    f = from_text("d=6; 1, 1, 1*w, 4, 4, 4*w, 16, 16, 16*w")
     assert f.d == 6 and f.s == 9 and f.K == 10
     assert f.coeffs[2] == RingElem(0, 1, 10)
     assert f.coeffs[8] == RingElem(0, 16, 10)
-    g = AdditiveForm.from_text("d=6; K=12; 1, 7")
+    g = from_text("d=6; K=12; 1, 7")
     assert g.K == 12 and g.s == 2
 
 
 def test_from_text_rejects_bad_input():
     for bad in ("", "x=6; 1", "d=6;", "d=6; q=3; 1", "d=6; 1, junk"):
         with pytest.raises(ValueError):
-            AdditiveForm.from_text(bad)
+            from_text(bad)

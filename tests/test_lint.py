@@ -231,6 +231,47 @@ def test_oracle_users_are_reviewed():
     assert not gone, f"ORACLE_USERS names imports that no longer exist: {gone}"
 
 
+# Every run is on the calling thread, and nothing in the package is set
+# from the environment: a worker pool or an environment knob fails the
+# check below.  The one module that imports threading is sweeps.py, for
+# the lock of the sum-set automata that every sweep of a degree shares.
+THREADING_USERS = {"sweeps.py"}
+
+
+def _threads_and_environment(tree: ast.Module) -> set:
+    """("reads", name) for every read of os.environ or os.getenv, and
+    ("imports", module) for every absolute import of a module that starts
+    threads or processes."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            if isinstance(node.value, ast.Name) and node.value.id == "os":
+                out.add(("reads", f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            out.update(("reads", f"os.{a.name}") for a in node.names
+                       if a.name in ("environ", "getenv"))
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        out.update(("imports", m.split(".")[0]) for m in modules
+                   if m.split(".")[0] in ("concurrent", "multiprocessing", "threading", "_thread"))
+    return out
+
+
+def test_no_worker_pools_or_environment_knobs():
+    found = {path.name: _threads_and_environment(ast.parse(path.read_text()))
+             for path in sorted(SRC.glob("*.py"))}
+    allowed = {name: {("imports", "threading")} if name in THREADING_USERS else set()
+               for name in found}
+    extra = {name: sorted(uses - allowed[name]) for name, uses in found.items() if uses - allowed[name]}
+    assert not extra, f"environment reads or thread/process imports in the package: {extra}"
+    gone = sorted(name for name in THREADING_USERS if ("imports", "threading") not in found[name])
+    assert not gone, f"THREADING_USERS names modules that no longer import threading: {gone}"
+
+
 def _imports_numpy_ma(calls: str) -> bool:
     """Whether running `calls` in a fresh process loads numpy.ma."""
     script = f"import sys\n{calls}print('numpy.ma' in sys.modules)\n"

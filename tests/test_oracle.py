@@ -238,7 +238,7 @@ def test_x6_plus_7y6_zero_mod8():
     x = zs.assignment[zs.anchor]
     assert x.is_unit()
     assert f.coeffs[zs.anchor].valuation() <= 0
-    total = f.evaluate(zs.assignment, at_K=3)
+    total = f.evaluate(zs.assignment).reduce_to(3)
     assert (total.a, total.b) == (0, 0)
 
 
@@ -414,7 +414,7 @@ def test_decide_witness_values_evaluate_to_zero():
         if dec.verdict == "ISOTROPIC":
             w = dec.witness
             assert verify_witness(f, w)
-            total = f.evaluate(w.values, at_K=K)
+            total = f.evaluate(w.values)
             assert total.a % (1 << w.V) == 0 and total.b % (1 << w.V) == 0
 
 

@@ -3,6 +3,7 @@ powers, and Hensel root extraction."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -178,6 +179,15 @@ def test_degree_shape():
             check_degree_shape(d)
 
 
+
+def test_degree_shape_refuses_non_integers():
+    # a JSON degree of 6.0 passes every comparison, so it is refused by type
+    check_degree_shape(np.int64(6))
+    for d in (6.0, "6", None):
+        with pytest.raises(DegreeShapeError, match="must be an integer"):
+            check_degree_shape(d)
+
+
 # --- teichmuller and unit power sets ---------------------------------------
 
 
@@ -270,6 +280,22 @@ def test_dth_root_raises_when_newton_does_not_converge(monkeypatch):
 def test_dth_root_brute_small_precision():
     r = dth_root(RingElem(5, 0, 3), 6)
     assert r ** 6 == RingElem(5, 0, 3)
+
+
+@pytest.mark.parametrize("d", [6, 10])
+def test_dth_root_small_precision_matches_first_root(d):
+    # below 2^5 the root is read off the seed table: the first unit (a, b)
+    # in lexicographic order whose d-th power is t, or a refusal
+    for K in range(1, 5):
+        mod = 1 << K
+        units = [(a, b) for a in range(mod) for b in range(mod) if (a | b) & 1]
+        for t in units:
+            first = next((x for x in units if pow_pair(*x, d, mod) == t), None)
+            if first is None:
+                with pytest.raises(NotADthPower):
+                    dth_root(RingElem(*t, K), d)
+            else:
+                assert dth_root(RingElem(*t, K), d) == RingElem(*first, K)
 
 
 def test_newton_anchor_solve_basic():

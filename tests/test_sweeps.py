@@ -732,13 +732,13 @@ def test_report_json_shape():
 
 
 def test_minimality_probe_007():
-    rep = minimality_probe("007", confirm_cap=4)
+    rep = minimality_probe("007")
     assert len(rep.decrements) == 1
     rec = rep.decrements[0]
     assert rec["counts"] == "0/0/6"
     assert rec["total"] == 54264  # multisets of 6 from the 16 profiles
     assert rec["searchFailures"] == 1_024, "count 7 would not be minimal"
-    assert rec["anisotropicConfirmed"] == 4
+    assert rec["anisotropicConfirmed"] == 5
     # the reported example really is a six-variable anisotropic form
     f = AdditiveForm.from_json(rec["example"])
     assert f.s == 6
@@ -746,7 +746,7 @@ def test_minimality_probe_007():
 
 
 def test_minimality_probe_dedupes_and_validates():
-    rep = minimality_probe("223", confirm_cap=0)
+    rep = minimality_probe("223")
     # decrements (1,2,3) and (2,1,3) coincide as multisets; (2,2,2) differs
     assert [r["counts"] for r in rep.decrements] == ["1/2/3", "2/2/2"]
     with pytest.raises(ValueError):
@@ -799,7 +799,7 @@ def test_probe_raises_when_search_finds_a_certificate(monkeypatch):
         sweeps, "search_certificate", lambda f: SearchOutcome("FOUND", None, 0)
     )
     with pytest.raises(PadicFormsError):
-        minimality_probe("007", confirm_cap=1)
+        minimality_probe("007")
 
 
 def test_probe_raises_when_oracle_finds_isotropy(monkeypatch):
@@ -808,4 +808,4 @@ def test_probe_raises_when_oracle_finds_isotropy(monkeypatch):
         oracle, "decide_isotropy_exhaustive", lambda f: replace(real(f), verdict="ISOTROPIC")
     )
     with pytest.raises(PadicFormsError):
-        minimality_probe("007", confirm_cap=1)
+        minimality_probe("007")
