@@ -242,23 +242,19 @@ def _threads_and_environment(tree: ast.Module) -> set:
     """("reads", name) for every read of os.environ or os.getenv, and
     ("imports", module) for every absolute import of a module that starts
     threads or processes."""
+    env, pools = ("environ", "getenv"), ("concurrent", "multiprocessing", "threading", "_thread")
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
-            if isinstance(node.value, ast.Name) and node.value.id == "os":
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "os" and node.attr in env:
                 out.add(("reads", f"os.{node.attr}"))
-        elif isinstance(node, ast.ImportFrom) and node.module == "os":
-            out.update(("reads", f"os.{a.name}") for a in node.names
-                       if a.name in ("environ", "getenv"))
-        if isinstance(node, ast.Import):
-            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            out.update(("imports", a.name.split(".")[0]) for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            modules = [node.module]
-        else:
-            continue
-        out.update(("imports", m.split(".")[0]) for m in modules
-                   if m.split(".")[0] in ("concurrent", "multiprocessing", "threading", "_thread"))
-    return out
+            out.add(("imports", node.module.split(".")[0]))
+            if node.module == "os":
+                out.update(("reads", f"os.{a.name}") for a in node.names if a.name in env)
+    return {(kind, name) for kind, name in out if kind == "reads" or name in pools}
 
 
 def test_no_worker_pools_or_environment_knobs():

@@ -179,7 +179,6 @@ def test_degree_shape():
             check_degree_shape(d)
 
 
-
 def test_degree_shape_refuses_non_integers():
     # a JSON degree of 6.0 passes every comparison, so it is refused by type
     check_degree_shape(np.int64(6))
