@@ -11,9 +11,12 @@ to zero.  At M = max coefficient level + 3 this is a complete isotropy
 criterion: a hit lifts by Newton, a miss is an anisotropy proof.
 
 Transitions are boolean convolutions on the torus, done by FFT on counts
-and thresholding; counts stay far below 2^53 so float64 is exact enough,
-and every convolution checks that its output is integral before it is
-thresholded.
+and thresholding.  Each variable's step transforms the two DP layers and
+its two value grids once; the unit-flag layer's two sources share one
+inverse FFT of their summed spectra, since a cell counted twice still
+reads as reached.  A count is at most 3 * 4^M <= 3 * 2^20, far below
+2^53, so float64 is exact enough, and every inverse checks that its
+output is integral before it is thresholded.
 """
 
 from __future__ import annotations
@@ -44,9 +47,6 @@ def _pow_vec(xa, xb, d: int, mask: int):
     return ra, rb
 
 
-_UNIT_POWERS: dict = {}
-
-
 def _unit_power_codes(d: int, L: int) -> np.ndarray:
     """Sorted codes (a << L) | b of {u^d : u unit mod 2^L}.  For d = 2m
     with m odd the unit d-th powers are the multiplier reps times 1 + 8O,
@@ -54,10 +54,6 @@ def _unit_power_codes(d: int, L: int) -> np.ndarray:
     L >= 3 each of the 2 or 6 rep residues plus 8 * (0..2^(L-3) - 1) in
     both components, for L < 3 those residues reduced mod 2^L.  They are
     read off a presence table over (a, b), tiled from the one mod 8."""
-    key = (d, L)
-    got = _UNIT_POWERS.get(key)
-    if got is not None:
-        return got
     n = 1 << L
     low = min(n, 8) - 1
     table = np.zeros((low + 1, low + 1), dtype=bool)
@@ -65,9 +61,7 @@ def _unit_power_codes(d: int, L: int) -> np.ndarray:
         table[r.value.a & low, r.value.b & low] = True
     if n > 8:
         table = np.tile(table, (n // 8, n // 8))
-    out = np.flatnonzero(table).astype(np.int64, copy=False)
-    _UNIT_POWERS[key] = out
-    return out
+    return np.flatnonzero(table).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,11 +73,6 @@ class PowerValueSet:
     d: int
     M: int
     codes: tuple[np.ndarray, ...]
-
-    def values(self, shift: int) -> list[tuple[int, int]]:
-        """The values at one shift, sorted."""
-        mask = (1 << self.M) - 1
-        return [(c >> self.M, c & mask) for c in self.codes[shift].tolist()]
 
     def root_of(self, value: tuple[int, int]) -> RingElem:
         """A residue x mod 2^M with x^d = value mod 2^M."""
@@ -118,11 +107,13 @@ def power_value_set(d: int, M: int) -> PowerValueSet:
     j = 0
     while j * d < M:
         L = M - j * d
-        units = _unit_power_codes(d, L)
-        # (a, b) -> (a << jd, b << jd) keeps the order of the codes
-        a = (units >> L) << (j * d)
-        b = (units & ((1 << L) - 1)) << (j * d)
-        codes.append((a << M) | b)
+        units = _unit_power_codes(d, L)  # at j = 0 these are the codes
+        if j:
+            # (a, b) -> (a << jd, b << jd) keeps the order of the codes
+            a = (units >> L) << (j * d)
+            b = (units & ((1 << L) - 1)) << (j * d)
+            units = (a << M) | b
+        codes.append(units)
         j += 1
     pvs = PowerValueSet(d, M, tuple(codes))
     if 4 ** M <= 10 ** 6:
@@ -165,10 +156,9 @@ class ZeroSearch:
     M: int
 
 
-def _conv_hit(S: np.ndarray, FV) -> np.ndarray:
-    if FV is None or not S.any():
-        return np.zeros_like(S)
-    out = np.fft.irfft2(np.fft.rfft2(S.astype(np.float64)) * FV, s=S.shape)
+def _hits(spectrum: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The cells whose count, the inverse FFT of spectrum, is positive."""
+    out = np.fft.irfft2(spectrum, s=shape)
     counts = np.rint(out)
     if np.abs(out - counts).max() >= 0.25:
         raise PadicFormsError("FFT convolution lost exactness; counts are not integral")
@@ -178,8 +168,7 @@ def _conv_hit(S: np.ndarray, FV) -> np.ndarray:
 def _grid_of(codes: np.ndarray, M: int) -> np.ndarray:
     n = 1 << M
     g = np.zeros((n, n), dtype=bool)
-    if codes.size:
-        g[codes & (n - 1), codes >> M] = True
+    g[codes & (n - 1), codes >> M] = True
     return g
 
 
@@ -243,10 +232,8 @@ def primitive_zero_mod(
         plain_codes, plain_src = _translate(c, rest_vals if liftable else every_val, M)
         per_var.append((flag_codes, flag_src, plain_codes, plain_src))
 
-    def fft_of(codes):
-        if codes.size == 0:
-            return None
-        return np.fft.rfft2(_grid_of(codes, M).astype(np.float64))
+    def fft_of(grid):
+        return np.fft.rfft2(grid.astype(np.float64))
 
     S0 = np.zeros((n, n), dtype=bool)
     S0[0, 0] = True
@@ -254,11 +241,11 @@ def primitive_zero_mod(
     layers = [(S0, S1)]
     visited = 1
     for flag_codes, _, plain_codes, _ in per_var:
-        F_flag = fft_of(flag_codes)
-        F_plain = fft_of(plain_codes)
-        F_all = fft_of(np.concatenate([flag_codes, plain_codes]))  # a repeat marks once
-        S1 = _conv_hit(S1, F_all) | _conv_hit(S0, F_flag)
-        S0 = _conv_hit(S0, F_plain)
+        F_flag = fft_of(_grid_of(flag_codes, M))
+        F_plain = fft_of(_grid_of(plain_codes, M))
+        F0, F1 = fft_of(S0), fft_of(S1)
+        S1 = _hits(F1 * (F_flag + F_plain) + F0 * F_flag, S1.shape)
+        S0 = _hits(F0 * F_plain, S0.shape)
         layers.append((S0, S1))
         visited += int(S0.sum()) + int(S1.sum())
     if not S1[0, 0]:

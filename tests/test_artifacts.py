@@ -17,6 +17,7 @@ from padic_forms.artifacts import (
 from padic_forms.errors import DegreeShapeError
 from padic_forms.flat import mod8_table
 from padic_forms.oracle import decide_isotropy_exhaustive, power_value_set
+from test_oracle import value_set
 
 
 def test_named_form_G_shape():
@@ -184,8 +185,7 @@ def test_descent_first_round_matches_enumeration():
 def test_descent_values_mod4_match_the_oracle(d):
     # the descent reads the d-th powers mod 4 off the multiplier reps mod 8;
     # the oracle enumerates x^d mod 4 over every x
-    pvs = power_value_set(d, 2)
-    want = {(0, 0)}.union(*map(pvs.values, range(len(pvs.codes))))
+    want = value_set(power_value_set(d, 2))
     got = {(0, 0)} | {(c & 3, c >> 3 & 3) for c in mod8_table(d).products[1]}
     assert got == want
 

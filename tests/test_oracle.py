@@ -21,8 +21,8 @@ from padic_forms.errors import (
 from padic_forms.forms import AdditiveForm, cyclic_shift, reduce_levels
 from padic_forms.oracle import (
     _brute_power_codes,
-    _conv_hit,
     _grid_of,
+    _hits,
     _liftable_level,
     _pow_vec,
     _unit_power_codes,
@@ -41,9 +41,15 @@ def form(d, pairs, K=None, windows=None):
     return AdditiveForm(d, f.coeffs, windows=windows)
 
 
+def shift_values(pvs, shift) -> list[tuple[int, int]]:
+    """The values (A, B) of x^d mod 2^M at one shift, sorted."""
+    mask = (1 << pvs.M) - 1
+    return [(c >> pvs.M, c & mask) for c in pvs.codes[shift].tolist()]
+
+
 def value_set(pvs) -> set:
     """Every value of x^d mod 2^M: 0 and the values at each shift."""
-    return {(0, 0)}.union(*(pvs.values(j) for j in range(len(pvs.codes))))
+    return {(0, 0)}.union(*(shift_values(pvs, j) for j in range(len(pvs.codes))))
 
 
 def naive_zero_exists(f, M, max_unit_level=None):
@@ -108,7 +114,7 @@ def test_value_set_d6_mod8():
 def test_value_set_unit_entries_mod8():
     # every unit sixth power mod 8 is 1 or 5; shifts start at 2^6 > 8
     pvs = power_value_set(6, 3)
-    assert len(pvs.codes) == 1 and pvs.values(0)
+    assert len(pvs.codes) == 1 and shift_values(pvs, 0)
 
 
 def test_value_set_matches_brute_force():
@@ -120,17 +126,17 @@ def test_value_set_matches_brute_force():
 
 def test_value_set_layers_d6_mod10():
     pvs = power_value_set(6, 10)
-    shifts = {j for j in range(len(pvs.codes)) if pvs.values(j)}
+    shifts = {j for j in range(len(pvs.codes)) if shift_values(pvs, j)}
     assert shifts == {0, 1}  # 2^6 layer fits below 2^10, 2^12 does not
     for j in shifts:
-        for value in pvs.values(j):
+        for value in shift_values(pvs, j):
             assert RingElem(*value, 10).valuation() == 6 * j
 
 
 def test_root_of_roundtrip():
     for d, M in ((6, 5), (10, 4), (6, 8)):
         pvs = power_value_set(d, M)
-        for value in (v for j in range(len(pvs.codes)) for v in pvs.values(j)):
+        for value in (v for j in range(len(pvs.codes)) for v in shift_values(pvs, j)):
             x = pvs.root_of(value)
             assert ((x ** d).a, (x ** d).b) == value
     zero = power_value_set(6, 4).root_of((0, 0))
@@ -176,17 +182,18 @@ def test_brute_power_codes_match_one_shot_unique(monkeypatch, block):
 
 def test_power_value_tables_stay_small(monkeypatch):
     # the benchmark warm-up's two largest d = 10 tables, built cold: the
-    # squares of every 1 + 2t mod 2^10 and their sort traced about 35 MB
+    # squares of every 1 + 2t mod 2^10 and their sort traced about 35 MB,
+    # and a second copy of each unit-power table held 1.9 MB after both
     monkeypatch.setattr(oracle, "_PVS_CACHE", {})
-    monkeypatch.setattr(oracle, "_UNIT_POWERS", {})
     tracemalloc.start()
     try:
         power_value_set(10, 9)
         power_value_set(10, 10)
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 << 20, f"traced peak {peak / 2**20:.1f} MB"
+    assert peak < 3 << 20, f"traced peak {peak / 2**20:.2f} MB"
+    assert held < 1.5 * 2**20, f"held after both builds {held / 2**20:.2f} MB"
 
 
 def test_power_value_cross_check_rejects_a_repeated_code(monkeypatch):
@@ -286,6 +293,8 @@ PINNED_ZEROS = [
      (((51, 39), (2, 37), (1, 0), (57, 9), (0, 0)), 1, 11390)),
     ((10, [(1, 1), (6, 1), (12, 5), (9, 2)], 14, 8, 3),
      (((202, 177), (107, 195), (0, 0), (0, 0)), 0, 178181)),
+    ((10, [(16, 0), (3, 1), (5, 0), (1, 1), (2, 6)], 14, 10, None),
+     (((0, 0), (289, 410), (634, 221), (104, 1003), (714, 779)), 1, 2524678)),
 ]
 
 
@@ -422,14 +431,15 @@ def test_decide_witness_values_evaluate_to_zero():
 # hard failures in place of asserts
 
 
-def test_conv_hit_rejects_inexact_counts():
+def test_hits_rejects_inexact_counts():
     S = np.zeros((8, 8), dtype=bool)
     S[0, 0] = True
+    FS = np.fft.rfft2(S.astype(np.float64))
     half = 0.5 * np.fft.rfft2(_grid_of(np.array([1], dtype=np.int64), 3).astype(np.float64))
     with pytest.raises(PadicFormsError, match="exactness"):
-        _conv_hit(S, half)
+        _hits(FS * half, S.shape)
     whole = np.fft.rfft2(_grid_of(np.array([1], dtype=np.int64), 3).astype(np.float64))
-    hit = _conv_hit(S, whole)
+    hit = _hits(FS * whole, S.shape)
     assert hit[1, 0] and hit.sum() == 1
 
 
