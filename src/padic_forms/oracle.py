@@ -244,8 +244,14 @@ def primitive_zero_mod(
         F_flag = fft_of(_grid_of(flag_codes, M))
         F_plain = fft_of(_grid_of(plain_codes, M))
         F0, F1 = fft_of(S0), fft_of(S1)
-        S1 = _hits(F1 * (F_flag + F_plain) + F0 * F_flag, S1.shape)
-        S0 = _hits(F0 * F_plain, S0.shape)
+        # products in place and each spectrum (8.4 MB at M = 10) dropped
+        # once used: four live spectra would lift the step's peak memory
+        F1 *= F_flag + F_plain
+        F1 += F0 * F_flag
+        F0 *= F_plain
+        del F_flag, F_plain
+        S1, S0 = _hits(F1, S1.shape), _hits(F0, S0.shape)
+        del F0, F1
         layers.append((S0, S1))
         visited += int(S0.sum()) + int(S1.sum())
     if not S1[0, 0]:

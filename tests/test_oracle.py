@@ -307,6 +307,21 @@ def test_backtracked_roots_are_pinned(case, want):
     assert zs.found == (want[0] is not None)
 
 
+def test_zero_search_peak_memory_stays_small():
+    # d = 10 at M = 9: each spectrum is 2.1 MB; a step holding its four
+    # spectra through the inverse FFTs traced 22.3 MB, nine separate
+    # FFTs 18.3 MB, products in place with each spectrum dropped 16.3 MB
+    f = form(10, [(16, 0), (3, 1), (5, 0), (1, 1), (2, 6)], 14)
+    power_value_set(10, 9)
+    tracemalloc.start()
+    try:
+        assert primitive_zero_mod(f, 9).found
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 17 << 20, f"traced peak {peak / 2**20:.2f} MB"
+
+
 def test_backtracking_is_deterministic():
     f = form(6, [(1, 0), (7, 0), (3, 0)], 10)
     a = primitive_zero_mod(f, 3)
