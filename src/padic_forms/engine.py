@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .errors import CertificateError, NotADthPower, NotAUnit
 from .forms import AdditiveForm
-from .ring import MultiplierRep, RingElem, dth_root, mul_pair, multiplier_set, pow_pair
+from .ring import MultiplierRep, RingElem, dth_root, multiplier_set, pow_pair
 
 
 class VarNode(NamedTuple):
@@ -85,10 +85,10 @@ def contract(children: tuple, choices: tuple, new_id: int) -> VarNode:
         ids.append(c.id)
         seen |= c.leaves
         count += len(c.leaves)
-        v, r = c.value, ch.value
-        ma, mb = mul_pair(v.a, v.b, r.a, r.b)
-        ta += ma
-        tb += mb
+        v, r = c.value, ch.value  # the product as in mul_pair, inline
+        bd = v.b * r.b
+        ta += v.a * r.a + bd
+        tb += v.a * r.b + v.b * r.a + bd
         if c.J < J:
             J = c.J
         if c.kappa < kappa:
@@ -151,11 +151,12 @@ def _certificate_from(root: VarNode, nodes: list, d: int, K: int) -> Contraction
 
 @lru_cache(maxsize=None)
 def _unit_powers_mod8(d: int) -> frozenset:
-    """The d-th powers of the 48 units mod 8, as pairs (a, b).  Enumerated
+    """The d-th powers of the 48 units mod 8, as codes a + 8b.  Enumerated
     here rather than read off the multiplier reps, so that the check does
     not trust the reps it checks.  A unit congruent mod 8 to one of them is
     a unit d-th power, since 1 + 8O consists of d-th powers."""
-    return frozenset(pow_pair(a, b, d, 8) for a in range(8) for b in range(8) if (a | b) & 1)
+    return frozenset(x | y << 3 for x, y in (pow_pair(a, b, d, 8) for a in range(8)
+                                             for b in range(8) if (a | b) & 1))
 
 
 def validate_certificate(f: AdditiveForm, cert: ContractionCertificate) -> bool:
@@ -167,10 +168,10 @@ def validate_certificate(f: AdditiveForm, cert: ContractionCertificate) -> bool:
     the sum of its children's recorded values times their multipliers.
     The leaves' recorded values are not compared with the form's
     coefficients: the tree proves every form it recomputes to a zero."""
+    nmap = cert.node_map()
+    if cert.root not in nmap:
+        return False
     try:
-        nmap = cert.node_map()
-        if cert.root not in nmap:
-            return False
         order = _collect_tree(nmap[cert.root], nmap)
     except KeyError:
         return False
@@ -198,15 +199,17 @@ def validate_certificate(f: AdditiveForm, cert: ContractionCertificate) -> bool:
             ta = tb = ua = ub = 0  # from the form's coefficients, from the recorded values
             for cid, choice in zip(n.children, n.choices):
                 r = choice.value
-                if cid not in values or (r.a & 7, r.b & 7) not in powers:
+                ra, rb = r.a, r.b
+                if cid not in values or (ra & 7) | (rb & 7) << 3 not in powers:
                     return False
-                ma, mb = mul_pair(*values[cid], r.a, r.b)
-                ta += ma
-                tb += mb
+                va, vb = values[cid]  # the products as in mul_pair, inline
+                bd = vb * rb
+                ta += va * ra + bd
+                tb += va * rb + vb * ra + bd
                 c = nmap[cid].value
-                ma, mb = mul_pair(c.a, c.b, r.a, r.b)
-                ua += ma
-                ub += mb
+                bd = c.b * rb
+                ua += c.a * ra + bd
+                ub += c.a * rb + c.b * ra + bd
             v = n.value
             if (ua - v.a) & ((1 << v.K) - 1) or (ub - v.b) & ((1 << v.K) - 1):
                 return False

@@ -12,13 +12,18 @@ that vanishes mod 2^(k+3) and uses a level-k term:
   k..k+2, a level-k term has j = 0, and terms at k+3 or above vanish
   mod 2^(k+3);
 - sufficiency: the level-k term is a unit variable whose Hensel lift
-  (`newton_anchor_solve`) needs exactly the sum mod 2^(k+3).
+  (`anchor_solve_pair`) needs exactly the sum mod 2^(k+3).
 
 Dividing by 2^k turns each anchor level into one question about subset
-sums in Z8 x Z8, 64 states, kept as two 64-bit masks: sums that used no
-level-k term yet, and sums that did, packed into one int (the second
-mask in the high word) so that one shift moves both.  A term takes part
-only when its trusted window covers the digits the question reads
+sums in Z8 x Z8, 64 states.  State (a, b) sits at bit a + 16b of a
+256-bit half, the sums that used no level-k term yet in the low half of
+one int and those that did in the high half.  The bits a + 16b with
+a or b at 8 or more are guards: translating by (ta, tb) is one left
+shift by ta + 16 tb, whose carries land in the guards, and after a
+term's shifted copies are ORed together one fold takes every sum back
+mod 8.  The variables are sorted into levels once per form, so each
+anchor visits only the terms that can reach its range.  A term takes
+part only when its trusted window covers the digits the question reads
 (k + 3 - jd); the outcome records whether some term was left out for
 that reason, since then a missing zero proves nothing.
 
@@ -40,21 +45,15 @@ from .errors import CertificateError, PadicFormsError
 from .forms import AdditiveForm
 from .ring import mul_pair, multiplier_set
 
-_ALL = (1 << 64) - 1
-_BOTH = (1 << 128) - 1
+# a half's 64 states, bits 0..7 of its 16-bit lanes 0..7; then both halves
+_LOW = 0xFF * sum(1 << 16 * b for b in range(8))
+_LOW2 = _LOW | _LOW << 256
 
 
-def _move(code: int) -> tuple:
-    """Masks and shifts that translate both words of a packed mask pair
-    by t = code, with x = a + 8b coding (a, b) in Z8 x Z8: rotate every
-    byte left by t's a, then each 64-bit word left by 8 times t's b."""
-    ta, s = code & 7, 8 * (code >> 3)
-    keep = (0xFF >> ta) * 0x01010101010101010101010101010101  # bits staying in their byte
-    wrap = ((1 << s) - 1) * (1 | 1 << 64)  # bits rotated round their word
-    return keep, keep ^ _BOTH, ta, 8 - ta, wrap ^ _BOTH, wrap, s, 64 - s
-
-
-_MOVES = tuple(_move(code) for code in range(64))
+def _bit(code: int) -> int:
+    """Where the code a + 8b of (a, b) sits in a half: bit a + 16b, which
+    is also the shift that translates a half by (a, b)."""
+    return (code & 7) | (code >> 3) << 4
 
 
 @dataclass(frozen=True)
@@ -84,10 +83,6 @@ def mod8_table(d: int) -> Mod8Table:
     return Mod8Table(tuple(products), options)
 
 
-def _minus(x: int, t: int) -> int:
-    return ((x - t) & 7) | ((((x >> 3) - (t >> 3)) & 7) << 3)
-
-
 # the kernel's answers are named tuples: it builds them on every search
 
 
@@ -110,26 +105,50 @@ class FlatOutcome(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _tagged(d: int) -> dict:
-    """mod8_table(d).options as kernel rows (code, at level k, wrap, rep
-    index), keyed by (at level k, wrap), then indexed by the term's code."""
+def _rows(d: int) -> dict:
+    """mod8_table(d).options as kernel rows, keyed by (at level k, wrap),
+    then indexed by the term's code: the options (code, at level k, wrap,
+    rep index) and their shifts."""
     rows = mod8_table(d).options
-    return {(at_k, j): tuple(tuple((code, at_k, j, idx) for code, idx in row) for row in rows)
+    return {(at_k, j): tuple((tuple((code, at_k, j, idx) for code, idx in row),
+                              tuple(_bit(code) for code, _ in row)) for row in rows)
             for at_k in (False, True) for j in (0, 1)}
 
 
-def _options(f: AdditiveForm, k: int, wraps):
-    """Per variable, the distinct codes (term / 2^k mod 8) it can add at
-    anchor k, each as (code, at level k, wrap, rep index), the first wrap
-    and rep reaching a code winning; and whether a term in range was left
-    out for its window.  Both wraps fall in range only when d = 2."""
+def _term(var: int, opts: tuple) -> tuple:
+    """A kernel term: the variable, its options, and the shifts of its
+    options that are not at level k and of those that are."""
+    return (var, opts, tuple(_bit(o[0]) for o in opts if not o[1]),
+            tuple(_bit(o[0]) for o in opts if o[1]))
+
+
+def _by_level(f: AdditiveForm) -> list:
+    """Per level below the degree, its variables in order, each as
+    (variable, coefficient's a and b, window, level)."""
+    by_level = [[] for _ in range(f.d)]
+    for i, (c, w, lvl) in enumerate(zip(f.coeffs, f.windows, f.levels())):
+        by_level[lvl].append((i, c.a, c.b, w, lvl))
+    return by_level
+
+
+def _options(f: AdditiveForm, k: int, wraps, by_level: list):
+    """The kernel terms at anchor k, in variable order: per variable the
+    distinct codes (term / 2^k mod 8) it can add, each as (code, at level
+    k, wrap, rep index), the first wrap and rep reaching a code winning;
+    and whether a term in range was left out for its window.  Only the
+    levels of `by_level` (from `_by_level`) that reach the range are
+    visited.  Both wraps fall in range only when d = 2."""
     d = f.d
-    tagged = _tagged(d)
+    rows = _rows(d)
     top = k + 3
+    parts = by_level[k:top]
+    if len(wraps) > 1:  # the levels below k that a wrap lifts into range
+        parts += by_level[max(k - d, 0):max(min(top - d, k), 0)]
+    near = sorted(sum(parts, []))
     terms = []
     short = False
-    for i, (c, w, lvl) in enumerate(zip(f.coeffs, f.windows, f.levels())):
-        opts = ()
+    for i, a, b, w, lvl in near:
+        term = None
         for j in wraps:
             shift = j * d
             at = lvl + shift
@@ -138,52 +157,62 @@ def _options(f: AdditiveForm, k: int, wraps):
             if w + shift < top:
                 short = True
                 continue
-            v = (((c.a << shift) >> k) & 7) | ((((c.b << shift) >> k) & 7) << 3)
-            row = tagged[at == k, j][v]
-            if opts:
-                seen = {o[0] for o in opts}
-                row = tuple(o for o in row if o[0] not in seen)
-            opts += row
-        if opts:
-            terms.append((i, opts))
+            v = (((a << shift) >> k) & 7) | ((((b << shift) >> k) & 7) << 3)
+            opts, shifts = rows[at == k, j][v]
+            if term is None:
+                term = (i, opts, (), shifts) if at == k else (i, opts, shifts, ())
+            else:  # the second wrap adds only codes the first does not reach
+                seen = {o[0] for o in term[1]}
+                term = _term(i, term[1] + tuple(o for o in opts if o[0] not in seen))
+        if term is not None:
+            terms.append(term)
     return terms, short
 
 
 def _reach(terms):
-    """Run the two-mask DP, both masks in one int R0 | R1 << 64.
-    Returns the packed masks in force before each term, the final
-    anchored mask, and the reachable-set sizes summed over the steps."""
-    R = 1  # bit 0 of R0: the empty sum
+    """Run the DP on the guarded layout, R holding both halves.  A term
+    ORs R shifted by each option not at level k, and the union of both
+    halves shifted by each option at level k, which anchors every sum it
+    joins; each group is folded once into its half.  Returns R before
+    each term, the final anchored half, and the reachable-set sizes
+    summed over the steps."""
+    R = 1  # bit 0 of the low half: the empty sum
     trail = []
     states = 0
-    for _, opts in terms:
+    for _, _, plain, anchoring in terms:
         trail.append(R)
         n = R
-        for code, at_k, _, _ in opts:
-            keep, drop, ta, ua, stay, wrap, s, us = _MOVES[code]
-            x = ((R & keep) << ta) | ((R & drop) >> ua)
-            x = ((x << s) & stay) | ((x >> us) & wrap)
-            if at_k:  # a level-k term anchors every sum it joins
-                n |= ((x | x >> 64) & _ALL) << 64
-            else:
-                n |= x
+        if plain:
+            x = 0
+            for s in plain:
+                x |= R << s
+            x |= x >> 8  # fold the carries of a, then of b
+            n |= (x | x >> 128) & _LOW2
+        if anchoring:
+            y = (R | R >> 256) & _LOW
+            x = 0
+            for s in anchoring:
+                x |= y << s
+            x |= x >> 8
+            n |= ((x | x >> 128) & _LOW) << 256
         R = n
         states += R.bit_count()
-    return trail, R >> 64, states
+    return trail, R >> 256, states
 
 
 def _backtrack(k: int, terms, trail) -> FlatSolution:
-    """Walk the trail backward from 0 in the anchored mask, leaving a
-    term out whenever that still reaches, and collect the picks."""
+    """Walk the trail backward from 0 in the anchored half, leaving a
+    term out whenever that still reaches, and collect the picks.  The
+    target is kept as its bit a + 16b."""
     target, anchored = 0, True
     picks = []
     anchor = None
-    for (var, opts), R in zip(reversed(terms), reversed(trail)):
-        R0, R1 = R & _ALL, R >> 64
+    for (var, opts, _, _), R in zip(reversed(terms), reversed(trail)):
+        R0, R1 = R & _LOW, R >> 256
         if (R1 if anchored else R0) >> target & 1:
             continue  # reachable without this term
         for code, at_k, wrap, idx in opts:
-            prev = _minus(target, code)
+            prev = ((target - code) & 7) | (((target >> 4) - (code >> 3)) & 7) << 4
             if anchored and R1 >> prev & 1:
                 pass  # an earlier term carries the anchor
             elif anchored == at_k and R0 >> prev & 1:
@@ -210,11 +239,11 @@ def flat_zero(f: AdditiveForm, wrapped: bool) -> FlatOutcome:
     wraps = (0, 1) if wrapped else (0,)
     states = 0
     short = False
-    levels = set(f.levels())
+    by_level = _by_level(f)
     for k in range(f.d):
-        if k not in levels:
+        if not by_level[k]:
             continue  # no term can carry the anchor
-        terms, left_out = _options(f, k, wraps)
+        terms, left_out = _options(f, k, wraps, by_level)
         short |= left_out
         trail, R1, seen = _reach(terms)
         states += seen

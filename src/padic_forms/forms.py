@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 
 from .errors import PrecisionMismatch
-from .ring import INFINITE, RingElem, check_degree_shape, mul_pair, parse_elem, pow_pair
+from .ring import INFINITE, RingElem, check_degree_shape, parse_elem, pow_pair
 
 
 def default_precision(d: int) -> int:
@@ -121,15 +121,16 @@ class AdditiveForm:
 
     def evaluate(self, values) -> RingElem:
         """Sum of coeff * value^d at the storage precision K."""
-        K = self.K
+        K, d = self.K, self.d
         mod = 1 << K
         assert len(values) == self.s
         ta = tb = 0
         for c, x in zip(self.coeffs, values):
             if x.a or x.b:
-                ma, mb = mul_pair(c.a, c.b, *pow_pair(x.a, x.b, self.d, mod))
-                ta += ma
-                tb += mb
+                pa, pb = pow_pair(x.a, x.b, d, mod)
+                bd = c.b * pb  # the product as in mul_pair, inline
+                ta += c.a * pa + bd
+                tb += c.a * pb + c.b * pa + bd
         return RingElem(ta, tb, K)
 
     def __repr__(self):
@@ -216,14 +217,14 @@ def cyclic_shift(f: AdditiveForm, t: int) -> AdditiveForm:
     coeffs = []
     windows = []
     subst = []
-    for c, w, e, lvl in zip(f.coeffs, f.windows, f.subst_log, f.levels()):
-        if lvl + t >= d:  # the rep stays exactly divisible
+    for c, w, e, lvl in zip(f.coeffs, f.windows, f.subst_log, f._levels):
+        if lvl >= down:  # lvl + t reaches d, and the rep stays exactly divisible
             coeffs.append(RingElem(c.a >> down, c.b >> down, K))
             windows.append(w - down)
             subst.append(e + 1)
         else:
             coeffs.append(RingElem(c.a << t, c.b << t, K))
-            windows.append(min(K, w + t))
+            windows.append(w + t if w + t < K else K)
             subst.append(e)
     return AdditiveForm(
         d,

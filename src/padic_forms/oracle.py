@@ -238,9 +238,13 @@ def primitive_zero_mod(
     S0 = np.zeros((n, n), dtype=bool)
     S0[0, 0] = True
     S1 = np.zeros((n, n), dtype=bool)
-    layers = [(S0, S1)]
+    # the layers in force before each variable, kept for the backtrack
+    # bit-packed along the rows (cell [r, c] is bit c & 7 of byte c >> 3)
+    layers = []
     visited = 1
     for flag_codes, _, plain_codes, _ in per_var:
+        layers.append((np.packbits(S0, axis=-1, bitorder="little"),
+                       np.packbits(S1, axis=-1, bitorder="little")))
         F_flag = fft_of(_grid_of(flag_codes, M))
         F_plain = fft_of(_grid_of(plain_codes, M))
         F0, F1 = fft_of(S0), fft_of(S1)
@@ -252,7 +256,6 @@ def primitive_zero_mod(
         del F_flag, F_plain
         S1, S0 = _hits(F1, S1.shape), _hits(F0, S0.shape)
         del F0, F1
-        layers.append((S0, S1))
         visited += int(S0.sum()) + int(S1.sum())
     if not S1[0, 0]:
         return ZeroSearch(False, None, None, visited, M)
@@ -272,7 +275,8 @@ def primitive_zero_mod(
         else:
             tries = ((S0_prev, plain_codes, plain_src, False),)
         for S, codes, src, below in tries:
-            hit = S[(ta - (codes & mask)) & mask, (tb - (codes >> M)) & mask]
+            col = (tb - (codes >> M)) & mask
+            hit = S[(ta - (codes & mask)) & mask, col >> 3] >> (col & 7) & 1
             if hit.any():
                 k = int(hit.argmax())
                 break

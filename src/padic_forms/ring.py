@@ -463,36 +463,36 @@ def dth_root(t: RingElem, d: int) -> RingElem:
     return x
 
 
-def newton_anchor_solve(a_i: RingElem, d: int, C: RingElem) -> RingElem:
-    """Unit x with a_i * x^d + C = 0 mod 2^K, given that the seed x = 1
-    already satisfies valuation(a_i + C) >= k + 3 where k = valuation(a_i)
-    = valuation(C).  Callers fold any nontrivial seed into a_i first."""
-    a_i._chk(C)
-    K = a_i.K
+def anchor_solve_pair(fa: int, fb: int, d: int, ca: int, cb: int, K: int) -> tuple[int, int]:
+    """The unit x, as a pair, with f * x^d + C = 0 mod 2^K for f = fa + fb*w
+    and C = ca + cb*w taken mod 2^K, given that the seed x = 1 already
+    satisfies valuation(f + C) >= k + 3 where k = valuation(f) =
+    valuation(C).  Callers fold any nontrivial seed into f first."""
     mask = (1 << K) - 1
-    k = val_pair(a_i.a, a_i.b)
-    c_level = val_pair(C.a, C.b)
-    if k is INFINITE or c_level is INFINITE:
+    fa, fb, ca, cb = fa & mask, fb & mask, ca & mask, cb & mask
+    x, y = fa | fb, ca | cb  # the valuations are their lowest set bits
+    if not x or not y:
         raise HenselError("anchor coefficient or target vanishes at this precision")
+    k = (x & -x).bit_length() - 1
+    c_level = (y & -y).bit_length() - 1
     if c_level != k:
         raise HenselError(f"valuation mismatch: coefficient level {k}, target level {c_level}")
     if K < k + 3:
         raise HenselError(f"precision 2^{K} cannot show a residual of valuation {k + 3}")
-    res = val_pair((a_i.a + C.a) & mask, (a_i.b + C.b) & mask)
+    res = val_pair((fa + ca) & mask, (fb + cb) & mask)
     if res < k + 3:
         raise HenselError(f"residual valuation {res} < {k + 3}: certificate invalid")
     KK = K + 1  # enough to fix x mod 2^K, as in dth_root
     mod = 1 << KK
-    ua, ub = a_i.a >> k, a_i.b >> k
-    ca, cb = C.a >> k, C.b >> k
-    ia, ib = inv_unit_pair(ua, ub, mod)
-    ta, tb = mul_pair((-ca) % mod, (-cb) % mod, ia, ib, mod)
+    ia, ib = inv_unit_pair(fa >> k, fb >> k, mod)
+    ta, tb = mul_pair((-(ca >> k)) % mod, (-(cb >> k)) % mod, ia, ib, mod)
     # t = 1 mod 8 by the residual check; seeding with its root mod 32
     # saves the steps that would take a seed of 1 from valuation 3 to 6
     seed = _anchor_seed_table(d)[ta & 63, tb & 63]
     xa, xb = _newton_root(seed, d, (ta, tb), KK)
     xa, xb = xa & mask, xb & mask
-    fa, fb = mul_pair(a_i.a, a_i.b, *pow_pair(xa, xb, d, mask + 1))
-    if (fa + C.a) & mask or (fb + C.b) & mask:
+    pa, pb = pow_pair(xa, xb, d, mask + 1)
+    bd = fb * pb
+    if (fa * pa + bd + ca) & mask or (fa * pb + fb * pa + bd + cb) & mask:
         raise HenselError("anchor solve failed to cancel (internal error)")
-    return RingElem(xa, xb, K)
+    return xa, xb

@@ -19,7 +19,7 @@ question.  In a group of variables that are all at the anchor level,
 every nonempty sub-sum uses one, so the question is whether 0 lies in
 the set of multiplier-scaled sums over the group's nonempty subsets.
 `_sums` builds that set on numpy rows, one Z8 x Z8 set per row packed
-into a uint64 with flat.py's bit layout; a translation is a per-byte
+into a uint64, (a, b) at bit a + 8b; a translation is a per-byte
 rotate followed by a word rotate.
 
 Exhaustive spaces (and the minimality probe's) are one-level and are
@@ -100,9 +100,8 @@ _SCALE = np.array([(v << s & 7) | ((v >> 3) << s & 7) << 3 for s in range(3) for
 
 
 def _translate_rows(M: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The mask M[i] moved by the code w[i], as flat.py's kernel moves
-    one: a rotate of every byte by w's a, then of the word by 8 times
-    w's b.  In place where it can be: the automata fill tens of thousands
+    """The mask M[i] moved by the code w[i]: a rotate of every byte by
+    w's a, then of the word by 8 times w's b.  In place where it can be: the automata fill tens of thousands
     of rows at once, and a temporary per operation raised the peak RSS of
     a sweeps pass by about 2 MB."""
     keep = _KEEP.take(w)
@@ -119,7 +118,7 @@ def _translate_rows(M: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _sums(X: np.ndarray, tab: _Tables, N: np.ndarray | None = None) -> np.ndarray:
     """Per row of X, the Z8 x Z8 set of sums over the nonempty subsets of
-    its variables, each scaled by a multiplier, packed as in flat.py; with
+    its variables, each scaled by a multiplier, (a, b) at bit a + 8b; with
     N given, the sets N with the variables of X added (N is updated).
 
     Each column adds its scaled codes to the sums before it and to the

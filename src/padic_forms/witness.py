@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import CertificateError
 from .forms import AdditiveForm
-from .ring import RingElem, newton_anchor_solve
+from .ring import RingElem, anchor_solve_pair
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def solve_anchor(terms: list[tuple[int, int]], d: int, anchor: int, K: int) -> R
             ra += ta
             rb += tb
     fa, fb = terms[anchor]
-    return newton_anchor_solve(RingElem(fa, fb, K), d, RingElem(ra, rb, K))
+    return RingElem(*anchor_solve_pair(fa, fb, d, ra, rb, K), K)
 
 
 def map_to_origin(g: AdditiveForm, used, anchor: int, K: int) -> Witness:

@@ -31,6 +31,7 @@ from padic_forms.flat import (
     FlatPick,
     FlatSolution,
     _reach,
+    _term,
     contraction_from_flat,
     flat_zero,
     mod8_table,
@@ -143,7 +144,7 @@ def _set_reach(terms):
     the summed set sizes."""
     S0, S1 = {0}, set()
     trail, states = [], 0
-    for _, opts in terms:
+    for _, opts, _, _ in terms:
         trail.append((S0, S1))
         n0, n1 = set(S0), set(S1)
         for code, at_k, _, _ in opts:
@@ -154,21 +155,28 @@ def _set_reach(terms):
     return trail, S1, states
 
 
-def _bits(mask: int) -> set:
-    return {x for x in range(mask.bit_length()) if mask >> x & 1}
+def _decode(half: int) -> set:
+    """The codes a + 8b of a half of the kernel's guarded layout, where
+    (a, b) sits at bit a + 16b; a set guard bit is an error."""
+    bits = {x for x in range(half.bit_length()) if half >> x & 1}
+    assert all(x < 128 and x & 15 < 8 for x in bits), sorted(bits)
+    return {(x & 15) + 8 * (x >> 4) for x in bits}
 
 
 def test_reach_matches_set_dp():
+    # each term's options are all at level k, none, or a mix (as at d = 2)
     rng = random.Random(3)
+    half = (1 << 256) - 1
     for _ in range(300):
         terms = []
         for var in range(rng.randrange(1, 9)):
             codes = rng.sample(range(64), rng.randrange(1, 7))
-            terms.append((var, tuple((c, rng.random() < 0.4, 0, i) for i, c in enumerate(codes))))
+            p = rng.choice((0.0, 1.0, 0.4))
+            terms.append(_term(var, tuple((c, rng.random() < p, 0, i) for i, c in enumerate(codes))))
         trail, R1, states = _reach(terms)
         want_trail, want_R1, want_states = _set_reach(terms)
-        assert [(_bits(R & (1 << 64) - 1), _bits(R >> 64)) for R in trail] == want_trail
-        assert _bits(R1) == want_R1 and states == want_states
+        assert [(_decode(R & half), _decode(R >> 256)) for R in trail] == want_trail
+        assert _decode(R1) == want_R1 and states == want_states
 
 
 @pytest.mark.parametrize("d", [6, 10])
@@ -411,6 +419,45 @@ def _unreduced_forms():
     return forms
 
 
+# the same digest over _degree_forms(), recorded before the kernel moved
+# to the guarded bit layout
+DEGREE_DIGEST = "364a5c106a4115ca279dc57a2f975e98497b6f95a80b3f1529fae315720a4eda"
+
+# unreduced d = 2 forms (K, coefficient pairs, windows) whose zeros all
+# need a variable equal to 2 times a unit in the normalized frame, so
+# pass 2 lifts through the reduction's substitutions; found by seeded
+# random search
+WRAPPED_ONLY_D2 = [
+    (8, [(15, 149), (232, 8), (177, 69), (112, 250)], [3, 7, 3, 4]),
+    (8, [(232, 8), (8, 128), (48, 124), (176, 140)], [8, 8, 8, 8]),
+    (8, [(224, 124), (196, 28), (188, 20)], [8, 6, 5]),
+    (8, [(40, 0), (8, 232), (244, 12), (93, 203)], [8, 8, 8, 3]),
+]
+
+
+def _degree_forms():
+    """Seeded forms at the degrees the other digests leave out: d = 2,
+    where one term can offer the kernel an anchored and an unanchored
+    option, and d = 14 and 18; then WRAPPED_ONLY_D2."""
+    rng = random.Random(2029)
+    forms = []
+    for d, n in ((2, 200), (14, 100), (18, 80)):
+        K = d + 4
+        for _ in range(n):
+            pairs = []
+            for _ in range(rng.randrange(2, isotropy_threshold(d) + 1)):
+                lvl = rng.randrange(d)
+                cls = rng.randrange(1, 4)
+                a = (cls & 1) | (rng.getrandbits(K - 1) << 1)
+                b = (cls >> 1) | (rng.getrandbits(K - 1) << 1)
+                pairs.append(((a << lvl) % (1 << K), (b << lvl) % (1 << K)))
+            forms.append(AdditiveForm.from_pairs(d, pairs, K))
+    for K, pairs, windows in WRAPPED_ONLY_D2:
+        coeffs = tuple(RingElem(a, b, K) for a, b in pairs)
+        forms.append(AdditiveForm(2, coeffs, windows=tuple(windows)))
+    return forms
+
+
 def _pipeline_digest(forms):
     lines = []
     outcomes = set()
@@ -448,6 +495,15 @@ def test_pipeline_output_on_unreduced_inputs_is_pinned():
     forms = _unreduced_forms()
     assert sum(not f.is_reduced() for f in forms) >= 150
     assert _pipeline_digest(forms) == UNREDUCED_DIGEST
+
+
+def test_pipeline_output_on_degrees_2_14_18_is_pinned():
+    forms = _degree_forms()
+    for f in forms[-len(WRAPPED_ONLY_D2):]:
+        r = decide_isotropy(f)
+        assert not f.is_reduced() and (r.stage, r.verdict) == ("oracle", "ISOTROPIC")
+        assert verify_witness(f, r.witness)
+    assert _pipeline_digest(forms) == DEGREE_DIGEST
 
 
 # --- the contraction tree and the lift, against node-by-node references ---

@@ -322,6 +322,22 @@ def test_zero_search_peak_memory_stays_small():
     assert peak < 17 << 20, f"traced peak {peak / 2**20:.2f} MB"
 
 
+def test_zero_search_trail_is_bit_packed():
+    # d = 10, s = 12 at M = 9: the 13 bool layers the backtrack once kept
+    # held 6.5 MB and the search traced 22.4 MB; packed, 17.7 MB
+    pairs = [(16, 0), (3, 1), (5, 0), (1, 1), (2, 6), (4, 3), (8, 5), (1, 2), (6, 1), (32, 3),
+             (2, 1), (64, 1)]
+    f = form(10, pairs, 14)
+    power_value_set(10, 9)
+    tracemalloc.start()
+    try:
+        assert primitive_zero_mod(f, 9).found
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 19 << 20, f"traced peak {peak / 2**20:.2f} MB"
+
+
 def test_backtracking_is_deterministic():
     f = form(6, [(1, 0), (7, 0), (3, 0)], 10)
     a = primitive_zero_mod(f, 3)

@@ -1,7 +1,12 @@
 """Base ring arithmetic: residues mod 2^K, the residue field, unit d-th
 powers, and Hensel root extraction."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +30,8 @@ from padic_forms.ring import (
     format_elem,
     inv_unit_pair,
     mul_pair,
+    anchor_solve_pair,
     multiplier_set,
-    newton_anchor_solve,
     parse_elem,
     pow_pair,
     teichmuller_alpha,
@@ -36,6 +41,12 @@ from padic_forms.ring import (
 units_mod8 = [
     (a, b) for a in range(8) for b in range(8) if (a | b) & 1
 ]  # all 48 units of the ring mod 8
+
+
+def newton_anchor_solve(a: RingElem, d: int, C: RingElem) -> RingElem:
+    """`anchor_solve_pair` on ring elements of one precision."""
+    a._chk(C)
+    return RingElem(*anchor_solve_pair(a.a, a.b, d, C.a, C.b, a.K), a.K)
 
 
 # --- residue field ---------------------------------------------------------
@@ -324,20 +335,50 @@ def test_newton_anchor_solve_with_alpha_parts():
     assert a * x ** 10 + C == RingElem.zero(K)
 
 
+# (coefficient, target, K) that the anchor solve must refuse at d = 6
+ANCHOR_REFUSALS = [
+    ((3, 0), (1, 0), 10),  # 3 + 1 = 4: the residual stops below k + 3
+    ((3, 0), (6, 0), 10),  # levels differ
+    ((3, 0), (0, 0), 10),  # the target vanishes
+    ((4, 0), (-4, 0), 4),  # K < k + 3, though the residual vanishes mod 2^K
+]
+
+
 def test_newton_anchor_solve_preconditions():
-    K = 10
-    with pytest.raises(HenselError):
-        newton_anchor_solve(RingElem(3, 0, K), 6, RingElem(1, 0, K))  # 3+1=4
-    with pytest.raises(HenselError):
-        newton_anchor_solve(RingElem(3, 0, K), 6, RingElem(6, 0, K))  # levels differ
-    with pytest.raises(HenselError):
-        newton_anchor_solve(RingElem(3, 0, K), 6, RingElem.zero(K))
+    for (fa, fb), (ca, cb), K in ANCHOR_REFUSALS:
+        with pytest.raises(HenselError):
+            newton_anchor_solve(RingElem(fa, fb, K), 6, RingElem(ca, cb, K))
 
 
 def test_newton_anchor_solve_raises_when_not_cancelled(monkeypatch):
     monkeypatch.setattr(ring, "_newton_root", lambda seed, d, t, KK: (1, 0))
     with pytest.raises(HenselError):
         newton_anchor_solve(RingElem(1, 0, 10), 6, RingElem(7, 0, 10))  # 1 + 7 != 0
+
+
+def test_anchor_solve_refusals_are_the_same_under_python_O():
+    # python -O strips asserts; each refusal above, and the failed
+    # cancellation, must still raise HenselError
+    script = (
+        "import json, sys\n"
+        "from padic_forms import ring\n"
+        "def run(cases):\n"
+        "    for (fa, fb), (ca, cb), K in cases:\n"
+        "        try:\n"
+        "            ring.anchor_solve_pair(fa, fb, 6, ca, cb, K)\n"
+        "            print('accepted')\n"
+        "        except Exception as e:\n"
+        "            print(type(e).__name__)\n"
+        "run(json.load(sys.stdin))\n"
+        "ring._newton_root = lambda seed, d, t, KK: (1, 0)\n"
+        "run([[[1, 0], [7, 0], 10]])\n"
+    )
+    pkg_root = str(Path(ring.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          input=json.dumps(ANCHOR_REFUSALS), capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": pkg_root})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["HenselError"] * (len(ANCHOR_REFUSALS) + 1)
 
 
 def _roots_in_1_plus_4O(d: int, K: int) -> dict:

@@ -365,6 +365,12 @@ def test_sums_match_python_sets():
                 assert int(mask) == sum(1 << v for v in sums), (d, list(row))
 
 
+def _scalar_zero(f, k):
+    """Whether flat.py's kernel finds an anchored zero of f at anchor k
+    with unit entries only."""
+    return bool(flat._reach(flat._options(f, k, (0,), flat._by_level(f))[0])[1] & 1)
+
+
 def test_packed_dp_matches_scalar_kernel(monkeypatch):
     # the numpy pass against flat.py's Python-int reachability, which
     # backs search_certificate; a sample of its certificates is validated
@@ -412,8 +418,7 @@ def test_packed_dp_matches_scalar_kernel(monkeypatch):
         forms = [trial(lem.d, C, lv, i) for i in range(trials)]
         at = lv == 0
         one_level = sum(
-            bool(flat._reach(flat._options(trial(lem.d, C[at], lv[at], i), 0, (0,))[0])[1] & 1)
-            for i in range(trials)
+            _scalar_zero(trial(lem.d, C[at], lv[at], i), 0) for i in range(trials)
         )
         rows_in.clear()
         misses = check(forms, _sampled_verdicts(C, lv, lem.d))
@@ -444,8 +449,7 @@ def test_anchor_join_matches_whole_rows():
         C, lv = draw(lem, trials, seed)
         forms = [trial(lem.d, C, lv, i) for i in range(trials)]
         for kappa in np.unique(lv):
-            scalar = [bool(flat._reach(flat._options(f, int(kappa), (0,))[0])[1] & 1)
-                      for f in forms]
+            scalar = [_scalar_zero(f, int(kappa)) for f in forms]
             got = _anchor_zero(C, lv - kappa, lem.d)
             assert got.tolist() == scalar, (lem.id, seed, kappa)
             verdicts.setdefault((lem.id, int(kappa)), set()).update(scalar)
