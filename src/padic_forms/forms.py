@@ -61,13 +61,9 @@ class AdditiveForm:
                     f"coefficient {c} indistinguishable from 0 in its trusted window"
                 )
             levels.append(lvl)
-        _set_d(self, d)
-        _set_coeffs(self, coeffs)
-        _set_windows(self, windows)
-        _set_scale_log(self, scale_log)
-        _set_subst_log(self, subst_log)
-        _set_origin(self, origin)
-        _set_levels(self, tuple(levels))
+        for setter, x in zip(_SETTERS, (d, coeffs, windows, scale_log, subst_log, origin,
+                                        tuple(levels))):
+            setter(self, x)
 
     def __setattr__(self, *_):
         raise AttributeError("AdditiveForm is immutable")
@@ -160,8 +156,7 @@ def parse_form_text(text: str) -> dict:
 
 
 # slot descriptors write past the raising __setattr__ (see ring.RingElem)
-_set_d, _set_coeffs, _set_windows, _set_scale_log, _set_subst_log, _set_origin, _set_levels = (
-    getattr(AdditiveForm, name).__set__ for name in AdditiveForm.__slots__)
+_SETTERS = tuple(getattr(AdditiveForm, name).__set__ for name in AdditiveForm.__slots__)
 
 
 # ---------------------------------------------------------------------------
@@ -217,23 +212,27 @@ def cyclic_shift(f: AdditiveForm, t: int) -> AdditiveForm:
     coeffs = []
     windows = []
     subst = []
+    levels = []
     for c, w, e, lvl in zip(f.coeffs, f.windows, f.subst_log, f._levels):
         if lvl >= down:  # lvl + t reaches d, and the rep stays exactly divisible
             coeffs.append(RingElem(c.a >> down, c.b >> down, K))
             windows.append(w - down)
             subst.append(e + 1)
-        else:
+            levels.append(lvl - down)
+        elif lvl + t < K:
             coeffs.append(RingElem(c.a << t, c.b << t, K))
             windows.append(w + t if w + t < K else K)
             subst.append(e)
-    return AdditiveForm(
-        d,
-        tuple(coeffs),
-        windows=tuple(windows),
-        scale_log=f.scale_log + t,
-        subst_log=tuple(subst),
-        origin=f.root(),
-    )
+            levels.append(lvl + t)
+        else:  # the constructor's refusal of a coefficient that shifted out
+            raise PrecisionMismatch("coefficient 0 indistinguishable from 0 in its trusted window")
+    # built past the constructor: the levels follow from f's, and every
+    # window stays in 1..K above its level, the constructor's other checks
+    g = object.__new__(AdditiveForm)
+    for setter, x in zip(_SETTERS, (d, tuple(coeffs), tuple(windows), f.scale_log + t,
+                                    tuple(subst), f.root(), tuple(levels))):
+        setter(g, x)
+    return g
 
 
 def normalize(f: AdditiveForm) -> tuple[AdditiveForm, int]:

@@ -80,25 +80,21 @@ def lift_witness(g: AdditiveForm, sol: FlatSolution, K: int) -> Witness:
     d, mod = g.d, 1 << K
     coeffs, scale, subst = g.root().coeffs, g.scale_log, g.subst_log
     reps = multiplier_set(d, g.K).reps
-    terms, anchor = [], None
+    terms, used, anchor = [], [], None
     for i, p in enumerate(sol.picks):
         c, down = coeffs[p.var], d * subst[p.var]
-        v = reps[p.rep].value
-        shift = p.wrap * d
+        rep = reps[p.rep]
+        v, r, shift = rep.value, rep.root, p.wrap * d
         terms.append(mul_pair((c.a << scale) >> down, (c.b << scale) >> down,
                               v.a << shift, v.b << shift, mod))
+        used.append((p.var, r.a << p.wrap, r.b << p.wrap))
         if p.var == sol.anchor:
             anchor = i
     if anchor is None:
         raise CertificateError("flat solution does not pick its anchor")
     z = solve_anchor(terms, d, anchor, K)
-    used = []
-    for p in sol.picks:
-        r = reps[p.rep].root
-        xa, xb = r.a << p.wrap, r.b << p.wrap
-        if p.var == sol.anchor:
-            xa, xb = mul_pair(xa, xb, z.a, z.b)
-        used.append((p.var, xa, xb))
+    var, xa, xb = used[anchor]
+    used[anchor] = (var, *mul_pair(xa, xb, z.a, z.b))
     w = map_to_origin(g, used, sol.anchor, K)
     if not verify_witness(g.root(), w):
         raise CertificateError("lifted witness failed verification")

@@ -141,6 +141,13 @@ def test_shift_window_erosion():
     assert g.windows == (10, 5)  # wrapped variable lost d - t digits
 
 
+def test_shift_refuses_a_coefficient_shifted_out():
+    # at K = 3 a level-2 coefficient times 2 is 0 in its window
+    f = form(6, [(1, 0), (4, 0)], 3)
+    with pytest.raises(PrecisionMismatch, match="coefficient 0 indistinguishable from 0"):
+        cyclic_shift(f, 1)
+
+
 @given(
     st.lists(st.integers(0, 5), min_size=1, max_size=8),
     st.integers(0, 5),
