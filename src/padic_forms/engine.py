@@ -12,15 +12,15 @@ digits trusted, and the value's level inside that window.  A leaf trusts
 the three digits from its level up, the digits the mod 2^(k+3) question
 reads, so a certificate built on leaves is valid for every completion of
 the unseen digits; validation recomputes the tree with exact arithmetic
-to confirm.  `make_leaf` and `contract` are the only node builders, and
-`_certificate_from` the only certificate builder: trees from the flat
-reachability kernel's solutions (flat.py) and from JSON documents both go
-through them.
+to confirm.  `make_leaf` and `contract` build the nodes of a JSON
+document; flat.py's `contraction_from_flat` builds the same nodes on int
+pairs for the kernel's solutions, one leaf per pick and two children per
+contraction, and the tests check its trees against these two builders.
+`_certificate_from` is the only certificate builder.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -106,8 +106,11 @@ def contract(children: tuple, choices: tuple, new_id: int) -> VarNode:
 # certificates
 
 
-@dataclass(frozen=True)
-class ContractionCertificate:
+class ContractionCertificate(NamedTuple):
+    """A contraction tree over a form's variables whose root vanishes mod
+    2^(anchor_level + 3).  A named tuple, as VarNode: one is built per
+    ISOTROPIC decision."""
+
     d: int
     K: int
     nodes: tuple  # VarNode, in id order
@@ -175,34 +178,41 @@ def validate_certificate(f: AdditiveForm, cert: ContractionCertificate) -> bool:
         order = _collect_tree(nmap[cert.root], nmap)
     except KeyError:
         return False
-    mask = (1 << f.K) - 1
-    coeffs, levels, s = f.coeffs, f.levels(), f.s
+    K = f.K
+    mask = (1 << K) - 1
+    coeffs, levels, windows, s = f.coeffs, f.levels(), f.windows, f.s
     powers = _unit_powers_mod8(f.d)
     values: dict[int, tuple[int, int]] = {}  # exact node values as int pairs mod 2^K
-    leaf_levels = []
     leaf_vars: set = set()
+    kmin = wmin = K  # the least leaf level and window; every level is below K
     # `order` is by id: the leaves first, then the contractions by id
     for n in order:
         if n.kind == "leaf":
-            if n.var is None or not 0 <= n.var < s or n.var in leaf_vars:
+            var = n.var
+            if var is None or not 0 <= var < s or var in leaf_vars:
                 return False
-            leaf_vars.add(n.var)
-            coeff = coeffs[n.var]
-            values[n.id] = (coeff.a, coeff.b)
-            leaf_levels.append((levels[n.var], n.var))
+            leaf_vars.add(var)
+            c = coeffs[var]
+            values[n.id] = (c.a, c.b)
+            if levels[var] < kmin:
+                kmin = levels[var]
+            if windows[var] < wmin:
+                wmin = windows[var]
     consumed = 0
     for n in order:
         if n.kind != "leaf":
-            if len(n.children) < 2 or len(n.children) != len(n.choices):
+            children, choices = n.children, n.choices
+            if len(children) < 2 or len(children) != len(choices):
                 return False
-            consumed += len(n.children)
+            consumed += len(children)
             ta = tb = ua = ub = 0  # from the form's coefficients, from the recorded values
-            for cid, choice in zip(n.children, n.choices):
+            for cid, choice in zip(children, choices):
                 r = choice.value
                 ra, rb = r.a, r.b
-                if cid not in values or (ra & 7) | (rb & 7) << 3 not in powers:
+                pair = values.get(cid)
+                if pair is None or (ra & 7) | (rb & 7) << 3 not in powers:
                     return False
-                va, vb = values[cid]  # the products as in mul_pair, inline
+                va, vb = pair  # the products as in mul_pair, inline
                 bd = vb * rb
                 ta += va * ra + bd
                 tb += va * rb + vb * ra + bd
@@ -211,22 +221,22 @@ def validate_certificate(f: AdditiveForm, cert: ContractionCertificate) -> bool:
                 ua += c.a * ra + bd
                 ub += c.a * rb + c.b * ra + bd
             v = n.value
-            if (ua - v.a) & ((1 << v.K) - 1) or (ub - v.b) & ((1 << v.K) - 1):
+            vmask = (1 << v.K) - 1
+            if (ua - v.a) & vmask or (ub - v.b) & vmask:
                 return False
             values[n.id] = (ta & mask, tb & mask)
     # the walk reached every node but the root as some node's child, so a
     # count above that means a node consumed twice (or the root consumed)
-    if consumed != len(order) - 1 or not leaf_levels:
+    if consumed != len(order) - 1 or not leaf_vars:
         return False
-    kmin = min(leaf_levels)[0]
-    if cert.anchor_level != kmin or (kmin, cert.anchor_leaf) not in leaf_levels:
+    anchor = cert.anchor_leaf
+    if cert.anchor_level != kmin or anchor not in leaf_vars or levels[anchor] != kmin:
         return False
     need = kmin + 3
-    windows = f.windows
-    if need > f.K or any(windows[v] < need for v in leaf_vars):
+    if need > K or wmin < need:
         return False
     ra, rb = values[cert.root]
-    return ra % (1 << need) == 0 and rb % (1 << need) == 0
+    return not (ra | rb) & ((1 << need) - 1)
 
 
 def certificate_to_json(cert: ContractionCertificate) -> dict:

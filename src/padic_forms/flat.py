@@ -22,16 +22,17 @@ a or b at 8 or more are guards: translating by (ta, tb) is one left
 shift by ta + 16 tb, whose carries land in the guards, and after a
 term's shifted copies are ORed together one fold takes every sum back
 mod 8.  The variables are sorted into levels once per form, so each
-anchor visits only the terms that can reach its range.  A term takes
-part only when its trusted window covers the digits the question reads
-(k + 3 - jd); the outcome records whether some term was left out for
-that reason, since then a missing zero proves nothing.
+anchor visits only the terms that can reach its range; pass 1, which
+allows no wrap, reads each term's code straight off its coefficient.
+A term takes part only when its trusted window covers the digits the
+question reads (k + 3 - jd); the outcome records whether some term was
+left out for that reason, since then a missing zero proves nothing.
 
 A solution becomes a contraction certificate by contracting two nodes of
 minimal level until the combination vanishes (a vanishing total forces
-its minimal level to repeat), each node built by engine's `make_leaf`
-and `contract` and the pending nodes kept in one id-ordered queue per
-level, or a witness by Newton on the anchor.
+its minimal level to repeat), each node built on int pairs as engine's
+`make_leaf` and `contract` would build it and the pending nodes kept in
+one id-ordered queue per level, or a witness by Newton on the anchor.
 """
 
 from __future__ import annotations
@@ -40,10 +41,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .engine import ContractionCertificate, _certificate_from, contract, make_leaf
+from .engine import ContractionCertificate, VarNode, _certificate_from
 from .errors import CertificateError, PadicFormsError
 from .forms import AdditiveForm
-from .ring import mul_pair, multiplier_set
+from .ring import mul_pair, multiplier_set, reduced_elem
+
+_node = tuple.__new__  # a VarNode past its generated constructor
 
 # a half's 64 states, bits 0..7 of its 16-bit lanes 0..7; then both halves
 _LOW = 0xFF * sum(1 << 16 * b for b in range(8))
@@ -137,16 +140,34 @@ def _options(f: AdditiveForm, k: int, wraps, by_level: list):
     k, wrap, rep index), the first wrap and rep reaching a code winning;
     and whether a term in range was left out for its window.  Only the
     levels of `by_level` (from `_by_level`) that reach the range are
-    visited.  Both wraps fall in range only when d = 2."""
+    visited.  Both wraps fall in range only when d = 2.
+
+    Pass 1 (`wraps == (0,)`) has a path of its own with no wrap loop:
+    every term in range is at its own level k..k+2, its code is
+    (a >> k) & 7 | ((b >> k) & 7) << 3, it is left out when its window
+    stops below k + 3, and its row depends only on whether its level is
+    k."""
     d = f.d
     rows = _rows(d)
     top = k + 3
     parts = by_level[k:top]
+    terms = []
+    short = False
+    if wraps == (0,):  # pass 1: every term in range is at its own level
+        plain, at_k = rows[False, 0], rows[True, 0]
+        for i, a, b, w, lvl in sorted(sum(parts, [])):
+            if w < top:
+                short = True
+            elif lvl == k:
+                opts, shifts = at_k[(a >> k) & 7 | ((b >> k) & 7) << 3]
+                terms.append((i, opts, (), shifts))
+            else:
+                opts, shifts = plain[(a >> k) & 7 | ((b >> k) & 7) << 3]
+                terms.append((i, opts, shifts, ()))
+        return terms, short
     if len(wraps) > 1:  # the levels below k that a wrap lifts into range
         parts += by_level[max(k - d, 0):max(min(top - d, k), 0)]
     near = sorted(sum(parts, []))
-    terms = []
-    short = False
     for i, a, b, w, lvl in near:
         term = None
         for j in wraps:
@@ -262,32 +283,56 @@ def contraction_from_flat(g: AdditiveForm, sol: FlatSolution) -> ContractionCert
     combination never lands below its children's level, so one id-ordered
     queue per level below k + 3 is drained from the lowest level up.  The
     nodes come out in id order: the leaves in the picks' variable order,
-    then each contraction as it is built, so no walk of the tree is needed."""
-    reps = multiplier_set(g.d, g.K).reps
+    then each contraction as it is built, so no walk of the tree is needed.
+
+    Each node is the one engine's `make_leaf` or `contract` would build
+    (`test_contraction_from_flat_matches_node_by_node_tree` checks that),
+    built here on int pairs: a leaf takes its level from the form, which
+    keeps every level below its window, and a two-child contraction takes
+    its value from the queued pairs, masked once."""
+    K = g.K
+    reps = multiplier_set(g.d, K).reps
+    mask = (1 << K) - 1
     need = sol.k + 3
-    queues = [[] for _ in range(need)]  # per level, (node, multiplier its parent applies)
+    coeffs, windows, levels = g.coeffs, g.windows, g.levels()
+    queues = [[] for _ in range(need)]  # per level, (node, its a, b, multiplier its parent applies)
     finished = []
     nodes = []
-    for p in sol.picks:
-        if p.wrap:
+    for var, wrap, idx in sol.picks:
+        if wrap:
             raise CertificateError("a contraction certificate takes unit variables only")
-        leaf = make_leaf(p.var, g.coeffs[p.var], g.windows[p.var])
+        c, lvl = coeffs[var], levels[var]
+        leaf = _node(VarNode, (var, c, min(windows[var], lvl + 3), lvl, lvl, frozenset((var,)),
+                               "leaf", var, (), ()))
         nodes.append(leaf)
-        if leaf.level < need:
-            queues[leaf.level].append((leaf, reps[p.rep]))
+        if lvl < need:
+            queues[lvl].append((leaf, c.a, c.b, reps[idx]))
         else:
             finished.append(leaf)
+    one = reps[0]
     new_id = g.s
     for queue in queues:
         i = 0
         while len(queue) - i >= 2:
-            (x, rx), (y, ry) = queue[i], queue[i + 1]
+            (x, xa, xb, rx), (y, ya, yb, ry) = queue[i], queue[i + 1]
             i += 2
-            node = contract((x, y), (rx, ry), new_id)
+            if not x.leaves.isdisjoint(y.leaves):
+                raise CertificateError("children overlap in original variables")
+            u, v = rx.value, ry.value
+            bx, by = xb * u.b, yb * v.b  # the products as in mul_pair, inline
+            ta = (xa * u.a + bx + ya * v.a + by) & mask
+            tb = (xa * u.b + xb * u.a + bx + ya * v.b + yb * v.a + by) & mask
+            J = x.J if x.J < y.J else y.J
+            low = (ta | tb) & ((1 << J) - 1)  # the level inside the window
+            lvl = (low & -low).bit_length() - 1 if low else None
+            node = _node(VarNode, (new_id, reduced_elem(ta, tb, K), J, lvl,
+                                   x.kappa if x.kappa < y.kappa else y.kappa,
+                                   x.leaves | y.leaves, "contraction", None, (x.id, y.id),
+                                   (rx, ry)))
             new_id += 1
             nodes.append(node)
-            if node.level is not None and node.level < need:
-                queues[node.level].append((node, reps[0]))
+            if lvl is not None and lvl < need:
+                queues[lvl].append((node, ta, tb, one))
             else:
                 finished.append(node)
         if len(queue) > i:
@@ -297,7 +342,7 @@ def contraction_from_flat(g: AdditiveForm, sol: FlatSolution) -> ContractionCert
     root = finished[0]
     if not root.is_success():
         raise CertificateError("flat solution left no vanishing node over the anchor")
-    return _certificate_from(root, nodes, g.d, g.K)
+    return _certificate_from(root, nodes, g.d, K)
 
 
 @dataclass

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 
 from .errors import PrecisionMismatch
-from .ring import INFINITE, RingElem, check_degree_shape, parse_elem, pow_pair
+from .ring import INFINITE, RingElem, check_degree_shape, parse_elem, pow_pair, reduced_elem
 
 
 def default_precision(d: int) -> int:
@@ -28,7 +28,7 @@ def default_precision(d: int) -> int:
 
 
 class AdditiveForm:
-    __slots__ = ("d", "coeffs", "windows", "scale_log", "subst_log", "origin", "_levels")
+    __slots__ = ("d", "coeffs", "windows", "scale_log", "subst_log", "origin", "_levels", "K", "s")
 
     def __init__(
         self,
@@ -61,8 +61,10 @@ class AdditiveForm:
                     f"coefficient {c} indistinguishable from 0 in its trusted window"
                 )
             levels.append(lvl)
+        # K (the storage precision) and s (the variable count) are read on
+        # every hot path, so they are stored rather than derived
         for setter, x in zip(_SETTERS, (d, coeffs, windows, scale_log, subst_log, origin,
-                                        tuple(levels))):
+                                        tuple(levels), K, len(coeffs))):
             setter(self, x)
 
     def __setattr__(self, *_):
@@ -94,14 +96,6 @@ class AdditiveForm:
         }
 
     # queries
-    @property
-    def K(self) -> int:
-        return self.coeffs[0].K
-
-    @property
-    def s(self) -> int:
-        return len(self.coeffs)
-
     def levels(self) -> tuple[int, ...]:
         """Each coefficient's valuation, computed once by the constructor."""
         return self._levels
@@ -208,19 +202,22 @@ def cyclic_shift(f: AdditiveForm, t: int) -> AdditiveForm:
     if t == 0:
         return f
     K = f.K
+    mask = (1 << K) - 1
     down = d - t  # a level reaching d wraps round: divide by 2^(d - t) instead
     coeffs = []
     windows = []
     subst = []
     levels = []
+    # the coefficients are built past the RingElem constructor: a right
+    # shift of a reduced value stays reduced, a left shift is masked
     for c, w, e, lvl in zip(f.coeffs, f.windows, f.subst_log, f._levels):
         if lvl >= down:  # lvl + t reaches d, and the rep stays exactly divisible
-            coeffs.append(RingElem(c.a >> down, c.b >> down, K))
+            coeffs.append(reduced_elem(c.a >> down, c.b >> down, K))
             windows.append(w - down)
             subst.append(e + 1)
             levels.append(lvl - down)
         elif lvl + t < K:
-            coeffs.append(RingElem(c.a << t, c.b << t, K))
+            coeffs.append(reduced_elem((c.a << t) & mask, (c.b << t) & mask, K))
             windows.append(w + t if w + t < K else K)
             subst.append(e)
             levels.append(lvl + t)
@@ -230,7 +227,7 @@ def cyclic_shift(f: AdditiveForm, t: int) -> AdditiveForm:
     # window stays in 1..K above its level, the constructor's other checks
     g = object.__new__(AdditiveForm)
     for setter, x in zip(_SETTERS, (d, tuple(coeffs), tuple(windows), f.scale_log + t,
-                                    tuple(subst), f.root(), tuple(levels))):
+                                    tuple(subst), f.root(), tuple(levels), K, f.s)):
         setter(g, x)
     return g
 

@@ -330,7 +330,9 @@ def decide_isotropy_exhaustive(f: AdditiveForm) -> OracleDecision:
     vals = [RingElem(x.a, x.b, K) for x in zs.assignment]
     terms = [mul_pair(c.a, c.b, *pow_pair(x.a, x.b, g.d, 1 << K))
              for c, x in zip(exact_coeffs(g, K), vals)]
-    vals[zs.anchor] = vals[zs.anchor] * solve_anchor(terms, g.d, zs.anchor, K)
+    anchor = terms.pop(zs.anchor)
+    rest = (sum(t[0] for t in terms), sum(t[1] for t in terms))
+    vals[zs.anchor] = vals[zs.anchor] * RingElem(*solve_anchor(anchor, rest, g.d, K), K)
     w = map_to_origin(g, ((j, x.a, x.b) for j, x in enumerate(vals)), zs.anchor, K)
     if not verify_witness(f.root(), w):
         raise CertificateError("oracle witness failed verification")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from array import array
 from dataclasses import dataclass
 
 from .errors import (
@@ -221,6 +222,18 @@ class RingElem:
 # the slot descriptors write past the raising __setattr__, and are
 # cheaper to call than object.__setattr__
 _set_a, _set_b, _set_K = RingElem.a.__set__, RingElem.b.__set__, RingElem.K.__set__
+_new = object.__new__
+
+
+def reduced_elem(a: int, b: int, K: int) -> RingElem:
+    """RingElem(a, b, K) for components already reduced mod 2^K, built
+    past the constructor's mask: for hot paths whose inputs are masked or
+    shifted down from reduced values."""
+    x = _new(RingElem)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_K(x, K)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +384,7 @@ def multiplier_set(d: int, K: int) -> MultiplierSet:
 # root extraction (Hensel / Newton)
 
 _SEED_CACHE: dict[tuple[int, int], dict[tuple[int, int], tuple[int, int]]] = {}
-_ANCHOR_SEED_CACHE: dict[int, dict[tuple[int, int], tuple[int, int]]] = {}
+_ANCHOR_SEED_CACHE: dict[int, array] = {}
 
 
 def _seed_table(d: int, L: int) -> dict[tuple[int, int], tuple[int, int]]:
@@ -388,16 +401,36 @@ def _seed_table(d: int, L: int) -> dict[tuple[int, int], tuple[int, int]]:
     return table
 
 
-def _anchor_seed_table(d: int) -> dict[tuple[int, int], tuple[int, int]]:
-    """t mod 64 -> its d-th root in 1 + 4O, mod 32, for every t in 1 + 8O.
+def _anchor_seed_table(d: int) -> array:
+    """t mod 512 -> its d-th root in 1 + 4O, mod 256, for every t in 1 + 8O,
+    packed as 12-bit codes: t = (1 + 8i) + 8j w sits at index i | j << 6
+    and holds p | q << 6 for the root (1 + 4p) + 4q w.
 
     x -> x^d maps 1 + 4O onto 1 + 8O one to one (squaring does, and so
-    does the odd power d/2), and x^d mod 64 depends on x mod 32 only, so
-    the 64 classes x mod 32 meet the 64 classes t mod 64 once each.  A
-    seed from here leaves a residual of valuation >= 6."""
+    does the odd power d/2), and x^d mod 512 depends on x mod 256 only, so
+    the 4096 classes x mod 256 meet the 4096 classes t mod 512 once each.
+    A seed from here leaves a residual of valuation >= 9, which one step
+    of `_newton_root` takes to >= 16.
+
+    The classes are walked as x = 5^i (1 + 4w)^j, i, j < 64: 1 + 4O is
+    4O under the logarithm, and the logarithms of 5 and 1 + 4w, 4 and 4w
+    mod 8, span 4O / 8O, so these x meet every class mod 256 once.  Then
+    x^d = (5^d)^i ((1 + 4w)^d)^j costs two products per entry.  Built at
+    the degree's first anchor solve (a few ms), 8 KB per degree."""
     table = _ANCHOR_SEED_CACHE.get(d)
     if table is None:
-        table = {pow_pair(a, b, d, 64): (a, b) for a in range(1, 32, 4) for b in range(0, 32, 4)}
+        table = array("H", bytes(8192))
+        f = pow_pair(5, 0, d, 512)[0]  # 5^d, an integer
+        ga, gb = pow_pair(1, 4, d, 512)  # (1 + 4w)^d
+        r, x = 1, 1  # (5^d)^i mod 512, 5^i mod 256
+        for _ in range(64):
+            ta, tb, ya, yb = r, 0, x, 0
+            for _ in range(64):
+                table[ta >> 3 | tb >> 3 << 6] = ya >> 2 | yb >> 2 << 6
+                bd = tb * gb  # t times (1 + 4w)^d, y times 1 + 4w
+                ta, tb = (ta * ga + bd) & 511, (ta * gb + tb * ga + bd) & 511
+                ya, yb = (ya + 4 * yb) & 255, (4 * ya + 5 * yb) & 255
+            r, x = r * f & 511, x * 5 & 255
         _ANCHOR_SEED_CACHE[d] = table
     return table
 
@@ -405,7 +438,9 @@ def _anchor_seed_table(d: int) -> dict[tuple[int, int], tuple[int, int]]:
 def _newton_root(seed: tuple[int, int], d: int, t: tuple[int, int], KK: int):
     """Lift seed to a root of f(x) = x^d - t working modulo 2^KK, t a unit.
 
-    Valid when the seed residual has valuation v >= 3 > 2*v(d).  Newton's
+    Valid when the seed residual has valuation v >= 3 > 2*v(d).  A seed
+    from `_anchor_seed_table` (v >= 9) needs one step for KK <= 16, one
+    from `dth_root`'s mod-16 table (v >= 4) three for KK <= 18.  Newton's
     step is s = f(x) / f'(x) with f'(x) = 2 * (d/2) * x^(d-1); this one
     takes s = (f(x) / 2) * x / ((d/2) t), which differs from it by the
     factor x^d / t = 1 + f(x) / t, so by an error of valuation 2v - 1.
@@ -486,10 +521,10 @@ def anchor_solve_pair(fa: int, fb: int, d: int, ca: int, cb: int, K: int) -> tup
     mod = 1 << KK
     ia, ib = inv_unit_pair(fa >> k, fb >> k, mod)
     ta, tb = mul_pair((-(ca >> k)) % mod, (-(cb >> k)) % mod, ia, ib, mod)
-    # t = 1 mod 8 by the residual check; seeding with its root mod 32
-    # saves the steps that would take a seed of 1 from valuation 3 to 6
-    seed = _anchor_seed_table(d)[ta & 63, tb & 63]
-    xa, xb = _newton_root(seed, d, (ta, tb), KK)
+    # t = 1 mod 8 by the residual check; its root mod 256 leaves one
+    # Newton step for KK <= 16, where a seed of 1 would need four
+    code = _anchor_seed_table(d)[ta >> 3 & 63 | (tb >> 3 & 63) << 6]
+    xa, xb = _newton_root((1 + ((code & 63) << 2), code >> 6 << 2), d, (ta, tb), KK)
     xa, xb = xa & mask, xb & mask
     pa, pb = pow_pair(xa, xb, d, mask + 1)
     bd = fb * pb

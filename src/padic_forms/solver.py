@@ -66,36 +66,43 @@ def lift_witness(g: AdditiveForm, sol: FlatSolution, K: int) -> Witness:
     leaf's path: composite nodes carry the identity); the others are 0.
     So x^d = 2^(wrap d) times the rep's value, read off the rep, and each
     pick's coefficient is recomputed at precision K from the root form's
-    exact representative through the frame.  Newton then corrects the
-    anchor so the sum vanishes mod 2^K, and the picks are mapped back to
-    the root frame in one pass (`map_to_origin`) and verified there, so K
-    must be high enough for the back-mapping to keep the root's full
-    precision.
+    exact representative through the frame.  Each term is masked mod 2^K
+    as it is formed, and the same loop sums the terms other than the
+    anchor's.  Newton then corrects the anchor so the sum vanishes mod
+    2^K, and the picks are mapped back to the root frame in one pass
+    (`map_to_origin`) and verified there, so K must be high enough for the
+    back-mapping to keep the root's full precision.
 
     The rep's value is root^d only mod 2^(g.K), yet exact in the terms:
     above g.K = root.K the lift runs at K = root.K + scale - d N, N the
     picks' largest substitution exponent, and a pick with exponent e <= N
     has a coefficient divisible by 2^(scale - d e), so by 2^(K - g.K).
     """
-    d, mod = g.d, 1 << K
+    d, mask = g.d, (1 << K) - 1
     coeffs, scale, subst = g.root().coeffs, g.scale_log, g.subst_log
     reps = multiplier_set(d, g.K).reps
-    terms, used, anchor = [], [], None
-    for i, p in enumerate(sol.picks):
-        c, down = coeffs[p.var], d * subst[p.var]
-        rep = reps[p.rep]
-        v, r, shift = rep.value, rep.root, p.wrap * d
-        terms.append(mul_pair((c.a << scale) >> down, (c.b << scale) >> down,
-                              v.a << shift, v.b << shift, mod))
-        used.append((p.var, r.a << p.wrap, r.b << p.wrap))
-        if p.var == sol.anchor:
-            anchor = i
-    if anchor is None:
+    anchor, used = sol.anchor, []
+    term = None
+    ra = rb = 0  # the sum of the other terms
+    for var, wrap, idx in sol.picks:
+        c, down = coeffs[var], d * subst[var]
+        rep = reps[idx]
+        v, r, shift = rep.value, rep.root, wrap * d
+        ca, cb = (c.a << scale) >> down, (c.b << scale) >> down
+        va, vb = v.a << shift, v.b << shift
+        bd = cb * vb  # the product as in mul_pair, inline
+        ta, tb = (ca * va + bd) & mask, (ca * vb + cb * va + bd) & mask
+        if var == anchor:
+            term, xa, xb = (ta, tb), r.a << wrap, r.b << wrap
+        else:
+            ra += ta
+            rb += tb
+            used.append((var, r.a << wrap, r.b << wrap))
+    if term is None:
         raise CertificateError("flat solution does not pick its anchor")
-    z = solve_anchor(terms, d, anchor, K)
-    var, xa, xb = used[anchor]
-    used[anchor] = (var, *mul_pair(xa, xb, z.a, z.b))
-    w = map_to_origin(g, used, sol.anchor, K)
+    za, zb = solve_anchor(term, (ra, rb), d, K)
+    used.append((anchor, *mul_pair(xa, xb, za, zb)))
+    w = map_to_origin(g, used, anchor, K)
     if not verify_witness(g.root(), w):
         raise CertificateError("lifted witness failed verification")
     return w
@@ -108,6 +115,8 @@ def decide_isotropy(f: AdditiveForm) -> IsotropyResult:
     the normalized form (stage "search", or "search-threshold" when the
     variable count clears the always-isotropic threshold); pass 2 on the
     reduced form, a witness or an exhaustion certificate (stage "oracle").
+    The timings, shown under `solve -v`, are keyed "normalize", "search",
+    then "validate" and "lift" after pass 1 or "oracle" for pass 2.
     """
     timings: dict = {}
     t0 = time.perf_counter()
@@ -123,11 +132,13 @@ def decide_isotropy(f: AdditiveForm) -> IsotropyResult:
         t0 = time.perf_counter()
         if not validate_certificate(g, cert):
             raise CertificateError("certificate does not validate against the form")
+        t1 = time.perf_counter()
+        timings["validate"] = t1 - t0
         # the back-mapping multiplies by 2^(d N - scale); lift high enough
         # that the root's full precision survives it
         N = max(g.subst_log[p.var] for p in sol.picks)
         w = lift_witness(g, sol, max(g.K, g.root().K + g.scale_log - g.d * N))
-        timings["lift"] = time.perf_counter() - t0
+        timings["lift"] = time.perf_counter() - t1
         stage = "search-threshold" if g.s >= isotropy_threshold(g.d) else "search"
         return IsotropyResult(
             "ISOTROPIC",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import CertificateError
 from .forms import AdditiveForm
-from .ring import RingElem, anchor_solve_pair
+from .ring import RingElem, anchor_solve_pair, reduced_elem
 
 
 @dataclass(frozen=True)
@@ -80,18 +80,13 @@ def exact_coeffs(g: AdditiveForm, K: int) -> list[RingElem]:
             for rep, down in zip(g.root().coeffs, (g.d * e for e in g.subst_log))]
 
 
-def solve_anchor(terms: list[tuple[int, int]], d: int, anchor: int, K: int) -> RingElem:
-    """The unit z with terms[anchor] * z^d + (the other terms) = 0 mod
-    2^K, each term c_j * x_j^d given as an int pair; the caller scales
-    x_anchor by z.  Requires the usual valuation agreement; a failure here
-    means the incoming certificate was not sound."""
-    ra = rb = 0
-    for j, (ta, tb) in enumerate(terms):
-        if j != anchor:
-            ra += ta
-            rb += tb
-    fa, fb = terms[anchor]
-    return RingElem(*anchor_solve_pair(fa, fb, d, ra, rb, K), K)
+def solve_anchor(anchor: tuple[int, int], rest: tuple[int, int], d: int, K: int) -> tuple[int, int]:
+    """The unit z, as a pair, with anchor * z^d + rest = 0 mod 2^K: anchor
+    is the anchor's term c * x^d and rest the sum of the other terms, as
+    int pairs; the caller scales x_anchor by z.  Requires the usual
+    valuation agreement; a failure here means the incoming certificate was
+    not sound."""
+    return anchor_solve_pair(anchor[0], anchor[1], d, rest[0], rest[1], K)
 
 
 def map_to_origin(g: AdditiveForm, used, anchor: int, K: int) -> Witness:
@@ -105,23 +100,29 @@ def map_to_origin(g: AdditiveForm, used, anchor: int, K: int) -> Witness:
     when g has no frame, else the unit of least (root level, variable)."""
     mask, subst = (1 << K) - 1, g.subst_log
     lift = []  # (e_j - v(y_j), j, y_j) per nonzero entry, v the lowest set bit of a | b
+    N = None
     for j, a, b in used:
         x = (a | b) & mask
         if x:
-            lift.append((subst[j] - (x & -x).bit_length() + 1, j, a & mask, b & mask))
-    if not lift:
+            n = subst[j] - (x & -x).bit_length() + 1
+            if N is None or n > N:
+                N = n
+            lift.append((n, j, a & mask, b & mask))
+    if N is None:
         raise CertificateError("witness uses no variables")
-    N = max(t[0] for t in lift)
     root = g.root()
     K0 = root.K
     V = min(K0, K + g.d * N - g.scale_log)
     if V < 1:
         raise CertificateError("scale bookkeeping left no certified digits")
+    mask0 = (1 << K0) - 1
     values = [RingElem.zero(K0)] * g.s
     for _, j, a, b in lift:
         up = N - subst[j]
-        values[j] = (RingElem(a << up, b << up, K0) if up >= 0
-                     else RingElem(a >> -up, b >> -up, K0))
+        if up >= 0:
+            values[j] = reduced_elem((a << up) & mask0, (b << up) & mask0, K0)
+        else:
+            values[j] = reduced_elem((a >> -up) & mask0, (b >> -up) & mask0, K0)
     if g.origin is not None:
         anchor = min((root.levels()[j], j) for n, j, _, _ in lift if n == N)[1]
     return Witness(tuple(values), anchor, V)

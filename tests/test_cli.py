@@ -72,6 +72,16 @@ def test_solve_output_is_deterministic(iso_file, capsys):
     assert "timings" in json.loads(out3)
 
 
+def test_solve_verbose_times_each_search_stage(iso_file, capsys):
+    # validation has its own key; the lift's covers the lift alone
+    code, out, _ = run(["solve", iso_file, "-v"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["stage"] == "search"
+    assert set(doc["timings"]) == {"normalize", "search", "validate", "lift"}
+    assert all(t >= 0 for t in doc["timings"].values())
+
+
 def test_solve_malformed_exit64(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("not a form")

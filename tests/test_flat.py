@@ -314,6 +314,17 @@ def test_short_window_without_zero_raises():
         decide_isotropy(f)
 
 
+def test_window_one_digit_short_is_left_out():
+    # 1 + 7 = 8 vanishes mod 2^3 only when the 7 is trusted to three
+    # digits; at two, both passes leave it out and say so
+    base = AdditiveForm.from_pairs(6, [(1, 0), (7, 0)], 10)
+    for window, found in ((2, False), (3, True)):
+        f = AdditiveForm(6, base.coeffs, windows=(10, window))
+        for wrapped in (False, True):
+            out = flat_zero(f, wrapped)
+            assert (out.solution is not None, out.short) == (found, not found)
+
+
 def test_short_window_ignored_when_zero_found():
     base = AdditiveForm.from_pairs(6, [(1, 0), (7, 0), (0, 1)], 10)
     f = AdditiveForm(6, base.coeffs, windows=(10, 10, 2))
@@ -555,8 +566,10 @@ def _lift_by_tree_walk(g, cert):
             stack.append((cid, acc * RingElem(rep.root.a, rep.root.b, K)))
     values = [roots.get(j, RingElem.zero(K)) for j in range(g.s)]
     terms = [(t.a, t.b) for t in (c * x ** g.d for c, x in zip(exact_coeffs(g, K), values))]
-    values[cert.anchor_leaf] = values[cert.anchor_leaf] * solve_anchor(
-        terms, g.d, cert.anchor_leaf, K)
+    rest = [t for j, t in enumerate(terms) if j != cert.anchor_leaf]
+    z = solve_anchor(terms[cert.anchor_leaf], (sum(a for a, _ in rest), sum(b for _, b in rest)),
+                     g.d, K)
+    values[cert.anchor_leaf] = values[cert.anchor_leaf] * RingElem(*z, K)
     return dense_back_map(g, values, K, cert.anchor_leaf), K
 
 

@@ -231,6 +231,54 @@ def test_oracle_users_are_reviewed():
     assert not gone, f"ORACLE_USERS names imports that no longer exist: {gone}"
 
 
+# Every cache in the package that outlives a call: each `lru_cache` (or
+# `functools.cache`) function and each module-level `_*_CACHE` table, as
+# (module, name).  Each holds tables of a degree or precision, never a
+# per-form result: the benchmark passes repeat the same form objects, so
+# a result cache would count repeats as work done.  Add an entry here
+# only after reviewing what the new cache is keyed on.
+CACHES = {
+    ("engine.py", "_unit_powers_mod8"),
+    ("flat.py", "mod8_table"),
+    ("flat.py", "_rows"),
+    ("sweeps.py", "_tables"),
+    ("sweeps.py", "_automata"),
+    ("sweeps.py", "_free_codes"),
+    ("oracle.py", "_PVS_CACHE"),
+    ("ring.py", "_MULTIPLIER_CACHE"),
+    ("ring.py", "_SEED_CACHE"),
+    ("ring.py", "_ANCHOR_SEED_CACHE"),
+}
+
+
+def _caches(tree: ast.Module) -> set:
+    """The names of the module's cached functions, at any depth, and of
+    its module-level tables named `_*_CACHE`."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name in ("lru_cache", "cache"):
+                    out.add(node.name)
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        out.update(t.id for t in targets if isinstance(t, ast.Name)
+                   and t.id.startswith("_") and t.id.endswith("_CACHE"))
+    return out
+
+
+def test_every_cache_is_reviewed():
+    found = {(path.name, name) for path in sorted(SRC.glob("*.py"))
+             for name in _caches(ast.parse(path.read_text()))}
+    new = sorted(found - CACHES)
+    assert not new, f"caches not in CACHES (module, name): {new}"
+    gone = sorted(CACHES - found)
+    assert not gone, f"CACHES names caches that no longer exist: {gone}"
+
+
 # Every run is on the calling thread, and nothing in the package is set
 # from the environment: a worker pool or an environment knob fails the
 # check below.  The one module that imports threading is sweeps.py, for

@@ -427,12 +427,115 @@ def test_seeded_newton_root_at_high_precision(d):
 
 
 def test_anchor_seed_table_is_a_bijection():
-    for d in (2, 6, 10, 14):
+    # the packed layout: t = (1 + 8i) + 8j w at index i | j << 6 holds
+    # p | q << 6 for the root (1 + 4p) + 4q w mod 256
+    for d in (2, 6, 10, 14, 18, 22):
         table = ring._anchor_seed_table(d)
-        assert sorted(table) == [(a, b) for a in range(1, 64, 8) for b in range(0, 64, 8)]
-        assert len(set(table.values())) == 64
-        for t, x in table.items():
-            assert x[0] % 4 == 1 and x[1] % 4 == 0 and pow_pair(*x, d, 64) == t
+        assert len(table) == 4096 and len(set(table)) == 4096
+        for code, root in enumerate(table):
+            t = (1 + 8 * (code & 63), 8 * (code >> 6))
+            x = (1 + 4 * (root & 63), 4 * (root >> 6))
+            assert x[0] < 256 and x[1] < 256
+            assert x[0] % 4 == 1 and x[1] % 4 == 0 and pow_pair(*x, d, 512) == t
+
+
+def reference_anchor_solve(fa, fb, d, ca, cb, K):
+    """The anchor solve by plain Newton on x^d = t from x = 1, t = -C / f
+    after both are divided by 2^k: the step is (x^d - t) / (d x^(d-1))
+    with the exact derivative, each step at least doubling the trusted
+    digits past the first two, until x^d = t mod 2^(K+1).  The caller
+    checks the preconditions."""
+    mod = 1 << (K + 1)
+    x = fa | fb
+    k = (x & -x).bit_length() - 1
+    fa, fb, ca, cb = fa >> k, fb >> k, ca >> k, cb >> k
+    det = fa * fa + fa * fb - fb * fb
+    inv = pow(det, -1, mod)
+    ia, ib = (fa + fb) * inv, -fb * inv  # 1 / f
+    ta, tb = mul_pair(-ca, -cb, ia, ib, mod)
+    xa, xb = 1, 0
+    m = d // 2
+    for _ in range(64):
+        pa, pb = pow_pair(xa, xb, d, mod)
+        ra, rb = (pa - ta) % mod, (pb - tb) % mod
+        if not ra and not rb:
+            return xa % (mod >> 1), xb % (mod >> 1)
+        # derivative over 2: m x^(d-1), a unit; divide the residual by 2
+        ga, gb = pow_pair(xa, xb, d - 1, mod)
+        ga, gb = m * ga, m * gb
+        det = ga * ga + ga * gb - gb * gb
+        inv = pow(det, -1, mod)
+        sa, sb = mul_pair(ra >> 1, rb >> 1, (ga + gb) * inv, -gb * inv, mod)
+        xa, xb = (xa - sa) % mod, (xb - sb) % mod
+    raise AssertionError("reference Newton did not converge")
+
+
+def anchor_solve_cases(n: int = 2000, seed: int = 77) -> list:
+    """(f, C, d, K) with f of level k, C = -f + 2^(k+3) r, K in k+3..40."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(n):
+        d = rng.choice((2, 6, 10, 14, 18, 22))
+        k = rng.randrange(0, 8)
+        K = rng.randrange(k + 3, 41)
+        fa = (rng.getrandbits(K) | 1) << k
+        fb = rng.getrandbits(K) << k
+        if rng.random() < 0.5:  # the unit part in w's digit instead
+            fa, fb = fb & ~(1 << k), fb | (1 << k)
+        r = (rng.getrandbits(K), rng.getrandbits(K))
+        cases.append(((fa, fb), (-fa + (r[0] << (k + 3)), -fb + (r[1] << (k + 3))), d, K))
+    return cases
+
+
+def anchor_solve_mismatches(cases) -> list:
+    """The cases where anchor_solve_pair's x differs from the reference."""
+    bad = []
+    for (fa, fb), (ca, cb), d, K in cases:
+        mask = (1 << K) - 1
+        want = reference_anchor_solve(fa & mask, fb & mask, d, ca & mask, cb & mask, K)
+        if anchor_solve_pair(fa, fb, d, ca, cb, K) != want:
+            bad.append(((fa, fb), (ca, cb), d, K))
+    return bad
+
+
+def test_anchor_solve_matches_newton_from_one():
+    cases = anchor_solve_cases()
+    assert {d for _, _, d, _ in cases} == {2, 6, 10, 14, 18, 22}
+    assert {K for _, _, _, K in cases} >= set(range(3, 41))
+    assert anchor_solve_mismatches(cases) == []
+
+
+def test_anchor_solve_takes_one_newton_step_up_to_K_15(monkeypatch):
+    # the seed, the root mod 256, leaves a residual of valuation >= 9, so
+    # for K + 1 <= 16 the solve takes two powers: the residual before the
+    # one Newton step (or none, when the seed is already a root) and the
+    # final cancellation check
+    cases = [c for c in anchor_solve_cases() if c[3] <= 15]
+    assert len(cases) >= 300
+    for d in {c[2] for c in cases}:
+        ring._anchor_seed_table(d)
+    calls = []
+    real = ring.pow_pair
+    monkeypatch.setattr(ring, "pow_pair", lambda *args: (calls.append(args), real(*args))[1])
+    for (fa, fb), (ca, cb), d, K in cases:
+        calls.clear()
+        anchor_solve_pair(fa, fb, d, ca, cb, K)
+        assert len(calls) == 2, (d, K)
+
+
+def test_anchor_solve_matches_newton_from_one_under_python_O():
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import test_ring\n"
+        "print(len(test_ring.anchor_solve_mismatches(test_ring.anchor_solve_cases())))\n"
+    )
+    pkg_root = str(Path(ring.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script, str(Path(__file__).parent)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": pkg_root})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
 
 
 # --- raw pair helpers ------------------------------------------------------

@@ -29,7 +29,9 @@ def anchor_solved(coeffs, d, values, anchor):
     K = coeffs[0].K
     vals = [elem(x.a, x.b, K) for x in values]
     terms = [((c * x ** d).a, (c * x ** d).b) for c, x in zip(coeffs, vals)]
-    vals[anchor] = vals[anchor] * solve_anchor(terms, d, anchor, K)
+    rest = [t for j, t in enumerate(terms) if j != anchor]
+    z = solve_anchor(terms[anchor], (sum(a for a, _ in rest), sum(b for _, b in rest)), d, K)
+    vals[anchor] = vals[anchor] * elem(*z, K)
     return vals
 
 
