@@ -124,15 +124,21 @@ class ContractionCertificate(NamedTuple):
 
 
 def _collect_tree(root: VarNode, arena: dict) -> list[VarNode]:
-    """The nodes reachable from root, by id; KeyError on an unknown child."""
-    found = {root.id: root}
+    """The nodes reachable from root, each after the child through which
+    the walk reached them: in a tree, every node after its children,
+    whatever their ids.  KeyError on an unknown child."""
+    found = {root.id}
+    order = [root]
     stack = [root]
     while stack:
         for cid in stack.pop().children:
             if cid not in found:
-                found[cid] = node = arena[cid]
+                found.add(cid)
+                node = arena[cid]
+                order.append(node)
                 stack.append(node)
-    return [found[i] for i in sorted(found)]
+    order.reverse()
+    return order
 
 
 def _certificate_from(root: VarNode, nodes: list, d: int, K: int) -> ContractionCertificate:
@@ -185,7 +191,8 @@ def validate_certificate(f: AdditiveForm, cert: ContractionCertificate) -> bool:
     values: dict[int, tuple[int, int]] = {}  # exact node values as int pairs mod 2^K
     leaf_vars: set = set()
     kmin = wmin = K  # the least leaf level and window; every level is below K
-    # `order` is by id: the leaves first, then the contractions by id
+    # the leaves first; then the contractions in `order`, each after its
+    # children, so a child's value is known unless the walk met a cycle
     for n in order:
         if n.kind == "leaf":
             var = n.var
@@ -335,4 +342,4 @@ def certificate_from_json(doc: dict) -> ContractionCertificate:
         return node
 
     root = build(root_id)
-    return _certificate_from(root, _collect_tree(root, built), d, K)
+    return _certificate_from(root, [built[i] for i in sorted(built)], d, K)

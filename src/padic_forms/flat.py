@@ -255,12 +255,13 @@ def flat_zero(f: AdditiveForm, wrapped: bool) -> FlatOutcome:
     """Solution at the lowest anchor level that has one.  With `wrapped`
     a variable may also be 2 times a unit, which makes the search
     complete; without, it covers the zeros whose used entries are units."""
-    if not f.is_reduced():
-        raise ValueError("flat reachability needs levels below the degree")
+    try:  # a level at or above the degree has no bucket
+        by_level = _by_level(f)
+    except IndexError:
+        raise ValueError("flat reachability needs levels below the degree") from None
     wraps = (0, 1) if wrapped else (0,)
     states = 0
     short = False
-    by_level = _by_level(f)
     for k in range(f.d):
         if not by_level[k]:
             continue  # no term can carry the anchor

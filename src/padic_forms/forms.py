@@ -197,10 +197,14 @@ def cyclic_shift(f: AdditiveForm, t: int) -> AdditiveForm:
     """Multiply the form by 2^t and re-reduce, sending every level to
     (level + t) mod d.  Isotropy-equivalent; frame records the scale."""
     assert f.is_reduced()
-    d = f.d
-    t %= d
+    return _shift(f, t % f.d)
+
+
+def _shift(f: AdditiveForm, t: int) -> AdditiveForm:
+    """`cyclic_shift` of a reduced form by t in [0, d)."""
     if t == 0:
         return f
+    d = f.d
     K = f.K
     mask = (1 << K) - 1
     down = d - t  # a level reaching d wraps round: divide by 2^(d - t) instead
@@ -238,16 +242,20 @@ def normalize(f: AdditiveForm) -> tuple[AdditiveForm, int]:
     Shifting by t starts the counts at level p = -t mod d; by the cycle
     lemma the valid p are those of least prefix sum of d * count - s, so
     one exists.  The smallest t wins: 0 if p = 0 is valid, else d minus
-    the largest valid p."""
-    f = reduce_levels(f)
+    the largest valid p.  A form with a level at or above d is reduced
+    first: counting the levels finds such a level, so a form already
+    reduced costs no separate check."""
     d, s = f.d, f.s
     counts = [0] * d
-    for lvl in f.levels():
-        counts[lvl] += 1
+    try:
+        for lvl in f._levels:
+            counts[lvl] += 1
+    except IndexError:
+        return normalize(reduce_levels(f))
     pref = low = start = 0
     for p in range(1, d):
         pref += d * counts[p - 1] - s
         if pref < low or (pref == low and start):
             low, start = pref, p
     t = -start % d
-    return cyclic_shift(f, t), t
+    return _shift(f, t), t

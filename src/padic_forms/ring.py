@@ -337,6 +337,14 @@ _MULTIPLIER_CACHE: dict[tuple[int, int], MultiplierSet] = {}
 
 
 def multiplier_set(d: int, K: int) -> MultiplierSet:
+    """The multiplier reps of degree d at precision K, built once per pair.
+    Only a checked degree is cached, so an int degree that finds its set
+    skips the check; any other degree (a float equal to one, say) is
+    checked first."""
+    if type(d) is int:
+        cached = _MULTIPLIER_CACHE.get((d, K))
+        if cached is not None:
+            return cached
     check_degree_shape(d)
     assert K >= 1
     key = (d, K)

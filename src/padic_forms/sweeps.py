@@ -46,6 +46,16 @@ variable.  Every admissible degree has the reps mod 8 of d = 6 (when
 even states can be reached (53 and 27 when 3 does not divide d), so the
 table never passes its `_CAP` states; a walk that would raises.
 
+Beyond its code matrix (one byte per variable and trial), a sampled
+sweep works in blocks: `_sample_codes` reads the generator and maps
+words to codes `_BLOCK` codes at a time, and `sweep_lemma` decides
+`_BLOCK` trials at a time.  numpy's `take` copies a uint8 or uint16
+index array to intp whole, and each step of the decision allocates
+arrays as wide as its trials, so at 100,000 trials whole-width work
+held several MB at once; a block holds a few hundred KB.  Each trial is
+decided on its own column, and the generator is read in whole words in
+its original order, so the blocks change no draw and no verdict.
+
 Profiles the pass rejects are built as forms and handed to
 `search_certificate`, the pipeline's own contraction search (flat.py);
 a certificate there counts as route `search`, anything else is reported
@@ -101,9 +111,10 @@ _SCALE = np.array([(v << s & 7) | ((v >> 3) << s & 7) << 3 for s in range(3) for
 
 def _translate_rows(M: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The mask M[i] moved by the code w[i]: a rotate of every byte by
-    w's a, then of the word by 8 times w's b.  In place where it can be: the automata fill tens of thousands
-    of rows at once, and a temporary per operation raised the peak RSS of
-    a sweeps pass by about 2 MB."""
+    w's a, then of the word by 8 times w's b.  In place where it can be:
+    an automaton fills up to a block of rows at once (sampled trials are
+    decided `_BLOCK` at a time, which bounds every such array), and a
+    temporary per operation would add one more array of that width."""
     keep = _KEEP.take(w)
     out = M & keep
     out <<= _UP.take(w)
@@ -307,6 +318,12 @@ def _slot_join(slots, tab: _Tables) -> tuple:
     return np.outer(W, weights).ravel(), ok.ravel(), np.concatenate([X[i], rows[j]], axis=1)
 
 
+# codes drawn, and trials decided, per block: `take`'s intp copy of a
+# block's indices is 256 KB, of 541's million free codes it would be
+# 8 MB.  No draw or verdict depends on the size
+_BLOCK = 1 << 15
+
+
 @lru_cache(maxsize=None)
 def _free_codes() -> np.ndarray:
     """Per 16-bit word w < 65520, the (w % 48)-th unit code (a or b odd):
@@ -325,8 +342,11 @@ def _sample_codes(lem: SweepLemma, trials: int, raw) -> tuple:
     `raw(n)` gives n 64-bit generator words.  A fixed-class code is the
     class's code at the low 4 bits of one byte.  A free code is the unit
     code at w % 48 of one 16-bit word w < 65520 = 48 * 1365, read from
-    `_free_codes`; the positions whose word is 65520 or more draw a new
-    word, until none is left."""
+    `_free_codes`; after the group's words, the positions whose word is
+    65520 or more draw a new word, until none is left.  Each group reads
+    its words in blocks of about `_BLOCK` codes, whole words each, and
+    maps a block by one `take`: the stream is that of one full-length
+    read, so every draw is too."""
     groups = [(0, k, cls) for cls, k in zip((1, 2, 3), lem.class_counts or ()) if k]
     groups += [(lvl, k, None) for lvl, k in enumerate(lem.level_counts) if k]
     C = np.empty((sum(k for _, k, _ in groups), trials), np.uint8)
@@ -334,16 +354,27 @@ def _sample_codes(lem: SweepLemma, trials: int, raw) -> tuple:
     for lvl, k, cls in groups:
         out = C[len(levels) : len(levels) + k].reshape(-1)  # a view: the rows are contiguous
         n = out.size
-        if cls is not None:
-            byte = raw(-(-n // 8)).view(np.uint8)[:n]
-            np.array(_class_codes(cls), np.uint8).take(byte & 15, out=out)
-        else:
-            w = raw(-(-n // 4)).view(np.uint16)[:n]
-            bad = np.flatnonzero(w >= 65520)
-            while bad.size:
-                w[bad] = raw(-(-bad.size // 4)).view(np.uint16)[: bad.size]
-                bad = bad[w.take(bad) >= 65520]
-            _free_codes().take(w, out=out)
+        free = cls is None
+        table = _free_codes() if free else np.array(_class_codes(cls), np.uint8)
+        dtype = np.uint16 if free else np.uint8
+        per = 8 // np.dtype(dtype).itemsize  # codes per generator word
+        step = -(-_BLOCK // per) * per  # whole words per block: no draw depends on the size
+        bad = []
+        for i in range(0, n, step):
+            idx = raw(-(-min(step, n - i) // per)).view(dtype)[: n - i]
+            if free:
+                bad.append(np.flatnonzero(idx >= 65520) + i)
+            else:
+                idx &= 15
+            table.take(idx, out=out[i : i + step], mode="clip")  # a rejected word: redrawn below
+        if free:
+            pos = np.concatenate(bad)
+            w = np.empty(pos.size, np.uint16)
+            redo = np.arange(pos.size)
+            while redo.size:
+                w[redo] = raw(-(-redo.size // 4)).view(np.uint16)[: redo.size]
+                redo = redo[w.take(redo) >= 65520]
+            out[pos] = table.take(w)
         levels += [lvl] * k
     return C, np.array(levels, np.int8)
 
@@ -494,7 +525,8 @@ def sweep_lemma(
     else:
         C, col_levels = _sample_codes(lem, trials, np.random.default_rng(seed).bit_generator.random_raw)
         total = trials
-        ok = _sampled_verdicts(C, col_levels, lem.d)
+        ok = np.concatenate([_sampled_verdicts(C[:, i : i + _BLOCK], col_levels, lem.d)
+                             for i in range(0, trials, _BLOCK)])
         resolution["closure"] = int(ok.sum())
         for ridx in np.flatnonzero(~ok):
             ua, ub = C[:, ridx] & 7, C[:, ridx] >> 3

@@ -23,7 +23,7 @@ from padic_forms.engine import (
 )
 from padic_forms.errors import CertificateError, PrecisionMismatch
 from padic_forms.flat import search_certificate
-from padic_forms.forms import AdditiveForm
+from padic_forms.forms import AdditiveForm, normalize
 from padic_forms.ring import MultiplierRep, RingElem, dth_root, multiplier_set
 
 
@@ -302,6 +302,55 @@ def test_node_consumed_twice_is_refused():
                    (3, 3, 3, 3), (IDENT,) * 4)
     cert = ContractionCertificate(6, 10, (x0, x1, a, root), 4, 0, 0, 3)
     assert not validate_certificate(G, cert)
+
+
+def test_node_with_two_parents_is_refused():
+    # 1 + 7 = 8 twice, and 8 + 8 = 16 vanishes mod 8; x0 and x1 are each
+    # listed under both a and b, which no tree allows
+    f = form(6, [(1, 0), (7, 0)], 10)
+    x0, x1 = make_leaf(0, f.coeffs[0], 10), make_leaf(1, f.coeffs[1], 10)
+    a = contract((x0, x1), (IDENT, IDENT), 2)
+    b = contract((x0, x1), (IDENT, IDENT), 3)
+    assert validate_certificate(f, ContractionCertificate(6, 10, (x0, x1, a), 2, 0, 0, 3))
+    root = VarNode(4, RingElem(16, 0, 10), 3, None, 0, a.leaves, "contraction", None,
+                   (2, 3), (IDENT, IDENT))
+    assert not validate_certificate(f, ContractionCertificate(6, 10, (x0, x1, a, b, root),
+                                                              4, 0, 0, 3))
+
+
+def test_cycles_are_refused():
+    # a contraction below the root that lists the root, and two
+    # contractions below it that list each other
+    f = form(6, [(1, 0), (7, 0), (1, 0)], 10)
+    leaves = tuple(make_leaf(i, c, 10) for i, c in enumerate(f.coeffs))
+
+    def node(nid, children):
+        return VarNode(nid, RingElem(8, 0, 10), 3, None, 0, frozenset(range(3)),
+                       "contraction", None, children, (IDENT,) * len(children))
+
+    root_consumed = (*leaves, node(3, (0, 4)), node(4, (1, 2, 3)))
+    below = (*leaves, node(3, (1, 4)), node(4, (2, 3)), node(5, (0, 3)))
+    assert not validate_certificate(f, ContractionCertificate(6, 10, root_consumed, 3, 0, 0, 3))
+    assert not validate_certificate(f, ContractionCertificate(6, 10, below, 5, 0, 0, 3))
+
+def test_contraction_ids_need_not_rise_toward_the_root():
+    # a pipeline certificate at d = 6 whose root 8 contracts leaf 5 with
+    # contraction 7; renumbered 1000, that contraction comes after its
+    # parent by id, and the certificate is just as sound
+    f = form(6, [(275, 129), (522, 241), (1014, 920), (967, 777), (429, 192), (999, 58),
+                 (798, 886)])
+    g = normalize(f)[0]
+    cert = search_certificate(g).certificate
+    assert [(n.id, n.children) for n in cert.nodes if n.kind == "contraction"] == [
+        (7, (0, 1)), (8, (5, 7))]
+    doc = certificate_to_json(cert)
+    for rec in doc["nodes"]:
+        rec["id"] = 1000 if rec["id"] == 7 else rec["id"]
+        if "children" in rec:
+            rec["children"] = [1000 if c == 7 else c for c in rec["children"]]
+    renumbered = certificate_from_json(doc)
+    assert [n.id for n in renumbered.nodes] == [0, 1, 5, 8, 1000]
+    assert validate_certificate(g, cert) and validate_certificate(g, renumbered)
 
 
 def test_leaf_outside_its_trusted_window_is_refused():

@@ -604,9 +604,18 @@ def test_contraction_from_flat_matches_node_by_node_tree():
     assert found >= 450
 
 
+def test_flat_zero_refuses_unreduced_forms():
+    f = AdditiveForm.from_pairs(6, [(64, 0), (1, 0)], 16)
+    for run in (lambda: flat_zero(f, False), lambda: flat_zero(f, True),
+                lambda: search_certificate(f)):
+        with pytest.raises(ValueError, match="levels below the degree"):
+            run()
+
+
 def test_contraction_nodes_come_in_tree_walk_order():
-    # contraction_from_flat emits its nodes without walking the tree; the
-    # walk certificate_from_json uses must give the same order
+    # contraction_from_flat emits its nodes in id order without walking
+    # the tree, the order certificate_from_json rebuilds them in; the walk
+    # validate_certificate takes reaches every node, each after its children
     found = 0
     for f in _pinned_forms():
         out = search_certificate(normalize(f)[0])
@@ -614,7 +623,13 @@ def test_contraction_nodes_come_in_tree_walk_order():
             continue
         found += 1
         cert = out.certificate
-        assert cert.nodes == tuple(_collect_tree(cert.node_map()[cert.root], cert.node_map()))
+        nmap = cert.node_map()
+        assert [n.id for n in cert.nodes] == sorted(nmap)
+        assert certificate_from_json(certificate_to_json(cert)).nodes == cert.nodes
+        walk = _collect_tree(nmap[cert.root], nmap)
+        pos = {n.id: i for i, n in enumerate(walk)}
+        assert sorted(pos) == sorted(nmap)
+        assert all(pos[c] < pos[n.id] for n in walk for c in n.children)
     assert found >= 100
 
 

@@ -174,6 +174,19 @@ def test_frame_relation_holds():
 # --- normalization ---------------------------------------------------------
 
 
+def test_normalize_reduces_an_unreduced_form_first():
+    # counting the levels finds the one at or above d; normalize then runs
+    # on reduce_levels' form, and passes its refusal on
+    f = form(6, [(64, 0), (1, 0), (2, 2)], 16)
+    g, t = normalize(f)
+    h, u = normalize(reduce_levels(f))
+    assert (g.coeffs, g.windows, g.subst_log, g.scale_log, t) == (
+        h.coeffs, h.windows, h.subst_log, h.scale_log, u)
+    assert g.root() is f and g.levels() == h.levels()
+    with pytest.raises(PrecisionMismatch):
+        normalize(form(6, [(64, 0), (1, 0)], 10))
+
+
 def test_normalize_all_level_zero():
     f = form(6, [(1, 0)] * 7)
     g, t = normalize(f)

@@ -253,6 +253,12 @@ def test_multiplier_roots_exact_at_high_precision():
 
 def test_multiplier_set_cached():
     assert multiplier_set(6, 8) is multiplier_set(6, 8)
+    # the cache answers an int degree unchecked; every other degree is
+    # still checked, even one equal to a cached degree
+    assert multiplier_set(np.int64(6), 8) is multiplier_set(6, 8)
+    for d in (6.0, True, [6], 8):
+        with pytest.raises(DegreeShapeError):
+            multiplier_set(d, 8)
 
 
 # --- root extraction -------------------------------------------------------

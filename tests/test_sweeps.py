@@ -2,6 +2,7 @@ import hashlib
 import json
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations_with_replacement, product
 from math import comb
@@ -653,24 +654,68 @@ REAL_SAMPLED_DIGEST = "1dc2711abf08afb70c4ddd19a6dda67de87604c0db4e03074fcae4e10
 FAILING_SAMPLED_DIGEST = "0ab98bdf048afa53333dd2f3feedda93d09c116a43b8cbc6f6458a49777f8d5a"
 
 
-def test_sampled_outputs_are_pinned(monkeypatch):
-    def lines(runs):
-        return [json.dumps(sweep_lemma(lid, "SAMPLED", trials=trials, seed=seed)
-                           .to_json(include_timings=False), sort_keys=True)
-                for lid, trials, seed in runs]
+def _report_lines(runs) -> list:
+    return [json.dumps(sweep_lemma(lid, "SAMPLED", trials=trials, seed=seed)
+                       .to_json(include_timings=False), sort_keys=True)
+            for lid, trials, seed in runs]
 
-    def digest(lines):
-        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
-    real = lines([(lid, 20_000, 42) for lid in sampled_lemma_ids()])
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _check_real_digest():
+    real = _report_lines([(lid, 20_000, 42) for lid in sampled_lemma_ids()])
     assert all(json.loads(line)["failures"] == [] for line in real)
-    assert digest(real) == REAL_SAMPLED_DIGEST
+    assert _digest(real) == REAL_SAMPLED_DIGEST
+
+
+def _check_failing_digest(monkeypatch):
+    # registered after any real run: sampled_lemma_ids() would list them
     for lem in (SweepLemma("fail6", 6, None, (2,), None),
                 SweepLemma("fail10", 10, None, (2, 1), None)):
         monkeypatch.setitem(SWEEP_LEMMAS, lem.id, lem)
-    failing = lines([("fail6", 300, 1), ("fail10", 300, 1)])
+    failing = _report_lines([("fail6", 300, 1), ("fail10", 300, 1)])
     assert [len(json.loads(line)["failures"]) for line in failing] == [278, 139]
-    assert digest(failing) == FAILING_SAMPLED_DIGEST
+    assert _digest(failing) == FAILING_SAMPLED_DIGEST
+
+
+def test_sampled_outputs_are_pinned(monkeypatch):
+    _check_real_digest()
+    _check_failing_digest(monkeypatch)
+
+
+def test_blocks_change_no_draw_or_verdict(monkeypatch):
+    # codes are drawn, and trials decided, in blocks of sweeps._BLOCK; at
+    # a size that divides neither 20 000 nor a whole generator word, and
+    # at 7, every draw and report is the pinned one
+    want = draw(MIXED, 1000, 3)[0]
+    monkeypatch.setattr(sweeps, "_BLOCK", 3001)
+    assert np.array_equal(draw(MIXED, 1000, 3)[0], want)
+    _check_real_digest()
+    monkeypatch.setattr(sweeps, "_BLOCK", 7)
+    assert np.array_equal(draw(MIXED, 1000, 3)[0], want)
+    _check_failing_digest(monkeypatch)
+
+
+def test_sampled_sweep_traced_peak_is_bounded():
+    # 541's 100 000 trials hold a million free codes, a 1 MB code matrix.
+    # Drawn and decided in blocks, a sweep's Python allocations peak
+    # below 4 MB once a first run has filled the automata (about 6 MB
+    # when a sweep drew and decided all its trials at once)
+    sweep_lemma("541", "SAMPLED", trials=100_000, seed=1)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        sweep_lemma("541", "SAMPLED", trials=100_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 4 << 20, peak
 
 
 def test_sampled_sweep_needs_trials_and_a_seed():
