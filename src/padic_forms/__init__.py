@@ -28,6 +28,7 @@ from .errors import (
     OracleBudgetError,
     PadicFormsError,
     PrecisionMismatch,
+    SelfCheckError,
 )
 from .flat import SearchOutcome
 from .forms import (
@@ -86,6 +87,7 @@ __all__ = [
     "RingElem",
     "SWEEP_LEMMAS",
     "SearchOutcome",
+    "SelfCheckError",
     "SweepReport",
     "Witness",
     "agreement_experiment",

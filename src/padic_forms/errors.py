@@ -33,3 +33,7 @@ class OracleBudgetError(PadicFormsError):
 
 class CertificateError(PadicFormsError):
     """A certificate failed independent validation."""
+
+
+class SelfCheckError(PadicFormsError):
+    """A value the library built failed its own check (a bug, not bad input)."""

@@ -24,6 +24,7 @@ from .errors import (
     NotADthPower,
     NotAUnit,
     PrecisionMismatch,
+    SelfCheckError,
 )
 
 INFINITE = math.inf  # valuation sentinel: means ">= K", a lower bound only
@@ -295,7 +296,8 @@ def teichmuller_alpha(K: int) -> RingElem:
             break
         a, b = na, nb
     w = RingElem(a, b, K)
-    assert w ** 3 == RingElem.one(K) and w.residue() == F4.A
+    if w ** 3 != RingElem.one(K) or w.residue() != F4.A:
+        raise SelfCheckError(f"no cube root of unity congruent to w found at precision {K}")
     return w
 
 
@@ -374,10 +376,11 @@ def multiplier_set(d: int, K: int) -> MultiplierSet:
             MultiplierRep(w2 * five_m, rw2 * root5, 1),
         ]
     for r in reps:
-        assert r.root.is_unit() and r.root ** d == r.value
+        if not r.root.is_unit() or r.root ** d != r.value:
+            raise SelfCheckError(f"multiplier {r.value} of degree {d}: stored root is no unit d-th root")
         # independent root extraction must also succeed
-        x = dth_root(r.value, d)
-        assert x ** d == r.value
+        if dth_root(r.value, d) ** d != r.value:
+            raise SelfCheckError(f"multiplier {r.value} of degree {d}: dth_root found no root")
     if KK != K:
         reps = [
             MultiplierRep(r.value.reduce_to(K), r.root.reduce_to(K), r.epsilon)

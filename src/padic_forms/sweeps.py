@@ -41,20 +41,25 @@ group only on rows whose A misses 0).  Each group walks a sum-set
 automaton of its degree and code family (`_SumAutomaton`, unit codes or
 negated even ones): states are `_sums` masks, and a table filled on first
 use gives the state after one more variable of each orbit: one lookup per
-variable.  Every admissible degree has the reps mod 8 of d = 6 (when
-3 | d) or of d = 10, and from the empty row only 28,298 unit and 2,039
-even states can be reached (53 and 27 when 3 does not divide d), so the
-table never passes its `_CAP` states; a walk that would raises.
+variable.  A unit walk starts from a table of the state after each pair
+of unit codes, filled whole when the automata are built, so its first
+two variables are one lookup.  Every admissible degree has the reps mod
+8 of d = 6 (when 3 | d) or of d = 10, and from the empty row only 28,298
+unit and 2,039 even states can be reached (53 and 27 when 3 does not
+divide d), so the table never passes its `_CAP` states; a walk that
+would raises.  New masks are numbered through an open-addressing table
+of ids, so a fill copies no array of the masks seen.
 
 Beyond its code matrix (one byte per variable and trial), a sampled
 sweep works in blocks: `_sample_codes` reads the generator and maps
-words to codes `_BLOCK` codes at a time, and `sweep_lemma` decides
-`_BLOCK` trials at a time.  numpy's `take` copies a uint8 or uint16
-index array to intp whole, and each step of the decision allocates
-arrays as wide as its trials, so at 100,000 trials whole-width work
-held several MB at once; a block holds a few hundred KB.  Each trial is
-decided on its own column, and the generator is read in whole words in
-its original order, so the blocks change no draw and no verdict.
+words to codes `_BLOCK` codes at a time, and `_sampled_verdicts` plans
+the anchors once, from the levels, then decides `_BLOCK` trials at a
+time.  numpy's `take` copies a uint8 or uint16 index array to intp
+whole, and each step of the decision allocates arrays as wide as its
+trials, so at 100,000 trials whole-width work held several MB at once;
+a block holds a few hundred KB.  Each trial is decided on its own
+column, and the generator is read in whole words in its original order,
+so the blocks change no draw and no verdict.
 
 Profiles the pass rejects are built as forms and handed to
 `search_certificate`, the pipeline's own contraction search (flat.py);
@@ -143,6 +148,8 @@ def _sums(X: np.ndarray, tab: _Tables, N: np.ndarray | None = None) -> np.ndarra
 
 
 _CAP = 0xFFFF  # states per automaton: ids 1.._CAP fit a uint16, 0 is "not filled yet"
+# the 48 unit codes a + 8b, a or b odd, in increasing order
+_UNITS = np.array([v for v in range(64) if (v | v >> 3) & 1], np.uint8)
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:
@@ -162,30 +169,67 @@ class _SumAutomaton:
         self.reps, self.tab, self.lock = reps, tab, threading.Lock()
         self.T = np.zeros((_CAP + 1) * len(reps), np.uint16)
         self.masks = np.zeros(_CAP + 1, np.uint64)  # per id
-        self.known, self.ids = np.zeros(1, np.uint64), np.ones(1, np.uint16)  # sorted masks, ids
+        self.n = 1  # states numbered, the empty row's id 1 included
+        # the ids by mask, open addressing: a mask's id sits at its home
+        # slot or the first one past it that was free, 0 is a free slot,
+        # and the table is at most half full
+        self.slots = np.zeros(1 << 10, np.uint16)
+        self._place(np.ones(1, np.uint16))
+        self.pairs = None  # the unit family's pair table, see `_automata`
+
+    def _slot(self, vals: np.ndarray, step: int) -> np.ndarray:
+        """The slot `step` places past each mask's home, the top bits of a
+        Fibonacci hash."""
+        h = vals * np.uint64(0x9E3779B97F4A7C15)
+        h >>= np.uint64(65 - len(self.slots).bit_length())
+        h += np.uint64(step)
+        h &= np.uint64(len(self.slots) - 1)
+        return h.view(np.intp)
+
+    def _place(self, ids: np.ndarray) -> None:
+        """Enter ids whose masks have none yet: each writes its slot if it
+        is free, and those whose slot holds another id probe on."""
+        step = 0
+        while ids.size:
+            h = self._slot(self.masks.take(ids), step)
+            free = self.slots.take(h) == 0
+            self.slots[h[free]] = ids[free]
+            ids, step = ids[self.slots.take(h) != ids], step + 1
 
     def number(self, N: np.ndarray) -> np.ndarray:
-        """The ids of the masks N, numbering new ones."""
-        vals = _distinct(N)
-        pos = np.searchsorted(self.known, vals)
-        new = self.known.take(pos, mode="clip") != vals
-        if len(self.known) + new.sum() > _CAP:
-            raise PadicFormsError(f"sum-set automaton needs more than {_CAP} states")
-        ids = self.ids.take(pos, mode="clip")
-        ids[new] = len(self.known) + 1 + np.arange(new.sum())
-        self.masks[ids[new]] = vals[new]
-        self.known = np.insert(self.known, pos[new], vals[new])
-        self.ids = np.insert(self.ids, pos[new], ids[new])
-        return ids.take(np.searchsorted(vals, N))
+        """The ids of the masks N, numbering new ones densely.  A fill
+        costs what its masks probe: only the new ones are sorted, and the
+        table is copied only when it doubles."""
+        ids = self.slots.take(self._slot(N, 0))
+        on, step = np.flatnonzero((ids != 0) & (self.masks.take(ids) != N)), 1  # slot of another mask
+        while on.size:
+            s = self.slots.take(self._slot(N.take(on), step))
+            ids[on] = s
+            on, step = on[(s != 0) & (self.masks.take(s) != N.take(on))], step + 1
+        miss = ids == 0
+        if miss.any():
+            vals = _distinct(N[miss])
+            if self.n + len(vals) > _CAP:
+                raise PadicFormsError(f"sum-set automaton needs more than {_CAP} states")
+            ids[miss] = self.n + 1 + np.searchsorted(vals, N[miss])
+            self.masks[self.n + 1 : self.n + 1 + len(vals)] = vals
+            self.n += len(vals)
+            if 2 * self.n > len(self.slots):
+                self.slots = np.zeros(1 << (2 * self.n).bit_length(), np.uint16)
+                self._place(np.arange(1, self.n + 1, dtype=np.uint16))
+            else:
+                self._place(np.arange(self.n + 1 - len(vals), self.n + 1, dtype=np.uint16))
+        return ids
 
-    def sums(self, cols: list) -> np.ndarray:
-        """Per row, the `_sums` mask of the variables of orbit indices cols.
-        A missing entry is filled by a `_sums` step."""
+    def walk(self, st: np.ndarray, cols) -> np.ndarray:
+        """Per row, the state after the variables of orbit indices cols
+        (one array per variable) from the state st.  A missing entry is
+        filled by a `_sums` step."""
         W = len(self.reps)
         with self.lock:
-            st = np.ones(len(cols[0]), np.uint16)
+            key = np.empty(len(st), np.intp)  # one buffer for every step
             for idx in cols:
-                key = np.multiply(st, W, dtype=np.intp)
+                np.multiply(st, W, out=key, dtype=np.intp)
                 key += idx
                 st = self.T.take(key)
                 if not st.all():
@@ -193,20 +237,29 @@ class _SumAutomaton:
                     N = _sums(self.reps[miss % W, None], self.tab, self.masks.take(miss // W))
                     self.T[miss] = self.number(N)
                     st = self.T.take(key)
-            return self.masks.take(st)
+            return st
 
 
 @lru_cache(maxsize=None)
 def _automata(d: int) -> tuple:
     """The unit-code and even-code automata of degree d, and per shift s
     the orbit index each code v walks as: v's in the unit family for
-    s = 0, that of -2^s v in the even family for s = 1 and 2."""
+    s = 0, that of -2^s v in the even family for s = 1 and 2.
+
+    The unit automaton's `pairs` holds, per two unit codes c1 and c2 at
+    c1 * 64 + c2, the state after a variable of each: a walk's first two
+    steps in one lookup (other entries stay 0).  It is numbered whole
+    here, before any walk and before another thread can see the
+    automaton, so its ids do not depend on the sweeps that follow."""
     tab = _tables(d)
-    unit = np.array([(v | v >> 3) & 1 for v in range(64)], bool)
-    units, evens = _distinct(tab.orbit[unit]), _distinct(tab.orbit[~unit])
+    units, evens = _distinct(tab.orbit[_UNITS]), _distinct(np.delete(tab.orbit, _UNITS))
     index = [np.searchsorted(units, tab.orbit)]
     index += [np.searchsorted(evens, tab.orbit)[_NEG_CODE[_SCALE[s]]] for s in (1, 2)]
-    return _SumAutomaton(units, tab), _SumAutomaton(evens, tab), np.array(index, np.uint8)
+    aut = _SumAutomaton(units, tab)
+    c1, c2 = np.repeat(_UNITS, len(_UNITS)), np.tile(_UNITS, len(_UNITS))
+    aut.pairs = np.zeros(64 * 64, np.uint16)
+    aut.pairs[c1.astype(np.intp) * 64 + c2] = aut.number(_sums(np.stack([c1, c2], 1), tab))
+    return aut, _SumAutomaton(evens, tab), np.array(index, np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +381,7 @@ _BLOCK = 1 << 15
 def _free_codes() -> np.ndarray:
     """Per 16-bit word w < 65520, the (w % 48)-th unit code (a or b odd):
     a lookup in place of a division per draw, built on first use."""
-    units = np.array([v for v in range(64) if (v | v >> 3) & 1], np.uint8)
-    return units.take(np.arange(65520) % 48)
+    return _UNITS.take(np.arange(65520) % 48)
 
 
 def _sample_codes(lem: SweepLemma, trials: int, raw) -> tuple:
@@ -433,42 +485,67 @@ def _profile_form(d: int, row) -> AdditiveForm:
     return _trial_form(d, row & 7, row >> 3, np.zeros(len(row), np.int8))
 
 
-def _anchor_zero(C: np.ndarray, shift: np.ndarray, d: int) -> np.ndarray:
-    """Per column of C, whether some multiplier-scaled sub-sum that uses a
-    row of shift 0 vanishes mod 8, row j read as 2^shift[j] times its unit
-    codes; rows of shifts other than 0, 1 and 2 are left out.
+def _anchor(shift: np.ndarray, d: int) -> tuple:
+    """One anchor's part of a sweep's plan, row j read as 2^shift[j] times
+    its unit codes: the rows of shift 0, and those of shifts 1 and 2, each
+    with the orbit indices its codes walk as in the even family.  Rows of
+    other shifts are left out."""
+    index = _automata(d)[2]
+    deeper = np.flatnonzero((shift == 1) | (shift == 2)).tolist()
+    return tuple(np.flatnonzero(shift == 0).tolist()), tuple((j, index[shift[j]]) for j in deeper)
+
+
+def _anchor_misses(C: np.ndarray, anchor: tuple, d: int) -> np.ndarray:
+    """The columns of C (ascending) where no multiplier-scaled sub-sum
+    that uses a shift-0 row of `anchor` (as `_anchor` plans it) vanishes
+    mod 8.
 
     Such a sum is x + y, x in A the nonempty sums of the shift-0 rows and
     y in B the sums of the others, the empty one included; it vanishes iff
     A meets -B.  A column whose A holds 0 is a hit whatever its deeper
     rows, so those run only on the other columns; there the empty sum in
     -B meets nothing, and the rest is the `_sums` of the deeper codes
-    scaled and negated, negation being additive."""
+    scaled and negated, negation being additive.  The shift-0 walk starts
+    at the pair table's state of its first two codes."""
     units, evens, index = _automata(d)
-    A = units.sums([index[0].take(C[j]) for j in np.flatnonzero(shift == 0)])
-    hit = (A & 1).astype(bool)
-    rest = np.flatnonzero(~hit)
-    deeper = np.flatnonzero((shift == 1) | (shift == 2))
-    if rest.size and deeper.size:
-        B = evens.sums([index[shift[j]].take(C[j].take(rest)) for j in deeper])
-        hit[rest] = (A.take(rest) & B) != 0
-    return hit
+    rows, deeper = anchor
+    if len(rows) > 1:
+        st = np.multiply(C[rows[0]], 64, dtype=np.intp)  # the pair's key, freed by its lookup
+        st += C[rows[1]]
+        st, rows = units.pairs.take(st), rows[2:]
+    else:
+        st = np.ones(C.shape[1], np.uint16)
+    A = units.masks.take(units.walk(st, (index[0].take(C[j]) for j in rows)))
+    rest = np.flatnonzero((A & 1) == 0)
+    if rest.size and deeper:
+        st = evens.walk(np.ones(rest.size, np.uint16), (orbit.take(C[j].take(rest)) for j, orbit in deeper))
+        rest = rest[(A.take(rest) & evens.masks.take(st)) == 0]
+    return rest
 
 
 def _sampled_verdicts(C: np.ndarray, col_levels: np.ndarray, d: int) -> np.ndarray:
     """Per trial, whether some anchor level kappa has a vanishing
     combination over the variables at levels kappa..kappa+2 (deeper ones
     vanish mod 2^(kappa+3)) that uses a level-kappa one.  C holds the
-    codes with one row per variable, as `_sample_codes` draws them."""
-    ok = np.zeros(C.shape[1], bool)
-    rem = np.arange(C.shape[1])
-    for kappa in range(int(col_levels.max()) + 1):
-        shift = col_levels - kappa
-        if not rem.size or not (shift == 0).any() or ((shift >= 0) & (shift <= 2)).sum() < 2:
-            continue
-        hit = _anchor_zero(C if rem.size == len(ok) else C.take(rem, axis=1), shift, d)
-        ok[rem[hit]] = True
-        rem = rem[~hit]
+    codes with one row per variable, as `_sample_codes` draws them.
+
+    The anchors are planned once, from the levels alone; an anchor with
+    no level-kappa row, or with one row in its three levels (one variable
+    never vanishes), is left out.  Then each block of `_BLOCK` trials
+    runs the anchors from the lowest, each on the trials no earlier one
+    decided."""
+    plan = [_anchor(col_levels - kappa, d) for kappa in range(int(col_levels.max()) + 1)]
+    plan = [(rows, deeper) for rows, deeper in plan if rows and len(rows) + len(deeper) > 1]
+    ok = np.ones(C.shape[1], bool)
+    for i in range(0, C.shape[1], _BLOCK):
+        block = C[:, i : i + _BLOCK]
+        rem = np.arange(block.shape[1])  # the block's trials no anchor decided yet
+        for anchor in plan:
+            if not rem.size:
+                break
+            sub = block if rem.size == block.shape[1] else block.take(rem, axis=1)
+            rem = rem.take(_anchor_misses(sub, anchor, d))
+        ok[i + rem] = False
     return ok
 
 
@@ -525,8 +602,7 @@ def sweep_lemma(
     else:
         C, col_levels = _sample_codes(lem, trials, np.random.default_rng(seed).bit_generator.random_raw)
         total = trials
-        ok = np.concatenate([_sampled_verdicts(C[:, i : i + _BLOCK], col_levels, lem.d)
-                             for i in range(0, trials, _BLOCK)])
+        ok = _sampled_verdicts(C, col_levels, lem.d)
         resolution["closure"] = int(ok.sum())
         for ridx in np.flatnonzero(~ok):
             ua, ub = C[:, ridx] & 7, C[:, ridx] >> 3

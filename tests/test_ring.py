@@ -20,6 +20,7 @@ from padic_forms.errors import (
     NotADthPower,
     NotAUnit,
     PrecisionMismatch,
+    SelfCheckError,
 )
 from padic_forms.ring import (
     INFINITE,
@@ -259,6 +260,33 @@ def test_multiplier_set_cached():
     for d in (6.0, True, [6], 8):
         with pytest.raises(DegreeShapeError):
             multiplier_set(d, 8)
+
+
+# the self-checks of the cube root and the multiplier reps raise a library
+# error, so `python -O` keeps them; each test forces its fault
+
+
+def test_teichmuller_self_check_raises(monkeypatch):
+    # a fourth power that is the identity leaves w = (0, 1), whose cube is not 1
+    monkeypatch.setattr(ring, "pow_pair", lambda a, b, e, mod: (a % mod, b % mod))
+    with pytest.raises(SelfCheckError, match="cube root of unity"):
+        teichmuller_alpha(8)
+
+
+def test_multiplier_root_self_check_raises(monkeypatch):
+    monkeypatch.setattr(ring, "_MULTIPLIER_CACHE", {})
+    monkeypatch.setattr(RingElem, "is_unit", lambda self: False)
+    with pytest.raises(SelfCheckError, match="stored root is no unit"):
+        multiplier_set(6, 8)
+
+
+def test_multiplier_dth_root_self_check_raises(monkeypatch):
+    # a "root" 3 * t, whose d-th power is not t
+    monkeypatch.setattr(ring, "_MULTIPLIER_CACHE", {})
+    monkeypatch.setattr(ring, "dth_root", lambda t, d: t * RingElem(3, 0, t.K))
+    with pytest.raises(SelfCheckError, match="dth_root found no root"):
+        multiplier_set(10, 8)
+    assert ring._MULTIPLIER_CACHE == {}
 
 
 # --- root extraction -------------------------------------------------------

@@ -20,7 +20,8 @@ from padic_forms.ring import RingElem, multiplier_set
 from padic_forms.sweeps import (
     SWEEP_LEMMAS,
     SweepLemma,
-    _anchor_zero,
+    _anchor,
+    _anchor_misses,
     _class_codes,
     _NEG_CODE,
     _SCALE,
@@ -214,10 +215,13 @@ def test_automaton_entries_are_sums_steps():
         tab = _tables(d)
         units, evens, index = _automata(d)
         for aut in (units, evens):
-            W, n = len(aut.reps), len(aut.known)
-            assert aut.masks[1] == 0 and sorted(aut.ids.tolist()) == list(range(1, n + 1))
-            assert np.array_equal(aut.masks[aut.ids], aut.known)
-            assert len(np.unique(aut.masks[1 : n + 1])) == n
+            W, n = len(aut.reps), aut.n
+            # the index holds each id once, at most half full, and looking
+            # every numbered mask up finds its own id and numbers nothing
+            assert aut.masks[1] == 0 and sorted(aut.slots[aut.slots != 0]) == list(range(1, n + 1))
+            assert 2 * n <= len(aut.slots)
+            assert aut.number(aut.masks[1 : n + 1]).tolist() == list(range(1, n + 1)) and aut.n == n
+            assert len(np.unique(aut.masks[1 : n + 1])) == n and not aut.masks[n + 1 :].any()
             T = aut.T.reshape(-1, W)
             assert not T[n + 1 :].any() and not T[0].any()
             s, o = np.nonzero(T[: n + 1])
@@ -291,13 +295,111 @@ def test_automaton_past_its_cap_raises(monkeypatch):
     monkeypatch.setattr(sweeps, "_CAP", 40)
     _automata.cache_clear()
     try:
+        # at d = 6 the pair table alone needs 301 states
         with pytest.raises(PadicFormsError, match="more than 40 states"):
             sweep_lemma("541", "SAMPLED", trials=3000, seed=1)
-        # a fill that would pass the cap numbers nothing
-        units = _automata(6)[0]
-        assert len(units.known) <= 40 and not units.masks[len(units.known) + 1 :].any()
+        # at d = 10 it needs 27, and a walk passes the cap; a fill that
+        # would pass it numbers nothing
+        units = _automata(10)[0]
+        with pytest.raises(PadicFormsError, match="more than 40 states"):
+            sweep_lemma("31", "SAMPLED", trials=3000, seed=1)
+        assert units.n == 27 and not units.masks[units.n + 1 :].any()
     finally:
         _automata.cache_clear()
+
+
+def _pair_keys() -> np.ndarray:
+    return (np.repeat(UNIT_CODES, 48) * 64 + np.tile(UNIT_CODES, 48)).astype(np.intp)
+
+
+def test_pair_table_is_two_walk_steps():
+    # every entry of a unit code pair is the state a walk of its two orbit
+    # indices reaches from the empty row; every other entry is 0
+    for d in (6, 10):
+        units, _, index = _automata(d)
+        key = _pair_keys()
+        walked = units.walk(np.ones(len(key), np.uint16), [index[0][key >> 6], index[0][key & 63]])
+        assert np.array_equal(units.pairs[key], walked), d
+        assert np.array_equal(units.masks[walked], _sums(np.stack([key >> 6, key & 63], 1), _tables(d)))
+        assert units.pairs.dtype == np.uint16 and np.count_nonzero(units.pairs) == 48 * 48
+
+
+def test_pair_table_does_not_depend_on_the_input():
+    # built afresh, first by another sweep, at another seed, and by a shape
+    # whose first anchor walks one level-0 row before any pair is looked up
+    def tables():
+        return [(_automata(d)[0].pairs.copy(), _automata(d)[0].masks[_automata(d)[0].pairs]) for d in (6, 10)]
+
+    runs = [[("0061", None, 42), ("5", None, 42)],
+            [("541", None, 9), ("23", None, 9)],
+            [("lone6", SweepLemma("lone6", 6, None, (1, 3), None), 3),
+             ("lone10", SweepLemma("lone10", 10, None, (1, 3), None), 3)]]
+    got = []
+    try:
+        for run in runs:
+            _automata.cache_clear()
+            for lid, lem, seed in run:
+                C, lv = draw(lem or SWEEP_LEMMAS[lid], 2000, seed)
+                _sampled_verdicts(C, lv, (lem or SWEEP_LEMMAS[lid]).d)
+            got.append(tables())
+    finally:
+        _automata.cache_clear()
+    for other in got[1:]:
+        for (pairs, masks), (want_pairs, want_masks) in zip(other, got[0]):
+            assert np.array_equal(pairs, want_pairs) and np.array_equal(masks, want_masks)
+
+
+def test_walk_from_start_states_equals_the_full_walk():
+    # a walk continued from the states of its first columns, or from the
+    # pair table's state of its first two codes, ends where the whole walk
+    # from the empty row ends, at each row's `_sums` mask
+    rng = np.random.default_rng(11)
+    for d in (6, 10):
+        units, _, index = _automata(d)
+        X = rng.choice(np.array(UNIT_CODES, np.uint8), (3000, 6))
+        cols = [index[0][col] for col in X.T]
+        full = units.walk(np.ones(len(X), np.uint16), cols)
+        assert np.array_equal(units.masks[full], _sums(X, _tables(d))), d
+        for j in range(7):
+            mid = units.walk(np.ones(len(X), np.uint16), cols[:j])
+            assert np.array_equal(units.walk(mid, cols[j:]), full), (d, j)
+        start = units.pairs[X[:, 0].astype(np.intp) * 64 + X[:, 1]]
+        assert np.array_equal(units.walk(start, cols[2:]), full), d
+
+
+def _any_anchor(lem, C, lv) -> list:
+    """Per trial, whether flat.py's scalar kernel finds a zero at some anchor."""
+    return [any(_scalar_zero(trial(lem.d, C, lv, i), int(k)) for k in np.unique(lv))
+            for i in range(C.shape[1])]
+
+
+def test_sampled_verdicts_plan_edge_cases(monkeypatch):
+    # anchor groups of exactly one and exactly two level-0 rows (a pair
+    # lookup with no column left to walk), against the scalar kernel
+    for lem in (SweepLemma("one0", 6, None, (1, 3), None), SweepLemma("two0", 10, None, (2, 2), None),
+                SweepLemma("one0b", 10, (1, 0, 0), (0, 2), None)):
+        C, lv = draw(lem, 400, 5)
+        assert len(_anchor(lv, lem.d)[0]) == sum(lv == 0)
+        want = _any_anchor(lem, C, lv)
+        assert _sampled_verdicts(C, lv, lem.d).tolist() == want, lem.id
+        assert set(want) == {False, True}, lem.id
+        # one-trial blocks, and a lone trial, give the same verdicts
+        monkeypatch.setattr(sweeps, "_BLOCK", 1)
+        assert _sampled_verdicts(C, lv, lem.d).tolist() == want, lem.id
+        assert _sampled_verdicts(C[:, :1], lv, lem.d).tolist() == want[:1], lem.id
+        monkeypatch.undo()
+    # blocks that anchor 0 decides completely run no later anchor: 52
+    # level-0 columns over 24 orbits decide every trial, and the two
+    # level-1 rows plan an anchor 1 that is never walked
+    calls = []
+    real = sweeps._anchor_misses
+    monkeypatch.setattr(sweeps, "_anchor_misses",
+                        lambda C, anchor, d: calls.append(anchor[0]) or real(C, anchor, d))
+    monkeypatch.setattr(sweeps, "_BLOCK", 100)
+    lem = SweepLemma("over2", 6, None, (52, 2), None)
+    C, lv = draw(lem, 300, 1)
+    assert _sampled_verdicts(C, lv, 6).all()
+    assert calls == [tuple(range(52))] * 3
 
 
 def test_bogus_exhaustive_lemma_reports_weighted_failures(monkeypatch):
@@ -393,11 +495,11 @@ def test_packed_dp_matches_scalar_kernel(monkeypatch):
     # the deeper one.  At anchor 0 the anchor group runs on every row and
     # the deeper group only on the rows whose level-0 variables alone have
     # no vanishing sub-sum, counted here by the scalar kernel; the rows
-    # each automaton walk is handed show which groups ran
+    # each automaton walk starts from show which groups ran
     rows_in = []
-    real = sweeps._SumAutomaton.sums
-    monkeypatch.setattr(sweeps._SumAutomaton, "sums",
-                        lambda aut, cols: rows_in.append(len(cols[0])) or real(aut, cols))
+    real = sweeps._SumAutomaton.walk
+    monkeypatch.setattr(sweeps._SumAutomaton, "walk",
+                        lambda aut, st, cols: rows_in.append(len(st)) or real(aut, st, cols))
     cases = [
         (SWEEP_LEMMAS["0241"], 2000),
         (SWEEP_LEMMAS["401"], 2000),
@@ -451,7 +553,8 @@ def test_anchor_join_matches_whole_rows():
         forms = [trial(lem.d, C, lv, i) for i in range(trials)]
         for kappa in np.unique(lv):
             scalar = [_scalar_zero(f, int(kappa)) for f in forms]
-            got = _anchor_zero(C, lv - kappa, lem.d)
+            got = np.ones(trials, bool)
+            got[_anchor_misses(C, _anchor(lv - kappa, lem.d), lem.d)] = False
             assert got.tolist() == scalar, (lem.id, seed, kappa)
             verdicts.setdefault((lem.id, int(kappa)), set()).update(scalar)
     assert verdicts["two6", 0] == verdicts["two10", 0] == {False, True}
@@ -462,8 +565,8 @@ def test_anchor_join_matches_whole_rows():
     # `_sums` mask
     C, lv = draw(cases[-1][0], 500, 1)
     units, _, index = _automata(6)
-    assert np.array_equal(units.sums([index[0][row] for row in C[lv == 0]]),
-                          _sums(C[lv == 0].T, _tables(6)))
+    st = units.walk(np.ones(500, np.uint16), [index[0][row] for row in C[lv == 0]])
+    assert np.array_equal(units.masks[st], _sums(C[lv == 0].T, _tables(6)))
 
 
 def test_anchor_zero_matches_the_full_join(monkeypatch):
@@ -473,9 +576,9 @@ def test_anchor_zero_matches_the_full_join(monkeypatch):
     # A decides no row, some rows and every row; the deeper group runs
     # only on the rows A leaves, and rows of other shifts are left out
     rows_in = []
-    real = sweeps._SumAutomaton.sums
-    monkeypatch.setattr(sweeps._SumAutomaton, "sums",
-                        lambda aut, cols: rows_in.append(len(cols[0])) or real(aut, cols))
+    real = sweeps._SumAutomaton.walk
+    monkeypatch.setattr(sweeps._SumAutomaton, "walk",
+                        lambda aut, st, cols: rows_in.append(len(st)) or real(aut, st, cols))
     rng = np.random.default_rng(23)
     tab = _tables(6)
     units = np.array(UNIT_CODES, np.uint8)
@@ -498,7 +601,7 @@ def test_anchor_zero_matches_the_full_join(monkeypatch):
         C = np.concatenate([XA, XB, XA], axis=1).T  # a shift -1 copy of XA, left out
         sh = np.concatenate([np.zeros(XA.shape[1], np.int8), shift,
                              np.full(XA.shape[1], -1, np.int8)])
-        assert np.array_equal(_anchor_zero(C, sh, 6), full), want_left
+        assert np.array_equal(_anchor_misses(C, _anchor(sh, 6), 6), np.flatnonzero(~full)), want_left
         assert rows_in == ([n, left] if left else [n]), want_left
 
 
