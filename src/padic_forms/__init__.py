@@ -28,7 +28,6 @@ from .errors import (
     OracleBudgetError,
     PadicFormsError,
     PrecisionMismatch,
-    SelfCheckError,
 )
 from .flat import SearchOutcome
 from .forms import (
@@ -87,7 +86,6 @@ __all__ = [
     "RingElem",
     "SWEEP_LEMMAS",
     "SearchOutcome",
-    "SelfCheckError",
     "SweepReport",
     "Witness",
     "agreement_experiment",

@@ -36,8 +36,8 @@ generator words, uniform over its residue class's 16 codes or over all
 group and the deeper one (levels kappa + 1, kappa + 2, a code v read as
 2^(level - kappa) * v).  Its anchored sums are A + B, A the nonempty sums
 of the first group and B the sums of the second, the empty one included,
-so 0 is among them iff A meets -B (`_anchor_zero`, which runs the deeper
-group only on rows whose A misses 0).  Each group walks a sum-set
+so 0 is among them iff A meets -B (`_anchor_misses`, which runs the
+deeper group only on rows whose A misses 0).  Each group walks a sum-set
 automaton of its degree and code family (`_SumAutomaton`, unit codes or
 negated even ones): states are `_sums` masks, and a table filled on first
 use gives the state after one more variable of each orbit: one lookup per
@@ -47,8 +47,7 @@ two variables are one lookup.  Every admissible degree has the reps mod
 8 of d = 6 (when 3 | d) or of d = 10, and from the empty row only 28,298
 unit and 2,039 even states can be reached (53 and 27 when 3 does not
 divide d), so the table never passes its `_CAP` states; a walk that
-would raises.  New masks are numbered through an open-addressing table
-of ids, so a fill copies no array of the masks seen.
+would raises.
 
 Beyond its code matrix (one byte per variable and trial), a sampled
 sweep works in blocks: `_sample_codes` reads the generator and maps
@@ -169,57 +168,22 @@ class _SumAutomaton:
         self.reps, self.tab, self.lock = reps, tab, threading.Lock()
         self.T = np.zeros((_CAP + 1) * len(reps), np.uint16)
         self.masks = np.zeros(_CAP + 1, np.uint64)  # per id
-        self.n = 1  # states numbered, the empty row's id 1 included
-        # the ids by mask, open addressing: a mask's id sits at its home
-        # slot or the first one past it that was free, 0 is a free slot,
-        # and the table is at most half full
-        self.slots = np.zeros(1 << 10, np.uint16)
-        self._place(np.ones(1, np.uint16))
+        self.known, self.ids = np.zeros(1, np.uint64), np.ones(1, np.uint16)  # sorted masks, ids
         self.pairs = None  # the unit family's pair table, see `_automata`
 
-    def _slot(self, vals: np.ndarray, step: int) -> np.ndarray:
-        """The slot `step` places past each mask's home, the top bits of a
-        Fibonacci hash."""
-        h = vals * np.uint64(0x9E3779B97F4A7C15)
-        h >>= np.uint64(65 - len(self.slots).bit_length())
-        h += np.uint64(step)
-        h &= np.uint64(len(self.slots) - 1)
-        return h.view(np.intp)
-
-    def _place(self, ids: np.ndarray) -> None:
-        """Enter ids whose masks have none yet: each writes its slot if it
-        is free, and those whose slot holds another id probe on."""
-        step = 0
-        while ids.size:
-            h = self._slot(self.masks.take(ids), step)
-            free = self.slots.take(h) == 0
-            self.slots[h[free]] = ids[free]
-            ids, step = ids[self.slots.take(h) != ids], step + 1
-
     def number(self, N: np.ndarray) -> np.ndarray:
-        """The ids of the masks N, numbering new ones densely.  A fill
-        costs what its masks probe: only the new ones are sorted, and the
-        table is copied only when it doubles."""
-        ids = self.slots.take(self._slot(N, 0))
-        on, step = np.flatnonzero((ids != 0) & (self.masks.take(ids) != N)), 1  # slot of another mask
-        while on.size:
-            s = self.slots.take(self._slot(N.take(on), step))
-            ids[on] = s
-            on, step = on[(s != 0) & (self.masks.take(s) != N.take(on))], step + 1
-        miss = ids == 0
-        if miss.any():
-            vals = _distinct(N[miss])
-            if self.n + len(vals) > _CAP:
-                raise PadicFormsError(f"sum-set automaton needs more than {_CAP} states")
-            ids[miss] = self.n + 1 + np.searchsorted(vals, N[miss])
-            self.masks[self.n + 1 : self.n + 1 + len(vals)] = vals
-            self.n += len(vals)
-            if 2 * self.n > len(self.slots):
-                self.slots = np.zeros(1 << (2 * self.n).bit_length(), np.uint16)
-                self._place(np.arange(1, self.n + 1, dtype=np.uint16))
-            else:
-                self._place(np.arange(self.n + 1 - len(vals), self.n + 1, dtype=np.uint16))
-        return ids
+        """The ids of the masks N, numbering new ones."""
+        vals = _distinct(N)
+        pos = np.searchsorted(self.known, vals)
+        new = self.known.take(pos, mode="clip") != vals
+        if len(self.known) + new.sum() > _CAP:
+            raise PadicFormsError(f"sum-set automaton needs more than {_CAP} states")
+        ids = self.ids.take(pos, mode="clip")
+        ids[new] = len(self.known) + 1 + np.arange(new.sum())
+        self.masks[ids[new]] = vals[new]
+        self.known = np.insert(self.known, pos[new], vals[new])
+        self.ids = np.insert(self.ids, pos[new], ids[new])
+        return ids.take(np.searchsorted(vals, N))
 
     def walk(self, st: np.ndarray, cols) -> np.ndarray:
         """Per row, the state after the variables of orbit indices cols

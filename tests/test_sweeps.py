@@ -215,12 +215,9 @@ def test_automaton_entries_are_sums_steps():
         tab = _tables(d)
         units, evens, index = _automata(d)
         for aut in (units, evens):
-            W, n = len(aut.reps), aut.n
-            # the index holds each id once, at most half full, and looking
-            # every numbered mask up finds its own id and numbers nothing
-            assert aut.masks[1] == 0 and sorted(aut.slots[aut.slots != 0]) == list(range(1, n + 1))
-            assert 2 * n <= len(aut.slots)
-            assert aut.number(aut.masks[1 : n + 1]).tolist() == list(range(1, n + 1)) and aut.n == n
+            W, n = len(aut.reps), len(aut.known)
+            assert aut.masks[1] == 0 and sorted(aut.ids.tolist()) == list(range(1, n + 1))
+            assert np.array_equal(aut.masks[aut.ids], aut.known)
             assert len(np.unique(aut.masks[1 : n + 1])) == n and not aut.masks[n + 1 :].any()
             T = aut.T.reshape(-1, W)
             assert not T[n + 1 :].any() and not T[0].any()
@@ -303,7 +300,7 @@ def test_automaton_past_its_cap_raises(monkeypatch):
         units = _automata(10)[0]
         with pytest.raises(PadicFormsError, match="more than 40 states"):
             sweep_lemma("31", "SAMPLED", trials=3000, seed=1)
-        assert units.n == 27 and not units.masks[units.n + 1 :].any()
+        assert len(units.known) == 27 and not units.masks[len(units.known) + 1 :].any()
     finally:
         _automata.cache_clear()
 
