@@ -4,6 +4,9 @@ Subcommands:
   solve FORM            decide isotropy, print verdict JSON
   oracle FORM           complete decision by modular exhaustion
   witness verify F W    re-check a witness file against a form file
+  certificate verify F C
+                        re-check a contraction certificate against a form
+                        file; C is the certificate or `solve`'s output
   lemma verify ID       run one contraction-lemma sweep
   lemma probe ID        ask whether one fewer variable would still work
   reproduce             run the full verification battery as a table
@@ -33,7 +36,9 @@ from .artifacts import (
     named_form,
     verify_descent,
 )
+from .engine import certificate_from_json, validate_certificate
 from .errors import (
+    CertificateError,
     DegreeShapeError,
     OracleBudgetError,
     PadicFormsError,
@@ -151,6 +156,20 @@ def cmd_witness(args) -> int:
         raise ValueError(f"cannot parse witness file {args.witness!r}: {exc}") from exc
     ok = verify_witness(f, w)
     _emit({"valid": ok, "targetValuation": w.V, "primitive": w.primitive}, args.out)
+    return EX_OK if ok else EX_FAIL
+
+
+def cmd_certificate(args) -> int:
+    f = load_form(args.form)
+    try:
+        doc = json.loads(_read(args.certificate))
+        if isinstance(doc, dict) and "contraction" in doc:  # `solve`'s output
+            doc = doc["contraction"]
+        cert = certificate_from_json(doc)
+    except (CertificateError, ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"cannot parse certificate file {args.certificate!r}: {exc}") from exc
+    ok = validate_certificate(f, cert)
+    _emit({"valid": ok, "anchor": cert.anchor_leaf, "anchorLevel": cert.anchor_level}, args.out)
     return EX_OK if ok else EX_FAIL
 
 
@@ -333,6 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("witness")
     common(sp)
     sp.set_defaults(fn=cmd_witness)
+
+    sp = sub.add_parser("certificate", help="contraction certificate operations")
+    sp.add_argument("action", choices=["verify"])
+    sp.add_argument("form")
+    sp.add_argument("certificate", help="a contraction document, or solve's output")
+    common(sp)
+    sp.set_defaults(fn=cmd_certificate)
 
     sp = sub.add_parser("lemma", help="verify one contraction lemma by sweep")
     sp.add_argument(

@@ -12,10 +12,14 @@ digits trusted, and the value's level inside that window.  A leaf trusts
 the three digits from its level up, the digits the mod 2^(k+3) question
 reads, so a certificate built on leaves is valid for every completion of
 the unseen digits; validation recomputes the tree with exact arithmetic
-to confirm.  `make_leaf` and `contract` build the nodes of a JSON
-document; flat.py's `contraction_from_flat` builds the same nodes on int
-pairs for the kernel's solutions, one leaf per pick and two children per
-contraction, and the tests check its trees against these two builders.
+to confirm.  A leaf may also carry an exponent m: its variable is 2^m
+times a unit, so the leaf stands for the coefficient times 2^(d m).
+Certificates name the caller's form, the root of any derived form, and
+`validate_certificate` checks them against it.  `make_leaf` and
+`contract` build the nodes of a JSON document; flat.py's
+`contraction_from_flat` builds the same nodes on int pairs for the
+kernel's solutions, one leaf per pick and two children per contraction,
+and the tests check its trees against these two builders.
 `_certificate_from` is the only certificate builder.
 """
 
@@ -26,7 +30,7 @@ from typing import NamedTuple
 
 from .errors import CertificateError, NotADthPower, NotAUnit
 from .forms import AdditiveForm
-from .ring import MultiplierRep, RingElem, dth_root, multiplier_set, pow_pair
+from .ring import INFINITE, MultiplierRep, RingElem, dth_root, multiplier_set, pow_pair
 
 
 class VarNode(NamedTuple):
@@ -34,8 +38,10 @@ class VarNode(NamedTuple):
     2^J, and level is the value's valuation inside that window (None when
     the value is 0 mod 2^J).  `choices` holds the multiplier applied to
     each child, aligned with `children`; kappa is the minimum leaf level
-    in the subtree (the prospective anchor level).  A named tuple, the
-    cheapest immutable record to build once per node."""
+    in the subtree (the prospective anchor level).  A leaf's `exp` is m
+    when its variable is 2^m times a unit: its value is the coefficient
+    times 2^(d m).  A named tuple, the cheapest immutable record to build
+    once per node."""
 
     id: int
     value: RingElem
@@ -47,6 +53,7 @@ class VarNode(NamedTuple):
     var: int | None = None
     children: tuple = ()
     choices: tuple = ()
+    exp: int = 0
 
     def achieved(self) -> int:
         return self.J if self.level is None else self.level
@@ -56,15 +63,16 @@ class VarNode(NamedTuple):
         return self.J >= need and self.achieved() >= need
 
 
-def make_leaf(var_index: int, coeff: RingElem, window: int) -> VarNode:
+def make_leaf(var_index: int, coeff: RingElem, window: int, exp: int = 0) -> VarNode:
     """A leaf trusting the three digits from its level up; since that
-    window reaches past the level, the level is the valuation."""
+    window reaches past the level, the level is the valuation.  `coeff` is
+    the term's coefficient, already times 2^(d exp)."""
     x = coeff.a | coeff.b  # the valuation is the lowest set bit, val_pair inline
     lvl = (x & -x).bit_length() - 1 if x else coeff.K
     if not lvl < window <= coeff.K:
         raise CertificateError(f"leaf {var_index}: level {lvl} is not below its window {window}")
     return VarNode(var_index, coeff, min(window, lvl + 3), lvl, lvl,
-                   frozenset((var_index,)), "leaf", var_index)
+                   frozenset((var_index,)), "leaf", var_index, (), (), exp)
 
 
 def contract(children: tuple, choices: tuple, new_id: int) -> VarNode:
@@ -169,14 +177,19 @@ def _unit_powers_mod8(d: int) -> frozenset:
 
 
 def validate_certificate(f: AdditiveForm, cert: ContractionCertificate) -> bool:
-    """Recompute the tree with exact arithmetic at precision K and check the
-    root vanishes mod 2^(anchor + 3).  Also refused: a structural defect,
-    a node that is not exactly one node's child (the root excepted), a
-    multiplier that is not a unit d-th power, a leaf whose trusted window
-    stops below anchor + 3, and a contraction whose recorded value is not
-    the sum of its children's recorded values times their multipliers.
-    The leaves' recorded values are not compared with the form's
-    coefficients: the tree proves every form it recomputes to a zero."""
+    """Recompute the tree with exact arithmetic against f's root form, the
+    caller's form any derived form came from, and check the root vanishes
+    mod 2^(anchor + 3).  A leaf with exponent m stands for its variable's
+    coefficient times 2^(d m): its level is the coefficient's plus d m and
+    it is trusted only to the coefficient's window plus d m.  Values are
+    computed mod 2^max(K, anchor + 3), K the root form's precision.  Also
+    refused: a structural defect, a node that is not exactly one node's
+    child (the root excepted), a multiplier that is not a unit d-th power,
+    a negative exponent, a leaf whose trusted window stops below
+    anchor + 3, and a contraction whose recorded value is not the sum of
+    its children's recorded values times their multipliers.  The leaves'
+    recorded values are not compared with the form's coefficients: the
+    tree proves every form it recomputes to a zero."""
     nmap = cert.node_map()
     if cert.root not in nmap:
         return False
@@ -184,27 +197,45 @@ def validate_certificate(f: AdditiveForm, cert: ContractionCertificate) -> bool:
         order = _collect_tree(nmap[cert.root], nmap)
     except KeyError:
         return False
-    K = f.K
-    mask = (1 << K) - 1
-    coeffs, levels, windows, s = f.coeffs, f.levels(), f.windows, f.s
-    powers = _unit_powers_mod8(f.d)
-    values: dict[int, tuple[int, int]] = {}  # exact node values as int pairs mod 2^K
-    leaf_vars: set = set()
-    kmin = wmin = K  # the least leaf level and window; every level is below K
+    root = f.root()
+    d = root.d
+    coeffs, levels, windows, s = root.coeffs, root.levels(), root.windows, root.s
+    powers = _unit_powers_mod8(d)
+    values: dict[int, tuple[int, int]] = {}  # exact node values as int pairs
+    leaf_level: dict[int, int] = {}  # variable -> its leaf's level
+    shifted = []  # (node id, variable, d exp) of the leaves with an exponent
+    kmin = wmin = INFINITE  # the least leaf level and window
     # the leaves first; then the contractions in `order`, each after its
     # children, so a child's value is known unless the walk met a cycle
     for n in order:
         if n.kind == "leaf":
-            var = n.var
-            if var is None or not 0 <= var < s or var in leaf_vars:
+            var, m = n.var, n.exp
+            if var is None or not 0 <= var < s or var in leaf_level or m < 0:
                 return False
-            leaf_vars.add(var)
-            c = coeffs[var]
-            values[n.id] = (c.a, c.b)
-            if levels[var] < kmin:
-                kmin = levels[var]
-            if windows[var] < wmin:
-                wmin = windows[var]
+            lvl, w = levels[var], windows[var]
+            if m:
+                shift = d * m
+                lvl += shift
+                w += shift
+                shifted.append((n.id, var, shift))
+            else:
+                c = coeffs[var]
+                values[n.id] = (c.a, c.b)
+            leaf_level[var] = lvl
+            if lvl < kmin:
+                kmin = lvl
+            if w < wmin:
+                wmin = w
+    if not leaf_level:
+        return False
+    need = kmin + 3
+    if wmin < need:
+        return False
+    K = max(root.K, need)
+    mask = (1 << K) - 1
+    for nid, var, shift in shifted:  # masked here, once K is known
+        c = coeffs[var]
+        values[nid] = ((c.a << shift) & mask, (c.b << shift) & mask) if shift < K else (0, 0)
     consumed = 0
     for n in order:
         if n.kind != "leaf":
@@ -234,13 +265,9 @@ def validate_certificate(f: AdditiveForm, cert: ContractionCertificate) -> bool:
             values[n.id] = (ta & mask, tb & mask)
     # the walk reached every node but the root as some node's child, so a
     # count above that means a node consumed twice (or the root consumed)
-    if consumed != len(order) - 1 or not leaf_vars:
+    if consumed != len(order) - 1:
         return False
-    anchor = cert.anchor_leaf
-    if cert.anchor_level != kmin or anchor not in leaf_vars or levels[anchor] != kmin:
-        return False
-    need = kmin + 3
-    if need > K or wmin < need:
+    if cert.anchor_level != kmin or leaf_level.get(cert.anchor_leaf) != kmin:
         return False
     ra, rb = values[cert.root]
     return not (ra | rb) & ((1 << need) - 1)
@@ -261,6 +288,8 @@ def certificate_to_json(cert: ContractionCertificate) -> dict:
         }
         if n.kind == "leaf":
             rec["var"] = n.var
+            if n.exp:
+                rec["exp"] = n.exp
         else:
             rec["children"] = list(n.children)
         choice = consumed_by.get(n.id)
@@ -280,12 +309,13 @@ def certificate_to_json(cert: ContractionCertificate) -> dict:
 
 
 def certificate_from_json(doc: dict) -> ContractionCertificate:
-    """Rebuild a certificate through `make_leaf` and `contract`; a
-    malformed document (a missing or mistyped field, an unknown or cyclic
-    node id, a leaf that is 0 at the precision, a multiplier that is not a
-    unit d-th power, a rep's value with another epsilon, a contraction
-    whose recorded value is not its children's sum) raises
-    CertificateError."""
+    """Rebuild a certificate through `make_leaf` and `contract`; a leaf's
+    `exp` defaults to 0.  A malformed document (a missing or mistyped
+    field, an unknown or cyclic node id, a leaf that is 0 at the precision
+    or whose `var` or `exp` is not a whole number, a negative `exp`, a
+    multiplier that is not a unit d-th power, a rep's value with another
+    epsilon, a contraction whose recorded value is not its children's sum)
+    raises CertificateError."""
     try:
         d, K = doc["degree"], doc["precision"]
         raw = {rec["id"]: rec for rec in doc["nodes"]}
@@ -324,7 +354,11 @@ def certificate_from_json(doc: dict) -> ContractionCertificate:
         try:
             val = RingElem(rec["value"][0], rec["value"][1], K)
             if rec["kind"] == "leaf":
-                node = make_leaf(rec["var"], val, K)
+                var, exp = rec["var"], rec.get("exp", 0)
+                if any(type(x) is not int for x in (var, exp)) or exp < 0:
+                    raise CertificateError(f"certificate leaf {nid!r} has variable {var!r} "
+                                           f"and exponent {exp!r}")
+                node = make_leaf(var, val, K, exp)
             else:
                 children = tuple(build(c) for c in rec["children"])
                 choices = tuple(

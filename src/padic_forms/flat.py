@@ -22,17 +22,20 @@ a or b at 8 or more are guards: translating by (ta, tb) is one left
 shift by ta + 16 tb, whose carries land in the guards, and after a
 term's shifted copies are ORed together one fold takes every sum back
 mod 8.  The variables are sorted into levels once per form, so each
-anchor visits only the terms that can reach its range; pass 1, which
-allows no wrap, reads each term's code straight off its coefficient.
-A term takes part only when its trusted window covers the digits the
-question reads (k + 3 - jd); the outcome records whether some term was
-left out for that reason, since then a missing zero proves nothing.
+anchor visits only the terms that can reach its range; an anchor that no
+wrap reaches (k + 3 <= d) reads each term's code straight off its
+coefficient.  A term takes part only when its trusted window covers the
+digits the question reads (k + 3 - jd); the outcome records whether some
+term was left out for that reason, since then a missing zero proves
+nothing.  One pass over the anchors (`flat_zero`) decides the form.
 
-A solution becomes a contraction certificate by contracting two nodes of
-minimal level until the combination vanishes (a vanishing total forces
-its minimal level to repeat), each node built on int pairs as engine's
-`make_leaf` and `contract` would build it and the pending nodes kept in
-one id-ordered queue per level, or a witness by Newton on the anchor.
+A solution becomes a contraction certificate over the caller's form (the
+root of the form searched) by contracting two nodes of minimal level
+until the combination vanishes (a vanishing total forces its minimal
+level to repeat), each node built on int pairs as engine's `make_leaf`
+and `contract` would build it and the pending nodes kept in one
+id-ordered queue per level; and a witness by Newton on the anchor
+(solver.py).
 """
 
 from __future__ import annotations
@@ -134,7 +137,7 @@ def _by_level(f: AdditiveForm) -> list:
     return by_level
 
 
-def _options(f: AdditiveForm, k: int, wraps, by_level: list):
+def _options(f: AdditiveForm, k: int, by_level: list):
     """The kernel terms at anchor k, in variable order: per variable the
     distinct codes (term / 2^k mod 8) it can add, each as (code, at level
     k, wrap, rep index), the first wrap and rep reaching a code winning;
@@ -142,18 +145,18 @@ def _options(f: AdditiveForm, k: int, wraps, by_level: list):
     levels of `by_level` (from `_by_level`) that reach the range are
     visited.  Both wraps fall in range only when d = 2.
 
-    Pass 1 (`wraps == (0,)`) has a path of its own with no wrap loop:
-    every term in range is at its own level k..k+2, its code is
-    (a >> k) & 7 | ((b >> k) & 7) << 3, it is left out when its window
-    stops below k + 3, and its row depends only on whether its level is
-    k."""
+    When k + 3 <= d no wrap reaches the range, and the anchor has a path
+    of its own with no wrap loop: every term in range is at its own level
+    k..k+2, its code is (a >> k) & 7 | ((b >> k) & 7) << 3, it is left out
+    when its window stops below k + 3, and its row depends only on whether
+    its level is k."""
     d = f.d
     rows = _rows(d)
     top = k + 3
     parts = by_level[k:top]
     terms = []
     short = False
-    if wraps == (0,):  # pass 1: every term in range is at its own level
+    if top <= d:  # every term in range is at its own level
         plain, at_k = rows[False, 0], rows[True, 0]
         for i, a, b, w, lvl in sorted(sum(parts, [])):
             if w < top:
@@ -165,12 +168,11 @@ def _options(f: AdditiveForm, k: int, wraps, by_level: list):
                 opts, shifts = plain[(a >> k) & 7 | ((b >> k) & 7) << 3]
                 terms.append((i, opts, shifts, ()))
         return terms, short
-    if len(wraps) > 1:  # the levels below k that a wrap lifts into range
-        parts += by_level[max(k - d, 0):max(min(top - d, k), 0)]
+    parts += by_level[:min(top - d, k)]  # the levels below k that a wrap lifts into range
     near = sorted(sum(parts, []))
     for i, a, b, w, lvl in near:
         term = None
-        for j in wraps:
+        for j in (0, 1):
             shift = j * d
             at = lvl + shift
             if not k <= at < top:
@@ -251,21 +253,19 @@ def _backtrack(k: int, terms, trail) -> FlatSolution:
     return FlatSolution(k, anchor, tuple(reversed(picks)))
 
 
-def flat_zero(f: AdditiveForm, wrapped: bool) -> FlatOutcome:
-    """Solution at the lowest anchor level that has one.  With `wrapped`
-    a variable may also be 2 times a unit, which makes the search
-    complete; without, it covers the zeros whose used entries are units."""
+def flat_zero(f: AdditiveForm) -> FlatOutcome:
+    """Solution at the lowest anchor level that has one.  A variable may
+    be a unit or 2 times a unit, which makes the search complete."""
     try:  # a level at or above the degree has no bucket
         by_level = _by_level(f)
     except IndexError:
         raise ValueError("flat reachability needs levels below the degree") from None
-    wraps = (0, 1) if wrapped else (0,)
     states = 0
     short = False
     for k in range(f.d):
         if not by_level[k]:
             continue  # no term can carry the anchor
-        terms, left_out = _options(f, k, wraps, by_level)
+        terms, left_out = _options(f, k, by_level)
         short |= left_out
         trail, R1, seen = _reach(terms)
         states += seen
@@ -275,36 +275,54 @@ def flat_zero(f: AdditiveForm, wrapped: bool) -> FlatOutcome:
 
 
 def contraction_from_flat(g: AdditiveForm, sol: FlatSolution) -> ContractionCertificate:
-    """Contract the solution's leaves bottom-up: while some node has a
-    level below k + 3, two nodes share the minimal one, and those two
-    (lowest ids first) are combined.  Leaves take their chosen
+    """The solution as a contraction certificate over g's root form, the
+    caller's.  Each pick is written in the root's variables as
+    x_j = 2^(m_j) u_j with m_j = N - e_j + wrap_j, e_j the substitution of
+    g's frame and N the largest over the picks, so its leaf is the root's
+    coefficient times 2^(d m_j) with exponent m_j, at the coefficient's
+    level plus d m_j and trusted to its window plus d m_j.  Every term
+    moves by the same d N - scale from its level in g, so the anchor level
+    is k + d N - scale, and the tree is computed mod 2^K with K the larger
+    of the root's precision and the anchor level + 3.
+
+    The leaves are contracted bottom-up: while some node has a level
+    below the anchor level + 3, two nodes share the minimal one, and those
+    two (lowest ids first) are combined.  Leaves take their chosen
     multiplier, composite nodes the identity (the set's first rep).  The
     root is the finished node holding the anchor; it must hold every pick,
     since the lift reads each picked variable off its rep alone.  A
     combination never lands below its children's level, so one id-ordered
-    queue per level below k + 3 is drained from the lowest level up.  The
-    nodes come out in id order: the leaves in the picks' variable order,
-    then each contraction as it is built, so no walk of the tree is needed.
+    queue per level below the anchor level + 3 is drained from the lowest
+    level up.  The nodes come out in id order: the leaves in the picks'
+    variable order, then each contraction as it is built, so no walk of
+    the tree is needed.
 
     Each node is the one engine's `make_leaf` or `contract` would build
     (`test_contraction_from_flat_matches_node_by_node_tree` checks that),
-    built here on int pairs: a leaf takes its level from the form, which
-    keeps every level below its window, and a two-child contraction takes
-    its value from the queued pairs, masked once."""
-    K = g.K
-    reps = multiplier_set(g.d, K).reps
+    built here on int pairs: a leaf keeps every level below its window,
+    and a two-child contraction takes its value from the queued pairs,
+    masked once."""
+    d, subst, root = g.d, g.subst_log, g.root()
+    N = max([subst[var] for var, _, _ in sol.picks], default=0)
+    need = sol.k + d * N - g.scale_log + 3
+    K0 = root.K
+    K = K0 if need <= K0 else need
+    reps = multiplier_set(d, K).reps
     mask = (1 << K) - 1
-    need = sol.k + 3
-    coeffs, windows, levels = g.coeffs, g.windows, g.levels()
+    coeffs, windows, levels = root.coeffs, root.windows, root.levels()
     queues = [[] for _ in range(need)]  # per level, (node, its a, b, multiplier its parent applies)
     finished = []
     nodes = []
     for var, wrap, idx in sol.picks:
-        if wrap:
-            raise CertificateError("a contraction certificate takes unit variables only")
-        c, lvl = coeffs[var], levels[var]
-        leaf = _node(VarNode, (var, c, min(windows[var], lvl + 3), lvl, lvl, frozenset((var,)),
-                               "leaf", var, (), ()))
+        m = N - subst[var] + wrap
+        c, lvl, J = coeffs[var], levels[var], windows[var]
+        if m or K != K0:  # the term scaled by 2^(d m), trusted to K digits at most
+            shift = d * m
+            c = reduced_elem((c.a << shift) & mask, (c.b << shift) & mask, K)
+            lvl += shift
+            J = min(J + shift, K)
+        leaf = _node(VarNode, (var, c, J if J < lvl + 3 else lvl + 3, lvl, lvl,
+                               frozenset((var,)), "leaf", var, (), (), m))
         nodes.append(leaf)
         if lvl < need:
             queues[lvl].append((leaf, c.a, c.b, reps[idx]))
@@ -329,7 +347,7 @@ def contraction_from_flat(g: AdditiveForm, sol: FlatSolution) -> ContractionCert
             node = _node(VarNode, (new_id, reduced_elem(ta, tb, K), J, lvl,
                                    x.kappa if x.kappa < y.kappa else y.kappa,
                                    x.leaves | y.leaves, "contraction", None, (x.id, y.id),
-                                   (rx, ry)))
+                                   (rx, ry), 0))
             new_id += 1
             nodes.append(node)
             if lvl is not None and lvl < need:
@@ -340,10 +358,10 @@ def contraction_from_flat(g: AdditiveForm, sol: FlatSolution) -> ContractionCert
             raise CertificateError("flat solution does not vanish modulo 2^(k+3)")
     if len(finished) != 1 or sol.anchor not in finished[0].leaves:
         raise CertificateError("flat solution picks terms outside the anchor's contraction")
-    root = finished[0]
-    if not root.is_success():
+    top = finished[0]
+    if not top.is_success():
         raise CertificateError("flat solution left no vanishing node over the anchor")
-    return _certificate_from(root, nodes, g.d, K)
+    return _certificate_from(top, nodes, d, K)
 
 
 @dataclass
@@ -352,13 +370,15 @@ class SearchOutcome:
     certificate: ContractionCertificate | None
     nodes_expanded: int  # the kernel's reachable-set sizes, summed
     solution: FlatSolution | None = None  # the kernel's picks behind the certificate
+    short: bool = False  # a term was left out for its window, so NOT_FOUND proves nothing
 
 
 def search_certificate(g: AdditiveForm) -> SearchOutcome:
-    """Pass 1 of the decision: a contraction certificate for a zero of g
-    whose used entries are units, if g has one."""
-    out = flat_zero(g, wrapped=False)
+    """The decision's one kernel pass: a contraction certificate over g's
+    root form for a zero of g, if g has one.  The pass is complete, so
+    NOT_FOUND proves g anisotropic unless `short` is set."""
+    out = flat_zero(g)
     if out.solution is None:
-        return SearchOutcome("NOT_FOUND", None, out.states)
+        return SearchOutcome("NOT_FOUND", None, out.states, short=out.short)
     cert = contraction_from_flat(g, out.solution)
-    return SearchOutcome("FOUND", cert, out.states, out.solution)
+    return SearchOutcome("FOUND", cert, out.states, out.solution, out.short)

@@ -1,14 +1,13 @@
 """Top-level isotropy decision pipeline.
 
-Reduce and normalize, then ask the exact flat reachability kernel
-(flat.py) twice.  Pass 1 (`search_certificate`) looks on the normalized
-form for a zero whose used entries are units and turns it into a
-contraction certificate.  Pass 2 looks on the level-reduced form with
-entries 2 times a unit allowed too, which is complete: no solution is an
-anisotropy proof unless a coefficient's trusted window was too short to
-take part.  Either pass's solution is Newton-lifted from the kernel's
-picks, whose coefficients are read off the root form, and mapped in one
-pass (`map_to_origin`) into a witness in the caller's variable frame.
+Reduce the levels below the degree, then ask the exact flat reachability
+kernel (flat.py) once: `search_certificate` runs one complete pass on the
+reduced form.  A solution becomes a contraction certificate over the
+caller's form, which is checked against that form, and is Newton-lifted
+from the kernel's picks, whose coefficients are read off the root form,
+and mapped in one pass (`map_to_origin`) into a witness in the caller's
+variable frame.  No solution is an anisotropy proof unless a
+coefficient's trusted window was too short to take part.
 """
 
 from __future__ import annotations
@@ -18,13 +17,14 @@ from dataclasses import dataclass, field
 
 from .engine import ContractionCertificate, certificate_to_json, validate_certificate
 from .errors import CertificateError, PrecisionMismatch
-from .flat import FlatSolution, flat_zero, search_certificate
-from .forms import AdditiveForm, normalize, reduce_levels
+from .flat import FlatSolution, search_certificate
+from .forms import AdditiveForm, reduce_levels
 from .oracle import ExhaustionCertificate
 from .ring import mul_pair, multiplier_set
 from .witness import Witness, map_to_origin, solve_anchor, verify_witness
 
-# unused here; perfbench/spans.py wraps it by name in this module for --trace
+# unused here; perfbench/spans.py wraps them by name in this module for --trace
+from .forms import normalize  # noqa: F401
 from .oracle import decide_isotropy_exhaustive  # noqa: F401
 
 
@@ -70,13 +70,14 @@ def lift_witness(g: AdditiveForm, sol: FlatSolution, K: int) -> Witness:
     as it is formed, and the same loop sums the terms other than the
     anchor's.  Newton then corrects the anchor so the sum vanishes mod
     2^K, and the picks are mapped back to the root frame in one pass
-    (`map_to_origin`) and verified there, so K must be high enough for the
-    back-mapping to keep the root's full precision.
+    (`map_to_origin`) and verified there.  On a frame without scale, as
+    the decision's reduced form, K = g.K keeps the root's full precision.
 
-    The rep's value is root^d only mod 2^(g.K), yet exact in the terms:
-    above g.K = root.K the lift runs at K = root.K + scale - d N, N the
-    picks' largest substitution exponent, and a pick with exponent e <= N
-    has a coefficient divisible by 2^(scale - d e), so by 2^(K - g.K).
+    A scaled frame (`normalize`'s) needs K = root.K + scale - d N for
+    that, N the picks' largest substitution exponent.  The rep's value is
+    root^d only mod 2^(g.K), yet exact in the terms: a pick with exponent
+    e <= N has a coefficient divisible by 2^(scale - d e), so by
+    2^(K - g.K).
     """
     d, mask = g.d, (1 << K) - 1
     coeffs, scale, subst = g.root().coeffs, g.scale_log, g.subst_log
@@ -109,69 +110,50 @@ def lift_witness(g: AdditiveForm, sol: FlatSolution, K: int) -> Witness:
 
 
 def decide_isotropy(f: AdditiveForm) -> IsotropyResult:
-    """Decide isotropy of f (witnesses refer to f's own variables).
+    """Decide isotropy of f (witnesses and certificates refer to f's own
+    variables).
 
-    Stages: reduce and normalize; pass 1, a contraction certificate on
-    the normalized form (stage "search", or "search-threshold" when the
-    variable count clears the always-isotropic threshold); pass 2 on the
-    reduced form, a witness or an exhaustion certificate (stage "oracle").
-    The timings, shown under `solve -v`, are keyed "normalize", "search",
-    then "validate" and "lift" after pass 1 or "oracle" for pass 2.
+    Stages: reduce, then one complete kernel pass on the reduced form.  A
+    zero gives a contraction certificate, checked against f, and a witness
+    lifted at the reduced form's precision (stage "search", or
+    "search-threshold" when the variable count clears the always-isotropic
+    threshold); none gives an exhaustion certificate (stage "oracle").
+    The timings, shown under `solve -v`, are keyed "search", then
+    "validate" and "lift" after a zero.
     """
     timings: dict = {}
     t0 = time.perf_counter()
     reduced = reduce_levels(f)
-    g, _shift = normalize(reduced)
-    timings["normalize"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    first = search_certificate(g)
-    timings["search"] = time.perf_counter() - t0
-    if first.status == "FOUND":
-        cert, sol = first.certificate, first.solution
-        t0 = time.perf_counter()
-        if not validate_certificate(g, cert):
+    found = search_certificate(reduced)
+    t1 = time.perf_counter()
+    timings["search"] = t1 - t0
+    states = found.nodes_expanded
+    if found.status == "FOUND":
+        cert = found.certificate
+        if not validate_certificate(f, cert):
             raise CertificateError("certificate does not validate against the form")
-        t1 = time.perf_counter()
-        timings["validate"] = t1 - t0
-        # the back-mapping multiplies by 2^(d N - scale); lift high enough
-        # that the root's full precision survives it
-        N = max(g.subst_log[p.var] for p in sol.picks)
-        w = lift_witness(g, sol, max(g.K, g.root().K + g.scale_log - g.d * N))
-        timings["lift"] = time.perf_counter() - t1
-        stage = "search-threshold" if g.s >= isotropy_threshold(g.d) else "search"
+        t2 = time.perf_counter()
+        timings["validate"] = t2 - t1
+        w = lift_witness(reduced, found.solution, reduced.K)
+        timings["lift"] = time.perf_counter() - t2
+        stage = "search-threshold" if f.s >= isotropy_threshold(f.d) else "search"
         return IsotropyResult(
             "ISOTROPIC",
             stage,
             witness=w,
             contraction=cert,
-            diagnostics={"anchorLevel": cert.anchor_level, "statesVisited": first.nodes_expanded},
+            diagnostics={"anchorLevel": cert.anchor_level, "statesVisited": states},
             timings=timings,
         )
-
-    t0 = time.perf_counter()
-    second = flat_zero(reduced, wrapped=True)
-    states = first.nodes_expanded + second.states
-    if second.solution is not None:
-        w = lift_witness(reduced, second.solution, reduced.K)
-        timings["oracle"] = time.perf_counter() - t0
-        return IsotropyResult(
-            "ISOTROPIC",
-            "oracle",
-            witness=w,
-            diagnostics={"anchorLevel": second.solution.k, "statesVisited": states},
-            timings=timings,
-        )
-    if second.short:
+    if found.short:
         raise PrecisionMismatch(
             "a coefficient's trusted window is too short for the flat decision; "
             "increase the working precision"
         )
-    timings["oracle"] = time.perf_counter() - t0
     return IsotropyResult(
         "ANISOTROPIC",
         "oracle",
-        certificate=ExhaustionCertificate(reduced.max_level() + 3, second.states),
+        certificate=ExhaustionCertificate(reduced.max_level() + 3, states),
         diagnostics={"statesVisited": states},
         timings=timings,
     )

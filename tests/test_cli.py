@@ -18,7 +18,7 @@ except ModuleNotFoundError:  # Python 3.10
     tomllib = None
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
-SUBCOMMANDS = ["solve", "oracle", "witness", "lemma", "reproduce", "gamma"]
+SUBCOMMANDS = ["solve", "oracle", "witness", "certificate", "lemma", "reproduce", "gamma"]
 
 
 @pytest.fixture
@@ -78,7 +78,7 @@ def test_solve_verbose_times_each_search_stage(iso_file, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["stage"] == "search"
-    assert set(doc["timings"]) == {"normalize", "search", "validate", "lift"}
+    assert set(doc["timings"]) == {"search", "validate", "lift"}
     assert all(t >= 0 for t in doc["timings"].values())
 
 
@@ -173,6 +173,52 @@ def test_witness_verify_roundtrip(iso_file, tmp_path, capsys):
     wit_path.write_text(json.dumps(tampered))
     code, out, _ = run(["witness", "verify", iso_file, str(wit_path)], capsys)
     assert code == 1 and json.loads(out)["valid"] is False
+
+
+def test_certificate_verify(tmp_path, capsys):
+    # before the single pass this form's certificate named its levels
+    # rotated by t = 1 and failed against the form itself
+    form = tmp_path / "f.txt"
+    form.write_text("d=6; K=10; 1, 7, 32\n")
+    res = tmp_path / "res.json"
+    assert run(["solve", str(form), "--out", str(res)], capsys)[0] == 0
+    doc = json.loads(res.read_text())
+    bare = tmp_path / "cert.json"
+    bare.write_text(json.dumps(doc["contraction"]))
+    for path in (res, bare):
+        code, out, _ = run(["certificate", "verify", str(form), str(path)], capsys)
+        assert code == 0 and json.loads(out) == {
+            "valid": True, "anchor": doc["contraction"]["anchor"],
+            "anchorLevel": doc["contraction"]["anchorLevel"]}
+    # a doctored copy: one leaf raised to 2 times a unit
+    doctored = json.loads(json.dumps(doc["contraction"]))
+    leaf = next(rec for rec in doctored["nodes"] if rec["kind"] == "leaf")
+    leaf["exp"] = leaf.get("exp", 0) + 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doctored))
+    code, out, _ = run(["certificate", "verify", str(form), str(bad)], capsys)
+    assert code == 1 and json.loads(out)["valid"] is False
+    # another form with the same levels
+    other = tmp_path / "g.txt"
+    other.write_text("d=6; K=10; 1, 3, 32\n")
+    code, out, _ = run(["certificate", "verify", str(other), str(bare)], capsys)
+    assert code == 1 and json.loads(out)["valid"] is False
+
+
+@pytest.mark.parametrize("doc", [
+    "not json",
+    json.dumps({"verdict": "ANISOTROPIC", "stage": "oracle"}),
+    json.dumps({"kind": "contraction", "degree": 6, "precision": 10, "root": 0,
+                "nodes": [{"id": 0, "kind": "leaf", "value": [1, 0], "var": 0, "exp": -1}]}),
+    json.dumps([1, 2]),
+], ids=["not-json", "no-contraction", "negative-exp", "a-list"])
+def test_certificate_verify_malformed_exit64(tmp_path, capsys, doc):
+    form = tmp_path / "f.txt"
+    form.write_text("d=6; K=10; 1, 7, 32\n")
+    cert = tmp_path / "cert.json"
+    cert.write_text(doc)
+    code, out, err = run(["certificate", "verify", str(form), str(cert)], capsys)
+    assert code == 64 and out == "" and "cannot parse certificate file" in err
 
 
 @pytest.mark.parametrize("field, value", [
@@ -365,21 +411,21 @@ def test_module_entry_passes_exit_codes(h6_file):
     assert proc.returncode == 64
 
 
-# a form whose only zeros need a variable equal to 2 times a unit, so the
-# decision ends in the pipeline's second pass
-ORACLE_ISOTROPIC = {"degree": 6, "precision": 10, "coeffs": [
+# a form whose only zeros need a variable equal to 2 times a unit, so a
+# leaf of its certificate carries an exponent
+WRAPPED_ISOTROPIC = {"degree": 6, "precision": 10, "coeffs": [
     [608, 0], [928, 576], [424, 432], [152, 728], [472, 1008], [934, 272], [340, 62],
     [32, 160], [576, 96]]}
 
 
 def test_solve_is_the_same_under_python_O(tmp_path, h6_file):
     # python -O strips asserts; no verdict may depend on one
-    # the second case lifts at K* = K + 1 past its shift frame; the third
-    # divides 448 = 7 * 2^6 down to level 0 before the search
+    # the second case's levels used to be rotated before the search; the
+    # third divides 448 = 7 * 2^6 down to level 0 before the search
     cases = [("search.txt", "d=6; 1, 7\n", 0, "search"),
              ("shifted.txt", "d=6; 1, 7, 32\n", 0, "search"),
              ("unreduced.txt", "d=6; K=20; 1, 448\n", 0, "search"),
-             ("oracle.json", json.dumps(ORACLE_ISOTROPIC), 0, "oracle"),
+             ("wrapped.json", json.dumps(WRAPPED_ISOTROPIC), 0, "search"),
              ("short.txt", "d=6; K=2; 1, 1, w\n", 65, None)]
     paths = [(h6_file, 1, "oracle")]
     for name, text, code, stage in cases:

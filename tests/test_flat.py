@@ -1,4 +1,4 @@
-"""Flat mod-8 reachability kernel and the two-pass pipeline built on it.
+"""Flat mod-8 reachability kernel and the one-pass pipeline built on it.
 
 The kernel is never its own reference: verdicts are compared with the FFT
 torus oracle on an isotropy-equivalent cyclic frame (or with descent
@@ -45,8 +45,8 @@ from padic_forms.witness import exact_coeffs, solve_anchor, verify_witness
 from test_witness import dense_back_map
 
 # Forms whose zeros all need a variable equal to 2 times a unit in the
-# normalized frame, so the certificate pass finds nothing and the
-# wrapped pass has to produce the witness.  Found by seeded random search.
+# normalized frame, which a search over unit variables alone misses.
+# Found by seeded random search.
 WRAPPED_ONLY = {
     6: [
         (12, [(724, 354), (3566, 3180), (1376, 1120), (1888, 2784), (3124, 586),
@@ -109,12 +109,14 @@ def _lowest_frame(f):
 
 
 def _check_certificate(f, r):
-    g = normalize(reduce_levels(f))[0]
-    assert validate_certificate(g, r.contraction)
+    """r's contraction validates against f itself and through f's
+    normalized frame, whose root is f, before and after a JSON round trip."""
     doc = json.dumps(certificate_to_json(r.contraction))
     again = certificate_from_json(json.loads(doc))
     assert json.dumps(certificate_to_json(again)) == doc
-    assert validate_certificate(g, again)
+    g = normalize(reduce_levels(f))[0]
+    for cert in (r.contraction, again):
+        assert validate_certificate(f, cert) and validate_certificate(g, cert)
 
 
 def test_mod8_table_matches_direct_multiplication():
@@ -186,7 +188,7 @@ def test_solution_picks_vanish_mod_anchor_plus_three(d):
     for _ in range(200):
         f = sample_form(rng, d, rng.randrange(2, 10))
         ms = multiplier_set(d, f.K)
-        out = flat_zero(f, wrapped=True)
+        out = flat_zero(f)
         if out.solution is None:
             continue
         found += 1
@@ -219,8 +221,7 @@ def test_pipeline_agrees_with_fft_oracle(d):
         tally[r.verdict, r.stage] = tally.get((r.verdict, r.stage), 0) + 1
         if r.verdict == "ISOTROPIC":
             assert verify_witness(f, r.witness)
-            if r.contraction is not None:
-                _check_certificate(f, r)
+            _check_certificate(f, r)
         else:
             assert r.witness is None and r.contraction is None
             doc = r.certificate.to_json()
@@ -228,7 +229,6 @@ def test_pipeline_agrees_with_fft_oracle(d):
             assert doc["M"] == reduce_levels(f).max_level() + 3
     assert tally.get(("ISOTROPIC", "search"), 0) > 50
     assert tally.get(("ANISOTROPIC", "oracle"), 0) > 50
-    assert tally.get(("ISOTROPIC", "oracle"), 0) >= len(WRAPPED_ONLY[d])
 
 
 def test_degree_two_agrees_with_fft_oracle():
@@ -250,18 +250,20 @@ def test_degree_two_agrees_with_fft_oracle():
     assert tally["ANISOTROPIC"] > 50 and tally["ISOTROPIC"] > 50
 
 
-def test_wrapped_only_zero_gives_witness_without_contraction():
+def test_wrapped_only_zero_gives_witness_and_contraction():
     rng = random.Random(5)
     cases = [(d, K, pairs) for d, group in WRAPPED_ONLY.items() for K, pairs in group]
     cases.append(WRAPPED_ONLY_BEYOND_FFT)
-    checked = 0
+    checked = wrapped = 0
     for d, K, pairs in cases:
         for f in [AdditiveForm.from_pairs(d, pairs, K)] + _deep_variants(d, K, pairs, rng, 4):
             r = decide_isotropy(f)
-            assert r.verdict == "ISOTROPIC" and r.stage == "oracle"
-            assert r.contraction is None and verify_witness(f, r.witness)
+            assert r.verdict == "ISOTROPIC" and r.stage == "search"
+            assert verify_witness(f, r.witness)
+            _check_certificate(f, r)
+            wrapped += any(n.exp for n in r.contraction.nodes)
             checked += 1
-    assert checked == 5 * len(cases)
+    assert checked == 5 * len(cases) and wrapped > 0
 
 
 @pytest.mark.parametrize("d", [6, 10])
@@ -292,16 +294,17 @@ def test_certificates_validate_and_roundtrip(d):
 
 def test_unreduced_input_with_wrapped_witness_maps_back():
     # levels up to 10 at d = 6: the reduced frame has substitutions, and
-    # the wrapped pass's witness uses 2 times a unit in a variable with
-    # the largest substitution
+    # the kernel's solution uses 2 times a unit in a variable with the
+    # largest substitution
     pairs = [(2623488, 1897984), (3009536, 2117632), (3963718, 37408),
              (1871552, 3533216), (2787648, 787264), (1909760, 3637760),
              (3772388, 1045652), (1593688, 3327800), (2515072, 1887520),
              (1333248, 2344576), (2404100, 3166528)]
     f = AdditiveForm.from_pairs(6, pairs, 22)
     r = decide_isotropy(f)
-    assert r.verdict == "ISOTROPIC" and r.stage == "oracle"
+    assert r.verdict == "ISOTROPIC" and r.stage == "search"
     assert verify_witness(f, r.witness)
+    _check_certificate(f, r)
     assert decide_isotropy_exhaustive(_lowest_frame(f)).verdict == "ISOTROPIC"
 
 
@@ -316,13 +319,12 @@ def test_short_window_without_zero_raises():
 
 def test_window_one_digit_short_is_left_out():
     # 1 + 7 = 8 vanishes mod 2^3 only when the 7 is trusted to three
-    # digits; at two, both passes leave it out and say so
+    # digits; at two, the kernel leaves it out and says so
     base = AdditiveForm.from_pairs(6, [(1, 0), (7, 0)], 10)
     for window, found in ((2, False), (3, True)):
         f = AdditiveForm(6, base.coeffs, windows=(10, window))
-        for wrapped in (False, True):
-            out = flat_zero(f, wrapped)
-            assert (out.solution is not None, out.short) == (found, not found)
+        out = flat_zero(f)
+        assert (out.solution is not None, out.short) == (found, not found)
 
 
 def test_short_window_ignored_when_zero_found():
@@ -371,10 +373,10 @@ def test_full_range_d10_never_inconclusive():
 
 
 # sha256 of the decide_isotropy JSON lines (no timings) of _pinned_forms(),
-# recorded before levels and mod-8 option codes were computed once per
-# form.  Any change to a verdict, stage, witness, certificate or counter on
-# these forms changes it.
-PINNED_DIGEST = "a2a7de0577c302774aea63145be290172c18f315dbf1c3fd94e7f5748a257436"
+# re-recorded when the decision became one kernel pass on the reduced
+# form with its certificates over the caller's form.  Any change to a
+# verdict, stage, witness, certificate or counter on these forms changes it.
+PINNED_DIGEST = "23653a2856fdb124d9a239cf5447cd57d6d75ca51f2dad49e20c8dd0174dc26e"
 
 
 def _pinned_forms():
@@ -395,17 +397,16 @@ def _pinned_forms():
     return forms
 
 
-# the same digest over _unreduced_forms(), recorded before both passes
-# lifted their zeros from the kernel's picks
-UNREDUCED_DIGEST = "c5ced607c80e7e4f017be7aa75bcfac0e323045f1f517719e1a00e04591bbb29"
+# the same digest over _unreduced_forms(), re-recorded at the same change
+UNREDUCED_DIGEST = "1db5d196910c06a4a8edfb40a543a05f5c91aebc2d8c0616c020be752922da25"
 
 
 def _unreduced_forms():
     """Forms with levels up to 2d - 1 at K = 3d + 2, each trusted window
     long enough for `reduce_levels` to divide its coefficient, so the
     lifts go through the reduction's substitutions.  The wrapped-only
-    forms come last, every other coefficient scaled by 2^d, so pass 2
-    lifts through them too."""
+    forms come last, every other coefficient scaled by 2^d, so wrapped
+    picks lift through them too."""
     rng = random.Random(2027)
     forms = []
     for i in range(160):
@@ -430,14 +431,13 @@ def _unreduced_forms():
     return forms
 
 
-# the same digest over _degree_forms(), recorded before the kernel moved
-# to the guarded bit layout
-DEGREE_DIGEST = "364a5c106a4115ca279dc57a2f975e98497b6f95a80b3f1529fae315720a4eda"
+# the same digest over _degree_forms(), re-recorded at the same change
+DEGREE_DIGEST = "28de9559b14d3216d5c80f761c1f81db3e911cffc8a5df44bb4148c05b8bd2d9"
 
 # unreduced d = 2 forms (K, coefficient pairs, windows) whose zeros all
 # need a variable equal to 2 times a unit in the normalized frame, so
-# pass 2 lifts through the reduction's substitutions; found by seeded
-# random search
+# wrapped picks lift through the reduction's substitutions; found by
+# seeded random search
 WRAPPED_ONLY_D2 = [
     (8, [(15, 149), (232, 8), (177, 69), (112, 250)], [3, 7, 3, 4]),
     (8, [(232, 8), (8, 128), (48, 124), (176, 140)], [8, 8, 8, 8]),
@@ -477,8 +477,21 @@ def _pipeline_digest(forms):
         outcomes.add((r.stage, r.verdict))
         lines.append(json.dumps(r.to_json(include_timings=False), sort_keys=True))
     assert outcomes == {("search", "ISOTROPIC"), ("search-threshold", "ISOTROPIC"),
-                        ("oracle", "ISOTROPIC"), ("oracle", "ANISOTROPIC")}
+                        ("oracle", "ANISOTROPIC")}
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# sha256 of the verdicts alone, one per line, over _pinned_forms(),
+# _unreduced_forms() and _degree_forms() in that order, recorded before
+# the decision became one kernel pass on the reduced form.  The byte
+# digests above were re-recorded at that change; this one was not.
+VERDICT_DIGEST = "3870b6b6932852ee6e22ffada1b9d8088e18b6231579b224a412d2038b961e48"
+
+
+def test_pipeline_verdicts_are_pinned():
+    forms = _pinned_forms() + _unreduced_forms() + _degree_forms()
+    verdicts = "\n".join(decide_isotropy(f).verdict for f in forms)
+    assert hashlib.sha256(verdicts.encode()).hexdigest() == VERDICT_DIGEST
 
 
 def test_pipeline_output_is_pinned():
@@ -512,28 +525,112 @@ def test_pipeline_output_on_degrees_2_14_18_is_pinned():
     forms = _degree_forms()
     for f in forms[-len(WRAPPED_ONLY_D2):]:
         r = decide_isotropy(f)
-        assert not f.is_reduced() and (r.stage, r.verdict) == ("oracle", "ISOTROPIC")
+        assert not f.is_reduced() and r.verdict == "ISOTROPIC"
+        assert r.stage in ("search", "search-threshold")
         assert verify_witness(f, r.witness)
+        _check_certificate(f, r)
     assert _pipeline_digest(forms) == DEGREE_DIGEST
+
+
+# --- certificates over the caller's form ---
+
+
+def _unreduced_sample(rng, d, n):
+    """n forms with levels uniform in 0..2d-1 at K = 3d + 2, every window
+    K, so `reduce_levels` divides every coefficient at level d or more."""
+    K = 3 * d + 2
+    forms = []
+    for _ in range(n):
+        pairs = []
+        for _ in range(rng.randrange(2, isotropy_threshold(d) + 1)):
+            lvl = rng.randrange(2 * d)
+            cls = rng.randrange(1, 4)
+            a = (cls & 1) | (rng.getrandbits(K - 1) << 1)
+            b = (cls >> 1) | (rng.getrandbits(K - 1) << 1)
+            pairs.append(((a << lvl) % (1 << K), (b << lvl) % (1 << K)))
+        forms.append(AdditiveForm.from_pairs(d, pairs, K))
+    return forms
+
+
+def _isotropic_decisions():
+    """(form, result) for every ISOTROPIC decision on seeded reduced forms
+    at d = 2, 6, 10, 14 and 18, unreduced ones at K = 3d + 2 for d = 2, 6,
+    10 and 14, and WRAPPED_ONLY_D2."""
+    rng = random.Random(2030)
+    forms = _pinned_forms() + _unreduced_forms() + _degree_forms()
+    forms += _unreduced_sample(rng, 2, 100) + _unreduced_sample(rng, 14, 60)
+    out = [(f, decide_isotropy(f)) for f in forms]
+    return [(f, r) for f, r in out if r.verdict == "ISOTROPIC"]
+
+
+def test_every_isotropic_contraction_validates_against_the_input():
+    decisions = _isotropic_decisions()
+    degrees = {(f.d, f.is_reduced()) for f, _ in decisions}
+    assert degrees >= {(d, True) for d in (2, 6, 10, 14)} | {(d, False) for d in (2, 6, 10, 14)}
+    exps = 0
+    for f, r in decisions:
+        _check_certificate(f, r)
+        exps += any(n.exp for n in r.contraction.nodes)
+        assert r.diagnostics["anchorLevel"] == r.contraction.anchor_level
+    assert len(decisions) >= 500 and exps >= 100
+    # an anchor level of d or more only on unreduced inputs
+    assert any(r.contraction.anchor_level >= f.d for f, r in decisions)
+    assert all(r.contraction.anchor_level < f.d for f, r in decisions if f.is_reduced())
+
+
+def test_doctored_exponent_or_form_fails_the_check():
+    # an exponent raised or dropped on one leaf, or the certificate checked
+    # against a form with the same levels whose anchor coefficient differs
+    # two digits above its level: each moves the root below anchor + 3
+    checked = 0
+    for f, r in _isotropic_decisions():
+        doc = certificate_to_json(r.contraction)
+        leaves = [i for i, rec in enumerate(doc["nodes"]) if rec["kind"] == "leaf"]
+        for i in leaves:
+            exp = doc["nodes"][i].get("exp", 0)
+            for changed in {exp + 1, 0} - {exp}:
+                bad = json.loads(json.dumps(doc))
+                bad["nodes"][i]["exp"] = changed
+                assert not validate_certificate(f, certificate_from_json(bad))
+                checked += exp > 0
+        anchor = r.contraction.anchor_leaf
+        c = f.coeffs[anchor]
+        coeffs = list(f.coeffs)
+        coeffs[anchor] = RingElem(c.a + (2 << f.levels()[anchor]), c.b, f.K)
+        other = AdditiveForm(f.d, tuple(coeffs), windows=f.windows)
+        assert other.levels() == f.levels()
+        assert not validate_certificate(other, r.contraction)
+    assert checked >= 100
 
 
 # --- the contraction tree and the lift, against node-by-node references ---
 
 
-def _contraction_by_nodes(g, sol, ms):
+def _contraction_by_nodes(g, sol):
     """`contraction_from_flat`'s tree built node by node with make_leaf
-    and contract: the two lowest-id nodes of the minimal level below
-    k + 3 are combined, leaves taking their picked rep and composite
-    nodes the identity.  Returns every node and the finished ones."""
+    and contract over g's root form: each pick's leaf is the root
+    coefficient times 2^(d m), m = N - e + wrap, at precision
+    K = max(K_root, A + 3), A = k + d N - scale the anchor level; the two
+    lowest-id nodes of the minimal level below A + 3 are combined, leaves
+    taking their picked rep and composite nodes the identity.  Returns
+    every node, the finished ones and K."""
+    root, subst = g.root(), g.subst_log
+    N = max(subst[p.var] for p in sol.picks)
+    need = sol.k + g.d * N - g.scale_log + 3
+    K = max(root.K, need)
+    ms = multiplier_set(g.d, K)
     arena, choice = {}, {}
     for p in sol.picks:
-        leaf = make_leaf(p.var, g.coeffs[p.var], g.windows[p.var])
+        m = N - subst[p.var] + p.wrap
+        c = root.coeffs[p.var]
+        value = RingElem(c.a * 2 ** (g.d * m), c.b * 2 ** (g.d * m), K)
+        leaf = make_leaf(p.var, value, min(root.windows[p.var] + g.d * m, K), m)
         arena[leaf.id] = leaf
         choice[leaf.id] = ms.reps[p.rep]
     active = set(arena)
     while True:
         low = sorted((arena[i].level, i) for i in active
-                     if arena[i].level is not None and arena[i].level < sol.k + 3)
+                     if arena[i].level is not None and arena[i].level < need)
         if not low:
             break
         assert len(low) >= 2 and low[0][0] == low[1][0]
@@ -543,25 +640,27 @@ def _contraction_by_nodes(g, sol, ms):
         arena[node.id] = node
         active -= {low[0][1], low[1][1]}
         active.add(node.id)
-    return sorted(arena.values(), key=lambda n: n.id), [arena[i] for i in sorted(active)]
+    return sorted(arena.values(), key=lambda n: n.id), [arena[i] for i in sorted(active)], K
 
 
 def _lift_by_tree_walk(g, cert):
-    """The pass-1 lift read off the certificate: each leaf's value is the
-    product of the multiplier roots along its path from the root, at
+    """The lift read off the certificate: each leaf's value in g's frame
+    is 2^wrap times the product of the multiplier roots along its path
+    from the root, wrap its exponent less the frame's N - e, at
     K* = max(K, K_orig + scale - d N) with N the largest substitution
     over the leaves; Newton on the anchor runs over every variable, and
     the test's own dense back-mapping takes the zero to the root frame."""
     nodes = cert.node_map()
     roots = {}
-    used = [n.var for n in cert.nodes if n.kind == "leaf"]
-    K = max(g.K, g.root().K + g.scale_log - g.d * max(g.subst_log[j] for j in used))
+    N = max(g.subst_log[n.var] for n in cert.nodes if n.kind == "leaf")
+    K = max(g.K, g.root().K + g.scale_log - g.d * N)
     stack = [(cert.root, RingElem.one(K))]
     while stack:
         nid, acc = stack.pop()
         n = nodes[nid]
         if n.kind == "leaf":
-            roots[n.var] = acc
+            wrap = n.exp - (N - g.subst_log[n.var])
+            roots[n.var] = acc * RingElem(2 ** wrap, 0, K)
         for cid, rep in zip(n.children, n.choices):
             stack.append((cid, acc * RingElem(rep.root.a, rep.root.b, K)))
     values = [roots.get(j, RingElem.zero(K)) for j in range(g.s)]
@@ -594,10 +693,10 @@ def test_contraction_from_flat_matches_node_by_node_tree():
             continue
         found += 1
         cert = contraction_from_flat(g, out.solution)
-        nodes, finished = _contraction_by_nodes(g, out.solution, multiplier_set(g.d, g.K))
+        nodes, finished, K = _contraction_by_nodes(g, out.solution)
         assert finished == [nodes[-1]]  # one tree holds every pick
         root = finished[0]
-        assert cert.nodes == tuple(nodes)
+        assert cert.nodes == tuple(nodes) and cert.K == K
         assert cert.root == root.id and cert.achieved == root.achieved()
         assert cert.anchor_level == root.kappa
         assert cert.anchor_leaf == out.solution.anchor
@@ -606,8 +705,7 @@ def test_contraction_from_flat_matches_node_by_node_tree():
 
 def test_flat_zero_refuses_unreduced_forms():
     f = AdditiveForm.from_pairs(6, [(64, 0), (1, 0)], 16)
-    for run in (lambda: flat_zero(f, False), lambda: flat_zero(f, True),
-                lambda: search_certificate(f)):
+    for run in (lambda: flat_zero(f), lambda: search_certificate(f)):
         with pytest.raises(ValueError, match="levels below the degree"):
             run()
 
@@ -642,7 +740,6 @@ def _doctored_solutions() -> dict:
     picks = [[p.var, p.wrap, p.rep] for p in sol.picks]
     assert (sol.k, sol.anchor, picks) == (0, 0, [[0, 0, 0], [1, 0, 0]])
     return {
-        "unit variables only": [pairs, 0, 0, [picks[0], [1, 1, 0]]],
         # 1 + 1 = 2 leaves one node at level 1 < k + 3
         "does not vanish": [[[1, 0], [1, 0], [8, 0]], 0, 0, picks],
         # the level-3 pick is never contracted into the anchor's tree

@@ -229,6 +229,56 @@ def test_oracle_users_are_reviewed():
     assert not gone, f"ORACLE_USERS names imports that no longer exist: {gone}"
 
 
+# Every use of `normalize` and `cyclic_shift` in the package, as (module,
+# enclosing function or `<module>`, name): definitions, imports and
+# references.  The decision no longer rotates levels; both stay only
+# because the benchmark harness names `normalize` (perfbench/spans.py
+# wraps it in solver, perfbench/worker.py imports it from the package,
+# which exports `cyclic_shift` beside it).  They leave with the
+# benchmark's refresh.  Do not add one.
+ROTATION_USERS = {
+    ("__init__.py", "<module>", "cyclic_shift"),
+    ("__init__.py", "<module>", "normalize"),
+    ("forms.py", "<module>", "cyclic_shift"),
+    ("forms.py", "<module>", "normalize"),
+    ("forms.py", "normalize", "normalize"),
+    ("solver.py", "<module>", "normalize"),
+}
+
+
+def _rotation_uses(tree: ast.Module) -> set:
+    """(enclosing function or `<module>`, name) of every definition,
+    import, name or attribute that is `normalize` or `cyclic_shift`."""
+    names = {"normalize", "cyclic_shift"}
+    out = set()
+    for scope, node in _scoped(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.asname or node.name
+        else:
+            continue
+        if name in names:
+            out.add((scope, name))
+    for node in ast.walk(tree):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef) and child.name in names:
+                scope = node.name if isinstance(node, ast.FunctionDef) else "<module>"
+                out.add((scope, child.name))
+    return out
+
+
+def test_rotation_users_are_reviewed():
+    found = {(path.name, where, name) for path in sorted(SRC.glob("*.py"))
+             for where, name in _rotation_uses(ast.parse(path.read_text()))}
+    new = sorted(found - ROTATION_USERS)
+    assert not new, f"uses of normalize or cyclic_shift not in ROTATION_USERS: {new}"
+    gone = sorted(ROTATION_USERS - found)
+    assert not gone, f"ROTATION_USERS names uses that no longer exist: {gone}"
+
+
 # Every cache in the package that outlives a call: each `lru_cache` (or
 # `functools.cache`) function and each module-level `_*_CACHE` table, as
 # (module, name).  Each holds tables of a degree or precision, never a

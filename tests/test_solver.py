@@ -2,12 +2,15 @@
 
 import ast
 import importlib
+import importlib.util
+import json
 import random
 from pathlib import Path
 
-from padic_forms.engine import validate_certificate
+from padic_forms import flat, forms
+from padic_forms.engine import certificate_from_json, certificate_to_json, validate_certificate
 from padic_forms.flat import search_certificate
-from padic_forms.forms import AdditiveForm, cyclic_shift, reduce_levels
+from padic_forms.forms import AdditiveForm, cyclic_shift, normalize, reduce_levels
 from padic_forms.oracle import decide_isotropy_exhaustive
 from padic_forms.ring import RingElem
 from padic_forms import solver
@@ -70,8 +73,9 @@ def test_lift_witness_through_shift_frame():
     g = cyclic_shift(f, 2)
     out = search_certificate(g)
     assert out.status == "FOUND"
-    assert out.certificate.anchor_level == 2
-    assert validate_certificate(g, out.certificate)
+    # the certificate names the caller's form f, where the anchor is at 0
+    assert out.certificate.anchor_level == 0
+    assert validate_certificate(f, out.certificate) and validate_certificate(g, out.certificate)
     # the frame scales by 2^2 and substitutes nothing, so the lift needs
     # K* = 12 + 2 to keep all 12 digits after the back-mapping
     w = lift_witness(g, out.solution, 14)
@@ -143,7 +147,7 @@ def test_result_json_shape():
     assert "witness" in doc and "contraction" in doc
     assert "timings" not in doc
     timed = r.to_json()
-    assert set(timed["timings"]) >= {"normalize", "search"}
+    assert set(timed["timings"]) == {"search", "validate", "lift"}
 
     g = AdditiveForm.from_pairs(6, [(1, 0), (1, 0), (0, 1)], 10)
     doc2 = decide_isotropy(g).to_json(include_timings=False)
@@ -165,7 +169,7 @@ def test_trace_hook_names_exist(monkeypatch):
         assert callable(getattr(target, attr, None)), f"{module}.{attr}"
     # a search-stage decision reaches each layer the spans time through
     # solver's namespace once, so no per-layer metric silently reads 0
-    layers = ("normalize", "search_certificate", "validate_certificate",
+    layers = ("search_certificate", "validate_certificate",
               "lift_witness", "solve_anchor", "verify_witness")
     calls = {}
     for name in layers:
@@ -197,3 +201,57 @@ def test_benchmark_contract_fields():
     # the sweeps workload's plan: these ids, in this order
     assert sampled_lemma_ids() == ["0061", "0241", "0225", "0045", "541", "211", "31", "5", "401", "23"]
     assert exhaustive_lemma_ids() == ["223", "133", "115", "044", "025", "007"]
+
+
+def test_search_decision_runs_one_kernel_pass(monkeypatch):
+    # the decision reduces and asks the kernel once; it never rotates the
+    # levels (`normalize` stays only for the benchmark's recheck)
+    calls = {"flat_zero": 0, "normalize": 0}
+
+    def count(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(flat, "flat_zero", count("flat_zero", flat.flat_zero))
+    for module in (forms, solver):
+        monkeypatch.setattr(module, "normalize", count("normalize", forms.normalize))
+    for pairs, stage in (([(1, 0), (7, 0), (32, 0)], "search"), ([(1, 0), (1, 2)], "oracle")):
+        calls.update(flat_zero=0, normalize=0)
+        r = decide_isotropy(AdditiveForm.from_pairs(6, pairs, 10))
+        assert r.stage == stage
+        assert calls == {"flat_zero": 1, "normalize": 0}
+
+
+def _ast_constant(path: Path, name: str):
+    tree = ast.parse(path.read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == name)
+
+
+def test_below_threshold_corpus_certificates_validate_against_the_input():
+    # the benchmark's 180 forms: every ISOTROPIC verdict carries a
+    # contraction that validates, after a JSON round trip, against the
+    # input form and through the normalized frame the benchmark's recheck
+    # passes; every reference verdict holds
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", PERFBENCH / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    per_count = _ast_constant(PERFBENCH / "worker.py", "BELOW_PER_COUNT")
+    table = reference["verdicts"]["below-threshold"]
+    corpus_forms = corpus.below_corpus(reference["seed"], per_count)
+    assert len(corpus_forms) == 180
+    isotropic = 0
+    for f in corpus_forms:
+        r = decide_isotropy(f)
+        want = table[corpus.form_key(f)]
+        assert want == "INCONCLUSIVE" or r.verdict == want
+        if r.verdict != "ISOTROPIC":
+            continue
+        isotropic += 1
+        cert = certificate_from_json(json.loads(json.dumps(certificate_to_json(r.contraction))))
+        assert validate_certificate(f, cert)
+        assert validate_certificate(normalize(reduce_levels(f))[0], cert)
+    assert isotropic == 149

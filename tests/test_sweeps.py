@@ -468,7 +468,7 @@ def test_sums_match_python_sets():
 def _scalar_zero(f, k):
     """Whether flat.py's kernel finds an anchored zero of f at anchor k
     with unit entries only."""
-    return bool(flat._reach(flat._options(f, k, (0,), flat._by_level(f))[0])[1] & 1)
+    return bool(flat._reach(flat._options(f, k, flat._by_level(f))[0])[1] & 1)
 
 
 def test_packed_dp_matches_scalar_kernel(monkeypatch):
