@@ -27,7 +27,10 @@ wrap reaches (k + 3 <= d) reads each term's code straight off its
 coefficient.  A term takes part only when its trusted window covers the
 digits the question reads (k + 3 - jd); the outcome records whether some
 term was left out for that reason, since then a missing zero proves
-nothing.  One pass over the anchors (`flat_zero`) decides the form.
+nothing.  One pass over the anchors (`flat_zero`) decides the form; it
+runs no DP at an anchor with fewer than two level-k terms, since a lone
+2^k times a unit cannot be cancelled mod 2^(k+1) by terms of higher
+level.
 
 A solution becomes a contraction certificate over the caller's form (the
 root of the form searched) by contracting two nodes of minimal level
@@ -255,22 +258,31 @@ def _backtrack(k: int, terms, trail) -> FlatSolution:
 
 def flat_zero(f: AdditiveForm) -> FlatOutcome:
     """Solution at the lowest anchor level that has one.  A variable may
-    be a unit or 2 times a unit, which makes the search complete."""
+    be a unit or 2 times a unit, which makes the search complete.  The
+    states are summed over the anchors whose DP ran; `short` covers the
+    anchors before the solution, or every anchor when there is none."""
     try:  # a level at or above the degree has no bucket
         by_level = _by_level(f)
     except IndexError:
         raise ValueError("flat reachability needs levels below the degree") from None
     states = 0
     short = False
+    lone = []
     for k in range(f.d):
-        if not by_level[k]:
-            continue  # no term can carry the anchor
+        if len(by_level[k]) < 2:
+            # a lone level-k term is 2^k times a unit, which the terms of
+            # higher level cannot cancel mod 2^(k+1): no zero anchors here
+            if by_level[k]:
+                lone.append(k)
+            continue
         terms, left_out = _options(f, k, by_level)
         short |= left_out
         trail, R1, seen = _reach(terms)
         states += seen
         if R1 & 1:
             return FlatOutcome(_backtrack(k, terms, trail), states, short)
+    for k in lone:  # their windows count as the other anchors' do
+        short |= _options(f, k, by_level)[1]
     return FlatOutcome(None, states, short)
 
 

@@ -30,6 +30,8 @@ from padic_forms.errors import CertificateError, PrecisionMismatch
 from padic_forms.flat import (
     FlatPick,
     FlatSolution,
+    _by_level,
+    _options,
     _reach,
     _term,
     contraction_from_flat,
@@ -208,6 +210,22 @@ def test_solution_picks_vanish_mod_anchor_plus_three(d):
     assert found > 50
 
 
+def test_lone_anchor_term_has_no_zero():
+    # flat_zero runs no DP at an anchor with one level-k term; the DP
+    # itself finds no anchored zero there
+    rng = random.Random(2031)
+    lone = 0
+    for d in (2, 6, 10, 14):
+        for _ in range(150):
+            f = sample_form(rng, d, rng.randrange(2, 12))
+            by_level = _by_level(f)
+            for k in range(d):
+                if len(by_level[k]) == 1:
+                    lone += 1
+                    assert not _reach(_options(f, k, by_level)[0])[1] & 1
+    assert lone >= 300
+
+
 @pytest.mark.parametrize("d", [6, 10])
 def test_pipeline_agrees_with_fft_oracle(d):
     rng = random.Random(20261018 + d)
@@ -376,7 +394,7 @@ def test_full_range_d10_never_inconclusive():
 # re-recorded when the decision became one kernel pass on the reduced
 # form with its certificates over the caller's form.  Any change to a
 # verdict, stage, witness, certificate or counter on these forms changes it.
-PINNED_DIGEST = "23653a2856fdb124d9a239cf5447cd57d6d75ca51f2dad49e20c8dd0174dc26e"
+PINNED_DIGEST = "92ce73a40eb706d30d34d2e6b8d771d8d801b62376e0f7656a1866c83cdcf14a"
 
 
 def _pinned_forms():
@@ -398,7 +416,7 @@ def _pinned_forms():
 
 
 # the same digest over _unreduced_forms(), re-recorded at the same change
-UNREDUCED_DIGEST = "1db5d196910c06a4a8edfb40a543a05f5c91aebc2d8c0616c020be752922da25"
+UNREDUCED_DIGEST = "9487703f5bceda87566cdef10a5058d3ad300fbc8cdbb06ae5bf62c681183b3f"
 
 
 def _unreduced_forms():
@@ -432,7 +450,7 @@ def _unreduced_forms():
 
 
 # the same digest over _degree_forms(), re-recorded at the same change
-DEGREE_DIGEST = "28de9559b14d3216d5c80f761c1f81db3e911cffc8a5df44bb4148c05b8bd2d9"
+DEGREE_DIGEST = "44324db15a59c9563ea82a8ae4a449efdac9ea68aad6a36d5dfa48e535c9330e"
 
 # unreduced d = 2 forms (K, coefficient pairs, windows) whose zeros all
 # need a variable equal to 2 times a unit in the normalized frame, so
