@@ -182,15 +182,17 @@ def test_trace_hook_names_exist(monkeypatch):
     assert calls == dict.fromkeys(layers, 1), calls
 
 
+def _ast_constant(path: Path, name: str):
+    """The literal a module assigns to `name`, read without running it."""
+    tree = ast.parse(path.read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == name)
+
+
 def test_benchmark_contract_fields():
     # perfbench/worker.py reads these fields of the traced search and of
     # sweep reports; `perfbench/run.py --trace 1` needs every one of them
-    tree = ast.parse((PERFBENCH / "worker.py").read_text())
-    routes = next(
-        ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "ROUTES"
-    )
+    routes = _ast_constant(PERFBENCH / "worker.py", "ROUTES")
     for pairs, status in (([(1, 0), (7, 0)], "FOUND"), ([(1, 0), (1, 2)], "NOT_FOUND")):
         out = solver.search_certificate(AdditiveForm.from_pairs(6, pairs, 10))
         assert out.status == status
@@ -222,12 +224,6 @@ def test_search_decision_runs_one_kernel_pass(monkeypatch):
         r = decide_isotropy(AdditiveForm.from_pairs(6, pairs, 10))
         assert r.stage == stage
         assert calls == {"flat_zero": 1, "normalize": 0}
-
-
-def _ast_constant(path: Path, name: str):
-    tree = ast.parse(path.read_text())
-    return next(ast.literal_eval(node.value) for node in tree.body
-                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == name)
 
 
 def test_below_threshold_corpus_certificates_validate_against_the_input():
