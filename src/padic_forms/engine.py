@@ -25,6 +25,7 @@ and the tests check its trees against these two builders.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -129,6 +130,18 @@ class ContractionCertificate(NamedTuple):
 
     def node_map(self) -> dict:
         return {n.id: n for n in self.nodes}
+
+
+@dataclass(frozen=True)
+class ExhaustionCertificate:
+    """No primitive zero modulo 2^M, M = max level + 3: the anisotropy
+    evidence, with the decision's reachable-set sizes."""
+
+    M: int
+    states_visited: int
+
+    def to_json(self) -> dict:
+        return {"kind": "exhaustion", "M": self.M, "statesVisited": self.states_visited}
 
 
 def _collect_tree(root: VarNode, arena: dict) -> list[VarNode]:

@@ -22,15 +22,16 @@ a or b at 8 or more are guards: translating by (ta, tb) is one left
 shift by ta + 16 tb, whose carries land in the guards, and after a
 term's shifted copies are ORed together one fold takes every sum back
 mod 8.  The variables are sorted into levels once per form, so each
-anchor visits only the terms that can reach its range; an anchor that no
-wrap reaches (k + 3 <= d) reads each term's code straight off its
-coefficient.  A term takes part only when its trusted window covers the
-digits the question reads (k + 3 - jd); the outcome records whether some
-term was left out for that reason, since then a missing zero proves
-nothing.  One pass over the anchors (`flat_zero`) decides the form; it
-runs no DP at an anchor with fewer than two level-k terms, since a lone
-2^k times a unit cannot be cancelled mod 2^(k+1) by terms of higher
-level.
+anchor visits only the terms that can reach its range and reads each
+term's code straight off its coefficient (j = 0) or off 2^d times it
+(j = 1); a wrapped term never lands at level k, since k < d.  A term
+takes part only when its trusted window covers the digits the question
+reads (k + 3 - jd); the outcome records whether some term was left out
+for that reason, since then a missing zero proves nothing.  One pass
+over the anchors (`flat_zero`) decides the form; it skips an anchor with
+fewer than two level-k terms, windows included, since a lone 2^k times a
+unit cannot be cancelled mod 2^(k+1) by terms of higher level whatever
+the unseen digits.
 
 A solution becomes a contraction certificate over the caller's form (the
 root of the form searched) by contracting two nodes of minimal level
@@ -92,7 +93,7 @@ def mod8_table(d: int) -> Mod8Table:
     return Mod8Table(tuple(products), options)
 
 
-# the kernel's answers are named tuples: it builds them on every search
+# the kernel's picks are named tuples: it builds them on every search
 
 
 class FlatPick(NamedTuple):
@@ -107,21 +108,28 @@ class FlatSolution(NamedTuple):
     picks: tuple[FlatPick, ...]  # ordered by variable
 
 
-class FlatOutcome(NamedTuple):
-    solution: FlatSolution | None
-    states: int  # reachable-set sizes summed over anchors and steps
-    short: bool  # some term was left out because of its window
+@dataclass
+class SearchOutcome:
+    """The kernel pass's one record; `search_certificate` adds the
+    certificate."""
+
+    status: str  # "FOUND" | "NOT_FOUND"
+    certificate: ContractionCertificate | None
+    nodes_expanded: int  # reachable-set sizes summed over anchors and steps
+    solution: FlatSolution | None = None  # the kernel's picks behind the certificate
+    short: bool = False  # a term was left out for its window, so NOT_FOUND proves nothing
 
 
 @lru_cache(maxsize=None)
-def _rows(d: int) -> dict:
-    """mod8_table(d).options as kernel rows, keyed by (at level k, wrap),
-    then indexed by the term's code: the options (code, at level k, wrap,
-    rep index) and their shifts."""
+def _rows(d: int) -> tuple:
+    """mod8_table(d).options as the kernel's three row tables: a term at
+    its own level above k, one at level k, and one wrapped (never at level
+    k).  Each is indexed by the term's code and holds its options (code,
+    at level k, wrap, rep index) and their shifts."""
     rows = mod8_table(d).options
-    return {(at_k, j): tuple((tuple((code, at_k, j, idx) for code, idx in row),
-                              tuple(_bit(code) for code, _ in row)) for row in rows)
-            for at_k in (False, True) for j in (0, 1)}
+    return tuple(tuple((tuple((code, at_k, j, idx) for code, idx in row),
+                        tuple(_bit(code) for code, _ in row)) for row in rows)
+                 for at_k, j in ((False, 0), (True, 0), (False, 1)))
 
 
 def _term(var: int, opts: tuple) -> tuple:
@@ -146,50 +154,42 @@ def _options(f: AdditiveForm, k: int, by_level: list):
     k, wrap, rep index), the first wrap and rep reaching a code winning;
     and whether a term in range was left out for its window.  Only the
     levels of `by_level` (from `_by_level`) that reach the range are
-    visited.  Both wraps fall in range only when d = 2.
+    visited.
 
-    When k + 3 <= d no wrap reaches the range, and the anchor has a path
-    of its own with no wrap loop: every term in range is at its own level
-    k..k+2, its code is (a >> k) & 7 | ((b >> k) & 7) << 3, it is left out
-    when its window stops below k + 3, and its row depends only on whether
-    its level is k."""
+    A term at level k or above reads its code off its coefficient and
+    needs a window of k + 3; one below level k + 3 - d reads it off 2^d
+    times its coefficient and needs a window of k + 3 - d.  Only when
+    d = 2 does a term (at level k) do both: the wrap adds the codes the
+    unwrapped term does not reach."""
     d = f.d
-    rows = _rows(d)
+    plain, at_k, wrapped = _rows(d)
     top = k + 3
-    parts = by_level[k:top]
+    low = top - d  # the terms below this level wrap into range
+    up = d - k  # 2^d times a coefficient, divided by 2^k
+    near = by_level[k:top] + by_level[:max(0, min(low, k))]
     terms = []
     short = False
-    if top <= d:  # every term in range is at its own level
-        plain, at_k = rows[False, 0], rows[True, 0]
-        for i, a, b, w, lvl in sorted(sum(parts, [])):
+    for i, a, b, w, lvl in sorted(sum(near, [])):
+        term = None
+        if lvl >= k:
             if w < top:
                 short = True
             elif lvl == k:
                 opts, shifts = at_k[(a >> k) & 7 | ((b >> k) & 7) << 3]
-                terms.append((i, opts, (), shifts))
+                term = (i, opts, (), shifts)
             else:
                 opts, shifts = plain[(a >> k) & 7 | ((b >> k) & 7) << 3]
-                terms.append((i, opts, shifts, ()))
-        return terms, short
-    parts += by_level[:min(top - d, k)]  # the levels below k that a wrap lifts into range
-    near = sorted(sum(parts, []))
-    for i, a, b, w, lvl in near:
-        term = None
-        for j in (0, 1):
-            shift = j * d
-            at = lvl + shift
-            if not k <= at < top:
-                continue
-            if w + shift < top:
+                term = (i, opts, shifts, ())
+        if lvl < low:
+            if w < low:
                 short = True
-                continue
-            v = (((a << shift) >> k) & 7) | ((((b << shift) >> k) & 7) << 3)
-            opts, shifts = rows[at == k, j][v]
-            if term is None:
-                term = (i, opts, (), shifts) if at == k else (i, opts, shifts, ())
-            else:  # the second wrap adds only codes the first does not reach
-                seen = {o[0] for o in term[1]}
-                term = _term(i, term[1] + tuple(o for o in opts if o[0] not in seen))
+            else:
+                opts, shifts = wrapped[(a << up) & 7 | ((b << up) & 7) << 3]
+                if term is None:
+                    term = (i, opts, shifts, ())
+                else:  # the wrap adds only codes the unwrapped term does not reach
+                    seen = {o[0] for o in term[1]}
+                    term = _term(i, term[1] + tuple(o for o in opts if o[0] not in seen))
         if term is not None:
             terms.append(term)
     return terms, short
@@ -256,34 +256,27 @@ def _backtrack(k: int, terms, trail) -> FlatSolution:
     return FlatSolution(k, anchor, tuple(reversed(picks)))
 
 
-def flat_zero(f: AdditiveForm) -> FlatOutcome:
+def flat_zero(f: AdditiveForm) -> SearchOutcome:
     """Solution at the lowest anchor level that has one.  A variable may
     be a unit or 2 times a unit, which makes the search complete.  The
-    states are summed over the anchors whose DP ran; `short` covers the
-    anchors before the solution, or every anchor when there is none."""
+    states are summed over the anchors whose DP ran; `short` covers those
+    anchors before the solution, or all of them when there is none."""
     try:  # a level at or above the degree has no bucket
         by_level = _by_level(f)
     except IndexError:
         raise ValueError("flat reachability needs levels below the degree") from None
     states = 0
     short = False
-    lone = []
     for k in range(f.d):
         if len(by_level[k]) < 2:
-            # a lone level-k term is 2^k times a unit, which the terms of
-            # higher level cannot cancel mod 2^(k+1): no zero anchors here
-            if by_level[k]:
-                lone.append(k)
-            continue
+            continue  # a lone 2^k times a unit: no zero anchors here, whatever the digits
         terms, left_out = _options(f, k, by_level)
         short |= left_out
         trail, R1, seen = _reach(terms)
         states += seen
         if R1 & 1:
-            return FlatOutcome(_backtrack(k, terms, trail), states, short)
-    for k in lone:  # their windows count as the other anchors' do
-        short |= _options(f, k, by_level)[1]
-    return FlatOutcome(None, states, short)
+            return SearchOutcome("FOUND", None, states, _backtrack(k, terms, trail), short)
+    return SearchOutcome("NOT_FOUND", None, states, short=short)
 
 
 def contraction_from_flat(g: AdditiveForm, sol: FlatSolution) -> ContractionCertificate:
@@ -376,21 +369,11 @@ def contraction_from_flat(g: AdditiveForm, sol: FlatSolution) -> ContractionCert
     return _certificate_from(top, nodes, d, K)
 
 
-@dataclass
-class SearchOutcome:
-    status: str  # "FOUND" | "NOT_FOUND"
-    certificate: ContractionCertificate | None
-    nodes_expanded: int  # the kernel's reachable-set sizes, summed
-    solution: FlatSolution | None = None  # the kernel's picks behind the certificate
-    short: bool = False  # a term was left out for its window, so NOT_FOUND proves nothing
-
-
 def search_certificate(g: AdditiveForm) -> SearchOutcome:
     """The decision's one kernel pass: a contraction certificate over g's
     root form for a zero of g, if g has one.  The pass is complete, so
     NOT_FOUND proves g anisotropic unless `short` is set."""
     out = flat_zero(g)
-    if out.solution is None:
-        return SearchOutcome("NOT_FOUND", None, out.states, short=out.short)
-    cert = contraction_from_flat(g, out.solution)
-    return SearchOutcome("FOUND", cert, out.states, out.solution, out.short)
+    if out.solution is not None:
+        out.certificate = contraction_from_flat(g, out.solution)
+    return out

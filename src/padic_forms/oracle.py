@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import ExhaustionCertificate
 from .errors import CertificateError, OracleBudgetError, PadicFormsError, PrecisionMismatch
 from .forms import AdditiveForm, reduce_levels
 from .ring import RingElem, dth_root, multiplier_set, mul_pair, pow_pair
@@ -296,15 +297,6 @@ def primitive_zero_mod(
 
 # ---------------------------------------------------------------------------
 # full exhaustive decision
-
-
-@dataclass(frozen=True)
-class ExhaustionCertificate:
-    M: int
-    states_visited: int
-
-    def to_json(self) -> dict:
-        return {"kind": "exhaustion", "M": self.M, "statesVisited": self.states_visited}
 
 
 @dataclass

@@ -15,11 +15,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .engine import ContractionCertificate, certificate_to_json, validate_certificate
+from .engine import (
+    ContractionCertificate,
+    ExhaustionCertificate,
+    certificate_to_json,
+    validate_certificate,
+)
 from .errors import CertificateError, PrecisionMismatch
 from .flat import FlatSolution, search_certificate
 from .forms import AdditiveForm, reduce_levels
-from .oracle import ExhaustionCertificate
 from .ring import mul_pair, multiplier_set
 from .witness import Witness, map_to_origin, solve_anchor, verify_witness
 

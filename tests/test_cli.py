@@ -110,6 +110,21 @@ def test_solve_short_window_exit65(tmp_path, capsys):
     assert code == 65 and "window" in err
 
 
+def test_solve_lone_anchors_at_short_precision_exit1(tmp_path, capsys):
+    # at K = 5 the 16 is trusted to one digit past its level 4, yet it and
+    # the 1 are each alone at their level, so no completion has a zero;
+    # the oracle agrees on the same coefficients at K = 10
+    p = tmp_path / "f.txt"
+    p.write_text("d=6; K=5; 1, 16\n")
+    code, out, _ = run(["solve", str(p)], capsys)
+    doc = json.loads(out)
+    assert code == 1 and doc["verdict"] == "ANISOTROPIC"
+    assert doc["certificate"] == {"kind": "exhaustion", "M": 7, "statesVisited": 0}
+    p.write_text("d=6; 1, 16\n")
+    code, out, _ = run(["oracle", str(p)], capsys)
+    assert code == 1 and json.loads(out)["verdict"] == "ANISOTROPIC"
+
+
 def test_solve_stdin(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("d=6; 1, 7"))
     code, out, _ = run(["solve", "-"], capsys)

@@ -12,6 +12,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -41,7 +42,7 @@ from padic_forms.flat import (
 )
 from padic_forms.forms import AdditiveForm, cyclic_shift, normalize, reduce_levels
 from padic_forms.oracle import decide_isotropy_exhaustive
-from padic_forms.ring import RingElem, multiplier_set
+from padic_forms.ring import RingElem, mul_pair, multiplier_set
 from padic_forms.solver import decide_isotropy, isotropy_threshold, lift_witness
 from padic_forms.witness import exact_coeffs, solve_anchor, verify_witness
 from test_witness import dense_back_map
@@ -183,6 +184,57 @@ def test_reach_matches_set_dp():
         assert _decode(R1) == want_R1 and states == want_states
 
 
+def _plain_options(f, k):
+    """`_options` by enumeration: per variable each x = 2^j u (j = 0, 1)
+    whose term lands in k..k+2 and is trusted there, the codes of
+    c 2^(jd) r / 2^k mod 8 over the reps r, the first (j, rep) per code."""
+    d = f.d
+    reps = [(r.value.a, r.value.b) for r in multiplier_set(d, 3).reps]
+    terms, short, seen = [], False, Counter()
+    for var, (c, w, lvl) in enumerate(zip(f.coeffs, f.windows, f.levels())):
+        first = {}
+        for j in (0, 1):
+            if not k <= lvl + j * d < k + 3:
+                continue
+            kind = ("own", "wrapped")[j]
+            if w + j * d < k + 3:
+                short = True
+                seen["short " + kind] += 1
+                continue
+            seen[kind] += 1
+            for idx, (ra, rb) in enumerate(reps):
+                pa, pb = mul_pair(c.a << j * d, c.b << j * d, ra, rb, 1 << k + 3)
+                first.setdefault((pa >> k) + 8 * (pb >> k), (lvl + j * d == k, j, idx))
+        if len({j for _, j, _ in first.values()}) == 2:
+            seen["both"] += 1
+        if first:
+            opts = tuple((code, *rest) for code, rest in first.items())
+            terms.append((var, opts,
+                          tuple((x & 7) + 16 * (x >> 3) for x, at, _, _ in opts if not at),
+                          tuple((x & 7) + 16 * (x >> 3) for x, at, _, _ in opts if at)))
+    return terms, short, seen
+
+
+def test_options_match_plain_enumeration():
+    rng = random.Random(2029)
+    seen = Counter()
+    for d in (2, 6, 10, 14):
+        for _ in range(250):
+            f = sample_form(rng, d, rng.randrange(1, 10))
+            windows = tuple(rng.choice((f.K, rng.randrange(lvl + 1, f.K + 1), lvl + 1))
+                            for lvl in f.levels())
+            f = AdditiveForm(d, f.coeffs, windows=windows)
+            by_level = _by_level(f)
+            for k in range(d):
+                terms, short, counts = _plain_options(f, k)
+                assert _options(f, k, by_level) == (terms, short), (f.to_json(), k)
+                seen.update({(d, key): n for key, n in counts.items()})
+    # the d = 2 double wrap, and short windows on own and wrapped terms
+    assert seen[2, "both"] >= 50
+    for d in (2, 6, 10, 14):
+        assert min(seen[d, kind] for kind in ("wrapped", "short own", "short wrapped")) >= 20, seen
+
+
 @pytest.mark.parametrize("d", [6, 10])
 def test_solution_picks_vanish_mod_anchor_plus_three(d):
     rng = random.Random(11 + d)
@@ -211,8 +263,8 @@ def test_solution_picks_vanish_mod_anchor_plus_three(d):
 
 
 def test_lone_anchor_term_has_no_zero():
-    # flat_zero runs no DP at an anchor with one level-k term; the DP
-    # itself finds no anchored zero there
+    # flat_zero runs no DP and reads no window at an anchor with one
+    # level-k term; the DP itself finds no anchored zero there
     rng = random.Random(2031)
     lone = 0
     for d in (2, 6, 10, 14):
@@ -333,6 +385,18 @@ def test_short_window_without_zero_raises():
     f = AdditiveForm(6, base.coeffs, windows=(10, 10, 2))
     with pytest.raises(PrecisionMismatch):
         decide_isotropy(f)
+
+
+def test_lone_anchor_short_window_is_decided():
+    # a lone level-k term is 2^k times a unit for every completion of its
+    # digits, so a short window there cannot hide a zero anchored at k
+    one = RingElem(1, 0, 10)
+    for f in (AdditiveForm(6, (one,), windows=(2,)),
+              AdditiveForm(6, (one, RingElem(4, 0, 10)), windows=(2, 10))):
+        assert flat_zero(f).short is False
+        r = decide_isotropy(f)
+        assert (r.verdict, r.certificate.to_json()["kind"]) == ("ANISOTROPIC", "exhaustion")
+        assert decide_isotropy_exhaustive(AdditiveForm(6, f.coeffs)).verdict == "ANISOTROPIC"
 
 
 def test_window_one_digit_short_is_left_out():

@@ -198,7 +198,6 @@ ORACLE_USERS = {
     ("cli.py", "<module>", "MAX_ORACLE_M"),
     ("cli.py", "<module>", "decide_isotropy_exhaustive"),
     ("cli.py", "<module>", "primitive_zero_mod"),
-    ("solver.py", "<module>", "ExhaustionCertificate"),
     ("solver.py", "<module>", "decide_isotropy_exhaustive"),
     ("sweeps.py", "minimality_probe", "decide_isotropy_exhaustive"),
 }
