@@ -30,11 +30,10 @@ from .errors import (
     PrecisionMismatch,
 )
 from .flat import SearchOutcome
-# normalize and cyclic_shift stay until the benchmark's refresh:
-# perfbench/worker.py imports normalize from here
+# normalize stays until the benchmark's refresh: perfbench/worker.py
+# imports it from here
 from .forms import (
     AdditiveForm,
-    cyclic_shift,
     default_precision,
     normalize,
     reduce_levels,
@@ -92,7 +91,6 @@ __all__ = [
     "Witness",
     "agreement_experiment",
     "certificate_to_json",
-    "cyclic_shift",
     "decide_isotropy",
     "decide_isotropy_exhaustive",
     "default_precision",

@@ -44,7 +44,7 @@ from .errors import (
     PadicFormsError,
     PrecisionMismatch,
 )
-from .forms import AdditiveForm, parse_form_text, reduce_levels
+from .forms import AdditiveForm, parse_form_text
 from .oracle import MAX_ORACLE_M, decide_isotropy_exhaustive, primitive_zero_mod
 from .solver import decide_isotropy, isotropy_threshold
 from .sweeps import (
@@ -125,8 +125,7 @@ def cmd_solve(args) -> int:
 def cmd_oracle(args) -> int:
     f = load_form(args.form)
     if args.precision is not None:
-        g = reduce_levels(f)
-        zs = primitive_zero_mod(g, args.precision)
+        zs = primitive_zero_mod(f, args.precision)
         doc = {
             "kind": "zeroSearch",
             "modulus": zs.M,

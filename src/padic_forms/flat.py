@@ -286,9 +286,9 @@ def contraction_from_flat(g: AdditiveForm, sol: FlatSolution) -> ContractionCert
     g's frame and N the largest over the picks, so its leaf is the root's
     coefficient times 2^(d m_j) with exponent m_j, at the coefficient's
     level plus d m_j and trusted to its window plus d m_j.  Every term
-    moves by the same d N - scale from its level in g, so the anchor level
-    is k + d N - scale, and the tree is computed mod 2^K with K the larger
-    of the root's precision and the anchor level + 3.
+    moves by the same d N from its level in g, so the anchor level is
+    k + d N, and the tree is computed mod 2^K with K the larger of the
+    root's precision and the anchor level + 3.
 
     The leaves are contracted bottom-up: while some node has a level
     below the anchor level + 3, two nodes share the minimal one, and those
@@ -309,7 +309,7 @@ def contraction_from_flat(g: AdditiveForm, sol: FlatSolution) -> ContractionCert
     masked once."""
     d, subst, root = g.d, g.subst_log, g.root()
     N = max([subst[var] for var, _, _ in sol.picks], default=0)
-    need = sol.k + d * N - g.scale_log + 3
+    need = sol.k + d * N + 3
     K0 = root.K
     K = K0 if need <= K0 else need
     reps = multiplier_set(d, K).reps
@@ -372,7 +372,11 @@ def contraction_from_flat(g: AdditiveForm, sol: FlatSolution) -> ContractionCert
 def search_certificate(g: AdditiveForm) -> SearchOutcome:
     """The decision's one kernel pass: a contraction certificate over g's
     root form for a zero of g, if g has one.  The pass is complete, so
-    NOT_FOUND proves g anisotropic unless `short` is set."""
+    NOT_FOUND proves g anisotropic unless `short` is set.  A rotated frame
+    (`normalize`'s, with a scale) is refused: the deciders search the
+    reduction of the root form."""
+    if g.scale_log:
+        raise ValueError("the contraction search takes unrotated frames only")
     out = flat_zero(g)
     if out.solution is not None:
         out.certificate = contraction_from_flat(g, out.solution)

@@ -6,13 +6,16 @@ is valid for all ways of completing the unknown higher digits, so each
 coefficient also carries a trusted-window exponent that shrinks when a
 transformation divides digits away.
 
-Transformations (level reduction, cyclic shifts, normalization) keep a
-frame: per-variable substitution exponents e_j and a net scale t with
+Level reduction keeps a frame: per-variable substitution exponents e_j
+with
 
-    coeff_cur[j] = coeff_orig[j] * 2^t / 2^(d * e_j)
+    coeff_cur[j] = coeff_orig[j] / 2^(d * e_j)
 
-so a zero of the transformed form maps back to a zero of the original via
-x_j = 2^(N - e_j) * y_j with N = max e_j over the variables used.
+so a zero of the reduced form maps back to a zero of the original (its
+root) via x_j = 2^(N - e_j) * y_j with N = max e_j over the variables
+used.  The rotation `normalize` also multiplies the form by 2^t and
+records t as the frame's scale `scale_log`; only it writes a scale, and
+the deciders read none: they decide the root.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ class AdditiveForm:
         coeffs: tuple[RingElem, ...],
         *,
         windows: tuple[int, ...] | None = None,
-        scale_log: int = 0,
         subst_log: tuple[int, ...] | None = None,
         origin: "AdditiveForm | None" = None,
     ):
@@ -62,8 +64,9 @@ class AdditiveForm:
                 )
             levels.append(lvl)
         # K (the storage precision) and s (the variable count) are read on
-        # every hot path, so they are stored rather than derived
-        for setter, x in zip(_SETTERS, (d, coeffs, windows, scale_log, subst_log, origin,
+        # every hot path, so they are stored rather than derived; the scale
+        # is 0, since only `_shift` writes one
+        for setter, x in zip(_SETTERS, (d, coeffs, windows, 0, subst_log, origin,
                                         tuple(levels), K, len(coeffs))):
             setter(self, x)
 
@@ -187,21 +190,15 @@ def reduce_levels(f: AdditiveForm) -> AdditiveForm:
         d,
         tuple(coeffs),
         windows=tuple(windows),
-        scale_log=f.scale_log,
         subst_log=tuple(subst),
         origin=f.root(),
     )
 
 
-def cyclic_shift(f: AdditiveForm, t: int) -> AdditiveForm:
-    """Multiply the form by 2^t and re-reduce, sending every level to
-    (level + t) mod d.  Isotropy-equivalent; frame records the scale."""
-    assert f.is_reduced()
-    return _shift(f, t % f.d)
-
-
 def _shift(f: AdditiveForm, t: int) -> AdditiveForm:
-    """`cyclic_shift` of a reduced form by t in [0, d)."""
+    """The reduced form f times 2^t, t in [0, d), re-reduced: every level
+    goes to (level + t) mod d.  Isotropy-equivalent; the frame's scale
+    grows by t."""
     if t == 0:
         return f
     d = f.d

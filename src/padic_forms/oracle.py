@@ -29,7 +29,7 @@ from .engine import ExhaustionCertificate
 from .errors import CertificateError, OracleBudgetError, PadicFormsError, PrecisionMismatch
 from .forms import AdditiveForm, reduce_levels
 from .ring import RingElem, dth_root, multiplier_set, mul_pair, pow_pair
-from .witness import Witness, exact_coeffs, map_to_origin, solve_anchor, verify_witness
+from .witness import Witness, map_to_origin, solve_anchor, verify_witness
 
 MAX_ORACLE_M = 10  # 2 * 4^M boolean cells per DP layer
 
@@ -206,11 +206,12 @@ def primitive_zero_mod(
 ) -> ZeroSearch:
     """Search O/2^M for a zero using at least one unit variable whose
     coefficient level allows lifting (level <= max_unit_level, default
-    M - 3).  Complete within the modulus: NONE means no such zero exists
-    for any completion of the coefficients.  A max_unit_level below 0
-    would let no variable carry the unit, so it is a ValueError."""
+    M - 3).  Each coefficient is read as it is, reduced or not, so a zero
+    found is one of f itself.  Complete within the modulus: NONE means no
+    such zero exists for any completion of the coefficients.  A
+    max_unit_level below 0 would let no variable carry the unit, so it is
+    a ValueError."""
     _check_modulus(M)
-    assert f.is_reduced()
     if min(f.windows) < M:
         raise PrecisionMismatch(
             f"coefficients trusted below 2^{M}; oracle verdict would not "
@@ -308,10 +309,11 @@ class OracleDecision:
 
 
 def decide_isotropy_exhaustive(f: AdditiveForm) -> OracleDecision:
-    """Complete decision at M = max level + 3: every unit variable is then
-    liftable, so a missing primitive zero mod 2^M rules out zeros outright
-    and a found one Newton-lifts to a verified witness."""
-    g = reduce_levels(f)
+    """Complete decision on the reduction of f's root form at M = its max
+    level + 3: every unit variable is then liftable, so a missing
+    primitive zero mod 2^M rules out zeros outright and a found one
+    Newton-lifts to a verified witness for the root form."""
+    g = reduce_levels(f.root())
     M = g.max_level() + 3
     zs = primitive_zero_mod(g, M)
     if not zs.found:
@@ -321,11 +323,11 @@ def decide_isotropy_exhaustive(f: AdditiveForm) -> OracleDecision:
     K = g.K
     vals = [RingElem(x.a, x.b, K) for x in zs.assignment]
     terms = [mul_pair(c.a, c.b, *pow_pair(x.a, x.b, g.d, 1 << K))
-             for c, x in zip(exact_coeffs(g, K), vals)]
+             for c, x in zip(g.coeffs, vals)]
     anchor = terms.pop(zs.anchor)
     rest = (sum(t[0] for t in terms), sum(t[1] for t in terms))
     vals[zs.anchor] = vals[zs.anchor] * RingElem(*solve_anchor(anchor, rest, g.d, K), K)
-    w = map_to_origin(g, ((j, x.a, x.b) for j, x in enumerate(vals)), zs.anchor, K)
+    w = map_to_origin(g, ((j, x.a, x.b) for j, x in enumerate(vals)), zs.anchor)
     if not verify_witness(f.root(), w):
         raise CertificateError("oracle witness failed verification")
     return OracleDecision("ISOTROPIC", w, None, zs.states_visited)

@@ -1,13 +1,14 @@
 """Top-level isotropy decision pipeline.
 
-Reduce the levels below the degree, then ask the exact flat reachability
-kernel (flat.py) once: `search_certificate` runs one complete pass on the
-reduced form.  A solution becomes a contraction certificate over the
-caller's form, which is checked against that form, and is Newton-lifted
-from the kernel's picks, whose coefficients are read off the root form,
-and mapped in one pass (`map_to_origin`) into a witness in the caller's
-variable frame.  No solution is an anisotropy proof unless a
-coefficient's trusted window was too short to take part.
+Reduce the levels of the caller's root form below the degree, then ask
+the exact flat reachability kernel (flat.py) once: `search_certificate`
+runs one complete pass on the reduced form.  A solution becomes a
+contraction certificate over the root form, which is checked against the
+caller's form, and is Newton-lifted from the kernel's picks, whose
+coefficients are read off the reduced form, and mapped in one pass
+(`map_to_origin`) into a witness in the root's variables.  No solution
+is an anisotropy proof unless a coefficient's trusted window was too
+short to take part.
 """
 
 from __future__ import annotations
@@ -62,41 +63,32 @@ class IsotropyResult:
         return doc
 
 
-def lift_witness(g: AdditiveForm, sol: FlatSolution, K: int) -> Witness:
+def lift_witness(g: AdditiveForm, sol: FlatSolution) -> Witness:
     """Turn a kernel solution on g into a witness for g's root form.
 
     Each picked variable is x = 2^wrap times its multiplier's root (on a
     certificate built from the solution, the product of roots along the
     leaf's path: composite nodes carry the identity); the others are 0.
-    So x^d = 2^(wrap d) times the rep's value, read off the rep, and each
-    pick's coefficient is recomputed at precision K from the root form's
-    exact representative through the frame.  Each term is masked mod 2^K
-    as it is formed, and the same loop sums the terms other than the
-    anchor's.  Newton then corrects the anchor so the sum vanishes mod
-    2^K, and the picks are mapped back to the root frame in one pass
-    (`map_to_origin`) and verified there.  On a frame without scale, as
-    the decision's reduced form, K = g.K keeps the root's full precision.
-
-    A scaled frame (`normalize`'s) needs K = root.K + scale - d N for
-    that, N the picks' largest substitution exponent.  The rep's value is
-    root^d only mod 2^(g.K), yet exact in the terms: a pick with exponent
-    e <= N has a coefficient divisible by 2^(scale - d e), so by
-    2^(K - g.K).
+    So x^d = 2^(wrap d) times the rep's value, read off the rep, times the
+    pick's coefficient in g, each term masked mod 2^K (K = g.K) as it is
+    formed; the same loop sums the terms other than the anchor's.  Newton
+    then corrects the anchor so the sum vanishes mod 2^K, and the picks
+    are mapped back to the root frame in one pass (`map_to_origin`) and
+    verified there.
     """
-    d, mask = g.d, (1 << K) - 1
-    coeffs, scale, subst = g.root().coeffs, g.scale_log, g.subst_log
-    reps = multiplier_set(d, g.K).reps
+    d, K = g.d, g.K
+    mask = (1 << K) - 1
+    coeffs = g.coeffs
+    reps = multiplier_set(d, K).reps
     anchor, used = sol.anchor, []
     term = None
     ra = rb = 0  # the sum of the other terms
     for var, wrap, idx in sol.picks:
-        c, down = coeffs[var], d * subst[var]
-        rep = reps[idx]
+        c, rep = coeffs[var], reps[idx]
         v, r, shift = rep.value, rep.root, wrap * d
-        ca, cb = (c.a << scale) >> down, (c.b << scale) >> down
         va, vb = v.a << shift, v.b << shift
-        bd = cb * vb  # the product as in mul_pair, inline
-        ta, tb = (ca * va + bd) & mask, (ca * vb + cb * va + bd) & mask
+        bd = c.b * vb  # the product as in mul_pair, inline
+        ta, tb = (c.a * va + bd) & mask, (c.a * vb + c.b * va + bd) & mask
         if var == anchor:
             term, xa, xb = (ta, tb), r.a << wrap, r.b << wrap
         else:
@@ -107,27 +99,28 @@ def lift_witness(g: AdditiveForm, sol: FlatSolution, K: int) -> Witness:
         raise CertificateError("flat solution does not pick its anchor")
     za, zb = solve_anchor(term, (ra, rb), d, K)
     used.append((anchor, *mul_pair(xa, xb, za, zb)))
-    w = map_to_origin(g, used, anchor, K)
+    w = map_to_origin(g, used, anchor)
     if not verify_witness(g.root(), w):
         raise CertificateError("lifted witness failed verification")
     return w
 
 
 def decide_isotropy(f: AdditiveForm) -> IsotropyResult:
-    """Decide isotropy of f (witnesses and certificates refer to f's own
-    variables).
+    """Decide isotropy of f (witnesses and certificates refer to the
+    variables of f's root form, f itself unless f is a transformed frame).
 
-    Stages: reduce, then one complete kernel pass on the reduced form.  A
-    zero gives a contraction certificate, checked against f, and a witness
-    lifted at the reduced form's precision (stage "search", or
-    "search-threshold" when the variable count clears the always-isotropic
-    threshold); none gives an exhaustion certificate (stage "oracle").
+    Stages: reduce the root form, then one complete kernel pass on the
+    reduced form.  A zero gives a contraction certificate, checked against
+    f, and a witness lifted at the reduced form's precision (stage
+    "search", or "search-threshold" when the variable count clears the
+    always-isotropic threshold); none gives an exhaustion certificate
+    (stage "oracle").
     The timings, shown under `solve -v`, are keyed "search", then
     "validate" and "lift" after a zero.
     """
     timings: dict = {}
     t0 = time.perf_counter()
-    reduced = reduce_levels(f)
+    reduced = reduce_levels(f.root())
     found = search_certificate(reduced)
     t1 = time.perf_counter()
     timings["search"] = t1 - t0
@@ -138,7 +131,7 @@ def decide_isotropy(f: AdditiveForm) -> IsotropyResult:
             raise CertificateError("certificate does not validate against the form")
         t2 = time.perf_counter()
         timings["validate"] = t2 - t1
-        w = lift_witness(reduced, found.solution, reduced.K)
+        w = lift_witness(reduced, found.solution)
         timings["lift"] = time.perf_counter() - t2
         stage = "search-threshold" if f.s >= isotropy_threshold(f.d) else "search"
         return IsotropyResult(

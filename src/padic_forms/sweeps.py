@@ -79,8 +79,9 @@ import numpy as np
 
 from .errors import PadicFormsError
 from .flat import mod8_table, search_certificate
-from .forms import AdditiveForm
+from .forms import AdditiveForm, default_precision
 from .ring import RingElem
+from .solver import decide_isotropy
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +620,7 @@ class MinimalityReport:
         return doc
 
 
-PROBE_CONFIRMATIONS = 5  # failing profiles per decremented space the oracle confirms
+PROBE_CONFIRMATIONS = 5  # failing profiles per decremented space the kernel confirms
 
 
 def minimality_probe(lemma_id: str) -> MinimalityReport:
@@ -627,15 +628,13 @@ def minimality_probe(lemma_id: str) -> MinimalityReport:
 
     For each class slot, remove a variable and exhaust the smaller space
     (by orbit representatives; counts are weighted to code multisets).
-    The first PROBE_CONFIRMATIONS profiles the search cannot contract are
-    handed to the complete modular decision as plain forms; an anisotropic
-    answer there is a concrete instance showing the decremented type does
-    not always contract, so the original counts are not slack.  This is
-    corroborative only, not part of the verification battery.
+    The first PROBE_CONFIRMATIONS profiles the slot join cannot contract
+    are handed to `decide_isotropy` as plain forms, so the flat kernel
+    checks the join on its own; an anisotropic answer there is a concrete
+    instance showing the decremented type does not always contract, so
+    the original counts are not slack.  This is corroborative only, not
+    part of the verification battery.
     """
-    from .forms import default_precision
-    from .oracle import decide_isotropy_exhaustive
-
     lem = SWEEP_LEMMAS[lemma_id]
     if lem.class_counts is None or any(lem.level_counts):
         raise ValueError(f"lemma {lemma_id} is not a one-level class lemma")
@@ -659,13 +658,11 @@ def minimality_probe(lemma_id: str) -> MinimalityReport:
         confirmed = 0
         example = None
         for row in failures[:PROBE_CONFIRMATIONS]:
-            if search_certificate(_profile_form(lem.d, row)).status != "NOT_FOUND":
-                raise PadicFormsError("probe failure not confirmed by the contraction search")
             f = AdditiveForm.from_pairs(
                 lem.d, [(int(c) & 7, int(c) >> 3) for c in row], K
             )
-            if decide_isotropy_exhaustive(f).verdict != "ANISOTROPIC":
-                raise PadicFormsError("search-refuted probe profile decided isotropic")
+            if decide_isotropy(f).verdict != "ANISOTROPIC":
+                raise PadicFormsError("probe failure decided isotropic by the kernel")
             confirmed += 1
             if example is None:
                 example = f.to_json()

@@ -7,7 +7,8 @@ variable meets the Hensel criterion, so the residue statement certifies
 an exact zero for every completion of the coefficients beyond their
 working precision.  V never exceeds the working precision: a deeper claim
 would silently depend on unknown digits.  Both lifts, the pipeline's and
-the FFT oracle's, map their zeros to the caller's frame by `map_to_origin`.
+the FFT oracle's, find a zero of the root form's reduction and map it to
+the root by `map_to_origin`.
 """
 
 from __future__ import annotations
@@ -71,15 +72,6 @@ def verify_witness(f: AdditiveForm, w: Witness) -> bool:
     return (total.a & mask) == 0 and (total.b & mask) == 0
 
 
-def exact_coeffs(g: AdditiveForm, K: int) -> list[RingElem]:
-    """Every current-frame coefficient recomputed from the origin's exact
-    representative at precision K, undoing any truncation the frame's
-    scale may have caused in storage."""
-    scale = g.scale_log
-    return [RingElem((rep.a << scale) >> down, (rep.b << scale) >> down, K)
-            for rep, down in zip(g.root().coeffs, (g.d * e for e in g.subst_log))]
-
-
 def solve_anchor(anchor: tuple[int, int], rest: tuple[int, int], d: int, K: int) -> tuple[int, int]:
     """The unit z, as a pair, with anchor * z^d + rest = 0 mod 2^K: anchor
     is the anchor's term c * x^d and rest the sum of the other terms, as
@@ -89,16 +81,22 @@ def solve_anchor(anchor: tuple[int, int], rest: tuple[int, int], d: int, K: int)
     return anchor_solve_pair(anchor[0], anchor[1], d, rest[0], rest[1], K)
 
 
-def map_to_origin(g: AdditiveForm, used, anchor: int, K: int) -> Witness:
-    """The witness for g's root form of a zero of g mod 2^K, given by its
-    used entries (var, a, b); zero entries are ignored.  Each is mapped
-    back by x_j = 2^(N - e_j) y_j with N the largest e_j - v(y_j) over the
-    used variables, the least N that keeps every x_j integral, so the
-    entries reaching N are exactly the units.  The values are written at
-    the root's precision K_root, and the sum vanishes to
-    V = min(K_root, K + d N - scale).  The primitive is the unit `anchor`
-    when g has no frame, else the unit of least (root level, variable)."""
-    mask, subst = (1 << K) - 1, g.subst_log
+def map_to_origin(g: AdditiveForm, used, anchor: int) -> Witness:
+    """The witness for g's root form of a zero of g mod 2^K, K = g.K,
+    given by its used entries (var, a, b); zero entries are ignored.  Each
+    is mapped back by x_j = 2^(N - e_j) y_j with N the largest
+    e_j - v(y_j) over the used variables, the least N that keeps every x_j
+    integral, so the entries reaching N are exactly the units.  The values
+    are written at the root's precision K_root, and the sum vanishes to
+    V = min(K_root, K + d N); a V below 1 (N < 0: every entry divisible
+    by a deep power of 2) certifies nothing and is refused.  The
+    primitive is the unit `anchor` when g has no frame, else the unit of
+    least (root level, variable).  A rotated frame (`normalize`'s, with a
+    scale) is refused: the deciders map zeros of reduced forms only."""
+    if g.scale_log:
+        raise ValueError("map_to_origin maps zeros of unrotated frames only")
+    K, subst = g.K, g.subst_log
+    mask = (1 << K) - 1
     lift = []  # (e_j - v(y_j), j, y_j) per nonzero entry, v the lowest set bit of a | b
     N = None
     for j, a, b in used:
@@ -112,9 +110,9 @@ def map_to_origin(g: AdditiveForm, used, anchor: int, K: int) -> Witness:
         raise CertificateError("witness uses no variables")
     root = g.root()
     K0 = root.K
-    V = min(K0, K + g.d * N - g.scale_log)
+    V = min(K0, K + g.d * N)
     if V < 1:
-        raise CertificateError("scale bookkeeping left no certified digits")
+        raise CertificateError("no certified digits remain after mapping back")
     mask0 = (1 << K0) - 1
     values = [RingElem.zero(K0)] * g.s
     for _, j, a, b in lift:

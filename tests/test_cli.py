@@ -11,6 +11,7 @@ import pytest
 import padic_forms
 from padic_forms import cli
 from padic_forms.artifacts import named_form
+from padic_forms.ring import RingElem
 
 try:
     import tomllib
@@ -166,6 +167,35 @@ def test_oracle_window_only(g6_file, capsys):
     assert code == 1
     doc = json.loads(out)
     assert doc["found"] is False and doc["modulus"] == 3
+
+
+def test_oracle_precision_finds_zeros_of_the_input_form(tmp_path, capsys):
+    # the search reads each coefficient as it is, reduced or not, so every
+    # assignment found is a zero mod 2^M of the input form; x^6 + 448 y^6
+    # has none mod 8 (448 y^6 vanishes there and x must be the unit),
+    # though its reduction x^6 + 7 y^6 has one
+    p = tmp_path / "f.txt"
+    p.write_text("d=6; K=16; 1, 448\n")
+    code, out, _ = run(["oracle", str(p), "--precision", "3"], capsys)
+    assert code == 1 and json.loads(out)["found"] is False
+    found = 0
+    for text in ("d=6; K=16; 1, 448", "d=6; K=16; 1, 7, 448", "d=6; K=20; 64, 7, 3*w, 2",
+                 "d=6; K=20; 1, 64, 1*w, 128", "d=10; K=24; 1, 1024, 3, 5*w"):
+        p.write_text(text + "\n")
+        f = cli.load_form(str(p))
+        for M in range(3, 8):
+            code, out, _ = run(["oracle", str(p), "--precision", str(M)], capsys)
+            doc = json.loads(out)
+            assert code == (0 if doc["found"] else 1)
+            if not doc["found"]:
+                continue
+            found += 1
+            values = [RingElem(a, b, f.K) for a, b in doc["assignment"]]
+            total = f.evaluate(values)
+            assert (total.a | total.b) % (1 << M) == 0, (text, M)
+            anchor = values[doc["anchor"]]
+            assert anchor.is_unit() and f.levels()[doc["anchor"]] <= M - 3
+    assert found >= 10
 
 
 def test_oracle_modulus_beyond_policy_exit65(g6_file, capsys):

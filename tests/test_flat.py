@@ -40,11 +40,12 @@ from padic_forms.flat import (
     mod8_table,
     search_certificate,
 )
-from padic_forms.forms import AdditiveForm, cyclic_shift, normalize, reduce_levels
+from padic_forms.forms import AdditiveForm, normalize, reduce_levels
 from padic_forms.oracle import decide_isotropy_exhaustive
 from padic_forms.ring import RingElem, mul_pair, multiplier_set
 from padic_forms.solver import decide_isotropy, isotropy_threshold, lift_witness
-from padic_forms.witness import exact_coeffs, solve_anchor, verify_witness
+from padic_forms.witness import map_to_origin, solve_anchor, verify_witness
+from test_forms import rotated
 from test_witness import dense_back_map
 
 # Forms whose zeros all need a variable equal to 2 times a unit in the
@@ -106,9 +107,9 @@ def _deep_variants(d, K, pairs, rng, n):
 
 
 def _lowest_frame(f):
-    red = reduce_levels(f)
-    t = min(range(f.d), key=lambda t: (cyclic_shift(red, t).max_level(), t))
-    return cyclic_shift(red, t)
+    """The rotation of f with the lowest top level, as a root form."""
+    t = min(range(f.d), key=lambda t: (rotated(f, t).max_level(), t))
+    return rotated(f, t)
 
 
 def _check_certificate(f, r):
@@ -692,13 +693,13 @@ def _contraction_by_nodes(g, sol):
     """`contraction_from_flat`'s tree built node by node with make_leaf
     and contract over g's root form: each pick's leaf is the root
     coefficient times 2^(d m), m = N - e + wrap, at precision
-    K = max(K_root, A + 3), A = k + d N - scale the anchor level; the two
+    K = max(K_root, A + 3), A = k + d N the anchor level; the two
     lowest-id nodes of the minimal level below A + 3 are combined, leaves
     taking their picked rep and composite nodes the identity.  Returns
     every node, the finished ones and K."""
     root, subst = g.root(), g.subst_log
     N = max(subst[p.var] for p in sol.picks)
-    need = sol.k + g.d * N - g.scale_log + 3
+    need = sol.k + g.d * N + 3
     K = max(root.K, need)
     ms = multiplier_set(g.d, K)
     arena, choice = {}, {}
@@ -728,14 +729,14 @@ def _contraction_by_nodes(g, sol):
 def _lift_by_tree_walk(g, cert):
     """The lift read off the certificate: each leaf's value in g's frame
     is 2^wrap times the product of the multiplier roots along its path
-    from the root, wrap its exponent less the frame's N - e, at
-    K* = max(K, K_orig + scale - d N) with N the largest substitution
-    over the leaves; Newton on the anchor runs over every variable, and
-    the test's own dense back-mapping takes the zero to the root frame."""
+    from the root, wrap its exponent less the frame's N - e, at g's
+    precision K with N the largest substitution over the leaves; Newton
+    on the anchor runs over every variable, and the test's own dense
+    back-mapping takes the zero to the root frame."""
     nodes = cert.node_map()
     roots = {}
     N = max(g.subst_log[n.var] for n in cert.nodes if n.kind == "leaf")
-    K = max(g.K, g.root().K + g.scale_log - g.d * N)
+    K = g.K
     stack = [(cert.root, RingElem.one(K))]
     while stack:
         nid, acc = stack.pop()
@@ -746,22 +747,24 @@ def _lift_by_tree_walk(g, cert):
         for cid, rep in zip(n.children, n.choices):
             stack.append((cid, acc * RingElem(rep.root.a, rep.root.b, K)))
     values = [roots.get(j, RingElem.zero(K)) for j in range(g.s)]
-    terms = [(t.a, t.b) for t in (c * x ** g.d for c, x in zip(exact_coeffs(g, K), values))]
+    terms = [(t.a, t.b) for t in (c * x ** g.d for c, x in zip(g.coeffs, values))]
     rest = [t for j, t in enumerate(terms) if j != cert.anchor_leaf]
     z = solve_anchor(terms[cert.anchor_leaf], (sum(a for a, _ in rest), sum(b for _, b in rest)),
                      g.d, K)
     values[cert.anchor_leaf] = values[cert.anchor_leaf] * RingElem(*z, K)
-    return dense_back_map(g, values, K, cert.anchor_leaf), K
+    return dense_back_map(g, values, cert.anchor_leaf)
 
 
 def _search_frames():
-    """Normalized frames of the pinned and unreduced forms, then every
-    cyclic shift of the first 60 of them, so some lifts need K* > K."""
+    """The reductions of the pinned and unreduced forms, the frames the
+    decision searches (with substitutions on the unreduced ones); their
+    normalized frames built as root forms; then every rotation of the
+    first 60 of them, as root forms too."""
     forms = _pinned_forms() + _unreduced_forms()
-    frames = [normalize(f)[0] for f in forms]
+    frames = [reduce_levels(f) for f in forms]
+    frames += [rotated(f, normalize(f)[1]) for f in forms]
     for f in forms[:60]:
-        red = reduce_levels(f)
-        frames += [cyclic_shift(red, t) for t in range(1, f.d)]
+        frames += [rotated(f, t) for t in range(1, f.d)]
     return forms, frames
 
 
@@ -792,13 +795,47 @@ def test_flat_zero_refuses_unreduced_forms():
             run()
 
 
+_ROTATED_REFUSALS = (
+    "from padic_forms.flat import search_certificate\n"
+    "from padic_forms.forms import AdditiveForm, normalize\n"
+    "from padic_forms.witness import map_to_origin\n"
+    "g, t = normalize(AdditiveForm.from_pairs(6, [(2, 0)] * 7))\n"
+    "print(t, g.scale_log)\n"
+    "for run in (lambda: search_certificate(g), lambda: map_to_origin(g, [(0, 1, 0)], 0)):\n"
+    "    try:\n"
+    "        run()\n"
+    "        print('accepted')\n"
+    "    except Exception as e:\n"
+    "        print(type(e).__name__)\n"
+)
+
+
+def test_rotated_frames_are_refused():
+    # normalize's frames carry a scale that no decider reads: the
+    # contraction search and the back-mapping refuse them with a plain
+    # check, so also under python -O, which strips asserts
+    g, t = normalize(AdditiveForm.from_pairs(6, [(2, 0)] * 7))
+    assert t == g.scale_log == 5
+    with pytest.raises(ValueError, match="unrotated"):
+        search_certificate(g)
+    with pytest.raises(ValueError, match="unrotated"):
+        map_to_origin(g, [(0, 1, 0)], 0)
+    pkg_root = str(Path(padic_forms.__file__).resolve().parents[1])
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", _ROTATED_REFUSALS],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": pkg_root})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["5", "5", "ValueError", "ValueError"]
+
+
 def test_contraction_nodes_come_in_tree_walk_order():
     # contraction_from_flat emits its nodes in id order without walking
     # the tree, the order certificate_from_json rebuilds them in; the walk
     # validate_certificate takes reaches every node, each after its children
     found = 0
     for f in _pinned_forms():
-        out = search_certificate(normalize(f)[0])
+        out = search_certificate(rotated(f, normalize(f)[1]))
         if out.status != "FOUND":
             continue
         found += 1
@@ -863,13 +900,13 @@ def test_contraction_from_flat_refusals_are_the_same_under_python_O():
 
 def test_lift_from_picks_matches_tree_walk():
     forms, frames = _search_frames()
-    above = 0
+    lifted = 0
     for g in frames:
         out = search_certificate(g)
         if out.status != "FOUND":
             continue
-        want, K = _lift_by_tree_walk(g, out.certificate)
-        above += K > g.K
-        assert lift_witness(g, out.solution, K) == want
+        want = _lift_by_tree_walk(g, out.certificate)
+        lifted += 1
+        assert lift_witness(g, out.solution) == want
         assert verify_witness(g.root(), want)
-    assert above >= 60
+    assert lifted >= 450

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from padic_forms.errors import PrecisionMismatch
 from padic_forms.forms import (
     AdditiveForm,
-    cyclic_shift,
+    _shift,
     default_precision,
     normalize,
     parse_form_text,
@@ -20,6 +20,15 @@ from padic_forms.ring import RingElem
 
 def form(d, pairs, K=None):
     return AdditiveForm.from_pairs(d, pairs, K)
+
+
+def rotated(f, t):
+    """f's reduction times 2^t, re-reduced (the rotation `normalize`
+    applies), built as a root form of its own: isotropy-equivalent to f,
+    and what the deciders decide as it is, where they would decide the
+    root f of the rotated frame."""
+    g = _shift(reduce_levels(f), t % f.d)
+    return AdditiveForm(f.d, g.coeffs, windows=g.windows)
 
 
 def test_default_precision():
@@ -66,7 +75,7 @@ def test_cached_levels_match_valuations():
         red = reduce_levels(f)
         check(red)
         for t in range(d):
-            check(cyclic_shift(red, t))
+            check(_shift(red, t))
         check(normalize(f)[0])
 
 
@@ -113,11 +122,12 @@ def test_low_levels_near_window_edge_are_fine():
 
 
 # --- shifts ----------------------------------------------------------------
+# `_shift` is the rotation `normalize` applies; only it writes a scale
 
 
 def test_shift_levels_wrap():
     f = form(6, [(1, 0), (1, 0), (32, 0)], 12)
-    g = cyclic_shift(f, 1)
+    g = _shift(f, 1)
     assert g.levels() == (1, 1, 0)
     assert g.scale_log == 1
     assert g.subst_log == (0, 0, 1)
@@ -125,18 +135,18 @@ def test_shift_levels_wrap():
 
 def test_shift_full_cycle_is_level_identity():
     f = form(6, [(1, 0), (4, 0), (16, 0)], 12)
-    g = cyclic_shift(f, 6)
-    assert g.levels() == f.levels()
+    g = _shift(_shift(f, 2), 4)
+    assert g.levels() == f.levels() and g.scale_log == 6
 
 
 def test_shift_by_two():
     f = form(6, [(1, 0), (4, 0), (16, 0)], 12)
-    assert cyclic_shift(f, 2).levels() == (2, 4, 0)
+    assert _shift(f, 2).levels() == (2, 4, 0)
 
 
 def test_shift_window_erosion():
     f = form(6, [(1, 0), (32, 0)], 10)
-    g = cyclic_shift(f, 1)
+    g = _shift(f, 1)
     assert g.levels() == (1, 0)
     assert g.windows == (10, 5)  # wrapped variable lost d - t digits
 
@@ -145,7 +155,7 @@ def test_shift_refuses_a_coefficient_shifted_out():
     # at K = 3 a level-2 coefficient times 2 is 0 in its window
     f = form(6, [(1, 0), (4, 0)], 3)
     with pytest.raises(PrecisionMismatch, match="coefficient 0 indistinguishable from 0"):
-        cyclic_shift(f, 1)
+        _shift(f, 1)
 
 
 @given(
@@ -154,7 +164,7 @@ def test_shift_refuses_a_coefficient_shifted_out():
 )
 def test_shift_roundtrip_level_multiset(levels, t):
     f = form(6, [(1 << lvl, 0) for lvl in levels], 16)
-    g = cyclic_shift(cyclic_shift(f, t), 6 - t)
+    g = _shift(_shift(f, t), (6 - t) % 6)
     assert sorted(g.levels()) == sorted(f.levels())
 
 

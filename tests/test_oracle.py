@@ -1,10 +1,12 @@
 """Exhaustive mod-2^M decision procedure."""
 
+import json
 import os
 import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from padic_forms.errors import (
     PadicFormsError,
     PrecisionMismatch,
 )
-from padic_forms.forms import AdditiveForm, cyclic_shift, reduce_levels
+from padic_forms.forms import AdditiveForm, normalize, reduce_levels
 from padic_forms.oracle import (
     _brute_power_codes,
     _grid_of,
@@ -32,6 +34,7 @@ from padic_forms.oracle import (
 )
 from padic_forms.ring import RingElem
 from padic_forms.witness import verify_witness
+from test_forms import _seeded_form, rotated
 
 
 def form(d, pairs, K=None, windows=None):
@@ -431,11 +434,40 @@ def test_decide_invariant_under_shift():
         f = form(6, pairs, 12)
         assert decide_isotropy_exhaustive(f).verdict == want
         for t in (1, 3):
-            g = reduce_levels(cyclic_shift(f, t))
+            g = rotated(f, t)
             dec = decide_isotropy_exhaustive(g)
             assert dec.verdict == want
             if want == "ISOTROPIC":
-                assert verify_witness(f, dec.witness)
+                assert verify_witness(g, dec.witness)
+
+
+def _oracle_bytes(f):
+    """decide_isotropy_exhaustive's answer as `oracle`'s JSON document."""
+    dec = decide_isotropy_exhaustive(f)
+    doc = {"verdict": dec.verdict, "statesVisited": dec.states_visited}
+    if dec.witness is not None:
+        doc["witness"] = dec.witness.to_json()
+    if dec.certificate is not None:
+        doc["certificate"] = dec.certificate.to_json()
+    return json.dumps(doc, sort_keys=True)
+
+
+def test_exhaustive_decision_reads_the_root_form():
+    # a form, its reduction and its normalized (rotated, scaled) frame
+    # decide byte for byte alike: the oracle reduces the root form
+    rng = random.Random(31)
+    seen = Counter()
+    for _ in range(40):
+        f = _seeded_form(rng, 6, rng.randrange(1, 11), 12, 22)
+        assert reduce_levels(f).max_level() + 3 <= 10
+        g = normalize(f)[0]
+        want = _oracle_bytes(f)
+        assert _oracle_bytes(reduce_levels(f)) == want
+        assert _oracle_bytes(g) == want
+        seen[json.loads(want)["verdict"]] += 1
+        seen["rotated"] += g.scale_log != 0
+        seen["unreduced"] += not f.is_reduced()
+    assert min(seen.values()) >= 8 and len(seen) == 4, seen
 
 
 def test_decide_witness_values_evaluate_to_zero():

@@ -5,12 +5,12 @@ import importlib
 import importlib.util
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 from padic_forms import flat, forms
 from padic_forms.engine import certificate_from_json, certificate_to_json, validate_certificate
-from padic_forms.flat import search_certificate
-from padic_forms.forms import AdditiveForm, cyclic_shift, normalize, reduce_levels
+from padic_forms.forms import AdditiveForm, normalize, reduce_levels
 from padic_forms.oracle import decide_isotropy_exhaustive
 from padic_forms.ring import RingElem
 from padic_forms import solver
@@ -18,10 +18,10 @@ from padic_forms.solver import (
     IsotropyResult,
     decide_isotropy,
     isotropy_threshold,
-    lift_witness,
 )
 from padic_forms.sweeps import exhaustive_lemma_ids, sampled_lemma_ids, sweep_lemma
 from padic_forms.witness import verify_witness
+from test_forms import _seeded_form, rotated
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -68,23 +68,6 @@ def test_four_units_contract_to_witness():
     assert f.evaluate(r.witness.values) == RingElem.zero(10)
 
 
-def test_lift_witness_through_shift_frame():
-    f = AdditiveForm.from_pairs(6, [(1, 0), (7, 0)], 12)
-    g = cyclic_shift(f, 2)
-    out = search_certificate(g)
-    assert out.status == "FOUND"
-    # the certificate names the caller's form f, where the anchor is at 0
-    assert out.certificate.anchor_level == 0
-    assert validate_certificate(f, out.certificate) and validate_certificate(g, out.certificate)
-    # the frame scales by 2^2 and substitutes nothing, so the lift needs
-    # K* = 12 + 2 to keep all 12 digits after the back-mapping
-    w = lift_witness(g, out.solution, 14)
-    assert w.V == 12
-    assert verify_witness(f, w)
-    short = lift_witness(g, out.solution, 12)
-    assert short.V == 10 and verify_witness(f, short)
-
-
 def test_threshold_stage_tag_and_success():
     rng = random.Random(5)
     for d, s in ((6, 25), (10, 16)):
@@ -102,13 +85,13 @@ def test_threshold_stage_tag_and_success():
 
 def test_level_gap_beyond_oracle_policy_is_anisotropic():
     # M = 11 in the reduced frame, past the FFT's policy; the flat kernel
-    # decides it, and the FFT agrees on the isotropy-equivalent shift by 2
-    # (levels 2, 2, 0, so M = 5)
+    # decides it, and the FFT agrees on the isotropy-equivalent rotation
+    # by 2 (levels 2, 2, 0, so M = 5), built as a root form
     f = AdditiveForm.from_pairs(10, [(1, 0), (1, 0), (256, 0)], 14)
     r = decide_isotropy(f)
     assert r.verdict == "ANISOTROPIC" and r.stage == "oracle"
     assert r.certificate.to_json()["M"] == 11
-    shifted = cyclic_shift(reduce_levels(f), 2)
+    shifted = rotated(f, 2)
     assert shifted.max_level() + 3 == 5
     dec = decide_isotropy_exhaustive(shifted)
     assert dec.verdict == "ANISOTROPIC" and dec.certificate.M == 5
@@ -224,6 +207,28 @@ def test_search_decision_runs_one_kernel_pass(monkeypatch):
         r = decide_isotropy(AdditiveForm.from_pairs(6, pairs, 10))
         assert r.stage == stage
         assert calls == {"flat_zero": 1, "normalize": 0}
+
+
+def _decision_bytes(f):
+    return json.dumps(decide_isotropy(f).to_json(include_timings=False), sort_keys=True)
+
+
+def test_decision_reads_the_root_form():
+    # a form, its reduction and its normalized (rotated, scaled) frame
+    # decide byte for byte alike: the decider reduces the root form
+    rng = random.Random(30)
+    seen = Counter()
+    for d in (2, 6, 10, 14):
+        for _ in range(50):
+            f = _seeded_form(rng, d, rng.randrange(1, d + 4), 2 * d, 3 * d + 4)
+            g = normalize(f)[0]
+            want = _decision_bytes(f)
+            assert _decision_bytes(reduce_levels(f)) == want
+            assert _decision_bytes(g) == want
+            seen[json.loads(want)["verdict"]] += 1
+            seen["rotated"] += g.scale_log != 0
+            seen["unreduced"] += not f.is_reduced()
+    assert min(seen.values()) >= 20 and len(seen) == 4, seen
 
 
 def test_below_threshold_corpus_certificates_validate_against_the_input():

@@ -10,10 +10,10 @@ from math import comb
 import numpy as np
 import pytest
 
-from padic_forms import flat, oracle, sweeps
+from padic_forms import flat, sweeps
 from padic_forms.engine import validate_certificate
 from padic_forms.errors import PadicFormsError
-from padic_forms.flat import SearchOutcome, search_certificate
+from padic_forms.flat import search_certificate
 from padic_forms.forms import AdditiveForm, default_precision
 from padic_forms.oracle import decide_isotropy_exhaustive
 from padic_forms.ring import RingElem, multiplier_set
@@ -944,17 +944,11 @@ def test_orbits_that_leave_a_class_raise():
 
 
 def test_probe_raises_when_search_finds_a_certificate(monkeypatch):
+    # a profile the slot join leaves uncontracted must be anisotropic for
+    # the kernel too
+    real = sweeps.decide_isotropy
     monkeypatch.setattr(
-        sweeps, "search_certificate", lambda f: SearchOutcome("FOUND", None, 0)
+        sweeps, "decide_isotropy", lambda f: replace(real(f), verdict="ISOTROPIC")
     )
-    with pytest.raises(PadicFormsError):
-        minimality_probe("007")
-
-
-def test_probe_raises_when_oracle_finds_isotropy(monkeypatch):
-    real = oracle.decide_isotropy_exhaustive
-    monkeypatch.setattr(
-        oracle, "decide_isotropy_exhaustive", lambda f: replace(real(f), verdict="ISOTROPIC")
-    )
-    with pytest.raises(PadicFormsError):
+    with pytest.raises(PadicFormsError, match="decided isotropic"):
         minimality_probe("007")

@@ -6,12 +6,11 @@ from collections import Counter
 import pytest
 
 from padic_forms.errors import CertificateError, HenselError
-from padic_forms.forms import AdditiveForm, cyclic_shift, reduce_levels
+from padic_forms.forms import AdditiveForm, reduce_levels
 from padic_forms.ring import RingElem
 from padic_forms.solver import decide_isotropy
 from padic_forms.witness import (
     Witness,
-    exact_coeffs,
     map_to_origin,
     solve_anchor,
     verify_witness,
@@ -128,7 +127,7 @@ def test_solve_anchor_matches_ring_elem_loop():
             j = next(j for j, x in enumerate(values) if j != w.primitive and (x.a, x.b) != (0, 0))
             values[j] = values[j] + elem(1, 0, values[j].K)
         for at_K in (K - 2, K, K + 6):
-            coeffs = exact_coeffs(f, at_K)
+            coeffs = [elem(c.a, c.b, at_K) for c in f.coeffs]
             try:
                 want = ring_solve_anchor(coeffs, d, values, w.primitive)
             except HenselError:
@@ -141,36 +140,19 @@ def test_solve_anchor_matches_ring_elem_loop():
     assert min(outcomes.values()) > 0, outcomes
 
 
-def test_exact_coeffs_recovers_shift_truncation():
-    f = AdditiveForm.from_pairs(6, [(1, 0), (3, 0)], 8)
-    g = cyclic_shift(f, 4)
-    K = 12
-    exact = exact_coeffs(g, K)
-    assert exact[0] == elem(16, 0, K)
-    assert exact[1] == elem(48, 0, K)  # wider than g's storage precision
-
-
-def test_exact_coeffs_after_reduction():
-    f = AdditiveForm.from_pairs(6, [(1, 0), (3 << 6, 0)], 16)
-    g = reduce_levels(f)
-    assert g.levels() == (0, 0)
-    exact = exact_coeffs(g, 20)
-    assert exact[1] == elem(3, 0, 20)
-
-
-def dense_back_map(g, values, K, anchor):
-    """The back-mapping of a zero `values` of g mod 2^K (one RingElem per
-    variable), written out over every variable with integer arithmetic:
-    x_j = 2^(N - e_j) y_j with N the largest e_j - v(y_j) over the nonzero
-    y_j, each x_j at the root's precision; V = min(K_root, K + d N - scale);
-    the primitive is `anchor` without a frame, else the unit of least
-    (root level, variable)."""
+def dense_back_map(g, values, anchor):
+    """The back-mapping of a zero `values` of g mod 2^K, K = g.K (one
+    RingElem per variable), written out over every variable with integer
+    arithmetic: x_j = 2^(N - e_j) y_j with N the largest e_j - v(y_j) over
+    the nonzero y_j, each x_j at the root's precision;
+    V = min(K_root, K + d N); the primitive is `anchor` without a frame,
+    else the unit of least (root level, variable)."""
     root = g.root()
     used = [j for j, y in enumerate(values) if (y.a, y.b) != (0, 0)]
     if not used:
         raise CertificateError("witness uses no variables")
     N = max(g.subst_log[j] - values[j].valuation() for j in used)
-    V = min(root.K, K + g.d * N - g.scale_log)
+    V = min(root.K, g.K + g.d * N)
     if V < 1:
         raise CertificateError("no certified digits")
     out = []
@@ -199,18 +181,17 @@ def test_map_to_origin_identity_without_frame():
     f = AdditiveForm.from_pairs(6, [(1, 0), (7, 0)], 10)
     vals = (elem(621, 0, 10), elem(1, 0, 10))
     for anchor in (0, 1):
-        w = map_to_origin(f, entries(vals), anchor, 10)
-        assert w == Witness(vals, anchor, 10) == dense_back_map(f, vals, 10, anchor)
+        w = map_to_origin(f, entries(vals), anchor)
+        assert w == Witness(vals, anchor, 10) == dense_back_map(f, vals, anchor)
 
 
 def test_map_to_origin_scales_substituted_variables():
     f = AdditiveForm.from_pairs(6, [(1, 0), (7 << 6, 0)], 16)
     g = reduce_levels(f)
     # witness in g's frame using both variables, anchor solved exactly
-    coeffs = exact_coeffs(g, 16)
-    vals = anchor_solved(coeffs, 6, [elem(1, 0, 16), elem(1, 0, 16)], 0)
-    w = map_to_origin(g, entries(vals), 0, 16)
-    assert w == dense_back_map(g, vals, 16, 0)
+    vals = anchor_solved(g.coeffs, 6, [elem(1, 0, 16), elem(1, 0, 16)], 0)
+    w = map_to_origin(g, entries(vals), 0)
+    assert w == dense_back_map(g, vals, 0)
     # x_0 = 2 y_0 keeps variable 1 (substitution exponent 1) the unit
     assert w.values[1].is_unit()
     assert w.values[0].valuation() == 1
@@ -219,8 +200,8 @@ def test_map_to_origin_scales_substituted_variables():
 
 
 def test_map_to_origin_matches_dense_back_mapping():
-    # random frames and random entries, zeros and high valuations
-    # included; the entries need not be a zero of the form
+    # random reduction frames and random entries mod 2^K, zeros and high
+    # valuations included; the entries need not be a zero of the form
     rng = random.Random(17)
     seen = Counter()
     for _ in range(600):
@@ -231,20 +212,18 @@ def test_map_to_origin_matches_dense_back_mapping():
             lvl = rng.randrange(0, min(2 * d, K0 - d))
             pairs.append(((rng.getrandbits(K0) | 1) << lvl, rng.getrandbits(K0) << lvl))
         g = reduce_levels(AdditiveForm.from_pairs(d, pairs, K0))
-        g = cyclic_shift(g, rng.randrange(d))
-        K = rng.randrange(1, K0 + d)
-        vals = [elem(0, 0, K) if rng.random() < 0.3 else
-                elem((rng.getrandbits(K) | 1) << rng.randrange(3), rng.getrandbits(K), K)
+        vals = [elem(0, 0, K0) if rng.random() < 0.3 else
+                elem((rng.getrandbits(K0) | 1) << rng.randrange(3), rng.getrandbits(K0), K0)
                 for _ in range(g.s)]
         anchor = rng.randrange(g.s)
         try:
-            want = dense_back_map(g, vals, K, anchor)
+            want = dense_back_map(g, vals, anchor)
         except CertificateError as e:
             with pytest.raises(CertificateError, match=str(e)):
-                map_to_origin(g, entries(vals), anchor, K)
+                map_to_origin(g, entries(vals), anchor)
             seen[str(e)] += 1
             continue
-        assert map_to_origin(g, entries(vals), anchor, K) == want
+        assert map_to_origin(g, entries(vals), anchor) == want
         seen["mapped"] += 1
     # "no unit variable survives" never occurs: the entry reaching N maps
     # to y_j / 2^v(y_j), a unit
@@ -254,18 +233,16 @@ def test_map_to_origin_matches_dense_back_mapping():
 def test_map_to_origin_rejects_empty_support():
     f = AdditiveForm.from_pairs(6, [(1, 0), (3 << 6, 0)], 16)
     g = reduce_levels(f)
-    K = g.K
     with pytest.raises(CertificateError, match="uses no variables"):
-        map_to_origin(g, [(0, 0, 0), (1, 1 << K, 0)], 0, K)
+        map_to_origin(g, [(0, 0, 0), (1, 1 << g.K, 0)], 0)
 
 
 def test_map_to_origin_refuses_when_no_digits_are_certified():
-    # the shift by 5 scales the form by 2^5 and substitutes nothing, so a
-    # unit zero mod 2^5 in its frame certifies no digit of the root form
+    # entries all divisible by 4 map back to x_j = y_j / 4, whose sum
+    # vanishes only to 2^(K - 2d): at K = 10 no digit is certified
     f = AdditiveForm.from_pairs(6, [(1, 0), (7, 0)], 10)
-    g = cyclic_shift(f, 5)
-    assert (g.scale_log, g.subst_log) == (5, (0, 0))
-    vals = [elem(1, 0, 5), elem(3, 0, 5)]
     with pytest.raises(CertificateError, match="no certified digits"):
-        map_to_origin(g, entries(vals), 0, 5)
-    assert map_to_origin(g, entries(vals), 0, 6).V == 1
+        map_to_origin(f, entries([elem(4, 0, 10), elem(12, 0, 10)]), 0)
+    # at K = 7, entries divisible by 2 leave one digit: 7 - 6 = 1
+    f = AdditiveForm.from_pairs(6, [(1, 0), (7, 0)], 7)
+    assert map_to_origin(f, entries([elem(2, 0, 7), elem(6, 0, 7)]), 0).V == 1
