@@ -18,7 +18,8 @@ generator.  `-` reads stdin.
 
 Exit codes: 0 isotropic (or: check passed), 1 anisotropic (or: check
 failed), 64 unreadable input or bad usage, 65 precision too low for the
-requested analysis, 70 internal error or a request too large for memory.
+requested analysis, 70 internal error or a request too large for memory,
+141 stdout closed before the output was written.
 
 Output JSON is deterministic byte for byte; timing fields are only added
 under --verbose.
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .artifacts import (
@@ -62,6 +64,7 @@ EX_FAIL = 1
 EX_PARSE = 64
 EX_PRECISION = 65
 EX_INTERNAL = 70
+EX_PIPE = 141  # 128 + SIGPIPE: stdout was closed before the output was written
 
 # fixed battery parameters; changing any of these changes the published
 # numbers, so they live here rather than in flag defaults
@@ -395,7 +398,15 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed reader shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout, an ordinary way to stop reading: exit as
+        # SIGPIPE would, with stdout on the null device so that the flush
+        # at exit has nothing left to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EX_PIPE
     except MemoryError:
         print(f"padic-forms: not enough memory for: {' '.join(argv)}", file=sys.stderr)
         return EX_INTERNAL

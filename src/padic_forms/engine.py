@@ -115,6 +115,9 @@ def contract(children: tuple, choices: tuple, new_id: int) -> VarNode:
 # certificates
 
 
+_new_tuple = tuple.__new__
+
+
 class ContractionCertificate(NamedTuple):
     """A contraction tree over a form's variables whose root vanishes mod
     2^(anchor_level + 3).  A named tuple, as VarNode: one is built per
@@ -167,16 +170,13 @@ def _certificate_from(root: VarNode, nodes: list, d: int, K: int) -> Contraction
     level is root's kappa, the least leaf level, and the anchor leaf the
     least variable there."""
     kappa = root.kappa
-    anchor = min(n.var for n in nodes if n.kind == "leaf" and n.level == kappa)
-    return ContractionCertificate(
-        d=d,
-        K=K,
-        nodes=tuple(nodes),
-        root=root.id,
-        anchor_leaf=anchor,
-        anchor_level=kappa,
-        achieved=root.achieved(),
-    )
+    anchor = None
+    for n in nodes:
+        if n.kind == "leaf" and n.level == kappa and (anchor is None or n.var < anchor):
+            anchor = n.var
+    # built past the generated constructor, fields in declaration order
+    return _new_tuple(ContractionCertificate,
+                      (d, K, tuple(nodes), root.id, anchor, kappa, root.achieved()))
 
 
 @lru_cache(maxsize=None)

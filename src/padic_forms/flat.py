@@ -21,10 +21,11 @@ one int and those that did in the high half.  The bits a + 16b with
 a or b at 8 or more are guards: translating by (ta, tb) is one left
 shift by ta + 16 tb, whose carries land in the guards, and after a
 term's shifted copies are ORed together one fold takes every sum back
-mod 8.  The variables are sorted into levels once per form, so each
-anchor visits only the terms that can reach its range and reads each
-term's code straight off its coefficient (j = 0) or off 2^d times it
-(j = 1); a wrapped term never lands at level k, since k < d.  A term
+mod 8.  The form's rows are listed once per form, in variable order with
+a count per level; each anchor keeps the rows whose terms can reach its
+range and reads each term's code straight off its coefficient (j = 0)
+or off 2^d times it (j = 1); a wrapped term never lands at level k,
+since k < d.  A term
 takes part only when its trusted window covers the digits the question
 reads (k + 3 - jd); the outcome records whether some term was left out
 for that reason, since then a missing zero proves nothing.  One pass
@@ -37,9 +38,10 @@ A solution becomes a contraction certificate over the caller's form (the
 root of the form searched) by contracting two nodes of minimal level
 until the combination vanishes (a vanishing total forces its minimal
 level to repeat), each node built on int pairs as engine's `make_leaf`
-and `contract` would build it and the pending nodes kept in one
-id-ordered queue per level; and a witness by Newton on the anchor
-(solver.py).
+and `contract` would build it, each leaf's term (its value times its
+multiplier) formed once and a contraction's value the sum of its
+children's terms, the pending nodes kept in one id-ordered queue per
+level that occurs; and a witness by Newton on the anchor (solver.py).
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .errors import CertificateError, PadicFormsError
 from .forms import AdditiveForm
 from .ring import mul_pair, multiplier_set, reduced_elem
 
-_node = tuple.__new__  # a VarNode past its generated constructor
+_new_tuple = tuple.__new__  # a named tuple (VarNode, FlatPick) past its generated constructor
 
 # a half's 64 states, bits 0..7 of its 16-bit lanes 0..7; then both halves
 _LOW = 0xFF * sum(1 << 16 * b for b in range(8))
@@ -139,22 +141,24 @@ def _term(var: int, opts: tuple) -> tuple:
             tuple(_bit(o[0]) for o in opts if o[1]))
 
 
-def _by_level(f: AdditiveForm) -> list:
-    """Per level below the degree, its variables in order, each as
-    (variable, coefficient's a and b, window, level)."""
-    by_level = [[] for _ in range(f.d)]
-    for i, (c, w, lvl) in enumerate(zip(f.coeffs, f.windows, f.levels())):
-        by_level[lvl].append((i, c.a, c.b, w, lvl))
-    return by_level
+def _by_level(f: AdditiveForm) -> tuple:
+    """The form's rows in variable order, each as (variable, coefficient,
+    window, level), and the number of variables at each level below the
+    degree; IndexError when a level reaches the degree."""
+    levels = f.levels()
+    counts = [0] * f.d
+    for lvl in levels:
+        counts[lvl] += 1
+    return list(zip(range(f.s), f.coeffs, f.windows, levels)), counts
 
 
-def _options(f: AdditiveForm, k: int, by_level: list):
+def _options(f: AdditiveForm, k: int, by_level: tuple):
     """The kernel terms at anchor k, in variable order: per variable the
     distinct codes (term / 2^k mod 8) it can add, each as (code, at level
     k, wrap, rep index), the first wrap and rep reaching a code winning;
-    and whether a term in range was left out for its window.  Only the
-    levels of `by_level` (from `_by_level`) that reach the range are
-    visited.
+    and whether a term in range was left out for its window.  The rows
+    of `by_level` (from `_by_level`) are filtered to the levels that reach
+    the range.
 
     A term at level k or above reads its code off its coefficient and
     needs a window of k + 3; one below level k + 3 - d reads it off 2^d
@@ -166,10 +170,12 @@ def _options(f: AdditiveForm, k: int, by_level: list):
     top = k + 3
     low = top - d  # the terms below this level wrap into range
     up = d - k  # 2^d times a coefficient, divided by 2^k
-    near = by_level[k:top] + by_level[:max(0, min(low, k))]
     terms = []
     short = False
-    for i, a, b, w, lvl in sorted(sum(near, [])):
+    for i, c, w, lvl in by_level[0]:
+        if lvl >= top or low <= lvl < k:
+            continue  # out of range, own and wrapped
+        a, b = c.a, c.b
         term = None
         if lvl >= k:
             if w < top:
@@ -229,31 +235,32 @@ def _reach(terms):
 def _backtrack(k: int, terms, trail) -> FlatSolution:
     """Walk the trail backward from 0 in the anchored half, leaving a
     term out whenever that still reaches, and collect the picks.  The
-    target is kept as its bit a + 16b."""
+    target is kept as its bit a + 16b, and R's bits are read in place:
+    the anchored half's bit x is R's bit x + 256."""
     target, anchored = 0, True
     picks = []
     anchor = None
     for (var, opts, _, _), R in zip(reversed(terms), reversed(trail)):
-        R0, R1 = R & _LOW, R >> 256
-        if (R1 if anchored else R0) >> target & 1:
+        if R >> (target + 256 if anchored else target) & 1:
             continue  # reachable without this term
         for code, at_k, wrap, idx in opts:
             prev = ((target - code) & 7) | (((target >> 4) - (code >> 3)) & 7) << 4
-            if anchored and R1 >> prev & 1:
+            if anchored and R >> prev + 256 & 1:
                 pass  # an earlier term carries the anchor
-            elif anchored == at_k and R0 >> prev & 1:
+            elif anchored == at_k and R >> prev & 1:
                 if anchored:
                     anchor, anchored = var, False
             else:
                 continue
-            picks.append(FlatPick(var, wrap, idx))
+            picks.append(_new_tuple(FlatPick, (var, wrap, idx)))
             target = prev
             break
         else:
             raise CertificateError("flat reachability trail broke while backtracking")
     if target != 0 or anchored or anchor is None:
         raise CertificateError("flat reachability trail does not end at the empty sum")
-    return FlatSolution(k, anchor, tuple(reversed(picks)))
+    picks.reverse()
+    return _new_tuple(FlatSolution, (k, anchor, tuple(picks)))
 
 
 def flat_zero(f: AdditiveForm) -> SearchOutcome:
@@ -267,8 +274,9 @@ def flat_zero(f: AdditiveForm) -> SearchOutcome:
         raise ValueError("flat reachability needs levels below the degree") from None
     states = 0
     short = False
+    counts = by_level[1]
     for k in range(f.d):
-        if len(by_level[k]) < 2:
+        if counts[k] < 2:
             continue  # a lone 2^k times a unit: no zero anchors here, whatever the digits
         terms, left_out = _options(f, k, by_level)
         short |= left_out
@@ -297,25 +305,29 @@ def contraction_from_flat(g: AdditiveForm, sol: FlatSolution) -> ContractionCert
     root is the finished node holding the anchor; it must hold every pick,
     since the lift reads each picked variable off its rep alone.  A
     combination never lands below its children's level, so one id-ordered
-    queue per level below the anchor level + 3 is drained from the lowest
-    level up.  The nodes come out in id order: the leaves in the picks'
-    variable order, then each contraction as it is built, so no walk of
-    the tree is needed.
+    queue per level that occurs below the anchor level + 3 is drained from
+    the lowest level up.  The nodes come out in id order: the leaves in
+    the picks' variable order, then each contraction as it is built, so no
+    walk of the tree is needed.
 
     Each node is the one engine's `make_leaf` or `contract` would build
     (`test_contraction_from_flat_matches_node_by_node_tree` checks that),
     built here on int pairs: a leaf keeps every level below its window,
-    and a two-child contraction takes its value from the queued pairs,
-    masked once."""
+    and is queued with its term, its value times its multiplier, formed
+    once; a two-child contraction's value is the sum of its children's
+    terms, and is its own term."""
     d, subst, root = g.d, g.subst_log, g.root()
-    N = max([subst[var] for var, _, _ in sol.picks], default=0)
+    N = 0  # substitutions are never negative
+    for var, _, _ in sol.picks:
+        if subst[var] > N:
+            N = subst[var]
     need = sol.k + d * N + 3
     K0 = root.K
     K = K0 if need <= K0 else need
     reps = multiplier_set(d, K).reps
     mask = (1 << K) - 1
     coeffs, windows, levels = root.coeffs, root.windows, root.levels()
-    queues = [[] for _ in range(need)]  # per level, (node, its a, b, multiplier its parent applies)
+    pending = {}  # per level that occurs below need, (node, its term a, b, multiplier)
     finished = []
     nodes = []
     for var, wrap, idx in sol.picks:
@@ -326,41 +338,45 @@ def contraction_from_flat(g: AdditiveForm, sol: FlatSolution) -> ContractionCert
             c = reduced_elem((c.a << shift) & mask, (c.b << shift) & mask, K)
             lvl += shift
             J = min(J + shift, K)
-        leaf = _node(VarNode, (var, c, J if J < lvl + 3 else lvl + 3, lvl, lvl,
-                               frozenset((var,)), "leaf", var, (), (), m))
+        leaf = _new_tuple(VarNode, (var, c, J if J < lvl + 3 else lvl + 3, lvl, lvl,
+                                    frozenset((var,)), "leaf", var, (), (), m))
         nodes.append(leaf)
         if lvl < need:
-            queues[lvl].append((leaf, c.a, c.b, reps[idx]))
+            rep = reps[idx]
+            u = rep.value
+            bd = c.b * u.b  # the product as in mul_pair, inline
+            pending.setdefault(lvl, []).append(
+                (leaf, (c.a * u.a + bd) & mask, (c.a * u.b + c.b * u.a + bd) & mask, rep))
         else:
             finished.append(leaf)
     one = reps[0]
     new_id = g.s
-    for queue in queues:
+    while pending:
+        lowest = min(pending)
+        queue = pending[lowest]  # a node landing at this level joins it
         i = 0
         while len(queue) - i >= 2:
             (x, xa, xb, rx), (y, ya, yb, ry) = queue[i], queue[i + 1]
             i += 2
             if not x.leaves.isdisjoint(y.leaves):
                 raise CertificateError("children overlap in original variables")
-            u, v = rx.value, ry.value
-            bx, by = xb * u.b, yb * v.b  # the products as in mul_pair, inline
-            ta = (xa * u.a + bx + ya * v.a + by) & mask
-            tb = (xa * u.b + xb * u.a + bx + ya * v.b + yb * v.a + by) & mask
+            ta, tb = (xa + ya) & mask, (xb + yb) & mask
             J = x.J if x.J < y.J else y.J
             low = (ta | tb) & ((1 << J) - 1)  # the level inside the window
             lvl = (low & -low).bit_length() - 1 if low else None
-            node = _node(VarNode, (new_id, reduced_elem(ta, tb, K), J, lvl,
-                                   x.kappa if x.kappa < y.kappa else y.kappa,
-                                   x.leaves | y.leaves, "contraction", None, (x.id, y.id),
-                                   (rx, ry), 0))
+            node = _new_tuple(VarNode, (new_id, reduced_elem(ta, tb, K), J, lvl,
+                                        x.kappa if x.kappa < y.kappa else y.kappa,
+                                        x.leaves | y.leaves, "contraction", None,
+                                        (x.id, y.id), (rx, ry), 0))
             new_id += 1
             nodes.append(node)
-            if lvl is not None and lvl < need:
-                queues[lvl].append((node, ta, tb, one))
+            if lvl is not None and lvl < need:  # its term is its value: the identity applies
+                pending.setdefault(lvl, []).append((node, ta, tb, one))
             else:
                 finished.append(node)
         if len(queue) > i:
             raise CertificateError("flat solution does not vanish modulo 2^(k+3)")
+        del pending[lowest]
     if len(finished) != 1 or sol.anchor not in finished[0].leaves:
         raise CertificateError("flat solution picks terms outside the anchor's contraction")
     top = finished[0]

@@ -35,16 +35,31 @@ MAX_ORACLE_M = 10  # 2 * 4^M boolean cells per DP layer
 
 
 def _pow_vec(xa, xb, d: int, mask: int):
-    """Componentwise (xa + xb*w)^d on int64 arrays, masked each step."""
-    ra = np.ones_like(xa)
-    rb = np.zeros_like(xb)
-    e = d
-    while e:
-        if e & 1:
-            ra, rb = (ra * xa + rb * xb) & mask, (ra * xb + rb * xa + rb * xb) & mask
-        e >>= 1
-        if e:
-            xa, xb = (xa * xa + xb * xb) & mask, (2 * xa * xb + xb * xb) & mask
+    """Componentwise (xa + xb*w)^d for entries below mask + 1, left to
+    right as `pow_pair` does, masked each step.  The work runs in place on
+    copies of the inputs, in their dtype, which must hold 3 * (mask + 1)^2:
+    uint32 up to mask + 1 = 2^15, int64 beyond."""
+    ra, rb = xa.copy(), xb.copy()
+    sq, t = np.empty_like(ra), np.empty_like(rb)
+    for bit in bin(d)[3:]:
+        np.multiply(rb, rb, out=sq)  # (x + y*w)^2 = x^2 + y^2 + (2xy + y^2) w
+        np.multiply(ra, 2, out=t)
+        t += rb
+        t *= rb
+        ra *= ra
+        ra += sq
+        ra &= mask
+        np.bitwise_and(t, mask, out=rb)
+        if bit == "1":  # times xa + xb*w, as in mul_pair
+            np.multiply(rb, xb, out=sq)
+            np.multiply(ra, xb, out=t)
+            t += sq
+            ra *= xa
+            ra += sq
+            ra &= mask
+            rb *= xa
+            rb += t
+            rb &= mask
     return ra, rb
 
 
@@ -136,11 +151,13 @@ def _brute_power_codes(d: int, M: int) -> np.ndarray:
     n = 1 << M
     present = np.zeros(n * n, dtype=bool)
     rows = min(n, max(1, _BRUTE_BLOCK >> M))
-    xb = np.tile(np.arange(n, dtype=np.int64), rows)
+    xb = np.tile(np.arange(n, dtype=np.uint32), rows)  # products stay below 3 * 4^M
     for a0 in range(0, n, rows):
-        xa = np.repeat(np.arange(a0, a0 + rows, dtype=np.int64), n)
+        xa = np.repeat(np.arange(a0, a0 + rows, dtype=np.uint32), n)
         ra, rb = _pow_vec(xa, xb, d, mask)
-        present[(ra << M) | rb] = True
+        ra <<= M
+        ra |= rb
+        present[ra] = True
     return np.flatnonzero(present)
 
 

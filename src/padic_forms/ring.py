@@ -458,24 +458,36 @@ def _newton_root(seed: tuple[int, int], d: int, t: tuple[int, int], KK: int):
     Either step leaves a residual of valuation >= 2v - 2 (the quadratic
     terms of (x - s)^d, s of valuation v - 1, carry the odd binomial
     d(d-1)/2), so the loop stops once that reaches KK, and one unit
-    inverse, of (d/2) t, serves every step."""
-    mod = 1 << KK
+    inverse, of (d/2) t, serves every step.  The pairs are kept masked
+    mod 2^KK, and x^d is powered inline, left to right as in `pow_pair`."""
+    mask = (1 << KK) - 1
     m = d // 2
     ta, tb = t
-    wa, wb = inv_unit_pair((m * ta) % mod, (m * tb) % mod, mod)
+    wa, wb = inv_unit_pair((m * ta) & mask, (m * tb) & mask, mask + 1)
     xa, xb = seed
+    bits = bin(d)[3:]
     for _ in range(2 * KK.bit_length() + 8):
-        fa, fb = pow_pair(xa, xb, d, mod)
-        fa = (fa - ta) % mod
-        fb = (fb - tb) % mod
+        fa, fb = xa, xb
+        for bit in bits:  # x^d, one squaring per bit, as in pow_pair
+            sq = fb * fb
+            fa, fb = (fa * fa + sq) & mask, (2 * fa + fb) * fb & mask
+            if bit == "1":
+                bd = fb * xb
+                fa, fb = (fa * xa + bd) & mask, (fa * xb + fb * xa + bd) & mask
+        fa = (fa - ta) & mask
+        fb = (fb - tb) & mask
         if fa == 0 and fb == 0:
             break
-        v = val_pair(fa, fb)
-        assert v >= 1, "residual too shallow for Newton"
-        ga, gb = mul_pair(fa >> 1, fb >> 1, xa, xb)
-        sa, sb = mul_pair(ga, gb, wa, wb, mod)
-        xa = (xa - sa) % mod
-        xb = (xb - sb) % mod
+        x = fa | fb
+        if x & 1:
+            raise HenselError("residual too shallow for Newton")
+        v = (x & -x).bit_length() - 1  # the residual's valuation, val_pair inline
+        ha, hb = fa >> 1, fb >> 1  # f(x) / 2 times x, then times 1 / ((d/2) t)
+        bd = hb * xb
+        ga, gb = ha * xa + bd, ha * xb + hb * xa + bd
+        bd = gb * wb
+        xa = (xa - ga * wa - bd) & mask
+        xb = (xb - ga * wb - gb * wa - bd) & mask
         if 2 * v - 2 >= KK:
             break
     return xa, xb
@@ -529,15 +541,23 @@ def anchor_solve_pair(fa: int, fb: int, d: int, ca: int, cb: int, K: int) -> tup
     if res < k + 3:
         raise HenselError(f"residual valuation {res} < {k + 3}: certificate invalid")
     KK = K + 1  # enough to fix x mod 2^K, as in dth_root
-    mod = 1 << KK
-    ia, ib = inv_unit_pair(fa >> k, fb >> k, mod)
-    ta, tb = mul_pair((-(ca >> k)) % mod, (-(cb >> k)) % mod, ia, ib, mod)
+    wide = (mask << 1) | 1  # mod 2^KK
+    ia, ib = inv_unit_pair(fa >> k, fb >> k, wide + 1)
+    na, nb = -(ca >> k) & wide, -(cb >> k) & wide
+    bd = nb * ib  # t = -(C / 2^k) / (f / 2^k), the product as in mul_pair, inline
+    ta, tb = (na * ia + bd) & wide, (na * ib + nb * ia + bd) & wide
     # t = 1 mod 8 by the residual check; its root mod 256 leaves one
     # Newton step for KK <= 16, where a seed of 1 would need four
     code = _anchor_seed_table(d)[ta >> 3 & 63 | (tb >> 3 & 63) << 6]
     xa, xb = _newton_root((1 + ((code & 63) << 2), code >> 6 << 2), d, (ta, tb), KK)
     xa, xb = xa & mask, xb & mask
-    pa, pb = pow_pair(xa, xb, d, mask + 1)
+    pa, pb = xa, xb
+    for bit in bin(d)[3:]:  # x^d mod 2^K, as in pow_pair
+        sq = pb * pb
+        pa, pb = (pa * pa + sq) & mask, (2 * pa + pb) * pb & mask
+        if bit == "1":
+            bd = pb * xb
+            pa, pb = (pa * xa + bd) & mask, (pa * xb + pb * xa + bd) & mask
     bd = fb * pb
     if (fa * pa + bd + ca) & mask or (fa * pb + fb * pa + bd + cb) & mask:
         raise HenselError("anchor solve failed to cancel (internal error)")

@@ -25,7 +25,7 @@ from .engine import (
 from .errors import CertificateError, PrecisionMismatch
 from .flat import FlatSolution, search_certificate
 from .forms import AdditiveForm, reduce_levels
-from .ring import mul_pair, multiplier_set
+from .ring import multiplier_set
 from .witness import Witness, map_to_origin, solve_anchor, verify_witness
 
 # unused here; perfbench/spans.py wraps them by name in this module for --trace
@@ -34,7 +34,11 @@ from .oracle import decide_isotropy_exhaustive  # noqa: F401
 
 
 def isotropy_threshold(d: int) -> int:
-    """Variable count at which every form of degree d is isotropic."""
+    """Variable count at which every form of degree d is isotropic: the
+    paper's bounds, and 5 for quadratic forms, since the u-invariant of a
+    local field is 4 (some 4-variable form is anisotropic)."""
+    if d == 2:
+        return 5
     return 4 * d + 1 if d % 3 == 0 else (3 * d) // 2 + 1
 
 
@@ -98,7 +102,8 @@ def lift_witness(g: AdditiveForm, sol: FlatSolution) -> Witness:
     if term is None:
         raise CertificateError("flat solution does not pick its anchor")
     za, zb = solve_anchor(term, (ra, rb), d, K)
-    used.append((anchor, *mul_pair(xa, xb, za, zb)))
+    bd = xb * zb  # the anchor's x times z, the product as in mul_pair, inline
+    used.append((anchor, xa * za + bd, xa * zb + xb * za + bd))
     w = map_to_origin(g, used, anchor)
     if not verify_witness(g.root(), w):
         raise CertificateError("lifted witness failed verification")

@@ -114,7 +114,7 @@ def map_to_origin(g: AdditiveForm, used, anchor: int) -> Witness:
     if V < 1:
         raise CertificateError("no certified digits remain after mapping back")
     mask0 = (1 << K0) - 1
-    values = [RingElem.zero(K0)] * g.s
+    values = [reduced_elem(0, 0, K0)] * g.s
     for _, j, a, b in lift:
         up = N - subst[j]
         if up >= 0:

@@ -422,15 +422,20 @@ def test_bad_usage_exit64(capsys):
     capsys.readouterr()
 
 
-def fresh_process(argv):
-    """Run argv in a new interpreter that imports this padic_forms, from
-    whatever directory pytest was started in."""
+def package_env() -> dict:
+    """The environment with this padic_forms first on PYTHONPATH."""
     env = dict(os.environ)
     pkg_root = str(Path(padic_forms.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in [pkg_root, env.get("PYTHONPATH")] if p
     )
-    return subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+    return env
+
+
+def fresh_process(argv):
+    """Run argv in a new interpreter that imports this padic_forms, from
+    whatever directory pytest was started in."""
+    return subprocess.run(argv, capture_output=True, text=True, timeout=60, env=package_env())
 
 
 def test_console_script_help():
@@ -454,6 +459,23 @@ def test_module_entry_passes_exit_codes(h6_file):
     assert json.loads(proc.stdout)["verdict"] == "ANISOTROPIC"
     proc = fresh_process([sys.executable, "-m", "padic_forms", "frobnicate"])
     assert proc.returncode == 64
+
+
+@pytest.mark.parametrize("argv", [["lemma", "verify", "223"], ["solve", "-"]])
+def test_closed_stdout_ends_quietly(argv):
+    # the reader is gone before the output comes: the report (several KB)
+    # fails in its write, the verdict (a few hundred bytes) in the flush;
+    # either way no traceback, and the status a SIGPIPE death would give
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "padic_forms", *argv], input=b"d=6; 1, 1",
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+                              env=package_env())
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 141
 
 
 # a form whose only zeros need a variable equal to 2 times a unit, so a

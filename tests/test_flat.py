@@ -43,7 +43,7 @@ from padic_forms.flat import (
 from padic_forms.forms import AdditiveForm, normalize, reduce_levels
 from padic_forms.oracle import decide_isotropy_exhaustive
 from padic_forms.ring import RingElem, mul_pair, multiplier_set
-from padic_forms.solver import decide_isotropy, isotropy_threshold, lift_witness
+from padic_forms.solver import decide_isotropy, lift_witness
 from padic_forms.witness import map_to_origin, solve_anchor, verify_witness
 from test_forms import rotated
 from test_witness import dense_back_map
@@ -236,6 +236,79 @@ def test_options_match_plain_enumeration():
         assert min(seen[d, kind] for kind in ("wrapped", "short own", "short wrapped")) >= 20, seen
 
 
+def _minus(x: int, t: int) -> int:
+    """x - t in Z8 x Z8, both coded a + 8b."""
+    return ((x & 7) - (t & 7)) % 8 + 8 * (((x >> 3) - (t >> 3)) % 8)
+
+
+def test_backtrack_replays_on_plain_sets():
+    # flat_zero's picks, checked on their own: each picked term's code is
+    # recomputed from its coefficient, the codes sum to 0 mod 8 at the
+    # anchor and include a level-k term (the anchor), and the walk that
+    # chose them is replayed on `_set_reach`'s plain sets over the
+    # `_plain_options` terms: a term is left out exactly when the target
+    # is reachable without it, else its pick is its first option that
+    # reaches, with the anchor taken where no earlier term can carry it
+    rng = random.Random(2032)
+    seen = Counter()
+    for d in (2, 6, 10, 14):
+        reps = [(r.value.a, r.value.b) for r in multiplier_set(d, 3).reps]
+        forms = [AdditiveForm.from_pairs(d, pairs, K) for K, pairs in WRAPPED_ONLY.get(d, [])]
+        for i in range(300):  # every other form on a window of levels, some straddling d - 1
+            s = rng.randrange(2, 2 * d + 3)
+            f = _window_form(rng, d, s, 3) if i % 2 else sample_form(rng, d, s)
+            windows = tuple(rng.choice((f.K, rng.randrange(lvl + 1, f.K + 1), lvl + 1))
+                            for lvl in f.levels())
+            forms.append(AdditiveForm(d, f.coeffs, windows=windows))
+        for f in forms:
+            sol = flat_zero(f).solution
+            if sol is None:
+                continue
+            k = sol.k
+            seen[d, "found"] += 1
+            seen[d, "short"] += any(w < k + 3 for w in f.windows)
+            total = 0
+            for p in sol.picks:
+                c, lvl = f.coeffs[p.var], f.levels()[p.var] + p.wrap * d
+                assert k <= lvl < k + 3 and f.windows[p.var] + p.wrap * d >= k + 3
+                pa, pb = mul_pair(c.a << p.wrap * d, c.b << p.wrap * d, *reps[p.rep], 1 << k + 3)
+                total = _plus(total, (pa >> k) + 8 * (pb >> k))
+                seen[d, "wrapped"] += p.wrap
+            assert total == 0, (f.to_json(), sol)
+            assert f.levels()[sol.anchor] == k
+            assert (sol.anchor, 0) in {(p.var, p.wrap) for p in sol.picks}
+            assert [p.var for p in sol.picks] == sorted({p.var for p in sol.picks})
+            terms = _plain_options(f, k)[0]
+            seen[d, "wrapped terms"] += sum(any(o[2] for o in t[1]) for t in terms)
+            trail, S1, _ = _set_reach(terms)
+            assert 0 in S1
+            picks = {p.var: (p.wrap, p.rep) for p in sol.picks}
+            target, anchored = 0, True
+            for (var, opts, _, _), (T0, T1) in zip(reversed(terms), reversed(trail)):
+                if target in (T1 if anchored else T0):
+                    assert var not in picks
+                    continue
+                for code, at_k, wrap, rep in opts:
+                    prev = _minus(target, code)
+                    if anchored and prev in T1:
+                        pass
+                    elif anchored == at_k and prev in T0:
+                        if anchored:
+                            assert var == sol.anchor
+                            anchored = False
+                    else:
+                        continue
+                    assert picks.pop(var) == (wrap, rep)
+                    target = prev
+                    break
+                else:
+                    pytest.fail(f"no option of {var} reaches {target}")
+            assert (target, anchored, picks) == (0, False, {})
+    for d in (2, 6, 10, 14):
+        assert seen[d, "found"] >= 80 and seen[d, "short"] >= 10, seen
+        assert seen[d, "wrapped terms"] >= 20 and seen[d, "wrapped"] >= 1, seen
+
+
 @pytest.mark.parametrize("d", [6, 10])
 def test_solution_picks_vanish_mod_anchor_plus_three(d):
     rng = random.Random(11 + d)
@@ -273,7 +346,7 @@ def test_lone_anchor_term_has_no_zero():
             f = sample_form(rng, d, rng.randrange(2, 12))
             by_level = _by_level(f)
             for k in range(d):
-                if len(by_level[k]) == 1:
+                if f.levels().count(k) == 1:
                     lone += 1
                     assert not _reach(_options(f, k, by_level)[0])[1] & 1
     assert lone >= 300
@@ -462,6 +535,13 @@ def test_full_range_d10_never_inconclusive():
 PINNED_DIGEST = "92ce73a40eb706d30d34d2e6b8d771d8d801b62376e0f7656a1866c83cdcf14a"
 
 
+def _draw_bound(d):
+    """The variable-count bound the digest helpers draw under: the paper's
+    threshold formula, 4 at d = 2 where `isotropy_threshold` gives 5, so
+    the forms behind the digests stay the recorded ones."""
+    return 4 * d + 1 if d % 3 == 0 else (3 * d) // 2 + 1
+
+
 def _pinned_forms():
     forms = [AdditiveForm.from_pairs(d, WRAPPED_ONLY[d][0][1], WRAPPED_ONLY[d][0][0])
              for d in (6, 10)]
@@ -470,7 +550,7 @@ def _pinned_forms():
         d = (6, 10)[i % 2]
         K = d + 4
         pairs = []
-        for _ in range(rng.randrange(2, isotropy_threshold(d) + 1)):
+        for _ in range(rng.randrange(2, _draw_bound(d) + 1)):
             lvl = rng.randrange(d)
             cls = rng.randrange(1, 4)
             a = (cls & 1) | (rng.getrandbits(K - 1) << 1)
@@ -496,7 +576,7 @@ def _unreduced_forms():
         d = (6, 10)[i % 2]
         K = 3 * d + 2
         coeffs, windows = [], []
-        for _ in range(rng.randrange(2, isotropy_threshold(d) + 1)):
+        for _ in range(rng.randrange(2, _draw_bound(d) + 1)):
             lvl = rng.randrange(2 * d)
             cls = rng.randrange(1, 4)
             a = (cls & 1) | (rng.getrandbits(K - 1) << 1)
@@ -514,8 +594,10 @@ def _unreduced_forms():
     return forms
 
 
-# the same digest over _degree_forms(), re-recorded at the same change
-DEGREE_DIGEST = "44324db15a59c9563ea82a8ae4a449efdac9ea68aad6a36d5dfa48e535c9330e"
+# the same digest over _degree_forms(), re-recorded at the same change and
+# again when `isotropy_threshold(2)` became 5: its 64 four-variable d = 2
+# forms went from stage "search-threshold" to "search", no other byte moved
+DEGREE_DIGEST = "eab6e76a7ce515f57fe072c413769cd09485ee23d6855cf41b3d92ad7d840a20"
 
 # unreduced d = 2 forms (K, coefficient pairs, windows) whose zeros all
 # need a variable equal to 2 times a unit in the normalized frame, so
@@ -539,7 +621,7 @@ def _degree_forms():
         K = d + 4
         for _ in range(n):
             pairs = []
-            for _ in range(rng.randrange(2, isotropy_threshold(d) + 1)):
+            for _ in range(rng.randrange(2, _draw_bound(d) + 1)):
                 lvl = rng.randrange(d)
                 cls = rng.randrange(1, 4)
                 a = (cls & 1) | (rng.getrandbits(K - 1) << 1)
@@ -625,7 +707,7 @@ def _unreduced_sample(rng, d, n):
     forms = []
     for _ in range(n):
         pairs = []
-        for _ in range(rng.randrange(2, isotropy_threshold(d) + 1)):
+        for _ in range(rng.randrange(2, _draw_bound(d) + 1)):
             lvl = rng.randrange(2 * d)
             cls = rng.randrange(1, 4)
             a = (cls & 1) | (rng.getrandbits(K - 1) << 1)

@@ -79,7 +79,6 @@ ASSERT_ALLOWLIST = {
     ("ring.py", "inv_unit_pair"): 1,
     ("ring.py", "RingElem.__init__"): 1,
     ("ring.py", "RingElem.reduce_to"): 1,
-    ("ring.py", "_newton_root"): 1,
     # K >= 1; its two self-checks of the reps and roots raise SelfCheckError
     ("ring.py", "multiplier_set"): 1,
 }

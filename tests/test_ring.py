@@ -1,6 +1,7 @@
 """Base ring arithmetic: residues mod 2^K, the residue field, unit d-th
 powers, and Hensel root extraction."""
 
+import inspect
 import json
 import os
 import random
@@ -390,6 +391,13 @@ def test_newton_anchor_solve_raises_when_not_cancelled(monkeypatch):
         newton_anchor_solve(RingElem(1, 0, 10), 6, RingElem(7, 0, 10))  # 1 + 7 != 0
 
 
+def test_newton_refuses_a_residual_that_is_a_unit():
+    # 1^6 - w has residue 1 + w: no step of Newton's can start there, and
+    # the refusal is a raise, so it holds under python -O too
+    with pytest.raises(HenselError, match="too shallow"):
+        ring._newton_root((1, 0), 6, (0, 1), 11)
+
+
 def test_anchor_solve_refusals_are_the_same_under_python_O():
     # python -O strips asserts; each refusal above, and the failed
     # cancellation, must still raise HenselError
@@ -539,22 +547,41 @@ def test_anchor_solve_matches_newton_from_one():
     assert anchor_solve_mismatches(cases) == []
 
 
-def test_anchor_solve_takes_one_newton_step_up_to_K_15(monkeypatch):
+def _residuals_formed(run) -> int:
+    """How many residuals x^d - t `_newton_root` forms while run() runs:
+    the executions of its line that subtracts t, counted by a line trace
+    of that function alone (it powers inline, so no call can be counted)."""
+    code = ring._newton_root.__code__
+    lines, first = inspect.getsourcelines(ring._newton_root)
+    target = first + [text.strip() for text in lines].index("fa = (fa - ta) & mask")
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line" and frame.f_lineno == target
+        return local
+
+    before = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        run()
+    finally:
+        sys.settrace(before)
+    return count
+
+
+def test_anchor_solve_takes_one_newton_step_up_to_K_15():
     # the seed, the root mod 256, leaves a residual of valuation >= 9, so
-    # for K + 1 <= 16 the solve takes two powers: the residual before the
-    # one Newton step (or none, when the seed is already a root) and the
-    # final cancellation check
+    # for K + 1 <= 16 the solve forms one residual: the one before the one
+    # Newton step (or before none, when the seed is already a root)
     cases = [c for c in anchor_solve_cases() if c[3] <= 15]
     assert len(cases) >= 300
-    for d in {c[2] for c in cases}:
-        ring._anchor_seed_table(d)
-    calls = []
-    real = ring.pow_pair
-    monkeypatch.setattr(ring, "pow_pair", lambda *args: (calls.append(args), real(*args))[1])
     for (fa, fb), (ca, cb), d, K in cases:
-        calls.clear()
-        anchor_solve_pair(fa, fb, d, ca, cb, K)
-        assert len(calls) == 2, (d, K)
+        assert _residuals_formed(lambda: anchor_solve_pair(fa, fb, d, ca, cb, K)) == 1, (d, K)
+    # and the count sees more than one where more steps are needed
+    deep = [c for c in anchor_solve_cases() if c[3] >= 30]
+    assert max(_residuals_formed(lambda: anchor_solve_pair(*f, d, *c, K))
+               for f, c, d, K in deep) >= 2
 
 
 def test_anchor_solve_matches_newton_from_one_under_python_O():

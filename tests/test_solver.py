@@ -10,7 +10,7 @@ from pathlib import Path
 
 from padic_forms import flat, forms
 from padic_forms.engine import certificate_from_json, certificate_to_json, validate_certificate
-from padic_forms.forms import AdditiveForm, normalize, reduce_levels
+from padic_forms.forms import AdditiveForm, normalize, parse_form_text, reduce_levels
 from padic_forms.oracle import decide_isotropy_exhaustive
 from padic_forms.ring import RingElem
 from padic_forms import solver
@@ -28,10 +28,24 @@ SPANS = PERFBENCH / "spans.py"
 
 
 def test_threshold_values():
+    assert isotropy_threshold(2) == 5
     assert isotropy_threshold(6) == 25
     assert isotropy_threshold(10) == 16
     assert isotropy_threshold(18) == 73
     assert isotropy_threshold(14) == 22
+
+
+def test_quadratic_threshold_is_five():
+    # the u-invariant of a local field is 4: some 4-variable quadratic form
+    # has no zero, so 4 variables are below the threshold, 5 reach it
+    anisotropic = AdditiveForm.from_json(parse_form_text("d=2; 5+6*w, 1, 1+w, 1+6*w"))
+    r = decide_isotropy(anisotropic)
+    assert (r.verdict, r.stage) == ("ANISOTROPIC", "oracle")
+    assert decide_isotropy_exhaustive(anisotropic).verdict == "ANISOTROPIC"
+    r = decide_isotropy(AdditiveForm.from_json(parse_form_text("d=2; 1, 1, 1, 1")))
+    assert (r.verdict, r.stage) == ("ISOTROPIC", "search")
+    r = decide_isotropy(AdditiveForm.from_json(parse_form_text("d=2; 1, 1, 1, 1, 1")))
+    assert (r.verdict, r.stage) == ("ISOTROPIC", "search-threshold")
 
 
 def test_x6_plus_7y6_isotropic_by_search():
