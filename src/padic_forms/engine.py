@@ -324,18 +324,24 @@ def certificate_to_json(cert: ContractionCertificate) -> dict:
 def certificate_from_json(doc: dict) -> ContractionCertificate:
     """Rebuild a certificate through `make_leaf` and `contract`; a leaf's
     `exp` defaults to 0.  A malformed document (a missing or mistyped
-    field, an unknown or cyclic node id, a leaf that is 0 at the precision
-    or whose `var` or `exp` is not a whole number, a negative `exp`, a
-    multiplier that is not a unit d-th power, a rep's value with another
-    epsilon, a contraction whose recorded value is not its children's sum)
-    raises CertificateError."""
+    field, a precision K that is not a whole number at least 1 or whose
+    2^K no int can hold, an unknown or cyclic node id, a leaf that is 0 at
+    the precision or whose `var` or `exp` is not a whole number, a
+    negative `exp`, a multiplier that is not a unit d-th power, a rep's
+    value with another epsilon, a contraction whose recorded value is not
+    its children's sum) raises CertificateError."""
     try:
         d, K = doc["degree"], doc["precision"]
         raw = {rec["id"]: rec for rec in doc["nodes"]}
         root_id = doc["root"]
     except KeyError as e:
         raise CertificateError(f"certificate document lacks {e}") from None
-    ms = multiplier_set(d, K)
+    if type(K) is not int or K < 1:
+        raise CertificateError(f"certificate precision must be an integer at least 1, got {K!r}")
+    try:
+        ms = multiplier_set(d, K)
+    except OverflowError:  # 2^K has more digits than an int can hold
+        raise CertificateError(f"certificate precision {K} is too large to hold") from None
     by_value = {(r.value.a, r.value.b): r for r in ms.reps}
 
     def recover(pair, eps) -> MultiplierRep:

@@ -80,7 +80,10 @@ class AdditiveForm:
             K = default_precision(d)
         if K < 1:
             raise PrecisionMismatch(f"precision must be at least 1, got {K}")
-        coeffs = tuple(RingElem(a, b, K) for a, b in pairs)
+        try:
+            coeffs = tuple(RingElem(a, b, K) for a, b in pairs)
+        except OverflowError:  # 2^K has more digits than an int can hold
+            raise PrecisionMismatch(f"precision {K} is too large to hold") from None
         if not coeffs:
             raise ValueError("form has no coefficients")
         return cls(d, coeffs)

@@ -30,28 +30,30 @@ code multisets it stands for.  `_slot_join` decides the product of the
 class slots from `_sums` of all slots but the last and of the last.
 
 Sampled trials read only each variable's unit code mod 8, so
-`_sample_codes` draws one code a + 8b per variable and trial from raw
+`_sample_ranks` draws one code a + 8b per variable and trial from raw
 generator words, uniform over its residue class's 16 codes or over all
-48 unit codes.  At each anchor kappa a trial splits into the anchor-level
-group and the deeper one (levels kappa + 1, kappa + 2, a code v read as
-2^(level - kappa) * v).  Its anchored sums are A + B, A the nonempty sums
-of the first group and B the sums of the second, the empty one included,
-so 0 is among them iff A meets -B (`_anchor_misses`, which runs the
-deeper group only on rows whose A misses 0).  Each group walks a sum-set
-automaton of its degree and code family (`_SumAutomaton`, unit codes or
-negated even ones): states are `_sums` masks, and a table filled on first
-use gives the state after one more variable of each orbit: one lookup per
-variable.  A unit walk starts from a table of the state after each pair
-of unit codes, filled whole when the automata are built, so its first
-two variables are one lookup.  Every admissible degree has the reps mod
-8 of d = 6 (when 3 | d) or of d = 10, and from the empty row only 28,298
-unit and 2,039 even states can be reached (53 and 27 when 3 does not
-divide d), so the table never passes its `_CAP` states; a walk that
-would raises.
+48 unit codes, and stores its orbit-major rank (`_Tables`: orbit index
+<< s | place, 24 orbits of 2 when 3 | d, 8 of 6 otherwise).  At each
+anchor kappa a trial splits into the anchor-level group and the deeper
+one (levels kappa + 1, kappa + 2, a code v read as 2^(level - kappa) v).
+Its anchored sums are A + B, A the nonempty sums of the first group and
+B the sums of the second, the empty one included, so 0 is among them
+iff A meets -B (`_anchor_misses`, which runs the deeper group only on
+rows whose A misses 0).  Each group walks a sum-set automaton of its
+degree and code family (`_SumAutomaton`, unit codes or negated even
+ones): states are `_sums` masks, and a table filled on first use gives
+the state after one more variable of each column, a unit orbit (rank
+>> s) or a deeper shift and unit orbit: one lookup per variable.  A unit
+walk starts from a 64 x 64 table of the state after each pair of unit
+ranks, filled whole when the automata are built.  Every admissible
+degree has the reps mod 8 of d = 6 (when 3 | d) or of d = 10, and from
+the empty row only 28,298 unit and 1,546 even states can be reached (53
+and 16 otherwise); each family's table holds that many (`_CAP`), and a
+walk past them raises.
 
-Beyond its code matrix (one byte per variable and trial), a sampled
-sweep works in blocks: `_sample_codes` reads the generator and maps
-words to codes `_BLOCK` codes at a time, and `_sampled_verdicts` plans
+Beyond its rank matrix (one byte per variable and trial), a sampled
+sweep works in blocks: `_sample_ranks` reads the generator and maps
+words to ranks `_BLOCK` codes at a time, and `_sampled_verdicts` plans
 the anchors once, from the levels, then decides `_BLOCK` trials at a
 time.  numpy's `take` copies a uint8 or uint16 index array to intp
 whole, and each step of the decision allocates arrays as wide as its
@@ -72,7 +74,6 @@ import threading
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from math import comb, prod
 
 import numpy as np
@@ -92,12 +93,26 @@ from .solver import decide_isotropy
 class _Tables:
     mulr: np.ndarray  # (reps, 64) code of r * v, from flat.mod8_table
     orbit: np.ndarray  # (64,) least code of each code's orbit under the reps
+    # a unit code's rank: its orbit's index (by least code) << s | its place
+    # in the orbit, ascending; orbits of 2 (s = 1) or of 6 padded to 8 (s = 3)
+    shift: int  # s
+    code: np.ndarray  # per rank, its unit code (0 past its orbit's end)
+    rank: np.ndarray  # (64,) per unit code, its rank
+
+
+# the 48 unit codes a + 8b, a or b odd, in increasing order
+_UNITS = np.array([v for v in range(64) if (v | v >> 3) & 1], np.uint8)
 
 
 @lru_cache(maxsize=None)
 def _tables(d: int) -> _Tables:
     mulr = np.array(mod8_table(d).products, dtype=np.uint8).T
-    return _Tables(mulr, mulr.min(axis=0))
+    orbit, s = mulr.min(axis=0), (len(mulr) - 1).bit_length()
+    code = np.zeros((len(_UNITS) // len(mulr), 1 << s), np.uint8)
+    code[:, : len(mulr)] = np.sort(mulr[:, _distinct(orbit[_UNITS])].T, axis=1)
+    rank = np.zeros(64, np.uint8)
+    rank[code] = np.arange(code.size).reshape(code.shape)  # code 0, a padding's, is no unit
+    return _Tables(mulr, orbit, s, code.ravel(), rank)
 
 
 # per code v = a + 8b, as uint64 so that no shift needs a cast: the bits
@@ -147,9 +162,7 @@ def _sums(X: np.ndarray, tab: _Tables, N: np.ndarray | None = None) -> np.ndarra
     return N
 
 
-_CAP = 0xFFFF  # states per automaton: ids 1.._CAP fit a uint16, 0 is "not filled yet"
-# the 48 unit codes a + 8b, a or b odd, in increasing order
-_UNITS = np.array([v for v in range(64) if (v | v >> 3) & 1], np.uint8)
+_CAP = (28_298, 1_546)  # unit and even states a walk can reach: uint16 ids, 0 is unfilled
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:
@@ -161,14 +174,14 @@ def _distinct(x: np.ndarray) -> np.ndarray:
 class _SumAutomaton:
     """`_sums` walked one variable at a time, for one degree and code family:
     a state is a mask, T[state * W + o] the state after one more variable of
-    orbit o, id 1 the empty row.  The automata are shared by every sweep of
-    their degree, so a walk holds the lock: `sweep_lemma` may be called
-    from threads."""
+    column o (the code reps[o]), id 1 the empty row, at most `cap` states.
+    The automata are shared by every sweep of their degree, so a walk holds
+    the lock: `sweep_lemma` may be called from threads."""
 
-    def __init__(self, reps: np.ndarray, tab: _Tables):
-        self.reps, self.tab, self.lock = reps, tab, threading.Lock()
-        self.T = np.zeros((_CAP + 1) * len(reps), np.uint16)
-        self.masks = np.zeros(_CAP + 1, np.uint64)  # per id
+    def __init__(self, reps: np.ndarray, tab: _Tables, cap: int):
+        self.reps, self.tab, self.cap, self.lock = reps, tab, cap, threading.Lock()
+        self.T = np.zeros((cap + 1) * len(reps), np.uint16)
+        self.masks = np.zeros(cap + 1, np.uint64)  # per id
         self.known, self.ids = np.zeros(1, np.uint64), np.ones(1, np.uint16)  # sorted masks, ids
         self.pairs = None  # the unit family's pair table, see `_automata`
 
@@ -177,8 +190,8 @@ class _SumAutomaton:
         vals = _distinct(N)
         pos = np.searchsorted(self.known, vals)
         new = self.known.take(pos, mode="clip") != vals
-        if len(self.known) + new.sum() > _CAP:
-            raise PadicFormsError(f"sum-set automaton needs more than {_CAP} states")
+        if len(self.known) + new.sum() > self.cap:
+            raise PadicFormsError(f"sum-set automaton needs more than {self.cap} states")
         ids = self.ids.take(pos, mode="clip")
         ids[new] = len(self.known) + 1 + np.arange(new.sum())
         self.masks[ids[new]] = vals[new]
@@ -187,8 +200,8 @@ class _SumAutomaton:
         return ids.take(np.searchsorted(vals, N))
 
     def walk(self, st: np.ndarray, cols) -> np.ndarray:
-        """Per row, the state after the variables of orbit indices cols
-        (one array per variable) from the state st.  A missing entry is
+        """Per row, the state after the variables of columns cols (one
+        array per variable) from the state st.  A missing entry is
         filled by a `_sums` step."""
         W = len(self.reps)
         with self.lock:
@@ -207,24 +220,23 @@ class _SumAutomaton:
 
 @lru_cache(maxsize=None)
 def _automata(d: int) -> tuple:
-    """The unit-code and even-code automata of degree d, and per shift s
-    the orbit index each code v walks as: v's in the unit family for
-    s = 0, that of -2^s v in the even family for s = 1 and 2.
+    """The unit-code and even-code automata of degree d.  Unit column o is
+    unit orbit o (a rank r walks r >> s); even column (sh - 1) * U + o, U
+    unit orbits, is -2^sh times orbit o, for the deeper shifts sh = 1, 2.
 
-    The unit automaton's `pairs` holds, per two unit codes c1 and c2 at
-    c1 * 64 + c2, the state after a variable of each: a walk's first two
+    The unit automaton's `pairs` holds, per two unit ranks r1 and r2 at
+    r1 * 64 + r2, the state after a variable of each: a walk's first two
     steps in one lookup (other entries stay 0).  It is numbered whole
     here, before any walk and before another thread can see the
     automaton, so its ids do not depend on the sweeps that follow."""
     tab = _tables(d)
-    units, evens = _distinct(tab.orbit[_UNITS]), _distinct(np.delete(tab.orbit, _UNITS))
-    index = [np.searchsorted(units, tab.orbit)]
-    index += [np.searchsorted(evens, tab.orbit)[_NEG_CODE[_SCALE[s]]] for s in (1, 2)]
-    aut = _SumAutomaton(units, tab)
-    c1, c2 = np.repeat(_UNITS, len(_UNITS)), np.tile(_UNITS, len(_UNITS))
+    units = tab.code[:: 1 << tab.shift]  # each orbit's least code
+    aut = _SumAutomaton(units, tab, _CAP[0])
+    r = np.flatnonzero(tab.code)  # the ranks of unit codes
+    r1, r2 = np.repeat(r, len(r)), np.tile(r, len(r))
     aut.pairs = np.zeros(64 * 64, np.uint16)
-    aut.pairs[c1.astype(np.intp) * 64 + c2] = aut.number(_sums(np.stack([c1, c2], 1), tab))
-    return aut, _SumAutomaton(evens, tab), np.array(index, np.uint8)
+    aut.pairs[r1 * 64 + r2] = aut.number(_sums(tab.code[np.stack([r1, r2], 1)], tab))
+    return aut, _SumAutomaton(_NEG_CODE[_SCALE[1:, units]].ravel(), tab, _CAP[1])
 
 
 # ---------------------------------------------------------------------------
@@ -296,26 +308,32 @@ def _class_orbits(cls: int, tab: _Tables) -> list:
     rep leaves its option set unchanged, so one code per orbit decides
     for all of them."""
     codes = _class_codes(cls)
-    least = sorted({int(tab.orbit[c]) for c in codes})
-    orbits = [tuple(int(c) for c in np.flatnonzero(tab.orbit == o)) for o in least]
-    if sorted(c for orbit in orbits for c in orbit) != codes:
+    if not set(tab.mulr[:, codes].ravel().tolist()) <= set(codes):
         raise PadicFormsError(f"multiplier orbits leave residue class {cls}")
-    return orbits
+    orbit = tab.orbit.tolist()
+    return [tuple(c for c in codes if orbit[c] == o) for o in sorted({orbit[c] for c in codes})]
 
 
 def _exhaustive_slots(class_counts, tab: _Tables) -> list:
     """Per nonempty class, every multiset of orbits as a sorted row of
     orbit representatives, with the number of code multisets it stands
-    for: the product of C(m + t - 1, m), m picks from an orbit of size t."""
+    for: the product of C(m + t - 1, m), m picks from an orbit of size t.
+    Rows grow a pick at a time, lexicographically (each by every orbit from
+    its last on, after a placeholder orbit 0), and the m-th pick of an
+    orbit of size t multiplies the weight by (m + t - 1) / m."""
     slots = []
     for cls, k in zip((1, 2, 3), class_counts):
         if k:
             orbits = _class_orbits(cls, tab)
-            picks = np.array(list(combinations_with_replacement(range(len(orbits)), k)))
-            counts = (picks[:, :, None] == np.arange(len(orbits))).sum(axis=1)
-            table = np.array([[comb(m + len(o) - 1, m) for m in range(k + 1)] for o in orbits])
-            weights = table[np.arange(len(orbits)), counts].prod(axis=1)
-            slots.append((np.array([o[0] for o in orbits], np.int32)[picks], weights))
+            size = np.array([len(o) for o in orbits])
+            picks, run, weights = np.zeros((1, 1), np.intp), np.zeros(1, np.intp), np.ones(1, np.int64)
+            for _ in range(k):  # run: the picks of each row's last orbit
+                ext = len(orbits) - picks[:, -1]
+                new = np.arange(ext.sum()) - np.repeat(ext.cumsum() - len(orbits), ext)
+                run = np.where(new == picks[:, -1].repeat(ext), run.repeat(ext) + 1, 1)
+                weights = weights.repeat(ext) * (run + size[new] - 1) // run
+                picks = np.concatenate([picks.repeat(ext, axis=0), new[:, None]], axis=1)
+            slots.append((np.array([o[0] for o in orbits], np.int32)[picks[:, 1:]], weights))
     return slots
 
 
@@ -343,23 +361,24 @@ _BLOCK = 1 << 15
 
 
 @lru_cache(maxsize=None)
-def _free_codes() -> np.ndarray:
-    """Per 16-bit word w < 65520, the (w % 48)-th unit code (a or b odd):
-    a lookup in place of a division per draw, built on first use."""
-    return _UNITS.take(np.arange(65520) % 48)
+def _free_ranks(d: int) -> np.ndarray:
+    """Per 16-bit word w < 65520, the rank of the (w % 48)-th unit code
+    (a or b odd): a lookup in place of a division per draw, built on
+    first use."""
+    return np.tile(_tables(d).rank.take(_UNITS), 65520 // 48)
 
 
-def _sample_codes(lem: SweepLemma, trials: int, raw) -> tuple:
+def _sample_ranks(lem: SweepLemma, trials: int, raw) -> tuple:
     """Draw trial coefficients mod 8: per variable a fixed level and a
     unit code a + 8b, uniform over its residue class's 16 codes, or over
-    all 48 unit codes for a variable of free class.  Returns the codes
-    (uint8, one row per variable, one column per trial) and each row's
-    level.
+    all 48 unit codes for a variable of free class.  Returns the codes'
+    ranks (`_tables`; uint8, one row per variable, one column per trial)
+    and each row's level.
 
     `raw(n)` gives n 64-bit generator words.  A fixed-class code is the
     class's code at the low 4 bits of one byte.  A free code is the unit
     code at w % 48 of one 16-bit word w < 65520 = 48 * 1365, read from
-    `_free_codes`; after the group's words, the positions whose word is
+    `_free_ranks`; after the group's words, the positions whose word is
     65520 or more draw a new word, until none is left.  Each group reads
     its words in blocks of about `_BLOCK` codes, whole words each, and
     maps a block by one `take`: the stream is that of one full-length
@@ -372,7 +391,7 @@ def _sample_codes(lem: SweepLemma, trials: int, raw) -> tuple:
         out = C[len(levels) : len(levels) + k].reshape(-1)  # a view: the rows are contiguous
         n = out.size
         free = cls is None
-        table = _free_codes() if free else np.array(_class_codes(cls), np.uint8)
+        table = _free_ranks(lem.d) if free else _tables(lem.d).rank.take(_class_codes(cls))
         dtype = np.uint16 if free else np.uint8
         per = 8 // np.dtype(dtype).itemsize  # codes per generator word
         step = -(-_BLOCK // per) * per  # whole words per block: no draw depends on the size
@@ -453,17 +472,17 @@ def _profile_form(d: int, row) -> AdditiveForm:
 def _anchor(shift: np.ndarray, d: int) -> tuple:
     """One anchor's part of a sweep's plan, row j read as 2^shift[j] times
     its unit codes: the rows of shift 0, and those of shifts 1 and 2, each
-    with the orbit indices its codes walk as in the even family.  Rows of
+    with the offset of its shift's columns in the even family.  Rows of
     other shifts are left out."""
-    index = _automata(d)[2]
+    U = len(_automata(d)[0].reps)
     deeper = np.flatnonzero((shift == 1) | (shift == 2)).tolist()
-    return tuple(np.flatnonzero(shift == 0).tolist()), tuple((j, index[shift[j]]) for j in deeper)
+    return tuple(np.flatnonzero(shift == 0).tolist()), tuple((j, (int(shift[j]) - 1) * U) for j in deeper)
 
 
 def _anchor_misses(C: np.ndarray, anchor: tuple, d: int) -> np.ndarray:
-    """The columns of C (ascending) where no multiplier-scaled sub-sum
-    that uses a shift-0 row of `anchor` (as `_anchor` plans it) vanishes
-    mod 8.
+    """The columns of the rank matrix C (ascending) where no
+    multiplier-scaled sub-sum that uses a shift-0 row of `anchor` (as
+    `_anchor` plans it) vanishes mod 8.
 
     Such a sum is x + y, x in A the nonempty sums of the shift-0 rows and
     y in B the sums of the others, the empty one included; it vanishes iff
@@ -471,19 +490,19 @@ def _anchor_misses(C: np.ndarray, anchor: tuple, d: int) -> np.ndarray:
     rows, so those run only on the other columns; there the empty sum in
     -B meets nothing, and the rest is the `_sums` of the deeper codes
     scaled and negated, negation being additive.  The shift-0 walk starts
-    at the pair table's state of its first two codes."""
-    units, evens, index = _automata(d)
-    rows, deeper = anchor
+    at the pair table's state of its first two ranks."""
+    units, evens = _automata(d)
+    s, (rows, deeper) = units.tab.shift, anchor
     if len(rows) > 1:
         st = np.multiply(C[rows[0]], 64, dtype=np.intp)  # the pair's key, freed by its lookup
         st += C[rows[1]]
         st, rows = units.pairs.take(st), rows[2:]
     else:
         st = np.ones(C.shape[1], np.uint16)
-    A = units.masks.take(units.walk(st, (index[0].take(C[j]) for j in rows)))
+    A = units.masks.take(units.walk(st, (C[j] >> s for j in rows)))
     rest = np.flatnonzero((A & 1) == 0)
     if rest.size and deeper:
-        st = evens.walk(np.ones(rest.size, np.uint16), (orbit.take(C[j].take(rest)) for j, orbit in deeper))
+        st = evens.walk(np.ones(rest.size, np.uint16), ((C[j].take(rest) >> s) + off for j, off in deeper))
         rest = rest[(A.take(rest) & evens.masks.take(st)) == 0]
     return rest
 
@@ -492,7 +511,7 @@ def _sampled_verdicts(C: np.ndarray, col_levels: np.ndarray, d: int) -> np.ndarr
     """Per trial, whether some anchor level kappa has a vanishing
     combination over the variables at levels kappa..kappa+2 (deeper ones
     vanish mod 2^(kappa+3)) that uses a level-kappa one.  C holds the
-    codes with one row per variable, as `_sample_codes` draws them.
+    ranks with one row per variable, as `_sample_ranks` draws them.
 
     The anchors are planned once, from the levels alone; an anchor with
     no level-kappa row, or with one row in its three levels (one variable
@@ -565,12 +584,13 @@ def sweep_lemma(
             record = {"profile": [int(c) for c in row], "weight": int(weight)}
             _settle(_profile_form(lem.d, row), record, int(weight), resolution, failures)
     else:
-        C, col_levels = _sample_codes(lem, trials, np.random.default_rng(seed).bit_generator.random_raw)
+        C, col_levels = _sample_ranks(lem, trials, np.random.default_rng(seed).bit_generator.random_raw)
         total = trials
         ok = _sampled_verdicts(C, col_levels, lem.d)
         resolution["closure"] = int(ok.sum())
         for ridx in np.flatnonzero(~ok):
-            ua, ub = C[:, ridx] & 7, C[:, ridx] >> 3
+            codes = tab.code.take(C[:, ridx])
+            ua, ub = codes & 7, codes >> 3
             record = {
                 "levels": [int(v) for v in col_levels],
                 "unitsA": [int(v) for v in ua],

@@ -40,9 +40,13 @@ class Witness:
         K = _whole(doc["precision"], "precision")
         if K < 1:
             raise ValueError(f"witness precision must be at least 1, got {K}")
+        try:
+            values = tuple(RingElem(_whole(a, "value"), _whole(b, "value"), K)
+                           for a, b in doc["values"])
+        except OverflowError:  # 2^K has more digits than an int can hold
+            raise ValueError(f"witness precision {K} is too large to hold") from None
         return cls(
-            values=tuple(RingElem(_whole(a, "value"), _whole(b, "value"), K)
-                         for a, b in doc["values"]),
+            values=values,
             primitive=_whole(doc["primitive"], "primitive"),
             V=_whole(doc["target_valuation"], "target_valuation"),
         )

@@ -509,11 +509,31 @@ def test_solve_is_the_same_under_python_O(tmp_path, h6_file):
             assert plain.stdout == "" and "window" in optimized.stderr
 
 
+HUGE = 2**70  # 2^HUGE has more digits than an int can hold
+
+
+def _form_doc(K) -> dict:
+    return {"degree": 6, "precision": K, "coeffs": [[1, 0], [7, 0]]}
+
+
+def _witness_doc(K) -> dict:
+    return {"values": [[1, 0], [1, 0]], "primitive": 0, "target_valuation": 3, "precision": K}
+
+
+def _certificate_doc(K) -> dict:
+    return {"kind": "contraction", "degree": 6, "precision": K, "root": 0,
+            "nodes": [{"id": 0, "kind": "leaf", "value": [1, 0], "var": 0}]}
+
+
 BAD_INPUTS = {
-    "p0.json": {"degree": 6, "precision": 0, "coeffs": [[1, 0], [7, 0]]},
+    "p0.json": _form_doc(0),
     "empty.json": {"degree": 6, "precision": 10, "coeffs": []},
-    "w0.json": {"values": [[1, 0], [1, 0]], "primitive": 0, "target_valuation": 3,
-                "precision": 0},
+    "w0.json": _witness_doc(0),
+    "huge.json": _form_doc(HUGE),
+    "whuge.json": _witness_doc(HUGE),
+    "c0.json": _certificate_doc(0),
+    "c-3.json": _certificate_doc(-3),
+    "chuge.json": _certificate_doc(HUGE),
 }
 
 
@@ -526,8 +546,18 @@ BAD_INPUTS = {
     (["oracle", "f.txt", "--precision", "1"], 64, "max_unit_level -2 is below 0"),
     (["oracle", "f.txt", "--precision", "2"], 64, "max_unit_level -1 is below 0"),
     (["gamma", "--d", "6", "--s", "0"], 64, "needs at least 1 variable, got 0"),
+    (["solve", "huge.json"], 65, f"precision {HUGE} is too large to hold"),
+    (["solve", "f.txt", "--precision", str(HUGE)], 65, f"precision {HUGE} is too large to hold"),
+    (["witness", "verify", "f.txt", "whuge.json"], 64, f"witness precision {HUGE} is too large"),
+    (["certificate", "verify", "f.txt", "chuge.json"], 64, f"certificate precision {HUGE} is too large"),
+    (["certificate", "verify", "f.txt", "c0.json"], 64,
+     "certificate precision must be an integer at least 1, got 0"),
+    (["certificate", "verify", "f.txt", "c-3.json"], 64,
+     "certificate precision must be an integer at least 1, got -3"),
 ], ids=["json-precision-0", "flag-precision-0", "no-coeffs", "witness-precision-0",
-        "oracle-modulus-0", "oracle-modulus-1", "oracle-modulus-2", "gamma-s-0"])
+        "oracle-modulus-0", "oracle-modulus-1", "oracle-modulus-2", "gamma-s-0",
+        "json-precision-huge", "flag-precision-huge", "witness-precision-huge",
+        "certificate-precision-huge", "certificate-precision-0", "certificate-precision-neg"])
 def test_bad_input_is_rejected_under_python_O(tmp_path, argv, code, message):
     # checked at the library boundary, not by asserts that -O strips
     (tmp_path / "f.txt").write_text("d=6; 1, 7\n")
@@ -539,6 +569,29 @@ def test_bad_input_is_rejected_under_python_O(tmp_path, argv, code, message):
         assert proc.returncode == code, (flags, proc.stderr)
         assert proc.stdout == ""
         assert message in proc.stderr and "Traceback" not in proc.stderr, flags
+
+
+@pytest.mark.parametrize("K", [0, -1, HUGE, "10"], ids=["zero", "negative", "huge", "string"])
+def test_every_precision_reader_refuses_bad_values(tmp_path, capsys, K):
+    # each subcommand that reads a precision, from a document or from
+    # --precision: exit 64 or 65 with one line on stderr, never 0 or 1
+    # ("valid" or "check failed") and never a traceback.  On the command
+    # line "10" is the number 10, so the string goes only into documents
+    form = tmp_path / "f.txt"
+    form.write_text("d=6; 1, 7\n")
+    docs = {"form": _form_doc(K), "witness": _witness_doc(K), "certificate": _certificate_doc(K)}
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    path = {name: str(tmp_path / f"{name}.json") for name in docs}
+    runs = [["solve", path["form"]], ["oracle", path["form"]],
+            ["witness", "verify", str(form), path["witness"]],
+            ["certificate", "verify", str(form), path["certificate"]]]
+    if not isinstance(K, str):
+        runs += [["solve", str(form), "--precision", str(K)], ["oracle", str(form), "--precision", str(K)]]
+    for argv in runs:
+        code, out, err = run(argv, capsys)
+        assert code in (64, 65) and out == "", (argv, code, err)
+        assert "Traceback" not in err and err.count("\n") == 1, (argv, err)
 
 
 @pytest.mark.skipif(

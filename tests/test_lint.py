@@ -294,7 +294,7 @@ CACHES = {
     ("flat.py", "_rows"),
     ("sweeps.py", "_tables"),
     ("sweeps.py", "_automata"),
-    ("sweeps.py", "_free_codes"),
+    ("sweeps.py", "_free_ranks"),
     ("oracle.py", "_PVS_CACHE"),
     ("ring.py", "_MULTIPLIER_CACHE"),
     ("ring.py", "_SEED_CACHE"),

@@ -28,7 +28,7 @@ from padic_forms.sweeps import (
     _automata,
     _exhaustive_slots,
     _profile_form,
-    _sample_codes,
+    _sample_ranks,
     _sampled_verdicts,
     _slot_join,
     _sums,
@@ -63,13 +63,24 @@ def slot_product(slots) -> tuple:
 
 
 def draw(lem, trials, seed) -> tuple:
-    """The codes and levels a sampled sweep of lem draws at this seed."""
-    return _sample_codes(lem, trials, np.random.default_rng(seed).bit_generator.random_raw)
+    """The ranks and levels a sampled sweep of lem draws at this seed."""
+    return _sample_ranks(lem, trials, np.random.default_rng(seed).bit_generator.random_raw)
 
 
-def trial(lem_d, C, lv, i) -> AdditiveForm:
-    """Trial i of the code matrix C as the form a failure record builds."""
-    return _trial_form(lem_d, C[:, i] & 7, C[:, i] >> 3, lv)
+def codes_of(d, R) -> np.ndarray:
+    """The unit codes of the ranks R, through degree d's rank table."""
+    return _tables(d).code[R]
+
+
+def ranks_of(d, X) -> np.ndarray:
+    """The ranks of the unit codes X, through degree d's rank table."""
+    return _tables(d).rank[X]
+
+
+def trial(lem_d, R, lv, i) -> AdditiveForm:
+    """Trial i of the rank matrix R as the form a failure record builds."""
+    c = codes_of(lem_d, R[:, i])
+    return _trial_form(lem_d, c & 7, c >> 3, lv)
 
 
 def digit_form(d, ua, ub, lv, digits) -> AdditiveForm:
@@ -206,14 +217,15 @@ def test_slot_join_matches_full_product():
 def test_automaton_entries_are_sums_steps():
     # after the ten lemmas' sweeps, every filled entry T[s, o] of each
     # automaton is the state whose mask is one `_sums` column step, at
-    # orbit o's least code, on the mask of state s; the states are
-    # numbered densely from the empty row, their masks distinct, and each
-    # family's orbit indices name the orbit of the code they stand for
+    # column o's code, on the mask of state s; the states are numbered
+    # densely from the empty row, their masks distinct, and a unit code
+    # of rank r walks the unit column of its orbit, r >> s, and the even
+    # column of -2^sh times it at offset (sh - 1) * U
     for lid in sampled_lemma_ids():
         sweep_lemma(lid, "SAMPLED", trials=100_000, seed=42)
     for d in (6, 10):
         tab = _tables(d)
-        units, evens, index = _automata(d)
+        units, evens = _automata(d)
         for aut in (units, evens):
             W, n = len(aut.reps), len(aut.known)
             assert aut.masks[1] == 0 and sorted(aut.ids.tolist()) == list(range(1, n + 1))
@@ -225,11 +237,14 @@ def test_automaton_entries_are_sums_steps():
             assert 0 < len(s) and T.max() <= n, (d, n)
             step = _sums(aut.reps[o, None], tab, aut.masks[s])
             assert np.array_equal(aut.masks[T[s, o]], step), d
-        assert (len(units.reps), len(evens.reps)) == {6: (24, 16), 10: (8, 6)}[d]
+        U = len(units.reps)
+        assert (U, len(evens.reps)) == {6: (24, 48), 10: (8, 16)}[d]
         for v in UNIT_CODES:
-            assert tab.orbit[v] == units.reps[index[0, v]], (d, v)
+            o = int(tab.rank[v]) >> tab.shift
+            assert tab.orbit[v] == units.reps[o], (d, v)
             for sh in (1, 2):
-                assert tab.orbit[_NEG_CODE[_SCALE[sh, v]]] == evens.reps[index[sh, v]], (d, v, sh)
+                col = (sh - 1) * U + o
+                assert tab.orbit[_NEG_CODE[_SCALE[sh, v]]] == tab.orbit[evens.reps[col]], (d, v, sh)
 
 
 def test_automaton_walks_from_threads():
@@ -279,17 +294,18 @@ def _closure(reps, tab) -> int:
 def test_automaton_closure_fits_for_every_degree():
     # every admissible degree up to 42 has the reps mod 8 of d = 6 when
     # 3 | d and of d = 10 otherwise, so these two closures bound the states
-    # any walk can number, at every degree, and both fit the table
+    # any walk can number, at every degree; each family's table holds the
+    # larger, d = 6's, exactly
     for d in range(2, 43, 4):
         assert flat.mod8_table(d).products == flat.mod8_table(6 if d % 3 == 0 else 10).products, d
-    for d, want in ((6, (28_298, 2_039)), (10, (53, 27))):
-        units, evens, _ = _automata(d)
+    for d, want in ((6, (28_298, 1_546)), (10, (53, 16))):
+        units, evens = _automata(d)
         got = tuple(_closure(aut.reps, _tables(d)) for aut in (units, evens))
-        assert got == want and max(got) <= sweeps._CAP, d
+        assert got == want and (units.cap, evens.cap) == sweeps._CAP == (28_298, 1_546), d
 
 
 def test_automaton_past_its_cap_raises(monkeypatch):
-    monkeypatch.setattr(sweeps, "_CAP", 40)
+    monkeypatch.setattr(sweeps, "_CAP", (40, 40))
     _automata.cache_clear()
     try:
         # at d = 6 the pair table alone needs 301 states
@@ -301,23 +317,33 @@ def test_automaton_past_its_cap_raises(monkeypatch):
         with pytest.raises(PadicFormsError, match="more than 40 states"):
             sweep_lemma("31", "SAMPLED", trials=3000, seed=1)
         assert len(units.known) == 27 and not units.masks[len(units.known) + 1 :].any()
+        # the even family has a cap of its own: at d = 10 it reaches 16,
+        # 14 of them in this sweep's three-variable deeper groups
+        monkeypatch.setattr(sweeps, "_CAP", (100, 10))
+        _automata.cache_clear()
+        evens = _automata(10)[1]
+        with pytest.raises(PadicFormsError, match="more than 10 states"):
+            sweep_lemma("23", "SAMPLED", trials=3000, seed=1)
+        assert len(evens.known) <= 10 and not evens.masks[len(evens.known) + 1 :].any()
     finally:
         _automata.cache_clear()
 
 
-def _pair_keys() -> np.ndarray:
-    return (np.repeat(UNIT_CODES, 48) * 64 + np.tile(UNIT_CODES, 48)).astype(np.intp)
+def _pair_keys(d) -> np.ndarray:
+    r = ranks_of(d, np.array(UNIT_CODES)).astype(np.intp)
+    return np.repeat(r, 48) * 64 + np.tile(r, 48)
 
 
 def test_pair_table_is_two_walk_steps():
-    # every entry of a unit code pair is the state a walk of its two orbit
-    # indices reaches from the empty row; every other entry is 0
+    # every entry of a unit rank pair is the state a walk of its two orbit
+    # columns reaches from the empty row; every other entry is 0
     for d in (6, 10):
-        units, _, index = _automata(d)
-        key = _pair_keys()
-        walked = units.walk(np.ones(len(key), np.uint16), [index[0][key >> 6], index[0][key & 63]])
+        units, s = _automata(d)[0], _tables(d).shift
+        key = _pair_keys(d)
+        walked = units.walk(np.ones(len(key), np.uint16), [key >> 6 >> s, (key & 63) >> s])
         assert np.array_equal(units.pairs[key], walked), d
-        assert np.array_equal(units.masks[walked], _sums(np.stack([key >> 6, key & 63], 1), _tables(d)))
+        X = codes_of(d, np.stack([key >> 6, key & 63], 1))
+        assert np.array_equal(units.masks[walked], _sums(X, _tables(d)))
         assert units.pairs.dtype == np.uint16 and np.count_nonzero(units.pairs) == 48 * 48
 
 
@@ -352,15 +378,16 @@ def test_walk_from_start_states_equals_the_full_walk():
     # from the empty row ends, at each row's `_sums` mask
     rng = np.random.default_rng(11)
     for d in (6, 10):
-        units, _, index = _automata(d)
+        units = _automata(d)[0]
         X = rng.choice(np.array(UNIT_CODES, np.uint8), (3000, 6))
-        cols = [index[0][col] for col in X.T]
+        R = ranks_of(d, X)
+        cols = [col >> _tables(d).shift for col in R.T]
         full = units.walk(np.ones(len(X), np.uint16), cols)
         assert np.array_equal(units.masks[full], _sums(X, _tables(d))), d
         for j in range(7):
             mid = units.walk(np.ones(len(X), np.uint16), cols[:j])
             assert np.array_equal(units.walk(mid, cols[j:]), full), (d, j)
-        start = units.pairs[X[:, 0].astype(np.intp) * 64 + X[:, 1]]
+        start = units.pairs[R[:, 0].astype(np.intp) * 64 + R[:, 1]]
         assert np.array_equal(units.walk(start, cols[2:]), full), d
 
 
@@ -561,9 +588,9 @@ def test_anchor_join_matches_whole_rows():
     # the automaton walk of the 52 columns of "over" gives each row its
     # `_sums` mask
     C, lv = draw(cases[-1][0], 500, 1)
-    units, _, index = _automata(6)
-    st = units.walk(np.ones(500, np.uint16), [index[0][row] for row in C[lv == 0]])
-    assert np.array_equal(units.masks[st], _sums(C[lv == 0].T, _tables(6)))
+    units = _automata(6)[0]
+    st = units.walk(np.ones(500, np.uint16), [row >> _tables(6).shift for row in C[lv == 0]])
+    assert np.array_equal(units.masks[st], _sums(codes_of(6, C[lv == 0]).T, _tables(6)))
 
 
 def test_anchor_zero_matches_the_full_join(monkeypatch):
@@ -595,7 +622,7 @@ def test_anchor_zero_matches_the_full_join(monkeypatch):
         else:
             assert left == want_left
         rows_in.clear()
-        C = np.concatenate([XA, XB, XA], axis=1).T  # a shift -1 copy of XA, left out
+        C = ranks_of(6, np.concatenate([XA, XB, XA], axis=1).T)  # a shift -1 copy of XA, left out
         sh = np.concatenate([np.zeros(XA.shape[1], np.int8), shift,
                              np.full(XA.shape[1], -1, np.int8)])
         assert np.array_equal(_anchor_misses(C, _anchor(sh, 6), 6), np.flatnonzero(~full)), want_left
@@ -620,23 +647,25 @@ def test_sample_codes_stay_in_their_class():
     # codes, each row at its level, one row per variable
     classes = {cls: set(_class_codes(cls)) for cls in (1, 2, 3)}
     for lem in [SWEEP_LEMMAS[lid] for lid in sampled_lemma_ids()] + [MIXED]:
-        C, lv = draw(lem, 3000, 42)
+        R, lv = draw(lem, 3000, 42)
+        C = codes_of(lem.d, R)
         kinds = [classes[cls] for cls, k in zip((1, 2, 3), lem.class_counts or ()) for _ in range(k)]
         kinds += [set(UNIT_CODES)] * sum(lem.level_counts)
         want_lv = [0] * sum(lem.class_counts or ())
         want_lv += [lvl for lvl, k in enumerate(lem.level_counts) for _ in range(k)]
-        assert C.dtype == np.uint8 and C.flags.c_contiguous and C.shape == (len(kinds), 3000)
+        assert R.dtype == np.uint8 and R.flags.c_contiguous and R.shape == (len(kinds), 3000)
         assert lv.tolist() == want_lv, lem.id
         for row, kind in zip(C, kinds):
             assert set(row.tolist()) == kind, lem.id
 
 
 def test_sample_codes_are_uniform():
-    # 480 000 draws per row at a fixed seed: every code's count within
-    # five standard deviations of its binomial mean, 1/16 of the draws in
-    # a fixed class and 1/48 over the free unit codes
+    # 480 000 draws per row at a fixed seed, read back as codes through
+    # the rank table: every code's count within five standard deviations
+    # of its binomial mean, 1/16 of the draws in a fixed class and 1/48
+    # over the free unit codes
     n = 480_000
-    C, _ = draw(SweepLemma("law", 6, (1, 1, 1), (0, 1), None), n, 2024)
+    C = codes_of(6, draw(SweepLemma("law", 6, (1, 1, 1), (0, 1), None), n, 2024)[0])
     for row, codes in zip(C, [_class_codes(1), _class_codes(2), _class_codes(3), UNIT_CODES]):
         p = 1 / len(codes)
         tol = 5 * (n * p * (1 - p)) ** 0.5
@@ -649,7 +678,8 @@ def test_sample_codes_redraw_the_reject_band():
     # a free code reads one 16-bit word: below 65520 = 48 * 1365 it takes
     # the unit code at w % 48, and the positions at or above it, and only
     # those, draw again from fresh words until they land below.  A fixed
-    # class reads the low 4 bits of one byte
+    # class reads the low 4 bits of one byte.  Each draw is stored as its
+    # code's rank
     calls = []
     script = [
         [0x1F, 0xF0, 0x07, 0x3A, 0xFF, 0x10],  # class 3: bytes of one word
@@ -666,13 +696,15 @@ def test_sample_codes_redraw_the_reject_band():
         buf[: len(step)] = step
         return buf.view(np.uint64)
 
-    C, lv = _sample_codes(SweepLemma("stub", 6, (0, 0, 1), (2,), None), 6, raw)
+    R, lv = _sample_ranks(SweepLemma("stub", 6, (0, 0, 1), (2,), None), 6, raw)
+    C = codes_of(6, R)
     # one word for the 6 bytes, 2 free rows of 6 trials in three words,
     # then one word per redraw
     assert calls == [1, 3, 1, 1]
     words = [0, 47, 48, 65519, 11, 5, 100, 6, 7, 200, 9, 300]
     assert C[0].tolist() == [_class_codes(3)[b & 15] for b in script[0]]
     assert C[1:].ravel().tolist() == [UNIT_CODES[w % 48] for w in words]
+    assert np.array_equal(R, ranks_of(6, C))
     assert lv.tolist() == [0, 0, 0]
 
 
@@ -682,6 +714,29 @@ def test_sample_codes_scale_table():
         for v in range(64):
             a, b = (v & 7) << s & 7, (v >> 3) << s & 7
             assert int(_SCALE[s, v]) == a + 8 * b
+
+
+def test_rank_layout_is_orbit_major():
+    # a unit code's rank is its orbit's index << s | its place in the
+    # orbit, ascending: orbits of 2 (s = 1) when 3 | d, of 6 padded to 8
+    # (s = 3) otherwise.  The ranks in use map one to one onto the 48
+    # unit codes, the padding ranks to code 0, and the rank table inverts
+    # the code table; the orbits, ordered by least code, come from
+    # flat.py's product table on plain sets
+    for d in (2, 6, 10, 14, 18):
+        tab = _tables(d)
+        products = flat.mod8_table(d).products
+        orbits = sorted({frozenset(products[v]) for v in UNIT_CODES}, key=min)
+        s, size = (1, 2) if d % 3 == 0 else (3, 6)
+        assert tab.shift == s and {len(o) for o in orbits} == {size}, d
+        assert len(tab.code) == len(orbits) << s and tab.code.dtype == tab.rank.dtype == np.uint8
+        used = [r for r in range(len(tab.code)) if r & ((1 << s) - 1) < size]
+        assert sorted(tab.code[used].tolist()) == UNIT_CODES, d
+        assert not tab.code[sorted(set(range(len(tab.code))) - set(used))].any(), d
+        for r in used:
+            v = int(tab.code[r])
+            assert int(tab.rank[v]) == r, (d, r)
+            assert v in orbits[r >> s] and sorted(orbits[r >> s])[r & ((1 << s) - 1)] == v, (d, r)
 
 
 def test_reachability_matches_search_both_polarities():
@@ -696,7 +751,7 @@ def test_reachability_matches_search_both_polarities():
             cls = rng.integers(1, 4, s)
             ua = (cls & 1) + 2 * rng.integers(0, 32, s)
             ub = (cls >> 1) + 2 * rng.integers(0, 32, s)
-            C = ((ua & 7) + 8 * (ub & 7)).astype(np.uint8)[:, None]
+            C = ranks_of(d, (ua & 7) + 8 * (ub & 7))[:, None]
             ok = bool(_sampled_verdicts(C, lv, d)[0])
             # the form keeps all six digits; the verdict reads three
             f = digit_form(d, ua, ub, lv, 6)
@@ -783,6 +838,15 @@ def _check_failing_digest(monkeypatch):
 def test_sampled_outputs_are_pinned(monkeypatch):
     _check_real_digest()
     _check_failing_digest(monkeypatch)
+
+
+# the same of every sampled lemma at 20 000 trials, seed 7, recorded
+# while the draws were still stored as codes
+SEED7_SAMPLED_DIGEST = "fc5153739c4064bb304634a22402fb4c0a1613e037feb4f33c36cc1a312f16f7"
+
+
+def test_sampled_outputs_at_another_seed_are_pinned():
+    assert _digest(_report_lines([(lid, 20_000, 7) for lid in sampled_lemma_ids()])) == SEED7_SAMPLED_DIGEST
 
 
 def test_blocks_change_no_draw_or_verdict(monkeypatch):
