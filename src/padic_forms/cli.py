@@ -49,13 +49,7 @@ from .errors import (
 from .forms import AdditiveForm, parse_form_text
 from .oracle import MAX_ORACLE_M, decide_isotropy_exhaustive, primitive_zero_mod
 from .solver import decide_isotropy, isotropy_threshold
-from .sweeps import (
-    SWEEP_LEMMAS,
-    exhaustive_lemma_ids,
-    minimality_probe,
-    sampled_lemma_ids,
-    sweep_lemma,
-)
+from .sweeps import SWEEP_LEMMAS, minimality_probe, sweep_lemma
 from .witness import Witness, verify_witness
 
 EX_OK = 0
@@ -258,29 +252,14 @@ def _battery(d: int, trials_cap: int | None):
 
     add(f"threshold-s{s}", threshold)
 
-    for lid in exhaustive_lemma_ids():
-        if SWEEP_LEMMAS[lid].d != d:
-            continue
+    for lid in [lid for lid, lem in SWEEP_LEMMAS.items() if lem.d == d]:
 
-        def sweep_ex(lid=lid):
-            rep = sweep_lemma(lid, mode="EXHAUSTIVE")
-            ok = not rep.failures
-            return ok, f"{rep.total} configurations, {len(rep.failures)} failures"
+        def sweep(lid=lid):  # in its default mode: a sampled one reads trials and seed
+            rep = sweep_lemma(lid, trials=scaled(SWEEP_SAMPLES), seed=SWEEP_SEED)
+            unit = "samples" if rep.mode == "SAMPLED" else "configurations"
+            return not rep.failures, f"{rep.total} {unit}, {len(rep.failures)} failures"
 
-        add(f"sweep-{lid}", sweep_ex)
-
-    for lid in sampled_lemma_ids():
-        if SWEEP_LEMMAS[lid].d != d:
-            continue
-
-        def sweep_s(lid=lid):
-            rep = sweep_lemma(
-                lid, mode="SAMPLED", trials=scaled(SWEEP_SAMPLES), seed=SWEEP_SEED
-            )
-            ok = not rep.failures
-            return ok, f"{rep.total} samples, {len(rep.failures)} failures"
-
-        add(f"sweep-{lid}", sweep_s)
+        add(f"sweep-{lid}", sweep)
 
     def agreement():
         rep = agreement_experiment(d, scaled(AGREEMENT_FORMS), BATTERY_SEED)

@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import CertificateError, NotADthPower, NotAUnit
-from .forms import AdditiveForm
+from .forms import AdditiveForm, whole
 from .ring import INFINITE, MultiplierRep, RingElem, dth_root, multiplier_set, pow_pair
 
 
@@ -336,7 +336,7 @@ def certificate_from_json(doc: dict) -> ContractionCertificate:
         root_id = doc["root"]
     except KeyError as e:
         raise CertificateError(f"certificate document lacks {e}") from None
-    if type(K) is not int or K < 1:
+    if whole(K, "certificate precision", CertificateError) < 1:
         raise CertificateError(f"certificate precision must be an integer at least 1, got {K!r}")
     try:
         ms = multiplier_set(d, K)
@@ -373,10 +373,10 @@ def certificate_from_json(doc: dict) -> ContractionCertificate:
         try:
             val = RingElem(rec["value"][0], rec["value"][1], K)
             if rec["kind"] == "leaf":
-                var, exp = rec["var"], rec.get("exp", 0)
-                if any(type(x) is not int for x in (var, exp)) or exp < 0:
-                    raise CertificateError(f"certificate leaf {nid!r} has variable {var!r} "
-                                           f"and exponent {exp!r}")
+                var = whole(rec["var"], f"certificate leaf {nid!r} variable", CertificateError)
+                exp = whole(rec.get("exp", 0), f"certificate leaf {nid!r} exponent", CertificateError)
+                if exp < 0:
+                    raise CertificateError(f"certificate leaf {nid!r} has exponent {exp!r}")
                 node = make_leaf(var, val, K, exp)
             else:
                 children = tuple(build(c) for c in rec["children"])

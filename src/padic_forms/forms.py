@@ -30,6 +30,14 @@ def default_precision(d: int) -> int:
     return d + 4
 
 
+def whole(x, what: str, error: type = ValueError) -> int:
+    """x itself if it is an int and not a bool (JSON's true would read as
+    1), else `error`: every document reader checks its integers here."""
+    if type(x) is not int:
+        raise error(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 class AdditiveForm:
     __slots__ = ("d", "coeffs", "windows", "scale_log", "subst_log", "origin", "_levels", "K", "s")
 
@@ -92,7 +100,9 @@ class AdditiveForm:
     def from_json(cls, doc: dict | str) -> "AdditiveForm":
         if isinstance(doc, str):
             doc = json.loads(doc)
-        return cls.from_pairs(doc["degree"], doc["coeffs"], doc["precision"])
+        K = doc["precision"]  # None, from form text without one: the default
+        pairs = [(whole(a, "coefficient"), whole(b, "coefficient")) for a, b in doc["coeffs"]]
+        return cls.from_pairs(doc["degree"], pairs, None if K is None else whole(K, "precision"))
 
     def to_json(self) -> dict:
         return {

@@ -18,38 +18,39 @@ turns each candidate anchor level k into the same mod-8 reachability
 question.  In a group of variables that are all at the anchor level,
 every nonempty sub-sum uses one, so the question is whether 0 lies in
 the set of multiplier-scaled sums over the group's nonempty subsets.
-`_sums` builds that set on numpy rows, one Z8 x Z8 set per row packed
-into a uint64, (a, b) at bit a + 8b; a translation is a per-byte
-rotate followed by a word rotate.
+Such a Z8 x Z8 set is packed into a uint64, (a, b) at bit a + 8b, and
+is a state of a sum-set automaton of its degree and code family
+(`_SumAutomaton`, unit codes or negated even ones): a table filled on
+first use gives the state after one more variable of each column, and
+`_fill`, the one step that builds a set, fills a missing entry.  A unit
+code's rank is orbit-major (`_Tables`: orbit index << s | place, 24
+orbits of 2 when 3 | d, 8 of 6 otherwise) and its column is its orbit,
+rank >> s: scaling a variable by a rep does not change the codes it can
+add.  `_unit_sums` gives a group of unit variables its set, from a
+64 x 64 table of the state after each pair of ranks, walked whole when
+the automata are built, and one lookup per further variable.
 
 Exhaustive spaces (and the minimality probe's) are one-level and are
-enumerated by multiplier orbits: scaling a variable by a rep does not
-change the codes it can add, so each multiset of orbits per class is
-decided once, at its representatives, and weighted by the number of
-code multisets it stands for.  `_slot_join` decides the product of the
-class slots from `_sums` of all slots but the last and of the last.
+enumerated by orbits: each multiset of orbits per class is decided once,
+at their least codes, and weighted by the number of code multisets it
+stands for.  `_slot_join` decides the product of the class slots from
+the `_unit_sums` of all slots but the last and of the last slot's rows,
+each code negated.
 
 Sampled trials read only each variable's unit code mod 8, so
 `_sample_ranks` draws one code a + 8b per variable and trial from raw
 generator words, uniform over its residue class's 16 codes or over all
-48 unit codes, and stores its orbit-major rank (`_Tables`: orbit index
-<< s | place, 24 orbits of 2 when 3 | d, 8 of 6 otherwise).  At each
-anchor kappa a trial splits into the anchor-level group and the deeper
-one (levels kappa + 1, kappa + 2, a code v read as 2^(level - kappa) v).
-Its anchored sums are A + B, A the nonempty sums of the first group and
-B the sums of the second, the empty one included, so 0 is among them
+48 unit codes, and stores its rank.  At each anchor kappa a trial splits
+into the anchor-level group and the deeper one (levels kappa + 1,
+kappa + 2, a code v read as 2^(level - kappa) v).  Its anchored sums are
+A + B, A the nonempty sums of the first group (`_unit_sums`) and B the
+sums of the second, the empty one included, walked on the even
+automaton (a column per deeper shift and unit orbit); 0 is among them
 iff A meets -B (`_anchor_misses`, which runs the deeper group only on
-rows whose A misses 0).  Each group walks a sum-set automaton of its
-degree and code family (`_SumAutomaton`, unit codes or negated even
-ones): states are `_sums` masks, and a table filled on first use gives
-the state after one more variable of each column, a unit orbit (rank
->> s) or a deeper shift and unit orbit: one lookup per variable.  A unit
-walk starts from a 64 x 64 table of the state after each pair of unit
-ranks, filled whole when the automata are built.  Every admissible
-degree has the reps mod 8 of d = 6 (when 3 | d) or of d = 10, and from
-the empty row only 28,298 unit and 1,546 even states can be reached (53
-and 16 otherwise); each family's table holds that many (`_CAP`), and a
-walk past them raises.
+rows whose A misses 0).  Every admissible degree has the reps mod 8 of
+d = 6 (when 3 | d) or of d = 10, and from the empty row only 28,298 unit
+and 1,546 even states can be reached (53 and 16 otherwise); each
+family's table holds that many (`_CAP`), and a walk past them raises.
 
 Beyond its rank matrix (one byte per variable and trial), a sampled
 sweep works in blocks: `_sample_ranks` reads the generator and maps
@@ -92,7 +93,6 @@ from .solver import decide_isotropy
 @dataclass(frozen=True)
 class _Tables:
     mulr: np.ndarray  # (reps, 64) code of r * v, from flat.mod8_table
-    orbit: np.ndarray  # (64,) least code of each code's orbit under the reps
     # a unit code's rank: its orbit's index (by least code) << s | its place
     # in the orbit, ascending; orbits of 2 (s = 1) or of 6 padded to 8 (s = 3)
     shift: int  # s
@@ -112,7 +112,7 @@ def _tables(d: int) -> _Tables:
     code[:, : len(mulr)] = np.sort(mulr[:, _distinct(orbit[_UNITS])].T, axis=1)
     rank = np.zeros(64, np.uint8)
     rank[code] = np.arange(code.size).reshape(code.shape)  # code 0, a padding's, is no unit
-    return _Tables(mulr, orbit, s, code.ravel(), rank)
+    return _Tables(mulr, s, code.ravel(), rank)
 
 
 # per code v = a + 8b, as uint64 so that no shift needs a cast: the bits
@@ -147,18 +147,14 @@ def _translate_rows(M: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sums(X: np.ndarray, tab: _Tables, N: np.ndarray | None = None) -> np.ndarray:
-    """Per row of X, the Z8 x Z8 set of sums over the nonempty subsets of
-    its variables, each scaled by a multiplier, (a, b) at bit a + 8b; with
-    N given, the sets N with the variables of X added (N is updated).
-
-    Each column adds its scaled codes to the sums before it and to the
-    empty sum, so each variable enters a sum at most once."""
-    N = np.zeros(len(X), np.uint64) if N is None else N
-    for col in X.T:
-        pre = N | 1
-        for mul in tab.mulr:
-            N |= _translate_rows(pre, mul[col])
+def _fill(N: np.ndarray, v: np.ndarray, tab: _Tables) -> np.ndarray:
+    """Per row, the Z8 x Z8 sum set N[i] ((a, b) at bit a + 8b) with one
+    more variable of code v[i]: each multiplier-scaled v[i] added to the
+    sums of N[i] and to the empty sum, so a variable enters a sum at most
+    once.  N is updated."""
+    pre = N | 1
+    for mul in tab.mulr:
+        N |= _translate_rows(pre, mul.take(v))
     return N
 
 
@@ -172,7 +168,7 @@ def _distinct(x: np.ndarray) -> np.ndarray:
 
 
 class _SumAutomaton:
-    """`_sums` walked one variable at a time, for one degree and code family:
+    """Sum sets built one variable at a time, for one degree and code family:
     a state is a mask, T[state * W + o] the state after one more variable of
     column o (the code reps[o]), id 1 the empty row, at most `cap` states.
     The automata are shared by every sweep of their degree, so a walk holds
@@ -202,7 +198,7 @@ class _SumAutomaton:
     def walk(self, st: np.ndarray, cols) -> np.ndarray:
         """Per row, the state after the variables of columns cols (one
         array per variable) from the state st.  A missing entry is
-        filled by a `_sums` step."""
+        filled by a `_fill` step."""
         W = len(self.reps)
         with self.lock:
             key = np.empty(len(st), np.intp)  # one buffer for every step
@@ -212,7 +208,7 @@ class _SumAutomaton:
                 st = self.T.take(key)
                 if not st.all():
                     miss = _distinct(key[st == 0])
-                    N = _sums(self.reps[miss % W, None], self.tab, self.masks.take(miss // W))
+                    N = _fill(self.masks.take(miss // W), self.reps.take(miss % W), self.tab)
                     self.T[miss] = self.number(N)
                     st = self.T.take(key)
             return st
@@ -226,17 +222,30 @@ def _automata(d: int) -> tuple:
 
     The unit automaton's `pairs` holds, per two unit ranks r1 and r2 at
     r1 * 64 + r2, the state after a variable of each: a walk's first two
-    steps in one lookup (other entries stay 0).  It is numbered whole
-    here, before any walk and before another thread can see the
-    automaton, so its ids do not depend on the sweeps that follow."""
+    steps in one lookup (other entries stay 0).  It is walked whole here,
+    before another thread can see the automaton, so its ids do not depend
+    on the sweeps that follow."""
     tab = _tables(d)
     units = tab.code[:: 1 << tab.shift]  # each orbit's least code
     aut = _SumAutomaton(units, tab, _CAP[0])
     r = np.flatnonzero(tab.code)  # the ranks of unit codes
     r1, r2 = np.repeat(r, len(r)), np.tile(r, len(r))
     aut.pairs = np.zeros(64 * 64, np.uint16)
-    aut.pairs[r1 * 64 + r2] = aut.number(_sums(tab.code[np.stack([r1, r2], 1)], tab))
+    aut.pairs[r1 * 64 + r2] = aut.walk(np.ones(len(r1), np.uint16), (r1 >> tab.shift, r2 >> tab.shift))
     return aut, _SumAutomaton(_NEG_CODE[_SCALE[1:, units]].ravel(), tab, _CAP[1])
+
+
+def _unit_sums(units: _SumAutomaton, ranks, n: int) -> np.ndarray:
+    """Per column, the sum set of one unit code per variable, read from
+    `ranks` (one array of n ranks per variable): the pair table's state
+    of the first two, then a walk of the others' orbits."""
+    if len(ranks) > 1:
+        st = np.multiply(ranks[0], 64, dtype=np.intp)  # the pair's key, freed by its lookup
+        st += ranks[1]
+        st, ranks = units.pairs.take(st), ranks[2:]
+    else:
+        st = np.ones(n, np.uint16)
+    return units.masks.take(units.walk(st, (r >> units.tab.shift for r in ranks)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +254,7 @@ def _automata(d: int) -> tuple:
 
 def _class_codes(cls: int) -> list:
     """The 16 residues mod 8 of level-0 coefficients in one residue class."""
-    out = []
-    for ta in range(4):
-        for tb in range(4):
-            a = (cls & 1) + 2 * ta
-            b = (cls >> 1) + 2 * tb
-            out.append(a + 8 * b)
-    return sorted(out)
+    return sorted(a + 8 * b for a in range(cls & 1, 8, 2) for b in range(cls >> 1, 8, 2))
 
 
 @dataclass(frozen=True)
@@ -302,30 +305,22 @@ SWEEP_LEMMAS = {
 }
 
 
-def _class_orbits(cls: int, tab: _Tables) -> list:
-    """The orbits of the multiplier reps on one class's 16 codes, each a
-    sorted tuple, ordered by their least code.  Scaling a variable by a
-    rep leaves its option set unchanged, so one code per orbit decides
-    for all of them."""
-    codes = _class_codes(cls)
-    if not set(tab.mulr[:, codes].ravel().tolist()) <= set(codes):
-        raise PadicFormsError(f"multiplier orbits leave residue class {cls}")
-    orbit = tab.orbit.tolist()
-    return [tuple(c for c in codes if orbit[c] == o) for o in sorted({orbit[c] for c in codes})]
-
-
-def _exhaustive_slots(class_counts, tab: _Tables) -> list:
-    """Per nonempty class, every multiset of orbits as a sorted row of
-    orbit representatives, with the number of code multisets it stands
-    for: the product of C(m + t - 1, m), m picks from an orbit of size t.
-    Rows grow a pick at a time, lexicographically (each by every orbit from
-    its last on, after a placeholder orbit 0), and the m-th pick of an
-    orbit of size t multiplies the weight by (m + t - 1) / m."""
-    slots = []
+def _exhaustive_slots(class_counts, d: int) -> list:
+    """Per nonempty class, every multiset of its multiplier orbits as a
+    sorted row of the ranks of their least codes, with the number of code
+    multisets it stands for: the product of C(m + t - 1, m), m picks from
+    an orbit of size t, read off the rank layout like the orbits.  Rows
+    grow a pick at a time, lexicographically (each by every orbit from its
+    last on, after a placeholder orbit 0), and the m-th pick of an orbit
+    of size t multiplies the weight by (m + t - 1) / m."""
+    tab = _tables(d)
+    slots, s = [], tab.shift
     for cls, k in zip((1, 2, 3), class_counts):
         if k:
-            orbits = _class_orbits(cls, tab)
-            size = np.array([len(o) for o in orbits])
+            orbits = _distinct(tab.rank.take(_class_codes(cls)) >> s)
+            size = np.count_nonzero(tab.code.reshape(-1, 1 << s)[orbits], axis=1)
+            if size.sum() != 16:  # some orbit holds a code of another class
+                raise PadicFormsError(f"multiplier orbits leave residue class {cls}")
             picks, run, weights = np.zeros((1, 1), np.intp), np.zeros(1, np.intp), np.ones(1, np.int64)
             for _ in range(k):  # run: the picks of each row's last orbit
                 ext = len(orbits) - picks[:, -1]
@@ -333,25 +328,28 @@ def _exhaustive_slots(class_counts, tab: _Tables) -> list:
                 run = np.where(new == picks[:, -1].repeat(ext), run.repeat(ext) + 1, 1)
                 weights = weights.repeat(ext) * (run + size[new] - 1) // run
                 picks = np.concatenate([picks.repeat(ext, axis=0), new[:, None]], axis=1)
-            slots.append((np.array([o[0] for o in orbits], np.int32)[picks[:, 1:]], weights))
+            slots.append(((orbits << s)[picks[:, 1:]], weights))
     return slots
 
 
-def _slot_join(slots, tab: _Tables) -> tuple:
+def _slot_join(slots, d: int) -> tuple:
     """Per row of the slot product, last slot fastest: its weight, whether
-    some multiplier-scaled sub-sum vanishes mod 8, and the failing rows.
-    With P the `_sums` of the product X of all slots but the last and Qn
-    those of the last slot's rows with every code negated, the sums of
-    row (i, j) hold 0 iff P[i] holds 0 or P[i] | {0} meets Qn[j]."""
-    X, W = np.zeros((1, 0), np.int32), np.ones(1, np.int64)
+    some multiplier-scaled sub-sum vanishes mod 8, and the failing rows as
+    codes.  With P the `_unit_sums` of the product X of all slots but the
+    last and Q those of the last slot's rows, each code negated, the sums
+    of row (i, j) hold 0 iff P[i] holds 0 or P[i] | {0} meets Q[j]."""
+    units = _automata(d)[0]
+    tab = units.tab
+    X, W = np.zeros((1, 0), np.uint8), np.ones(1, np.int64)
     for rows, weights in slots[:-1]:
         X = np.concatenate([X.repeat(len(rows), axis=0), np.tile(rows, (len(X), 1))], axis=1)
         W = np.outer(W, weights).ravel()
     rows, weights = slots[-1]
-    P = _sums(X, tab)[:, None]
-    ok = ((P | 1) & _sums(_NEG_CODE.take(rows), tab) | P & 1) != 0
+    P = _unit_sums(units, X.T, len(X))[:, None]
+    Q = _unit_sums(units, tab.rank.take(_NEG_CODE.take(tab.code.take(rows.T))), len(rows))
+    ok = ((P | 1) & Q | P & 1) != 0
     i, j = np.nonzero(~ok)
-    return np.outer(W, weights).ravel(), ok.ravel(), np.concatenate([X[i], rows[j]], axis=1)
+    return np.outer(W, weights).ravel(), ok.ravel(), tab.code.take(np.concatenate([X[i], rows[j]], axis=1))
 
 
 # codes drawn, and trials decided, per block: `take`'s intp copy of a
@@ -488,18 +486,12 @@ def _anchor_misses(C: np.ndarray, anchor: tuple, d: int) -> np.ndarray:
     y in B the sums of the others, the empty one included; it vanishes iff
     A meets -B.  A column whose A holds 0 is a hit whatever its deeper
     rows, so those run only on the other columns; there the empty sum in
-    -B meets nothing, and the rest is the `_sums` of the deeper codes
-    scaled and negated, negation being additive.  The shift-0 walk starts
-    at the pair table's state of its first two ranks."""
+    -B meets nothing, and the rest is the sum set of the deeper codes
+    scaled and negated, negation being additive.  A is `_unit_sums` of
+    the shift-0 rows."""
     units, evens = _automata(d)
     s, (rows, deeper) = units.tab.shift, anchor
-    if len(rows) > 1:
-        st = np.multiply(C[rows[0]], 64, dtype=np.intp)  # the pair's key, freed by its lookup
-        st += C[rows[1]]
-        st, rows = units.pairs.take(st), rows[2:]
-    else:
-        st = np.ones(C.shape[1], np.uint16)
-    A = units.masks.take(units.walk(st, (C[j] >> s for j in rows)))
+    A = _unit_sums(units, [C[j] for j in rows], C.shape[1])
     rest = np.flatnonzero((A & 1) == 0)
     if rest.size and deeper:
         st = evens.walk(np.ones(rest.size, np.uint16), ((C[j].take(rest) >> s) + off for j, off in deeper))
@@ -572,7 +564,7 @@ def sweep_lemma(
     failures = []
 
     if mode == "EXHAUSTIVE":
-        W, ok, failed = _slot_join(_exhaustive_slots(lem.class_counts, tab), tab)
+        W, ok, failed = _slot_join(_exhaustive_slots(lem.class_counts, lem.d), lem.d)
         total = int(W.sum())
         if total != lem.exhaustive_total:
             raise PadicFormsError(
@@ -660,7 +652,6 @@ def minimality_probe(lemma_id: str) -> MinimalityReport:
         raise ValueError(f"lemma {lemma_id} is not a one-level class lemma")
     if sum(lem.class_counts) < 2:
         raise ValueError(f"lemma {lemma_id} has one variable: no smaller space to probe")
-    tab = _tables(lem.d)
     K = default_precision(lem.d)
     t0 = time.perf_counter()
     records = []
@@ -674,7 +665,7 @@ def minimality_probe(lemma_id: str) -> MinimalityReport:
         if key in seen:  # class relabeling makes these spaces equivalent
             continue
         seen.add(key)
-        W, ok, failures = _slot_join(_exhaustive_slots(counts, tab), tab)
+        W, ok, failures = _slot_join(_exhaustive_slots(counts, lem.d), lem.d)
         confirmed = 0
         example = None
         for row in failures[:PROBE_CONFIRMATIONS]:

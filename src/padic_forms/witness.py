@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CertificateError
-from .forms import AdditiveForm
+from .forms import AdditiveForm, whole
 from .ring import RingElem, anchor_solve_pair, reduced_elem
 
 
@@ -37,25 +37,19 @@ class Witness:
     @classmethod
     def from_json(cls, doc: dict) -> "Witness":
         """Every field and value component must be an integer (not a bool)."""
-        K = _whole(doc["precision"], "precision")
+        K = whole(doc["precision"], "witness precision")
         if K < 1:
             raise ValueError(f"witness precision must be at least 1, got {K}")
         try:
-            values = tuple(RingElem(_whole(a, "value"), _whole(b, "value"), K)
+            values = tuple(RingElem(whole(a, "witness value"), whole(b, "witness value"), K)
                            for a, b in doc["values"])
         except OverflowError:  # 2^K has more digits than an int can hold
             raise ValueError(f"witness precision {K} is too large to hold") from None
         return cls(
             values=values,
-            primitive=_whole(doc["primitive"], "primitive"),
-            V=_whole(doc["target_valuation"], "target_valuation"),
+            primitive=whole(doc["primitive"], "witness primitive"),
+            V=whole(doc["target_valuation"], "witness target_valuation"),
         )
-
-
-def _whole(x, name: str) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"witness {name} must be an integer, got {x!r}")
-    return x
 
 
 def verify_witness(f: AdditiveForm, w: Witness) -> bool:

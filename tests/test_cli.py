@@ -284,6 +284,16 @@ def test_witness_verify_mistyped_field_exit64(iso_file, tmp_path, capsys, field,
     assert "cannot parse witness file" in err and f"witness {field} must be an integer" in err
 
 
+def test_form_boolean_coefficient_exit64(tmp_path, capsys):
+    # true used to read as 1, and the form was decided (exit 0)
+    p = tmp_path / "f.json"
+    p.write_text(json.dumps({"degree": 6, "precision": 10, "coeffs": [[True, 0], [7, 0]]}))
+    for argv in (["solve", str(p)], ["oracle", str(p)]):
+        code, out, err = run(argv, capsys)
+        assert code == 64 and out == "", argv
+        assert "coefficient must be an integer, got True" in err and err.count("\n") == 1, argv
+
+
 def test_solve_float_degree_exit64(tmp_path, capsys):
     # 6.0 passes every comparison of the degree check, then broke on arithmetic
     p = tmp_path / "f.json"
@@ -571,12 +581,14 @@ def test_bad_input_is_rejected_under_python_O(tmp_path, argv, code, message):
         assert message in proc.stderr and "Traceback" not in proc.stderr, flags
 
 
-@pytest.mark.parametrize("K", [0, -1, HUGE, "10"], ids=["zero", "negative", "huge", "string"])
+@pytest.mark.parametrize("K", [0, -1, HUGE, "10", True], ids=["zero", "negative", "huge", "string", "bool"])
 def test_every_precision_reader_refuses_bad_values(tmp_path, capsys, K):
     # each subcommand that reads a precision, from a document or from
     # --precision: exit 64 or 65 with one line on stderr, never 0 or 1
-    # ("valid" or "check failed") and never a traceback.  On the command
-    # line "10" is the number 10, so the string goes only into documents
+    # ("valid" or "check failed") and never a traceback; a value that is
+    # no integer, true included, exits 64.  On the command line "10" is
+    # the number 10, so the string goes only into documents, and so does
+    # true, which the command line cannot spell
     form = tmp_path / "f.txt"
     form.write_text("d=6; 1, 7\n")
     docs = {"form": _form_doc(K), "witness": _witness_doc(K), "certificate": _certificate_doc(K)}
@@ -586,11 +598,11 @@ def test_every_precision_reader_refuses_bad_values(tmp_path, capsys, K):
     runs = [["solve", path["form"]], ["oracle", path["form"]],
             ["witness", "verify", str(form), path["witness"]],
             ["certificate", "verify", str(form), path["certificate"]]]
-    if not isinstance(K, str):
+    if not isinstance(K, (str, bool)):
         runs += [["solve", str(form), "--precision", str(K)], ["oracle", str(form), "--precision", str(K)]]
     for argv in runs:
         code, out, err = run(argv, capsys)
-        assert code in (64, 65) and out == "", (argv, code, err)
+        assert code in ((64,) if isinstance(K, (str, bool)) else (64, 65)) and out == "", (argv, code, err)
         assert "Traceback" not in err and err.count("\n") == 1, (argv, err)
 
 

@@ -30,11 +30,12 @@ from padic_forms.sweeps import (
     _profile_form,
     _sample_ranks,
     _sampled_verdicts,
+    _fill,
     _slot_join,
-    _sums,
     _tables,
     _trial_form,
     _translate_rows,
+    _unit_sums,
     exhaustive_lemma_ids,
     minimality_probe,
     sampled_lemma_ids,
@@ -77,6 +78,12 @@ def ranks_of(d, X) -> np.ndarray:
     return _tables(d).rank[X]
 
 
+def least(d, v) -> int:
+    """The least code of the orbit of any code v at degree d under the
+    multiplier reps, from the products table alone."""
+    return int(_tables(d).mulr[:, v].min())
+
+
 def trial(lem_d, R, lv, i) -> AdditiveForm:
     """Trial i of the rank matrix R as the form a failure record builds."""
     c = codes_of(lem_d, R[:, i])
@@ -96,9 +103,18 @@ def digit_form(d, ua, ub, lv, digits) -> AdditiveForm:
 MIXED = SweepLemma("mixed", 6, (1, 1, 1), (0, 2, 2), None)
 
 
+def sums(X, tab) -> np.ndarray:
+    """Per row of the codes X, its sum set: one `_fill` step per column
+    from the empty set."""
+    N = np.zeros(len(X), np.uint64)
+    for col in X.T:
+        N = _fill(N, col, tab)
+    return N
+
+
 def vanishes(X, tab) -> np.ndarray:
     """Per one-level row, whether some multiplier-scaled sub-sum is 0 mod 8."""
-    return (_sums(X, tab) & 1).astype(bool)
+    return (sums(X, tab) & 1).astype(bool)
 
 
 def _mul8(x, y):
@@ -148,7 +164,7 @@ def test_declared_exhaustive_counts():
 
 def test_exhaustive_enumeration_matches_slot_product():
     lem = SWEEP_LEMMAS["223"]
-    slots = _exhaustive_slots(lem.class_counts, _tables(6))
+    slots = _exhaustive_slots(lem.class_counts, 6)
     # 8 orbits {u, 5u} per class: multisets of 2, 2 and 3 orbits
     assert [len(rows) for rows, _ in slots] == [36, 36, 120]
     assert [int(w.sum()) for _, w in slots] == [136, 136, 816]
@@ -174,8 +190,7 @@ def test_sweep_007_exhaustive_complete():
 def test_orbit_weights_sum_to_declared_totals():
     for lid in exhaustive_lemma_ids():
         lem = SWEEP_LEMMAS[lid]
-        tab = _tables(lem.d)
-        W, _, _ = _slot_join(_exhaustive_slots(lem.class_counts, tab), tab)
+        W, _, _ = _slot_join(_exhaustive_slots(lem.class_counts, lem.d), lem.d)
         assert int(W.sum()) == lem.exhaustive_total, lid
 
 
@@ -184,7 +199,7 @@ def test_orbit_counts_match_raw_enumeration():
     for counts in ((0, 0, 7), (0, 0, 6)):
         raw = raw_rows(counts)
         raw_ok = vanishes(raw, tab)
-        W, ok, failed = _slot_join(_exhaustive_slots(counts, tab), tab)
+        W, ok, failed = _slot_join(_exhaustive_slots(counts, 6), 6)
         assert int(W.sum()) == len(raw)
         assert int(W[ok].sum()) == int(raw_ok.sum()), counts
         assert int(W[~ok].sum()) == int((~raw_ok).sum()), counts
@@ -197,17 +212,20 @@ def test_orbit_counts_match_raw_enumeration():
 def test_slot_join_matches_full_product():
     # the join of the last slot against the product of the others, on
     # every registered class lemma, the minimality probe's decremented
-    # spaces and the bogus 0/0/6, against `_sums` on every product row
+    # spaces and the bogus 0/0/6, against `_fill` steps on every product
+    # row; a slot row holds the ranks of least codes, a failing row codes
     spaces = {SWEEP_LEMMAS[lid].class_counts for lid in exhaustive_lemma_ids()}
     spaces |= {tuple(c - (i == pos) for i, c in enumerate(counts))
                for counts in list(spaces) for pos in range(3) if counts[pos]}
     assert (0, 0, 6) in spaces and len(spaces) == 18
     tab = _tables(6)
     for counts in sorted(spaces):
-        slots = _exhaustive_slots(counts, tab)
-        X, W = slot_product(slots)
+        slots = _exhaustive_slots(counts, 6)
+        R, W = slot_product(slots)
+        assert not (R & ((1 << tab.shift) - 1)).any()
+        X = codes_of(6, R)
         full = vanishes(X, tab)
-        weights, ok, failed = _slot_join(slots, tab)
+        weights, ok, failed = _slot_join(slots, 6)
         assert np.array_equal(weights, W) and np.array_equal(ok, full), counts
         assert np.array_equal(failed, X[~full]), counts
         if counts == (0, 0, 6):
@@ -216,7 +234,7 @@ def test_slot_join_matches_full_product():
 
 def test_automaton_entries_are_sums_steps():
     # after the ten lemmas' sweeps, every filled entry T[s, o] of each
-    # automaton is the state whose mask is one `_sums` column step, at
+    # automaton is the state whose mask is one `_fill` step, at
     # column o's code, on the mask of state s; the states are numbered
     # densely from the empty row, their masks distinct, and a unit code
     # of rank r walks the unit column of its orbit, r >> s, and the even
@@ -235,29 +253,33 @@ def test_automaton_entries_are_sums_steps():
             assert not T[n + 1 :].any() and not T[0].any()
             s, o = np.nonzero(T[: n + 1])
             assert 0 < len(s) and T.max() <= n, (d, n)
-            step = _sums(aut.reps[o, None], tab, aut.masks[s])
+            step = _fill(aut.masks[s], aut.reps[o], tab)
             assert np.array_equal(aut.masks[T[s, o]], step), d
         U = len(units.reps)
         assert (U, len(evens.reps)) == {6: (24, 48), 10: (8, 16)}[d]
         for v in UNIT_CODES:
             o = int(tab.rank[v]) >> tab.shift
-            assert tab.orbit[v] == units.reps[o], (d, v)
+            assert least(d, v) == units.reps[o], (d, v)
             for sh in (1, 2):
                 col = (sh - 1) * U + o
-                assert tab.orbit[_NEG_CODE[_SCALE[sh, v]]] == tab.orbit[evens.reps[col]], (d, v, sh)
+                assert least(d, _NEG_CODE[_SCALE[sh, v]]) == least(d, evens.reps[col]), (d, v, sh)
 
 
 def test_automaton_walks_from_threads():
     # four threads share automata that start empty, ten times over, with
     # a short switch interval, so they race on real fills; every thread
-    # gets the reports of a run alone.  A walk that did not hold the lock
-    # could number one mask twice or read an entry not written yet
+    # gets the reports of a run alone.  The exhaustive join and the
+    # minimality probe walk the same unit automaton as the sampled
+    # sweeps.  A walk that did not hold the lock could number one mask
+    # twice or read an entry not written yet
     runs = [(lid, 3000, seed) for lid in ("541", "0225", "211") for seed in (1, 2)]
 
     def reports():
         return [json.dumps(sweep_lemma(lid, "SAMPLED", trials=trials, seed=seed)
                            .to_json(include_timings=False), sort_keys=True)
-                for lid, trials, seed in runs]
+                for lid, trials, seed in runs] + [
+            json.dumps(sweep_lemma("025").to_json(include_timings=False), sort_keys=True),
+            json.dumps(minimality_probe("007").to_json(include_timings=False), sort_keys=True)]
 
     want = reports()
     interval = sys.getswitchinterval()
@@ -280,11 +302,11 @@ def test_automaton_walks_from_threads():
 
 
 def _closure(reps, tab) -> int:
-    """The number of masks reached from the empty row by `_sums` steps,
+    """The number of masks reached from the empty row by `_fill` steps,
     breadth first, one variable of every orbit at a time."""
     seen, frontier = {0}, np.zeros(1, np.uint64)
     while frontier.size:
-        step = _sums(np.tile(reps, len(frontier))[:, None], tab, np.repeat(frontier, len(reps)))
+        step = _fill(np.repeat(frontier, len(reps)), np.tile(reps, len(frontier)), tab)
         new = set(step.tolist()) - seen
         seen |= new
         frontier = np.array(sorted(new), np.uint64)
@@ -308,15 +330,16 @@ def test_automaton_past_its_cap_raises(monkeypatch):
     monkeypatch.setattr(sweeps, "_CAP", (40, 40))
     _automata.cache_clear()
     try:
-        # at d = 6 the pair table alone needs 301 states
+        # at d = 6 the walk that fills the pair table alone needs 325
+        # states: the empty row, 24 single orbits and 300 pairs
         with pytest.raises(PadicFormsError, match="more than 40 states"):
             sweep_lemma("541", "SAMPLED", trials=3000, seed=1)
-        # at d = 10 it needs 27, and a walk passes the cap; a fill that
-        # would pass it numbers nothing
+        # at d = 10 it needs 35 (1 + 8 + 26), and a walk passes the cap; a
+        # fill that would pass it numbers nothing
         units = _automata(10)[0]
         with pytest.raises(PadicFormsError, match="more than 40 states"):
             sweep_lemma("31", "SAMPLED", trials=3000, seed=1)
-        assert len(units.known) == 27 and not units.masks[len(units.known) + 1 :].any()
+        assert len(units.known) == 35 and not units.masks[len(units.known) + 1 :].any()
         # the even family has a cap of its own: at d = 10 it reaches 16,
         # 14 of them in this sweep's three-variable deeper groups
         monkeypatch.setattr(sweeps, "_CAP", (100, 10))
@@ -343,7 +366,7 @@ def test_pair_table_is_two_walk_steps():
         walked = units.walk(np.ones(len(key), np.uint16), [key >> 6 >> s, (key & 63) >> s])
         assert np.array_equal(units.pairs[key], walked), d
         X = codes_of(d, np.stack([key >> 6, key & 63], 1))
-        assert np.array_equal(units.masks[walked], _sums(X, _tables(d)))
+        assert np.array_equal(units.masks[walked], sums(X, _tables(d)))
         assert units.pairs.dtype == np.uint16 and np.count_nonzero(units.pairs) == 48 * 48
 
 
@@ -375,7 +398,7 @@ def test_pair_table_does_not_depend_on_the_input():
 def test_walk_from_start_states_equals_the_full_walk():
     # a walk continued from the states of its first columns, or from the
     # pair table's state of its first two codes, ends where the whole walk
-    # from the empty row ends, at each row's `_sums` mask
+    # from the empty row ends, at each row's sum set
     rng = np.random.default_rng(11)
     for d in (6, 10):
         units = _automata(d)[0]
@@ -383,7 +406,7 @@ def test_walk_from_start_states_equals_the_full_walk():
         R = ranks_of(d, X)
         cols = [col >> _tables(d).shift for col in R.T]
         full = units.walk(np.ones(len(X), np.uint16), cols)
-        assert np.array_equal(units.masks[full], _sums(X, _tables(d))), d
+        assert np.array_equal(units.masks[full], sums(X, _tables(d))), d
         for j in range(7):
             mid = units.walk(np.ones(len(X), np.uint16), cols[:j])
             assert np.array_equal(units.walk(mid, cols[j:]), full), (d, j)
@@ -466,20 +489,33 @@ def test_translate_rows_matches_flat_translate():
 
 
 def test_sums_match_python_sets():
-    # every choice per variable of "left out" or one rep, summed in
-    # plain Z8 x Z8 pairs, against the packed pass
+    # one `_fill` step from a random set, against the set with each
+    # rep-scaled code added to its points and to 0; then every choice per
+    # variable of "left out" or one rep, summed in plain Z8 x Z8 pairs,
+    # against the steps of a row's columns from the empty set
     rng = np.random.default_rng(23)
     for d, widest in ((6, 5), (10, 3)):
         tab = _tables(d)
         reps = [(r.value.a & 7, r.value.b & 7) for r in multiplier_set(d, 3).reps]
+        N = rng.integers(0, 1 << 64, 300, dtype=np.uint64) & rng.integers(0, 1 << 64, 300, dtype=np.uint64)
+        N[::7] = 0
+        v = rng.integers(0, 64, 300).astype(np.uint8)
+        got = _fill(N.copy(), v, tab)
+        for start, code, mask in zip(N.tolist(), v.tolist(), got.tolist()):
+            points = [x for x in range(64) if start >> x & 1] + [0]
+            want = {x for x in points if x} | {x for x in range(64) if start >> x & 1}
+            for r in reps:
+                a, b = _mul8(r, (code & 7, code >> 3))
+                want |= {((x & 7) + a) % 8 + 8 * (((x >> 3) + b) % 8) for x in points}
+            assert mask == sum(1 << x for x in want), (d, start, code)
         for n in range(widest + 1):
             X = rng.integers(0, 64, (40, n)).astype(np.uint8)
             if n >= 2:
                 X[::3, 1] = X[::3, 0]  # repeated codes
             X[1::5] = 0  # zero codes
-            got = _sums(X, tab)
+            got = sums(X, tab)
             for row, mask in zip(X, got):
-                sums = set()
+                plain = set()
                 for choice in product([None] + reps, repeat=n):
                     if all(r is None for r in choice):
                         continue
@@ -488,8 +524,64 @@ def test_sums_match_python_sets():
                         if r is not None:
                             x, y = _mul8(r, (int(c) & 7, int(c) >> 3))
                             a, b = a + x, b + y
-                    sums.add((a & 7) + 8 * (b & 7))
-                assert int(mask) == sum(1 << v for v in sums), (d, list(row))
+                    plain.add((a & 7) + 8 * (b & 7))
+                assert int(mask) == sum(1 << v for v in plain), (d, list(row))
+
+
+def _plain_sum_sets(d, rows) -> list:
+    """Per row of unit codes a + 8b, the set of its multiplier-scaled sums
+    over nonempty subsets, on plain ints: a multiplier is x^d mod 8 for a
+    unit x = a + b w of Z2[w] / 8, w^2 = w + 1, and a sum picks for each
+    variable either nothing or one multiplier."""
+    def mul(x, y):
+        return (x[0] * y[0] + x[1] * y[1]) % 8, (x[0] * y[1] + x[1] * y[0] + x[1] * y[1]) % 8
+
+    powers = set()
+    for x in [(a, b) for a in range(8) for b in range(8) if (a | b) & 1]:
+        p = (1, 0)
+        for _ in range(d):
+            p = mul(p, x)
+        powers.add(p)
+    out = []
+    for row in rows:
+        plain = set()
+        for choice in product([None, *sorted(powers)], repeat=len(row)):
+            if any(choice):
+                terms = [mul(r, (c % 8, c // 8)) for r, c in zip(choice, row) if r]
+                plain.add(sum(a for a, _ in terms) % 8 + 8 * (sum(b for _, b in terms) % 8))
+        out.append(plain)
+    return out
+
+
+def test_walked_masks_match_plain_subset_sums():
+    # a seeded sample of unit-code rows, one to five variables, through
+    # the pair table and the walk, against an enumeration of every subset
+    # and multiplier choice that uses nothing of the package
+    rng = np.random.default_rng(2033)
+    for d, widest in ((6, 5), (10, 4)):
+        for n in range(1, widest + 1):
+            X = rng.choice(np.array(UNIT_CODES, np.uint8), (30, n))
+            got = _unit_sums(_automata(d)[0], ranks_of(d, X).T, len(X))
+            want = _plain_sum_sets(d, X.tolist())
+            assert [{x for x in range(64) if m >> x & 1} for m in got.tolist()] == want, (d, n)
+
+
+def test_negated_orbits_are_an_involution():
+    # the join's Q walks the rank of each least code's negative, so
+    # negation must map whole orbits onto orbits: every code of an orbit
+    # negates into the orbit of the negated least code, negating twice
+    # gives the orbit back, and `_NEG_CODE` is the plain negative, a and
+    # b each negated mod 8
+    assert [int(_NEG_CODE[v]) for v in range(64)] == [(-v % 8) + 8 * (-(v // 8) % 8) for v in range(64)]
+    for d in (6, 10):
+        tab = _tables(d)
+        s = tab.shift
+        orbit_of = tab.rank.take(_NEG_CODE) >> s  # per code, its negative's orbit
+        neg = orbit_of.take(tab.code[:: 1 << s])  # per orbit, its least code's
+        assert np.array_equal(neg[neg], np.arange(len(neg))), d
+        for o in range(len(neg)):
+            codes = tab.code[o << s : (o + 1) << s]
+            assert set(orbit_of.take(codes[codes != 0]).tolist()) == {neg[o]}, (d, o)
 
 
 def _scalar_zero(f, k):
@@ -586,16 +678,16 @@ def test_anchor_join_matches_whole_rows():
     # one shift of each kind of column
     assert verdicts["mixed", 0] == verdicts["mixed", 1] == {False, True}
     # the automaton walk of the 52 columns of "over" gives each row its
-    # `_sums` mask
+    # sum set
     C, lv = draw(cases[-1][0], 500, 1)
     units = _automata(6)[0]
     st = units.walk(np.ones(500, np.uint16), [row >> _tables(6).shift for row in C[lv == 0]])
-    assert np.array_equal(units.masks[st], _sums(codes_of(6, C[lv == 0]).T, _tables(6)))
+    assert np.array_equal(units.masks[st], sums(codes_of(6, C[lv == 0]).T, _tables(6)))
 
 
 def test_anchor_zero_matches_the_full_join(monkeypatch):
     # the join with the level-0 group first against A & (B | 1) taken on
-    # every row, each group's masks from `_sums` row by row over the
+    # every row, each group's masks from `_fill` steps row by row over the
     # codes scaled by 2^shift and (deeper group) negated, on groups where
     # A decides no row, some rows and every row; the deeper group runs
     # only on the rows A leaves, and rows of other shifts are left out
@@ -609,12 +701,12 @@ def test_anchor_zero_matches_the_full_join(monkeypatch):
     n = 4000
     XB = rng.choice(units, (n, 4))
     shift = np.array([1, 2, 1, 3], np.int8)  # the last column is too deep
-    B = _sums(_NEG_CODE[np.stack([_SCALE[s][col] for s, col in zip(shift[:3], XB.T)], 1)], tab)
+    B = sums(_NEG_CODE[np.stack([_SCALE[s][col] for s, col in zip(shift[:3], XB.T)], 1)], tab)
     one = rng.choice(units, (n, 1))  # one unit never vanishes alone
     pair = np.concatenate([one, _NEG_CODE[one]], axis=1)  # u + (-u) vanishes
     # the groups, with the number of rows A leaves (None: some, not all)
     for XA, want_left in ((one, n), (rng.choice(units, (n, 3)), None), (pair, 0)):
-        A = _sums(XA, tab)
+        A = sums(XA, tab)
         full = (A & (B | 1)) != 0
         left = int(((A & 1) == 0).sum())
         if want_left is None:
@@ -1004,7 +1096,7 @@ def test_orbits_that_leave_a_class_raise():
     # at d = 10 some reps move a unit to another residue class, so class
     # multisets cannot be enumerated by orbits
     with pytest.raises(PadicFormsError):
-        _exhaustive_slots((1, 0, 0), _tables(10))
+        _exhaustive_slots((1, 0, 0), 10)
 
 
 def test_probe_raises_when_search_finds_a_certificate(monkeypatch):
