@@ -254,7 +254,7 @@ def _battery(d: int, trials_cap: int | None):
 
     for lid in [lid for lid, lem in SWEEP_LEMMAS.items() if lem.d == d]:
 
-        def sweep(lid=lid):  # in its default mode: a sampled one reads trials and seed
+        def sweep(lid=lid):  # in its lemma's mode: a sampled one reads trials and seed
             rep = sweep_lemma(lid, trials=scaled(SWEEP_SAMPLES), seed=SWEEP_SEED)
             unit = "samples" if rep.mode == "SAMPLED" else "configurations"
             return not rep.failures, f"{rep.total} {unit}, {len(rep.failures)} failures"

@@ -326,14 +326,16 @@ def certificate_from_json(doc: dict) -> ContractionCertificate:
     `exp` defaults to 0.  A malformed document (a missing or mistyped
     field, a precision K that is not a whole number at least 1 or whose
     2^K no int can hold, an unknown or cyclic node id, a leaf that is 0 at
-    the precision or whose `var` or `exp` is not a whole number, a
-    negative `exp`, a multiplier that is not a unit d-th power, a rep's
-    value with another epsilon, a contraction whose recorded value is not
-    its children's sum) raises CertificateError."""
+    the precision, a node id, child id, root, `var`, `exp`, value or
+    multiplier component or epsilon that is not a whole number (the
+    root's null multiplier and epsilon are never read), a negative `exp`,
+    a multiplier that is not a unit d-th power, a rep's value with
+    another epsilon, a contraction whose recorded value is not its
+    children's sum) raises CertificateError."""
     try:
         d, K = doc["degree"], doc["precision"]
-        raw = {rec["id"]: rec for rec in doc["nodes"]}
-        root_id = doc["root"]
+        raw = {whole(rec["id"], "certificate node id", CertificateError): rec for rec in doc["nodes"]}
+        root_id = whole(doc["root"], "certificate root", CertificateError)
     except KeyError as e:
         raise CertificateError(f"certificate document lacks {e}") from None
     if whole(K, "certificate precision", CertificateError) < 1:
@@ -345,18 +347,21 @@ def certificate_from_json(doc: dict) -> ContractionCertificate:
     by_value = {(r.value.a, r.value.b): r for r in ms.reps}
 
     def recover(pair, eps) -> MultiplierRep:
-        key = (pair[0] % (1 << K), pair[1] % (1 << K))
+        a = whole(pair[0], "certificate multiplier", CertificateError)
+        b = whole(pair[1], "certificate multiplier", CertificateError)
+        eps = whole(eps, "certificate epsilon", CertificateError)
+        key = (a % (1 << K), b % (1 << K))
         if key in by_value:
             if eps != by_value[key].epsilon:
                 raise CertificateError(f"multiplier {pair} has epsilon {eps!r}, "
                                        f"its rep {by_value[key].epsilon}")
             return by_value[key]
-        val = RingElem(pair[0], pair[1], K)
+        val = RingElem(a, b, K)
         try:
             root = dth_root(val, d)
         except (NotAUnit, NotADthPower) as e:
             raise CertificateError(f"multiplier {pair} is not a unit d-th power: {e}") from None
-        return MultiplierRep(val, root, eps or 0)
+        return MultiplierRep(val, root, eps)
 
     built: dict[int, VarNode] = {}
     open_ids: set = set()  # on the current path from the root
@@ -371,7 +376,9 @@ def certificate_from_json(doc: dict) -> ContractionCertificate:
         rec = raw[nid]
         open_ids.add(nid)
         try:
-            val = RingElem(rec["value"][0], rec["value"][1], K)
+            value = rec["value"]
+            val = RingElem(whole(value[0], "certificate node value", CertificateError),
+                           whole(value[1], "certificate node value", CertificateError), K)
             if rec["kind"] == "leaf":
                 var = whole(rec["var"], f"certificate leaf {nid!r} variable", CertificateError)
                 exp = whole(rec.get("exp", 0), f"certificate leaf {nid!r} exponent", CertificateError)
@@ -379,7 +386,8 @@ def certificate_from_json(doc: dict) -> ContractionCertificate:
                     raise CertificateError(f"certificate leaf {nid!r} has exponent {exp!r}")
                 node = make_leaf(var, val, K, exp)
             else:
-                children = tuple(build(c) for c in rec["children"])
+                children = tuple(build(whole(c, "certificate node child", CertificateError))
+                                 for c in rec["children"])
                 choices = tuple(
                     recover(raw[c]["multiplier"], raw[c]["epsilon"])
                     for c in rec["children"]

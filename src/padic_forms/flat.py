@@ -12,7 +12,7 @@ that vanishes mod 2^(k+3) and uses a level-k term:
   k..k+2, a level-k term has j = 0, and terms at k+3 or above vanish
   mod 2^(k+3);
 - sufficiency: the level-k term is a unit variable whose Hensel lift
-  (`anchor_solve_pair`) needs exactly the sum mod 2^(k+3).
+  (`solve_anchor`) needs exactly the sum mod 2^(k+3).
 
 Dividing by 2^k turns each anchor level into one question about subset
 sums in Z8 x Z8, 64 states.  State (a, b) sits at bit a + 16b of a

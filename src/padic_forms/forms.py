@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 
 from .errors import PrecisionMismatch
-from .ring import INFINITE, RingElem, check_degree_shape, parse_elem, reduced_elem
+from .ring import INFINITE, RingElem, check_degree_shape, parse_elem, pow_pair, reduced_elem
 
 
 def default_precision(d: int) -> int:
@@ -127,22 +127,14 @@ class AdditiveForm:
 
     def evaluate(self, values) -> RingElem:
         """Sum of coeff * value^d at the storage precision K, each power
-        formed on masked pairs, left to right as in `pow_pair`."""
+        by `pow_pair` mod 2^K."""
         K, d = self.K, self.d
-        mask = (1 << K) - 1
-        bits = bin(d)[3:]
+        mod = 1 << K
         assert len(values) == self.s
         ta = tb = 0
         for c, x in zip(self.coeffs, values):
-            xa, xb = x.a, x.b
-            if xa or xb:
-                pa, pb = xa, xb
-                for bit in bits:
-                    sq = pb * pb
-                    pa, pb = (pa * pa + sq) & mask, (2 * pa + pb) * pb & mask
-                    if bit == "1":
-                        bd = pb * xb
-                        pa, pb = (pa * xa + bd) & mask, (pa * xb + pb * xa + bd) & mask
+            if x.a or x.b:
+                pa, pb = pow_pair(x.a, x.b, d, mod)
                 bd = c.b * pb  # the product as in mul_pair, inline
                 ta += c.a * pa + bd
                 tb += c.a * pb + c.b * pa + bd

@@ -22,14 +22,15 @@ output is integral before it is thresholded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .engine import ExhaustionCertificate
 from .errors import CertificateError, OracleBudgetError, PadicFormsError, PrecisionMismatch
 from .forms import AdditiveForm, reduce_levels
-from .ring import RingElem, dth_root, multiplier_set, mul_pair, pow_pair
-from .witness import Witness, map_to_origin, solve_anchor, verify_witness
+from .ring import RingElem, dth_root, multiplier_set, mul_pair, pow_pair, solve_anchor
+from .witness import Witness, map_to_origin, verify_witness
 
 MAX_ORACLE_M = 10  # 2 * 4^M boolean cells per DP layer
 
@@ -103,9 +104,6 @@ class PowerValueSet:
         return RingElem(u.a << j, u.b << j, self.M)
 
 
-_PVS_CACHE: dict = {}
-
-
 def _check_modulus(M: int) -> None:
     if M < 1:
         raise PrecisionMismatch(f"oracle modulus 2^{M} is below 2^1")
@@ -113,12 +111,11 @@ def _check_modulus(M: int) -> None:
         raise OracleBudgetError(f"modulus 2^{M} exceeds the oracle policy")
 
 
+@lru_cache(maxsize=None)
 def power_value_set(d: int, M: int) -> PowerValueSet:
+    """The table of degree d mod 2^M, built once per pair; a modulus out
+    of range raises, and a raise is never cached."""
     _check_modulus(M)
-    key = (d, M)
-    got = _PVS_CACHE.get(key)
-    if got is not None:
-        return got
     codes = []
     j = 0
     while j * d < M:
@@ -136,7 +133,6 @@ def power_value_set(d: int, M: int) -> PowerValueSet:
         ours = np.sort(np.concatenate([np.zeros(1, np.int64), *codes]))
         if not np.array_equal(ours, _brute_power_codes(d, M)):
             raise PadicFormsError(f"power value set (d={d}, M={M}) disagrees with brute force")
-    _PVS_CACHE[key] = pvs
     return pvs
 
 

@@ -17,6 +17,7 @@ import operator
 import re
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     DegreeShapeError,
@@ -92,23 +93,23 @@ def mul_pair(a: int, b: int, c: int, d: int, mod: int | None = None):
     return x % mod, y % mod
 
 
-def pow_pair(a: int, b: int, e: int, mod: int | None = None):
-    """(a + b*w)^e by left-to-right binary powering: one squaring per bit
-    below the top one, one multiplication per set bit among them."""
-    assert e >= 0
+def pow_pair(a: int, b: int, e: int, mod: int):
+    """(a + b*w)^e modulo mod, a power of 2, by left-to-right binary
+    powering: one squaring per bit below the top one, one multiplication
+    per set bit among them, each masked as it is formed.  The package's
+    one power loop on int pairs."""
+    assert e >= 0 and mod > 0 and not mod & (mod - 1), "e >= 0 and mod a power of 2"
     if e == 0:
         return 1, 0
-    if mod is not None:
-        a, b = a % mod, b % mod
+    mask = mod - 1
+    a, b = a & mask, b & mask
     ra, rb = a, b
     for bit in bin(e)[3:]:
-        sq = rb * rb
-        ra, rb = ra * ra + sq, (2 * ra + rb) * rb  # (x + y*w)^2 = x^2 + y^2 + (2xy + y^2) w
+        sq = rb * rb  # (x + y*w)^2 = x^2 + y^2 + (2xy + y^2) w
+        ra, rb = (ra * ra + sq) & mask, (2 * ra + rb) * rb & mask
         if bit == "1":
             bd = rb * b
-            ra, rb = ra * a + bd, ra * b + rb * a + bd
-        if mod is not None:
-            ra, rb = ra % mod, rb % mod
+            ra, rb = (ra * a + bd) & mask, (ra * b + rb * a + bd) & mask
     return ra, rb
 
 
@@ -394,24 +395,20 @@ def multiplier_set(d: int, K: int) -> MultiplierSet:
 # ---------------------------------------------------------------------------
 # root extraction (Hensel / Newton)
 
-_SEED_CACHE: dict[tuple[int, int], dict[tuple[int, int], tuple[int, int]]] = {}
-_ANCHOR_SEED_CACHE: dict[int, array] = {}
 
-
+@lru_cache(maxsize=None)
 def _seed_table(d: int, L: int) -> dict[tuple[int, int], tuple[int, int]]:
     """x^d mod 2^L for every unit x mod 2^L, first root wins (deterministic)."""
-    table = _SEED_CACHE.get((d, L))
-    if table is None:
-        mod = 1 << L
-        table = {}
-        for a in range(mod):
-            for b in range(mod):
-                if (a | b) & 1:
-                    table.setdefault(pow_pair(a, b, d, mod), (a, b))
-        _SEED_CACHE[d, L] = table
+    mod = 1 << L
+    table = {}
+    for a in range(mod):
+        for b in range(mod):
+            if (a | b) & 1:
+                table.setdefault(pow_pair(a, b, d, mod), (a, b))
     return table
 
 
+@lru_cache(maxsize=None)
 def _anchor_seed_table(d: int) -> array:
     """t mod 512 -> its d-th root in 1 + 4O, mod 256, for every t in 1 + 8O,
     packed as 12-bit codes: t = (1 + 8i) + 8j w sits at index i | j << 6
@@ -428,21 +425,18 @@ def _anchor_seed_table(d: int) -> array:
     mod 8, span 4O / 8O, so these x meet every class mod 256 once.  Then
     x^d = (5^d)^i ((1 + 4w)^d)^j costs two products per entry.  Built at
     the degree's first anchor solve (a few ms), 8 KB per degree."""
-    table = _ANCHOR_SEED_CACHE.get(d)
-    if table is None:
-        table = array("H", bytes(8192))
-        f = pow_pair(5, 0, d, 512)[0]  # 5^d, an integer
-        ga, gb = pow_pair(1, 4, d, 512)  # (1 + 4w)^d
-        r, x = 1, 1  # (5^d)^i mod 512, 5^i mod 256
+    table = array("H", bytes(8192))
+    f = pow_pair(5, 0, d, 512)[0]  # 5^d, an integer
+    ga, gb = pow_pair(1, 4, d, 512)  # (1 + 4w)^d
+    r, x = 1, 1  # (5^d)^i mod 512, 5^i mod 256
+    for _ in range(64):
+        ta, tb, ya, yb = r, 0, x, 0
         for _ in range(64):
-            ta, tb, ya, yb = r, 0, x, 0
-            for _ in range(64):
-                table[ta >> 3 | tb >> 3 << 6] = ya >> 2 | yb >> 2 << 6
-                bd = tb * gb  # t times (1 + 4w)^d, y times 1 + 4w
-                ta, tb = (ta * ga + bd) & 511, (ta * gb + tb * ga + bd) & 511
-                ya, yb = (ya + 4 * yb) & 255, (4 * ya + 5 * yb) & 255
-            r, x = r * f & 511, x * 5 & 255
-        _ANCHOR_SEED_CACHE[d] = table
+            table[ta >> 3 | tb >> 3 << 6] = ya >> 2 | yb >> 2 << 6
+            bd = tb * gb  # t times (1 + 4w)^d, y times 1 + 4w
+            ta, tb = (ta * ga + bd) & 511, (ta * gb + tb * ga + bd) & 511
+            ya, yb = (ya + 4 * yb) & 255, (4 * ya + 5 * yb) & 255
+        r, x = r * f & 511, x * 5 & 255
     return table
 
 
@@ -459,21 +453,15 @@ def _newton_root(seed: tuple[int, int], d: int, t: tuple[int, int], KK: int):
     terms of (x - s)^d, s of valuation v - 1, carry the odd binomial
     d(d-1)/2), so the loop stops once that reaches KK, and one unit
     inverse, of (d/2) t, serves every step.  The pairs are kept masked
-    mod 2^KK, and x^d is powered inline, left to right as in `pow_pair`."""
-    mask = (1 << KK) - 1
+    mod 2^KK."""
+    mod = 1 << KK
+    mask = mod - 1
     m = d // 2
     ta, tb = t
-    wa, wb = inv_unit_pair((m * ta) & mask, (m * tb) & mask, mask + 1)
+    wa, wb = inv_unit_pair((m * ta) & mask, (m * tb) & mask, mod)
     xa, xb = seed
-    bits = bin(d)[3:]
     for _ in range(2 * KK.bit_length() + 8):
-        fa, fb = xa, xb
-        for bit in bits:  # x^d, one squaring per bit, as in pow_pair
-            sq = fb * fb
-            fa, fb = (fa * fa + sq) & mask, (2 * fa + fb) * fb & mask
-            if bit == "1":
-                bd = fb * xb
-                fa, fb = (fa * xa + bd) & mask, (fa * xb + fb * xa + bd) & mask
+        fa, fb = pow_pair(xa, xb, d, mod)
         fa = (fa - ta) & mask
         fb = (fb - tb) & mask
         if fa == 0 and fb == 0:
@@ -521,12 +509,15 @@ def dth_root(t: RingElem, d: int) -> RingElem:
     return x
 
 
-def anchor_solve_pair(fa: int, fb: int, d: int, ca: int, cb: int, K: int) -> tuple[int, int]:
-    """The unit x, as a pair, with f * x^d + C = 0 mod 2^K for f = fa + fb*w
-    and C = ca + cb*w taken mod 2^K, given that the seed x = 1 already
-    satisfies valuation(f + C) >= k + 3 where k = valuation(f) =
-    valuation(C).  Callers fold any nontrivial seed into f first."""
+def solve_anchor(anchor: tuple[int, int], rest: tuple[int, int], d: int, K: int) -> tuple[int, int]:
+    """The unit z, as a pair, with anchor * z^d + rest = 0 mod 2^K: anchor
+    is the anchor's term c * x^d and rest the sum of the other terms, as
+    int pairs taken mod 2^K; the caller scales x_anchor by z.  The seed
+    z = 1 must already satisfy valuation(anchor + rest) >= k + 3, where
+    k = valuation(anchor) = valuation(rest); a refusal here means the
+    incoming certificate was not sound."""
     mask = (1 << K) - 1
+    (fa, fb), (ca, cb) = anchor, rest
     fa, fb, ca, cb = fa & mask, fb & mask, ca & mask, cb & mask
     x, y = fa | fb, ca | cb  # the valuations are their lowest set bits
     if not x or not y:
@@ -551,13 +542,7 @@ def anchor_solve_pair(fa: int, fb: int, d: int, ca: int, cb: int, K: int) -> tup
     code = _anchor_seed_table(d)[ta >> 3 & 63 | (tb >> 3 & 63) << 6]
     xa, xb = _newton_root((1 + ((code & 63) << 2), code >> 6 << 2), d, (ta, tb), KK)
     xa, xb = xa & mask, xb & mask
-    pa, pb = xa, xb
-    for bit in bin(d)[3:]:  # x^d mod 2^K, as in pow_pair
-        sq = pb * pb
-        pa, pb = (pa * pa + sq) & mask, (2 * pa + pb) * pb & mask
-        if bit == "1":
-            bd = pb * xb
-            pa, pb = (pa * xa + bd) & mask, (pa * xb + pb * xa + bd) & mask
+    pa, pb = pow_pair(xa, xb, d, mask + 1)
     bd = fb * pb
     if (fa * pa + bd + ca) & mask or (fa * pb + fb * pa + bd + cb) & mask:
         raise HenselError("anchor solve failed to cancel (internal error)")

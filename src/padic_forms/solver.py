@@ -25,8 +25,8 @@ from .engine import (
 from .errors import CertificateError, PrecisionMismatch
 from .flat import FlatSolution, search_certificate
 from .forms import AdditiveForm, reduce_levels
-from .ring import multiplier_set
-from .witness import Witness, map_to_origin, solve_anchor, verify_witness
+from .ring import multiplier_set, solve_anchor
+from .witness import Witness, map_to_origin, verify_witness
 
 # unused here; perfbench/spans.py wraps them by name in this module for --trace
 from .forms import normalize  # noqa: F401

@@ -3,10 +3,10 @@
 A sweep checks a contraction claim over coefficient profiles mod 8,
 either over the whole declared shape space (EXHAUSTIVE) or over seeded
 random draws (SAMPLED); a lemma that declares its space's total is swept
-exhaustively by default, any other by sampling.  A profile succeeds
-exactly when some contraction tree builds a value divisible by 8 whose
-subtree contains a level-0 variable (more generally, divisible by
-2^(k+3) over a level-k variable).
+exhaustively, any other by sampling, and a sweep asked for in the other
+mode is refused.  A profile succeeds exactly when some contraction tree
+builds a value divisible by 8 whose subtree contains a level-0 variable
+(more generally, divisible by 2^(k+3) over a level-k variable).
 
 Success is equivalent to a flat combination sum(c_i * u_i) == 0
 mod 2^(k+3), with coefficients from the multiplier group and k the
@@ -83,7 +83,6 @@ from .errors import PadicFormsError
 from .flat import mod8_table, search_certificate
 from .forms import AdditiveForm, default_precision
 from .ring import RingElem
-from .solver import decide_isotropy
 
 
 # ---------------------------------------------------------------------------
@@ -543,14 +542,14 @@ def sweep_lemma(
     seed: int = 42,
 ) -> SweepReport:
     """Verify one shape claim, returning a report with every failure
-    profile (each confirmed by the contraction search)."""
+    profile (each confirmed by the contraction search).  The lemma fixes
+    the mode: EXHAUSTIVE when it declares its space's total, else
+    SAMPLED; a `mode` given that differs is a ValueError."""
     lem = SWEEP_LEMMAS[lemma_id]
-    if mode is None:
-        mode = "SAMPLED" if lem.exhaustive_total is None else "EXHAUSTIVE"
-    if mode not in ("EXHAUSTIVE", "SAMPLED"):
-        raise ValueError(f"unknown sweep mode {mode!r}")
-    if mode == "EXHAUSTIVE" and lem.exhaustive_total is None:
-        raise ValueError(f"lemma {lemma_id} is declared sample-only")
+    own = "SAMPLED" if lem.exhaustive_total is None else "EXHAUSTIVE"
+    if mode is not None and mode != own:
+        raise ValueError(f"lemma {lemma_id} is swept {own}, not {mode!r}")
+    mode = own
     if mode == "SAMPLED" and trials < 1:
         raise ValueError(f"a sampled sweep needs at least 1 trial, got {trials}")
     if mode == "SAMPLED" and seed < 0:
@@ -641,11 +640,11 @@ def minimality_probe(lemma_id: str) -> MinimalityReport:
     For each class slot, remove a variable and exhaust the smaller space
     (by orbit representatives; counts are weighted to code multisets).
     The first PROBE_CONFIRMATIONS profiles the slot join cannot contract
-    are handed to `decide_isotropy` as plain forms, so the flat kernel
-    checks the join on its own; an anisotropic answer there is a concrete
-    instance showing the decremented type does not always contract, so
-    the original counts are not slack.  This is corroborative only, not
-    part of the verification battery.
+    are handed to `search_certificate` as plain forms, as `_settle` hands
+    a sweep's, so the flat kernel checks the join on its own; no
+    certificate there is a concrete instance showing the decremented type
+    does not always contract, so the original counts are not slack.  This
+    is corroborative only, not part of the verification battery.
     """
     lem = SWEEP_LEMMAS[lemma_id]
     if lem.class_counts is None or any(lem.level_counts):
@@ -672,7 +671,7 @@ def minimality_probe(lemma_id: str) -> MinimalityReport:
             f = AdditiveForm.from_pairs(
                 lem.d, [(int(c) & 7, int(c) >> 3) for c in row], K
             )
-            if decide_isotropy(f).verdict != "ANISOTROPIC":
+            if search_certificate(f).status == "FOUND":
                 raise PadicFormsError("probe failure decided isotropic by the kernel")
             confirmed += 1
             if example is None:

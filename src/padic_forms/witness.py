@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import CertificateError
 from .forms import AdditiveForm, whole
-from .ring import RingElem, anchor_solve_pair, reduced_elem
+from .ring import RingElem, reduced_elem
 
 
 @dataclass(frozen=True)
@@ -68,15 +68,6 @@ def verify_witness(f: AdditiveForm, w: Witness) -> bool:
     total = f.evaluate(w.values)
     mask = (1 << w.V) - 1
     return (total.a & mask) == 0 and (total.b & mask) == 0
-
-
-def solve_anchor(anchor: tuple[int, int], rest: tuple[int, int], d: int, K: int) -> tuple[int, int]:
-    """The unit z, as a pair, with anchor * z^d + rest = 0 mod 2^K: anchor
-    is the anchor's term c * x^d and rest the sum of the other terms, as
-    int pairs; the caller scales x_anchor by z.  Requires the usual
-    valuation agreement; a failure here means the incoming certificate was
-    not sound."""
-    return anchor_solve_pair(anchor[0], anchor[1], d, rest[0], rest[1], K)
 
 
 def map_to_origin(g: AdditiveForm, used, anchor: int) -> Witness:

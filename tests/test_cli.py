@@ -266,6 +266,40 @@ def test_certificate_verify_malformed_exit64(tmp_path, capsys, doc):
     assert code == 64 and out == "" and "cannot parse certificate file" in err
 
 
+@pytest.mark.parametrize("field", ["leaf-value", "multiplier", "epsilon", "root", "node-id",
+                                   "child-id"])
+def test_certificate_verify_non_integer_field_exit64(tmp_path, capsys, field):
+    # each edit used to be read as the integer it equals (true as 1, 2.0
+    # as 2), and the certificate was reported valid (exit 0)
+    form = tmp_path / "f.txt"
+    form.write_text("d=6; K=10; 1, 7\n")
+    res = tmp_path / "res.json"
+    assert run(["solve", str(form), "--out", str(res)], capsys)[0] == 0
+    cert = json.loads(res.read_text())["contraction"]
+    leaf0, leaf1, top = cert["nodes"]
+    assert (leaf0["kind"], leaf1["kind"], top["id"], cert["root"]) == ("leaf", "leaf", 2, 2)
+    if field == "leaf-value":
+        leaf0["value"] = [True, 0]
+    elif field == "multiplier":
+        leaf0["multiplier"] = [True, False]
+    elif field == "epsilon":  # the rep 125 = 5^3 carries epsilon 1, and 125 + 7 * 125 = 1000
+        leaf0.update(multiplier=[125, 0], epsilon=1)
+        leaf1.update(multiplier=[125, 0], epsilon=True)
+        top["value"] = [1000, 0]
+    elif field == "root":
+        cert["root"] = 2.0
+    elif field == "node-id":
+        leaf1["id"] = True
+        top["children"] = [0, True]
+    else:
+        top["children"] = [0, True]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, out, err = run(["certificate", "verify", str(form), str(path)], capsys)
+    assert code == 64 and out == ""
+    assert "cannot parse certificate file" in err and "must be an integer" in err
+
+
 @pytest.mark.parametrize("field, value", [
     ("primitive", "0"),
     ("target_valuation", "10"),

@@ -42,9 +42,9 @@ from padic_forms.flat import (
 )
 from padic_forms.forms import AdditiveForm, normalize, reduce_levels
 from padic_forms.oracle import decide_isotropy_exhaustive
-from padic_forms.ring import RingElem, mul_pair, multiplier_set
+from padic_forms.ring import RingElem, mul_pair, multiplier_set, solve_anchor
 from padic_forms.solver import decide_isotropy, lift_witness
-from padic_forms.witness import map_to_origin, solve_anchor, verify_witness
+from padic_forms.witness import map_to_origin, verify_witness
 from test_forms import rotated
 from test_witness import dense_back_map
 

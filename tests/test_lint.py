@@ -224,6 +224,32 @@ def test_oracle_users_are_reviewed():
     assert not gone, f"ORACLE_USERS names imports that no longer exist: {gone}"
 
 
+# Every function in the package that calls `bin()`, as (module, enclosing
+# function): the left-to-right power loops.  `ring.pow_pair` is the one
+# power on int pairs, and `oracle._pow_vec` its numpy copy, which the
+# brute-force check of the power-value tables needs.  Call `pow_pair`
+# rather than add one.
+POWER_LOOPS = {
+    ("ring.py", "pow_pair"),
+    ("oracle.py", "_pow_vec"),
+}
+
+
+def _bin_callers(tree: ast.Module) -> set:
+    """The enclosing function (or `<module>`) of every call of `bin`."""
+    return {scope for scope, node in _scoped(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "bin"}
+
+
+def test_power_loops_are_reviewed():
+    found = {(path.name, where) for path in sorted(SRC.glob("*.py"))
+             for where in _bin_callers(ast.parse(path.read_text()))}
+    new = sorted(found - POWER_LOOPS)
+    assert not new, f"calls of bin() not in POWER_LOOPS (module, function): {new}"
+    gone = sorted(POWER_LOOPS - found)
+    assert not gone, f"POWER_LOOPS names functions that no longer call bin(): {gone}"
+
+
 # Every use of `normalize` and of the rotation's scale `scale_log` in the
 # package, as (module, enclosing function, class or `<module>`, name):
 # definitions, imports, references and string constants (the slot).  The
@@ -295,10 +321,10 @@ CACHES = {
     ("sweeps.py", "_tables"),
     ("sweeps.py", "_automata"),
     ("sweeps.py", "_free_ranks"),
-    ("oracle.py", "_PVS_CACHE"),
+    ("oracle.py", "power_value_set"),
     ("ring.py", "_MULTIPLIER_CACHE"),
-    ("ring.py", "_SEED_CACHE"),
-    ("ring.py", "_ANCHOR_SEED_CACHE"),
+    ("ring.py", "_seed_table"),
+    ("ring.py", "_anchor_seed_table"),
 }
 
 

@@ -183,11 +183,11 @@ def test_brute_power_codes_match_one_shot_unique(monkeypatch, block):
             assert np.array_equal(_brute_power_codes(d, M), np.unique((ra << M) | rb)), (d, M)
 
 
-def test_power_value_tables_stay_small(monkeypatch):
+def test_power_value_tables_stay_small():
     # the benchmark warm-up's two largest d = 10 tables, built cold: the
     # squares of every 1 + 2t mod 2^10 and their sort traced about 35 MB,
     # and a second copy of each unit-power table held 1.9 MB after both
-    monkeypatch.setattr(oracle, "_PVS_CACHE", {})
+    power_value_set.cache_clear()
     tracemalloc.start()
     try:
         power_value_set(10, 9)
@@ -203,7 +203,7 @@ def test_power_value_cross_check_rejects_a_repeated_code(monkeypatch):
     # the brute-force cross-check compares the sorted codes themselves, so
     # a unit power listed twice fails it
     real = oracle._unit_power_codes
-    monkeypatch.setattr(oracle, "_PVS_CACHE", {})
+    power_value_set.cache_clear()
     monkeypatch.setattr(oracle, "_unit_power_codes", lambda d, L: np.repeat(real(d, L), 2))
     with pytest.raises(PadicFormsError):
         power_value_set(6, 4)

@@ -32,10 +32,10 @@ from padic_forms.ring import (
     format_elem,
     inv_unit_pair,
     mul_pair,
-    anchor_solve_pair,
     multiplier_set,
     parse_elem,
     pow_pair,
+    solve_anchor,
     teichmuller_alpha,
     val_pair,
 )
@@ -46,9 +46,9 @@ units_mod8 = [
 
 
 def newton_anchor_solve(a: RingElem, d: int, C: RingElem) -> RingElem:
-    """`anchor_solve_pair` on ring elements of one precision."""
+    """`solve_anchor` on ring elements of one precision."""
     a._chk(C)
-    return RingElem(*anchor_solve_pair(a.a, a.b, d, C.a, C.b, a.K), a.K)
+    return RingElem(*solve_anchor((a.a, a.b), (C.a, C.b), d, a.K), a.K)
 
 
 # --- residue field ---------------------------------------------------------
@@ -407,7 +407,7 @@ def test_anchor_solve_refusals_are_the_same_under_python_O():
         "def run(cases):\n"
         "    for (fa, fb), (ca, cb), K in cases:\n"
         "        try:\n"
-        "            ring.anchor_solve_pair(fa, fb, 6, ca, cb, K)\n"
+        "            ring.solve_anchor((fa, fb), (ca, cb), 6, K)\n"
         "            print('accepted')\n"
         "        except Exception as e:\n"
         "            print(type(e).__name__)\n"
@@ -530,12 +530,12 @@ def anchor_solve_cases(n: int = 2000, seed: int = 77) -> list:
 
 
 def anchor_solve_mismatches(cases) -> list:
-    """The cases where anchor_solve_pair's x differs from the reference."""
+    """The cases where solve_anchor's x differs from the reference."""
     bad = []
     for (fa, fb), (ca, cb), d, K in cases:
         mask = (1 << K) - 1
         want = reference_anchor_solve(fa & mask, fb & mask, d, ca & mask, cb & mask, K)
-        if anchor_solve_pair(fa, fb, d, ca, cb, K) != want:
+        if solve_anchor((fa, fb), (ca, cb), d, K) != want:
             bad.append(((fa, fb), (ca, cb), d, K))
     return bad
 
@@ -550,7 +550,7 @@ def test_anchor_solve_matches_newton_from_one():
 def _residuals_formed(run) -> int:
     """How many residuals x^d - t `_newton_root` forms while run() runs:
     the executions of its line that subtracts t, counted by a line trace
-    of that function alone (it powers inline, so no call can be counted)."""
+    of that function alone."""
     code = ring._newton_root.__code__
     lines, first = inspect.getsourcelines(ring._newton_root)
     target = first + [text.strip() for text in lines].index("fa = (fa - ta) & mask")
@@ -577,10 +577,10 @@ def test_anchor_solve_takes_one_newton_step_up_to_K_15():
     cases = [c for c in anchor_solve_cases() if c[3] <= 15]
     assert len(cases) >= 300
     for (fa, fb), (ca, cb), d, K in cases:
-        assert _residuals_formed(lambda: anchor_solve_pair(fa, fb, d, ca, cb, K)) == 1, (d, K)
+        assert _residuals_formed(lambda: solve_anchor((fa, fb), (ca, cb), d, K)) == 1, (d, K)
     # and the count sees more than one where more steps are needed
     deep = [c for c in anchor_solve_cases() if c[3] >= 30]
-    assert max(_residuals_formed(lambda: anchor_solve_pair(*f, d, *c, K))
+    assert max(_residuals_formed(lambda: solve_anchor(f, c, d, K))
                for f, c, d, K in deep) >= 2
 
 

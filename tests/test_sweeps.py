@@ -1018,6 +1018,10 @@ def test_failure_reporting_is_search_confirmed():
 def test_mode_validation():
     with pytest.raises(ValueError):
         sweep_lemma("541", "EXHAUSTIVE")
+    # the lemma fixes the mode: a sampled sweep of a lemma with a declared
+    # total used to run
+    with pytest.raises(ValueError, match="swept EXHAUSTIVE"):
+        sweep_lemma("025", "SAMPLED")
     with pytest.raises(ValueError):
         sweep_lemma("007", "BULK")
     with pytest.raises(KeyError):
@@ -1102,9 +1106,9 @@ def test_orbits_that_leave_a_class_raise():
 def test_probe_raises_when_search_finds_a_certificate(monkeypatch):
     # a profile the slot join leaves uncontracted must be anisotropic for
     # the kernel too
-    real = sweeps.decide_isotropy
+    real = sweeps.search_certificate
     monkeypatch.setattr(
-        sweeps, "decide_isotropy", lambda f: replace(real(f), verdict="ISOTROPIC")
+        sweeps, "search_certificate", lambda f: replace(real(f), status="FOUND")
     )
     with pytest.raises(PadicFormsError, match="decided isotropic"):
         minimality_probe("007")

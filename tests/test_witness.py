@@ -7,12 +7,11 @@ import pytest
 
 from padic_forms.errors import CertificateError, HenselError
 from padic_forms.forms import AdditiveForm, reduce_levels
-from padic_forms.ring import RingElem
+from padic_forms.ring import RingElem, solve_anchor
 from padic_forms.solver import decide_isotropy
 from padic_forms.witness import (
     Witness,
     map_to_origin,
-    solve_anchor,
     verify_witness,
 )
 from test_ring import newton_anchor_solve
