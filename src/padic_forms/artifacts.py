@@ -177,8 +177,8 @@ def verify_descent(bf: BlockForm) -> DescentResult:
         reach = {(0, 0, False): ()}
         for i in window:
             step = {}
-            options = [(mul_pair(*coeffs[i], *pv), pv != (0, 0) and levels[i] == lmin, pv)
-                       for pv in pv_opts]
+            options = [(mul_pair(*coeffs[i], *pv, mask + 1),
+                        pv != (0, 0) and levels[i] == lmin, pv) for pv in pv_opts]
             for (acc_a, acc_b, prim), picks in reach.items():
                 for (ta, tb), unit, pv in options:
                     key = ((acc_a + ta) & mask, (acc_b + tb) & mask, prim or unit)

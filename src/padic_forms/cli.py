@@ -95,7 +95,7 @@ def load_form(path: str, precision: int | None = None) -> AdditiveForm:
         return AdditiveForm.from_json(doc)
     except (PrecisionMismatch, DegreeShapeError):
         raise
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:  # nested too deep to decode
         raise ValueError(f"cannot parse form file {path!r}: {exc}") from exc
 
 
@@ -148,7 +148,7 @@ def cmd_witness(args) -> int:
     f = load_form(args.form)
     try:
         w = Witness.from_json(json.loads(_read(args.witness)))
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ValueError(f"cannot parse witness file {args.witness!r}: {exc}") from exc
     ok = verify_witness(f, w)
     _emit({"valid": ok, "targetValuation": w.V, "primitive": w.primitive}, args.out)
@@ -162,7 +162,7 @@ def cmd_certificate(args) -> int:
         if isinstance(doc, dict) and "contraction" in doc:  # `solve`'s output
             doc = doc["contraction"]
         cert = certificate_from_json(doc)
-    except (CertificateError, ValueError, KeyError, TypeError) as exc:
+    except (CertificateError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ValueError(f"cannot parse certificate file {args.certificate!r}: {exc}") from exc
     ok = validate_certificate(f, cert)
     _emit({"valid": ok, "anchor": cert.anchor_leaf, "anchorLevel": cert.anchor_level}, args.out)
@@ -305,16 +305,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="padic-forms", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, verbose=False):
         sp.add_argument("--out", help="write result JSON here instead of stdout")
-        sp.add_argument(
-            "-v", "--verbose", action="store_true", help="include timing fields"
-        )
+        if verbose:  # only the commands that read it
+            sp.add_argument("-v", "--verbose", action="store_true", help="include timing fields")
 
     sp = sub.add_parser("solve", help="decide isotropy of a form file")
     sp.add_argument("form", help="form file, or - for stdin")
     sp.add_argument("--precision", type=int, help="override working precision K")
-    common(sp)
+    common(sp, verbose=True)
     sp.set_defaults(fn=cmd_solve)
 
     sp = sub.add_parser("oracle", help="complete decision by exhaustion")
@@ -350,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("id", help="lemma identifier, e.g. 007 or 541")
     sp.add_argument("--trials", type=int, default=SWEEP_SAMPLES)
     sp.add_argument("--seed", type=int, default=SWEEP_SEED)
-    common(sp)
+    common(sp, verbose=True)
     sp.set_defaults(fn=cmd_lemma)
 
     sp = sub.add_parser("reproduce", help="run the verification battery")
@@ -367,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=int, required=True)
     sp.add_argument("--trials", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=42)
-    common(sp)
+    common(sp, verbose=True)
     sp.set_defaults(fn=cmd_gamma)
     return p
 

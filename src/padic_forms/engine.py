@@ -16,7 +16,9 @@ to confirm.  A leaf may also carry an exponent m: its variable is 2^m
 times a unit, so the leaf stands for the coefficient times 2^(d m).
 Certificates name the caller's form, the root of any derived form, and
 `validate_certificate` checks them against it.  `make_leaf` and
-`contract` build the nodes of a JSON document; flat.py's
+`contract` build the nodes of a JSON document, which
+`certificate_from_json` walks depth first with an explicit stack, so no
+depth of tree meets the interpreter's recursion limit; flat.py's
 `contraction_from_flat` builds the same nodes on int pairs for the
 kernel's solutions, one leaf per pick and two children per contraction,
 and the tests check its trees against these two builders.
@@ -328,9 +330,10 @@ def certificate_from_json(doc: dict) -> ContractionCertificate:
     2^K no int can hold, an unknown or cyclic node id, a leaf that is 0 at
     the precision, a node id, child id, root, `var`, `exp`, value or
     multiplier component or epsilon that is not a whole number (the
-    root's null multiplier and epsilon are never read), a negative `exp`,
-    a multiplier that is not a unit d-th power, a rep's value with
-    another epsilon, a contraction whose recorded value is not its
+    root's null multiplier and epsilon are never read), a kind other than
+    `leaf` and `contraction`, a negative `exp`, a multiplier that is not
+    a unit d-th power, a multiplier whose epsilon is not that of the rep
+    congruent to it mod 8, a contraction whose recorded value is not its
     children's sum) raises CertificateError."""
     try:
         d, K = doc["degree"], doc["precision"]
@@ -351,56 +354,73 @@ def certificate_from_json(doc: dict) -> ContractionCertificate:
         b = whole(pair[1], "certificate multiplier", CertificateError)
         eps = whole(eps, "certificate epsilon", CertificateError)
         key = (a % (1 << K), b % (1 << K))
-        if key in by_value:
-            if eps != by_value[key].epsilon:
-                raise CertificateError(f"multiplier {pair} has epsilon {eps!r}, "
-                                       f"its rep {by_value[key].epsilon}")
-            return by_value[key]
-        val = RingElem(a, b, K)
-        try:
-            root = dth_root(val, d)
-        except (NotAUnit, NotADthPower) as e:
-            raise CertificateError(f"multiplier {pair} is not a unit d-th power: {e}") from None
-        return MultiplierRep(val, root, eps)
+        rep = by_value.get(key)
+        if rep is None:  # a unit d-th power, with the epsilon of its rep mod 8
+            val = RingElem(a, b, K)
+            try:
+                root = dth_root(val, d)
+            except (NotAUnit, NotADthPower) as e:
+                raise CertificateError(f"multiplier {pair} is not a unit d-th power: {e}") from None
+            # unique, since the reps mod 8 form a group (flat.mod8_table)
+            by_code = {r.value.a & 7 | (r.value.b & 7) << 3: r.epsilon for r in ms.reps}
+            rep = MultiplierRep(val, root, by_code[key[0] & 7 | (key[1] & 7) << 3])
+        if eps != rep.epsilon:
+            raise CertificateError(f"multiplier {pair} has epsilon {eps!r}, its rep {rep.epsilon}")
+        return rep
 
-    built: dict[int, VarNode] = {}
-    open_ids: set = set()  # on the current path from the root
+    # depth first on an explicit stack, in a recursive walk's order: each
+    # node's own fields before its children, its multipliers and sum after
+    built: dict[int, VarNode | None] = {}  # None while a contraction is open
+    path: list = []  # the open contractions from the root down: id, record, value, ids, children
+    nid = root_id
+    while True:
+        node = built.get(nid)
+        if node is None:
+            if nid in built:
+                raise CertificateError(f"certificate node {nid!r} is its own descendant")
+            if nid not in raw:
+                raise CertificateError(f"certificate names unknown node {nid!r}")
+            rec = raw[nid]
+            try:
+                value = rec["value"]
+                val = RingElem(whole(value[0], "certificate node value", CertificateError),
+                               whole(value[1], "certificate node value", CertificateError), K)
+                kind = rec["kind"]
+                if kind == "leaf":  # the messages formatted only for a fault
+                    var, exp = rec["var"], rec.get("exp", 0)
+                    if type(var) is not int or type(exp) is not int or exp < 0:
+                        whole(var, f"certificate leaf {nid!r} variable", CertificateError)
+                        whole(exp, f"certificate leaf {nid!r} exponent", CertificateError)
+                        raise CertificateError(f"certificate leaf {nid!r} has exponent {exp!r}")
+                    node = built[nid] = make_leaf(var, val, K, exp)
+                elif kind == "contraction":
+                    path.append((nid, rec, val, iter(rec["children"]), []))
+                    built[nid] = None
+                else:
+                    raise CertificateError(f"certificate node {nid!r} has kind {kind!r}")
+            except (KeyError, IndexError, TypeError) as e:
+                raise CertificateError(f"certificate node {nid!r} is malformed: {e!r}") from None
+        # hand the node to its parent, closing each contraction whose
+        # children are all built, until one has a child left to build
+        while True:
+            if node is not None:
+                if not path:
+                    return _certificate_from(node, [built[i] for i in sorted(built)], d, K)
+                path[-1][4].append(node)
+            c = next(path[-1][3], _END)
+            if c is not _END:
+                nid = whole(c, "certificate node child", CertificateError)
+                break
+            pid, rec, val, _, children = path.pop()
+            try:
+                choices = tuple([recover(raw[c]["multiplier"], raw[c]["epsilon"])
+                                 for c in rec["children"]])
+                node = built[pid] = contract(tuple(children), choices, pid)
+            except (KeyError, IndexError, TypeError) as e:
+                raise CertificateError(f"certificate node {pid!r} is malformed: {e!r}") from None
+            if node.value != val:
+                raise CertificateError(f"certificate node {pid!r} records {rec['value']}, "
+                                       f"its children sum to {[node.value.a, node.value.b]}")
 
-    def build(nid: int) -> VarNode:
-        if nid in built:
-            return built[nid]
-        if nid not in raw:
-            raise CertificateError(f"certificate names unknown node {nid!r}")
-        if nid in open_ids:
-            raise CertificateError(f"certificate node {nid!r} is its own descendant")
-        rec = raw[nid]
-        open_ids.add(nid)
-        try:
-            value = rec["value"]
-            val = RingElem(whole(value[0], "certificate node value", CertificateError),
-                           whole(value[1], "certificate node value", CertificateError), K)
-            if rec["kind"] == "leaf":
-                var = whole(rec["var"], f"certificate leaf {nid!r} variable", CertificateError)
-                exp = whole(rec.get("exp", 0), f"certificate leaf {nid!r} exponent", CertificateError)
-                if exp < 0:
-                    raise CertificateError(f"certificate leaf {nid!r} has exponent {exp!r}")
-                node = make_leaf(var, val, K, exp)
-            else:
-                children = tuple(build(whole(c, "certificate node child", CertificateError))
-                                 for c in rec["children"])
-                choices = tuple(
-                    recover(raw[c]["multiplier"], raw[c]["epsilon"])
-                    for c in rec["children"]
-                )
-                node = contract(children, choices, nid)
-                if node.value != val:
-                    raise CertificateError(f"certificate node {nid!r} records {rec['value']}, "
-                                           f"its children sum to {[node.value.a, node.value.b]}")
-        except (KeyError, IndexError, TypeError) as e:
-            raise CertificateError(f"certificate node {nid!r} is malformed: {e!r}") from None
-        open_ids.discard(nid)
-        built[nid] = node
-        return node
 
-    root = build(root_id)
-    return _certificate_from(root, [built[i] for i in sorted(built)], d, K)
+_END = object()  # the end of a contraction's children

@@ -14,8 +14,9 @@ with
 so a zero of the reduced form maps back to a zero of the original (its
 root) via x_j = 2^(N - e_j) * y_j with N = max e_j over the variables
 used.  The rotation `normalize` also multiplies the form by 2^t and
-records t as the frame's scale `scale_log`; only it writes a scale, and
-the deciders read none: they decide the root.
+records t as the frame's scale `scale_log`.  One builder, `_reframe`,
+writes every frame, reduced and rotated alike, and only it writes a
+scale; the deciders read none: they decide the root.
 """
 
 from __future__ import annotations
@@ -41,24 +42,17 @@ def whole(x, what: str, error: type = ValueError) -> int:
 class AdditiveForm:
     __slots__ = ("d", "coeffs", "windows", "scale_log", "subst_log", "origin", "_levels", "K", "s")
 
-    def __init__(
-        self,
-        d: int,
-        coeffs: tuple[RingElem, ...],
-        *,
-        windows: tuple[int, ...] | None = None,
-        subst_log: tuple[int, ...] | None = None,
-        origin: "AdditiveForm | None" = None,
-    ):
+    def __init__(self, d: int, coeffs: tuple[RingElem, ...], *,
+                 windows: tuple[int, ...] | None = None):
+        """A root form, with no substitution and no scale: `_reframe`
+        builds every frame."""
         check_degree_shape(d)
         coeffs = tuple(coeffs)
         assert len(coeffs) >= 1
-        K = coeffs[0].K
+        K, s = coeffs[0].K, len(coeffs)
         if windows is None:
-            windows = (K,) * len(coeffs)
-        if subst_log is None:
-            subst_log = (0,) * len(coeffs)
-        assert len(windows) == len(coeffs) == len(subst_log)
+            windows = (K,) * s
+        assert len(windows) == s
         levels = []
         for c, w in zip(coeffs, windows):
             if c.K != K:
@@ -68,14 +62,12 @@ class AdditiveForm:
             lvl = (x & -x).bit_length() - 1 if x else INFINITE
             if lvl >= w:
                 raise PrecisionMismatch(
-                    f"coefficient {c} indistinguishable from 0 in its trusted window"
-                )
+                    f"coefficient {c} indistinguishable from 0 in its trusted window")
             levels.append(lvl)
         # K (the storage precision) and s (the variable count) are read on
-        # every hot path, so they are stored rather than derived; the scale
-        # is 0, since only `_shift` writes one
-        for setter, x in zip(_SETTERS, (d, coeffs, windows, 0, subst_log, origin,
-                                        tuple(levels), K, len(coeffs))):
+        # every hot path, so they are stored rather than derived
+        for setter, x in zip(_SETTERS, (d, coeffs, windows, 0, (0,) * s, None,
+                                        tuple(levels), K, s)):
             setter(self, x)
 
     def __setattr__(self, *_):
@@ -170,80 +162,65 @@ def parse_form_text(text: str) -> dict:
 _SETTERS = tuple(getattr(AdditiveForm, name).__set__ for name in AdditiveForm.__slots__)
 
 
+class _Draft(AdditiveForm):
+    """AdditiveForm's layout with plain slot writes, three times faster than
+    the descriptors': `_reframe` fills one, then assigns it AdditiveForm."""
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+
+
 # ---------------------------------------------------------------------------
 # transformations
 
 
 def reduce_levels(f: AdditiveForm) -> AdditiveForm:
     """Bring every level into [0, d) by folding 2^(id) factors into the
-    variable substitutions.  A coefficient that needs reduction but whose
-    level reaches K - d is rejected: after division fewer than d digits
-    would remain trusted."""
-    if f.is_reduced():
-        return f
-    d = f.d
-    coeffs = []
-    windows = []
-    subst = []
-    for c, w, e, lvl in zip(f.coeffs, f.windows, f.subst_log, f.levels()):
-        if lvl < d:
-            coeffs.append(c)
-            windows.append(w)
-            subst.append(e)
-            continue
-        if lvl >= w - d:
-            raise PrecisionMismatch(
-                f"coefficient {c} at level {lvl} is too close to the trusted "
-                f"window 2^{w} to reduce"
-            )
-        i = lvl // d
-        coeffs.append(RingElem(c.a >> (i * d), c.b >> (i * d), c.K))
-        windows.append(w - i * d)
-        subst.append(e + i)
-    return AdditiveForm(
-        d,
-        tuple(coeffs),
-        windows=tuple(windows),
-        subst_log=tuple(subst),
-        origin=f.root(),
-    )
+    variable substitutions: `_reframe(f, 0)`, or f itself when it is
+    already reduced."""
+    return f if f.is_reduced() else _reframe(f, 0)
 
 
-def _shift(f: AdditiveForm, t: int) -> AdditiveForm:
-    """The reduced form f times 2^t, t in [0, d), re-reduced: every level
-    goes to (level + t) mod d.  Isotropy-equivalent; the frame's scale
-    grows by t."""
-    if t == 0:
-        return f
-    d = f.d
-    K = f.K
+def _reframe(f: AdditiveForm, t: int) -> AdditiveForm:
+    """f times 2^t, t in [0, d), with every level l brought to (l + t) mod d
+    by the substitution x -> 2^i x, i = (l + t) div d: the one builder of
+    a frame.  The coefficient moves by t - d i digits, its window with it
+    (capped at K), its substitution grows by i and the frame's scale by t.
+    Refused: a level at or above d that reaches w - d, w its window (after
+    division fewer than d digits would remain trusted), and a coefficient
+    that a left shift takes out of K."""
+    d, K = f.d, f.K
     mask = (1 << K) - 1
-    down = d - t  # a level reaching d wraps round: divide by 2^(d - t) instead
-    coeffs = []
-    windows = []
-    subst = []
-    levels = []
-    # the coefficients are built past the RingElem constructor: a right
-    # shift of a reduced value stays reduced, a left shift is masked
+    coeffs, windows, subst, levels = [], [], [], []
+    # coefficients built past the RingElem constructor: a right shift of an
+    # exactly divisible reduced value stays reduced, a left shift is masked
     for c, w, e, lvl in zip(f.coeffs, f.windows, f.subst_log, f._levels):
-        if lvl >= down:  # lvl + t reaches d, and the rep stays exactly divisible
-            coeffs.append(reduced_elem(c.a >> down, c.b >> down, K))
-            windows.append(w - down)
-            subst.append(e + 1)
-            levels.append(lvl - down)
-        elif lvl + t < K:
-            coeffs.append(reduced_elem((c.a << t) & mask, (c.b << t) & mask, K))
-            windows.append(w + t if w + t < K else K)
-            subst.append(e)
-            levels.append(lvl + t)
-        else:  # the constructor's refusal of a coefficient that shifted out
-            raise PrecisionMismatch("coefficient 0 indistinguishable from 0 in its trusted window")
+        q = lvl + t
+        if q < d:  # i = 0: times 2^t
+            if q >= K:  # the constructor's refusal of a coefficient shifted out
+                raise PrecisionMismatch(
+                    "coefficient 0 indistinguishable from 0 in its trusted window")
+            c = reduced_elem((c.a << t) & mask, (c.b << t) & mask, K)
+            w = w + t if w + t < K else K
+        else:
+            if lvl >= d and lvl >= w - d:
+                raise PrecisionMismatch(f"coefficient {c} at level {lvl} is too close to "
+                                        f"the trusted window 2^{w} to reduce")
+            i = q // d
+            q -= d * i
+            down = lvl - q  # over 2^(d i - t), exactly
+            c = reduced_elem(c.a >> down, c.b >> down, K)
+            w -= down
+            e += i
+        coeffs.append(c)
+        windows.append(w)
+        subst.append(e)
+        levels.append(q)
     # built past the constructor: the levels follow from f's, and every
     # window stays in 1..K above its level, the constructor's other checks
-    g = object.__new__(AdditiveForm)
-    for setter, x in zip(_SETTERS, (d, tuple(coeffs), tuple(windows), f.scale_log + t,
-                                    tuple(subst), f.root(), tuple(levels), K, f.s)):
-        setter(g, x)
+    g = object.__new__(_Draft)
+    g.d, g.coeffs, g.windows, g.scale_log = d, tuple(coeffs), tuple(windows), f.scale_log + t
+    g.subst_log, g.origin, g._levels, g.K, g.s = tuple(subst), f.root(), tuple(levels), K, f.s
+    g.__class__ = AdditiveForm
     return g
 
 
@@ -253,20 +230,22 @@ def normalize(f: AdditiveForm) -> tuple[AdditiveForm, int]:
     Shifting by t starts the counts at level p = -t mod d; by the cycle
     lemma the valid p are those of least prefix sum of d * count - s, so
     one exists.  The smallest t wins: 0 if p = 0 is valid, else d minus
-    the largest valid p.  A form with a level at or above d is reduced
-    first: counting the levels finds such a level, so a form already
-    reduced costs no separate check."""
+    the largest valid p.  The levels are counted mod d, so a form with a
+    level at or above d is reduced and rotated in one frame."""
     d, s = f.d, f.s
-    counts = [0] * d
+    mass = [0] * d  # d times each level's count
+    reduced = True
     try:
         for lvl in f._levels:
-            counts[lvl] += 1
-    except IndexError:
-        return normalize(reduce_levels(f))
+            mass[lvl] += d
+    except IndexError:  # a level at or above d: count every level mod d
+        mass, reduced = [0] * d, False
+        for lvl in f._levels:
+            mass[lvl % d] += d
     pref = low = start = 0
     for p in range(1, d):
-        pref += d * counts[p - 1] - s
+        pref += mass[p - 1] - s
         if pref < low or (pref == low and start):
             low, start = pref, p
     t = -start % d
-    return _shift(f, t), t
+    return (f if t == 0 and reduced else _reframe(f, t)), t

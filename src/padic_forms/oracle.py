@@ -335,7 +335,8 @@ def decide_isotropy_exhaustive(f: AdditiveForm) -> OracleDecision:
         )
     K = g.K
     vals = [RingElem(x.a, x.b, K) for x in zs.assignment]
-    terms = [mul_pair(c.a, c.b, *pow_pair(x.a, x.b, g.d, 1 << K))
+    mod = 1 << K
+    terms = [mul_pair(c.a, c.b, *pow_pair(x.a, x.b, g.d, mod), mod)
              for c, x in zip(g.coeffs, vals)]
     anchor = terms.pop(zs.anchor)
     rest = (sum(t[0] for t in terms), sum(t[1] for t in terms))

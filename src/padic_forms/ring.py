@@ -83,14 +83,13 @@ F4.A1 = F4(3)
 # raw pair helpers (used by hot loops that skip RingElem allocation)
 
 
-def mul_pair(a: int, b: int, c: int, d: int, mod: int | None = None):
-    """(a + b*w)(c + d*w) = (ac + bd) + (ad + bc + bd) w, from w^2 = w + 1."""
+def mul_pair(a: int, b: int, c: int, d: int, mod: int):
+    """(a + b*w)(c + d*w) = (ac + bd) + (ad + bc + bd) w, from w^2 = w + 1,
+    modulo mod, a power of 2."""
+    assert mod > 0 and not mod & (mod - 1), "mod a power of 2"
+    mask = mod - 1
     bd = b * d
-    x = a * c + bd
-    y = a * d + b * c + bd
-    if mod is None:
-        return x, y
-    return x % mod, y % mod
+    return (a * c + bd) & mask, (a * d + b * c + bd) & mask
 
 
 def pow_pair(a: int, b: int, e: int, mod: int):

@@ -12,6 +12,7 @@ import padic_forms
 from padic_forms import cli
 from padic_forms.artifacts import named_form
 from padic_forms.ring import RingElem
+from test_engine import chain_certificate
 
 try:
     import tomllib
@@ -298,6 +299,79 @@ def test_certificate_verify_non_integer_field_exit64(tmp_path, capsys, field):
     code, out, err = run(["certificate", "verify", str(form), str(path)], capsys)
     assert code == 64 and out == ""
     assert "cannot parse certificate file" in err and "must be an integer" in err
+
+
+def test_certificate_verify_refuses_a_bogus_kind_and_a_foreign_epsilon(tmp_path, capsys):
+    # both used to be reported valid (exit 0).  9 = 1 mod 8 is a sixth
+    # power and the root 1 + 7 * 9 = 64 vanishes mod 8, but 9's rep mod 8
+    # is 1, whose epsilon is 0; a kind other than leaf read as contraction
+    form = tmp_path / "f.txt"
+    form.write_text("d=6; K=10; 1, 7\n")
+    res = tmp_path / "res.json"
+    assert run(["solve", str(form), "--out", str(res)], capsys)[0] == 0
+    doc = json.loads(res.read_text())
+    for name in ("epsilon", "kind"):
+        bad = json.loads(json.dumps(doc))
+        leaf1, top = bad["contraction"]["nodes"][1:]
+        if name == "epsilon":
+            leaf1.update(multiplier=[9, 0], epsilon=7)
+            top["value"] = [64, 0]
+        else:
+            top["kind"] = "bogus"
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(bad))
+        for flags in ([], ["-O"]):
+            proc = fresh_process([sys.executable, *flags, "-m", "padic_forms",
+                                  "certificate", "verify", str(form), str(path)])
+            assert proc.returncode == 64 and proc.stdout == "", (name, flags, proc.stdout)
+            assert "cannot parse certificate file" in proc.stderr, (name, flags)
+            assert proc.stderr.count("\n") == 1, (name, flags)
+
+
+def test_certificate_verify_reads_a_deep_chain(tmp_path, capsys):
+    # 2,000 contractions deep: the recursive reader died with a
+    # RecursionError traceback and exit 1, the "check failed" code
+    form = tmp_path / "ones.json"
+    form.write_text(json.dumps({"degree": 6, "precision": 10, "coeffs": [[1, 0]] * 2000}))
+    cert = tmp_path / "chain.json"
+    cert.write_text(json.dumps(chain_certificate(2000)))
+    code, out, err = run(["certificate", "verify", str(form), str(cert)], capsys)
+    assert code == 1 and json.loads(out)["valid"] is False and err == ""
+
+
+DEEP = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "deep-form.json"],
+    ["witness", "verify", "f.txt", "deep.json"],
+    ["certificate", "verify", "f.txt", "deep.json"],
+], ids=["solve", "witness", "certificate"])
+def test_deeply_nested_json_is_unreadable_input(tmp_path, capsys, argv):
+    # the decoder's RecursionError used to escape as a traceback with
+    # exit 1, the ANISOTROPIC (or "check failed") code
+    (tmp_path / "f.txt").write_text("d=6; 1, 7\n")
+    (tmp_path / "deep-form.json").write_text('{"degree": ' + DEEP + "}")
+    (tmp_path / "deep.json").write_text(DEEP)
+    argv = [str(tmp_path / a) if (tmp_path / a).exists() else a for a in argv]
+    code, out, err = run(argv, capsys)
+    assert code == 64 and out == "" and "cannot parse" in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "f.txt", "-v"],
+    ["witness", "verify", "f.txt", "w.json", "--verbose"],
+    ["certificate", "verify", "f.txt", "c.json", "-v"],
+], ids=["oracle", "witness", "certificate"])
+def test_verbose_is_refused_where_no_timing_is_printed(argv, capsys):
+    # it used to be accepted and change no byte of the output
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 64 and "unrecognized arguments" in capsys.readouterr().err
+    parser = cli.build_parser()
+    for argv in (["solve", "f.txt", "-v"], ["lemma", "probe", "025", "-v"],
+                 ["gamma", "--d", "6", "--s", "1", "-v"]):
+        assert parser.parse_args(argv).verbose is True
 
 
 @pytest.mark.parametrize("field, value", [

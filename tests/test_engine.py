@@ -447,7 +447,7 @@ def _malformed_certificate_docs() -> dict:
     docs = {}
     cases = ("zero leaf", "unknown root", "unknown child", "missing kind", "cycle",
              "multiplier not a sixth power", "multiplier not a unit", "flipped epsilon",
-             "leaf value off its parent's")
+             "leaf value off its parent's", "unknown kind", "epsilon off its rep's mod 8")
     for case in cases:
         doc = json.loads(json.dumps(good))
         nodes = {n["id"]: n for n in doc["nodes"]}
@@ -469,10 +469,69 @@ def _malformed_certificate_docs() -> dict:
             leaf["epsilon"] = 1 - leaf["epsilon"]
         elif case == "leaf value off its parent's":
             leaf["value"][0] += 8
+        elif case == "unknown kind":
+            root["kind"] = "bogus"  # read as a contraction, it is one
+        elif case == "epsilon off its rep's mod 8":
+            # 9 = 1 mod 8, a sixth power whose rep 1 has epsilon 0; the
+            # root records the sum the new multiplier gives
+            assert leaf["multiplier"] == [1, 0] and leaf["id"] in root["children"]
+            leaf["multiplier"], leaf["epsilon"] = [9, 0], 7
+            root["value"] = [x + 8 * v for x, v in zip(root["value"], leaf["value"])]
         else:
             root["children"][0] = root["id"]
         docs[case] = doc
     return docs
+
+
+def test_a_malformed_document_raises_what_it_raised_through_recursion():
+    # the reader walks depth first as the recursive reader did, each
+    # node's own fields before its children, the multipliers and sum after
+    # them: a document with two faults reports the one met first
+    doc = certificate_to_json(
+        search_certificate(form(6, [(1, 0), (7, 0), (1, 0), (1, 0)])).certificate)
+    nodes = {n["id"]: n for n in doc["nodes"]}
+    first, second = (nodes[c] for c in nodes[doc["root"]]["children"])
+    first["value"], second["var"] = [0, 0], "x"
+    with pytest.raises(CertificateError, match="level 10 is not below its window"):
+        certificate_from_json(doc)
+    first["value"], first["multiplier"] = [1, 0], [3, 0]
+    with pytest.raises(CertificateError, match="leaf 1 variable must be an integer"):
+        certificate_from_json(doc)
+    second["var"] = 1
+    with pytest.raises(CertificateError, match="not a unit d-th power"):
+        certificate_from_json(doc)
+
+
+def chain_certificate(n: int) -> dict:
+    """A contraction chain over n variables, d = 6, K = 10: each
+    contraction joins the previous node and a new leaf and records its
+    children's sum.  Leaf 0 records 1 times the rep 125, every other leaf
+    w, so each partial sum is 1 or 1 + w mod 2, a unit; against the form
+    of n ones the root is 125 + (n - 1), not 0 mod 8 for n = 2000."""
+    K = 10
+    mask = (1 << K) - 1
+    nodes = [{"id": 0, "kind": "leaf", "value": [1, 0], "var": 0,
+              "multiplier": [125, 0], "epsilon": 1}]
+    total = (125, 0)
+    prev = 0
+    for j in range(1, n):
+        nodes.append({"id": j, "kind": "leaf", "value": [0, 1], "var": j,
+                      "multiplier": [1, 0], "epsilon": 0})
+        total = (total[0], (total[1] + 1) & mask)
+        node = {"id": n + j, "kind": "contraction", "value": list(total),
+                "children": [prev, j], "multiplier": [1, 0], "epsilon": 0}
+        nodes.append(node)
+        prev = n + j
+    node["multiplier"] = node["epsilon"] = None
+    return {"kind": "contraction", "degree": 6, "precision": K, "root": prev, "nodes": nodes}
+
+
+def test_a_deep_chain_is_read_without_recursion():
+    # 2,000 levels of contractions, twice the interpreter's recursion limit
+    f = form(6, [(1, 0)] * 2000)
+    cert = certificate_from_json(chain_certificate(2000))
+    assert len(cert.nodes) == 3999 and cert.anchor_level == 0
+    assert not validate_certificate(f, cert)
 
 
 @pytest.mark.parametrize("case", list(_malformed_certificate_docs()))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from padic_forms.errors import PrecisionMismatch
 from padic_forms.forms import (
     AdditiveForm,
-    _shift,
+    _reframe,
     default_precision,
     normalize,
     parse_form_text,
@@ -27,7 +27,7 @@ def rotated(f, t):
     applies), built as a root form of its own: isotropy-equivalent to f,
     and what the deciders decide as it is, where they would decide the
     root f of the rotated frame."""
-    g = _shift(reduce_levels(f), t % f.d)
+    g = _reframe(reduce_levels(f), t % f.d)
     return AdditiveForm(f.d, g.coeffs, windows=g.windows)
 
 
@@ -75,7 +75,7 @@ def test_cached_levels_match_valuations():
         red = reduce_levels(f)
         check(red)
         for t in range(d):
-            check(_shift(red, t))
+            check(_reframe(red, t))
         check(normalize(f)[0])
 
 
@@ -122,12 +122,12 @@ def test_low_levels_near_window_edge_are_fine():
 
 
 # --- shifts ----------------------------------------------------------------
-# `_shift` is the rotation `normalize` applies; only it writes a scale
+# `_reframe(f, t)`, t > 0, is the rotation `normalize` applies; only it writes a scale
 
 
 def test_shift_levels_wrap():
     f = form(6, [(1, 0), (1, 0), (32, 0)], 12)
-    g = _shift(f, 1)
+    g = _reframe(f, 1)
     assert g.levels() == (1, 1, 0)
     assert g.scale_log == 1
     assert g.subst_log == (0, 0, 1)
@@ -135,18 +135,18 @@ def test_shift_levels_wrap():
 
 def test_shift_full_cycle_is_level_identity():
     f = form(6, [(1, 0), (4, 0), (16, 0)], 12)
-    g = _shift(_shift(f, 2), 4)
+    g = _reframe(_reframe(f, 2), 4)
     assert g.levels() == f.levels() and g.scale_log == 6
 
 
 def test_shift_by_two():
     f = form(6, [(1, 0), (4, 0), (16, 0)], 12)
-    assert _shift(f, 2).levels() == (2, 4, 0)
+    assert _reframe(f, 2).levels() == (2, 4, 0)
 
 
 def test_shift_window_erosion():
     f = form(6, [(1, 0), (32, 0)], 10)
-    g = _shift(f, 1)
+    g = _reframe(f, 1)
     assert g.levels() == (1, 0)
     assert g.windows == (10, 5)  # wrapped variable lost d - t digits
 
@@ -155,7 +155,7 @@ def test_shift_refuses_a_coefficient_shifted_out():
     # at K = 3 a level-2 coefficient times 2 is 0 in its window
     f = form(6, [(1, 0), (4, 0)], 3)
     with pytest.raises(PrecisionMismatch, match="coefficient 0 indistinguishable from 0"):
-        _shift(f, 1)
+        _reframe(f, 1)
 
 
 @given(
@@ -164,8 +164,57 @@ def test_shift_refuses_a_coefficient_shifted_out():
 )
 def test_shift_roundtrip_level_multiset(levels, t):
     f = form(6, [(1 << lvl, 0) for lvl in levels], 16)
-    g = _shift(_shift(f, t), (6 - t) % 6)
+    g = _reframe(_reframe(f, t), (6 - t) % 6)
     assert sorted(g.levels()) == sorted(f.levels())
+
+
+@st.composite
+def frame_cases(draw):
+    """A root form of degree d at levels 0..3d - 1 below its precision K,
+    reframed by t0 or left as it is, and the t it is reframed by next."""
+    d = draw(st.sampled_from((2, 6, 10, 14)))
+    K = draw(st.integers(1, 4 * d))
+    pairs = []
+    for _ in range(draw(st.integers(1, 8))):
+        lvl = draw(st.integers(0, min(3 * d, K) - 1))
+        a, b = draw(st.sampled_from(((1, 0), (0, 1), (1, 1))))
+        high = draw(st.integers(0, (1 << K) - 1)) << 1
+        pairs.append((((a | high) << lvl) % (1 << K), ((b | high) << lvl) % (1 << K)))
+    f = form(d, pairs, K)
+    t0 = draw(st.none() | st.integers(0, d - 1))
+    if t0 is not None:
+        try:
+            f = _reframe(f, t0)
+        except PrecisionMismatch:
+            pass
+    return f, draw(st.integers(0, d - 1))
+
+
+@given(frame_cases())
+def test_reframe_satisfies_the_frame_relations(case):
+    # each coefficient at level l in a window w goes to level (l + t) mod d,
+    # its substitution grows by i = (l + t) div d, its window becomes
+    # min(w + t - d i, K), and coeff * 2^(d e) = root coeff * 2^scale in
+    # O/2^K, e the variable's whole substitution; refused exactly when a
+    # level at or above d reaches w - d or a level below d - t reaches K - t
+    f, t = case
+    d, K, root = f.d, f.K, f.root()
+    refused = any(lvl >= d and lvl >= w - d or lvl + t < d and lvl + t >= K
+                  for lvl, w in zip(f.levels(), f.windows))
+    if refused:
+        with pytest.raises(PrecisionMismatch):
+            _reframe(f, t)
+        return
+    g = _reframe(f, t)
+    assert g.root() is root and g.scale_log == f.scale_log + t and g.K == K
+    for j, (lvl, w) in enumerate(zip(f.levels(), f.windows)):
+        i = (lvl + t) // d
+        assert g.levels()[j] == (lvl + t) % d == g.coeffs[j].valuation()
+        assert g.subst_log[j] == f.subst_log[j] + i
+        assert g.windows[j] == min(w + t - d * i, K)
+        cur, orig, e = g.coeffs[j], root.coeffs[j], g.subst_log[j]
+        assert (RingElem(cur.a << d * e, cur.b << d * e, K)
+                == RingElem(orig.a << g.scale_log, orig.b << g.scale_log, K))
 
 
 def test_frame_relation_holds():

@@ -636,6 +636,17 @@ def test_mul_pair_matches_elem():
     assert mul_pair(17, 9, 40, 3, 128) == ((x * y).a, (x * y).b)
 
 
+def test_mul_pair_has_one_masked_path():
+    # the modulus is required and a power of 2, as pow_pair's; negative
+    # components reduce as they would by %
+    with pytest.raises(TypeError):
+        mul_pair(17, 9, 40, 3)
+    with pytest.raises(AssertionError):
+        mul_pair(17, 9, 40, 3, 96)
+    a, b, c, d = -17, 9, 40, -3
+    assert mul_pair(a, b, c, d, 128) == ((a * c + b * d) % 128, (a * d + b * c + b * d) % 128)
+
+
 @given(
     st.integers(0, 255),
     st.integers(0, 255),
