@@ -15,8 +15,9 @@ the unseen digits; validation recomputes the tree with exact arithmetic
 to confirm.  A leaf may also carry an exponent m: its variable is 2^m
 times a unit, so the leaf stands for the coefficient times 2^(d m).
 Certificates name the caller's form, the root of any derived form, and
-`validate_certificate` checks them against it.  `make_leaf` and
-`contract` build the nodes of a JSON document, which
+`validate_certificate` checks them against it, the one check that no
+variable or node is used twice: no node keeps the variables below it.
+`make_leaf` and `contract` build the nodes of a JSON document, which
 `certificate_from_json` walks depth first with an explicit stack, so no
 depth of tree meets the interpreter's recursion limit; flat.py's
 `contraction_from_flat` builds the same nodes on int pairs for the
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import CertificateError, NotADthPower, NotAUnit
+from .errors import CertificateError, DegreeShapeError, NotADthPower, NotAUnit
 from .forms import AdditiveForm, whole
 from .ring import INFINITE, MultiplierRep, RingElem, dth_root, multiplier_set, pow_pair
 
@@ -51,7 +52,6 @@ class VarNode(NamedTuple):
     J: int
     level: int | None
     kappa: int
-    leaves: frozenset
     kind: str  # "leaf" | "contraction"
     var: int | None = None
     children: tuple = ()
@@ -74,28 +74,24 @@ def make_leaf(var_index: int, coeff: RingElem, window: int, exp: int = 0) -> Var
     lvl = (x & -x).bit_length() - 1 if x else coeff.K
     if not lvl < window <= coeff.K:
         raise CertificateError(f"leaf {var_index}: level {lvl} is not below its window {window}")
-    return VarNode(var_index, coeff, min(window, lvl + 3), lvl, lvl,
-                   frozenset((var_index,)), "leaf", var_index, (), (), exp)
+    return VarNode(var_index, coeff, min(window, lvl + 3), lvl, lvl, "leaf", var_index, (), (), exp)
 
 
 def contract(children: tuple, choices: tuple, new_id: int) -> VarNode:
     """Combine nodes at one shared level into a new node with value
-    sum(child * choice), trusted to the children's least window.
-    Children must be leaf-disjoint: their leaf sets' union must count
-    every child's leaves."""
+    sum(child * choice), trusted to the children's least window.  The
+    children need not be disjoint here: a variable or node used twice is
+    `validate_certificate`'s refusal."""
     if len(children) < 2 or len(children) != len(choices):
         raise CertificateError("contraction needs >= 2 children with choices")
     first = children[0]
     lvl0, J, kappa = first.level, first.J, first.kappa
-    seen: frozenset = frozenset()
     ids = []
-    count = ta = tb = 0
+    ta = tb = 0
     for c, ch in zip(children, choices):
         if c.level is None or c.level != lvl0:
             raise CertificateError("children must share a determined level")
         ids.append(c.id)
-        seen |= c.leaves
-        count += len(c.leaves)
         v, r = c.value, ch.value  # the product as in mul_pair, inline
         bd = v.b * r.b
         ta += v.a * r.a + bd
@@ -104,13 +100,10 @@ def contract(children: tuple, choices: tuple, new_id: int) -> VarNode:
             J = c.J
         if c.kappa < kappa:
             kappa = c.kappa
-    if len(seen) != count:
-        raise CertificateError("children overlap in original variables")
     value = RingElem(ta, tb, first.value.K)
     x = (value.a | value.b) & ((1 << J) - 1)  # the level inside the window
     lvl = (x & -x).bit_length() - 1 if x else None
-    return VarNode(new_id, value, J, lvl, kappa, seen,
-                   "contraction", None, tuple(ids), choices)
+    return VarNode(new_id, value, J, lvl, kappa, "contraction", None, tuple(ids), choices)
 
 
 # ---------------------------------------------------------------------------
@@ -198,22 +191,23 @@ def validate_certificate(f: AdditiveForm, cert: ContractionCertificate) -> bool:
     coefficient times 2^(d m): its level is the coefficient's plus d m and
     it is trusted only to the coefficient's window plus d m.  Values are
     computed mod 2^max(K, anchor + 3), K the root form's precision.  Also
-    refused: a structural defect, a node that is not exactly one node's
-    child (the root excepted), a multiplier that is not a unit d-th power,
-    a negative exponent, a leaf whose trusted window stops below
-    anchor + 3, and a contraction whose recorded value is not the sum of
-    its children's recorded values times their multipliers.  The leaves'
+    refused: a degree other than the form's, a structural defect, a
+    variable with two leaves, a node that is not exactly one node's child
+    (the root excepted), a multiplier that is not a unit d-th power, a
+    negative exponent, a leaf whose trusted window stops below anchor + 3,
+    and a contraction whose recorded value is not the sum of its
+    children's recorded values times their multipliers.  The leaves'
     recorded values are not compared with the form's coefficients: the
     tree proves every form it recomputes to a zero."""
+    root = f.root()
+    d = root.d
     nmap = cert.node_map()
-    if cert.root not in nmap:
+    if cert.d != d or cert.root not in nmap:
         return False
     try:
         order = _collect_tree(nmap[cert.root], nmap)
     except KeyError:
         return False
-    root = f.root()
-    d = root.d
     coeffs, levels, windows, s = root.coeffs, root.levels(), root.windows, root.s
     powers = _unit_powers_mod8(d)
     values: dict[int, tuple[int, int]] = {}  # exact node values as int pairs
@@ -325,33 +319,39 @@ def certificate_to_json(cert: ContractionCertificate) -> dict:
 
 def certificate_from_json(doc: dict) -> ContractionCertificate:
     """Rebuild a certificate through `make_leaf` and `contract`; a leaf's
-    `exp` defaults to 0.  A malformed document (a missing or mistyped
-    field, a precision K that is not a whole number at least 1 or whose
-    2^K no int can hold, an unknown or cyclic node id, a leaf that is 0 at
-    the precision, a node id, child id, root, `var`, `exp`, value or
-    multiplier component or epsilon that is not a whole number (the
-    root's null multiplier and epsilon are never read), a kind other than
-    `leaf` and `contraction`, a negative `exp`, a multiplier that is not
-    a unit d-th power, a multiplier whose epsilon is not that of the rep
-    congruent to it mod 8, a contraction whose recorded value is not its
-    children's sum) raises CertificateError."""
+    `exp` defaults to 0.  A malformed document raises CertificateError: a
+    missing or mistyped field, a degree not 2m with m odd, a precision K
+    below 1 or whose 2^K no int can hold, an unknown, cyclic or repeated
+    node id, a leaf 0 at the precision, a value or multiplier that is not
+    a pair, a node id, child id, root, `var`, `exp`, value or multiplier
+    component or epsilon that is not a whole number (the root's null
+    multiplier and epsilon are never read), a kind other than `leaf` and
+    `contraction`, a negative `exp`, a multiplier that is not a unit d-th
+    power or whose epsilon is not that of its rep mod 8, a contraction
+    whose recorded value is not its children's sum.  A tree that uses a
+    variable or a node twice is read: `validate_certificate` refuses it."""
     try:
-        d, K = doc["degree"], doc["precision"]
-        raw = {whole(rec["id"], "certificate node id", CertificateError): rec for rec in doc["nodes"]}
+        d, K, recs = doc["degree"], doc["precision"], doc["nodes"]
+        raw = {whole(rec["id"], "certificate node id", CertificateError): rec for rec in recs}
         root_id = whole(doc["root"], "certificate root", CertificateError)
     except KeyError as e:
         raise CertificateError(f"certificate document lacks {e}") from None
+    if len(raw) != len(recs):
+        raise CertificateError("certificate lists a node id twice")
     if whole(K, "certificate precision", CertificateError) < 1:
         raise CertificateError(f"certificate precision must be an integer at least 1, got {K!r}")
     try:
-        ms = multiplier_set(d, K)
+        ms = multiplier_set(whole(d, "certificate degree", CertificateError), K)
     except OverflowError:  # 2^K has more digits than an int can hold
         raise CertificateError(f"certificate precision {K} is too large to hold") from None
+    except DegreeShapeError as e:
+        raise CertificateError(f"certificate {e}") from None
     by_value = {(r.value.a, r.value.b): r for r in ms.reps}
 
     def recover(pair, eps) -> MultiplierRep:
-        a = whole(pair[0], "certificate multiplier", CertificateError)
-        b = whole(pair[1], "certificate multiplier", CertificateError)
+        a, b = pair
+        a = whole(a, "certificate multiplier", CertificateError)
+        b = whole(b, "certificate multiplier", CertificateError)
         eps = whole(eps, "certificate epsilon", CertificateError)
         key = (a % (1 << K), b % (1 << K))
         rep = by_value.get(key)
@@ -382,9 +382,9 @@ def certificate_from_json(doc: dict) -> ContractionCertificate:
                 raise CertificateError(f"certificate names unknown node {nid!r}")
             rec = raw[nid]
             try:
-                value = rec["value"]
-                val = RingElem(whole(value[0], "certificate node value", CertificateError),
-                               whole(value[1], "certificate node value", CertificateError), K)
+                a, b = rec["value"]
+                val = RingElem(whole(a, "certificate node value", CertificateError),
+                               whole(b, "certificate node value", CertificateError), K)
                 kind = rec["kind"]
                 if kind == "leaf":  # the messages formatted only for a fault
                     var, exp = rec["var"], rec.get("exp", 0)
@@ -398,7 +398,7 @@ def certificate_from_json(doc: dict) -> ContractionCertificate:
                     built[nid] = None
                 else:
                     raise CertificateError(f"certificate node {nid!r} has kind {kind!r}")
-            except (KeyError, IndexError, TypeError) as e:
+            except (KeyError, TypeError, ValueError) as e:
                 raise CertificateError(f"certificate node {nid!r} is malformed: {e!r}") from None
         # hand the node to its parent, closing each contraction whose
         # children are all built, until one has a child left to build
@@ -416,7 +416,7 @@ def certificate_from_json(doc: dict) -> ContractionCertificate:
                 choices = tuple([recover(raw[c]["multiplier"], raw[c]["epsilon"])
                                  for c in rec["children"]])
                 node = built[pid] = contract(tuple(children), choices, pid)
-            except (KeyError, IndexError, TypeError) as e:
+            except (KeyError, TypeError, ValueError) as e:
                 raise CertificateError(f"certificate node {pid!r} is malformed: {e!r}") from None
             if node.value != val:
                 raise CertificateError(f"certificate node {pid!r} records {rec['value']}, "

@@ -302,7 +302,8 @@ def contraction_from_flat(g: AdditiveForm, sol: FlatSolution) -> ContractionCert
     below the anchor level + 3, two nodes share the minimal one, and those
     two (lowest ids first) are combined.  Leaves take their chosen
     multiplier, composite nodes the identity (the set's first rep).  The
-    root is the finished node holding the anchor; it must hold every pick,
+    picks must be distinct variables, checked on one set, and the anchor
+    one of them; the root, the one finished node, must hold every pick,
     since the lift reads each picked variable off its rep alone.  A
     combination never lands below its children's level, so one id-ordered
     queue per level that occurs below the anchor level + 3 is drained from
@@ -317,10 +318,10 @@ def contraction_from_flat(g: AdditiveForm, sol: FlatSolution) -> ContractionCert
     once; a two-child contraction's value is the sum of its children's
     terms, and is its own term."""
     d, subst, root = g.d, g.subst_log, g.root()
-    N = 0  # substitutions are never negative
-    for var, _, _ in sol.picks:
-        if subst[var] > N:
-            N = subst[var]
+    picked = {var for var, _, _ in sol.picks}
+    if len(picked) != len(sol.picks):
+        raise CertificateError("children overlap in original variables")
+    N = max([subst[var] for var in picked], default=0)  # substitutions are never negative
     need = sol.k + d * N + 3
     K0 = root.K
     K = K0 if need <= K0 else need
@@ -339,7 +340,7 @@ def contraction_from_flat(g: AdditiveForm, sol: FlatSolution) -> ContractionCert
             lvl += shift
             J = min(J + shift, K)
         leaf = _new_tuple(VarNode, (var, c, J if J < lvl + 3 else lvl + 3, lvl, lvl,
-                                    frozenset((var,)), "leaf", var, (), (), m))
+                                    "leaf", var, (), (), m))
         nodes.append(leaf)
         if lvl < need:
             rep = reps[idx]
@@ -358,16 +359,13 @@ def contraction_from_flat(g: AdditiveForm, sol: FlatSolution) -> ContractionCert
         while len(queue) - i >= 2:
             (x, xa, xb, rx), (y, ya, yb, ry) = queue[i], queue[i + 1]
             i += 2
-            if not x.leaves.isdisjoint(y.leaves):
-                raise CertificateError("children overlap in original variables")
             ta, tb = (xa + ya) & mask, (xb + yb) & mask
             J = x.J if x.J < y.J else y.J
             low = (ta | tb) & ((1 << J) - 1)  # the level inside the window
             lvl = (low & -low).bit_length() - 1 if low else None
             node = _new_tuple(VarNode, (new_id, reduced_elem(ta, tb, K), J, lvl,
                                         x.kappa if x.kappa < y.kappa else y.kappa,
-                                        x.leaves | y.leaves, "contraction", None,
-                                        (x.id, y.id), (rx, ry), 0))
+                                        "contraction", None, (x.id, y.id), (rx, ry), 0))
             new_id += 1
             nodes.append(node)
             if lvl is not None and lvl < need:  # its term is its value: the identity applies
@@ -377,7 +375,7 @@ def contraction_from_flat(g: AdditiveForm, sol: FlatSolution) -> ContractionCert
         if len(queue) > i:
             raise CertificateError("flat solution does not vanish modulo 2^(k+3)")
         del pending[lowest]
-    if len(finished) != 1 or sol.anchor not in finished[0].leaves:
+    if len(finished) != 1 or sol.anchor not in picked:
         raise CertificateError("flat solution picks terms outside the anchor's contraction")
     top = finished[0]
     if not top.is_success():

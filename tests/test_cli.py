@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -337,6 +338,51 @@ def test_certificate_verify_reads_a_deep_chain(tmp_path, capsys):
     cert.write_text(json.dumps(chain_certificate(2000)))
     code, out, err = run(["certificate", "verify", str(form), str(cert)], capsys)
     assert code == 1 and json.loads(out)["valid"] is False and err == ""
+
+
+def test_certificate_verify_reads_a_long_chain_in_linear_memory(tmp_path, capsys):
+    # 16,000 contractions, a 3.5 MB document: with a set of variables per
+    # node the reader needed some 5 GB and 12 s
+    form = tmp_path / "ones.json"
+    form.write_text(json.dumps({"degree": 6, "precision": 10, "coeffs": [[1, 0]] * 16000}))
+    cert = tmp_path / "chain.json"
+    cert.write_text(json.dumps(chain_certificate(16000)))
+    start = time.perf_counter()
+    code, out, err = run(["certificate", "verify", str(form), str(cert)], capsys)
+    assert time.perf_counter() - start < 2
+    assert code == 1 and json.loads(out)["valid"] is False and err == ""
+
+
+def test_certificate_verify_on_reused_nodes_ids_and_degrees(tmp_path, capsys):
+    # `solve`'s certificate for (1, 7), edited three ways.  A node id
+    # listed twice was read as its last record (exit 0); a certificate of
+    # degree 10 checked against the sextic was valid (exit 0); a root
+    # listing both leaves twice, 1 + 7 + 1 + 7 = 16, was a parse error
+    # (exit 64) and is now a tree that uses its variables twice (exit 1)
+    form = tmp_path / "f.txt"
+    form.write_text("d=6; K=10; 1, 7\n")
+    res = tmp_path / "res.json"
+    assert run(["solve", str(form), "--out", str(res)], capsys)[0] == 0
+    good = json.loads(res.read_text())["contraction"]
+    edits = {"duplicate": 64, "degree": 1, "overlap": 1}
+    for name, want in edits.items():
+        doc = json.loads(json.dumps(good))
+        if name == "duplicate":
+            doc["nodes"].append(dict(doc["nodes"][0]))
+        elif name == "degree":
+            doc["degree"] = 10
+        else:
+            top = doc["nodes"][2]
+            top["children"] *= 2
+            top["value"] = [16, 0]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["certificate", "verify", str(form), str(path)], capsys)
+        assert code == want, (name, code, err)
+        if want == 64:
+            assert out == "" and "lists a node id twice" in err
+        else:
+            assert json.loads(out)["valid"] is False and err == ""
 
 
 DEEP = "[" * 200_000 + "]" * 200_000

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -115,9 +116,19 @@ def test_contract_three_classes():
 
 
 def test_contract_rejects_overlap_and_mixed_levels():
+    # a leaf contracted with itself: `contract` builds the node, and
+    # validate_certificate, the one owner of the overlap rule, refuses
+    # it; the same sum over four distinct variables is valid
+    ones = form(6, [(1, 0)] * 4, 10)
+    choices = (IDENT, IDENT, IDENT, FIVE)  # 1 + 1 + 1 + 125 = 128
+    a = make_leaf(0, ones.coeffs[0], 10)
+    root = contract((a, a, a, a), choices, 4)
+    assert root.is_success()
+    assert not validate_certificate(ones, ContractionCertificate(6, 10, (a, root), 4, 0, 0, 3))
+    xs = tuple(make_leaf(i, c, 10) for i, c in enumerate(ones.coeffs))
+    root = contract(xs, choices, 4)
+    assert validate_certificate(ones, ContractionCertificate(6, 10, (*xs, root), 4, 0, 0, 3))
     a = leaf(0, 1, 0)
-    with pytest.raises(CertificateError):
-        contract((a, a), (IDENT, IDENT), 100)
     with pytest.raises(CertificateError):
         contract((leaf(0, 1, 0), leaf(1, 2, 0)), (IDENT, IDENT), 100)
     with pytest.raises(CertificateError):
@@ -296,26 +307,31 @@ def test_forged_multiplier_is_refused():
 def test_node_consumed_twice_is_refused():
     x0, x1 = make_leaf(0, G.coeffs[0], 10), make_leaf(1, G.coeffs[1], 10)
     a = contract((x0, x1), (IDENT, IDENT), 3)  # 1 + 1 = 2
-    # 2 + 2 + 2 + 2 = 8 vanishes mod 8, but uses x0 and x1 four times each;
-    # `contract` refuses the overlap, so the node is built by hand
-    root = VarNode(4, RingElem(8, 0, 10), 3, None, 0, a.leaves, "contraction", None,
-                   (3, 3, 3, 3), (IDENT,) * 4)
+    # 2 + 2 + 2 + 2 = 8 vanishes mod 8, but uses x0 and x1 four times each
+    root = contract((a, a, a, a), (IDENT,) * 4, 4)
+    assert root.is_success()
     cert = ContractionCertificate(6, 10, (x0, x1, a, root), 4, 0, 0, 3)
     assert not validate_certificate(G, cert)
 
 
 def test_node_with_two_parents_is_refused():
-    # 1 + 7 = 8 twice, and 8 + 8 = 16 vanishes mod 8; x0 and x1 are each
-    # listed under both a and b, which no tree allows
-    f = form(6, [(1, 0), (7, 0)], 10)
+    # 1 + 3 = 4 twice, and 4 + 4 = 8 vanishes mod 8; x0 and x1 are each
+    # listed under both a and b, which no tree allows.  The same tree
+    # over four variables, (1, 3, 1, 3), is valid
+    f = form(6, [(1, 0), (3, 0)], 10)
     x0, x1 = make_leaf(0, f.coeffs[0], 10), make_leaf(1, f.coeffs[1], 10)
     a = contract((x0, x1), (IDENT, IDENT), 2)
     b = contract((x0, x1), (IDENT, IDENT), 3)
-    assert validate_certificate(f, ContractionCertificate(6, 10, (x0, x1, a), 2, 0, 0, 3))
-    root = VarNode(4, RingElem(16, 0, 10), 3, None, 0, a.leaves, "contraction", None,
-                   (2, 3), (IDENT, IDENT))
+    root = contract((a, b), (IDENT, IDENT), 4)
+    assert root.is_success()
     assert not validate_certificate(f, ContractionCertificate(6, 10, (x0, x1, a, b, root),
                                                               4, 0, 0, 3))
+    g = form(6, [(1, 0), (3, 0)] * 2, 10)
+    xs = tuple(make_leaf(i, c, 10) for i, c in enumerate(g.coeffs))
+    a = contract(xs[:2], (IDENT, IDENT), 4)
+    b = contract(xs[2:], (IDENT, IDENT), 5)
+    root = contract((a, b), (IDENT, IDENT), 6)
+    assert validate_certificate(g, ContractionCertificate(6, 10, (*xs, a, b, root), 6, 0, 0, 3))
 
 
 def test_cycles_are_refused():
@@ -325,8 +341,8 @@ def test_cycles_are_refused():
     leaves = tuple(make_leaf(i, c, 10) for i, c in enumerate(f.coeffs))
 
     def node(nid, children):
-        return VarNode(nid, RingElem(8, 0, 10), 3, None, 0, frozenset(range(3)),
-                       "contraction", None, children, (IDENT,) * len(children))
+        return VarNode(nid, RingElem(8, 0, 10), 3, None, 0, "contraction", None, children,
+                       (IDENT,) * len(children))
 
     root_consumed = (*leaves, node(3, (0, 4)), node(4, (1, 2, 3)))
     below = (*leaves, node(3, (1, 4)), node(4, (2, 3)), node(5, (0, 3)))
@@ -447,7 +463,9 @@ def _malformed_certificate_docs() -> dict:
     docs = {}
     cases = ("zero leaf", "unknown root", "unknown child", "missing kind", "cycle",
              "multiplier not a sixth power", "multiplier not a unit", "flipped epsilon",
-             "leaf value off its parent's", "unknown kind", "epsilon off its rep's mod 8")
+             "leaf value off its parent's", "unknown kind", "epsilon off its rep's mod 8",
+             "node id listed twice", "value not a pair", "multiplier not a pair",
+             "degree not an integer", "degree not 2m with m odd")
     for case in cases:
         doc = json.loads(json.dumps(good))
         nodes = {n["id"]: n for n in doc["nodes"]}
@@ -477,6 +495,16 @@ def _malformed_certificate_docs() -> dict:
             assert leaf["multiplier"] == [1, 0] and leaf["id"] in root["children"]
             leaf["multiplier"], leaf["epsilon"] = [9, 0], 7
             root["value"] = [x + 8 * v for x, v in zip(root["value"], leaf["value"])]
+        elif case == "node id listed twice":
+            doc["nodes"].append(json.loads(json.dumps(doc["nodes"][0])))
+        elif case == "value not a pair":
+            leaf["value"].append(0)
+        elif case == "multiplier not a pair":
+            leaf["multiplier"].append(0)
+        elif case == "degree not an integer":
+            doc["degree"] = "6"
+        elif case == "degree not 2m with m odd":
+            doc["degree"] = 4
         else:
             root["children"][0] = root["id"]
         docs[case] = doc
@@ -532,6 +560,19 @@ def test_a_deep_chain_is_read_without_recursion():
     cert = certificate_from_json(chain_certificate(2000))
     assert len(cert.nodes) == 3999 and cert.anchor_level == 0
     assert not validate_certificate(f, cert)
+
+
+def test_reading_a_chain_takes_memory_linear_in_its_length():
+    # each node used to hold the set of the variables below it, so a chain
+    # of n contractions stored about n^2 / 2 of them: some 330 MB here
+    doc = chain_certificate(4000)
+    tracemalloc.start()
+    try:
+        cert = certificate_from_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cert.nodes) == 7999 and peak < 20 * 2**20, peak
 
 
 @pytest.mark.parametrize("case", list(_malformed_certificate_docs()))

@@ -945,6 +945,10 @@ def _doctored_solutions() -> dict:
         "does not vanish": [[[1, 0], [1, 0], [8, 0]], 0, 0, picks],
         # the level-3 pick is never contracted into the anchor's tree
         "outside the anchor's contraction": [pairs, 0, 0, picks + [[2, 0, 0]]],
+        # 1 + 1 + 1 + 125 = 128 vanishes, but picks variable 0 four times
+        "children overlap": [pairs, 0, 0, [[0, 0, 0]] * 3 + [[0, 0, 1]]],
+        # 1 + 7 = 8 vanishes, and the anchor is no pick: the same refusal
+        "picks terms outside the anchor's contraction": [pairs, 0, 2, picks],
     }
 
 
