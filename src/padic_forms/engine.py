@@ -33,7 +33,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import CertificateError, DegreeShapeError, NotADthPower, NotAUnit
-from .forms import AdditiveForm, whole
+from .forms import MAX_PRECISION, AdditiveForm, whole
 from .ring import INFINITE, MultiplierRep, RingElem, dth_root, multiplier_set, pow_pair
 
 
@@ -192,13 +192,13 @@ def validate_certificate(f: AdditiveForm, cert: ContractionCertificate) -> bool:
     it is trusted only to the coefficient's window plus d m.  Values are
     computed mod 2^max(K, anchor + 3), K the root form's precision.  Also
     refused: a degree other than the form's, a structural defect, a
-    variable with two leaves, a node that is not exactly one node's child
-    (the root excepted), a multiplier that is not a unit d-th power, a
-    negative exponent, a leaf whose trusted window stops below anchor + 3,
-    and a contraction whose recorded value is not the sum of its
-    children's recorded values times their multipliers.  The leaves'
-    recorded values are not compared with the form's coefficients: the
-    tree proves every form it recomputes to a zero."""
+    variable with two leaves, a node not exactly one node's child (the root
+    excepted), a multiplier not a unit d-th power, an exponent negative or
+    whose 2^(d m) does not divide its leaf's recorded value, a leaf window
+    that stops below anchor + 3, a contraction whose recorded value is not
+    the sum of its children's recorded values times their multipliers.  The
+    leaves' recorded values are not compared with the form's coefficients:
+    the tree proves every form it recomputes to a zero."""
     root = f.root()
     d = root.d
     nmap = cert.node_map()
@@ -219,7 +219,7 @@ def validate_certificate(f: AdditiveForm, cert: ContractionCertificate) -> bool:
     for n in order:
         if n.kind == "leaf":
             var, m = n.var, n.exp
-            if var is None or not 0 <= var < s or var in leaf_level or m < 0:
+            if var is None or not 0 <= var < s or var in leaf_level or not 0 <= d * m <= n.level:
                 return False
             lvl, w = levels[var], windows[var]
             if m:
@@ -321,7 +321,7 @@ def certificate_from_json(doc: dict) -> ContractionCertificate:
     """Rebuild a certificate through `make_leaf` and `contract`; a leaf's
     `exp` defaults to 0.  A malformed document raises CertificateError: a
     missing or mistyped field, a degree not 2m with m odd, a precision K
-    below 1 or whose 2^K no int can hold, an unknown, cyclic or repeated
+    below 1 or above MAX_PRECISION, an unknown, cyclic or repeated
     node id, a leaf 0 at the precision, a value or multiplier that is not
     a pair, a node id, child id, root, `var`, `exp`, value or multiplier
     component or epsilon that is not a whole number (the root's null
@@ -340,10 +340,10 @@ def certificate_from_json(doc: dict) -> ContractionCertificate:
         raise CertificateError("certificate lists a node id twice")
     if whole(K, "certificate precision", CertificateError) < 1:
         raise CertificateError(f"certificate precision must be an integer at least 1, got {K!r}")
+    if K > MAX_PRECISION:
+        raise CertificateError(f"certificate precision {K} is too large to hold")
     try:
         ms = multiplier_set(whole(d, "certificate degree", CertificateError), K)
-    except OverflowError:  # 2^K has more digits than an int can hold
-        raise CertificateError(f"certificate precision {K} is too large to hold") from None
     except DegreeShapeError as e:
         raise CertificateError(f"certificate {e}") from None
     by_value = {(r.value.a, r.value.b): r for r in ms.reps}

@@ -27,6 +27,9 @@ from .errors import PrecisionMismatch
 from .ring import INFINITE, RingElem, check_degree_shape, parse_elem, pow_pair, reduced_elem
 
 
+MAX_PRECISION = 1 << 16  # the most digits a form or document may ask for: 2^K in 8 KB
+
+
 def default_precision(d: int) -> int:
     return d + 4
 
@@ -80,10 +83,9 @@ class AdditiveForm:
             K = default_precision(d)
         if K < 1:
             raise PrecisionMismatch(f"precision must be at least 1, got {K}")
-        try:
-            coeffs = tuple(RingElem(a, b, K) for a, b in pairs)
-        except OverflowError:  # 2^K has more digits than an int can hold
-            raise PrecisionMismatch(f"precision {K} is too large to hold") from None
+        if K > MAX_PRECISION:
+            raise PrecisionMismatch(f"precision {K} is too large to hold")
+        coeffs = tuple(RingElem(a, b, K) for a, b in pairs)
         if not coeffs:
             raise ValueError("form has no coefficients")
         return cls(d, coeffs)

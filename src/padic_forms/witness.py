@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CertificateError
-from .forms import AdditiveForm, whole
+from .forms import MAX_PRECISION, AdditiveForm, whole
 from .ring import RingElem, reduced_elem
 
 
@@ -40,11 +40,10 @@ class Witness:
         K = whole(doc["precision"], "witness precision")
         if K < 1:
             raise ValueError(f"witness precision must be at least 1, got {K}")
-        try:
-            values = tuple(RingElem(whole(a, "witness value"), whole(b, "witness value"), K)
-                           for a, b in doc["values"])
-        except OverflowError:  # 2^K has more digits than an int can hold
-            raise ValueError(f"witness precision {K} is too large to hold") from None
+        if K > MAX_PRECISION:
+            raise ValueError(f"witness precision {K} is too large to hold")
+        values = tuple(RingElem(whole(a, "witness value"), whole(b, "witness value"), K)
+                       for a, b in doc["values"])
         return cls(
             values=values,
             primitive=whole(doc["primitive"], "witness primitive"),
