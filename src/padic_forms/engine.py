@@ -212,24 +212,18 @@ def validate_certificate(f: AdditiveForm, cert: ContractionCertificate) -> bool:
     powers = _unit_powers_mod8(d)
     values: dict[int, tuple[int, int]] = {}  # exact node values as int pairs
     leaf_level: dict[int, int] = {}  # variable -> its leaf's level
-    shifted = []  # (node id, variable, d exp) of the leaves with an exponent
     kmin = wmin = INFINITE  # the least leaf level and window
     # the leaves first; then the contractions in `order`, each after its
     # children, so a child's value is known unless the walk met a cycle
     for n in order:
         if n.kind == "leaf":
-            var, m = n.var, n.exp
-            if var is None or not 0 <= var < s or var in leaf_level or not 0 <= d * m <= n.level:
+            var, shift = n.var, d * n.exp
+            # 2^shift divides the recorded value, which bounds the shift
+            if var is None or not 0 <= var < s or var in leaf_level or not 0 <= shift <= n.level:
                 return False
-            lvl, w = levels[var], windows[var]
-            if m:
-                shift = d * m
-                lvl += shift
-                w += shift
-                shifted.append((n.id, var, shift))
-            else:
-                c = coeffs[var]
-                values[n.id] = (c.a, c.b)
+            c = coeffs[var]
+            values[n.id] = (c.a << shift, c.b << shift) if shift else (c.a, c.b)
+            lvl, w = levels[var] + shift, windows[var] + shift
             leaf_level[var] = lvl
             if lvl < kmin:
                 kmin = lvl
@@ -242,9 +236,6 @@ def validate_certificate(f: AdditiveForm, cert: ContractionCertificate) -> bool:
         return False
     K = max(root.K, need)
     mask = (1 << K) - 1
-    for nid, var, shift in shifted:  # masked here, once K is known
-        c = coeffs[var]
-        values[nid] = ((c.a << shift) & mask, (c.b << shift) & mask) if shift < K else (0, 0)
     consumed = 0
     for n in order:
         if n.kind != "leaf":

@@ -318,10 +318,14 @@ def contraction_from_flat(g: AdditiveForm, sol: FlatSolution) -> ContractionCert
     once; a two-child contraction's value is the sum of its children's
     terms, and is its own term."""
     d, subst, root = g.d, g.subst_log, g.root()
-    picked = {var for var, _, _ in sol.picks}
+    picked = set()
+    N = 0  # substitutions are never negative
+    for var, _, _ in sol.picks:
+        picked.add(var)
+        if subst[var] > N:
+            N = subst[var]
     if len(picked) != len(sol.picks):
         raise CertificateError("children overlap in original variables")
-    N = max([subst[var] for var in picked], default=0)  # substitutions are never negative
     need = sol.k + d * N + 3
     K0 = root.K
     K = K0 if need <= K0 else need

@@ -26,7 +26,6 @@ import json
 from .errors import PrecisionMismatch
 from .ring import INFINITE, RingElem, check_degree_shape, parse_elem, pow_pair, reduced_elem
 
-
 MAX_PRECISION = 1 << 16  # the most digits a form or document may ask for: 2^K in 8 KB
 
 

@@ -353,24 +353,30 @@ def test_certificate_verify_reads_a_long_chain_in_linear_memory(tmp_path, capsys
     assert code == 1 and json.loads(out)["valid"] is False and err == ""
 
 
-def test_certificate_verify_on_reused_nodes_ids_and_degrees(tmp_path, capsys):
-    # `solve`'s certificate for (1, 7), edited three ways.  A node id
+def test_certificate_verify_on_reused_nodes_ids_degrees_and_exponents(tmp_path, capsys):
+    # `solve`'s certificate for (1, 7), edited four ways.  A node id
     # listed twice was read as its last record (exit 0); a certificate of
     # degree 10 checked against the sextic was valid (exit 0); a root
     # listing both leaves twice, 1 + 7 + 1 + 7 = 16, was a parse error
-    # (exit 64) and is now a tree that uses its variables twice (exit 1)
+    # (exit 64) and is now a tree that uses its variables twice (exit 1).
+    # Leaves with exponent m stand for their coefficients times 2^(6m),
+    # so their recorded values are multiples of it; with m = 2^40 on both
+    # the check worked mod 2^(6m + 3) and ran out of memory (exit 70)
     form = tmp_path / "f.txt"
     form.write_text("d=6; K=10; 1, 7\n")
     res = tmp_path / "res.json"
     assert run(["solve", str(form), "--out", str(res)], capsys)[0] == 0
     good = json.loads(res.read_text())["contraction"]
-    edits = {"duplicate": 64, "degree": 1, "overlap": 1}
+    edits = {"duplicate": 64, "degree": 1, "overlap": 1, "shifted": 1}
     for name, want in edits.items():
         doc = json.loads(json.dumps(good))
         if name == "duplicate":
             doc["nodes"].append(dict(doc["nodes"][0]))
         elif name == "degree":
             doc["degree"] = 10
+        elif name == "shifted":
+            for n in doc["nodes"][:2]:
+                n["exp"] = SHIFTABLE
         else:
             top = doc["nodes"][2]
             top["children"] *= 2
@@ -383,27 +389,6 @@ def test_certificate_verify_on_reused_nodes_ids_and_degrees(tmp_path, capsys):
             assert out == "" and "lists a node id twice" in err
         else:
             assert json.loads(out)["valid"] is False and err == ""
-
-
-def test_certificate_verify_refuses_a_leaf_shifted_past_its_value(tmp_path, capsys):
-    # a leaf with exponent m stands for its coefficient times 2^(6m), so
-    # its recorded value is a multiple of 2^(6m); the check worked mod
-    # 2^(6m + 3) and ran out of memory (exit 70) on a huge m
-    form = tmp_path / "f.txt"
-    form.write_text("d=6; K=10; 1, 7\n")
-    res = tmp_path / "res.json"
-    assert run(["solve", str(form), "--out", str(res)], capsys)[0] == 0
-    every = json.loads(res.read_text())["contraction"]
-    for n in every["nodes"]:
-        if n["kind"] == "leaf":
-            n["exp"] = SHIFTABLE
-    one = {"kind": "contraction", "degree": 6, "precision": 10, "root": 0,
-           "nodes": [{"id": 0, "kind": "leaf", "value": [1, 0], "var": 0, "exp": 2**62}]}
-    for name, doc in {"every": every, "one": one}.items():
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run(["certificate", "verify", str(form), str(path)], capsys)
-        assert code == 1 and json.loads(out)["valid"] is False and err == "", (name, code, err)
 
 
 DEEP = "[" * 200_000 + "]" * 200_000
